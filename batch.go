@@ -32,6 +32,11 @@ type DimQuery struct {
 
 // BatchResult pairs one query's instantiation result with its error, so a
 // single invalid query fails alone rather than aborting the whole batch.
+//
+// Stored answers of one batch share a single backing array: each result's
+// X and Y are sub-slices of it, capped at their own length, so appending
+// to one never writes into another. Backup answers carry the backup's own
+// slices; errored results carry none.
 type BatchResult struct {
 	Result
 	// Member is the portfolio member that answered (portfolio batches):
@@ -77,12 +82,24 @@ func batchWorkers(numQueries, workers int) int {
 
 // runBatch answers every query via fn and returns results in query order,
 // fanning the batch across batchWorkers goroutines. fn must be safe for
-// concurrent calls and writes its answer into out.
-func runBatch(queries []DimQuery, workers int, fn func(q DimQuery, out *BatchResult)) []BatchResult {
+// concurrent calls and writes its answer into out, whose X and Y arrive as
+// empty slices of one per-batch arena with room for n anchors each — an
+// InstantiateInto-style answer fills them without allocating. fn's error
+// clears the answer.
+func runBatch(queries []DimQuery, workers, n int, fn func(q DimQuery, out *BatchResult)) []BatchResult {
 	out := make([]BatchResult, len(queries))
+	arena := make([]int, 2*n*len(queries))
+	answer := func(i int) {
+		a := arena[2*n*i : 2*n*(i+1) : 2*n*(i+1)]
+		out[i].X, out[i].Y = a[:0:n], a[n:n]
+		fn(queries[i], &out[i])
+		if out[i].Err != nil {
+			out[i].Result = Result{}
+		}
+	}
 	if workers = batchWorkers(len(queries), workers); workers == 1 {
 		for i := range queries {
-			fn(queries[i], &out[i])
+			answer(i)
 		}
 		return out
 	}
@@ -103,7 +120,7 @@ func runBatch(queries []DimQuery, workers int, fn func(q DimQuery, out *BatchRes
 					end = len(queries)
 				}
 				for i := start; i < end; i++ {
-					fn(queries[i], &out[i])
+					answer(i)
 				}
 			}
 		}()
@@ -126,10 +143,9 @@ func (s *Structure) InstantiateBatch(queries []DimQuery) []BatchResult {
 // the bound caps fan-out, it does not force it.
 func (s *Structure) InstantiateBatchWorkers(queries []DimQuery, workers int) []BatchResult {
 	cs := s.Compiled()
-	return runBatch(queries, workers, func(q DimQuery, out *BatchResult) {
-		res, err := cs.Instantiate(q.Ws, q.Hs)
-		out.Result, out.Err = res, err
-		if err != nil || res.FromBackup {
+	return runBatch(queries, workers, s.Circuit().N(), func(q DimQuery, out *BatchResult) {
+		out.Err = cs.InstantiateInto(&out.Result, q.Ws, q.Hs)
+		if out.Err != nil || out.FromBackup {
 			out.Member = -1
 		}
 	})
@@ -147,7 +163,7 @@ func (p *Portfolio) InstantiateBatch(queries []DimQuery) []BatchResult {
 // Queries carrying a non-zero Weights vector route by weighted cost;
 // the rest take the default area rule unchanged.
 func (p *Portfolio) InstantiateBatchWorkers(queries []DimQuery, workers int) []BatchResult {
-	return runBatch(queries, workers, func(q DimQuery, out *BatchResult) {
+	return runBatch(queries, workers, p.Circuit().N(), func(q DimQuery, out *BatchResult) {
 		out.Member, out.Err = p.InstantiateWeightedInto(&out.Result, q.Weights, q.Ws, q.Hs)
 	})
 }

@@ -5,6 +5,9 @@ import (
 	"reflect"
 	"sync"
 	"testing"
+
+	"mps/internal/core"
+	"mps/internal/experiments"
 )
 
 // batchTestStructure caches one quick TwoStageOpamp structure for the batch
@@ -93,6 +96,54 @@ func TestInstantiateBatchInvalidQuery(t *testing.T) {
 		}
 		if br.Err != nil {
 			t.Errorf("query %d failed: %v", i, br.Err)
+		}
+	}
+}
+
+// TestInstantiateBatchArena pins the per-batch answer arena: covered
+// answers cost no allocation per query, on a structure and on a weighted
+// portfolio, serial and fanned out, and every result's anchors are capped
+// at their own length, so appending to one never writes into another.
+func TestInstantiateBatchArena(t *testing.T) {
+	s := batchStructure(t)
+	p, _ := genQuickPortfolio(t, "TwoStageOpamp", 7)
+	rng := rand.New(rand.NewSource(5))
+	covered := func(st *core.Structure, w Weights) []DimQuery {
+		ws, hs := experiments.CoveredQueryPool(st, rng, 256)
+		if ws == nil {
+			t.Fatal("structure has no stored placements")
+		}
+		qs := make([]DimQuery, len(ws))
+		for i := range qs {
+			qs[i] = DimQuery{Ws: ws[i], Hs: hs[i], Weights: w}
+		}
+		return qs
+	}
+	cases := []struct {
+		name    string
+		queries []DimQuery
+		batch   func([]DimQuery, int) []BatchResult
+	}{
+		{"structure", covered(s.Structure, Weights{}), s.InstantiateBatchWorkers},
+		{"portfolio", covered(p.Member(0), Weights{}), p.InstantiateBatchWorkers},
+		{"portfolio weighted", covered(p.Member(1), WeightLadder(3)[1]), p.InstantiateBatchWorkers},
+	}
+	for _, tc := range cases {
+		for _, workers := range []int{1, 2} {
+			for _, br := range tc.batch(tc.queries, workers) {
+				if br.Err != nil || br.FromBackup || br.Member < 0 {
+					t.Fatalf("%s: covered query answered %+v", tc.name, br)
+				}
+				if cap(br.X) != len(br.X) || cap(br.Y) != len(br.Y) {
+					t.Fatalf("%s: anchors len %d/%d, cap %d/%d", tc.name, len(br.X), len(br.Y), cap(br.X), cap(br.Y))
+				}
+			}
+			small := testing.AllocsPerRun(10, func() { tc.batch(tc.queries[:64], workers) })
+			large := testing.AllocsPerRun(10, func() { tc.batch(tc.queries, workers) })
+			if small != large {
+				t.Errorf("%s, workers=%d: 64 covered queries take %v allocations, 256 take %v",
+					tc.name, workers, small, large)
+			}
 		}
 	}
 }

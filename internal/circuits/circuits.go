@@ -80,7 +80,22 @@ func ByName(name string) (*netlist.Circuit, error) {
 	case "benchmark24":
 		return Benchmark24(), nil
 	}
-	return nil, fmt.Errorf("circuits: unknown benchmark %q", name)
+	return nil, unknownError(name)
+}
+
+// CheckName returns the error ByName gives for name, without building the
+// circuit: nil for every Table1 name.
+func CheckName(name string) error {
+	for _, e := range Table1 {
+		if e.Name == name {
+			return nil
+		}
+	}
+	return unknownError(name)
+}
+
+func unknownError(name string) error {
+	return fmt.Errorf("circuits: unknown benchmark %q", name)
 }
 
 // MustByName is ByName that panics on unknown names.

@@ -50,6 +50,18 @@ func TestByNameUnknown(t *testing.T) {
 	MustByName("nope")
 }
 
+// TestCheckNameMatchesByName pins CheckName to ByName: the same names
+// pass, and the rest fail with ByName's error text.
+func TestCheckNameMatchesByName(t *testing.T) {
+	for _, name := range append(Names(), "nope", "", "Circ01", "circ01 ") {
+		_, berr := ByName(name)
+		cerr := CheckName(name)
+		if (berr == nil) != (cerr == nil) || (berr != nil && berr.Error() != cerr.Error()) {
+			t.Errorf("%q: CheckName %v, ByName %v", name, cerr, berr)
+		}
+	}
+}
+
 // TestDeterministicConstruction ensures the same benchmark name always
 // produces an identical circuit — required for the "generate once, reuse"
 // workflow to be reproducible.

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/bits"
+	"slices"
 	"sync"
 
 	"mps/internal/geom"
@@ -344,8 +345,9 @@ func (cs *CompiledStructure) Instantiate(ws, hs []int) (Result, error) {
 
 // InstantiateInto is Instantiate writing into res, reusing res.X and res.Y
 // capacity — the zero-allocation serving hot path (covered queries
-// allocate nothing once res has capacity; backup answers allocate in the
-// backup). On error res is left unspecified.
+// allocate nothing once res has capacity, and one array for both anchor
+// slices before; backup answers allocate in the backup). On error res is
+// left unspecified.
 func (cs *CompiledStructure) InstantiateInto(res *Result, ws, hs []int) error {
 	if err := cs.src.checkDims(ws, hs); err != nil {
 		return err
@@ -353,9 +355,7 @@ func (cs *CompiledStructure) InstantiateInto(res *Result, ws, hs []int) error {
 	slot, count := cs.lookupUnique(ws, hs)
 	switch count {
 	case 1:
-		off := slot * cs.n
-		res.X = appendInt32s(res.X[:0], cs.xs[off:off+cs.n])
-		res.Y = appendInt32s(res.Y[:0], cs.ys[off:off+cs.n])
+		cs.copyAnchors(res, slot)
 		res.PlacementID = int(cs.slotID[slot])
 		res.FromBackup = false
 		return nil
@@ -392,9 +392,7 @@ func (cs *CompiledStructure) InstantiateCoveredInto(res *Result, ws, hs []int) (
 	case 0:
 		return false, nil
 	case 1:
-		off := slot * cs.n
-		res.X = appendInt32s(res.X[:0], cs.xs[off:off+cs.n])
-		res.Y = appendInt32s(res.Y[:0], cs.ys[off:off+cs.n])
+		cs.copyAnchors(res, slot)
 		res.PlacementID = int(cs.slotID[slot])
 		res.FromBackup = false
 		return true, nil
@@ -518,9 +516,26 @@ func (cs *CompiledStructure) matchesRows(s *Structure) bool {
 	return ok && span == len(cs.spanLo) && int(cs.rowStart[2*n]) == span
 }
 
+// copyAnchors copies slot's anchors into res.X and res.Y, reusing their
+// capacity. A result with room for neither — a fresh one — gets both from
+// one allocation, X capped at its own length so appending to it never
+// writes into Y.
+func (cs *CompiledStructure) copyAnchors(res *Result, slot int) {
+	off := slot * cs.n
+	if cap(res.X) < cs.n && cap(res.Y) < cs.n {
+		a := make([]int, 2*cs.n)
+		res.X, res.Y = a[:0:cs.n], a[cs.n:cs.n]
+	}
+	res.X = appendInt32s(res.X[:0], cs.xs[off:off+cs.n])
+	res.Y = appendInt32s(res.Y[:0], cs.ys[off:off+cs.n])
+}
+
+// appendInt32s appends src widened to int, growing dst at most once.
 func appendInt32s(dst []int, src []int32) []int {
-	for _, v := range src {
-		dst = append(dst, int(v))
+	n := len(dst)
+	dst = slices.Grow(dst, len(src))[:n+len(src)]
+	for i, v := range src {
+		dst[n+i] = int(v)
 	}
 	return dst
 }

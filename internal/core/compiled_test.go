@@ -125,7 +125,8 @@ func TestCompiledBackupParity(t *testing.T) {
 
 // TestCompiledInstantiateAllocFree pins the headline property: a covered
 // query through InstantiateInto performs zero allocations once the result
-// buffers exist.
+// buffers exist, and one — both anchor slices, X capped at its length —
+// into a fresh result.
 func TestCompiledInstantiateAllocFree(t *testing.T) {
 	s, _ := codecStructure(t, 25)
 	cs := Compile(s)
@@ -150,6 +151,22 @@ func TestCompiledInstantiateAllocFree(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("covered InstantiateInto allocates %.1f objects per query, want 0", allocs)
+	}
+	if allocs := testing.AllocsPerRun(200, func() {
+		if _, err := cs.Instantiate(ws, hs); err != nil {
+			t.Fatal(err)
+		}
+	}); allocs != 1 {
+		t.Fatalf("covered Instantiate allocates %.1f objects per query, want 1", allocs)
+	}
+	fresh, err := cs.Instantiate(ws, hs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	y := append([]int(nil), fresh.Y...)
+	_ = append(fresh.X, -1)
+	if cap(fresh.X) != len(fresh.X) || !reflect.DeepEqual(fresh.Y, y) || !reflect.DeepEqual(fresh, res) {
+		t.Fatalf("fresh answer %+v (cap X %d), want %+v with X capped", fresh, cap(fresh.X), res)
 	}
 }
 

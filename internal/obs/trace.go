@@ -53,6 +53,9 @@ const (
 	// the submitting request's trace, so remote or queued annealing time
 	// lands under the request that caused it.
 	StageJobRun
+	// StageDecode: reading and decoding the request body. Declared after
+	// StageJobRun so the earlier stages keep their values.
+	StageDecode
 
 	// NumStages is the stage count; valid stages are < NumStages.
 	NumStages
@@ -66,6 +69,7 @@ const StageRequest Stage = 0xff
 var stageNames = [NumStages]string{
 	"cache", "store_read", "compile", "forward", "fetch",
 	"job_wait", "batch_wait", "instantiate", "encode", "job_run",
+	"decode",
 }
 
 // String returns the stage's metric label ("cache", "store_read", ...).

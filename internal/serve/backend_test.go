@@ -98,6 +98,14 @@ func TestBadSpecsRejected(t *testing.T) {
 		})
 	}
 
+	// A valid spec followed by anything but whitespace is a bad body.
+	for _, body := range []string{`{"circuit":"circ01"} trailing`, `{"circuit":"circ01"}}`, `{"circuit":"circ01"}{}`} {
+		if status, msg := postRaw(t, ts.URL+"/v1/structures", []byte(body)); status != http.StatusBadRequest ||
+			!strings.Contains(msg, "after the JSON value") {
+			t.Errorf("%s: status %d (%s), want 400", body, status, msg)
+		}
+	}
+
 	// The unknown-backend 400 must list the registered names so clients
 	// can self-correct without a second round trip.
 	spec := GenerateSpec{Circuit: "circ01", Backend: "cmaes"}

@@ -334,19 +334,14 @@ func (s *Server) entryForKey(ctx context.Context, key string) (*entry, error) {
 	if e, ok := s.lookup(key); ok {
 		return e, nil
 	}
+	// specFromOptions only returns specs that rebuild exactly key.
 	if spec, ok := s.specFromStore(key); ok {
-		e, _, err := s.structureFor(ctx, spec)
-		if err == nil && e.key != key {
-			return nil, fmt.Errorf("store row for %s rebuilds to key %s (key drift)", key, e.key)
-		}
+		e, _, err := s.structureFor(ctx, spec, key)
 		return e, err
 	}
 	if s.cluster != nil && !forwardedFromCtx(ctx) {
 		if spec, ok := s.specFromPeer(ctx, key); ok {
-			e, _, err := s.structureFor(ctx, spec)
-			if err == nil && e.key != key {
-				return nil, fmt.Errorf("peer spec for %s rebuilds to key %s (key drift)", key, e.key)
-			}
+			e, _, err := s.structureFor(ctx, spec, key)
 			return e, err
 		}
 	}

@@ -136,11 +136,11 @@ func TestClusterMetricsEndToEnd(t *testing.T) {
 	}
 
 	// Stage attribution follows the work: the entry node spent its time
-	// forwarding, the owner instantiating and encoding.
+	// forwarding, the owner decoding, instantiating and encoding.
 	if got := entryScrape.Sum("mps_stage_ops_total", map[string]string{"stage": "forward"}); got < float64(wantForwards) {
 		t.Errorf("entry forward spans = %v, want >= %d", got, wantForwards)
 	}
-	for _, stage := range []string{"instantiate", "encode", "job_wait"} {
+	for _, stage := range []string{"decode", "instantiate", "encode", "job_wait"} {
 		if got := peerScrape.Sum("mps_stage_ops_total", map[string]string{"stage": stage}); got == 0 {
 			t.Errorf("peer recorded no %s spans", stage)
 		}

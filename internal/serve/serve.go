@@ -414,7 +414,7 @@ func (g *GenerateSpec) normalize() error {
 	if g.Circuit == "" {
 		return fmt.Errorf("missing circuit")
 	}
-	if _, err := circuits.ByName(g.Circuit); err != nil {
+	if err := circuits.CheckName(g.Circuit); err != nil {
 		return err
 	}
 	if err := g.validateNames(); err != nil {
@@ -657,19 +657,18 @@ func (s *Server) evictLocked() {
 	}
 }
 
-// ensure returns the cache entry for the spec, creating it and starting
-// its work (disk rehydration or job submission) on first use. The entry
-// comes back with the caller registered as a waiter — callers must
-// e.waiters.Add(-1) when done with it. The returned bool reports a true
-// cache hit: the entry had already finished, not merely landing on an
-// in-flight one.
+// ensure returns the cache entry for the spec, whose key is key, creating
+// it and starting its work (disk rehydration or job submission) on first
+// use. The entry comes back with the caller registered as a waiter —
+// callers must e.waiters.Add(-1) when done with it. The returned bool
+// reports a true cache hit: the entry had already finished, not merely
+// landing on an in-flight one.
 //
 // tr is the requesting trace (nil for background callers) and parent the
 // span the inline work should nest under (0 = the trace root): the first
 // caller runs the inline read-through, so its trace gets the store-read
 // and compile spans; later callers land on the same entry and wait.
-func (s *Server) ensure(tr *obs.Trace, parent obs.SpanID, spec GenerateSpec, priority int) (*entry, bool) {
-	key := spec.key()
+func (s *Server) ensure(tr *obs.Trace, parent obs.SpanID, spec GenerateSpec, key string, priority int) (*entry, bool) {
 	s.mu.Lock()
 	e, hit := s.cache[key]
 	wasDone := hit && e.done
@@ -857,7 +856,8 @@ func (s *Server) startPortfolioWork(tr *obs.Trace, parent obs.SpanID, e *entry) 
 	members := make([]*entry, k)
 	memberIDs := make([]string, 0, k)
 	for i := 0; i < k; i++ {
-		me, _ := s.ensure(tr, parent, e.spec.memberSpec(i), e.priority)
+		mspec := e.spec.memberSpec(i)
+		me, _ := s.ensure(tr, parent, mspec, mspec.key(), e.priority)
 		members[i] = me
 		s.mu.Lock()
 		if me.jobID != "" {
@@ -1038,17 +1038,17 @@ func (s *Server) persistPortfolio(spec GenerateSpec, p *mps.Portfolio, members [
 	}
 }
 
-// structureFor returns the cached structure for the spec, scheduling its
-// generation on first use and waiting for it. Concurrent callers for one
-// key share a single run. The returned bool reports a true cache hit —
-// the entry had already finished generating — not merely landing on an
-// in-flight entry and waiting for it.
-func (s *Server) structureFor(ctx context.Context, spec GenerateSpec) (*entry, bool, error) {
+// structureFor returns the cached structure for the spec, whose key is
+// key, scheduling its generation on first use and waiting for it.
+// Concurrent callers for one key share a single run. The returned bool
+// reports a true cache hit — the entry had already finished generating —
+// not merely landing on an in-flight entry and waiting for it.
+func (s *Server) structureFor(ctx context.Context, spec GenerateSpec, key string) (*entry, bool, error) {
 	tr := obs.TraceFrom(ctx)
-	tr.Annotate(spec.key())
+	tr.Annotate(key)
 	cacheSpan := tr.StartSpan(obs.StageCache)
-	cacheSpan.SetKey(spec.key())
-	e, wasDone := s.ensure(tr, cacheSpan.SpanID(), spec, 0)
+	cacheSpan.SetKey(key)
+	e, wasDone := s.ensure(tr, cacheSpan.SpanID(), spec, key, 0)
 	// The cache span covers lookup plus any inline read-through ensure ran
 	// on this goroutine (store_read/compile nest under it by design).
 	s.metrics.endSpan(cacheSpan)
@@ -1349,7 +1349,7 @@ func (s *Server) ResumeInterrupted() int {
 			s.logf("resume %s: %v", snap.ID, err)
 			continue
 		}
-		e, _ := s.ensure(nil, 0, spec, snap.Priority)
+		e, _ := s.ensure(nil, 0, spec, spec.key(), snap.Priority)
 		e.waiters.Add(-1) // fire and forget: nobody waits on a resumed job
 		resumed++
 	}
@@ -1527,27 +1527,29 @@ func generateErrorStatus(err error) int {
 // single generation entry point shared by POST /v1/structures, cmd/mpsd's
 // -preload flag, and tests.
 func (s *Server) Generate(spec GenerateSpec) (StructureInfo, error) {
-	return s.generate(context.Background(), spec)
+	if err := spec.normalize(); err != nil {
+		return StructureInfo{}, clientError{err}
+	}
+	return s.generate(context.Background(), spec, spec.key())
 }
 
-// entryFor is the single validation + generation pipeline behind every
+// entryFor is the single budget + generation pipeline behind every
 // generating path (POST /v1/structures, the /v1/instantiate inline-spec
-// branch, Generate): normalize, budget-check, then fetch or generate.
-// Validation failures come back as clientError; a request abandoned while
-// queued for a generation slot is dropped.
-func (s *Server) entryFor(ctx context.Context, spec GenerateSpec) (*entry, bool, error) {
-	if err := spec.normalize(); err != nil {
-		return nil, false, clientError{err}
-	}
+// branch, Generate), for a spec normalize accepted and its key: each
+// request normalizes and derives the key once, then budget-checks and
+// fetches or generates here. Validation failures come back as
+// clientError; a request abandoned while queued for a generation slot is
+// dropped.
+func (s *Server) entryFor(ctx context.Context, spec GenerateSpec, key string) (*entry, bool, error) {
 	if err := s.checkBudget(spec); err != nil {
 		return nil, false, clientError{err}
 	}
-	return s.structureFor(ctx, spec)
+	return s.structureFor(ctx, spec, key)
 }
 
-// generate is Generate with a cancellation context.
-func (s *Server) generate(ctx context.Context, spec GenerateSpec) (StructureInfo, error) {
-	e, hit, err := s.entryFor(ctx, spec)
+// generate is entryFor reporting the structure to a client.
+func (s *Server) generate(ctx context.Context, spec GenerateSpec, key string) (StructureInfo, error) {
+	e, hit, err := s.entryFor(ctx, spec, key)
 	if err != nil {
 		return StructureInfo{}, err
 	}
@@ -1612,13 +1614,16 @@ func (s *Server) handleStructures(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		// Cluster routing: generation belongs on the key's owner. A copy
-		// normalizes for the key (generate re-validates the original).
-		if norm := spec; norm.normalize() == nil &&
-			s.maybeForward(w, r, norm.key(), false, body) {
+		if err := spec.normalize(); err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		info, err := s.generate(r.Context(), spec)
+		// Cluster routing: generation belongs on the key's owner.
+		key := spec.key()
+		if s.maybeForward(w, r, key, false, body) {
+			return
+		}
+		info, err := s.generate(r.Context(), spec, key)
 		if err != nil {
 			writeError(w, generateErrorStatus(err), err.Error())
 			return
@@ -1678,14 +1683,15 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// lives on the key's owner. The relayed response's ServedBy header
 	// names the node to poll GET /v1/jobs/{id} on (job ids are
 	// node-local).
-	if s.maybeForward(w, r, spec.key(), false, body) {
+	key := spec.key()
+	if s.maybeForward(w, r, key, false, body) {
 		return
 	}
 	if err := s.checkBudget(spec); err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	e, _ := s.ensure(obs.TraceFrom(r.Context()), 0, spec, req.Priority)
+	e, _ := s.ensure(obs.TraceFrom(r.Context()), 0, spec, key, req.Priority)
 	defer e.waiters.Add(-1)
 	s.mu.Lock()
 	id := e.jobID
@@ -1809,52 +1815,49 @@ type dimQuery struct {
 	Weights *WeightsSpec `json:"weights,omitempty"`
 }
 
-// queryWeights resolves the batch's effective per-query routing weights,
-// rejecting invalid vectors before any instantiation work.
-func (req instantiateRequest) queryWeights() ([]mps.Weights, error) {
-	if err := req.Weights.weights().Validate(); err != nil {
+// dimQueries resolves the batch into facade queries, rejecting invalid
+// routing weight vectors before any instantiation work. A query's own
+// non-zero weights override the request-level vector; Ws and Hs are the
+// decoded slices themselves.
+func (req *instantiateRequest) dimQueries() ([]mps.DimQuery, error) {
+	batchWeights := req.Weights.weights()
+	if err := batchWeights.Validate(); err != nil {
 		return nil, fmt.Errorf("weights: %w", err)
 	}
-	ws := make([]mps.Weights, len(req.Queries))
-	for i, q := range req.Queries {
-		if err := q.Weights.weights().Validate(); err != nil {
+	queries := make([]mps.DimQuery, len(req.Queries))
+	for i := range req.Queries {
+		q := &req.Queries[i]
+		w := q.Weights.weights()
+		if err := w.Validate(); err != nil {
 			return nil, fmt.Errorf("queries[%d].weights: %w", i, err)
 		}
-		if w := q.Weights.weights(); !w.IsZero() {
-			ws[i] = w
-		} else {
-			ws[i] = req.Weights.weights()
+		if w.IsZero() {
+			w = batchWeights
 		}
+		queries[i] = mps.DimQuery{Ws: q.Ws, Hs: q.Hs, Weights: w}
 	}
-	return ws, nil
+	return queries, nil
 }
 
-// queryResult is one query's answer. Error is set instead of anchors when
-// the query itself was invalid (e.g. out-of-bounds dimensions). Member is
-// the portfolio member that answered (-1 when the backup did); for
-// single-structure entries it is 0 on stored answers, so placement_id is
-// always member-local to member. See mps.BatchResult.
-type queryResult struct {
-	X           []int  `json:"x,omitempty"`
-	Y           []int  `json:"y,omitempty"`
-	PlacementID int    `json:"placement_id"`
-	Member      int    `json:"member"`
-	FromBackup  bool   `json:"from_backup"`
-	Error       string `json:"error,omitempty"`
-}
-
+// handleInstantiate answers a query batch. Each result carries x/y
+// anchors or an error (e.g. out-of-bounds dimensions), plus member: the
+// portfolio member that answered (-1 when the backup did; 0 on stored
+// answers of single-structure entries, so placement_id is always
+// member-local to member). See mps.BatchResult and wire.go.
 func (s *Server) handleInstantiate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
 		return
 	}
-	body, err := readBody(w, r, 4096+int64(s.cfg.MaxBatch)*maxQueryBytes)
-	if err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
-		return
-	}
+	tr := obs.TraceFrom(r.Context())
+	decodeSpan := tr.StartSpan(obs.StageDecode)
 	var req instantiateRequest
-	if err := decodeJSONBytes(body, &req); err != nil {
+	body, err := readBody(w, r, 4096+int64(s.cfg.MaxBatch)*maxQueryBytes)
+	if err == nil {
+		err = decodeInstantiate(body, &req)
+	}
+	s.metrics.endSpan(decodeSpan)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -1867,7 +1870,7 @@ func (s *Server) handleInstantiate(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("batch of %d exceeds max %d", len(req.Queries), s.cfg.MaxBatch))
 		return
 	}
-	qw, err := req.queryWeights()
+	queries, err := req.dimQueries()
 	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
@@ -1906,12 +1909,17 @@ func (s *Server) handleInstantiate(w http.ResponseWriter, r *http.Request) {
 		}
 		e = resolved
 	case req.Spec != nil:
-		if norm := *req.Spec; norm.normalize() == nil &&
-			s.maybeForward(w, r, norm.key(), true, body) {
+		spec := *req.Spec
+		if err := spec.normalize(); err != nil {
+			writeError(w, http.StatusBadRequest, err.Error())
+			return
+		}
+		key := spec.key()
+		if s.maybeForward(w, r, key, true, body) {
 			return
 		}
 		var err error
-		e, _, err = s.entryFor(ctx, *req.Spec)
+		e, _, err = s.entryFor(ctx, spec, key)
 		if err != nil {
 			writeError(w, generateErrorStatus(err), err.Error())
 			return
@@ -1921,16 +1929,11 @@ func (s *Server) handleInstantiate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	queries := make([]mps.DimQuery, len(req.Queries))
-	for i, q := range req.Queries {
-		queries[i] = mps.DimQuery{Ws: q.Ws, Hs: q.Hs, Weights: qw[i]}
-	}
 	// The batch slot wraps only the CPU fan-out — holding it across decode
 	// or a cold generation would let a handful of slow requests starve
 	// sub-millisecond cached traffic. Requests shed while queued get a 503
 	// so the access log does not count shed load as success. Per-request
 	// decode memory is bounded by MaxBatch (see withDefaults).
-	tr := obs.TraceFrom(ctx)
 	tr.Annotate(e.key)
 	slotSpan := tr.StartSpan(obs.StageBatchWait)
 	select {
@@ -1947,28 +1950,8 @@ func (s *Server) handleInstantiate(w http.ResponseWriter, r *http.Request) {
 	batch := e.batcher().InstantiateBatchWorkers(queries, s.cfg.Workers)
 	s.metrics.endSpan(instSpan)
 
-	results := make([]queryResult, len(batch))
-	served := 0
-	for i, br := range batch {
-		if br.Err != nil {
-			results[i] = queryResult{PlacementID: -1, Member: -1, Error: br.Err.Error()}
-			continue
-		}
-		served++
-		results[i] = queryResult{
-			X:           br.X,
-			Y:           br.Y,
-			PlacementID: br.PlacementID,
-			Member:      br.Member,
-			FromBackup:  br.FromBackup,
-		}
-	}
 	encSpan := tr.StartSpan(obs.StageEncode)
-	writeJSON(w, http.StatusOK, map[string]any{
-		"key":     e.key,
-		"served":  served,
-		"results": results,
-	})
+	writeInstantiateResponse(w, e.key, batch)
 	s.metrics.endSpan(encSpan)
 }
 
@@ -1979,21 +1962,48 @@ const maxQueryBytes = 1024
 // readBody reads the request body whole, refusing bodies over limit
 // bytes. Handlers that may forward read the body first so the same bytes
 // can replay to a peer verbatim; the limits bound per-request memory
-// exactly as the old streaming decoder did.
+// exactly as the old streaming decoder did. A declared Content-Length
+// sizes the buffer, with one spare byte so the read that reports EOF needs
+// no regrowth; declarations past maxPresize grow with the bytes that
+// actually arrive, so a client cannot reserve megabytes by announcing
+// them. The buffer is never pooled: a forward hands it to http.Client,
+// whose transport may read it after Do returns.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, limit))
-	if err != nil {
-		return nil, fmt.Errorf("bad request body: %w", err)
+	size := int64(512)
+	if n := r.ContentLength; n >= 0 && n < min(limit, maxPresize) {
+		size = n + 1
 	}
-	return body, nil
+	body := make([]byte, 0, size)
+	src := http.MaxBytesReader(w, r.Body, limit)
+	for {
+		n, err := src.Read(body[len(body):cap(body)])
+		body = body[:len(body)+n]
+		if err == io.EOF {
+			return body, nil
+		}
+		if err != nil {
+			return nil, fmt.Errorf("bad request body: %w", err)
+		}
+		if len(body) == cap(body) {
+			body = append(body, 0)[:len(body)]
+		}
+	}
 }
 
-// decodeJSONBytes strictly decodes an already-read body into v.
+// maxPresize bounds the buffer readBody allocates before any body bytes
+// arrive.
+const maxPresize = 1 << 20
+
+// decodeJSONBytes strictly decodes an already-read body into v: unknown
+// fields and anything but whitespace after the value are errors.
 func decodeJSONBytes(body []byte, v any) error {
 	dec := json.NewDecoder(bytes.NewReader(body))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(v); err != nil {
 		return fmt.Errorf("bad request body: %w", err)
+	}
+	if len(bytes.TrimLeft(body[dec.InputOffset():], " \t\r\n")) != 0 {
+		return fmt.Errorf("bad request body: data after the JSON value")
 	}
 	return nil
 }

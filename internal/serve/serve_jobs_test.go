@@ -7,6 +7,7 @@ import (
 	"errors"
 	"io"
 	"net/http"
+	"strings"
 	"testing"
 	"time"
 
@@ -313,9 +314,12 @@ func TestJobsSoleWaiterDisconnectDropsQueued(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	spec := testSpec(60)
+	if err := spec.normalize(); err != nil {
+		t.Fatal(err)
+	}
 	errc := make(chan error, 1)
 	go func() {
-		_, err := s.generate(ctx, spec)
+		_, err := s.generate(ctx, spec, spec.key())
 		errc <- err
 	}()
 	// Wait until the victim's job is queued (its entry has a job id).
@@ -474,6 +478,10 @@ func TestJobsBadRequests(t *testing.T) {
 	if code, _ := postJSON(t, ts.URL+"/v1/jobs",
 		jobSubmitRequest{Spec: GenerateSpec{Circuit: "circ01", Iterations: 1 << 30}}, nil); code != http.StatusBadRequest {
 		t.Errorf("over-budget: %d, want 400", code)
+	}
+	if code, msg := postRaw(t, ts.URL+"/v1/jobs", []byte(`{"spec":{"circuit":"circ01"}}]`)); code != http.StatusBadRequest ||
+		!strings.Contains(msg, "after the JSON value") {
+		t.Errorf("trailing bytes: %d (%s), want 400", code, msg)
 	}
 	if code := getJSON(t, ts.URL+"/v1/jobs/nope", nil); code != http.StatusNotFound {
 		t.Errorf("unknown job get: %d, want 404", code)

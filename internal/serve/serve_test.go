@@ -58,7 +58,19 @@ func postJSON(t *testing.T, url string, body any, out any) (int, string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	resp, err := http.Post(url, "application/json", bytes.NewReader(buf))
+	code, raw := postRaw(t, url, buf)
+	if out != nil && code < 300 {
+		if err := json.Unmarshal([]byte(raw), out); err != nil {
+			t.Fatalf("decode %s: %v\nbody: %s", url, err, raw)
+		}
+	}
+	return code, raw
+}
+
+// postRaw POSTs body verbatim, for bodies json.Marshal cannot produce.
+func postRaw(t *testing.T, url string, body []byte) (int, string) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -66,11 +78,6 @@ func postJSON(t *testing.T, url string, body any, out any) (int, string) {
 	var raw bytes.Buffer
 	if _, err := raw.ReadFrom(resp.Body); err != nil {
 		t.Fatal(err)
-	}
-	if out != nil && resp.StatusCode < 300 {
-		if err := json.Unmarshal(raw.Bytes(), out); err != nil {
-			t.Fatalf("decode %s: %v\nbody: %s", url, err, raw.String())
-		}
 	}
 	return resp.StatusCode, raw.String()
 }
@@ -232,6 +239,22 @@ func TestInstantiateErrors(t *testing.T) {
 	}, nil)
 	if code != http.StatusBadRequest {
 		t.Errorf("over-budget inline spec: got %d, want 400", code)
+	}
+
+	// Anything but whitespace after the JSON value is a bad body, on the
+	// fast path's grammar and off it; trailing whitespace is not.
+	body, err := json.Marshal(map[string]any{"spec": testSpec(1), "queries": []map[string][]int{testQuery(t, 0)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tail := range []string{"]]]", " trailing", "{}", "\n\"x\""} {
+		code, msg := postRaw(t, ts.URL+"/v1/instantiate", append(body[:len(body):len(body)], tail...))
+		if code != http.StatusBadRequest || !strings.Contains(msg, "after the JSON value") {
+			t.Errorf("body + %q: got %d %s, want 400", tail, code, msg)
+		}
+	}
+	if code, msg := postRaw(t, ts.URL+"/v1/instantiate", append(body, " \r\n\t"...)); code != http.StatusOK {
+		t.Errorf("body + whitespace: got %d %s, want 200", code, msg)
 	}
 
 	// Unknown circuit and absurd budget are rejected up front.
