@@ -58,7 +58,7 @@
 //
 // Endpoints:
 //
-//	GET    /healthz          liveness probe + job queue counts
+//	GET    /healthz          liveness probe: {"status":"ok"}
 //	GET    /metrics          Prometheus text metrics (see ARCHITECTURE.md)
 //	GET    /v1/circuits      list benchmark circuits
 //	GET    /v1/backends      list generation backends (anneal, ga, ...)
@@ -79,7 +79,7 @@
 //	GET /v1/debug/traces       list retained traces (route=, min_ms=, limit=)
 //	GET /v1/debug/traces/{id}  one trace assembled across the cluster
 //
-// Cluster mode adds (and /healthz then reports forwarding counters and
+// Cluster mode adds (and /metrics then reports forwarding counters and
 // per-peer breaker states):
 //
 //	GET  /v1/cluster/structure   serve a stored artifact to a peer (fetch path)

@@ -5,12 +5,11 @@
 // Usage:
 //
 //	mpsgen -circuit TwoStageOpamp -out tso.mps [-seed 1] [-effort quick|balanced|thorough]
-//	       [-backend anneal|ga] [-iterations N] [-bdio-steps N] [-chains N]
-//	       [-format binary|gob] [-v]
+//	       [-backend anneal|ga] [-iterations N] [-bdio-steps N] [-chains N] [-v]
 //
-// Structures are written atomically in the v2 binary format (checksummed,
-// varint-packed) by default; -format gob emits the legacy v1 encoding for
-// old readers. mpsquery/mpsinfo/mpsd load either format transparently.
+// Structures are written atomically in the v3 binary format (checksummed,
+// varint-packed, carrying the compiled query index). mpsquery/mpsinfo/mpsd
+// load it and the older v1 and v2 files transparently.
 package main
 
 import (
@@ -37,7 +36,6 @@ func main() {
 	iterations := flag.Int("iterations", 0, "explorer iterations (overrides effort preset)")
 	bdioSteps := flag.Int("bdio-steps", 0, "inner-annealer steps (overrides effort preset)")
 	chains := flag.Int("chains", 1, "parallel explorer chains")
-	format := flag.String("format", "binary", "output format: binary (v2, checksummed) or gob (legacy v1)")
 	list := flag.Bool("list", false, "list benchmark circuits and exit")
 	verbose := flag.Bool("v", false, "report progress during generation")
 	flag.Parse()
@@ -73,15 +71,6 @@ func main() {
 	default:
 		log.Fatalf("unknown effort %q", *effort)
 	}
-	var outFormat mps.Format
-	switch strings.ToLower(*format) {
-	case "binary":
-		outFormat = mps.FormatBinary
-	case "gob":
-		outFormat = mps.FormatGob
-	default:
-		log.Fatalf("unknown format %q (want binary or gob)", *format)
-	}
 	if *verbose {
 		opts.Progress = func(p mps.Progress) {
 			if p.Iteration%10 == 0 {
@@ -100,7 +89,7 @@ func main() {
 		log.Fatal(err)
 	}
 	s, stats := res.Structure, res.Stats[0]
-	if err := s.SaveFileFormat(*out, outFormat); err != nil {
+	if err := s.SaveFile(*out); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("circuit:     %s (%d blocks, %d nets)\n", circuit.Name, circuit.N(), len(circuit.Nets))
@@ -110,5 +99,5 @@ func main() {
 		stats.Iterations, stats.Stored, stats.CandidatesDied, stats.Accepted)
 	fmt.Printf("coverage:    %.3g (exact volume fraction)\n", stats.FinalCoverage)
 	fmt.Printf("duration:    %s\n", stats.Duration)
-	fmt.Printf("saved to:    %s (%s format)\n", *out, strings.ToLower(*format))
+	fmt.Printf("saved to:    %s\n", *out)
 }

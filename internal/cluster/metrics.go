@@ -30,8 +30,8 @@ func (c *Cluster) BreakerGauges() map[string]float64 {
 }
 
 // HotFanouts returns how many reads RouteRead spread to the replica set
-// instead of the owner — the hot-key fan-out counter. Deliberately not
-// part of Stats: the /healthz JSON shape is frozen for existing scripts.
+// instead of the owner — the hot-key fan-out counter, exported beside the
+// Stats counters as mps_cluster_events_total{event="hot_fanout"}.
 func (c *Cluster) HotFanouts() int64 { return c.hotFanouts.Load() }
 
 // Shares returns each node's fraction of the ring's hash circle — the

@@ -20,6 +20,10 @@
 // portfolio fall back — to member 0's installed backup, exactly the
 // single-structure fallback semantics.
 //
+// A one-member portfolio — a single structure in portfolio form — has no
+// choice to make, so InstantiateInto and InstantiateWeightedInto answer it
+// with one lookup on member 0's index and no probe, under any weights.
+//
 // # Weighted routing
 //
 // A query may carry a cost.Weights vector (RouteWeighted,
@@ -292,6 +296,9 @@ func (p *Portfolio) Instantiate(ws, hs []int) (Result, error) {
 // returns the answering member's index, -1 for the backup. On error res is
 // left unspecified.
 func (p *Portfolio) InstantiateInto(res *core.Result, ws, hs []int) (member int, err error) {
+	if len(p.compiled) == 1 {
+		return p.direct(res, ws, hs)
+	}
 	member, _, _, err = p.route(ws, hs)
 	return p.answer(res, member, err, ws, hs)
 }
@@ -313,8 +320,26 @@ func (p *Portfolio) InstantiateWeighted(w cost.Weights, ws, hs []int) (Result, e
 // contract for covered queries (pinned by the portfolio_route_weighted
 // micro-benchmark).
 func (p *Portfolio) InstantiateWeightedInto(res *core.Result, w cost.Weights, ws, hs []int) (member int, err error) {
+	if len(p.compiled) == 1 {
+		return p.direct(res, ws, hs)
+	}
 	member, _, _, err = p.routeWeighted(w, ws, hs)
 	return p.answer(res, member, err, ws, hs)
+}
+
+// direct answers a one-member portfolio straight from member 0's compiled
+// index: with one candidate there is nothing to route, so the covered and
+// the backup answer both come from one lookup instead of a probe plus an
+// answer. Answers and errors equal the probe route's — both start with
+// the same dimension check and report the same eq. 5 violation.
+func (p *Portfolio) direct(res *core.Result, ws, hs []int) (int, error) {
+	if err := p.compiled[0].InstantiateInto(res, ws, hs); err != nil {
+		return -1, err
+	}
+	if res.FromBackup {
+		return -1, nil
+	}
+	return 0, nil
 }
 
 // answer materializes a routing decision into res: the winning member's

@@ -1,6 +1,7 @@
 package portfolio
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -115,81 +116,92 @@ func TestPortfolioPropertyAllCircuits(t *testing.T) {
 
 // TestRoutedAnswerMatchesMember checks that the routed result is exactly
 // the winning member's own stored-placement answer, and the fallback is
-// exactly member 0's backup answer.
+// exactly member 0's backup answer — for a routed portfolio and for a
+// one-member portfolio, which answers without a probe.
 func TestRoutedAnswerMatchesMember(t *testing.T) {
-	c := circuits.MustByName("TwoStageOpamp")
-	p := buildPortfolio(t, c, 3, 3)
-	rng := rand.New(rand.NewSource(5))
-	n := c.N()
-	ws, hs := make([]int, n), make([]int, n)
-	routed, backed := 0, 0
-	for trial := 0; trial < 3000; trial++ {
-		for i, b := range c.Blocks {
-			ws[i] = b.WMin + rng.Intn(b.WMax-b.WMin+1)
-			hs[i] = b.HMin + rng.Intn(b.HMax-b.HMin+1)
-		}
-		res, err := p.Instantiate(ws, hs)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Member >= 0 {
-			routed++
-			want, err := p.Member(res.Member).Instantiate(ws, hs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want.FromBackup || want.PlacementID != res.PlacementID {
-				t.Fatalf("routed answer %+v does not match member %d's own answer %+v", res, res.Member, want)
-			}
-		} else {
-			backed++
-			want, err := p.Member(0).Instantiate(ws, hs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !want.FromBackup || !res.FromBackup {
-				t.Fatalf("fallback answer %+v does not match member 0's backup answer %+v", res, want)
-			}
-			for i := range want.X {
-				if want.X[i] != res.X[i] || want.Y[i] != res.Y[i] {
-					t.Fatalf("fallback anchors diverge from member 0's backup at block %d", i)
+	for _, k := range []int{1, 3} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			c := circuits.MustByName("TwoStageOpamp")
+			p := buildPortfolio(t, c, 3, k)
+			rng := rand.New(rand.NewSource(5))
+			n := c.N()
+			ws, hs := make([]int, n), make([]int, n)
+			routed, backed := 0, 0
+			for trial := 0; trial < 3000; trial++ {
+				for i, b := range c.Blocks {
+					ws[i] = b.WMin + rng.Intn(b.WMax-b.WMin+1)
+					hs[i] = b.HMin + rng.Intn(b.HMax-b.HMin+1)
+				}
+				res, err := p.Instantiate(ws, hs)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if res.Member >= 0 {
+					routed++
+					want, err := p.Member(res.Member).Instantiate(ws, hs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if want.FromBackup || want.PlacementID != res.PlacementID {
+						t.Fatalf("routed answer %+v does not match member %d's own answer %+v", res, res.Member, want)
+					}
+				} else {
+					backed++
+					want, err := p.Member(0).Instantiate(ws, hs)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if !want.FromBackup || !res.FromBackup {
+						t.Fatalf("fallback answer %+v does not match member 0's backup answer %+v", res, want)
+					}
+					for i := range want.X {
+						if want.X[i] != res.X[i] || want.Y[i] != res.Y[i] {
+							t.Fatalf("fallback anchors diverge from member 0's backup at block %d", i)
+						}
+					}
 				}
 			}
-		}
-	}
-	if routed == 0 || backed == 0 {
-		t.Fatalf("query stream not mixed: %d routed, %d backup", routed, backed)
+			if routed == 0 || backed == 0 {
+				t.Fatalf("query stream not mixed: %d routed, %d backup", routed, backed)
+			}
+		})
 	}
 }
 
 // TestRoutedCoveredAllocFree pins the serving property the CI micro-bench
-// gates: a covered routed query through InstantiateInto allocates nothing.
+// gates: a covered routed query through InstantiateInto allocates nothing,
+// on the probe route (K=3) and on the one-member direct route (K=1).
 func TestRoutedCoveredAllocFree(t *testing.T) {
-	c := circuits.MustByName("TwoStageOpamp")
-	p := buildPortfolio(t, c, 9, 3)
-	// A query inside a stored box of member 1: covered by construction.
-	m := p.Member(1)
-	ids := m.IDs()
-	if len(ids) == 0 {
-		t.Skip("member 1 stored no placements at test budgets")
-	}
-	pl := m.Get(ids[0])
-	n := c.N()
-	ws, hs := make([]int, n), make([]int, n)
-	for i := 0; i < n; i++ {
-		ws[i], hs[i] = pl.WLo[i], pl.HLo[i]
-	}
-	var res core.Result
-	if member, err := p.InstantiateInto(&res, ws, hs); err != nil || member < 0 {
-		t.Fatalf("warmup: member %d, err %v — want a covered routed answer", member, err)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		if member, err := p.InstantiateInto(&res, ws, hs); err != nil || member < 0 {
-			t.Fatalf("member %d, err %v", member, err)
-		}
-	})
-	if allocs != 0 {
-		t.Fatalf("covered routed query allocates %.1f objects, want 0", allocs)
+	for _, k := range []int{1, 3} {
+		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
+			c := circuits.MustByName("TwoStageOpamp")
+			p := buildPortfolio(t, c, 9, k)
+			// A query inside a stored box of the last member: covered by
+			// construction.
+			m := p.Member(k - 1)
+			ids := m.IDs()
+			if len(ids) == 0 {
+				t.Skipf("member %d stored no placements at test budgets", k-1)
+			}
+			pl := m.Get(ids[0])
+			n := c.N()
+			ws, hs := make([]int, n), make([]int, n)
+			for i := 0; i < n; i++ {
+				ws[i], hs[i] = pl.WLo[i], pl.HLo[i]
+			}
+			var res core.Result
+			if member, err := p.InstantiateInto(&res, ws, hs); err != nil || member < 0 {
+				t.Fatalf("warmup: member %d, err %v — want a covered routed answer", member, err)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				if member, err := p.InstantiateInto(&res, ws, hs); err != nil || member < 0 {
+					t.Fatalf("member %d, err %v", member, err)
+				}
+			})
+			if allocs != 0 {
+				t.Fatalf("covered routed query allocates %.1f objects, want 0", allocs)
+			}
+		})
 	}
 }
 

@@ -1,7 +1,9 @@
 package portfolio
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"mps/internal/circuits"
@@ -25,6 +27,10 @@ func TestWeightedRouteDegeneratesToAreaRule(t *testing.T) {
 			t.Parallel()
 			c := circuits.MustByName(name)
 			p := buildPortfolio(t, c, 7, 3)
+			single, err := New([]*core.Structure{p.Member(0)})
+			if err != nil {
+				t.Fatal(err)
+			}
 			rng := rand.New(rand.NewSource(31))
 			n := c.N()
 			ws, hs := make([]int, n), make([]int, n)
@@ -34,6 +40,7 @@ func TestWeightedRouteDegeneratesToAreaRule(t *testing.T) {
 					ws[i] = b.WRange().Rand(rng)
 					hs[i] = b.HRange().Rand(rng)
 				}
+				assertDirectAnswer(t, single, ws, hs)
 				legacy, err := p.Route(ws, hs)
 				if err != nil {
 					t.Fatal(err)
@@ -56,6 +63,10 @@ func TestWeightedRouteDegeneratesToAreaRule(t *testing.T) {
 					t.Fatalf("query %d: pure-area route %d != legacy %d", q, pureArea, legacy)
 				}
 			}
+			// Dimension errors surface identically on the direct route.
+			ws[0] = c.Blocks[0].WMax + 1
+			assertDirectAnswer(t, single, ws, hs)
+			assertDirectAnswer(t, single, ws[:n-1], hs)
 			if routed == 0 {
 				t.Skip("no covered queries sampled — property did not bite on this circuit")
 			}
@@ -147,6 +158,44 @@ func TestWeightedRouteFollowsQueryWeights(t *testing.T) {
 	}
 	if m != 1 || terms.Area != 48 || terms.Wire != 8 {
 		t.Fatalf("RouteTerms(area) = member %d terms %+v, want member 1 area 48 wire 8", m, terms)
+	}
+
+	// K=1: each member alone answers covered, uncovered (no backup
+	// installed) and out-of-bounds queries exactly as it does itself,
+	// whatever the query's weights.
+	for m := 0; m < p.K(); m++ {
+		single, err := New([]*core.Structure{p.Member(m)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertDirectAnswer(t, single, ws, hs)
+		assertDirectAnswer(t, single, []int{5, 5, 5}, []int{5, 5, 5})
+		assertDirectAnswer(t, single, []int{9, 4, 4}, hs)
+	}
+}
+
+// assertDirectAnswer checks that the one-member portfolio p answers the
+// query under every weighting exactly as its member's compiled index does:
+// the same placement ID, anchors, backup flag, and error, with member 0 for
+// a stored answer and -1 otherwise.
+func assertDirectAnswer(t *testing.T, p *Portfolio, ws, hs []int) {
+	t.Helper()
+	var want core.Result
+	wantErr := core.Compile(p.Member(0)).InstantiateInto(&want, ws, hs)
+	wantMember := 0
+	if wantErr != nil || want.FromBackup {
+		wantMember = -1
+	}
+	for _, w := range []cost.Weights{{}, {Area: 1}, cost.WireHeavyWeights, cost.AspectHeavyWeights} {
+		var got core.Result
+		member, err := p.InstantiateWeightedInto(&got, w, ws, hs)
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) || member != wantMember {
+			t.Fatalf("weights %+v: member %d, err %v; want member %d, err %v", w, member, err, wantMember, wantErr)
+		}
+		if err == nil && (got.PlacementID != want.PlacementID || got.FromBackup != want.FromBackup ||
+			!slices.Equal(got.X, want.X) || !slices.Equal(got.Y, want.Y)) {
+			t.Fatalf("weights %+v: answer %+v, want %+v", w, got, want)
+		}
 	}
 }
 

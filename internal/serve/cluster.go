@@ -32,14 +32,13 @@ import (
 	"io"
 	"net/http"
 	"net/url"
+	"slices"
 	"strconv"
 
 	"mps"
 	"mps/internal/cluster"
 	"mps/internal/core"
-	"mps/internal/jobs"
 	"mps/internal/obs"
-	"mps/internal/store"
 )
 
 // maxTransferBytes bounds a fetched or pushed structure artifact. v3
@@ -151,66 +150,57 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, key string
 // the fetch/forward spans land on it even though this goroutine outlives
 // the ensure call — Trace is atomic, so a post-response record is safe,
 // and the global stage counters see the spans either way.
-func (s *Server) remoteWork(tr *obs.Trace, e *entry, specJSON []byte) {
+func (s *Server) remoteWork(tr *obs.Trace, e *entry) {
 	// Spans parent to the trace root: this goroutine is asynchronous to
 	// the request's span stack, so nesting under a span that may already
 	// have ended would misrepresent the timeline.
 	fetchSpan := tr.StartSpan(obs.StageFetch)
 	fetchSpan.SetKey(e.key)
-	st0, stats0, ok := s.fetchFromPeers(fetchSpan, e.spec)
+	p, stats, ok := s.fetchFromPeers(fetchSpan, e.spec)
 	s.metrics.endSpan(fetchSpan)
 	if ok {
-		st, stats := st0, stats0
-		if snap, err := s.sched.RecordDone(e.key, specJSON, jobsProgress(st, stats)); err == nil {
-			s.setJobID(e, snap.ID)
-		}
-		s.publish(e, st, stats, nil)
+		s.publishDone(e, p, stats)
 		return
 	}
 	genSpan := tr.StartSpan(obs.StageForward)
 	genSpan.SetKey(e.key)
 	genSpan.SetRemote(s.cluster.Owner(e.key))
-	st1, stats1, handled, err1 := s.generateOnOwner(genSpan, e.spec)
+	p, stats, handled, err := s.generateOnOwner(genSpan, e.spec)
 	s.metrics.endSpan(genSpan)
-	if handled {
-		st, stats, err := st1, stats1, err1
-		if err != nil {
-			s.publish(e, nil, mps.Stats{}, err)
-			return
-		}
-		if snap, err := s.sched.RecordDone(e.key, specJSON, jobsProgress(st, stats)); err == nil {
-			s.setJobID(e, snap.ID)
-		}
-		s.publish(e, st, stats, nil)
-		return
+	switch {
+	case handled && err != nil:
+		s.publish(e, nil, mps.Stats{}, err)
+	case handled:
+		s.publishDone(e, p, stats)
+	default:
+		// Owner and replicas unreachable: serve anyway. The local scheduler
+		// dedups concurrent fallbacks for this key onto this one job.
+		s.cluster.CountFallback()
+		s.logf("cluster: owner %s unreachable for %s — degrading to local generation",
+			s.cluster.Owner(e.key), e.key)
+		s.submitGeneration(tr, e)
 	}
-	// Owner and replicas unreachable: serve anyway. The local scheduler
-	// dedups concurrent fallbacks for this key onto this one job.
-	s.cluster.CountFallback()
-	s.logf("cluster: owner %s unreachable for %s — degrading to local generation",
-		s.cluster.Owner(e.key), e.key)
-	s.submitGeneration(tr, e, specJSON)
 }
 
 // fetchFromPeers tries to pull the built structure (v3 bytes) for spec
 // from the key's replica set, owner first. Milliseconds against a healthy
 // peer; a dead one costs at most one FetchTimeout before its breaker
 // starts refusing instantly.
-func (s *Server) fetchFromPeers(sp obs.SpanRef, spec GenerateSpec) (*mps.Structure, mps.Stats, bool) {
+func (s *Server) fetchFromPeers(sp obs.SpanRef, spec GenerateSpec) (*mps.Portfolio, mps.Stats, bool) {
 	c := s.cluster
 	key := spec.key()
 	for _, peer := range c.Ring().Replicas(key, len(c.Peers())) {
 		if peer == c.Self() {
 			continue
 		}
-		st, stats, err := s.fetchFrom(sp, peer, spec)
+		p, stats, err := s.fetchFrom(sp, peer, spec)
 		if err != nil {
 			s.logf("cluster: fetching %s from %s: %v", key, peer, err)
 			continue
 		}
-		if st != nil {
+		if p != nil {
 			c.CountFetch()
-			return st, stats, true
+			return p, stats, true
 		}
 	}
 	return nil, mps.Stats{}, false
@@ -220,10 +210,11 @@ func (s *Server) fetchFromPeers(sp obs.SpanRef, spec GenerateSpec) (*mps.Structu
 // failure in fetchFrom.
 var errPeerMiss = fmt.Errorf("peer does not have the structure")
 
-// fetchFrom pulls spec's structure from one peer. (nil, _, nil) is
-// returned for a clean miss (the peer answered 404). sp, when backed by
-// a trace, parents the per-attempt spans Do records for this pull.
-func (s *Server) fetchFrom(sp obs.SpanRef, peer string, spec GenerateSpec) (*mps.Structure, mps.Stats, error) {
+// fetchFrom pulls spec's structure from one peer, as the one-member
+// portfolio its cache entry holds. (nil, _, nil) is returned for a clean
+// miss (the peer answered 404). sp, when backed by a trace, parents the
+// per-attempt spans Do records for this pull.
+func (s *Server) fetchFrom(sp obs.SpanRef, peer string, spec GenerateSpec) (*mps.Portfolio, mps.Stats, error) {
 	c := s.cluster
 	mark, err := cluster.EncodeForward(cluster.Forward{From: c.Self(), Hop: 1})
 	if err != nil {
@@ -267,12 +258,11 @@ func (s *Server) fetchFrom(sp obs.SpanRef, peer string, spec GenerateSpec) (*mps
 	}
 	st := &mps.Structure{Structure: cs}
 	st.SetBackupKind(spec.backupKind())
-	st.Compiled()
 	var stats mps.Stats
 	if cov := resp.Header.Get(clusterCoverageHeader); cov != "" {
 		fmt.Sscanf(cov, "%g", &stats.FinalCoverage)
 	}
-	return st, stats, nil
+	return single(st), stats, nil
 }
 
 // generateOnOwner asks the key's owner to generate spec (a marked,
@@ -281,7 +271,7 @@ func (s *Server) fetchFrom(sp obs.SpanRef, peer string, spec GenerateSpec) (*mps
 // handled=false means the owner was unreachable and the caller should
 // degrade to local generation; handled=true with err carries an owner
 // verdict (e.g. a 4xx) that local generation could not improve on.
-func (s *Server) generateOnOwner(sp obs.SpanRef, spec GenerateSpec) (*mps.Structure, mps.Stats, bool, error) {
+func (s *Server) generateOnOwner(sp obs.SpanRef, spec GenerateSpec) (*mps.Portfolio, mps.Stats, bool, error) {
 	c := s.cluster
 	owner := c.Owner(spec.key())
 	mark, err := cluster.EncodeForward(cluster.Forward{From: c.Self(), Hop: 1})
@@ -300,15 +290,15 @@ func (s *Server) generateOnOwner(sp obs.SpanRef, spec GenerateSpec) (*mps.Struct
 	msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
 	switch {
 	case resp.StatusCode == http.StatusOK:
-		st, stats, err := s.fetchFrom(sp, owner, spec)
-		if err != nil || st == nil {
+		p, stats, err := s.fetchFrom(sp, owner, spec)
+		if err != nil || p == nil {
 			// Generated there but the artifact will not come over; local
 			// generation still serves the client.
 			s.logf("cluster: owner %s generated %s but fetch failed: %v", owner, spec.key(), err)
 			return nil, mps.Stats{}, false, nil
 		}
 		c.CountFetch()
-		return st, stats, true, nil
+		return p, stats, true, nil
 	case resp.StatusCode >= 400 && resp.StatusCode < 500:
 		// The owner understood and refused (bad spec, over budget); a
 		// local run would be refused the same way.
@@ -318,11 +308,6 @@ func (s *Server) generateOnOwner(sp obs.SpanRef, spec GenerateSpec) (*mps.Struct
 		// 5xx: owner is up but failing — same degradation as unreachable.
 		return nil, mps.Stats{}, false, nil
 	}
-}
-
-// jobsProgress summarizes a fetched structure for the job-history record.
-func jobsProgress(st *mps.Structure, stats mps.Stats) jobs.Progress {
-	return jobs.Progress{Placements: st.NumPlacements(), Coverage: stats.FinalCoverage}
 }
 
 // entryForKey resolves a bare cache key — the instantiate fast path — in
@@ -412,15 +397,15 @@ func (s *Server) specFromPeer(ctx context.Context, key string) (GenerateSpec, bo
 func specFromOptions(key, opts string, logf func(string, ...any)) (GenerateSpec, bool) {
 	var spec GenerateSpec
 	if err := json.Unmarshal([]byte(opts), &spec); err != nil {
-		logf("cluster: options for %s: %v", key, err)
+		logf("spec: options for %s: %v", key, err)
 		return GenerateSpec{}, false
 	}
 	if err := spec.normalize(); err != nil {
-		logf("cluster: spec for %s: %v", key, err)
+		logf("spec: spec for %s: %v", key, err)
 		return GenerateSpec{}, false
 	}
 	if spec.key() != key {
-		logf("cluster: options for %s rebuild to %s (key drift)", key, spec.key())
+		logf("spec: options for %s rebuild to %s (key drift)", key, spec.key())
 		return GenerateSpec{}, false
 	}
 	return spec, true
@@ -436,11 +421,11 @@ const (
 )
 
 // handleClusterStructure is GET /v1/cluster/structure?key=K[&meta=1]: the
-// peer artifact endpoint. Answers from the LRU (encoding the live
-// structure) or the store (streaming the v3 file); never generates, never
-// forwards — it exists so peers can move built artifacts, not work.
-// Portfolio keys answer meta-only (the artifact is its members; peers
-// assemble locally, fetching each member from its own owner).
+// peer artifact endpoint. Answers from the LRU (encoding member 0 of a
+// one-member entry) or the store (streaming the v3 file); never generates,
+// never forwards — it exists so peers can move built artifacts, not work.
+// Portfolio keys (K > 1) answer meta-only (the artifact is its members;
+// peers assemble locally, fetching each member from its own owner).
 func (s *Server) handleClusterStructure(w http.ResponseWriter, r *http.Request) {
 	key := r.URL.Query().Get("key")
 	if key == "" {
@@ -453,12 +438,12 @@ func (s *Server) handleClusterStructure(w http.ResponseWriter, r *http.Request) 
 		w.Header().Set(clusterSpecHeader, string(mustSpecJSON(e.spec)))
 		w.Header().Set(clusterCoverageHeader, strconv.FormatFloat(e.coverage, 'g', -1, 64))
 		w.Header().Set(clusterPlacementsHeader, strconv.Itoa(e.placements))
-		if metaOnly || e.s == nil { // portfolio entries ship meta only
+		if metaOnly || e.p.K() > 1 {
 			w.WriteHeader(http.StatusOK)
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
-		if err := e.s.SaveBinaryCompiled(w); err != nil {
+		if err := e.p.Member(0).SaveBinaryCompiled(w); err != nil {
 			s.logf("cluster: encoding %s for peer: %v", key, err)
 		}
 		return
@@ -524,13 +509,7 @@ func (s *Server) handleClusterAccept(w http.ResponseWriter, r *http.Request) {
 	}
 	coverage, _ := strconv.ParseFloat(r.Header.Get(clusterCoverageHeader), 64)
 	if s.cfg.Store != nil {
-		if _, err := s.cfg.Store.Put(store.Meta{
-			Key:      spec.key(),
-			Circuit:  spec.Circuit,
-			Seed:     spec.Seed,
-			Options:  string(mustSpecJSON(spec)),
-			Coverage: coverage,
-		}, cs); err != nil {
+		if _, err := s.cfg.Store.Put(structureMeta(spec, coverage), cs); err != nil {
 			writeError(w, http.StatusInternalServerError, err.Error())
 			return
 		}
@@ -538,29 +517,9 @@ func (s *Server) handleClusterAccept(w http.ResponseWriter, r *http.Request) {
 		// Store-less node: hold the transferred structure in the LRU.
 		st := &mps.Structure{Structure: cs}
 		st.SetBackupKind(spec.backupKind())
-		st.Compiled()
-		s.installEntry(spec, st, mps.Stats{FinalCoverage: coverage})
+		s.install(spec, single(st), mps.Stats{FinalCoverage: coverage}, false)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"key": spec.key(), "stored": true})
-}
-
-// installEntry places a finished structure into the cache as a done entry
-// (no-op if the key is already present) — the Warm pattern, shared by the
-// store-less accept path.
-func (s *Server) installEntry(spec GenerateSpec, st *mps.Structure, stats mps.Stats) {
-	e := &entry{key: spec.key(), spec: spec, ready: make(chan struct{})}
-	e.s, e.stats, e.done = st, stats, true
-	e.placements = st.NumPlacements()
-	e.coverage = stats.FinalCoverage
-	e.start.Do(func() {})
-	close(e.ready)
-	s.mu.Lock()
-	if _, exists := s.cache[e.key]; !exists {
-		e.elem = s.order.PushFront(e)
-		s.cache[e.key] = e
-		s.evictLocked()
-	}
-	s.mu.Unlock()
 }
 
 // RebalanceReport summarizes one rebalance pass.
@@ -577,8 +536,11 @@ type RebalanceReport struct {
 // file verbatim as the transfer format. With drop, successfully
 // transferred local copies are deleted (run without drop first: keeping
 // the copy is free read-replica capacity until space matters). Portfolio
-// grouping rows never transfer — the row is a local listing convenience;
-// the artifact is its members, which transfer under their own keys.
+// grouping rows never transfer — the artifact is its members, which
+// transfer under their own keys. A member that a local grouping row names
+// transfers but is never dropped: the row requires a local copy of every
+// member, so dropping one would delete the row, and with it this node's
+// way to resolve the portfolio key it owns.
 func (s *Server) Rebalance(ctx context.Context, drop bool) (RebalanceReport, error) {
 	if s.cluster == nil {
 		return RebalanceReport{}, fmt.Errorf("serve: not in cluster mode")
@@ -627,7 +589,7 @@ func (s *Server) Rebalance(ctx context.Context, drop bool) (RebalanceReport, err
 			continue
 		}
 		rep.Transferred++
-		if drop {
+		if drop && !s.grouped(m.Key) {
 			if err := s.cfg.Store.Delete(m.Key); err != nil {
 				s.logf("rebalance: dropping local %s: %v", m.Key, err)
 			} else {
@@ -636,6 +598,17 @@ func (s *Server) Rebalance(ctx context.Context, drop bool) (RebalanceReport, err
 		}
 	}
 	return rep, nil
+}
+
+// grouped reports whether a local portfolio grouping row names key as a
+// member.
+func (s *Server) grouped(key string) bool {
+	for _, row := range s.cfg.Store.Portfolios() {
+		if slices.Contains(row.Members, key) {
+			return true
+		}
+	}
+	return false
 }
 
 // handleClusterRebalance is POST /v1/cluster/rebalance[?drop=1].

@@ -740,6 +740,66 @@ func TestClusterRebalance(t *testing.T) {
 	}
 }
 
+// TestClusterRebalanceKeepsPortfolioRow: a node owning a portfolio key
+// keeps local copies of members that a peer owns, because its grouping row
+// names them. Rebalance with drop pushes those members home but must keep
+// the local files: dropping one deletes the row, after which a restarted
+// node can no longer resolve the bare portfolio key it owns.
+func TestClusterRebalanceKeepsPortfolioRow(t *testing.T) {
+	fleet := newTestFleet(t, fleetConfig{n: 2, stores: true})
+	node := fleet.nodes[0]
+	var spec GenerateSpec
+	for seed := int64(600); ; seed++ {
+		if seed == 1600 {
+			t.Fatal("no K=2 spec owned by node 0 with both members owned by node 1 in 1000 seeds")
+		}
+		spec = testSpec(seed)
+		spec.Portfolio = 2
+		if fleet.ownerIndex(t, specKey(t, spec)) == 0 &&
+			fleet.ownerIndex(t, specKey(t, spec.memberSpec(0))) == 1 &&
+			fleet.ownerIndex(t, specKey(t, spec.memberSpec(1))) == 1 {
+			break
+		}
+	}
+	key := specKey(t, spec)
+
+	status, _, body := doClusterJSON(t, http.MethodPost, node.url+"/v1/structures", spec, nil)
+	if status != http.StatusOK {
+		t.Fatalf("portfolio generate: %d %s", status, body)
+	}
+	node.s.Flush()
+	if _, ok := node.store.GetPortfolio(key); !ok {
+		t.Fatal("portfolio grouping row not persisted on its owner")
+	}
+
+	status, _, body = doClusterJSON(t, http.MethodPost, node.url+"/v1/cluster/rebalance?drop=1", nil, nil)
+	if status != http.StatusOK {
+		t.Fatalf("rebalance: %d %s", status, body)
+	}
+	var rep RebalanceReport
+	if err := json.Unmarshal(body, &rep); err != nil {
+		t.Fatal(err)
+	}
+	if rep.Scanned != 2 || rep.Transferred != 2 || rep.Dropped != 0 || rep.Failed != 0 {
+		t.Fatalf("rebalance report %+v, want 2 scanned/transferred, 0 dropped/failed", rep)
+	}
+	if _, ok := node.store.GetPortfolio(key); !ok {
+		t.Fatal("rebalance dropped the portfolio grouping row of the node owning it")
+	}
+
+	// A server restarted on the store resolves the bare key from the row
+	// and assembles the portfolio from the kept member files.
+	restarted, ts := newTestServer(t, Config{Store: openStore(t, node.store.Root()), Logf: t.Logf})
+	t.Cleanup(restarted.Flush) // assembling the portfolio re-records its row
+	instReq := map[string]any{"key": key, "queries": []any{testQuery(t, 0)}}
+	if code, body := postJSON(t, ts.URL+"/v1/instantiate", instReq, nil); code != http.StatusOK {
+		t.Fatalf("instantiate bare portfolio key after restart: %d %s", code, body)
+	}
+	if runs := restarted.genRuns.Load(); runs != 0 {
+		t.Fatalf("restarted server ran %d generations, want 0", runs)
+	}
+}
+
 // TestClusterConcurrentTrafficWithFlappingPeer is the race sweep: mixed
 // generate/instantiate traffic through two entry nodes while the third
 // node flaps between healthy and every fault mode. Every request must

@@ -12,8 +12,8 @@
 //     fixed priority scheme. Nothing client-controlled becomes a label.
 //   - Counters owned by other layers (cluster, jobs) stay where they are
 //     — atomics next to the code that increments them — and are exported
-//     through scrape-time CounterFunc/GaugeFunc closures, so /healthz
-//     JSON stays byte-identical while /metrics reads the same values.
+//     through scrape-time CounterFunc/GaugeFunc closures, so /metrics
+//     reads the same values GET /v1/jobs and the owning layer report.
 package serve
 
 import (

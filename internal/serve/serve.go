@@ -5,9 +5,13 @@
 // traffic — the hot path of a layout-inclusive sizing loop (Fig. 1b,
 // §3.3) — is answered from the cached structure through the facade's
 // concurrent InstantiateBatch worker pool, which queries the compiled
-// (flat, allocation-free) form of the structure. The index is always
-// materialized off the request path: after generation on the job worker,
-// or during the disk load (v3 store files carry the compiled tables).
+// (flat, allocation-free) form of the structure. Every cache entry holds
+// one artifact shape, a portfolio of 1..K member structures: a plain spec
+// is its one-member case, which the portfolio answers without routing,
+// and a portfolio spec fans its K members out as ordinary entries. The
+// index is always materialized off the request path: after generation on
+// the job worker, or during the disk load (v3 store files carry the
+// compiled tables).
 //
 // Generation requests for the same key are deduplicated: concurrent
 // clients share one generation run (per-entry sync.Once) and all block on
@@ -230,33 +234,17 @@ type entry struct {
 	memberJobIDs []string
 
 	// done and the fields below are written exactly once, under the
-	// server mutex, when generation finishes. Exactly one of s and p is
-	// set on success: s for single-structure specs, p for portfolio
-	// specs. placements and coverage snapshot the artifact at publish
-	// time so listing the cache never walks structure internals while
-	// holding the global mutex.
+	// server mutex, when generation finishes. p is set on success: every
+	// entry holds one portfolio, of one member for a single-structure spec
+	// and of K members for a portfolio spec. placements and coverage
+	// snapshot the artifact at publish time so listing the cache never
+	// walks structure internals while holding the global mutex.
 	done       bool
-	s          *mps.Structure
 	p          *mps.Portfolio
 	stats      mps.Stats
 	placements int
 	coverage   float64
 	err        error
-}
-
-// batcher is the query surface shared by structures and portfolios — all
-// the instantiate handler needs from either.
-type batcher interface {
-	InstantiateBatchWorkers(queries []mps.DimQuery, workers int) []mps.BatchResult
-}
-
-// batcher returns the entry's query surface. Only valid on a successfully
-// published entry.
-func (e *entry) batcher() batcher {
-	if e.p != nil {
-		return e.p
-	}
-	return e.s
 }
 
 // New returns a Server ready to serve. The server owns its job scheduler
@@ -697,25 +685,12 @@ func (s *Server) startWork(tr *obs.Trace, parent obs.SpanID, e *entry) {
 		s.startPortfolioWork(tr, parent, e)
 		return
 	}
-	specJSON, err := json.Marshal(e.spec)
-	if err != nil { // cannot happen for a normalized spec; fail loudly if it does
-		s.publish(e, nil, mps.Stats{}, fmt.Errorf("encoding spec: %w", err))
-		return
-	}
 	// Read-through: a structure persisted by an earlier process (or
 	// evicted from this one) is rehydrated from disk in milliseconds
 	// instead of regenerated in minutes. Load failures (corrupt file,
-	// missing entry) fall through to a fresh generation. The job history
-	// still records the materialization (RecordDone), so /v1/jobs answers
-	// for warm keys too.
-	if st, stats, err := s.loadFromStore(tr, parent, e.spec); err == nil && st != nil {
-		if snap, err := s.sched.RecordDone(e.key, specJSON, jobs.Progress{
-			Placements: st.NumPlacements(),
-			Coverage:   stats.FinalCoverage,
-		}); err == nil {
-			s.setJobID(e, snap.ID)
-		}
-		s.publish(e, st, stats, nil)
+	// missing entry) fall through to a fresh generation.
+	if p, stats, err := s.loadFromStore(tr, parent, e.spec); err == nil && p != nil {
+		s.publishDone(e, p, stats)
 		return
 	}
 	// Cluster mode, non-owned key: this node is serving the key anyway
@@ -726,10 +701,10 @@ func (s *Server) startWork(tr *obs.Trace, parent obs.SpanID, e *entry) {
 	// K members. remoteWork degrades to submitGeneration when no peer can
 	// help, so exactly one path publishes either way.
 	if s.cluster != nil && !s.cluster.Owns(e.key) {
-		go s.remoteWork(tr, e, specJSON)
+		go s.remoteWork(tr, e)
 		return
 	}
-	s.submitGeneration(tr, e, specJSON)
+	s.submitGeneration(tr, e)
 }
 
 // submitGeneration queues the entry's annealing run on the local job
@@ -737,36 +712,30 @@ func (s *Server) startWork(tr *obs.Trace, parent obs.SpanID, e *entry) {
 // fall back to it after peer routes fail. tr (nil for background work)
 // receives the job_run span; it parents to the trace root because the
 // job routinely outlives the request span that submitted it.
-func (s *Server) submitGeneration(tr *obs.Trace, e *entry, specJSON []byte) {
+func (s *Server) submitGeneration(tr *obs.Trace, e *entry) {
 	// Run and Done execute sequentially on the same worker, so the result
 	// variables they share need no further synchronization. Publication
 	// happens in Done — after the scheduler has retired the key from its
 	// active set — so a request racing a failed entry's removal starts a
 	// fresh job instead of deduping onto the dead one.
-	var genSt *mps.Structure
+	var genP *mps.Portfolio
 	var genStats mps.Stats
 	var genErr error
 	snap, _, err := s.sched.Submit(jobs.Request{
 		Key:      e.key,
-		Spec:     specJSON,
+		Spec:     mustSpecJSON(e.spec),
 		Priority: e.priority,
 		Trace:    tr,
 		Run: func(ctx context.Context, report func(jobs.Progress)) error {
-			genSt, genStats, genErr = s.runGeneration(ctx, e.spec, report)
+			genP, genStats, genErr = s.runGeneration(ctx, e.spec, report)
 			// Write-through: persist the finished structure off the job
 			// path. The annealing run took minutes; the disk write takes
 			// milliseconds and must never hold the worker (or a waiting
-			// client) hostage. The Add must precede publish (in Done):
-			// publish wakes waiters, and a woken client may immediately
-			// Flush. On error, nothing persists — a cancelled or failed
-			// run leaves no partial structure in the store, and publish
-			// drops the entry so none lingers in the cache either.
-			if genErr == nil && genSt != nil && s.cfg.Store != nil {
-				s.persistWG.Add(1)
-				go func() {
-					defer s.persistWG.Done()
-					s.persist(e.spec, genSt, genStats.FinalCoverage)
-				}()
+			// client) hostage. On error, nothing persists — a cancelled or
+			// failed run leaves no partial structure in the store, and
+			// publish drops the entry so none lingers in the cache either.
+			if genErr == nil {
+				s.persistAsync(e.spec, genP, genStats.FinalCoverage)
 			}
 			return genErr
 		},
@@ -776,7 +745,7 @@ func (s *Server) submitGeneration(tr *obs.Trace, e *entry, specJSON []byte) {
 			if snap.Finished.After(snap.Started) {
 				s.metrics.observe(nil, obs.StageJobRun, snap.Finished.Sub(snap.Started))
 			}
-			s.publish(e, genSt, genStats, genErr)
+			s.publish(e, genP, genStats, genErr)
 		},
 		Abandon: func(reason error) {
 			s.publish(e, nil, mps.Stats{}, fmt.Errorf("generation canceled while queued: %w: %w", reason, context.Canceled))
@@ -797,12 +766,14 @@ func (s *Server) setJobID(e *entry, id string) {
 }
 
 // runGeneration executes one full annealing run under the job's context,
-// translating generation progress into job progress. Panics become
-// errors so a misbehaving generator fails one entry, not the daemon.
-func (s *Server) runGeneration(ctx context.Context, spec GenerateSpec, report func(jobs.Progress)) (st *mps.Structure, stats mps.Stats, err error) {
+// translating generation progress into job progress, and returns the
+// structure as the one-member portfolio its cache entry holds. Panics
+// become errors so a misbehaving generator fails one entry, not the
+// daemon.
+func (s *Server) runGeneration(ctx context.Context, spec GenerateSpec, report func(jobs.Progress)) (p *mps.Portfolio, stats mps.Stats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
-			st, err = nil, fmt.Errorf("generation panic: %v", r)
+			p, err = nil, fmt.Errorf("generation panic: %v", r)
 		}
 	}()
 	circuit, err := mps.Benchmark(spec.Circuit)
@@ -825,18 +796,17 @@ func (s *Server) runGeneration(ctx context.Context, spec GenerateSpec, report fu
 		Circuit: circuit, Options: opts, Backend: spec.Backend,
 		Weights: spec.Weights.weights(),
 	})
-	st = res.Structure
 	if len(res.Stats) > 0 {
 		stats = res.Stats[0]
 	}
-	if err == nil && st != nil {
-		// Compile on the job worker, not on the first instantiate request:
-		// queries against this structure — including the background persist,
-		// which saves the compiled tables into the v3 file — find the index
-		// ready.
-		st.Compiled()
+	if err != nil {
+		return nil, stats, err
 	}
-	return st, stats, err
+	// Wrapping compiles on the job worker, not on the first instantiate
+	// request: queries against this structure — including the background
+	// persist, which saves the compiled tables into the v3 file — find the
+	// index ready.
+	return single(res.Structure), stats, nil
 }
 
 // startPortfolioWork produces a portfolio entry: the K member specs fan
@@ -881,33 +851,26 @@ func (s *Server) startPortfolioWork(tr *obs.Trace, parent obs.SpanID, e *entry) 
 			if me.err != nil && memberErr == nil {
 				memberErr = fmt.Errorf("portfolio member %d (%s): %w", i, me.key, me.err)
 			}
-			structures[i] = me.s
+			if me.err == nil {
+				structures[i] = &mps.Structure{Structure: me.p.Member(0)}
+			}
 			me.waiters.Add(-1)
 		}
 		if memberErr != nil {
-			s.publishPortfolio(e, nil, 0, memberErr)
+			s.publish(e, nil, mps.Stats{}, memberErr)
 			return
 		}
 		p, err := mps.NewPortfolioWeighted(structures, e.spec.resolvedMemberWeights())
 		if err != nil {
-			s.publishPortfolio(e, nil, 0, err)
+			s.publish(e, nil, mps.Stats{}, err)
 			return
 		}
-		coverage := portfolioCoverage(p, e.spec.Seed)
-		if s.cfg.Store != nil {
-			s.persistWG.Add(1)
-			go func() {
-				defer s.persistWG.Done()
-				s.persistPortfolio(e.spec, p, structures, coverage)
-			}()
-		}
-		if snap, err := s.sched.RecordDone(e.key, mustSpecJSON(e.spec), jobs.Progress{
-			Placements: p.NumPlacements(),
-			Coverage:   coverage,
-		}); err == nil {
-			s.setJobID(e, snap.ID)
-		}
-		s.publishPortfolio(e, p, coverage, nil)
+		// Member generation stats live with the member entries; the
+		// portfolio's own stats carry the merged coverage, matching what the
+		// store loader reconstructs.
+		stats := mps.Stats{FinalCoverage: portfolioCoverage(p, e.spec.Seed)}
+		s.persistAsync(e.spec, p, stats.FinalCoverage)
+		s.publishDone(e, p, stats)
 	}()
 }
 
@@ -927,115 +890,6 @@ func mustSpecJSON(spec GenerateSpec) json.RawMessage {
 		panic(fmt.Sprintf("serve: encoding spec: %v", err))
 	}
 	return b
-}
-
-// publishPortfolio is publish for portfolio entries. Member generation
-// stats live with the member entries; the portfolio's own stats carry the
-// merged coverage, matching what the warm path reconstructs.
-func (s *Server) publishPortfolio(e *entry, p *mps.Portfolio, coverage float64, err error) {
-	var placements int
-	var stats mps.Stats
-	if p != nil {
-		placements = p.NumPlacements()
-		stats.FinalCoverage = coverage
-	}
-	s.mu.Lock()
-	if e.done {
-		s.mu.Unlock()
-		return
-	}
-	e.p, e.stats, e.err, e.done = p, stats, err, true
-	e.placements, e.coverage = placements, coverage
-	if err != nil {
-		s.removeLocked(e)
-	}
-	s.evictLocked()
-	s.mu.Unlock()
-	close(e.ready)
-}
-
-// loadPortfolioFromStore rehydrates a whole portfolio from the store's
-// grouping row for Warm: members come from the cache when the structure
-// warm pass already loaded them, else through the ordinary structure
-// read-through. (nil, _, nil) means "not available" — no store, no
-// grouping row, or a member that no longer loads (a cold request for the
-// spec fans out and regenerates only what is missing).
-func (s *Server) loadPortfolioFromStore(spec GenerateSpec) (*mps.Portfolio, mps.Stats, error) {
-	if s.cfg.Store == nil {
-		return nil, mps.Stats{}, nil
-	}
-	row, ok := s.cfg.Store.GetPortfolio(spec.key())
-	if !ok {
-		return nil, mps.Stats{}, nil
-	}
-	if row.K() != spec.Portfolio {
-		s.logf("store: portfolio row %s has %d members, spec wants %d (ignoring row)",
-			spec.key(), row.K(), spec.Portfolio)
-		return nil, mps.Stats{}, nil
-	}
-	members := make([]*mps.Structure, spec.Portfolio)
-	for i := range members {
-		mspec := spec.memberSpec(i)
-		// Cache first: on a warm start the structure pass (and on a cold
-		// request, earlier traffic) often holds the member already — reuse
-		// it so the portfolio shares the cached structure and its compiled
-		// index instead of decoding a second copy from disk.
-		if me, ok := s.lookup(mspec.key()); ok && me.s != nil {
-			members[i] = me.s
-			continue
-		}
-		st, _, err := s.loadFromStore(nil, 0, mspec)
-		if err != nil || st == nil {
-			return nil, mps.Stats{}, err
-		}
-		members[i] = st
-	}
-	p, err := mps.NewPortfolioWeighted(members, spec.resolvedMemberWeights())
-	if err != nil {
-		s.loadErrs.Add(1)
-		s.logf("store: assembling portfolio %s: %v (regenerating)", spec.key(), err)
-		return nil, mps.Stats{}, err
-	}
-	return p, mps.Stats{FinalCoverage: row.Coverage}, nil
-}
-
-// persistPortfolio records the portfolio grouping row, first making sure
-// every member structure is persisted: member entries persist their own
-// generations in the background, so a member may not have landed yet —
-// the duplicate Put is atomic and idempotent (same key, same filename,
-// same content). Runs off the request path under persistWG.
-func (s *Server) persistPortfolio(spec GenerateSpec, p *mps.Portfolio, members []*mps.Structure, coverage float64) {
-	memberKeys := make([]string, len(members))
-	for i, m := range members {
-		mspec := spec.memberSpec(i)
-		memberKeys[i] = mspec.key()
-		if _, ok := s.cfg.Store.Stat(memberKeys[i]); !ok {
-			s.persist(mspec, m, m.Coverage())
-		}
-	}
-	var memberWeights []string
-	if wts := spec.resolvedMemberWeights(); wts != nil {
-		memberWeights = make([]string, len(wts))
-		for i, w := range wts {
-			if !w.IsZero() {
-				memberWeights[i] = w.Key()
-			}
-		}
-	}
-	_, err := s.cfg.Store.RecordPortfolio(store.PortfolioMeta{
-		Key:           spec.key(),
-		Circuit:       spec.Circuit,
-		Seed:          spec.Seed,
-		Options:       string(mustSpecJSON(spec)),
-		Members:       memberKeys,
-		MemberWeights: memberWeights,
-		Placements:    p.NumPlacements(),
-		Coverage:      coverage,
-	})
-	if err != nil {
-		s.persistErrs.Add(1)
-		s.logf("store: recording portfolio %s: %v", spec.key(), err)
-	}
 }
 
 // structureFor returns the cached structure for the spec, whose key is
@@ -1107,15 +961,17 @@ func (s *Server) structureFor(ctx context.Context, spec GenerateSpec, key string
 // another client's error — later requests miss and retry instead.
 // Eviction re-runs because the entry was un-evictable while in flight, so
 // the cache may be over its bound with no future miss to shrink it.
-func (s *Server) publish(e *entry, st *mps.Structure, stats mps.Stats, err error) {
+//
+// The published coverage is stats.FinalCoverage for every K. For one
+// member it is the generation's exact coverage: Compact (run inside
+// generation) merges fragments without changing covered volume, so no
+// recompute is needed. For K members it is the Monte-Carlo union the
+// fan-in or the grouping row supplies.
+func (s *Server) publish(e *entry, p *mps.Portfolio, stats mps.Stats, err error) {
 	var placements int
 	var coverage float64
-	if st != nil {
-		placements = st.NumPlacements()
-		// FinalCoverage is exact here: Compact (run inside mps.Generate)
-		// merges fragments without changing covered volume, so no
-		// recompute is needed.
-		coverage = stats.FinalCoverage
+	if p != nil {
+		placements, coverage = p.NumPlacements(), stats.FinalCoverage
 	}
 	s.mu.Lock()
 	if e.done {
@@ -1124,7 +980,7 @@ func (s *Server) publish(e *entry, st *mps.Structure, stats mps.Stats, err error
 		s.mu.Unlock()
 		return
 	}
-	e.s, e.stats, e.err, e.done = st, stats, err, true
+	e.p, e.stats, e.err, e.done = p, stats, err, true
 	e.placements, e.coverage = placements, coverage
 	if err != nil {
 		s.removeLocked(e)
@@ -1134,18 +990,77 @@ func (s *Server) publish(e *entry, st *mps.Structure, stats mps.Stats, err error
 	close(e.ready)
 }
 
-// loadFromStore rehydrates the structure for spec from the disk store.
-// (nil, _, nil) means "not available" — no store configured or no entry
-// for the key; an error means an entry existed but could not be loaded
-// (corrupt file, circuit mismatch), which callers also treat as a miss
-// after counting it. The read and compile phases record as store_read
-// and compile spans on tr (nil for background callers), nested under
-// parent.
-func (s *Server) loadFromStore(tr *obs.Trace, parent obs.SpanID, spec GenerateSpec) (*mps.Structure, mps.Stats, error) {
+// publishDone publishes an artifact that materialized without a local
+// annealing run — a store read, a peer fetch, a portfolio fan-in, an
+// installed entry — first recording a born-done job so /v1/jobs answers
+// for the key too.
+func (s *Server) publishDone(e *entry, p *mps.Portfolio, stats mps.Stats) {
+	if snap, err := s.sched.RecordDone(e.key, mustSpecJSON(e.spec), jobs.Progress{
+		Placements: p.NumPlacements(),
+		Coverage:   stats.FinalCoverage,
+	}); err == nil {
+		s.setJobID(e, snap.ID)
+	}
+	s.publish(e, p, stats, nil)
+}
+
+// single wraps one structure as the one-member portfolio its cache entry
+// holds; wrapping compiles the query index unless it is already attached.
+// A single non-nil member always forms a valid portfolio.
+func single(st *mps.Structure) *mps.Portfolio {
+	p, _ := mps.NewPortfolio([]*mps.Structure{st})
+	return p
+}
+
+// loadFromStore rehydrates the portfolio for spec from the disk store.
+// (nil, _, nil) means "not available" — no store configured, no row for
+// the key, or a grouping row whose member no longer loads (a cold request
+// for the spec fans out and regenerates only what is missing); an error
+// means a row existed but could not be loaded (corrupt file, circuit
+// mismatch), which callers also treat as a miss after counting it.
+//
+// A one-member spec reads its v3 file; the read and compile phases record
+// as store_read and compile spans on tr (nil for background callers),
+// nested under parent. A K-member spec reads its grouping row and takes
+// each member from the cache first — sharing the cached structure and its
+// compiled index instead of decoding a second copy — else loads it
+// through the one-member branch.
+func (s *Server) loadFromStore(tr *obs.Trace, parent obs.SpanID, spec GenerateSpec) (*mps.Portfolio, mps.Stats, error) {
 	if s.cfg.Store == nil {
 		return nil, mps.Stats{}, nil
 	}
 	key := spec.key()
+	if spec.Portfolio > 1 {
+		row, ok := s.cfg.Store.GetPortfolio(key)
+		if !ok {
+			return nil, mps.Stats{}, nil
+		}
+		if row.K() != spec.Portfolio {
+			s.logf("store: portfolio row %s has %d members, spec wants %d (ignoring row)",
+				key, row.K(), spec.Portfolio)
+			return nil, mps.Stats{}, nil
+		}
+		members := make([]*mps.Structure, spec.Portfolio)
+		for i := range members {
+			mspec := spec.memberSpec(i)
+			if me, ok := s.lookup(mspec.key()); ok {
+				members[i] = &mps.Structure{Structure: me.p.Member(0)}
+				continue
+			}
+			mp, _, err := s.loadFromStore(tr, parent, mspec)
+			if err != nil || mp == nil {
+				return nil, mps.Stats{}, err
+			}
+			members[i] = &mps.Structure{Structure: mp.Member(0)}
+		}
+		p, err := mps.NewPortfolioWeighted(members, spec.resolvedMemberWeights())
+		if err != nil {
+			s.loadErrs.Add(1)
+			s.logf("store: assembling portfolio %s: %v (regenerating)", key, err)
+			return nil, mps.Stats{}, err
+		}
+		return p, mps.Stats{FinalCoverage: row.Coverage}, nil
+	}
 	if _, ok := s.cfg.Store.Stat(key); !ok {
 		return nil, mps.Stats{}, nil
 	}
@@ -1170,34 +1085,87 @@ func (s *Server) loadFromStore(tr *obs.Trace, parent obs.SpanID, spec GenerateSp
 	// attached the index during decode; only a legacy v2 file compiles
 	// here, still off the request path.
 	compileSpan := tr.StartSpanUnder(parent, obs.StageCompile)
-	st.Compiled()
+	p := single(st)
 	s.metrics.endSpan(compileSpan)
 	// The manifest's coverage snapshot is all that survives a restart;
 	// the rest of the generation stats belong to the process that ran
 	// the annealer.
-	return st, mps.Stats{FinalCoverage: meta.Coverage}, nil
+	return p, mps.Stats{FinalCoverage: meta.Coverage}, nil
 }
 
-// persist writes one finished generation to the disk store, recording the
-// normalized spec in the manifest so a restarted server can rebuild the
-// cache entry without guessing.
-func (s *Server) persist(spec GenerateSpec, st *mps.Structure, coverage float64) {
-	specJSON, err := json.Marshal(spec)
-	if err != nil {
-		s.persistErrs.Add(1)
-		s.logf("store: encoding spec for %s: %v", spec.key(), err)
+// persistAsync persists a finished artifact in the background when a
+// store is configured. The persistWG.Add happens here, before the caller
+// publishes: publish wakes waiters, and a woken client may immediately
+// Flush.
+func (s *Server) persistAsync(spec GenerateSpec, p *mps.Portfolio, coverage float64) {
+	if s.cfg.Store == nil {
 		return
 	}
-	_, err = s.cfg.Store.Put(store.Meta{
-		Key:      spec.key(),
-		Circuit:  spec.Circuit,
-		Seed:     spec.Seed,
-		Options:  string(specJSON),
-		Coverage: coverage,
-	}, st.Structure)
+	s.persistWG.Add(1)
+	go func() {
+		defer s.persistWG.Done()
+		s.persist(spec, p, coverage)
+	}()
+}
+
+// persist writes one finished artifact to the disk store, recording the
+// normalized spec in the manifest so a restarted server can rebuild the
+// cache entry without guessing. A one-member portfolio is one structure
+// row. A K-member portfolio is a grouping row over its members' structure
+// rows, each member first persisted if it has not landed yet: member
+// entries persist their own generations in the background, and the
+// duplicate Put is atomic and idempotent (same key, same filename, same
+// content).
+func (s *Server) persist(spec GenerateSpec, p *mps.Portfolio, coverage float64) {
+	var err error
+	if p.K() == 1 {
+		_, err = s.cfg.Store.Put(structureMeta(spec, coverage), p.Member(0))
+	} else {
+		memberKeys := make([]string, p.K())
+		for i := range memberKeys {
+			mspec := spec.memberSpec(i)
+			memberKeys[i] = mspec.key()
+			if _, ok := s.cfg.Store.Stat(memberKeys[i]); !ok && err == nil {
+				m := p.Member(i)
+				_, err = s.cfg.Store.Put(structureMeta(mspec, m.Coverage()), m)
+			}
+		}
+		var memberWeights []string
+		if wts := spec.resolvedMemberWeights(); wts != nil {
+			memberWeights = make([]string, len(wts))
+			for i, w := range wts {
+				if !w.IsZero() {
+					memberWeights[i] = w.Key()
+				}
+			}
+		}
+		if err == nil {
+			_, err = s.cfg.Store.RecordPortfolio(store.PortfolioMeta{
+				Key:           spec.key(),
+				Circuit:       spec.Circuit,
+				Seed:          spec.Seed,
+				Options:       string(mustSpecJSON(spec)),
+				Members:       memberKeys,
+				MemberWeights: memberWeights,
+				Placements:    p.NumPlacements(),
+				Coverage:      coverage,
+			})
+		}
+	}
 	if err != nil {
 		s.persistErrs.Add(1)
 		s.logf("store: persisting %s: %v", spec.key(), err)
+	}
+}
+
+// structureMeta is the manifest row of a one-member spec's structure.
+func structureMeta(spec GenerateSpec, coverage float64) store.Meta {
+	return store.Meta{
+		Key:      spec.key(),
+		Circuit:  spec.Circuit,
+		Seed:     spec.Seed,
+		Options:  string(mustSpecJSON(spec)),
+		Coverage: coverage,
 	}
 }
 
@@ -1208,10 +1176,12 @@ func (s *Server) Flush() { s.persistWG.Wait() }
 
 // Warm preloads up to limit structures — and then up to limit portfolio
 // groupings — from the disk store into the LRU, newest first (limit <= 0
-// or above the cache size clamps to the cache size). It returns how many
-// cache entries were loaded; entries that fail to parse or load are
-// logged and skipped, never fatal — a warm start must not keep a daemon
-// from booting.
+// or above the cache size clamps to the cache size). Portfolios get their
+// own budget so a store holding limit structures does not starve every
+// grouping row, and they load second so their members come from the
+// entries the first pass installed. It returns how many cache entries
+// were loaded; rows that fail to parse or load are logged and skipped,
+// never fatal — a warm start must not keep a daemon from booting.
 func (s *Server) Warm(limit int) (int, error) {
 	if s.cfg.Store == nil {
 		return 0, fmt.Errorf("serve: no store configured")
@@ -1219,113 +1189,61 @@ func (s *Server) Warm(limit int) (int, error) {
 	if limit <= 0 || limit > s.cfg.CacheSize {
 		limit = s.cfg.CacheSize
 	}
-	loaded := 0
-	for _, meta := range s.cfg.Store.List() {
-		if loaded >= limit {
-			break
-		}
-		var spec GenerateSpec
-		if err := json.Unmarshal([]byte(meta.Options), &spec); err != nil {
-			s.logf("warm: manifest options for %s: %v", meta.Key, err)
-			continue
-		}
-		if err := spec.normalize(); err != nil {
-			s.logf("warm: spec for %s: %v", meta.Key, err)
-			continue
-		}
-		if spec.key() != meta.Key {
-			s.logf("warm: manifest key %s does not match its spec (key drift)", meta.Key)
-			continue
-		}
-		st, stats, err := s.loadFromStore(nil, 0, spec)
-		if err != nil || st == nil {
-			continue // already logged and counted
-		}
-		e := &entry{key: meta.Key, spec: spec, ready: make(chan struct{})}
-		e.s, e.stats, e.done = st, stats, true
-		e.placements = st.NumPlacements()
-		e.coverage = meta.Coverage
-		// Consume the entry's start and close ready before publication so
-		// a later request treats it as finished; the field writes above
-		// happen-before any start.Do return or ready receive.
-		e.start.Do(func() {})
-		close(e.ready)
-		// Record the materialization in the job history so /v1/jobs
-		// answers for warm keys (idempotent across restarts when the
-		// scheduler persists state).
-		if snap, err := s.sched.RecordDone(meta.Key, []byte(meta.Options), jobs.Progress{
-			Placements: e.placements,
-			Coverage:   e.coverage,
-		}); err == nil {
-			e.jobID = snap.ID
-		}
-		s.mu.Lock()
-		if _, exists := s.cache[meta.Key]; !exists {
-			e.elem = s.order.PushBack(e) // List is newest-first, so the front stays newest
-			s.cache[meta.Key] = e
-			s.evictLocked()
-			loaded++
-		}
-		s.mu.Unlock()
+	var structures, portfolios []string
+	for _, m := range s.cfg.Store.List() {
+		structures = append(structures, m.Key)
 	}
-	// Portfolios get their own budget of the same size: a store holding
-	// limit structures must not starve every grouping row (the LRU may
-	// transiently evict the coldest warmed structures to make room, which
-	// is the right trade — a portfolio entry answers for K members).
-	loaded += s.warmPortfolios(limit)
-	return loaded, nil
+	for _, row := range s.cfg.Store.Portfolios() {
+		portfolios = append(portfolios, row.Key)
+	}
+	return s.warm(structures, limit) + s.warm(portfolios, limit), nil
 }
 
-// warmPortfolios preloads up to limit portfolios from the store's grouping
-// rows, newest first. Member structures come from the cache when the
-// structure pass just loaded them, else through the ordinary
-// read-through; rows that fail to parse or whose members no longer load
-// are logged and skipped, never fatal.
-func (s *Server) warmPortfolios(limit int) int {
+// warm installs the store rows for keys, in order, until limit entries
+// have landed, and returns how many did.
+func (s *Server) warm(keys []string, limit int) int {
 	loaded := 0
-	for _, row := range s.cfg.Store.Portfolios() {
+	for _, key := range keys {
 		if loaded >= limit {
 			break
 		}
-		var spec GenerateSpec
-		if err := json.Unmarshal([]byte(row.Options), &spec); err != nil {
-			s.logf("warm: portfolio options for %s: %v", row.Key, err)
-			continue
+		spec, ok := s.specFromStore(key)
+		if !ok {
+			continue // already logged
 		}
-		if err := spec.normalize(); err != nil {
-			s.logf("warm: portfolio spec for %s: %v", row.Key, err)
-			continue
-		}
-		if spec.key() != row.Key {
-			s.logf("warm: portfolio manifest key %s does not match its spec (key drift)", row.Key)
-			continue
-		}
-		p, stats, err := s.loadPortfolioFromStore(spec)
+		p, stats, err := s.loadFromStore(nil, 0, spec)
 		if err != nil || p == nil {
-			continue // already logged and counted where it failed
+			continue // already logged and counted
 		}
-		e := &entry{key: row.Key, spec: spec, ready: make(chan struct{})}
-		e.p, e.stats, e.done = p, stats, true
-		e.placements = p.NumPlacements()
-		e.coverage = row.Coverage
-		e.start.Do(func() {})
-		close(e.ready)
-		if snap, err := s.sched.RecordDone(row.Key, []byte(row.Options), jobs.Progress{
-			Placements: e.placements,
-			Coverage:   e.coverage,
-		}); err == nil {
-			e.jobID = snap.ID
-		}
-		s.mu.Lock()
-		if _, exists := s.cache[row.Key]; !exists {
-			e.elem = s.order.PushBack(e)
-			s.cache[row.Key] = e
-			s.evictLocked()
+		if s.install(spec, p, stats, true) {
 			loaded++
 		}
-		s.mu.Unlock()
 	}
 	return loaded
+}
+
+// install adds a finished artifact to the cache as a done entry unless the
+// key is already cached, and reports whether it did. It serves Warm and
+// the store-less rebalance accept. cold places the entry at the LRU's cold
+// end, as Warm does: it walks rows newest first, and warmed entries must
+// not displace what traffic has already touched.
+func (s *Server) install(spec GenerateSpec, p *mps.Portfolio, stats mps.Stats, cold bool) bool {
+	e := &entry{key: spec.key(), spec: spec, ready: make(chan struct{})}
+	e.start.Do(func() {}) // the artifact is built: there is no work to start
+	s.mu.Lock()
+	if _, exists := s.cache[e.key]; exists {
+		s.mu.Unlock()
+		return false
+	}
+	if cold {
+		e.elem = s.order.PushBack(e)
+	} else {
+		e.elem = s.order.PushFront(e)
+	}
+	s.cache[e.key] = e
+	s.mu.Unlock()
+	s.publishDone(e, p, stats)
+	return true
 }
 
 // ResumeInterrupted resubmits generation jobs that a previous process
@@ -1416,12 +1334,11 @@ func (s *Server) Handler() http.Handler {
 	}))
 }
 
+// handleHealth is the liveness probe: 200 {"status":"ok"} whenever the
+// process serves HTTP. Job counts live on GET /v1/jobs and /metrics,
+// cluster counters on /metrics.
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	resp := map[string]any{"status": "ok", "jobs": s.sched.Stats()}
-	if s.cluster != nil {
-		resp["cluster"] = s.cluster.Stats()
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, map[string]string{"status": "ok"})
 }
 
 // circuitInfo is one row of the /v1/circuits listing.
@@ -1839,11 +1756,12 @@ func (req *instantiateRequest) dimQueries() ([]mps.DimQuery, error) {
 	return queries, nil
 }
 
-// handleInstantiate answers a query batch. Each result carries x/y
-// anchors or an error (e.g. out-of-bounds dimensions), plus member: the
-// portfolio member that answered (-1 when the backup did; 0 on stored
-// answers of single-structure entries, so placement_id is always
-// member-local to member). See mps.BatchResult and wire.go.
+// handleInstantiate answers a query batch from the entry's portfolio.
+// Each result carries x/y anchors or an error (e.g. out-of-bounds
+// dimensions), plus member: the portfolio member that answered (-1 when
+// the backup did; single-structure entries are one-member portfolios, so
+// their stored answers report 0 and placement_id is always member-local
+// to member). See mps.BatchResult and wire.go.
 func (s *Server) handleInstantiate(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		writeError(w, http.StatusMethodNotAllowed, "use POST")
@@ -1947,7 +1865,7 @@ func (s *Server) handleInstantiate(w http.ResponseWriter, r *http.Request) {
 	}
 	instSpan := tr.StartSpan(obs.StageInstantiate)
 	instSpan.SetKey(e.key)
-	batch := e.batcher().InstantiateBatchWorkers(queries, s.cfg.Workers)
+	batch := e.p.InstantiateBatchWorkers(queries, s.cfg.Workers)
 	s.metrics.endSpan(instSpan)
 
 	encSpan := tr.StartSpan(obs.StageEncode)

@@ -3,15 +3,18 @@ package serve
 import (
 	"bytes"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
 	"mps/internal/circuits"
+	"mps/internal/core"
 	"mps/internal/store"
 )
 
@@ -99,8 +102,17 @@ func getJSON(t *testing.T, url string, out any) int {
 
 func TestHealthAndCircuits(t *testing.T) {
 	_, ts := newTestServer(t, Config{})
-	if code := getJSON(t, ts.URL+"/healthz", nil); code != http.StatusOK {
-		t.Fatalf("healthz: %d", code)
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	health, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resp.StatusCode != http.StatusOK || string(health) != "{\"status\":\"ok\"}\n" {
+		t.Fatalf("healthz: %d %q, want 200 {\"status\":\"ok\"}", resp.StatusCode, health)
 	}
 	var listing struct {
 		Circuits []struct {
@@ -119,7 +131,7 @@ func TestHealthAndCircuits(t *testing.T) {
 // TestGenerateThenInstantiate is the wire-level happy path: POST a
 // generation spec, then answer a batch of queries addressed by cache key.
 func TestGenerateThenInstantiate(t *testing.T) {
-	_, ts := newTestServer(t, Config{})
+	s, ts := newTestServer(t, Config{})
 
 	var info StructureInfo
 	code, body := postJSON(t, ts.URL+"/v1/structures", testSpec(1), &info)
@@ -143,9 +155,21 @@ func TestGenerateThenInstantiate(t *testing.T) {
 		t.Error("identical spec did not hit the cache")
 	}
 
+	// The third query lies in the first stored placement's box, so a
+	// stored placement answers it.
+	e, ok := s.lookup(info.Key)
+	if !ok {
+		t.Fatal("generated structure not cached")
+	}
+	st := e.p.Member(0)
+	pl := st.Get(st.IDs()[0])
+	want, err := core.Compile(st).Instantiate(pl.WLo, pl.HLo)
+	if err != nil || want.FromBackup {
+		t.Fatalf("covered query: %+v, %v", want, err)
+	}
 	req := map[string]any{
 		"key":     info.Key,
-		"queries": []map[string][]int{testQuery(t, 0), testQuery(t, 1)},
+		"queries": []map[string][]int{testQuery(t, 0), testQuery(t, 1), {"ws": pl.WLo, "hs": pl.HLo}},
 	}
 	var out struct {
 		Key     string `json:"key"`
@@ -154,6 +178,8 @@ func TestGenerateThenInstantiate(t *testing.T) {
 			X           []int  `json:"x"`
 			Y           []int  `json:"y"`
 			PlacementID int    `json:"placement_id"`
+			Member      int    `json:"member"`
+			FromBackup  bool   `json:"from_backup"`
 			Error       string `json:"error"`
 		} `json:"results"`
 	}
@@ -161,19 +187,32 @@ func TestGenerateThenInstantiate(t *testing.T) {
 	if code != http.StatusOK {
 		t.Fatalf("instantiate: %d %s", code, body)
 	}
-	if out.Served != 2 || len(out.Results) != 2 {
+	if out.Served != 3 || len(out.Results) != 3 {
 		t.Fatalf("served %d of %d results: %s", out.Served, len(out.Results), body)
 	}
 	for i, r := range out.Results {
 		if r.Error != "" || len(r.X) != 4 || len(r.Y) != 4 {
 			t.Errorf("result %d malformed: %+v", i, r)
 		}
+		// A structure key reports member 0 for stored answers and -1 for
+		// backup answers.
+		wantMember := 0
+		if r.FromBackup {
+			wantMember = -1
+		}
+		if r.Member != wantMember {
+			t.Errorf("result %d: member %d with from_backup %v, want %d", i, r.Member, r.FromBackup, wantMember)
+		}
+	}
+	if got := out.Results[2]; got.FromBackup || got.PlacementID != want.PlacementID ||
+		!slices.Equal(got.X, want.X) || !slices.Equal(got.Y, want.Y) {
+		t.Errorf("covered result %+v, want placement %d at %v/%v", got, want.PlacementID, want.X, want.Y)
 	}
 
 	// Addressing by inline spec must also work (and hit the cache).
 	req2 := map[string]any{"spec": testSpec(1), "queries": req["queries"]}
 	code, body = postJSON(t, ts.URL+"/v1/instantiate", req2, &out)
-	if code != http.StatusOK || out.Served != 2 {
+	if code != http.StatusOK || out.Served != 3 {
 		t.Fatalf("instantiate by spec: %d %s", code, body)
 	}
 

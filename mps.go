@@ -22,7 +22,6 @@ package mps
 import (
 	"context"
 	"fmt"
-	"io"
 	"os"
 
 	"mps/internal/circuits"
@@ -196,46 +195,22 @@ func newBackup(c *Circuit, kind BackupKind) core.Backup {
 	return template.Balanced(c)
 }
 
-// Format selects the on-disk encoding used by SaveFileFormat.
-type Format int
-
-const (
-	// FormatBinary is the v2 codec (magic + version header, varint-packed
-	// arrays, trailing CRC-32C): smaller and faster to load than gob, and
-	// corruption is detected before any semantic validation. Default.
-	FormatBinary Format = iota
-	// FormatGob is the legacy v1 gob encoding, kept so files can still be
-	// produced for readers that predate the v2 codec.
-	FormatGob
-)
-
-// SaveFile writes the structure to path in the v2 binary format. The
-// write is crash-safe: content lands in a temp file in path's directory
-// and is fsynced and renamed over path, so an interrupted save never
-// truncates or tears an existing structure file.
+// SaveFile writes the structure to path in the v3 binary format — the
+// placements plus the compiled query index, as the serving store writes
+// them — so LoadFile hands back a structure whose index needs no compile.
+// The write is crash-safe: content lands in a temp file in path's
+// directory and is fsynced and renamed over path, so an interrupted save
+// never truncates or tears an existing structure file.
 func (s *Structure) SaveFile(path string) error {
-	return s.SaveFileFormat(path, FormatBinary)
-}
-
-// SaveFileFormat is SaveFile with an explicit format choice. Both formats
-// are written atomically and both load back through LoadFile, which
-// sniffs the header.
-func (s *Structure) SaveFileFormat(path string, f Format) error {
-	_, err := store.WriteFileAtomic(path, func(w io.Writer) error {
-		if f == FormatGob {
-			return s.Save(w)
-		}
-		return s.SaveBinary(w)
-	})
-	if err != nil {
+	if _, err := store.WriteFileAtomic(path, s.SaveBinaryCompiled); err != nil {
 		return fmt.Errorf("mps: %w", err)
 	}
 	return nil
 }
 
 // LoadFile reads a structure previously saved for the given circuit —
-// either format, sniffed from the file header — and re-installs the
-// default template backup.
+// any format version (v1 gob, v2, v3), sniffed from the file header — and
+// re-installs the default template backup.
 func LoadFile(path string, c *Circuit) (*Structure, error) {
 	f, err := os.Open(path)
 	if err != nil {

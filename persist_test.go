@@ -1,11 +1,12 @@
 package mps
 
-// Persistence acceptance tests for the v2 structure codec and the
+// Persistence acceptance tests for the binary structure codecs and the
 // crash-safe SaveFile path: every Table 1 circuit must round-trip through
-// the binary format with identical Instantiate behavior, and legacy gob
-// files must keep loading through the same facade.
+// the v3 and v2 formats with identical Instantiate behavior, and legacy
+// gob files must keep loading through the same facade.
 
 import (
+	"io"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -44,10 +45,11 @@ func sweepCompare(t *testing.T, c *Circuit, a, b *Structure, trials int, seed in
 	}
 }
 
-// TestBinaryRoundTripTable1 is the acceptance property for the v2 codec:
-// for every Table 1 circuit, Save(v2) → Load yields a structure whose
-// Instantiate output matches the original on a randomized query sweep —
-// and the gob v1 format of the same structure still loads via sniffing.
+// TestBinaryRoundTripTable1 is the acceptance property for the binary
+// codecs: for every Table 1 circuit, SaveFile (v3) → Load and SaveBinary
+// (v2) → Load yield structures whose Instantiate output matches the
+// original on a randomized query sweep — and the gob v1 format of the same
+// structure still loads via sniffing.
 func TestBinaryRoundTripTable1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a structure per Table 1 circuit")
@@ -64,21 +66,25 @@ func TestBinaryRoundTripTable1(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			binPath := filepath.Join(dir, name+".mps")
-			if err := s.SaveFile(binPath); err != nil {
+			// SaveFile writes v3: the v2 payload plus the compiled index.
+			path := filepath.Join(dir, name+".mps")
+			if err := s.SaveFile(path); err != nil {
 				t.Fatal(err)
 			}
-			head := make([]byte, 4)
-			f, err := os.Open(binPath)
+			if head := fileHead(t, path, 5); string(head) != "MPSB\x03" {
+				t.Fatalf("SaveFile wrote header %q, want the v3 header", head)
+			}
+			fromFile, err := LoadFile(path, c)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if _, err := f.Read(head); err != nil {
-				t.Fatal(err)
-			}
-			f.Close()
-			if string(head) != "MPSB" {
-				t.Fatalf("SaveFile default wrote header %q, want v2 magic", head)
+			sweepCompare(t, c, s, fromFile, 150, 11)
+
+			// The v2 and v1 writers remain in core; their files still load.
+			binPath := filepath.Join(dir, name+".v2.mps")
+			saveWith(t, binPath, s.SaveBinary)
+			if head := fileHead(t, binPath, 5); string(head) != "MPSB\x02" {
+				t.Fatalf("SaveBinary wrote header %q, want the v2 header", head)
 			}
 			fromBin, err := LoadFile(binPath, c)
 			if err != nil {
@@ -90,9 +96,7 @@ func TestBinaryRoundTripTable1(t *testing.T) {
 			sweepCompare(t, c, s, fromBin, 150, 11)
 
 			gobPath := filepath.Join(dir, name+".gob.mps")
-			if err := s.SaveFileFormat(gobPath, FormatGob); err != nil {
-				t.Fatal(err)
-			}
+			saveWith(t, gobPath, s.Save)
 			fromGob, err := LoadFile(gobPath, c)
 			if err != nil {
 				t.Fatal(err)
@@ -114,6 +118,31 @@ func TestBinaryRoundTripTable1(t *testing.T) {
 			}
 		})
 	}
+}
+
+// saveWith writes a structure file with one of core's writers.
+func saveWith(t *testing.T, path string, write func(io.Writer) error) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := write(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// fileHead returns the first n bytes of a file.
+func fileHead(t *testing.T, path string, n int) []byte {
+	t.Helper()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data[:min(n, len(data))]
 }
 
 // TestSaveFileAtomicOverwrite: overwriting an existing structure file must

@@ -11,7 +11,6 @@ package mps
 // index). Only queries no member covers fall back to the backup.
 
 import (
-	"context"
 	"fmt"
 
 	"mps/internal/core"
@@ -39,48 +38,6 @@ const MaxPortfolioMembers = portfolio.MaxMembers
 // member generated for a portfolio is bit-identical to — and deduplicates
 // against — the single structure generated from the same derived seed.
 func PortfolioMemberSeed(seed int64, i int) int64 { return portfolio.MemberSeed(seed, i) }
-
-// GeneratePortfolio generates a K-member portfolio for the circuit:
-// member i runs the full Generate pipeline with Seed =
-// PortfolioMemberSeed(opts.Seed, i) and every other option unchanged.
-// Members generate concurrently (each may itself run opts.Chains explorer
-// chains). The returned stats slice holds member i's generation stats at
-// index i.
-//
-// Deprecated: use Run with a Request{Circuit: c, Options: opts, K: k} —
-// it adds backend selection (including per-member mixing) and
-// weight-diverse members behind the same generation pipeline. This
-// wrapper remains for compatibility and behaves identically, which
-// includes keeping the historical seed-only member diversity (it opts
-// out of Run's default weight ladder).
-func GeneratePortfolio(c *Circuit, opts Options, k int) (*Portfolio, []Stats, error) {
-	return GeneratePortfolioContext(context.Background(), c, opts, k)
-}
-
-// GeneratePortfolioContext is GeneratePortfolio with cooperative
-// cancellation: cancelling the context stops every member generation
-// within one inner-SA proposal and no portfolio is returned.
-//
-// Deprecated: use Run with a Request{Circuit: c, Options: opts, K: k};
-// see GeneratePortfolio.
-func GeneratePortfolioContext(ctx context.Context, c *Circuit, opts Options, k int) (*Portfolio, []Stats, error) {
-	if k < 1 || k > MaxPortfolioMembers {
-		return nil, nil, fmt.Errorf("mps: portfolio size %d outside [1, %d]", k, MaxPortfolioMembers)
-	}
-	if c == nil {
-		return nil, nil, fmt.Errorf("mps: run: nil circuit")
-	}
-	// An explicit all-zero MemberWeights suppresses Run's default weight
-	// ladder: this wrapper's historical contract is seed-only diversity,
-	// bit-identical to pre-weights output.
-	res, err := Run(ctx, Request{Circuit: c, Options: opts, K: k, MemberWeights: make([]Weights, k)})
-	if err != nil {
-		// Preserve the historical contract: no portfolio on error, but the
-		// per-member stats gathered so far are still returned.
-		return nil, res.Stats, err
-	}
-	return res.Portfolio, res.Stats, nil
-}
 
 // newPortfolio wraps generated/loaded members in the routing layer,
 // recording each member's generation weights when known (nil = none).

@@ -1,6 +1,7 @@
 package mps
 
 import (
+	"context"
 	"math/rand"
 	"path/filepath"
 	"reflect"
@@ -18,14 +19,18 @@ func genQuickPortfolio(t testing.TB, name string, seed int64) (*Portfolio, *Circ
 	if err != nil {
 		t.Fatal(err)
 	}
-	p, stats, err := GeneratePortfolio(c, quickOpts(seed), 3)
+	// All-zero member weights keep seed-only member diversity: member i is
+	// the plain generation at PortfolioMemberSeed(seed, i).
+	res, err := Run(context.Background(), Request{
+		Circuit: c, Options: quickOpts(seed), K: 3, MemberWeights: make([]Weights, 3),
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(stats) != 3 {
-		t.Fatalf("got %d member stats, want 3", len(stats))
+	if len(res.Stats) != 3 {
+		t.Fatalf("got %d member stats, want 3", len(res.Stats))
 	}
-	return p, c
+	return res.Portfolio, c
 }
 
 // TestGeneratePortfolioMembersMatchSingles pins the dedup property behind

@@ -2,9 +2,8 @@ package mps
 
 // This file is the backend-aware entry point of the facade. Run is the
 // one generation call every shape reduces to: single structure or
-// K-member portfolio, any registered backend, uniform cancellation. The
-// older positional functions (Generate, GenerateContext,
-// GeneratePortfolio, GeneratePortfolioContext) remain as thin wrappers.
+// K-member portfolio, any registered backend, uniform cancellation.
+// Generate and GenerateContext remain as thin single-structure wrappers.
 
 import (
 	"context"
@@ -60,7 +59,7 @@ type Request struct {
 	Backend string
 	// K selects the output shape: 0 produces a single Structure, 1..
 	// MaxPortfolioMembers a K-member Portfolio. (K == 1 is a genuine
-	// 1-member portfolio, matching GeneratePortfolio(c, opts, 1).)
+	// 1-member portfolio.)
 	K int
 	// MemberBackends optionally overrides Backend per portfolio member:
 	// member i uses MemberBackends[i] when non-empty, else Backend. Must
@@ -166,8 +165,8 @@ func Run(ctx context.Context, req Request) (RunResult, error) {
 	}
 	// Weight-diverse by default: K > 1 with no weights named gets the
 	// ladder. Seed-only diversity remains one explicit all-zero
-	// MemberWeights away (the deprecated GeneratePortfolio wrappers pass
-	// exactly that, preserving their historical output bit for bit).
+	// MemberWeights away, bit-identical to the portfolios generated before
+	// weights existed.
 	if req.K > 1 && req.Weights.IsZero() && len(req.MemberWeights) == 0 {
 		req.MemberWeights = WeightLadder(req.K)
 	}

@@ -249,23 +249,4 @@ func TestRunWeightLadderDefault(t *testing.T) {
 	if !bytes.Equal(a.Bytes(), b.Bytes()) {
 		t.Error("ladder member 1 differs from a standalone wire-heavy run at its derived seed")
 	}
-
-	// The opt-out portfolio is the historical seed-only artifact: its
-	// members match the deprecated wrapper's output bit for bit.
-	legacy, _, err := GeneratePortfolio(c, tinyOpts(9), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 2; i++ {
-		var x, y bytes.Buffer
-		if err := (&Structure{Structure: optOut.Portfolio.Member(i)}).SaveBinary(&x); err != nil {
-			t.Fatal(err)
-		}
-		if err := (&Structure{Structure: legacy.Member(i)}).SaveBinary(&y); err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(x.Bytes(), y.Bytes()) {
-			t.Errorf("opted-out member %d differs from the deprecated wrapper's member", i)
-		}
-	}
 }
