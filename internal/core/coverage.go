@@ -26,24 +26,20 @@ import (
 // and silently corrupt the TargetCoverage stop condition), and a product of
 // hundreds of sub-1 factors cannot underflow to zero mid-way on large
 // circuits. See TestCoverageWideRangeNoOverflow.
+//
+// The per-placement terms are cached (see coverageTerm), so the explorer's
+// per-iteration Progress report and TargetCoverage stop check cost O(P)
+// Exp2 calls and no Log2 at all.
 func (s *Structure) Coverage() float64 {
 	// log-sum-exp over per-placement log2 volume fractions, the same
 	// pattern as CoverageLog2 — two passes over the placements (max, then
-	// sum) so the explorer's per-iteration stop check allocates nothing.
-	lgFrac := func(p *placement.Placement) float64 {
-		lg := 0.0
-		for i, b := range s.circuit.Blocks {
-			lg += math.Log2(p.WIv(i).LenFloat()) - math.Log2(b.WRange().LenFloat())
-			lg += math.Log2(p.HIv(i).LenFloat()) - math.Log2(b.HRange().LenFloat())
-		}
-		return lg
-	}
+	// sum) in ID order, allocating nothing.
 	maxLg := math.Inf(-1)
-	for _, p := range s.placements {
+	for id, p := range s.placements {
 		if p == nil {
 			continue
 		}
-		if lg := lgFrac(p); lg > maxLg {
+		if lg := s.terms[id]; lg > maxLg {
 			maxLg = lg
 		}
 	}
@@ -51,15 +47,29 @@ func (s *Structure) Coverage() float64 {
 		return 0 // no placements, or only empty boxes (unreachable once stored)
 	}
 	sum := 0.0
-	for _, p := range s.placements {
+	for id, p := range s.placements {
 		if p == nil {
 			continue
 		}
-		if lg := lgFrac(p); !math.IsInf(lg, -1) {
+		if lg := s.terms[id]; !math.IsInf(lg, -1) {
 			sum += math.Exp2(lg - maxLg)
 		}
 	}
 	return math.Exp2(maxLg + math.Log2(sum))
+}
+
+// coverageTerm returns p's log2 volume fraction of the designer space,
+// the summand Coverage combines. store and shrinkRow cache it in s.terms
+// whenever they set a placement's box, and Renumber moves it with its
+// placement, so s.terms[id] always equals coverageTerm(s.placements[id])
+// bit for bit (CheckInvariants verifies this).
+func (s *Structure) coverageTerm(p *placement.Placement) float64 {
+	lg := 0.0
+	for i, b := range s.circuit.Blocks {
+		lg += math.Log2(p.WIv(i).LenFloat()) - math.Log2(b.WRange().LenFloat())
+		lg += math.Log2(p.HIv(i).LenFloat()) - math.Log2(b.HRange().LenFloat())
+	}
+	return lg
 }
 
 // CoverageLog2 returns log2 of the total covered volume in dimension-vector

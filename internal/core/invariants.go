@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // CheckInvariants verifies the structural guarantees of the multi-placement
 // structure exhaustively:
@@ -10,7 +13,9 @@ import "fmt"
 //     is geometrically legal at maximum dimensions, and is registered in
 //     every row exactly on its validity intervals;
 //  3. no two live placements' dimension boxes overlap (the eq. 5 guarantee);
-//  4. no row references a deleted placement.
+//  4. no row references a deleted placement;
+//  5. every live placement's cached coverage term equals its recomputed
+//     term bit for bit.
 //
 // It is O(P²·N + rows) and intended for tests and failure injection, not
 // hot paths.
@@ -91,6 +96,18 @@ func (s *Structure) CheckInvariants() error {
 						i, id, span.Iv, p.HIv(i))
 				}
 			}
+		}
+	}
+
+	if len(s.terms) != len(s.placements) {
+		return fmt.Errorf("core: %d coverage terms for %d placement slots", len(s.terms), len(s.placements))
+	}
+	for id, p := range s.placements {
+		if p == nil {
+			continue
+		}
+		if want := s.coverageTerm(p); math.Float64bits(s.terms[id]) != math.Float64bits(want) {
+			return fmt.Errorf("core: placement %d caches coverage term %v, its box gives %v", id, s.terms[id], want)
 		}
 	}
 	return nil

@@ -34,6 +34,11 @@ type Structure struct {
 	placements []*placement.Placement
 	alive      int
 
+	// terms[id] caches coverageTerm(placements[id]) for live placements,
+	// so Coverage needs no Log2 per call. Entries of deleted IDs are stale
+	// and never read.
+	terms []float64
+
 	// wRows[i] and hRows[i] are block i's width and height rows.
 	wRows, hRows []*intervalmap.Row
 
@@ -134,6 +139,7 @@ func (s *Structure) store(p *placement.Placement) (int, error) {
 	id := len(s.placements)
 	p.ID = id
 	s.placements = append(s.placements, p)
+	s.terms = append(s.terms, s.coverageTerm(p))
 	s.alive++
 	for i := 0; i < s.circuit.N(); i++ {
 		s.wRows[i].Insert(id, p.WIv(i))
@@ -158,7 +164,7 @@ func (s *Structure) delete(id int) {
 }
 
 // Renumber packs live placement IDs into the dense range [0, alive), in
-// ascending current-ID order, and rebuilds the affected row registrations.
+// ascending current-ID order, and rewrites the row registrations to match.
 // Queries are unaffected except for the IDs they report.
 //
 // Serialization keeps only live placements, in ID order, and load re-stores
@@ -168,33 +174,46 @@ func (s *Structure) delete(id int) {
 // Compact) makes its IDs stable across that round trip, which is what lets
 // cluster replicas that exchange v3 bytes report the same placement_id as
 // the owner's in-memory copy.
+//
+// The old→new ID map is monotone, so every row is relabeled in place (each
+// interval's id array stays ascending) and then coalesced once. That leaves
+// exactly the rows a Remove and re-Insert of every moved placement would:
+// the first such Remove coalesces every row, and relabeling neither splits
+// nor merges intervals.
 func (s *Structure) Renumber() {
 	if len(s.placements) == s.alive {
 		return // already dense
 	}
 	s.compiled.Store(nil)
-	n := s.circuit.N()
+	newID := make([]int, len(s.placements))
+	moved := false
 	next := 0
 	for id, p := range s.placements {
 		if p == nil {
+			newID[id] = -1
 			continue
 		}
+		newID[id] = next
 		// next <= id always (holes only shrink the index), so the target
 		// slot is free or is p's own.
 		if id != next {
-			for i := 0; i < n; i++ {
-				s.wRows[i].Remove(id, p.WIv(i))
-				s.hRows[i].Remove(id, p.HIv(i))
-				s.wRows[i].Insert(next, p.WIv(i))
-				s.hRows[i].Insert(next, p.HIv(i))
-			}
+			moved = true
 			p.ID = next
 			s.placements[next] = p
+			s.terms[next] = s.terms[id]
 			s.placements[id] = nil
 		}
 		next++
 	}
 	s.placements = s.placements[:next]
+	s.terms = s.terms[:next]
+	if !moved {
+		return // only trailing holes: no registration changes
+	}
+	for i := range s.wRows {
+		s.wRows[i].Relabel(newID)
+		s.hRows[i].Relabel(newID)
+	}
 }
 
 // shrinkRow narrows one validity interval of a stored placement in place,
@@ -217,6 +236,7 @@ func (s *Structure) shrinkRow(p *placement.Placement, block, dim int, newIv geom
 	} else {
 		p.HLo[block], p.HHi[block] = newIv.Lo, newIv.Hi
 	}
+	s.terms[p.ID] = s.coverageTerm(p)
 }
 
 // Lookup returns the IDs of all stored placements covering the dimension

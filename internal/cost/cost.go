@@ -89,21 +89,30 @@ func WireLength(l *Layout) int64 {
 	return int64(total + 0.5)
 }
 
-// netLength returns the unweighted length of one net.
+// netLength returns the unweighted length of one net: the boundary
+// distance for a pad stub, zero for any other single-pin net, HPWL for a
+// multi-pin net. HPWL is taken over running extremes rather than a
+// materialized point slice, so scoring a layout allocates nothing.
 func netLength(l *Layout, net *netlist.Net) int {
+	if len(net.Pins) == 0 {
+		return 0
+	}
+	p := net.Pins[0]
+	pt := p.Position(l.X[p.Block], l.Y[p.Block], l.W[p.Block], l.H[p.Block])
 	if len(net.Pins) == 1 {
-		p := net.Pins[0]
-		pt := p.Position(l.X[p.Block], l.Y[p.Block], l.W[p.Block], l.H[p.Block])
 		if p.IsTerminal {
 			return distToBoundary(pt, l.Floorplan)
 		}
 		return 0
 	}
-	pts := make([]geom.Point, len(net.Pins))
-	for i, p := range net.Pins {
-		pts[i] = p.Position(l.X[p.Block], l.Y[p.Block], l.W[p.Block], l.H[p.Block])
+	minX, maxX := pt.X, pt.X
+	minY, maxY := pt.Y, pt.Y
+	for _, p := range net.Pins[1:] {
+		pt := p.Position(l.X[p.Block], l.Y[p.Block], l.W[p.Block], l.H[p.Block])
+		minX, maxX = min(minX, pt.X), max(maxX, pt.X)
+		minY, maxY = min(minY, pt.Y), max(maxY, pt.Y)
 	}
-	return geom.HPWL(pts)
+	return (maxX - minX) + (maxY - minY)
 }
 
 // NetLengths returns the unweighted length of every net, indexed like

@@ -194,3 +194,42 @@ func TestCostDeterministic(t *testing.T) {
 		}
 	}
 }
+
+// netLengthReference is the point-slice netLength the running-extremes
+// version replaced: geom.HPWL over every materialized pin position.
+func netLengthReference(l *Layout, net *netlist.Net) int {
+	if len(net.Pins) == 1 {
+		p := net.Pins[0]
+		pt := p.Position(l.X[p.Block], l.Y[p.Block], l.W[p.Block], l.H[p.Block])
+		if p.IsTerminal {
+			return distToBoundary(pt, l.Floorplan)
+		}
+		return 0
+	}
+	pts := make([]geom.Point, len(net.Pins))
+	for i, p := range net.Pins {
+		pts[i] = p.Position(l.X[p.Block], l.Y[p.Block], l.W[p.Block], l.H[p.Block])
+	}
+	return geom.HPWL(pts)
+}
+
+// TestNetLengthMatchesHPWLReference pins the allocation-free netLength to
+// the point-slice reference, net by net, on random layouts of every
+// registered circuit, and checks that scoring a layout allocates nothing.
+func TestNetLengthMatchesHPWLReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, name := range circuits.Names() {
+		for trial := 0; trial < 40; trial++ {
+			l := randomLayout(name, rng)
+			for k, net := range l.Circuit.Nets {
+				if got, want := netLength(l, net), netLengthReference(l, net); got != want {
+					t.Fatalf("%s trial %d net %d (%s): netLength = %d, reference %d", name, trial, k, net.Name, got, want)
+				}
+			}
+		}
+		l := randomLayout(name, rng)
+		if allocs := testing.AllocsPerRun(20, func() { DefaultWeights.Cost(l) }); allocs != 0 {
+			t.Errorf("%s: Weighted.Cost allocates %v times per call, want 0", name, allocs)
+		}
+	}
+}

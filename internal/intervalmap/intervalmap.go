@@ -11,6 +11,7 @@ package intervalmap
 
 import (
 	"fmt"
+	"math/bits"
 	"sort"
 	"strings"
 
@@ -180,23 +181,60 @@ func (r *Row) RemoveAll(id int) {
 }
 
 // IDsOverlapping returns the distinct placement indices registered anywhere
-// on the given interval, in ascending order.
+// on the given interval, in ascending order. Indices must be non-negative.
+//
+// It dedupes through a bitset over the indices it meets (on the stack for
+// indices below 512), so the result is the only allocation.
 func (r *Row) IDsOverlapping(iv geom.Interval) []int {
-	var out []int
-	seen := map[int]bool{}
+	maxID := -1
+	for n := r.head; n != nil && n.iv.Lo <= iv.Hi; n = n.next {
+		if n.iv.Overlaps(iv) {
+			maxID = max(maxID, n.ids[len(n.ids)-1]) // ids are ascending
+		}
+	}
+	if maxID < 0 {
+		return nil
+	}
+	var stack [8]uint64
+	seen := stack[:]
+	if words := maxID/64 + 1; words > len(stack) {
+		seen = make([]uint64, words)
+	}
+	count := 0
 	for n := r.head; n != nil && n.iv.Lo <= iv.Hi; n = n.next {
 		if !n.iv.Overlaps(iv) {
 			continue
 		}
 		for _, id := range n.ids {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
+			w, bit := id>>6, uint64(1)<<(id&63)
+			if seen[w]&bit == 0 {
+				seen[w] |= bit
+				count++
 			}
 		}
 	}
-	sort.Ints(out)
+	out := make([]int, 0, count)
+	for w, word := range seen {
+		for word != 0 {
+			out = append(out, w<<6|bits.TrailingZeros64(word))
+			word &= word - 1
+		}
+	}
 	return out
+}
+
+// Relabel rewrites every placement index id in the row to newID[id], then
+// merges intervals left touching with identical id sets. newID must be
+// strictly increasing over the indices the row holds, so each interval's
+// id array stays ascending when rewritten in place; core.Renumber uses it
+// to pack IDs without removing and re-inserting placements.
+func (r *Row) Relabel(newID []int) {
+	for n := r.head; n != nil; n = n.next {
+		for i, id := range n.ids {
+			n.ids[i] = newID[id]
+		}
+	}
+	r.coalesce()
 }
 
 // Visit calls fn for every interval of the row in ascending order, passing

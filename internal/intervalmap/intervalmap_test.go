@@ -3,6 +3,7 @@ package intervalmap
 import (
 	"math/rand"
 	"reflect"
+	"sort"
 	"testing"
 
 	"mps/internal/geom"
@@ -223,6 +224,107 @@ func TestIDsOverlapping(t *testing.T) {
 	got = r.IDsOverlapping(iv(11, 19))
 	if len(got) != 0 {
 		t.Errorf("IDsOverlapping gap = %v, want empty", got)
+	}
+}
+
+// idsOverlappingReference is the map-and-sort IDsOverlapping the bitset
+// version replaced: distinct ids on any interval overlapping iv, ascending.
+func idsOverlappingReference(r *Row, iv geom.Interval) []int {
+	var out []int
+	seen := map[int]bool{}
+	for _, sp := range r.Snapshot() {
+		if !sp.Iv.Overlaps(iv) {
+			continue
+		}
+		for _, id := range sp.IDs {
+			if !seen[id] {
+				seen[id] = true
+				out = append(out, id)
+			}
+		}
+	}
+	sort.Ints(out)
+	return out
+}
+
+// TestIDsOverlappingMatchesMapReference runs the bitset IDsOverlapping
+// against the map-based reference on random rows, with ids both below and
+// above the 512 the stack bitset holds.
+func TestIDsOverlappingMatchesMapReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 40; trial++ {
+		var r Row
+		idSpan := 40
+		if trial%2 == 1 {
+			idSpan = 2000
+		}
+		type reg struct {
+			id int
+			iv geom.Interval
+		}
+		var live []reg
+		used := map[int]bool{}
+		for step := 0; step < 120; step++ {
+			if len(live) > 0 && rng.Intn(4) == 0 {
+				k := rng.Intn(len(live))
+				r.Remove(live[k].id, live[k].iv)
+				delete(used, live[k].id)
+				live = append(live[:k], live[k+1:]...)
+				continue
+			}
+			id := rng.Intn(idSpan)
+			if used[id] {
+				continue
+			}
+			lo := rng.Intn(200)
+			reg := reg{id, iv(lo, lo+rng.Intn(60))}
+			r.Insert(reg.id, reg.iv)
+			used[id] = true
+			live = append(live, reg)
+		}
+		if err := r.CheckInvariants(); err != nil {
+			t.Fatal(err)
+		}
+		for q := 0; q < 60; q++ {
+			lo := rng.Intn(260) - 20
+			query := iv(lo, lo+rng.Intn(80))
+			got := r.IDsOverlapping(query)
+			want := idsOverlappingReference(&r, query)
+			if !reflect.DeepEqual(got, want) {
+				t.Fatalf("trial %d: IDsOverlapping(%v) = %v, reference %v\nrow %s", trial, query, got, want, r.String())
+			}
+		}
+	}
+}
+
+// TestRelabelMonotone: relabeling with a strictly increasing map keeps
+// every id array ascending and every interval in place, and coalesces a
+// row left with touching intervals of equal id sets.
+func TestRelabelMonotone(t *testing.T) {
+	var r Row
+	r.Insert(3, iv(0, 9))
+	r.Insert(7, iv(5, 14))
+	r.Insert(9, iv(20, 24))
+	newID := make([]int, 10)
+	for i := range newID {
+		newID[i] = -1
+	}
+	newID[3], newID[7], newID[9] = 0, 1, 2
+	r.Relabel(newID)
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := r.String(), "[0,4][0] [5,9][0 1] [10,14][1] [20,24][2]"; got != want {
+		t.Errorf("relabeled row %s, want %s", got, want)
+	}
+
+	split, err := FromSnapshot([]Span{{iv(0, 4), []int{5}}, {iv(5, 9), []int{5}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	split.Relabel([]int{0, 0, 0, 0, 0, 1})
+	if got, want := split.String(), "[0,9][1]"; got != want || split.Len() != 1 {
+		t.Errorf("relabeled split row %s (%d nodes), want %s", got, split.Len(), want)
 	}
 }
 

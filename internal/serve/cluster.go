@@ -34,6 +34,7 @@ import (
 	"net/url"
 	"slices"
 	"strconv"
+	"sync"
 
 	"mps"
 	"mps/internal/cluster"
@@ -130,12 +131,26 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, key string
 		w.Header().Set(cluster.ServedByHeader, by)
 	}
 	w.WriteHeader(resp.StatusCode)
-	if _, err := io.Copy(w, resp.Body); err != nil {
+	bp := relayBufs.Get().(*[]byte)
+	_, err = io.CopyBuffer(w, resp.Body, *bp)
+	relayBufs.Put(bp)
+	if err != nil {
 		// Status already sent; nothing to recover. The access log notes it.
 		s.logf("cluster: relaying response from %s: %v", target, err)
 	}
 	return true
 }
+
+// relayBufs recycles the buffers maybeForward relays peer answers
+// through. io.Copy would allocate a fresh 32 KB buffer per forwarded
+// request, because the instrument middleware's recorder hides
+// io.ReaderFrom. The buffer has io.Copy's size, so the writes, and with
+// them the Content-Length or chunked framing of the relayed answer, stay
+// as they were.
+var relayBufs = sync.Pool{New: func() any {
+	b := make([]byte, 32<<10)
+	return &b
+}}
 
 // remoteWork is the entry pipeline for a key this node does not own,
 // run off the ensure caller's goroutine (peer calls are network-scale,

@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httputil"
 	"net/url"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -669,6 +670,67 @@ func TestClusterHotKeyFanOut(t *testing.T) {
 	}
 	if got := fleet.genRunsTotal(); got != 1 {
 		t.Fatalf("cluster generated %d times, want 1 — fan-out must not regenerate", got)
+	}
+}
+
+// TestClusterForwardAllocBound bounds the bytes a forwarded instantiate
+// allocates across a two-node fleet, both nodes and the client included.
+// Relaying the owner's answer through io.Copy allocated a fresh 32 KB
+// buffer per request (the instrument middleware's recorder hides
+// io.ReaderFrom), about half of everything a forwarded request allocated.
+func TestClusterForwardAllocBound(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts do not hold under the race detector")
+	}
+	fleet := newTestFleet(t, fleetConfig{
+		n: 2,
+		// One replica: every read forwards to the owner, none turns local.
+		cluster: func(cfg *cluster.Config) { cfg.Replicas = 1 },
+	})
+	spec := fleet.specOwnedBy(t, 1, 500)
+	key := specKey(t, spec)
+	if status, _, body := doClusterJSON(t, http.MethodPost, fleet.nodes[1].url+"/v1/structures", spec, nil); status != http.StatusOK {
+		t.Fatalf("generate on owner: %d %s", status, body)
+	}
+	req, err := json.Marshal(map[string]any{"key": key, "queries": []any{
+		testQuery(t, 0), testQuery(t, 1), testQuery(t, 0), testQuery(t, 1)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	entry := fleet.nodes[0].url + "/v1/instantiate"
+	forward := func() {
+		resp, err := http.Post(entry, "application/json", bytes.NewReader(req))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+			t.Fatal(err)
+		}
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("forwarded instantiate: %d", resp.StatusCode)
+		}
+	}
+	for i := 0; i < 20; i++ { // warm connections and pools
+		forward()
+	}
+	const n = 200
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		forward()
+	}
+	runtime.ReadMemStats(&after)
+	if fwd := fleet.nodes[0].c.Stats().Forwards; fwd < n {
+		t.Fatalf("entry node forwarded %d requests, want at least %d", fwd, n)
+	}
+	perReq := (after.TotalAlloc - before.TotalAlloc) / n
+	t.Logf("%d bytes allocated per forwarded request", perReq)
+	// Measured at ~60 KB with a fresh relay buffer per request and ~28 KB
+	// with a pooled one.
+	if perReq > 44<<10 {
+		t.Errorf("forwarded instantiate allocated %d bytes per request, want at most %d", perReq, 44<<10)
 	}
 }
 
