@@ -1,10 +1,10 @@
 package mps
 
-// This file is the benchmark harness required by DESIGN.md §5: one bench
-// per paper table/figure plus the §6 ablations. Benchmarks use reduced
-// annealing budgets (experiments.EffortQuick equivalents) so `go test
-// -bench=.` completes in minutes; cmd/mpsbench runs the same harnesses at
-// higher effort for the EXPERIMENTS.md numbers.
+// This file is the benchmark harness: one bench per paper table/figure
+// plus ablations of the reproduction's own design choices. Benchmarks use
+// reduced annealing budgets (experiments.EffortQuick equivalents) so `go
+// test -bench=.` completes in minutes; cmd/mpsbench runs the same
+// harnesses at higher effort.
 
 import (
 	"bytes"
@@ -314,7 +314,7 @@ func BenchmarkBaselineAnnealingPlace(b *testing.B) {
 	}
 }
 
-// --- Ablations (DESIGN.md §6) -------------------------------------------
+// --- Ablations ------------------------------------------------------------
 
 // BenchmarkAblationResolveRow compares the paper's smallest-overlap shrink
 // row against first-overlap, reporting retained coverage as the quality

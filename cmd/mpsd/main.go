@@ -189,6 +189,10 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
+		if q := st.Quarantined(); q != "" {
+			log.Printf("store: manifest in %s did not parse; moved it to %s and started with an empty store",
+				*storeDir, q)
+		}
 		cfg.Store = st
 	}
 	sched, err := jobs.New(jobs.Config{

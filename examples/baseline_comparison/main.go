@@ -130,8 +130,8 @@ reading the table:
     demo-scale generation budget most stored regions were explored once and
     never contested, so the compact slicing template often wins on raw
     cost. The paper's structures were generated for 21 minutes - 4 hours,
-    by which point every region has competed many times (see Figure 6 in
-    EXPERIMENTS.md, where per-point selection beats any fixed placement);
+    by which point every region has competed many times (see Figure 6,
+    mpsbench -fig6, where per-point selection beats any fixed placement);
   - raise mps.Options.Effort (or Iterations/BDIOSteps) to trade one-time
     generation minutes for per-region quality.`)
 }

@@ -34,7 +34,7 @@ type Config struct {
 	// percentage input set by the user"). Default 0.25.
 	PerturbPct float64
 	// DisableRangeShrink skips the Optimize Ranges step (eq. 6), keeping
-	// the full expanded intervals. Ablation hook (DESIGN.md §6): without
+	// the full expanded intervals. Ablation hook: without
 	// the shrink, stored boxes conflict far more and resolution discards
 	// more volume.
 	DisableRangeShrink bool
@@ -201,7 +201,7 @@ func Optimize(c *netlist.Circuit, p *placement.Placement, fp geom.Rect, ev cost.
 	return res, nil
 }
 
-// optimizeRanges implements eq. 6 with the D3 reading (DESIGN.md): each
+// optimizeRanges implements eq. 6, read as follows: each
 // interval is re-centered on the best dimension value with half-width
 // (bestCost/avgCost) * span/2, clamped inside the expanded interval. A flat
 // cost landscape (avg ≈ best) keeps the whole expanded interval; a spiky

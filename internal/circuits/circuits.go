@@ -18,8 +18,8 @@
 // meaning for macro-cell benchmarks). Where the pin budget implies nets with
 // a single pin (tso-cascode, benchmark24), those are terminal "pad stub"
 // nets: their pin connects to the nearest floorplan boundary and the cost
-// evaluator charges the pin-to-boundary distance (DESIGN.md D11), as device-
-// level placers such as KOAN do for I/O terminals.
+// evaluator charges the pin-to-boundary distance, as device-level placers
+// such as KOAN do for I/O terminals.
 //
 // The three named circuits are hand-wired with analog structure (Miller
 // two-stage opamp, cascoded single-ended opamp, Gilbert-style mixer); the

@@ -22,6 +22,9 @@ import (
 type Cluster struct {
 	cfg  Config
 	ring *Ring
+	// mark is the ForwardHeader value for every request this node sends
+	// to a peer: one hop, from Self.
+	mark string
 	// client carries forwarded requests. No global client timeout: each
 	// Do applies the per-attempt deadline through its context, because
 	// forwards (minutes of generation) and fetches (milliseconds of disk)
@@ -49,7 +52,8 @@ type hotKey struct {
 }
 
 // New validates cfg and returns a ready Cluster. Self must be one of the
-// peers (after URL normalization); the peer set must be non-empty.
+// peers (after URL normalization) and header-safe as a forwarding mark;
+// the peer set must be non-empty.
 func New(cfg Config) (*Cluster, error) {
 	cfg = cfg.withDefaults()
 	self, err := NormalizePeerURL(cfg.Self)
@@ -72,6 +76,10 @@ func New(cfg Config) (*Cluster, error) {
 	if !found {
 		return nil, fmt.Errorf("cluster: self %s is not in the peer set %v", self, peers)
 	}
+	mark, err := EncodeForward(Forward{From: self, Hop: 1})
+	if err != nil {
+		return nil, fmt.Errorf("cluster: self: %w", err)
+	}
 	ring, err := NewRing(peers, cfg.VNodes)
 	if err != nil {
 		return nil, err
@@ -79,6 +87,7 @@ func New(cfg Config) (*Cluster, error) {
 	return &Cluster{
 		cfg:      cfg,
 		ring:     ring,
+		mark:     mark,
 		client:   &http.Client{},
 		breakers: make(map[string]*Breaker),
 		hot:      make(map[string]*hotKey),
@@ -88,6 +97,10 @@ func New(cfg Config) (*Cluster, error) {
 
 // Self returns this node's canonical base URL.
 func (c *Cluster) Self() string { return c.cfg.Self }
+
+// ForwardMark returns the ForwardHeader value this node sets on every
+// request it sends to a peer: hop 1, from Self.
+func (c *Cluster) ForwardMark() string { return c.mark }
 
 // Peers returns the full node set, sorted.
 func (c *Cluster) Peers() []string { return c.ring.Nodes() }

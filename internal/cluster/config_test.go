@@ -70,3 +70,26 @@ func TestNewValidatesSelf(t *testing.T) {
 		t.Fatalf("self not normalized: %s", c.Self())
 	}
 }
+
+// TestNewEncodesForwardMark pins that the forwarding mark is encoded once,
+// at construction: it decodes to hop 1 from Self, and a self URL that
+// cannot travel in the header is rejected by New instead of by every
+// forward.
+func TestNewEncodesForwardMark(t *testing.T) {
+	c, err := New(Config{Self: "http://a:1", Peers: []string{"http://a:1", "http://b:2"}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f, present, err := ParseForward(c.ForwardMark())
+	if err != nil || !present || f != (Forward{From: c.Self(), Hop: 1}) {
+		t.Fatalf("ForwardMark %q decodes to %+v (present %v, err %v), want hop 1 from %s",
+			c.ForwardMark(), f, present, err, c.Self())
+	}
+	self := "http://a;b:1"
+	if _, err := NormalizePeerURL(self); err != nil {
+		t.Skipf("%s no longer normalizes (%v): the header-safety check is unreachable", self, err)
+	}
+	if _, err := New(Config{Self: self, Peers: []string{self, "http://b:2"}}); err == nil {
+		t.Fatalf("New accepted self %q, which is not header-safe", self)
+	}
+}

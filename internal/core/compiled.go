@@ -312,24 +312,37 @@ func (cs *CompiledStructure) Lookup(ws, hs []int) []int {
 	return out
 }
 
+// cover is the paper's function M over the flat tables, once for every
+// query path: the dimension check, one eq. 4 intersection and the eq. 5
+// uniqueness check. It returns the covering placement's slot, -1 (with a
+// nil error) when no stored placement covers the vector, or the
+// dimension or eq. 5 error.
+func (cs *CompiledStructure) cover(ws, hs []int) (slot int, err error) {
+	if err := cs.src.checkDims(ws, hs); err != nil {
+		return -1, err
+	}
+	slot, count := cs.lookupUnique(ws, hs)
+	if count > 1 {
+		return -1, fmt.Errorf("core: eq.5 violated — %d placements cover one dimension vector: %v",
+			count, cs.Lookup(ws, hs))
+	}
+	return slot, nil
+}
+
 // QueryID implements the paper's function M over the flat tables: the
 // unique covering placement's ID, ErrUncovered when nothing covers the
 // vector (the backup is Instantiate's business, not QueryID's), or the
 // eq. 5 violation error — exactly the tree Query's behavior, minus the
 // placement pointer.
 func (cs *CompiledStructure) QueryID(ws, hs []int) (int, error) {
-	if err := cs.src.checkDims(ws, hs); err != nil {
+	slot, err := cs.cover(ws, hs)
+	if err != nil {
 		return -1, err
 	}
-	slot, count := cs.lookupUnique(ws, hs)
-	switch count {
-	case 0:
+	if slot < 0 {
 		return -1, ErrUncovered
-	case 1:
-		return int(cs.slotID[slot]), nil
 	}
-	return -1, fmt.Errorf("core: eq.5 violated — %d placements cover one dimension vector: %v",
-		count, cs.Lookup(ws, hs))
+	return int(cs.slotID[slot]), nil
 }
 
 // Instantiate answers a placement request from the flat tables, falling
@@ -349,91 +362,37 @@ func (cs *CompiledStructure) Instantiate(ws, hs []int) (Result, error) {
 // slices before; backup answers allocate in the backup). On error res is
 // left unspecified.
 func (cs *CompiledStructure) InstantiateInto(res *Result, ws, hs []int) error {
-	if err := cs.src.checkDims(ws, hs); err != nil {
+	slot, err := cs.cover(ws, hs)
+	if err != nil {
 		return err
 	}
-	slot, count := cs.lookupUnique(ws, hs)
-	switch count {
-	case 1:
+	return cs.AnswerInto(res, slot, ws, hs)
+}
+
+// AnswerInto writes the answer for a slot that Probe returned for the same
+// dimensions (ws, hs) into res, without walking the index again. A slot
+// >= 0 copies that stored placement's anchors, reusing res.X and res.Y
+// capacity; -1 answers from the backup, or returns ErrUncovered when none
+// is installed.
+func (cs *CompiledStructure) AnswerInto(res *Result, slot int, ws, hs []int) error {
+	if slot >= 0 {
 		cs.copyAnchors(res, slot)
 		res.PlacementID = int(cs.slotID[slot])
 		res.FromBackup = false
 		return nil
-	case 0:
-		if b := cs.src.backup; b != nil {
-			x, y, berr := b.Place(ws, hs)
-			if berr != nil {
-				return fmt.Errorf("core: backup failed: %w", berr)
-			}
-			res.X, res.Y = x, y
-			res.PlacementID = -1
-			res.FromBackup = true
-			return nil
-		}
+	}
+	b := cs.src.backup
+	if b == nil {
 		return ErrUncovered
 	}
-	return fmt.Errorf("core: eq.5 violated — %d placements cover one dimension vector: %v",
-		count, cs.Lookup(ws, hs))
-}
-
-// InstantiateCoveredInto answers only from stored placements: when the
-// unique covering placement exists its anchors are written into res
-// (reusing res.X/res.Y capacity, zero allocations) and ok is true; when no
-// stored placement covers the vector it reports ok=false with res left
-// untouched — the backup is never consulted. Portfolio routing uses this
-// to probe each member without paying (or observing) member backups. An
-// eq. 5 violation or out-of-bounds dimensions return an error.
-func (cs *CompiledStructure) InstantiateCoveredInto(res *Result, ws, hs []int) (ok bool, err error) {
-	if err := cs.src.checkDims(ws, hs); err != nil {
-		return false, err
+	x, y, err := b.Place(ws, hs)
+	if err != nil {
+		return fmt.Errorf("core: backup failed: %w", err)
 	}
-	slot, count := cs.lookupUnique(ws, hs)
-	switch count {
-	case 0:
-		return false, nil
-	case 1:
-		cs.copyAnchors(res, slot)
-		res.PlacementID = int(cs.slotID[slot])
-		res.FromBackup = false
-		return true, nil
-	}
-	return false, fmt.Errorf("core: eq.5 violated — %d placements cover one dimension vector: %v",
-		count, cs.Lookup(ws, hs))
-}
-
-// CoveredArea reports the bounding-box area and dead space (box area minus
-// summed block areas) of instantiating the covering stored placement at
-// dims (ws, hs), without copying anchors out — the allocation-free scoring
-// probe behind best-of-K portfolio routing. ok is false when no stored
-// placement covers the vector; an eq. 5 violation or out-of-bounds
-// dimensions return an error.
-func (cs *CompiledStructure) CoveredArea(ws, hs []int) (area, dead int64, ok bool, err error) {
-	if err := cs.src.checkDims(ws, hs); err != nil {
-		return 0, 0, false, err
-	}
-	slot, count := cs.lookupUnique(ws, hs)
-	switch count {
-	case 0:
-		return 0, 0, false, nil
-	case 1:
-		off := slot * cs.n
-		minX, minY := int64(math.MaxInt64), int64(math.MaxInt64)
-		maxX, maxY := int64(math.MinInt64), int64(math.MinInt64)
-		var blocks int64
-		for i := 0; i < cs.n; i++ {
-			x, y := int64(cs.xs[off+i]), int64(cs.ys[off+i])
-			w, h := int64(ws[i]), int64(hs[i])
-			minX = min(minX, x)
-			minY = min(minY, y)
-			maxX = max(maxX, x+w)
-			maxY = max(maxY, y+h)
-			blocks += w * h
-		}
-		area = (maxX - minX) * (maxY - minY)
-		return area, area - blocks, true, nil
-	}
-	return 0, 0, false, fmt.Errorf("core: eq.5 violated — %d placements cover one dimension vector: %v",
-		count, cs.Lookup(ws, hs))
+	res.X, res.Y = x, y
+	res.PlacementID = -1
+	res.FromBackup = true
+	return nil
 }
 
 // spanSlots appends span s's set slots in ascending order — the id-list

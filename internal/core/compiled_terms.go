@@ -1,54 +1,48 @@
 package core
 
-// The per-objective routing probe. CoveredArea answers "how big would
-// this member's placement be" for the legacy area-then-deadspace routing
-// rule; weighted routing needs the full cost.Terms vector — wire length
-// included — still without copying anchors out or allocating. This file
-// computes the vector straight off the compiled int32 anchor tables,
-// mirroring cost.Vector/cost.WireLength term for term (pinned by
-// TestCoveredTermsMatchesCostVector).
+// The covering probe behind best-of-K portfolio routing: the query's
+// covering slot plus the per-objective cost vector of instantiating it,
+// computed straight off the compiled int32 anchor tables without copying
+// anchors out or allocating. The terms mirror cost.Vector and
+// cost.WireLength term for term (pinned by
+// TestCoveredTermsMatchesCostVector). AnswerInto then answers from the
+// same slot, so a routed query walks each member's index once.
 
 import (
-	"fmt"
 	"math"
 
 	"mps/internal/cost"
 	"mps/internal/netlist"
 )
 
-// CoveredTerms reports the per-objective cost vector of instantiating
-// the covering stored placement at dims (ws, hs) — the allocation-free
-// scoring probe behind weighted portfolio routing. Its Area and Dead
-// terms equal CoveredArea's; Wire and Aspect follow cost.WireLength and
-// cost.AspectDeviation exactly. ok is false when no stored placement
-// covers the vector; an eq. 5 violation or out-of-bounds dimensions
-// return an error.
-func (cs *CompiledStructure) CoveredTerms(ws, hs []int) (t cost.Terms, ok bool, err error) {
-	if err := cs.src.checkDims(ws, hs); err != nil {
-		return cost.Terms{}, false, err
+// Probe runs the query's one index walk and reports the covering slot with
+// its cost terms: slot -1 (zero terms, nil error) when no stored placement
+// covers the vector, or the dimension or eq. 5 error. Area, Dead and
+// Aspect are always computed; Wire, the only term that walks the net list,
+// only when wire is true. The backup is never consulted — hand the slot to
+// AnswerInto for the answer.
+func (cs *CompiledStructure) Probe(ws, hs []int, wire bool) (slot int, t cost.Terms, err error) {
+	slot, err = cs.cover(ws, hs)
+	if slot < 0 {
+		return -1, cost.Terms{}, err
 	}
-	slot, count := cs.lookupUnique(ws, hs)
-	switch count {
-	case 0:
-		return cost.Terms{}, false, nil
-	case 1:
-		off := slot * cs.n
-		minX, minY := int64(math.MaxInt64), int64(math.MaxInt64)
-		maxX, maxY := int64(math.MinInt64), int64(math.MinInt64)
-		var blocks int64
-		for i := 0; i < cs.n; i++ {
-			x, y := int64(cs.xs[off+i]), int64(cs.ys[off+i])
-			w, h := int64(ws[i]), int64(hs[i])
-			minX = min(minX, x)
-			minY = min(minY, y)
-			maxX = max(maxX, x+w)
-			maxY = max(maxY, y+h)
-			blocks += w * h
-		}
-		t.Area = (maxX - minX) * (maxY - minY)
-		t.Dead = t.Area - blocks
-		t.Aspect = cost.AspectDeviation(int(maxX-minX), int(maxY-minY))
-
+	off := slot * cs.n
+	minX, minY := int64(math.MaxInt64), int64(math.MaxInt64)
+	maxX, maxY := int64(math.MinInt64), int64(math.MinInt64)
+	var blocks int64
+	for i := 0; i < cs.n; i++ {
+		x, y := int64(cs.xs[off+i]), int64(cs.ys[off+i])
+		w, h := int64(ws[i]), int64(hs[i])
+		minX = min(minX, x)
+		minY = min(minY, y)
+		maxX = max(maxX, x+w)
+		maxY = max(maxY, y+h)
+		blocks += w * h
+	}
+	t.Area = (maxX - minX) * (maxY - minY)
+	t.Dead = t.Area - blocks
+	t.Aspect = cost.AspectDeviation(int(maxX-minX), int(maxY-minY))
+	if wire {
 		// Weighted wire length, mirroring cost.WireLength: float
 		// accumulation of per-net weights times integer net lengths,
 		// rounded once at the end.
@@ -61,10 +55,8 @@ func (cs *CompiledStructure) CoveredTerms(ws, hs []int) (t cost.Terms, ok bool, 
 			total += w * float64(cs.coveredNetLength(off, net, ws, hs))
 		}
 		t.Wire = int64(total + 0.5)
-		return t, true, nil
 	}
-	return cost.Terms{}, false, fmt.Errorf("core: eq.5 violated — %d placements cover one dimension vector: %v",
-		count, cs.Lookup(ws, hs))
+	return slot, t, nil
 }
 
 // coveredNetLength is cost.netLength over the compiled anchor tables:

@@ -43,8 +43,9 @@ func termsStructure(t testing.TB, count int) *Structure {
 }
 
 // TestCoveredTermsMatchesCostVector is the probe's defining property:
-// on every covered query, CoveredTerms equals cost.Vector evaluated on
-// the instantiated layout, and its area/dead terms equal CoveredArea's.
+// on every covered query, Probe's terms equal cost.Vector evaluated on
+// the instantiated layout, and without the wire term they are the same
+// vector with Wire zero.
 func TestCoveredTermsMatchesCostVector(t *testing.T) {
 	s := termsStructure(t, 40)
 	cs := Compile(s)
@@ -68,33 +69,32 @@ func TestCoveredTermsMatchesCostVector(t *testing.T) {
 		} else {
 			randomDims(s, rng, ws, hs)
 		}
-		terms, ok, err := cs.CoveredTerms(ws, hs)
+		slot, terms, err := cs.Probe(ws, hs, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		area, dead, okArea, err := cs.CoveredArea(ws, hs)
+		areaSlot, noWire, err := cs.Probe(ws, hs, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if ok != okArea {
-			t.Fatalf("CoveredTerms ok=%v but CoveredArea ok=%v at %v/%v", ok, okArea, ws, hs)
+		if slot != areaSlot {
+			t.Fatalf("Probe with wire found slot %d but without wire slot %d at %v/%v", slot, areaSlot, ws, hs)
 		}
-		if !ok {
+		if slot < 0 {
 			continue
 		}
 		covered++
-		if terms.Area != area || terms.Dead != dead {
-			t.Fatalf("terms area/dead %d/%d != CoveredArea %d/%d", terms.Area, terms.Dead, area, dead)
+		if noWire.Wire != 0 || noWire.Area != terms.Area || noWire.Dead != terms.Dead || noWire.Aspect != terms.Aspect {
+			t.Fatalf("terms without wire %+v != terms %+v less wire", noWire, terms)
 		}
-		hit, err := cs.InstantiateCoveredInto(&res, ws, hs)
-		if err != nil || !hit {
-			t.Fatalf("covered query did not instantiate: hit=%v err=%v", hit, err)
+		if err := cs.AnswerInto(&res, slot, ws, hs); err != nil || res.FromBackup {
+			t.Fatalf("covered query did not instantiate: backup=%v err=%v", res.FromBackup, err)
 		}
 		want := cost.Vector(&cost.Layout{
 			Circuit: s.circuit, X: res.X, Y: res.Y, W: ws, H: hs, Floorplan: s.fp,
 		})
 		if terms != want {
-			t.Fatalf("CoveredTerms %+v != cost.Vector %+v at %v/%v", terms, want, ws, hs)
+			t.Fatalf("Probe terms %+v != cost.Vector %+v at %v/%v", terms, want, ws, hs)
 		}
 	}
 	if covered < 100 {
@@ -103,7 +103,8 @@ func TestCoveredTermsMatchesCostVector(t *testing.T) {
 }
 
 // TestCoveredTermsAllocFree pins the routing-probe contract weighted
-// portfolio routing relies on: zero allocations per covered probe.
+// portfolio routing relies on: zero allocations per covered probe, wire
+// term included.
 func TestCoveredTermsAllocFree(t *testing.T) {
 	s := termsStructure(t, 40)
 	cs := Compile(s)
@@ -112,16 +113,16 @@ func TestCoveredTermsAllocFree(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	for {
 		randomDims(s, rng, ws, hs)
-		if _, ok, _ := cs.CoveredTerms(ws, hs); ok {
+		if slot, _, _ := cs.Probe(ws, hs, true); slot >= 0 {
 			break
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if _, ok, err := cs.CoveredTerms(ws, hs); !ok || err != nil {
-			t.Fatalf("probe lost coverage: ok=%v err=%v", ok, err)
+		if slot, _, err := cs.Probe(ws, hs, true); slot < 0 || err != nil {
+			t.Fatalf("probe lost coverage: slot=%d err=%v", slot, err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("CoveredTerms allocates %.1f per covered probe, want 0", allocs)
+		t.Fatalf("Probe allocates %.1f per covered probe, want 0", allocs)
 	}
 }

@@ -7,6 +7,7 @@ import (
 	"reflect"
 	"testing"
 
+	"mps/internal/cost"
 	"mps/internal/geom"
 )
 
@@ -334,12 +335,13 @@ func TestCompiledConcurrentQueries(t *testing.T) {
 	}
 }
 
-// TestInstantiateCoveredInto checks the stored-placement-only query path
-// behind portfolio routing: covered queries match InstantiateInto exactly
-// and allocate nothing, uncovered queries report ok=false without ever
-// consulting the installed backup, and CoveredArea agrees with the area of
-// the anchors InstantiateCoveredInto returns.
-func TestInstantiateCoveredInto(t *testing.T) {
+// TestProbeAnswerInto checks the probe-then-answer query path behind
+// portfolio routing: on covered queries Probe's slot answers through
+// AnswerInto exactly as InstantiateInto does and allocates nothing, on
+// uncovered queries Probe reports slot -1 without ever consulting the
+// installed backup while AnswerInto(-1) is the backup's answer, and
+// Probe's area and dead space agree with the anchors AnswerInto returns.
+func TestProbeAnswerInto(t *testing.T) {
 	s, _ := codecStructure(t, 25)
 	s.SetBackup(fixedBackup{})
 	cs := Compile(s)
@@ -350,53 +352,57 @@ func TestInstantiateCoveredInto(t *testing.T) {
 	covered, uncovered := 0, 0
 	for trial := 0; trial < 3000; trial++ {
 		randomDims(s, rng, ws, hs)
-		ok, err := cs.InstantiateCoveredInto(&res, ws, hs)
+		slot, terms, err := cs.Probe(ws, hs, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if err := cs.InstantiateInto(&want, ws, hs); err != nil {
 			t.Fatal(err)
 		}
-		area, dead, aok, err := cs.CoveredArea(ws, hs)
-		if err != nil {
+		if err := cs.AnswerInto(&res, slot, ws, hs); err != nil {
 			t.Fatal(err)
 		}
-		if aok != ok {
-			t.Fatalf("CoveredArea ok=%v, InstantiateCoveredInto ok=%v at %v/%v", aok, ok, ws, hs)
-		}
-		if !ok {
+		if slot < 0 {
 			uncovered++
 			if !want.FromBackup {
-				t.Fatalf("ok=false but InstantiateInto found placement %d at %v/%v", want.PlacementID, ws, hs)
+				t.Fatalf("slot -1 but InstantiateInto found placement %d at %v/%v", want.PlacementID, ws, hs)
+			}
+			if terms != (cost.Terms{}) {
+				t.Fatalf("uncovered probe reported terms %+v at %v/%v", terms, ws, hs)
+			}
+			if !reflect.DeepEqual(res, want) {
+				t.Fatalf("AnswerInto(-1) = %+v, want the backup answer %+v", res, want)
 			}
 			continue
 		}
 		covered++
-		if want.FromBackup || res.PlacementID != want.PlacementID ||
+		if want.FromBackup || res.FromBackup || res.PlacementID != want.PlacementID ||
 			!reflect.DeepEqual(res.X, want.X) || !reflect.DeepEqual(res.Y, want.Y) {
-			t.Fatalf("covered answer diverges at %v/%v:\ncovered  %+v\nfull     %+v", ws, hs, res, want)
+			t.Fatalf("covered answer diverges at %v/%v:\nprobed   %+v\nfull     %+v", ws, hs, res, want)
 		}
 		wantArea, wantDead := bboxArea(res, ws, hs)
-		if area != wantArea || dead != wantDead {
-			t.Fatalf("CoveredArea = (%d, %d), want (%d, %d) from the returned anchors",
-				area, dead, wantArea, wantDead)
+		if terms.Area != wantArea || terms.Dead != wantDead {
+			t.Fatalf("Probe area/dead = (%d, %d), want (%d, %d) from the returned anchors",
+				terms.Area, terms.Dead, wantArea, wantDead)
 		}
 	}
 	if covered == 0 || uncovered == 0 {
 		t.Fatalf("query stream not mixed: %d covered, %d uncovered", covered, uncovered)
 	}
 
-	// The covered probe is portfolio routing's inner loop: zero allocations.
+	// The covered probe and answer are portfolio routing's inner loop:
+	// zero allocations.
 	p := s.Get(7)
 	for i := 0; i < n; i++ {
 		ws[i], hs[i] = p.WLo[i], p.HLo[i]
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if ok, err := cs.InstantiateCoveredInto(&res, ws, hs); err != nil || !ok {
-			t.Fatalf("covered probe: ok=%v err=%v", ok, err)
+		slot, _, err := cs.Probe(ws, hs, false)
+		if err != nil || slot < 0 {
+			t.Fatalf("covered probe: slot=%d err=%v", slot, err)
 		}
-		if _, _, ok, err := cs.CoveredArea(ws, hs); err != nil || !ok {
-			t.Fatalf("area probe: ok=%v err=%v", ok, err)
+		if err := cs.AnswerInto(&res, slot, ws, hs); err != nil || res.FromBackup {
+			t.Fatalf("covered answer: backup=%v err=%v", res.FromBackup, err)
 		}
 	})
 	if allocs != 0 {
@@ -405,7 +411,7 @@ func TestInstantiateCoveredInto(t *testing.T) {
 }
 
 // bboxArea computes a result's bounding-box area and dead space from its
-// anchors and the queried dimensions — the reference for CoveredArea.
+// anchors and the queried dimensions — the reference for Probe's area terms.
 func bboxArea(res Result, ws, hs []int) (area, dead int64) {
 	minX, minY := int64(1<<62), int64(1<<62)
 	maxX, maxY := int64(-1<<62), int64(-1<<62)

@@ -16,7 +16,8 @@ import (
 
 // Coverage returns the exact fraction of the (w,h) dimension space covered
 // by stored placements, in [0, 1]. For high-dimensional circuits the value
-// is extremely small (DESIGN.md D7); callers wanting a human-readable
+// is extremely small (each placement's share is a product of 2N per-row
+// fractions); callers wanting a human-readable
 // growth signal can use CoverageLog2 or Monte-Carlo hit rates.
 //
 // The per-placement fraction is accumulated in log2 space rather than as a

@@ -14,12 +14,13 @@ import (
 // keeps holding.
 //
 // For each conflicting pair the placement with the higher average cost (the
-// "loser") is shrunk in exactly one row — the row with the smallest overlap
-// (DESIGN.md D4). Shrinking removes the winner's interval from the loser's:
+// "loser") is shrunk in exactly one row — the row with the smallest overlap,
+// which keeps the most box volume. Shrinking removes the winner's interval
+// from the loser's:
 //
 //   - loser's interval extends past the winner on one side: truncate it;
 //   - loser's interval strictly contains the winner's: fork the loser into
-//     two placements, one on each side (the paper's fork case, D5);
+//     two placements, one on each side (the paper's fork case);
 //   - loser's interval is inside the winner's in every overlapping row:
 //     the loser's box is engulfed and the loser is deleted.
 
@@ -31,7 +32,7 @@ const (
 	// preserving the most box volume — the paper's choice (default).
 	SmallestOverlapRow ResolveRowStrategy = iota
 	// FirstOverlapRow shrinks in the first overlapping row found — the
-	// ablation baseline (see DESIGN.md §6).
+	// ablation baseline (BenchmarkAblationResolveRow).
 	FirstOverlapRow
 )
 
@@ -243,9 +244,10 @@ func (s *Structure) shrinkStored(q, winner *placement.Placement, stats *InsertSt
 		s.shrinkRow(q, block, dim, keep)
 		stats.StoredShrunk++
 	default:
-		// Fork: replace q by two narrowed copies. Both inherit q's costs
-		// (DESIGN.md D5) and cannot conflict with anything: each box is a
-		// subset of q's box minus the winner's region.
+		// Fork: replace q by two narrowed copies. Both inherit q's costs,
+		// since they hold the same anchors the BDIO evaluated, and cannot
+		// conflict with anything: each box is a subset of q's box minus
+		// the winner's region.
 		s.delete(q.ID)
 		for _, iv := range []geom.Interval{res.Left, res.Right} {
 			c := q.Clone()

@@ -56,7 +56,7 @@ func (f EvaluatorFunc) Cost(l *Layout) float64 { return f(l) }
 //	cost = WireWeight * Σ_nets weight * HPWL(net)
 //	     + AreaWeight * area(bounding box of all blocks)
 //
-// Single-pin terminal nets (pad stubs, DESIGN.md D11) are charged the
+// Single-pin terminal nets (pad stubs) are charged the
 // Manhattan distance from the pin to the nearest floorplan edge, modelling
 // the wire that must reach the chip boundary.
 type Weighted struct {

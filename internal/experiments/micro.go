@@ -251,21 +251,22 @@ func RunMicro(w io.Writer, seed int64) ([]BenchResult, error) {
 				}
 			}
 		}},
-		// Best-of-K routing on covered queries: K CoveredArea probes plus
-		// one InstantiateCoveredInto, all against compiled indices — the
-		// CI gate pins this at exactly 0 allocs/op.
+		// Best-of-K routing on covered queries under the area rule: one
+		// Probe per member (area, dead space and aspect, no wire) and the
+		// winner's answer from the slot its probe found, all against
+		// compiled indices — the CI gate pins this at exactly 0 allocs/op.
 		{"portfolio_route_covered/TwoStageOpamp", func(b *testing.B) {
 			var res core.Result
 			for i := 0; i < b.N; i++ {
 				q := i % batchSize
-				if member, err := pf.InstantiateInto(&res, pws[q], phs[q]); err != nil || member < 0 {
+				if member, err := pf.InstantiateWeightedInto(&res, cost.Weights{}, pws[q], phs[q]); err != nil || member < 0 {
 					b.Fatalf("member %d, err %v", member, err)
 				}
 			}
 		}},
-		// Weight-aware best-of-K routing on the same covered pool: K
-		// CoveredTerms probes (area, dead space, wire, aspect per member)
-		// plus one InstantiateCoveredInto. Weighted routing must stay off
+		// Weight-aware best-of-K routing on the same covered pool: one
+		// Probe per member with the wire term (the weights price wire), then
+		// the winner's answer from its slot. Weighted routing must stay off
 		// the allocator exactly like the area rule — the CI gate pins this
 		// at 0 allocs/op too.
 		{"portfolio_route_weighted/TwoStageOpamp", func(b *testing.B) {
@@ -284,7 +285,7 @@ func RunMicro(w io.Writer, seed int64) ([]BenchResult, error) {
 			var res core.Result
 			for i := 0; i < b.N; i++ {
 				q := i % batchSize
-				if _, err := pf.InstantiateInto(&res, ws[q], hs[q]); err != nil {
+				if _, err := pf.InstantiateWeightedInto(&res, cost.Weights{}, ws[q], hs[q]); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -129,10 +129,10 @@ func measurePareto(name string, seedDiv, weightDiv *portfolio.Portfolio, seed in
 			ws[i] = b.WRange().Rand(rng)
 			hs[i] = b.HRange().Rand(rng)
 		}
-		if m, err := seedDiv.RouteWeighted(paretoObjectives[0], ws, hs); err == nil && m >= 0 {
+		if m, _, err := seedDiv.Route(paretoObjectives[0], ws, hs); err == nil && m >= 0 {
 			coveredSeed++
 		}
-		if m, err := weightDiv.RouteWeighted(paretoObjectives[0], ws, hs); err == nil && m >= 0 {
+		if m, _, err := weightDiv.Route(paretoObjectives[0], ws, hs); err == nil && m >= 0 {
 			coveredWeight++
 		}
 	}
@@ -153,11 +153,11 @@ func measurePareto(name string, seedDiv, weightDiv *portfolio.Portfolio, seed in
 	for q := range poolWs {
 		// A pool query is common when both portfolios cover it; coverage
 		// is routing-independent, so probe once per portfolio.
-		sm, st, err := seedDiv.RouteTerms(paretoObjectives[0], poolWs[q], poolHs[q])
+		sm, st, err := seedDiv.Route(paretoObjectives[0], poolWs[q], poolHs[q])
 		if err != nil || sm < 0 {
 			continue
 		}
-		wm, wt, err := weightDiv.RouteTerms(paretoObjectives[0], poolWs[q], poolHs[q])
+		wm, wt, err := weightDiv.Route(paretoObjectives[0], poolWs[q], poolHs[q])
 		if err != nil || wm < 0 {
 			continue
 		}
@@ -165,10 +165,10 @@ func measurePareto(name string, seedDiv, weightDiv *portfolio.Portfolio, seed in
 		sums[0][0] += float64(st.Wire)
 		sums[0][1] += float64(wt.Wire)
 		for o := 1; o < len(paretoObjectives); o++ {
-			if _, t, err := seedDiv.RouteTerms(paretoObjectives[o], poolWs[q], poolHs[q]); err == nil {
+			if _, t, err := seedDiv.Route(paretoObjectives[o], poolWs[q], poolHs[q]); err == nil {
 				sums[o][0] += term(t, o)
 			}
-			if _, t, err := weightDiv.RouteTerms(paretoObjectives[o], poolWs[q], poolHs[q]); err == nil {
+			if _, t, err := weightDiv.Route(paretoObjectives[o], poolWs[q], poolHs[q]); err == nil {
 				sums[o][1] += term(t, o)
 			}
 		}

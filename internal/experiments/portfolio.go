@@ -151,7 +151,7 @@ func measurePortfolio(name string, p *portfolio.Portfolio, seed int64) Portfolio
 			areaK1 += resultArea(&res, ws, hs)
 			costK1 += score(&res)
 		}
-		if member, err := p.InstantiateInto(&res, ws, hs); err == nil {
+		if member, err := p.InstantiateWeightedInto(&res, cost.Weights{}, ws, hs); err == nil {
 			if member >= 0 {
 				coveredK++
 			}

@@ -6,7 +6,7 @@
 //
 // Absolute times cannot match a 2005 SUN-Blade-1000 running the authors'
 // C++ implementation; the reproduction targets the paper's shape claims,
-// spelled out in DESIGN.md §5 and verified by this package's tests:
+// verified by this package's tests:
 // instantiation in the sub-millisecond range and roughly flat in circuit
 // size, generation orders of magnitude slower and growing with size, tens
 // to low-hundreds of stored placements, and per-query lowest-cost placement

@@ -6,10 +6,10 @@
 //	Placement Selector -> Placement Expansion -> BDIO -> Resolve Overlaps ->
 //	Store Placement -> Accept New Placement? -> Perturb (or Restore)
 //
-// Every explored placement is resolved and stored (DESIGN.md D6); the
-// Metropolis test on the BDIO's average cost only decides which placement
-// seeds the next perturbation. The run stops on coverage target, placement
-// budget, or iteration budget — whichever first (D7).
+// Every explored placement is resolved and stored; the Metropolis test on
+// the BDIO's average cost only decides which placement seeds the next
+// perturbation. The run stops on coverage target, placement budget, or
+// iteration budget — whichever first.
 package explorer
 
 import (
@@ -25,7 +25,6 @@ import (
 	"mps/internal/bdio"
 	"mps/internal/core"
 	"mps/internal/cost"
-	"mps/internal/geom"
 	"mps/internal/netlist"
 	"mps/internal/placement"
 )
@@ -41,29 +40,18 @@ type Config struct {
 	// (0 = unlimited).
 	MaxPlacements int
 	// TargetCoverage stops once exact volume coverage reaches this fraction
-	// (0 = disabled). Practical only for small circuits (DESIGN.md D7).
+	// (0 = disabled). Practical only for small circuits: a placement's
+	// volume fraction is a product of 2N per-row fractions, so coverage
+	// on large circuits stays far below any useful target.
 	TargetCoverage float64
-	// PerturbFraction is the share of blocks moved per perturbation
-	// (paper §3.1.4: "a percentage value set by the user"). Default 0.3.
-	PerturbFraction float64
-	// MaxShift bounds per-block displacement during perturbation, in layout
-	// units. Default: a quarter of the floorplan side.
-	MaxShift int
-	// ExpandStep is the units added per expansion increment. Default 1.
-	ExpandStep int
-	// Cooling is the outer-SA geometric cooling factor. Default 0.98.
-	Cooling float64
-	// InitialTemp for the outer SA; 0 calibrates from the first cost.
-	InitialTemp float64
 	// BDIO configures the inner annealer (its Rand field is ignored; the
 	// explorer supplies one per chain).
 	BDIO bdio.Config
 	// Evaluator scores layouts. Default cost.DefaultWeights.
 	Evaluator cost.Evaluator
-	// Floorplan overrides placement.DefaultFloorplan when non-empty.
-	Floorplan geom.Rect
 	// Chains runs this many independent explorer chains feeding one
-	// structure (extension; see DESIGN.md §6 ablations). Default 1.
+	// structure (an extension beyond the paper's single chain, seeded
+	// Seed + chain·7919). Default 1.
 	Chains int
 	// Progress, when non-nil, observes each iteration. Called under the
 	// structure lock; keep it fast.
@@ -84,30 +72,24 @@ type Progress struct {
 	Coverage float64
 }
 
-func (cfg Config) withDefaults(c *netlist.Circuit) Config {
+// The outer SA's fixed settings, which the paper leaves to the user.
+const (
+	// perturbFraction is the share of blocks moved per perturbation
+	// (§3.1.4: "a percentage value set by the user").
+	perturbFraction = 0.3
+	// expandStep is the units added per expansion increment.
+	expandStep = 1
+	// cooling is the geometric cooling factor. The initial temperature
+	// is calibrated from the first iteration's cost.
+	cooling = 0.98
+)
+
+func (cfg Config) withDefaults() Config {
 	if cfg.MaxIterations == 0 {
 		cfg.MaxIterations = 300
 	}
-	if cfg.PerturbFraction == 0 {
-		cfg.PerturbFraction = 0.3
-	}
-	if cfg.ExpandStep == 0 {
-		cfg.ExpandStep = 1
-	}
-	if cfg.Cooling == 0 {
-		cfg.Cooling = 0.98
-	}
 	if cfg.Evaluator == nil {
 		cfg.Evaluator = cost.DefaultWeights
-	}
-	if cfg.Floorplan.Empty() {
-		cfg.Floorplan = placement.DefaultFloorplan(c)
-	}
-	if cfg.MaxShift == 0 {
-		cfg.MaxShift = cfg.Floorplan.W() / 4
-		if cfg.MaxShift < 1 {
-			cfg.MaxShift = 1
-		}
 	}
 	if cfg.Chains == 0 {
 		cfg.Chains = 1
@@ -141,8 +123,8 @@ func GenerateContext(ctx context.Context, c *netlist.Circuit, cfg Config) (*core
 	if err := c.Validate(); err != nil {
 		return nil, Stats{}, fmt.Errorf("explorer: %w", err)
 	}
-	cfg = cfg.withDefaults(c)
-	s := core.NewStructure(c, cfg.Floorplan)
+	cfg = cfg.withDefaults()
+	s := core.NewStructure(c, placement.DefaultFloorplan(c))
 
 	start := time.Now()
 	var stats Stats
@@ -193,13 +175,15 @@ func runChain(ctx context.Context, c *netlist.Circuit, s *core.Structure, cfg Co
 	}
 
 	// Placement Selector: initial random legal placement at minimum dims.
-	accepted, err := placement.RandomLegal(c, cfg.Floorplan, rng)
+	fp := s.Floorplan()
+	accepted, err := placement.RandomLegal(c, fp, rng)
 	if err != nil {
 		return fmt.Errorf("explorer: %w", err)
 	}
 	acceptedCost := math.Inf(1)
-	temp := cfg.InitialTemp
-	cool := cfg.Cooling
+	temp := 0.0 // calibrated after the first iteration
+	// Perturbation moves a block at most a quarter of the floorplan side.
+	maxShift := max(1, fp.W()/4)
 
 	iters := cfg.MaxIterations / max(1, cfg.Chains)
 	if iters < 1 {
@@ -222,24 +206,24 @@ func runChain(ctx context.Context, c *netlist.Circuit, s *core.Structure, cfg Co
 		// the user).
 		base := accepted.Clone()
 		if it > 0 {
-			shift := cfg.MaxShift
+			shift := maxShift
 			if iters > 1 {
 				frac := 1.0 - 0.9*float64(it)/float64(iters-1)
-				shift = int(float64(cfg.MaxShift) * frac)
+				shift = int(float64(maxShift) * frac)
 				if shift < 2 {
 					shift = 2
 				}
 			}
-			base.Perturb(c, cfg.Floorplan, rng, cfg.PerturbFraction, shift)
+			base.Perturb(c, fp, rng, perturbFraction, shift)
 		}
 
 		// Placement Expansion grows the candidate's intervals.
 		cand := base.Clone()
 		cand.ResetToMin(c)
-		cand.Expand(c, cfg.Floorplan, cfg.ExpandStep)
+		cand.Expand(c, fp, expandStep)
 
 		// Inner annealer: shrink intervals, attach costs.
-		res, err := bdio.Optimize(c, cand, cfg.Floorplan, cfg.Evaluator, bcfg)
+		res, err := bdio.Optimize(c, cand, fp, cfg.Evaluator, bcfg)
 		if err != nil {
 			// A stop mid-BDIO is a cancellation, not an annealer fault: the
 			// half-optimized candidate is discarded, never stored.
@@ -296,7 +280,7 @@ func runChain(ctx context.Context, c *netlist.Circuit, s *core.Structure, cfg Co
 			stats.Accepted++
 			unlock()
 		}
-		temp *= cool
+		temp *= cooling
 	}
 	return nil
 }

@@ -3,7 +3,8 @@
 // intervals.
 //
 // All coordinates and dimensions are expressed in integer layout units
-// ("lambda"); see DESIGN.md decision D1. Rectangles are half-open boxes
+// ("lambda"), so every geometric comparison is exact and runs replay bit
+// for bit across platforms. Rectangles are half-open boxes
 // [X0,X1) x [Y0,Y1) so that abutting blocks do not overlap, while dimension
 // intervals are inclusive [Lo,Hi] to match the paper's
 // [wstart,wend]/[hstart,hend] notation.

@@ -7,8 +7,7 @@
 // module generator functions translate them into block dimensions, which are
 // then fed to the multi-placement structure. The real generators are
 // proprietary layout programs; these models preserve the properties the
-// placer cares about — monotone, realistically-shaped (w, h) responses —
-// per the substitution table in DESIGN.md §3.
+// placer cares about: monotone, realistically-shaped (w, h) responses.
 package modgen
 
 import (

@@ -52,7 +52,7 @@ func (b *Block) Validate() error {
 
 // Pin is a connection point on a block. Its physical location is a fraction
 // of the block's *current* width and height so that wire lengths respond to
-// dimension changes (DESIGN.md decision D10). FracX and FracY are in [0, 1].
+// dimension changes. FracX and FracY are in [0, 1].
 type Pin struct {
 	Block      int     // index into Circuit.Blocks
 	FracX      float64 // horizontal offset as a fraction of block width
@@ -115,7 +115,7 @@ func (c *Circuit) PinCount() int {
 // Validate checks structural consistency: non-empty, valid block bounds,
 // pin indices in range, pin fractions in [0,1], and no empty nets.
 // Single-pin nets are allowed: a single terminal pin models a pad-stub net
-// whose wire runs to the floorplan boundary (DESIGN.md D11).
+// whose wire runs to the floorplan boundary.
 // Validate also defaults net weights to 1.
 func (c *Circuit) Validate() error {
 	if c.Name == "" {

@@ -3,7 +3,7 @@
 // a sizing optimizer to circuit simulation plus layout extraction; we
 // substitute standard square-law hand equations for the two-stage Miller
 // opamp with layout wire parasitics folded into the load and compensation
-// nodes (DESIGN.md §3). The model only needs to be monotone and
+// nodes. The model only needs to be monotone and
 // layout-sensitive for the loop to behave like the paper's.
 package perf
 

@@ -5,7 +5,7 @@
 // toroidal wrap (§3.1.4), and legality checking.
 //
 // Blocks are anchored by their bottom-left corner and grow right/up as their
-// dimensions increase (DESIGN.md D2), so a placement that is overlap-free
+// dimensions increase, so a placement that is overlap-free
 // with every block at its maximum interval dimensions is overlap-free for
 // every dimension vector inside its intervals.
 package placement

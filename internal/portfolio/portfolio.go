@@ -11,37 +11,38 @@
 //
 // # Routing rule
 //
-// A query is probed against every member's compiled index
-// (CompiledStructure.CoveredArea — stored placements only, backups never
-// answer a probe). Among covering members the winner has the smallest
-// instantiated bounding-box area, ties broken by smallest dead space
-// (box area minus summed block areas), then by lowest member index so
-// routing is deterministic. Only when no member covers the query does the
-// portfolio fall back — to member 0's installed backup, exactly the
-// single-structure fallback semantics.
+// A query probes every member's compiled index once, in member order
+// (CompiledStructure.Probe — stored placements only, backups never answer
+// a probe); the first probe error is the query's error. Among covering
+// members the winner has the smallest instantiated bounding-box area, ties
+// broken by smallest dead space (box area minus summed block areas), then
+// by lowest member index so routing is deterministic. The winner answers
+// from the slot its probe found (CompiledStructure.AnswerInto), so each
+// member's index is walked once per query. Only when no member covers the
+// query does the portfolio fall back — to member 0's installed backup,
+// exactly the single-structure fallback semantics.
 //
 // A one-member portfolio — a single structure in portfolio form — has no
-// choice to make, so InstantiateInto and InstantiateWeightedInto answer it
-// with one lookup on member 0's index and no probe, under any weights.
+// choice to make, so InstantiateWeightedInto answers it with one
+// InstantiateInto on member 0's index, under any weights.
 //
 // # Weighted routing
 //
-// A query may carry a cost.Weights vector (RouteWeighted,
-// InstantiateWeightedInto): covering members are then probed for their
-// full per-objective term vector (CompiledStructure.CoveredTerms) and the
-// winner minimizes the query's weighted scalarized cost, ties broken by
-// the legacy (area, dead space, index) rule. The zero weight vector takes
-// the legacy area-rule path verbatim — same probes, same decisions, same
-// zero allocations — so callers that never weight queries are unchanged.
-// Members built via NewWeighted additionally record the weights they were
-// generated under (MemberWeights), purely as routing-diagnostic metadata.
+// A query may carry a cost.Weights vector (Route, InstantiateWeighted,
+// InstantiateWeightedInto): the winner then minimizes the query's
+// weighted scalarized cost over the covering members' per-objective
+// terms, ties broken by the area rule above. The zero weight vector never
+// scalarizes: every covering member scores 0 and the area rule decides
+// alone, so callers that never weight queries are unchanged. Members built
+// via NewWeighted additionally record the weights they were generated
+// under (MemberWeights), purely as routing-diagnostic metadata.
 //
 // # Concurrency
 //
 // A Portfolio is immutable after New and safe for any number of
 // concurrent readers: it only reads the members' compiled indices, which
 // are themselves safe for concurrent queries. Covered queries through
-// InstantiateInto allocate nothing.
+// InstantiateWeightedInto allocate nothing.
 package portfolio
 
 import (
@@ -195,116 +196,57 @@ func (p *Portfolio) NumPlacements() int {
 	return total
 }
 
-// Route returns the member the query routes to under the best-of-K rule
-// (smallest area, then smallest dead space, then lowest index), or -1 when
-// no member covers the query. It is the scoring pass of InstantiateInto,
-// exposed for tests and coverage studies.
-func (p *Portfolio) Route(ws, hs []int) (member int, err error) {
-	member, _, _, err = p.route(ws, hs)
-	return member, err
+// Route returns the member the query routes to under the weight vector w
+// (see the package doc's routing rule) and that member's full cost terms —
+// the measurement hook for tests, coverage studies and the pareto
+// experiments. member is -1, with zero terms, when no member covers the
+// query.
+func (p *Portfolio) Route(w cost.Weights, ws, hs []int) (member int, t cost.Terms, err error) {
+	member, _, t, err = p.route(w, true, ws, hs)
+	return member, t, err
 }
 
-// route scores every member and returns the winner with its area and dead
-// space. Zero allocations: probes go through CoveredArea.
-func (p *Portfolio) route(ws, hs []int) (member int, area, dead int64, err error) {
-	member = -1
-	for m, cs := range p.compiled {
-		a, d, ok, err := cs.CoveredArea(ws, hs)
-		if err != nil {
-			return -1, 0, 0, err
-		}
-		if !ok {
-			continue
-		}
-		if member < 0 || a < area || (a == area && d < dead) {
-			member, area, dead = m, a, d
-		}
-	}
-	return member, area, dead, nil
-}
-
-// RouteWeighted returns the member the query routes to under the weight
-// vector w, or -1 when no member covers the query. The zero vector is
-// the default area rule (exactly Route); any other vector picks the
-// covering member with the smallest w-scalarized per-objective cost,
-// ties broken by the legacy (area, dead space, index) rule.
-func (p *Portfolio) RouteWeighted(w cost.Weights, ws, hs []int) (member int, err error) {
-	member, _, _, err = p.routeWeighted(w, ws, hs)
-	return member, err
-}
-
-// routeWeighted is route generalized to a weighted objective. Zero
-// allocations: probes go through CoveredTerms.
-func (p *Portfolio) routeWeighted(w cost.Weights, ws, hs []int) (member int, area, dead int64, err error) {
-	if w.IsZero() {
-		return p.route(ws, hs)
-	}
-	member = -1
+// route probes every member once, in member order, and returns the winner
+// with its slot and terms, or member -1 and slot -1 when none covers. The
+// first probe error is returned as is. A non-zero w compares scalarized
+// cost first; the zero vector never scalarizes, so every covering member
+// scores 0 and the legacy area rule decides alone. Ties go to the smaller
+// area, then the smaller dead space, then the lower index. Wire is probed
+// only when asked: it moves no decision when w.Wire is 0. Zero
+// allocations.
+func (p *Portfolio) route(w cost.Weights, wire bool, ws, hs []int) (member, slot int, t cost.Terms, err error) {
+	member, slot = -1, -1
+	weighted := !w.IsZero()
 	var best float64
 	for m, cs := range p.compiled {
-		t, ok, err := cs.CoveredTerms(ws, hs)
+		s, mt, err := cs.Probe(ws, hs, wire)
 		if err != nil {
-			return -1, 0, 0, err
+			return -1, -1, cost.Terms{}, err
 		}
-		if !ok {
+		if s < 0 {
 			continue
 		}
-		c := w.Scalarize(t)
+		var c float64
+		if weighted {
+			c = w.Scalarize(mt)
+		}
 		if member < 0 || c < best ||
-			(c == best && (t.Area < area || (t.Area == area && t.Dead < dead))) {
-			member, best, area, dead = m, c, t.Area, t.Dead
+			(c == best && (mt.Area < t.Area || (mt.Area == t.Area && mt.Dead < t.Dead))) {
+			member, slot, best, t = m, s, c, mt
 		}
 	}
-	return member, area, dead, nil
-}
-
-// RouteTerms routes the query under w and additionally reports the
-// winning member's per-objective term vector — the measurement hook the
-// pareto experiments read. member is -1 (with zero Terms) when no member
-// covers the query.
-func (p *Portfolio) RouteTerms(w cost.Weights, ws, hs []int) (member int, t cost.Terms, err error) {
-	member, _, _, err = p.routeWeighted(w, ws, hs)
-	if err != nil || member < 0 {
-		return -1, cost.Terms{}, err
-	}
-	t, ok, err := p.compiled[member].CoveredTerms(ws, hs)
-	if err != nil {
-		return -1, cost.Terms{}, err
-	}
-	if !ok { // unreachable: routeWeighted just observed coverage
-		return -1, cost.Terms{}, fmt.Errorf("portfolio: member %d lost coverage between probe and answer", member)
-	}
-	return member, t, nil
+	return member, slot, t, nil
 }
 
 // Instantiate answers a placement request through the best covering
-// member, falling back to member 0's backup when no member covers the
-// dimensions.
+// member under the area rule, falling back to member 0's backup when no
+// member covers the dimensions.
 func (p *Portfolio) Instantiate(ws, hs []int) (Result, error) {
-	var res Result
-	m, err := p.InstantiateInto(&res.Result, ws, hs)
-	if err != nil {
-		return Result{}, err
-	}
-	res.Member = m
-	return res, nil
+	return p.InstantiateWeighted(cost.Weights{}, ws, hs)
 }
 
-// InstantiateInto is Instantiate writing into res, reusing res.X and res.Y
-// capacity — the zero-allocation serving hot path for covered queries
-// (backup answers allocate in the backup, as with a single structure). It
-// returns the answering member's index, -1 for the backup. On error res is
-// left unspecified.
-func (p *Portfolio) InstantiateInto(res *core.Result, ws, hs []int) (member int, err error) {
-	if len(p.compiled) == 1 {
-		return p.direct(res, ws, hs)
-	}
-	member, _, _, err = p.route(ws, hs)
-	return p.answer(res, member, err, ws, hs)
-}
-
-// InstantiateWeighted is Instantiate routed under the weight vector w
-// (see RouteWeighted); the zero vector is exactly Instantiate.
+// InstantiateWeighted is Instantiate routed under the weight vector w;
+// the zero vector is exactly Instantiate.
 func (p *Portfolio) InstantiateWeighted(w cost.Weights, ws, hs []int) (Result, error) {
 	var res Result
 	m, err := p.InstantiateWeightedInto(&res.Result, w, ws, hs)
@@ -315,55 +257,31 @@ func (p *Portfolio) InstantiateWeighted(w cost.Weights, ws, hs []int) (Result, e
 	return res, nil
 }
 
-// InstantiateWeightedInto is InstantiateInto routed under the weight
-// vector w — the weighted serving hot path, with the same zero-allocation
-// contract for covered queries (pinned by the portfolio_route_weighted
-// micro-benchmark).
+// InstantiateWeightedInto is InstantiateWeighted writing into res, reusing
+// res.X and res.Y capacity — the serving hot path: covered queries
+// allocate nothing (pinned by the portfolio_route_* micro-benchmarks), and
+// backup answers allocate in the backup, as with a single structure. It
+// returns the answering member's index, -1 for the backup. The winner
+// answers from the slot its probe found; when no member covers, member 0
+// answers as a single structure would (its backup, or ErrUncovered). A
+// one-member portfolio has nothing to route, so it answers with one
+// InstantiateInto on member 0 under any weights. On error res is left
+// unspecified.
 func (p *Portfolio) InstantiateWeightedInto(res *core.Result, w cost.Weights, ws, hs []int) (member int, err error) {
 	if len(p.compiled) == 1 {
-		return p.direct(res, ws, hs)
-	}
-	member, _, _, err = p.routeWeighted(w, ws, hs)
-	return p.answer(res, member, err, ws, hs)
-}
-
-// direct answers a one-member portfolio straight from member 0's compiled
-// index: with one candidate there is nothing to route, so the covered and
-// the backup answer both come from one lookup instead of a probe plus an
-// answer. Answers and errors equal the probe route's — both start with
-// the same dimension check and report the same eq. 5 violation.
-func (p *Portfolio) direct(res *core.Result, ws, hs []int) (int, error) {
-	if err := p.compiled[0].InstantiateInto(res, ws, hs); err != nil {
-		return -1, err
-	}
-	if res.FromBackup {
-		return -1, nil
-	}
-	return 0, nil
-}
-
-// answer materializes a routing decision into res: the winning member's
-// covered placement, or member 0's backup when no member covers —
-// mirroring single-structure semantics (ErrUncovered when no backup is
-// installed).
-func (p *Portfolio) answer(res *core.Result, member int, routeErr error, ws, hs []int) (int, error) {
-	if routeErr != nil {
-		return -1, routeErr
-	}
-	if member >= 0 {
-		ok, err := p.compiled[member].InstantiateCoveredInto(res, ws, hs)
-		if err != nil {
+		if err := p.compiled[0].InstantiateInto(res, ws, hs); err != nil || res.FromBackup {
 			return -1, err
 		}
-		if !ok { // unreachable: routing just observed coverage
-			return -1, fmt.Errorf("portfolio: member %d lost coverage between probe and answer", member)
-		}
-		return member, nil
+		return 0, nil
 	}
-	if err := p.compiled[0].InstantiateInto(res, ws, hs); err != nil {
+	member, slot, _, err := p.route(w, w.Wire != 0, ws, hs)
+	if err != nil {
 		return -1, err
 	}
-	return -1, nil
+	if err := p.compiled[max(member, 0)].AnswerInto(res, slot, ws, hs); err != nil {
+		return -1, err
+	}
+	return member, nil
 }
 
 // SampleCoverage estimates covered fractions by Monte-Carlo over uniform
@@ -373,7 +291,7 @@ func (p *Portfolio) answer(res *core.Result, member int, routeErr error, ws, hs 
 // sampling noise alone. It is a reporting estimator for well-formed
 // members: a probe error (an eq.5 invariant violation, impossible for
 // generated or loaded structures) counts as a miss here, while the query
-// path (Route/InstantiateInto) surfaces the same violation as an error.
+// path (Route/InstantiateWeightedInto) surfaces the same violation as an error.
 func (p *Portfolio) SampleCoverage(rng *rand.Rand, samples int) (union float64, member []float64) {
 	member = make([]float64, len(p.members))
 	if samples <= 0 {
@@ -393,7 +311,7 @@ func (p *Portfolio) SampleCoverage(rng *rand.Rand, samples int) (union float64, 
 		}
 		hit := false
 		for m, cs := range p.compiled {
-			if _, _, ok, _ := cs.CoveredArea(ws, hs); ok {
+			if slot, _, _ := cs.Probe(ws, hs, false); slot >= 0 {
 				memberHits[m]++
 				hit = true
 			}

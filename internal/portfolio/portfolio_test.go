@@ -8,6 +8,7 @@ import (
 	"mps/internal/bdio"
 	"mps/internal/circuits"
 	"mps/internal/core"
+	"mps/internal/cost"
 	"mps/internal/explorer"
 	"mps/internal/netlist"
 	"mps/internal/template"
@@ -81,21 +82,21 @@ func TestPortfolioPropertyAllCircuits(t *testing.T) {
 				}
 				covering := 0
 				for m := 0; m < p.K(); m++ {
-					area, _, ok, err := core.Compile(p.Member(m)).CoveredArea(ws, hs)
+					slot, terms, err := core.Compile(p.Member(m)).Probe(ws, hs, false)
 					if err != nil {
 						t.Fatal(err)
 					}
-					if !ok {
+					if slot < 0 {
 						continue
 					}
 					covering++
-					routedArea, _, rok, err := core.Compile(p.Member(res.Member)).CoveredArea(ws, hs)
-					if err != nil || !rok {
+					rslot, routed, err := core.Compile(p.Member(res.Member)).Probe(ws, hs, false)
+					if err != nil || rslot < 0 {
 						t.Fatalf("routed member %d does not cover its own query (err %v)", res.Member, err)
 					}
-					if routedArea > area {
+					if routed.Area > terms.Area {
 						t.Fatalf("routed area %d (member %d) exceeds member %d's %d at %v/%v",
-							routedArea, res.Member, m, area, ws, hs)
+							routed.Area, res.Member, m, terms.Area, ws, hs)
 					}
 				}
 				if covering == 0 && res.Member != -1 {
@@ -169,8 +170,9 @@ func TestRoutedAnswerMatchesMember(t *testing.T) {
 }
 
 // TestRoutedCoveredAllocFree pins the serving property the CI micro-bench
-// gates: a covered routed query through InstantiateInto allocates nothing,
-// on the probe route (K=3) and on the one-member direct route (K=1).
+// gates: a covered routed query through InstantiateWeightedInto allocates
+// nothing, on the probe route (K=3) and on the one-member direct route
+// (K=1).
 func TestRoutedCoveredAllocFree(t *testing.T) {
 	for _, k := range []int{1, 3} {
 		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
@@ -190,11 +192,11 @@ func TestRoutedCoveredAllocFree(t *testing.T) {
 				ws[i], hs[i] = pl.WLo[i], pl.HLo[i]
 			}
 			var res core.Result
-			if member, err := p.InstantiateInto(&res, ws, hs); err != nil || member < 0 {
+			if member, err := p.InstantiateWeightedInto(&res, cost.Weights{}, ws, hs); err != nil || member < 0 {
 				t.Fatalf("warmup: member %d, err %v — want a covered routed answer", member, err)
 			}
 			allocs := testing.AllocsPerRun(200, func() {
-				if member, err := p.InstantiateInto(&res, ws, hs); err != nil || member < 0 {
+				if member, err := p.InstantiateWeightedInto(&res, cost.Weights{}, ws, hs); err != nil || member < 0 {
 					t.Fatalf("member %d, err %v", member, err)
 				}
 			})

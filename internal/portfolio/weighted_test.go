@@ -41,21 +41,22 @@ func TestWeightedRouteDegeneratesToAreaRule(t *testing.T) {
 					hs[i] = b.HRange().Rand(rng)
 				}
 				assertDirectAnswer(t, single, ws, hs)
-				legacy, err := p.Route(ws, hs)
+				res, err := p.Instantiate(ws, hs)
 				if err != nil {
 					t.Fatal(err)
 				}
+				legacy := res.Member
 				if legacy >= 0 {
 					routed++
 				}
-				zero, err := p.RouteWeighted(cost.Weights{}, ws, hs)
+				zero, _, err := p.Route(cost.Weights{}, ws, hs)
 				if err != nil {
 					t.Fatal(err)
 				}
 				if zero != legacy {
 					t.Fatalf("query %d: zero-vector route %d != legacy %d", q, zero, legacy)
 				}
-				pureArea, err := p.RouteWeighted(cost.Weights{Area: 1}, ws, hs)
+				pureArea, _, err := p.Route(cost.Weights{Area: 1}, ws, hs)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -120,14 +121,14 @@ func weightedPair(t *testing.T) (*Portfolio, []int, []int) {
 // behavior of weight-aware routing.
 func TestWeightedRouteFollowsQueryWeights(t *testing.T) {
 	p, ws, hs := weightedPair(t)
-	area, err := p.Route(ws, hs)
+	area, _, err := p.Route(cost.Weights{}, ws, hs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if area != 1 {
 		t.Fatalf("area rule routed to %d, want 1 (the smaller bbox)", area)
 	}
-	wire, err := p.RouteWeighted(cost.Weights{Wire: 1, Area: 0.01}, ws, hs)
+	wire, _, err := p.Route(cost.Weights{Wire: 1, Area: 0.01}, ws, hs)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -144,20 +145,20 @@ func TestWeightedRouteFollowsQueryWeights(t *testing.T) {
 		t.Fatalf("weighted instantiate answered member %d (backup %v), want member 0", res.Member, res.FromBackup)
 	}
 
-	// RouteTerms reports the winner and its exact objective vector.
-	m, terms, err := p.RouteTerms(cost.Weights{Wire: 1, Area: 0.01}, ws, hs)
+	// Route reports the winner and its exact objective vector.
+	m, terms, err := p.Route(cost.Weights{Wire: 1, Area: 0.01}, ws, hs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m != 0 || terms.Wire != 4 || terms.Area != 64 {
-		t.Fatalf("RouteTerms = member %d terms %+v, want member 0 wire 4 area 64", m, terms)
+		t.Fatalf("Route = member %d terms %+v, want member 0 wire 4 area 64", m, terms)
 	}
-	m, terms, err = p.RouteTerms(cost.Weights{Area: 1}, ws, hs)
+	m, terms, err = p.Route(cost.Weights{Area: 1}, ws, hs)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if m != 1 || terms.Area != 48 || terms.Wire != 8 {
-		t.Fatalf("RouteTerms(area) = member %d terms %+v, want member 1 area 48 wire 8", m, terms)
+		t.Fatalf("Route(area) = member %d terms %+v, want member 1 area 48 wire 8", m, terms)
 	}
 
 	// K=1: each member alone answers covered, uncovered (no backup

@@ -80,16 +80,11 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, key string
 	if target == c.Self() {
 		return false
 	}
-	mark, err := cluster.EncodeForward(cluster.Forward{From: c.Self(), Hop: 1})
-	if err != nil { // unreachable for a validated self URL; serve locally
-		s.logf("cluster: encoding forward mark: %v", err)
-		return false
-	}
 	hdr := http.Header{}
 	if ct := r.Header.Get("Content-Type"); ct != "" {
 		hdr.Set("Content-Type", ct)
 	}
-	hdr.Set(cluster.ForwardHeader, mark)
+	hdr.Set(cluster.ForwardHeader, c.ForwardMark())
 	// Everything past this point is forward work — the peer round trip
 	// and, on success, relaying its response — so one deferred span
 	// covers every outcome. Do's per-attempt child spans (which carry the
@@ -231,12 +226,8 @@ var errPeerMiss = fmt.Errorf("peer does not have the structure")
 // per-attempt spans Do records for this pull.
 func (s *Server) fetchFrom(sp obs.SpanRef, peer string, spec GenerateSpec) (*mps.Portfolio, mps.Stats, error) {
 	c := s.cluster
-	mark, err := cluster.EncodeForward(cluster.Forward{From: c.Self(), Hop: 1})
-	if err != nil {
-		return nil, mps.Stats{}, err
-	}
 	hdr := http.Header{}
-	hdr.Set(cluster.ForwardHeader, mark)
+	hdr.Set(cluster.ForwardHeader, c.ForwardMark())
 	resp, err := c.Do(obs.ContextWithSpan(context.Background(), sp), peer, http.MethodGet,
 		"/v1/cluster/structure?key="+url.QueryEscape(spec.key()), nil, hdr, c.FetchTimeout())
 	if err != nil {
@@ -289,13 +280,9 @@ func (s *Server) fetchFrom(sp obs.SpanRef, peer string, spec GenerateSpec) (*mps
 func (s *Server) generateOnOwner(sp obs.SpanRef, spec GenerateSpec) (*mps.Portfolio, mps.Stats, bool, error) {
 	c := s.cluster
 	owner := c.Owner(spec.key())
-	mark, err := cluster.EncodeForward(cluster.Forward{From: c.Self(), Hop: 1})
-	if err != nil {
-		return nil, mps.Stats{}, false, nil
-	}
 	hdr := http.Header{}
 	hdr.Set("Content-Type", "application/json")
-	hdr.Set(cluster.ForwardHeader, mark)
+	hdr.Set(cluster.ForwardHeader, c.ForwardMark())
 	resp, err := c.Do(obs.ContextWithSpan(context.Background(), sp), owner, http.MethodPost, "/v1/structures",
 		mustSpecJSON(spec), hdr, c.ForwardTimeout())
 	if err != nil {
@@ -383,12 +370,8 @@ func (s *Server) specFromPeer(ctx context.Context, key string) (GenerateSpec, bo
 	if owner == c.Self() {
 		return GenerateSpec{}, false
 	}
-	mark, err := cluster.EncodeForward(cluster.Forward{From: c.Self(), Hop: 1})
-	if err != nil {
-		return GenerateSpec{}, false
-	}
 	hdr := http.Header{}
-	hdr.Set(cluster.ForwardHeader, mark)
+	hdr.Set(cluster.ForwardHeader, c.ForwardMark())
 	tr := obs.TraceFrom(ctx)
 	sp := tr.StartSpan(obs.StageFetch)
 	sp.SetRemote(owner)
@@ -564,10 +547,6 @@ func (s *Server) Rebalance(ctx context.Context, drop bool) (RebalanceReport, err
 		return RebalanceReport{}, fmt.Errorf("serve: no store to rebalance")
 	}
 	var rep RebalanceReport
-	mark, err := cluster.EncodeForward(cluster.Forward{From: s.cluster.Self(), Hop: 1})
-	if err != nil {
-		return rep, err
-	}
 	for _, m := range s.cfg.Store.List() {
 		if ctx.Err() != nil {
 			return rep, ctx.Err()
@@ -585,7 +564,7 @@ func (s *Server) Rebalance(ctx context.Context, drop bool) (RebalanceReport, err
 			continue
 		}
 		hdr := http.Header{}
-		hdr.Set(cluster.ForwardHeader, mark)
+		hdr.Set(cluster.ForwardHeader, s.cluster.ForwardMark())
 		hdr.Set("Content-Type", "application/octet-stream")
 		hdr.Set(clusterSpecHeader, meta.Options)
 		hdr.Set(clusterCoverageHeader, strconv.FormatFloat(meta.Coverage, 'g', -1, 64))

@@ -196,6 +196,13 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"Total bytes of persisted structure files.", func() float64 {
 				return float64(st.Stats().Bytes)
 			})
+		reg.GaugeFunc("mps_store_manifest_quarantined",
+			"1 when the store opened after moving an unparsable manifest aside.", func() float64 {
+				if st.Quarantined() != "" {
+					return 1
+				}
+				return 0
+			})
 	}
 
 	if c := s.cluster; c != nil {

@@ -620,6 +620,44 @@ func TestStoreCorruptFallsBack(t *testing.T) {
 	}
 }
 
+// TestStoreQuarantinedManifestBoots: a store whose manifest does not
+// parse still boots a server. The store opens empty, /metrics reports the
+// quarantine, and the server generates, persists and reopens as it would
+// on a fresh store.
+func TestStoreQuarantinedManifestBoots(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "manifest.json"), []byte("not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st := openStore(t, dir)
+	if st.Quarantined() == "" || st.Len() != 0 {
+		t.Fatalf("store over a corrupt manifest: quarantined %q, %d entries", st.Quarantined(), st.Len())
+	}
+	s1, ts1 := newTestServer(t, Config{Store: st})
+	if got := scrapeMetrics(t, ts1.URL).Sum("mps_store_manifest_quarantined", nil); got != 1 {
+		t.Fatalf("mps_store_manifest_quarantined = %v after a quarantine, want 1", got)
+	}
+	if _, err := s1.Generate(testSpec(4)); err != nil {
+		t.Fatal(err)
+	}
+	s1.Flush()
+
+	st2 := openStore(t, dir)
+	if st2.Quarantined() != "" || st2.Len() != 1 {
+		t.Fatalf("reopened store: quarantined %q, %d entries; want none and 1", st2.Quarantined(), st2.Len())
+	}
+	s2, ts2 := newTestServer(t, Config{Store: st2})
+	if got := scrapeMetrics(t, ts2.URL).Sum("mps_store_manifest_quarantined", nil); got != 0 {
+		t.Fatalf("mps_store_manifest_quarantined = %v on a clean store, want 0", got)
+	}
+	if _, err := s2.Generate(testSpec(4)); err != nil {
+		t.Fatal(err)
+	}
+	if runs := s2.genRuns.Load(); runs != 0 {
+		t.Fatalf("reopened store ran %d generations for a persisted spec, want 0", runs)
+	}
+}
+
 // TestStorePersistedListing checks GET /v1/structures reports manifest
 // rows with their metadata alongside the in-memory cache.
 func TestStorePersistedListing(t *testing.T) {

@@ -21,7 +21,8 @@
 //
 // A Dir is safe for concurrent use. Corrupt files are detected on Get (the
 // v2 checksum plus core.Load's semantic validation) and reported, never
-// silently repaired.
+// silently repaired. A manifest that does not parse is moved aside at
+// Open, bytes intact, and reported through Quarantined.
 package store
 
 import (
@@ -128,12 +129,19 @@ type Dir struct {
 	// after acquiring it, so the last manifest written always reflects
 	// every earlier mutation (no lost updates between concurrent Puts).
 	writeMu sync.Mutex
+
+	// quarantined names the file Open moved an unparsable manifest to
+	// ("" when it found none).
+	quarantined string
 }
 
 // Open opens (creating if needed) a store directory and loads its
 // manifest. Manifest rows whose structure file has gone missing are
 // dropped, and temp files left by crashed writers are swept, so Open
-// always yields a servable view of what is actually on disk.
+// always yields a servable view of what is actually on disk. A manifest
+// that does not parse is renamed aside with its bytes kept (see
+// Quarantined) and the store opens empty, so one corrupt file cannot
+// keep a server from booting.
 func Open(root string) (*Dir, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -153,7 +161,14 @@ func Open(root string) (*Dir, error) {
 	}
 	var m manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		return nil, fmt.Errorf("store: corrupt manifest in %s: %w", root, err)
+		// The name never starts with tmpPrefix, so the sweep above keeps
+		// the quarantined bytes for inspection.
+		name := fmt.Sprintf("%s.corrupt-%d", manifestName, time.Now().UnixNano())
+		if err := os.Rename(filepath.Join(root, manifestName), filepath.Join(root, name)); err != nil {
+			return nil, fmt.Errorf("store: quarantining corrupt manifest: %w", err)
+		}
+		d.quarantined = name
+		return d, nil
 	}
 	for _, e := range m.Entries {
 		if e.Key == "" || e.File == "" || strings.ContainsAny(e.File, "/\\") {
@@ -193,6 +208,10 @@ func (d *Dir) portfolioServable(p PortfolioMeta) bool {
 
 // Root returns the directory the store lives in.
 func (d *Dir) Root() string { return d.root }
+
+// Quarantined returns the name, inside Root, of the file Open moved an
+// unparsable manifest to, or "" when the manifest parsed (or was absent).
+func (d *Dir) Quarantined() string { return d.quarantined }
 
 // Len returns the number of persisted structures.
 func (d *Dir) Len() int {

@@ -168,6 +168,62 @@ func TestOpenDropsMissingFiles(t *testing.T) {
 	}
 }
 
+// TestOpenQuarantinesCorruptManifest: a manifest that does not parse is
+// moved aside with its bytes kept, and Open carries on with an empty
+// store that accepts writes and reopens cleanly. Later Opens neither
+// re-quarantine nor sweep the moved file.
+func TestOpenQuarantinesCorruptManifest(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, s := testCircuit(t, 4)
+	if _, err := d.Put(meta("k1"), s); err != nil {
+		t.Fatal(err)
+	}
+	garbage := []byte(`{"version":1,"entries":[{"key":"k1"`)
+	if err := os.WriteFile(filepath.Join(dir, manifestName), garbage, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := Open(dir)
+	if err != nil {
+		t.Fatalf("Open with a corrupt manifest: %v", err)
+	}
+	if d2.Len() != 0 || len(d2.Portfolios()) != 0 {
+		t.Fatalf("quarantined store holds %d entries, %d portfolios; want none", d2.Len(), len(d2.Portfolios()))
+	}
+	q := d2.Quarantined()
+	if q == "" || strings.HasPrefix(q, tmpPrefix) || strings.ContainsAny(q, "/\\") {
+		t.Fatalf("Quarantined() = %q, want a plain file name outside the temp-file sweep", q)
+	}
+	kept, err := os.ReadFile(filepath.Join(dir, q))
+	if err != nil || string(kept) != string(garbage) {
+		t.Fatalf("quarantined file holds %q (err %v), want the corrupt manifest's bytes", kept, err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, manifestName)); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("corrupt manifest still in place: %v", err)
+	}
+
+	if _, err := d2.Put(meta("k2"), s); err != nil {
+		t.Fatal(err)
+	}
+	d3, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d3.Quarantined() != "" || d3.Len() != 1 {
+		t.Fatalf("reopen: quarantined %q, %d entries; want none and 1", d3.Quarantined(), d3.Len())
+	}
+	if _, _, err := d3.Get("k2", c); err != nil {
+		t.Fatalf("entry written after the quarantine does not load: %v", err)
+	}
+	if _, err := os.Stat(filepath.Join(dir, q)); err != nil {
+		t.Fatalf("quarantined file did not survive a reopen: %v", err)
+	}
+}
+
 // TestOpenSweepsTempFiles: crash leftovers from interrupted atomic writes
 // are removed on Open.
 func TestOpenSweepsTempFiles(t *testing.T) {

@@ -111,14 +111,6 @@ func NewPortfolioWeighted(members []*Structure, weights []Weights) (*Portfolio, 
 	return p, err
 }
 
-// Instantiate answers a placement request through the best covering
-// member (smallest instantiated area; ties by dead space, then member
-// order), falling back to member 0's backup when no member covers the
-// dimensions.
-func (p *Portfolio) Instantiate(ws, hs []int) (PortfolioResult, error) {
-	return p.Portfolio.Instantiate(ws, hs)
-}
-
 // SetBackupKind installs the uncovered-space backup selected by kind on
 // every member, replacing any installed backup. Like
 // Structure.SetBackupKind this is safe without recompiling: compiled
