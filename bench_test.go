@@ -8,6 +8,7 @@ package mps
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
@@ -22,6 +23,7 @@ import (
 	"mps/internal/explorer"
 	"mps/internal/optplace"
 	"mps/internal/placement"
+	"mps/internal/portfolio"
 	"mps/internal/route"
 	"mps/internal/template"
 )
@@ -223,6 +225,76 @@ func BenchmarkInstantiateBatch(b *testing.B) {
 				}
 			}
 			b.ReportMetric(float64(batchSize)*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
+		})
+	}
+}
+
+// routeBatch is the query count of one BenchmarkPortfolioRoute request,
+// the repository benchmark's batch size.
+const routeBatch = 256
+
+// BenchmarkPortfolioRoute measures weighted best-of-K routing at K = 1, 3
+// and 8 over balanced-effort TwoStageOpamp members generated as
+// Run(K=8) generates them (member seeds from seed 1, the default weight
+// ladder); K = 3 is the repository benchmark's portfolio_weighted
+// artifact. Requests are shaped like that workload's: 256 queries, 3 of 4
+// inside a stored box of a member (members in turn), 1 of 4 uniform in the
+// designer bounds, per-query weights cycling the ladder. It reports ns per
+// query and the bytes of the merged index routing walks.
+func BenchmarkPortfolioRoute(b *testing.B) {
+	c := circuits.MustByName("TwoStageOpamp")
+	run, err := Run(context.Background(), Request{Circuit: c, Options: Options{Seed: 1}, K: 8})
+	if err != nil {
+		b.Fatal(err)
+	}
+	members, weights := run.Portfolio.Members(), run.Portfolio.MemberWeights()
+	for _, k := range []int{1, 3, 8} {
+		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
+			p, err := portfolio.NewWeighted(members[:k], weights[:k])
+			if err != nil {
+				b.Fatal(err)
+			}
+			compiled := make([]*core.CompiledStructure, k)
+			for i, m := range members[:k] {
+				compiled[i] = core.Compile(m)
+			}
+			indexBytes := core.Merge(compiled).Bytes()
+			ladder := WeightLadder(k)
+			rng := rand.New(rand.NewSource(7))
+			reqs := make([][]DimQuery, 16)
+			for r := range reqs {
+				covered := 0
+				for q := 0; q < routeBatch; q++ {
+					dq := DimQuery{Ws: make([]int, c.N()), Hs: make([]int, c.N()), Weights: ladder[q%len(ladder)]}
+					for i, blk := range c.Blocks {
+						dq.Ws[i] = blk.WRange().Rand(rng)
+						dq.Hs[i] = blk.HRange().Rand(rng)
+					}
+					if q%4 != 3 {
+						m := members[covered%k]
+						covered++
+						ids := m.IDs()
+						pl := m.Get(ids[rng.Intn(len(ids))])
+						for i := range dq.Ws {
+							dq.Ws[i] = pl.WLo[i] + rng.Intn(pl.WHi[i]-pl.WLo[i]+1)
+							dq.Hs[i] = pl.HLo[i] + rng.Intn(pl.HHi[i]-pl.HLo[i]+1)
+						}
+					}
+					reqs[r] = append(reqs[r], dq)
+				}
+			}
+			var res core.Result
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for _, q := range reqs[i%len(reqs)] {
+					if _, err := p.InstantiateWeightedInto(&res, q.Weights, q.Ws, q.Hs); err != nil {
+						b.Fatal(err)
+					}
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*routeBatch), "ns/query")
+			b.ReportMetric(float64(indexBytes), "index_B")
 		})
 	}
 }

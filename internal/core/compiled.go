@@ -17,19 +17,24 @@ import (
 // forever after. The tree path answers a query by walking 2N pointer-rich
 // interval lists and merge-intersecting their sorted id arrays; the
 // compiled path binary-searches 2N sorted []int32 breakpoint arrays laid
-// out back to back and intersects placement *bitsets* — one ⌈P/64⌉-word
-// mask per interval — so a query is a handful of contiguous cache lines,
+// out back to back and intersects placement *bitsets* — one W-word mask
+// per interval — so a query is a handful of contiguous cache lines,
 // branch-predictable compares and word-wide ANDs, with zero allocations.
 //
-// Memory layout (structure of arrays):
+// Memory layout (structure of arrays). The row tables are a rowTable, the
+// one search-and-AND form a compiled structure and a merged portfolio
+// index (merged.go) share:
 //
 //	rowStart [2N+1]  row r's spans live at span indices
 //	                 [rowStart[r], rowStart[r+1])
 //	spanLo   [S]     per-span inclusive lower breakpoint, ascending per row
 //	spanHi   [S]     per-span inclusive upper breakpoint
-//	masks    [S*W]   per-span placement bitset, W = ⌈P/64⌉ words; bit b of
+//	masks    [S*W]   per-span placement bitset, W words per span; bit b of
 //	                 span s is masks[s*W + b/64]>>(b%64): placement slot b
 //	                 is valid on span s
+//
+// and, per compiled structure, with W = ⌈P/64⌉:
+//
 //	slotID   [P]     slot -> original placement ID
 //	xs, ys   [P*N]   block anchors by slot (slot*N + block)
 //
@@ -53,27 +58,36 @@ type CompiledStructure struct {
 	// touching it.
 	src *Structure
 
-	n     int // blocks
+	rowTable
 	count int // live placements (dense slots 0..count-1)
-	words int // mask words per span, ⌈count/64⌉
+
+	slotID []int32
+	xs, ys []int32
+}
+
+// rowTable is the eqs. 3–4 index over flat tables: 2n rows of sorted,
+// disjoint spans, each span carrying a words-wide placement bitset. A
+// query binary-searches one span per row and ANDs their masks.
+type rowTable struct {
+	n     int // blocks; the table has 2n rows
+	words int // mask words per span
 
 	rowStart []int32
 	spanLo   []int32
 	spanHi   []int32
 	masks    []uint64
 
-	slotID []int32
-	xs, ys []int32
-
-	// scratch pools oversized intersection masks (*[]uint64) for
-	// structures beyond maxStackWords×64 placements; smaller ones — every
-	// benchmark circuit — intersect on the caller's stack.
+	// scratch pools intersection masks (*[]uint64) wider than the
+	// caller's stack buffer.
 	scratch sync.Pool
 }
 
-// maxStackWords is the intersection-mask size (in 64-bit words) kept on
-// the stack: structures up to 1024 placements — an order of magnitude
-// above the paper's largest — never touch the pool.
+// maxStackWords is the single-structure intersection mask (in 64-bit
+// words) kept on the stack: structures up to 1024 placements never touch
+// the pool. Balanced-effort TwoStageOpamp structures run past it (seeds 4,
+// 8 and 13 hold 1191, 1044 and 1034 placements, and member 1 of the
+// benchmark's portfolio 1094); they take their mask from the pool, which
+// costs no allocation once warm.
 const maxStackWords = 16
 
 // Compile flattens the structure's 2N interval rows into a
@@ -144,11 +158,12 @@ func compile(s *Structure) *CompiledStructure {
 func newCompiledShell(s *Structure) *CompiledStructure {
 	n := s.circuit.N()
 	return &CompiledStructure{
-		src: s, n: n, count: s.alive,
-		words:  (s.alive + 63) / 64,
-		slotID: make([]int32, 0, s.alive),
-		xs:     make([]int32, 0, s.alive*n),
-		ys:     make([]int32, 0, s.alive*n),
+		src:      s,
+		rowTable: rowTable{n: n, words: (s.alive + 63) / 64},
+		count:    s.alive,
+		slotID:   make([]int32, 0, s.alive),
+		xs:       make([]int32, 0, s.alive*n),
+		ys:       make([]int32, 0, s.alive*n),
 	}
 }
 
@@ -187,50 +202,50 @@ func (cs *CompiledStructure) NumSpans() int { return len(cs.spanLo) }
 // findSpan binary-searches row r for the span covering v. Row spans are
 // ascending and non-overlapping, so the last span with Lo <= v is the only
 // candidate; -1 means v is uncovered in this row.
-func (cs *CompiledStructure) findSpan(r, v int) int {
-	lo, hi := int(cs.rowStart[r]), int(cs.rowStart[r+1])
+func (t *rowTable) findSpan(r, v int) int {
+	lo, hi := int(t.rowStart[r]), int(t.rowStart[r+1])
 	first := lo
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
-		if int(cs.spanLo[mid]) <= v {
+		if int(t.spanLo[mid]) <= v {
 			lo = mid + 1
 		} else {
 			hi = mid
 		}
 	}
 	s := lo - 1
-	if s < first || v > int(cs.spanHi[s]) {
+	if s < first || v > int(t.spanHi[s]) {
 		return -1
 	}
 	return s
 }
 
 // intersect computes the eq. 4 row intersection into the acc mask (len
-// cs.words) and reports whether any placement survived — the compiled
+// t.words) and reports whether any placement survived — the compiled
 // mirror of Structure.intersectInto, with the sorted-array merges replaced
 // by word-wide ANDs.
-func (cs *CompiledStructure) intersect(acc []uint64, ws, hs []int) bool {
-	w := cs.words
+func (t *rowTable) intersect(acc []uint64, ws, hs []int) bool {
+	w := t.words
 	first := true
-	for i := 0; i < cs.n; i++ {
+	for i := 0; i < t.n; i++ {
 		for dim := 0; dim < 2; dim++ {
 			v := ws[i]
 			if dim == 1 {
 				v = hs[i]
 			}
-			s := cs.findSpan(2*i+dim, v)
+			s := t.findSpan(2*i+dim, v)
 			if s < 0 {
 				return false
 			}
 			off := s * w
 			if first {
-				copy(acc, cs.masks[off:off+w])
+				copy(acc, t.masks[off:off+w])
 				first = false
 				continue
 			}
 			nz := uint64(0)
 			for k := range acc {
-				acc[k] &= cs.masks[off+k]
+				acc[k] &= t.masks[off+k]
 				nz |= acc[k]
 			}
 			if nz == 0 {
@@ -241,24 +256,24 @@ func (cs *CompiledStructure) intersect(acc []uint64, ws, hs []int) bool {
 	return !first
 }
 
-// mask returns the intersection buffer for one query: a slice of the
-// caller's stack array when the structure fits maxStackWords, else a
-// pooled buffer (returned by putMask; putMask of nil is a no-op).
-func (cs *CompiledStructure) mask(buf *[maxStackWords]uint64) ([]uint64, *[]uint64) {
-	if cs.words <= maxStackWords {
-		return buf[:cs.words], nil
+// mask returns the intersection buffer for one query: buf (the caller's
+// stack array) cut to t.words when it is wide enough, else a pooled
+// buffer (returned by putMask; putMask of nil is a no-op).
+func (t *rowTable) mask(buf []uint64) ([]uint64, *[]uint64) {
+	if t.words <= len(buf) {
+		return buf[:t.words], nil
 	}
-	sp, _ := cs.scratch.Get().(*[]uint64)
-	if sp == nil || cap(*sp) < cs.words {
+	sp, _ := t.scratch.Get().(*[]uint64)
+	if sp == nil || cap(*sp) < t.words {
 		sp = new([]uint64)
-		*sp = make([]uint64, cs.words)
+		*sp = make([]uint64, t.words)
 	}
-	return (*sp)[:cs.words], sp
+	return (*sp)[:t.words], sp
 }
 
-func (cs *CompiledStructure) putMask(sp *[]uint64) {
+func (t *rowTable) putMask(sp *[]uint64) {
 	if sp != nil {
-		cs.scratch.Put(sp)
+		t.scratch.Put(sp)
 	}
 }
 
@@ -282,7 +297,7 @@ func maskCountFirst(acc []uint64) (count int, slot int) {
 // slot (count 1), or the count for the caller's 0/eq.5 handling.
 func (cs *CompiledStructure) lookupUnique(ws, hs []int) (slot, count int) {
 	var buf [maxStackWords]uint64
-	acc, sp := cs.mask(&buf)
+	acc, sp := cs.mask(buf[:])
 	if !cs.intersect(acc, ws, hs) {
 		cs.putMask(sp)
 		return -1, 0
@@ -298,7 +313,7 @@ func (cs *CompiledStructure) lookupUnique(ws, hs []int) (slot, count int) {
 // the index.
 func (cs *CompiledStructure) Lookup(ws, hs []int) []int {
 	var buf [maxStackWords]uint64
-	acc, sp := cs.mask(&buf)
+	acc, sp := cs.mask(buf[:])
 	var out []int
 	if cs.intersect(acc, ws, hs) {
 		for k, word := range acc {
@@ -323,10 +338,16 @@ func (cs *CompiledStructure) cover(ws, hs []int) (slot int, err error) {
 	}
 	slot, count := cs.lookupUnique(ws, hs)
 	if count > 1 {
-		return -1, fmt.Errorf("core: eq.5 violated — %d placements cover one dimension vector: %v",
-			count, cs.Lookup(ws, hs))
+		return -1, cs.eq5Error(count, ws, hs)
 	}
 	return slot, nil
+}
+
+// eq5Error is the error for count > 1 stored placements covering one
+// dimension vector, naming them in ascending ID order.
+func (cs *CompiledStructure) eq5Error(count int, ws, hs []int) error {
+	return fmt.Errorf("core: eq.5 violated — %d placements cover one dimension vector: %v",
+		count, cs.Lookup(ws, hs))
 }
 
 // QueryID implements the paper's function M over the flat tables: the
@@ -369,8 +390,9 @@ func (cs *CompiledStructure) InstantiateInto(res *Result, ws, hs []int) error {
 	return cs.AnswerInto(res, slot, ws, hs)
 }
 
-// AnswerInto writes the answer for a slot that Probe returned for the same
-// dimensions (ws, hs) into res, without walking the index again. A slot
+// AnswerInto writes the answer for slot, as the structure's own walk or a
+// MergedIndex.Cover on the same dimensions (ws, hs) reported it, into res
+// without walking the index again. A slot
 // >= 0 copies that stored placement's anchors, reusing res.X and res.Y
 // capacity; -1 answers from the backup, or returns ErrUncovered when none
 // is installed.

@@ -1,12 +1,12 @@
 package core
 
-// The covering probe behind best-of-K portfolio routing: the query's
-// covering slot plus the per-objective cost vector of instantiating it,
-// computed straight off the compiled int32 anchor tables without copying
-// anchors out or allocating. The terms mirror cost.Vector and
-// cost.WireLength term for term (pinned by
-// TestCoveredTermsMatchesCostVector). AnswerInto then answers from the
-// same slot, so a routed query walks each member's index once.
+// The cost terms behind best-of-K portfolio routing: the per-objective
+// cost vector of instantiating a covering slot, computed straight off the
+// compiled int32 anchor tables without copying anchors out or allocating.
+// The terms mirror cost.Vector and cost.WireLength term for term (pinned
+// by TestCoveredTermsMatchesCostVector). A router takes each member's
+// covering slot from one MergedIndex.Cover walk, scores only the members
+// that cover, and answers from the winner's slot with AnswerInto.
 
 import (
 	"math"
@@ -15,17 +15,10 @@ import (
 	"mps/internal/netlist"
 )
 
-// Probe runs the query's one index walk and reports the covering slot with
-// its cost terms: slot -1 (zero terms, nil error) when no stored placement
-// covers the vector, or the dimension or eq. 5 error. Area, Dead and
-// Aspect are always computed; Wire, the only term that walks the net list,
-// only when wire is true. The backup is never consulted — hand the slot to
-// AnswerInto for the answer.
-func (cs *CompiledStructure) Probe(ws, hs []int, wire bool) (slot int, t cost.Terms, err error) {
-	slot, err = cs.cover(ws, hs)
-	if slot < 0 {
-		return -1, cost.Terms{}, err
-	}
+// Terms reports the cost terms of answering (ws, hs) from slot, a slot
+// covering those dimensions. Area, Dead and Aspect are always computed;
+// Wire, the only term that walks the net list, only when wire is true.
+func (cs *CompiledStructure) Terms(slot int, ws, hs []int, wire bool) (t cost.Terms) {
 	off := slot * cs.n
 	minX, minY := int64(math.MaxInt64), int64(math.MaxInt64)
 	maxX, maxY := int64(math.MinInt64), int64(math.MinInt64)
@@ -56,7 +49,7 @@ func (cs *CompiledStructure) Probe(ws, hs []int, wire bool) (slot int, t cost.Te
 		}
 		t.Wire = int64(total + 0.5)
 	}
-	return slot, t, nil
+	return t
 }
 
 // coveredNetLength is cost.netLength over the compiled anchor tables:

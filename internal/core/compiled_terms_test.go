@@ -42,13 +42,26 @@ func termsStructure(t testing.TB, count int) *Structure {
 	return s
 }
 
-// TestCoveredTermsMatchesCostVector is the probe's defining property:
-// on every covered query, Probe's terms equal cost.Vector evaluated on
-// the instantiated layout, and without the wire term they are the same
-// vector with Wire zero.
+// probe is one member's routing step: its covering slot from a merged
+// walk over mi, a one-member index, and that slot's terms (zero when no
+// placement covers).
+func probe(mi *MergedIndex, ws, hs []int, wire bool) (slot int, t cost.Terms, err error) {
+	var slots [1]int
+	err = mi.Cover(ws, hs, slots[:])
+	if slot = slots[0]; slot >= 0 {
+		t = mi.members[0].Terms(slot, ws, hs, wire)
+	}
+	return slot, t, err
+}
+
+// TestCoveredTermsMatchesCostVector is the terms' defining property:
+// on every covered query, Terms equals cost.Vector evaluated on the
+// instantiated layout, and without the wire term it is the same vector
+// with Wire zero.
 func TestCoveredTermsMatchesCostVector(t *testing.T) {
 	s := termsStructure(t, 40)
 	cs := Compile(s)
+	mi := Merge([]*CompiledStructure{cs})
 	rng := rand.New(rand.NewSource(3))
 	n := s.circuit.N()
 	ws, hs := make([]int, n), make([]int, n)
@@ -69,16 +82,16 @@ func TestCoveredTermsMatchesCostVector(t *testing.T) {
 		} else {
 			randomDims(s, rng, ws, hs)
 		}
-		slot, terms, err := cs.Probe(ws, hs, true)
+		slot, terms, err := probe(mi, ws, hs, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		areaSlot, noWire, err := cs.Probe(ws, hs, false)
+		areaSlot, noWire, err := probe(mi, ws, hs, false)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if slot != areaSlot {
-			t.Fatalf("Probe with wire found slot %d but without wire slot %d at %v/%v", slot, areaSlot, ws, hs)
+			t.Fatalf("probe with wire found slot %d but without wire slot %d at %v/%v", slot, areaSlot, ws, hs)
 		}
 		if slot < 0 {
 			continue
@@ -94,7 +107,7 @@ func TestCoveredTermsMatchesCostVector(t *testing.T) {
 			Circuit: s.circuit, X: res.X, Y: res.Y, W: ws, H: hs, Floorplan: s.fp,
 		})
 		if terms != want {
-			t.Fatalf("Probe terms %+v != cost.Vector %+v at %v/%v", terms, want, ws, hs)
+			t.Fatalf("Terms %+v != cost.Vector %+v at %v/%v", terms, want, ws, hs)
 		}
 	}
 	if covered < 100 {
@@ -103,26 +116,27 @@ func TestCoveredTermsMatchesCostVector(t *testing.T) {
 }
 
 // TestCoveredTermsAllocFree pins the routing-probe contract weighted
-// portfolio routing relies on: zero allocations per covered probe, wire
-// term included.
+// portfolio routing relies on: zero allocations per covered probe (a
+// merged walk plus the terms), wire term included.
 func TestCoveredTermsAllocFree(t *testing.T) {
 	s := termsStructure(t, 40)
 	cs := Compile(s)
+	mi := Merge([]*CompiledStructure{cs})
 	n := s.circuit.N()
 	ws, hs := make([]int, n), make([]int, n)
 	rng := rand.New(rand.NewSource(9))
 	for {
 		randomDims(s, rng, ws, hs)
-		if slot, _, _ := cs.Probe(ws, hs, true); slot >= 0 {
+		if slot, _, _ := probe(mi, ws, hs, true); slot >= 0 {
 			break
 		}
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		if slot, _, err := cs.Probe(ws, hs, true); slot < 0 || err != nil {
+		if slot, _, err := probe(mi, ws, hs, true); slot < 0 || err != nil {
 			t.Fatalf("probe lost coverage: slot=%d err=%v", slot, err)
 		}
 	})
 	if allocs != 0 {
-		t.Fatalf("Probe allocates %.1f per covered probe, want 0", allocs)
+		t.Fatalf("probe allocates %.1f per covered probe, want 0", allocs)
 	}
 }

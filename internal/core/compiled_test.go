@@ -336,15 +336,16 @@ func TestCompiledConcurrentQueries(t *testing.T) {
 }
 
 // TestProbeAnswerInto checks the probe-then-answer query path behind
-// portfolio routing: on covered queries Probe's slot answers through
+// portfolio routing: on covered queries the probed slot answers through
 // AnswerInto exactly as InstantiateInto does and allocates nothing, on
-// uncovered queries Probe reports slot -1 without ever consulting the
-// installed backup while AnswerInto(-1) is the backup's answer, and
-// Probe's area and dead space agree with the anchors AnswerInto returns.
+// uncovered queries the probe reports slot -1 without ever consulting the
+// installed backup while AnswerInto(-1) is the backup's answer, and the
+// probed area and dead space agree with the anchors AnswerInto returns.
 func TestProbeAnswerInto(t *testing.T) {
 	s, _ := codecStructure(t, 25)
 	s.SetBackup(fixedBackup{})
 	cs := Compile(s)
+	mi := Merge([]*CompiledStructure{cs})
 	n := s.circuit.N()
 	rng := rand.New(rand.NewSource(11))
 	ws, hs := make([]int, n), make([]int, n)
@@ -352,7 +353,7 @@ func TestProbeAnswerInto(t *testing.T) {
 	covered, uncovered := 0, 0
 	for trial := 0; trial < 3000; trial++ {
 		randomDims(s, rng, ws, hs)
-		slot, terms, err := cs.Probe(ws, hs, false)
+		slot, terms, err := probe(mi, ws, hs, false)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -382,7 +383,7 @@ func TestProbeAnswerInto(t *testing.T) {
 		}
 		wantArea, wantDead := bboxArea(res, ws, hs)
 		if terms.Area != wantArea || terms.Dead != wantDead {
-			t.Fatalf("Probe area/dead = (%d, %d), want (%d, %d) from the returned anchors",
+			t.Fatalf("probed area/dead = (%d, %d), want (%d, %d) from the returned anchors",
 				terms.Area, terms.Dead, wantArea, wantDead)
 		}
 	}
@@ -397,7 +398,7 @@ func TestProbeAnswerInto(t *testing.T) {
 		ws[i], hs[i] = p.WLo[i], p.HLo[i]
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		slot, _, err := cs.Probe(ws, hs, false)
+		slot, _, err := probe(mi, ws, hs, false)
 		if err != nil || slot < 0 {
 			t.Fatalf("covered probe: slot=%d err=%v", slot, err)
 		}
@@ -411,7 +412,7 @@ func TestProbeAnswerInto(t *testing.T) {
 }
 
 // bboxArea computes a result's bounding-box area and dead space from its
-// anchors and the queried dimensions — the reference for Probe's area terms.
+// anchors and the queried dimensions — the reference for the probed area terms.
 func bboxArea(res Result, ws, hs []int) (area, dead int64) {
 	minX, minY := int64(1<<62), int64(1<<62)
 	maxX, maxY := int64(-1<<62), int64(-1<<62)
@@ -428,9 +429,13 @@ func bboxArea(res Result, ws, hs []int) (area, dead int64) {
 
 // FuzzCompiledLookup is the differential fuzzer of the CI smoke step:
 // whatever structure Load accepts, the compiled index must answer
-// arbitrary dimension vectors exactly as the interval rows do.
+// arbitrary dimension vectors exactly as the interval rows do, and a
+// merged index over it, the seed structure (in both orders) or an empty
+// structure must report for each member the placement that member's own
+// QueryID names, with the same error text.
 func FuzzCompiledLookup(f *testing.F) {
 	s, c := codecStructure(f, 8)
+	seed, empty := Compile(s), Compile(NewStructure(c, s.fp))
 	var v2, v3 bytes.Buffer
 	if err := s.SaveBinary(&v2); err != nil {
 		f.Fatal(err)
@@ -447,6 +452,10 @@ func FuzzCompiledLookup(f *testing.F) {
 			return
 		}
 		cs := Compile(loaded)
+		var merges []*MergedIndex
+		for _, members := range [][]*CompiledStructure{{cs}, {cs, seed}, {seed, cs}, {cs, empty}, {empty, cs}} {
+			merges = append(merges, Merge(members))
+		}
 		rng := rand.New(rand.NewSource(dimSeed))
 		n := loaded.circuit.N()
 		ws, hs := make([]int, n), make([]int, n)
@@ -465,6 +474,11 @@ func FuzzCompiledLookup(f *testing.F) {
 			tree, flat := loaded.Lookup(ws, hs), cs.Lookup(ws, hs)
 			if !reflect.DeepEqual(tree, flat) {
 				t.Fatalf("Lookup diverges at %v/%v: tree %v, compiled %v", ws, hs, tree, flat)
+			}
+			for i, mi := range merges {
+				if d := coverMismatch(mi, ws, hs); d != "" {
+					t.Fatalf("merge %d at %v/%v: %s", i, ws, hs, d)
+				}
 			}
 		}
 	})

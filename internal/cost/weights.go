@@ -190,6 +190,6 @@ func boundingBox(l *Layout) geom.Rect {
 }
 
 // BoundaryDist exposes the pad-stub charge (distToBoundary) for the
-// compiled per-objective probe, which mirrors WireLength over the int32
-// anchor tables without materializing a Layout.
+// compiled per-objective terms (core.CompiledStructure.Terms), which mirror
+// WireLength over the int32 anchor tables without materializing a Layout.
 func BoundaryDist(p geom.Point, fp geom.Rect) int { return distToBoundary(p, fp) }

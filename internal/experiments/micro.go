@@ -252,9 +252,10 @@ func RunMicro(w io.Writer, seed int64) ([]BenchResult, error) {
 			}
 		}},
 		// Best-of-K routing on covered queries under the area rule: one
-		// Probe per member (area, dead space and aspect, no wire) and the
-		// winner's answer from the slot its probe found, all against
-		// compiled indices — the CI gate pins this at exactly 0 allocs/op.
+		// walk of the merged index for every member, terms (area, dead
+		// space and aspect, no wire) for the covering members when two or
+		// more cover, and the winner's answer from its slot — the CI gate
+		// pins this at exactly 0 allocs/op.
 		{"portfolio_route_covered/TwoStageOpamp", func(b *testing.B) {
 			var res core.Result
 			for i := 0; i < b.N; i++ {
@@ -265,10 +266,10 @@ func RunMicro(w io.Writer, seed int64) ([]BenchResult, error) {
 			}
 		}},
 		// Weight-aware best-of-K routing on the same covered pool: one
-		// Probe per member with the wire term (the weights price wire), then
-		// the winner's answer from its slot. Weighted routing must stay off
-		// the allocator exactly like the area rule — the CI gate pins this
-		// at 0 allocs/op too.
+		// merged walk, terms with the wire term (the weights price wire)
+		// for multiply covered queries, then the winner's answer from its
+		// slot. Weighted routing must stay off the allocator exactly like
+		// the area rule — the CI gate pins this at 0 allocs/op too.
 		{"portfolio_route_weighted/TwoStageOpamp", func(b *testing.B) {
 			w := cost.Weights{Wire: 1, Area: 0.01}
 			var res core.Result

@@ -6,11 +6,15 @@ import (
 	"math"
 	"math/rand"
 	"slices"
+	"sync"
 	"testing"
 
+	"mps/internal/bdio"
 	"mps/internal/circuits"
 	"mps/internal/core"
 	"mps/internal/cost"
+	"mps/internal/explorer"
+	"mps/internal/template"
 )
 
 // This file is the brute-force routing oracle: the paper's query answer
@@ -227,7 +231,11 @@ func checkAgainstOracle(t testing.TB, p *Portfolio, res *core.Result, w cost.Wei
 	return covering, ""
 }
 
-// oracleMembers builds the members of a K=3 portfolio for every
+// oracleK is the largest portfolio the oracle builds: the serving
+// layer's member cap.
+const oracleK = 8
+
+// oracleMembers builds the members of a K=oracleK portfolio for every
 // registered circuit, the way buildPortfolio builds them. A K-member
 // portfolio is the first K of them: MemberSeed makes buildPortfolio's
 // members a prefix of each other.
@@ -236,48 +244,87 @@ func oracleMembers(t testing.TB, seed int64) map[string][]*core.Structure {
 	out := map[string][]*core.Structure{}
 	for _, name := range circuits.Names() {
 		c := circuits.MustByName(name)
-		for i := 0; i < 3; i++ {
+		for i := 0; i < oracleK; i++ {
 			out[name] = append(out[name], genMember(t, c, seed, i))
 		}
 	}
 	return out
 }
 
-// TestRoutingOracle checks portfolio routing against the brute-force
-// oracle on every registered circuit, K ∈ {1, 2, 3}, over covered, box
-// corner, uniform, out-of-bounds and wrong-length queries, each under a
-// weight vector cycling through zero, unit, ladder and random vectors. A
+// balancedMembers returns oracleK TwoStageOpamp members generated at the
+// serving layer's balanced effort (300 explorer iterations, 300 BDIO
+// steps), built once per test binary. They hold about 700 to 1200
+// placements each, so their masks span 11 to 19 words, and merged
+// portfolios of them run past the merged stack mask into the pooled one.
+var balancedMembers = sync.OnceValues(func() ([]*core.Structure, error) {
+	c := circuits.MustByName("TwoStageOpamp")
+	members := make([]*core.Structure, oracleK)
+	for i := range members {
+		s, _, err := explorer.Generate(c, explorer.Config{
+			Seed:          MemberSeed(1, i),
+			MaxIterations: 300,
+			BDIO:          bdio.Config{Steps: 300},
+		})
+		if err != nil {
+			return nil, fmt.Errorf("generating balanced member %d: %w", i, err)
+		}
+		s.Compact()
+		s.SetBackup(template.Balanced(c))
+		members[i] = s
+	}
+	return members, nil
+})
+
+func mustBalancedMembers(t testing.TB) []*core.Structure {
+	t.Helper()
+	members, err := balancedMembers()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return members
+}
+
+// oracleLeg checks queries drawn queries at p against the oracle, each
+// under a weight vector cycling through zero, unit, ladder and random
+// vectors, and returns how many were covered by two or more members. A
 // mismatch prints what it takes to replay it.
+func oracleLeg(t *testing.T, p *Portfolio, leg string, seed int64, queries int) (multi int) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed*1000 + int64(p.K())))
+	var res core.Result
+	for q := 0; q < queries; q++ {
+		w := randomWeights(rng)
+		if i := q % (len(oracleWeights) + 1); i < len(oracleWeights) {
+			w = oracleWeights[i]
+		}
+		ws, hs := drawQuery(rng, p, drawKind(rng))
+		covering, mismatch := checkAgainstOracle(t, p, &res, w, ws, hs)
+		if mismatch != "" {
+			t.Fatalf("%s, seed %d, K=%d, query %d, weights %+v, ws %v, hs %v: %s",
+				leg, seed, p.K(), q, w, ws, hs, mismatch)
+		}
+		if covering >= 2 {
+			multi++
+		}
+	}
+	t.Logf("%s K=%d: %d/%d queries covered by two or more members", leg, p.K(), multi, queries)
+	return multi
+}
+
+// TestRoutingOracle checks portfolio routing against the brute-force
+// oracle on every registered circuit, K ∈ {1, 2, 3, 8}, over covered, box
+// corner, uniform, out-of-bounds and wrong-length queries.
 func TestRoutingOracle(t *testing.T) {
 	const seed, queries = 11, 600
 	members := oracleMembers(t, seed)
 	multi := 0
 	for _, name := range circuits.Names() {
-		for k := 1; k <= 3; k++ {
+		for _, k := range []int{1, 2, 3, oracleK} {
 			p, err := New(members[name][:k])
 			if err != nil {
 				t.Fatal(err)
 			}
-			rng := rand.New(rand.NewSource(seed*1000 + int64(k)))
-			var res core.Result
-			kindMulti := 0
-			for q := 0; q < queries; q++ {
-				w := randomWeights(rng)
-				if i := q % (len(oracleWeights) + 1); i < len(oracleWeights) {
-					w = oracleWeights[i]
-				}
-				ws, hs := drawQuery(rng, p, drawKind(rng))
-				covering, mismatch := checkAgainstOracle(t, p, &res, w, ws, hs)
-				if mismatch != "" {
-					t.Fatalf("circuit %s, seed %d, K=%d, query %d, weights %+v, ws %v, hs %v: %s",
-						name, seed, k, q, w, ws, hs, mismatch)
-				}
-				if covering >= 2 {
-					kindMulti++
-				}
-			}
-			t.Logf("%s K=%d: %d/%d queries covered by two or more members", name, k, kindMulti, queries)
-			multi += kindMulti
+			multi += oracleLeg(t, p, "circuit "+name, seed, queries)
 		}
 	}
 	if multi < 200 {
@@ -285,22 +332,50 @@ func TestRoutingOracle(t *testing.T) {
 	}
 }
 
-// FuzzRoutingOracle drives the oracle with fuzzed (circuit, K, weights,
-// dims). One K=3 member set is built per circuit; the fuzzer picks the
-// prefix. dims selects a query kind in its first byte and supplies the
-// coordinates from the rest, read cyclically.
+// TestRoutingOracleBalanced runs the oracle on balanced-effort
+// TwoStageOpamp members at K ∈ {2, 3, 8}: multi-word masks, member
+// segments that end mid-mask, and (at K=8) the pooled merged mask.
+func TestRoutingOracleBalanced(t *testing.T) {
+	const seed, queries = 13, 3000
+	members := mustBalancedMembers(t)
+	for i, m := range members {
+		t.Logf("balanced member %d: %d placements", i, m.NumPlacements())
+	}
+	for _, k := range []int{2, 3, oracleK} {
+		p, err := New(members[:k])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if multi := oracleLeg(t, p, "balanced TwoStageOpamp", seed, queries); multi < 50 {
+			t.Fatalf("K=%d: only %d queries were covered by two or more members, want >= 50", k, multi)
+		}
+	}
+}
+
+// FuzzRoutingOracle drives the oracle with fuzzed (member set, K,
+// weights, dims). Member sets are one K=8 set per registered circuit plus
+// the balanced TwoStageOpamp set; ci picks the set and k the prefix. dims
+// selects a query kind in its first byte and supplies the coordinates
+// from the rest, read cyclically.
 func FuzzRoutingOracle(f *testing.F) {
 	const seed = 11
 	members := oracleMembers(f, seed)
 	names := circuits.Names()
+	sets := make([][]*core.Structure, 0, len(names)+1)
+	for _, name := range names {
+		sets = append(sets, members[name])
+	}
+	sets = append(sets, mustBalancedMembers(f))
 	f.Add(uint8(0), uint8(3), 0.0, 0.0, 0.0, []byte{0, 1, 2, 3})
 	f.Add(uint8(3), uint8(2), 1.0, 0.05, 0.0, []byte{1, 7, 200, 9, 4})
 	f.Add(uint8(5), uint8(3), 0.5, 0.05, 0.25, []byte{2, 0, 255, 17})
 	f.Add(uint8(8), uint8(1), 0.0, 1.0, 0.0, []byte{3, 9})
 	f.Add(uint8(1), uint8(3), 0.0, 0.0, 1.0, []byte{4})
+	f.Add(uint8(len(names)), uint8(7), 0.5, 0.05, 0.25, []byte{1, 3, 5, 7})
+	f.Add(uint8(len(names)), uint8(2), 0.0, 0.0, 0.0, []byte{2, 8, 6})
 	f.Fuzz(func(t *testing.T, ci, k uint8, wire, area, aspect float64, dims []byte) {
-		name := names[int(ci)%len(names)]
-		p, err := New(members[name][:1+int(k)%3])
+		set := int(ci) % len(sets)
+		p, err := New(sets[set][:1+int(k)%oracleK])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -308,8 +383,8 @@ func FuzzRoutingOracle(f *testing.F) {
 		ws, hs := fuzzQuery(p, dims)
 		var res core.Result
 		if _, mismatch := checkAgainstOracle(t, p, &res, w, ws, hs); mismatch != "" {
-			t.Fatalf("circuit %s, seed %d, K=%d, weights %+v, ws %v, hs %v: %s",
-				name, seed, p.K(), w, ws, hs, mismatch)
+			t.Fatalf("member set %d (%s), seed %d, K=%d, weights %+v, ws %v, hs %v: %s",
+				set, p.Circuit().Name, seed, p.K(), w, ws, hs, mismatch)
 		}
 	})
 }

@@ -11,16 +11,18 @@
 //
 // # Routing rule
 //
-// A query probes every member's compiled index once, in member order
-// (CompiledStructure.Probe — stored placements only, backups never answer
-// a probe); the first probe error is the query's error. Among covering
-// members the winner has the smallest instantiated bounding-box area, ties
-// broken by smallest dead space (box area minus summed block areas), then
-// by lowest member index so routing is deterministic. The winner answers
-// from the slot its probe found (CompiledStructure.AnswerInto), so each
-// member's index is walked once per query. Only when no member covers the
-// query does the portfolio fall back — to member 0's installed backup,
-// exactly the single-structure fallback semantics.
+// New merges the members' compiled indices into one core.MergedIndex, so a
+// query runs one dimension check and one eqs. 3–4 walk for all K members
+// (MergedIndex.Cover — stored placements only, backups never answer it);
+// the first member in member order whose placements violate eq. 5 makes
+// the query's error. When exactly one member covers the query it wins
+// outright. When two or more do, the winner has the smallest instantiated
+// bounding-box area, ties broken by smallest dead space (box area minus
+// summed block areas), then by lowest member index so routing is
+// deterministic. The winner answers from the slot the walk found
+// (CompiledStructure.AnswerInto), with no second walk. Only when no member
+// covers the query does the portfolio fall back — to member 0's installed
+// backup, exactly the single-structure fallback semantics.
 //
 // A one-member portfolio — a single structure in portfolio form — has no
 // choice to make, so InstantiateWeightedInto answers it with one
@@ -31,18 +33,20 @@
 // A query may carry a cost.Weights vector (Route, InstantiateWeighted,
 // InstantiateWeightedInto): the winner then minimizes the query's
 // weighted scalarized cost over the covering members' per-objective
-// terms, ties broken by the area rule above. The zero weight vector never
-// scalarizes: every covering member scores 0 and the area rule decides
-// alone, so callers that never weight queries are unchanged. Members built
-// via NewWeighted additionally record the weights they were generated
-// under (MemberWeights), purely as routing-diagnostic metadata.
+// terms (CompiledStructure.Terms), ties broken by the area rule above.
+// Only members that cover the query are scored, and only when two or more
+// do. The zero weight vector never scalarizes: every covering member
+// scores 0 and the area rule decides alone, so callers that never weight
+// queries are unchanged. Members built via NewWeighted additionally record
+// the weights they were generated under (MemberWeights), purely as
+// routing-diagnostic metadata.
 //
 // # Concurrency
 //
 // A Portfolio is immutable after New and safe for any number of
-// concurrent readers: it only reads the members' compiled indices, which
-// are themselves safe for concurrent queries. Covered queries through
-// InstantiateWeightedInto allocate nothing.
+// concurrent readers: it only reads the members' compiled indices and its
+// merged index, which are themselves safe for concurrent queries. Covered
+// queries through InstantiateWeightedInto allocate nothing.
 package portfolio
 
 import (
@@ -54,9 +58,10 @@ import (
 	"mps/internal/netlist"
 )
 
-// MaxMembers bounds K. Routing cost is linear in K, so huge portfolios
-// would quietly erode the paper's near-constant instantiation time; the
-// coverage win also flattens quickly (members overlap more as K grows).
+// MaxMembers bounds K. The coverage win flattens quickly (members overlap
+// more as K grows), while the merged index's masks widen with every
+// member's placements and each multiply covered query scores every member
+// that covers it.
 const MaxMembers = 16
 
 // MemberSeed derives member i's generation seed from a portfolio's base
@@ -74,6 +79,7 @@ type Portfolio struct {
 	circuit  *netlist.Circuit
 	members  []*core.Structure
 	compiled []*core.CompiledStructure
+	merged   *core.MergedIndex
 	// weights records each member's generation objective (zero = the
 	// default balanced cost). Metadata only — routing reads query
 	// weights, never member weights — but persisted so warm starts can
@@ -93,9 +99,9 @@ type Result struct {
 
 // New builds a portfolio over the given member structures. Members must be
 // fully generated (or loaded) structures for the same circuit; their
-// compiled indices are materialized here so no query ever pays compile
-// cost. The member order is preserved — it is the routing tie-break and
-// member 0's backup is the uncovered-space fallback.
+// compiled indices and the merged index over them are built here so no
+// query ever pays compile cost. The member order is preserved — it is the
+// routing tie-break and member 0's backup is the uncovered-space fallback.
 func New(members []*core.Structure) (*Portfolio, error) {
 	return NewWeighted(members, nil)
 }
@@ -138,6 +144,7 @@ func NewWeighted(members []*core.Structure, weights []cost.Weights) (*Portfolio,
 		}
 		p.compiled[i] = core.Compile(m)
 	}
+	p.merged = core.Merge(p.compiled)
 	return p, nil
 }
 
@@ -202,30 +209,50 @@ func (p *Portfolio) NumPlacements() int {
 // experiments. member is -1, with zero terms, when no member covers the
 // query.
 func (p *Portfolio) Route(w cost.Weights, ws, hs []int) (member int, t cost.Terms, err error) {
-	member, _, t, err = p.route(w, true, ws, hs)
-	return member, t, err
+	member, slot, err := p.route(w, ws, hs)
+	if member < 0 {
+		return -1, cost.Terms{}, err
+	}
+	return member, p.compiled[member].Terms(slot, ws, hs, true), nil
 }
 
-// route probes every member once, in member order, and returns the winner
-// with its slot and terms, or member -1 and slot -1 when none covers. The
-// first probe error is returned as is. A non-zero w compares scalarized
-// cost first; the zero vector never scalarizes, so every covering member
+// route walks the merged index once and returns the winner with its slot,
+// or member -1 and slot -1 when none covers; Cover's error is returned as
+// is. A lone covering member wins unscored. Otherwise the covering members
+// are scored in member order: a non-zero w compares scalarized cost
+// first, while the zero vector never scalarizes, so every covering member
 // scores 0 and the legacy area rule decides alone. Ties go to the smaller
-// area, then the smaller dead space, then the lower index. Wire is probed
-// only when asked: it moves no decision when w.Wire is 0. Zero
+// area, then the smaller dead space, then the lower index. Wire is scored
+// only when w.Wire is non-zero: it moves no decision otherwise. Zero
 // allocations.
-func (p *Portfolio) route(w cost.Weights, wire bool, ws, hs []int) (member, slot int, t cost.Terms, err error) {
+func (p *Portfolio) route(w cost.Weights, ws, hs []int) (member, slot int, err error) {
+	var buf [MaxMembers]int
+	slots := buf[:len(p.compiled)]
+	if err := p.merged.Cover(ws, hs, slots); err != nil {
+		return -1, -1, err
+	}
 	member, slot = -1, -1
-	weighted := !w.IsZero()
-	var best float64
-	for m, cs := range p.compiled {
-		s, mt, err := cs.Probe(ws, hs, wire)
-		if err != nil {
-			return -1, -1, cost.Terms{}, err
+	covering := 0
+	for m, s := range slots {
+		if s >= 0 {
+			if covering == 0 {
+				member, slot = m, s
+			}
+			covering++
 		}
+	}
+	if covering < 2 {
+		return member, slot, nil
+	}
+	weighted, wire := !w.IsZero(), w.Wire != 0
+	var best float64
+	var t cost.Terms
+	member = -1
+	for m, s := range slots {
 		if s < 0 {
 			continue
 		}
+		mt := p.compiled[m].Terms(s, ws, hs, wire)
 		var c float64
 		if weighted {
 			c = w.Scalarize(mt)
@@ -235,7 +262,7 @@ func (p *Portfolio) route(w cost.Weights, wire bool, ws, hs []int) (member, slot
 			member, slot, best, t = m, s, c, mt
 		}
 	}
-	return member, slot, t, nil
+	return member, slot, nil
 }
 
 // Instantiate answers a placement request through the best covering
@@ -262,11 +289,11 @@ func (p *Portfolio) InstantiateWeighted(w cost.Weights, ws, hs []int) (Result, e
 // allocate nothing (pinned by the portfolio_route_* micro-benchmarks), and
 // backup answers allocate in the backup, as with a single structure. It
 // returns the answering member's index, -1 for the backup. The winner
-// answers from the slot its probe found; when no member covers, member 0
-// answers as a single structure would (its backup, or ErrUncovered). A
-// one-member portfolio has nothing to route, so it answers with one
-// InstantiateInto on member 0 under any weights. On error res is left
-// unspecified.
+// answers from the slot the merged walk found; when no member covers,
+// member 0 answers as a single structure would (its backup, or
+// ErrUncovered). A one-member portfolio has nothing to route, so it
+// answers with one InstantiateInto on member 0 under any weights. On error
+// res is left unspecified.
 func (p *Portfolio) InstantiateWeightedInto(res *core.Result, w cost.Weights, ws, hs []int) (member int, err error) {
 	if len(p.compiled) == 1 {
 		if err := p.compiled[0].InstantiateInto(res, ws, hs); err != nil || res.FromBackup {
@@ -274,7 +301,7 @@ func (p *Portfolio) InstantiateWeightedInto(res *core.Result, w cost.Weights, ws
 		}
 		return 0, nil
 	}
-	member, slot, _, err := p.route(w, w.Wire != 0, ws, hs)
+	member, slot, err := p.route(w, ws, hs)
 	if err != nil {
 		return -1, err
 	}
@@ -288,10 +315,11 @@ func (p *Portfolio) InstantiateWeightedInto(res *core.Result, w cost.Weights, ws
 // random dimension vectors: the merged (union) hit rate plus each member's
 // individual hit rate, all measured on the same sample stream so they are
 // directly comparable — the union can never come out below a member by
-// sampling noise alone. It is a reporting estimator for well-formed
-// members: a probe error (an eq.5 invariant violation, impossible for
-// generated or loaded structures) counts as a miss here, while the query
-// path (Route/InstantiateWeightedInto) surfaces the same violation as an error.
+// sampling noise alone. Each sample is one merged walk. It is a reporting
+// estimator for well-formed members: a member whose placements violate
+// eq. 5 at a sample (impossible for generated or loaded structures)
+// counts a miss there, while the query path (Route/InstantiateWeightedInto)
+// surfaces the same violation as an error.
 func (p *Portfolio) SampleCoverage(rng *rand.Rand, samples int) (union float64, member []float64) {
 	member = make([]float64, len(p.members))
 	if samples <= 0 {
@@ -302,6 +330,7 @@ func (p *Portfolio) SampleCoverage(rng *rand.Rand, samples int) (union float64, 
 	hs := make([]int, n)
 	hits := 0
 	memberHits := make([]int, len(p.members))
+	slots := make([]int, len(p.members))
 	for k := 0; k < samples; k++ {
 		// Interval.Rand, not lo+Intn(len): wide unvalidated designer
 		// ranges must sample, not panic (see core.CoverageMonteCarlo).
@@ -309,9 +338,10 @@ func (p *Portfolio) SampleCoverage(rng *rand.Rand, samples int) (union float64, 
 			ws[i] = b.WRange().Rand(rng)
 			hs[i] = b.HRange().Rand(rng)
 		}
+		_ = p.merged.Cover(ws, hs, slots) // errors leave their members' slots at -1
 		hit := false
-		for m, cs := range p.compiled {
-			if slot, _, _ := cs.Probe(ws, hs, false); slot >= 0 {
+		for m, slot := range slots {
+			if slot >= 0 {
 				memberHits[m]++
 				hit = true
 			}

@@ -46,6 +46,18 @@ func buildPortfolio(t testing.TB, c *netlist.Circuit, seed int64, k int) *Portfo
 	return p
 }
 
+// memberProbe is member m's own walk, outside the portfolio's merged
+// index: its covering slot and, when covered, that slot's area-rule terms.
+func memberProbe(p *Portfolio, m int, ws, hs []int) (slot int, t cost.Terms, err error) {
+	cs := core.Compile(p.Member(m))
+	slots := []int{-1}
+	err = core.Merge([]*core.CompiledStructure{cs}).Cover(ws, hs, slots)
+	if slot = slots[0]; slot >= 0 {
+		t = cs.Terms(slot, ws, hs, false)
+	}
+	return slot, t, err
+}
+
 // TestPortfolioPropertyAllCircuits is the acceptance property, checked on
 // every seed circuit: (a) a K=3 portfolio's covered fraction is at least
 // the best single member's (measured on one shared sample stream), and
@@ -82,7 +94,7 @@ func TestPortfolioPropertyAllCircuits(t *testing.T) {
 				}
 				covering := 0
 				for m := 0; m < p.K(); m++ {
-					slot, terms, err := core.Compile(p.Member(m)).Probe(ws, hs, false)
+					slot, terms, err := memberProbe(p, m, ws, hs)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -90,7 +102,7 @@ func TestPortfolioPropertyAllCircuits(t *testing.T) {
 						continue
 					}
 					covering++
-					rslot, routed, err := core.Compile(p.Member(res.Member)).Probe(ws, hs, false)
+					rslot, routed, err := memberProbe(p, res.Member, ws, hs)
 					if err != nil || rslot < 0 {
 						t.Fatalf("routed member %d does not cover its own query (err %v)", res.Member, err)
 					}
@@ -171,13 +183,29 @@ func TestRoutedAnswerMatchesMember(t *testing.T) {
 
 // TestRoutedCoveredAllocFree pins the serving property the CI micro-bench
 // gates: a covered routed query through InstantiateWeightedInto allocates
-// nothing, on the probe route (K=3) and on the one-member direct route
-// (K=1).
+// nothing, on the merged route (K=3), on the one-member direct route
+// (K=1), and on the balanced K=8 portfolio, whose merged mask comes from
+// the pool.
 func TestRoutedCoveredAllocFree(t *testing.T) {
-	for _, k := range []int{1, 3} {
-		t.Run(fmt.Sprintf("K=%d", k), func(t *testing.T) {
-			c := circuits.MustByName("TwoStageOpamp")
-			p := buildPortfolio(t, c, 9, k)
+	c := circuits.MustByName("TwoStageOpamp")
+	inputs := []struct {
+		name string
+		p    func(t *testing.T) *Portfolio
+	}{
+		{"K=1", func(t *testing.T) *Portfolio { return buildPortfolio(t, c, 9, 1) }},
+		{"K=3", func(t *testing.T) *Portfolio { return buildPortfolio(t, c, 9, 3) }},
+		{"balanced K=8", func(t *testing.T) *Portfolio {
+			p, err := New(mustBalancedMembers(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return p
+		}},
+	}
+	for _, in := range inputs {
+		t.Run(in.name, func(t *testing.T) {
+			p := in.p(t)
+			k := p.K()
 			// A query inside a stored box of the last member: covered by
 			// construction.
 			m := p.Member(k - 1)

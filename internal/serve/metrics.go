@@ -9,7 +9,9 @@
 //   - Label sets are bounded by construction: routes come from the fixed
 //     routeLabel table, stages from the obs.Stage enum, peers from the
 //     static cluster membership, job priorities from the submitter's
-//     fixed priority scheme. Nothing client-controlled becomes a label.
+//     fixed priority scheme, circuits from the benchmark registry and
+//     portfolio members from the daemon's member cap. Nothing
+//     client-controlled becomes a label.
 //   - Counters owned by other layers (cluster, jobs) stay where they are
 //     — atomics next to the code that increments them — and are exported
 //     through scrape-time CounterFunc/GaugeFunc closures, so /metrics
@@ -23,6 +25,8 @@ import (
 	"sync"
 	"time"
 
+	"mps"
+	"mps/internal/circuits"
 	"mps/internal/cluster"
 	"mps/internal/obs"
 )
@@ -87,6 +91,12 @@ type serverMetrics struct {
 	stageDur [obs.NumStages]*obs.Counter
 	stageOps [obs.NumStages]*obs.Counter
 
+	// answers[circuit][source] counts instantiate answers and routeWins
+	// [member] the stored ones by answering member: served coverage and
+	// route winners, live.
+	answers   map[string]*[numSources]*obs.Counter
+	routeWins [maxPortfolio]*obs.Counter
+
 	genRuns         *obs.Counter
 	persistErrs     *obs.Counter
 	loadErrs        *obs.Counter
@@ -118,6 +128,24 @@ func newServerMetrics(s *Server) *serverMetrics {
 	for _, st := range obs.Stages() {
 		m.stageDur[st] = stageDur.With(st.String())
 		m.stageOps[st] = stageOps.With(st.String())
+	}
+
+	answers := reg.CounterVec("mps_instantiate_answers_total",
+		"Instantiate query answers this node computed, by circuit and source (stored, backup or error).",
+		"circuit", "source")
+	m.answers = make(map[string]*[numSources]*obs.Counter)
+	for _, name := range circuits.Names() {
+		var cs [numSources]*obs.Counter
+		for src, label := range sourceLabels {
+			cs[src] = answers.With(name, label)
+		}
+		m.answers[name] = &cs
+	}
+	wins := reg.CounterVec("mps_portfolio_route_total",
+		"Stored instantiate answers by the portfolio member that answered; a one-member entry reports member 0.",
+		"member")
+	for i := range m.routeWins {
+		m.routeWins[i] = wins.With(strconv.Itoa(i))
 	}
 
 	m.genRuns = reg.Counter("mps_generation_runs_total",
@@ -302,6 +330,51 @@ func (c *memStatsCache) read() runtime.MemStats {
 		c.at = now
 	}
 	return c.snap
+}
+
+// Sources of an instantiate answer, the source label values of
+// mps_instantiate_answers_total.
+const (
+	sourceStored = iota
+	sourceBackup
+	sourceError
+	numSources
+)
+
+var sourceLabels = [numSources]string{"stored", "backup", "error"}
+
+// countAnswers tallies one batch's answers into locals and adds each
+// non-zero tally to its series once: no per-query lookup. circuit is the
+// entry's circuit, a registry name: every entry's circuit was resolved
+// through mps.Benchmark. A member index at or past the daemon's cap has
+// no route series and is not counted there.
+func (m *serverMetrics) countAnswers(circuit string, batch []mps.BatchResult) {
+	var sources [numSources]int64
+	var wins [maxPortfolio]int64
+	for i := range batch {
+		switch r := &batch[i]; {
+		case r.Err != nil:
+			sources[sourceError]++
+		case r.FromBackup:
+			sources[sourceBackup]++
+		default:
+			sources[sourceStored]++
+			if r.Member < maxPortfolio {
+				wins[r.Member]++
+			}
+		}
+	}
+	cs := m.answers[circuit]
+	for src, n := range sources {
+		if n > 0 {
+			cs[src].Add(n)
+		}
+	}
+	for member, n := range wins {
+		if n > 0 {
+			m.routeWins[member].Add(n)
+		}
+	}
 }
 
 // observe records one span globally and on the request's trace (tr may be

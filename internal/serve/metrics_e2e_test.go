@@ -1,11 +1,15 @@
 package serve
 
 import (
+	"context"
+	"math/rand"
 	"net/http"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
 
+	"mps"
 	"mps/internal/cluster"
 	"mps/internal/loadgen"
 )
@@ -126,6 +130,16 @@ func TestClusterMetricsEndToEnd(t *testing.T) {
 		t.Errorf("entry forwarded-served = %v, want 0 (no one forwards to a non-owner)", got)
 	}
 
+	// Answers count on the node that ran the batch: the owner, for the
+	// forwarded and the direct instantiates alike. The entry node forwarded
+	// every one and counts none.
+	if got := entryScrape.Sum("mps_instantiate_answers_total", nil); got != 0 {
+		t.Errorf("entry node counted %v answers, want 0 (it forwarded every batch)", got)
+	}
+	if got, want := peerScrape.Sum("mps_instantiate_answers_total", nil), float64(2*(instantiates+1)); got != want {
+		t.Errorf("owner counted %v answers, want %v", got, want)
+	}
+
 	// The annealing ran once, on the owner — the migrated healthz counter
 	// reads the same through /metrics.
 	if got := peerScrape.Sum("mps_generation_runs_total", nil); got != 1 {
@@ -205,5 +219,125 @@ func TestClusterMetricsEndToEnd(t *testing.T) {
 	second := scrapeMetrics(t, entry.url)
 	if got := second.Sum("mps_http_requests_total", map[string]string{"route": "metrics"}); got < 1 {
 		t.Errorf("metrics route count = %v after a scrape, want >= 1", got)
+	}
+}
+
+// answerMix draws a known mix of queries for a served portfolio: one
+// covered query inside a stored box of each member (so a stored placement
+// answers), uncovered in-bounds queries (the backup answers) and
+// wrong-length queries (a per-query error), in that order.
+func answerMix(t *testing.T, p *mps.Portfolio, uncovered, wrong int) []map[string][]int {
+	t.Helper()
+	c := p.Circuit()
+	var out []map[string][]int
+	for m := 0; m < p.K(); m++ {
+		member := p.Member(m)
+		ids := member.IDs()
+		if len(ids) == 0 {
+			t.Fatalf("member %d stored no placements", m)
+		}
+		pl := member.Get(ids[0])
+		out = append(out, map[string][]int{"ws": pl.WLo, "hs": pl.HLo})
+	}
+	rng := rand.New(rand.NewSource(5))
+	for found := 0; found < uncovered; {
+		ws, hs := make([]int, c.N()), make([]int, c.N())
+		for i, b := range c.Blocks {
+			ws[i] = b.WRange().Rand(rng)
+			hs[i] = b.HRange().Rand(rng)
+		}
+		res, err := p.Instantiate(ws, hs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.FromBackup {
+			out = append(out, map[string][]int{"ws": ws, "hs": hs})
+			found++
+		}
+	}
+	for i := 0; i < wrong; i++ {
+		ws := make([]int, c.N()-1)
+		for j := range ws {
+			ws[j] = c.Blocks[j].WMin
+		}
+		out = append(out, map[string][]int{"ws": ws, "hs": make([]int, c.N())})
+	}
+	return out
+}
+
+// TestInstantiateAnswerMetrics sends a known mix of covered, uncovered and
+// wrong-length queries to a K=2 portfolio spec and to a plain spec, and
+// checks that the served-coverage counter moves by exactly that mix per
+// circuit and source, and the route counter by exactly the member fields
+// the responses returned.
+func TestInstantiateAnswerMetrics(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	pspec := testSpec(41)
+	pspec.Portfolio = 2
+	plain := testSpec(42)
+	plain.Circuit = "TwoStageOpamp"
+	const uncovered, wrong = 3, 2
+
+	before := scrapeMetrics(t, ts.URL)
+	routed := map[int]int{}
+	for _, spec := range []GenerateSpec{pspec, plain} {
+		if code, body := postJSON(t, ts.URL+"/v1/structures", spec, nil); code != http.StatusOK {
+			t.Fatalf("generate %s: %d %s", spec.Circuit, code, body)
+		}
+		norm := spec
+		if err := norm.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		e, _, err := s.entryFor(context.Background(), norm, norm.key())
+		if err != nil {
+			t.Fatal(err)
+		}
+		queries := answerMix(t, e.p, uncovered, wrong)
+		var out struct {
+			Results []struct {
+				Member     int    `json:"member"`
+				FromBackup bool   `json:"from_backup"`
+				Error      string `json:"error"`
+			} `json:"results"`
+		}
+		if code, body := postJSON(t, ts.URL+"/v1/instantiate", map[string]any{"spec": spec, "queries": queries}, &out); code != http.StatusOK {
+			t.Fatalf("instantiate %s: %d %s", spec.Circuit, code, body)
+		}
+		stored := 0
+		for i, r := range out.Results {
+			switch k := e.p.K(); {
+			case i < k:
+				if r.Member < 0 || r.FromBackup {
+					t.Fatalf("%s query %d: member %d, backup %v; want a stored answer", spec.Circuit, i, r.Member, r.FromBackup)
+				}
+				stored++
+				routed[r.Member]++
+			case i < k+uncovered:
+				if !r.FromBackup {
+					t.Fatalf("%s query %d: %+v, want the backup", spec.Circuit, i, r)
+				}
+			case r.Error == "":
+				t.Fatalf("%s query %d: %+v, want a wrong-length error", spec.Circuit, i, r)
+			}
+		}
+
+		delta := scrapeMetrics(t, ts.URL).Sub(before)
+		for source, want := range map[string]int{"stored": stored, "backup": uncovered, "error": wrong} {
+			sel := map[string]string{"circuit": spec.Circuit, "source": source}
+			if got := delta.Sum("mps_instantiate_answers_total", sel); got != float64(want) {
+				t.Errorf("%s %s answers = %v, want %d", spec.Circuit, source, got, want)
+			}
+		}
+	}
+
+	delta := scrapeMetrics(t, ts.URL).Sub(before)
+	if got := delta.Sum("mps_instantiate_answers_total", nil); got != float64(2+1+2*(uncovered+wrong)) {
+		t.Errorf("answers across circuits = %v, want %d", got, 2+1+2*(uncovered+wrong))
+	}
+	for member := 0; member < maxPortfolio; member++ {
+		sel := map[string]string{"member": strconv.Itoa(member)}
+		if got := delta.Sum("mps_portfolio_route_total", sel); got != float64(routed[member]) {
+			t.Errorf("member %d routes = %v, want %d (the responses' member fields)", member, got, routed[member])
+		}
 	}
 }

@@ -1867,6 +1867,7 @@ func (s *Server) handleInstantiate(w http.ResponseWriter, r *http.Request) {
 	instSpan.SetKey(e.key)
 	batch := e.p.InstantiateBatchWorkers(queries, s.cfg.Workers)
 	s.metrics.endSpan(instSpan)
+	s.metrics.countAnswers(e.spec.Circuit, batch)
 
 	encSpan := tr.StartSpan(obs.StageEncode)
 	writeInstantiateResponse(w, e.key, batch)

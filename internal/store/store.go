@@ -138,9 +138,12 @@ type Dir struct {
 // Open opens (creating if needed) a store directory and loads its
 // manifest. Manifest rows whose structure file has gone missing are
 // dropped, and temp files left by crashed writers are swept, so Open
-// always yields a servable view of what is actually on disk. A manifest
-// that does not parse is renamed aside with its bytes kept (see
-// Quarantined) and the store opens empty, so one corrupt file cannot
+// always yields a servable view of what is actually on disk. When the
+// manifest parses, structure files no kept row names — left by a Put that
+// crashed between its rename and its manifest write — are swept too,
+// unless a quarantined manifest lies beside it, whose rows may name them.
+// A manifest that does not parse is renamed aside with its bytes kept
+// (see Quarantined) and the store opens empty, so one corrupt file cannot
 // keep a server from booting.
 func Open(root string) (*Dir, error) {
 	if err := os.MkdirAll(root, 0o755); err != nil {
@@ -185,7 +188,27 @@ func Open(root string) (*Dir, error) {
 		}
 		d.portfolios[p.Key] = p
 	}
+	d.sweepOrphans()
 	return d, nil
+}
+
+// sweepOrphans removes the structure files no entry names. It sweeps
+// nothing while a quarantined manifest (manifestName.corrupt-*) is in the
+// directory: an operator repairing it may need the files its rows name.
+func (d *Dir) sweepOrphans() {
+	if q, _ := filepath.Glob(filepath.Join(d.root, manifestName+".corrupt-*")); len(q) > 0 {
+		return
+	}
+	named := make(map[string]bool, len(d.entries))
+	for _, e := range d.entries {
+		named[e.File] = true
+	}
+	files, _ := filepath.Glob(filepath.Join(d.root, "*.mps"))
+	for _, f := range files {
+		if name := filepath.Base(f); isStructureFile(name) && !named[name] {
+			os.Remove(f)
+		}
+	}
 }
 
 // portfolioServable reports whether a portfolio row is well-formed and all
@@ -246,7 +269,7 @@ func (d *Dir) Stats() Stats {
 // Put persists the structure under meta.Key, overwriting any previous
 // entry for that key. The structure file is written atomically before the
 // manifest row lands, so a crash between the two leaves at worst an
-// unreferenced file that the next Put for the key reuses. Meta's File,
+// unreferenced file, which the next Open sweeps. Meta's File,
 // Bytes, and (when zero) Created and Placements fields are filled in; the
 // completed row is returned.
 func (d *Dir) Put(meta Meta, s *core.Structure) (Meta, error) {
@@ -474,5 +497,22 @@ func (d *Dir) saveManifest() error {
 // cache key (keys contain '|' and '=' and can exceed name length limits).
 func fileName(key string) string {
 	sum := sha256.Sum256([]byte(key))
-	return hex.EncodeToString(sum[:8]) + ".mps"
+	return hex.EncodeToString(sum[:8]) + structureExt
+}
+
+const structureExt = ".mps"
+
+// isStructureFile reports whether name has fileName's shape: 16 lowercase
+// hex digits and the structure extension.
+func isStructureFile(name string) bool {
+	stem, ok := strings.CutSuffix(name, structureExt)
+	if !ok || len(stem) != 16 {
+		return false
+	}
+	for _, r := range stem {
+		if !('0' <= r && r <= '9' || 'a' <= r && r <= 'f') {
+			return false
+		}
+	}
+	return true
 }

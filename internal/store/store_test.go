@@ -240,6 +240,96 @@ func TestOpenSweepsTempFiles(t *testing.T) {
 	}
 }
 
+// crashedPut leaves what a Put that crashed between its rename and its
+// manifest write leaves: key's structure file in place, named by no row.
+// It returns the file's path.
+func crashedPut(t *testing.T, dir, key string, s *core.Structure) string {
+	t.Helper()
+	path := filepath.Join(dir, fileName(key))
+	if _, err := WriteFileAtomic(path, s.SaveBinaryCompiled); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestOpenSweepsOrphanedStructureFiles: a structure file no manifest row
+// names is removed on Open, while the named entry still loads and files
+// that are not structure files stay.
+func TestOpenSweepsOrphanedStructureFiles(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, s := testCircuit(t, 4)
+	if _, err := d.Put(meta("k1"), s); err != nil {
+		t.Fatal(err)
+	}
+	orphan := crashedPut(t, dir, "k2", s)
+	other := filepath.Join(dir, "notes.mps")
+	if err := os.WriteFile(other, []byte("not a structure file"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := os.Stat(orphan); !errors.Is(err, os.ErrNotExist) {
+		t.Fatalf("orphaned structure file survived Open: %v", err)
+	}
+	if _, err := os.Stat(other); err != nil {
+		t.Fatalf("a file outside the structure-file pattern was swept: %v", err)
+	}
+	if _, _, err := d2.Get("k1", c); err != nil {
+		t.Fatalf("named entry does not load after the sweep: %v", err)
+	}
+	if d2.Len() != 1 {
+		t.Fatalf("reopened store holds %d entries, want 1", d2.Len())
+	}
+}
+
+// TestOpenKeepsFilesBesideQuarantinedManifest: while a quarantined
+// manifest lies in the directory, Open sweeps no structure file — its rows
+// may name them — neither when it quarantines nor on a later Open whose
+// manifest parses.
+func TestOpenKeepsFilesBesideQuarantinedManifest(t *testing.T) {
+	dir := t.TempDir()
+	d, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, s := testCircuit(t, 4)
+	put, err := d.Put(meta("k1"), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	orphan := crashedPut(t, dir, "k2", s)
+	if err := os.WriteFile(filepath.Join(dir, manifestName), []byte(`{"entries":[`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	files := []string{filepath.Join(dir, put.File), orphan}
+
+	d2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if d2.Quarantined() == "" {
+		t.Fatal("corrupt manifest was not quarantined")
+	}
+	if _, err := d2.Put(meta("k3"), s); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Open(dir); err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range files {
+		if _, err := os.Stat(f); err != nil {
+			t.Fatalf("structure file %s did not survive beside a quarantined manifest: %v", filepath.Base(f), err)
+		}
+	}
+}
+
 // TestGetCorruptFile: a flipped byte in the structure file surfaces as a
 // load error (the v2 CRC), never as silent wrong data.
 func TestGetCorruptFile(t *testing.T) {
