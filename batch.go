@@ -132,7 +132,7 @@ func runBatch(queries []DimQuery, workers, n int, fn func(q DimQuery, out *Batch
 // InstantiateBatch answers every query and returns results in query order,
 // fanning the batch across a worker pool bounded by GOMAXPROCS. Small
 // batches run serially. The structure must not be mutated concurrently
-// (it never is after Generate/LoadFile return).
+// (it never is after Run/LoadFile return).
 func (s *Structure) InstantiateBatch(queries []DimQuery) []BatchResult {
 	return s.InstantiateBatchWorkers(queries, 0)
 }

@@ -27,7 +27,7 @@ func batchStructure(t *testing.T) *Structure {
 			bt.err = err
 			return
 		}
-		bt.s, _, bt.err = Generate(c, quickOpts(1))
+		bt.s, _, bt.err = generate(c, quickOpts(1))
 	})
 	if bt.err != nil {
 		t.Fatal(bt.err)

@@ -24,7 +24,6 @@ import (
 	"mps/internal/optplace"
 	"mps/internal/placement"
 	"mps/internal/portfolio"
-	"mps/internal/route"
 	"mps/internal/template"
 )
 
@@ -520,7 +519,7 @@ func BenchmarkAblationParallelChains(b *testing.B) {
 }
 
 // BenchmarkCompact measures fragment re-merging on a freshly generated
-// structure (the post-pass every Generate runs).
+// structure (the post-pass every anneal-backend run applies).
 func BenchmarkCompact(b *testing.B) {
 	c := circuits.MustByName("Mixer")
 	for i := 0; i < b.N; i++ {
@@ -535,31 +534,6 @@ func BenchmarkCompact(b *testing.B) {
 		}
 		b.StartTimer()
 		s.Compact()
-	}
-}
-
-// BenchmarkRouteEstimate measures the routing estimator + RC extraction on
-// an instantiated tso-cascode layout — the per-iteration extraction cost of
-// a routing-aware synthesis loop.
-func BenchmarkRouteEstimate(b *testing.B) {
-	s := structureFor(b, "tso-cascode")
-	c := s.Circuit()
-	ws := make([]int, c.N())
-	hs := make([]int, c.N())
-	for j, blk := range c.Blocks {
-		ws[j] = (blk.WMin + blk.WMax) / 2
-		hs[j] = (blk.HMin + blk.HMax) / 2
-	}
-	res, err := s.Instantiate(ws, hs)
-	if err != nil {
-		b.Fatal(err)
-	}
-	l := &cost.Layout{Circuit: c, X: res.X, Y: res.Y, W: ws, H: hs, Floorplan: s.Floorplan()}
-	b.ResetTimer()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		est := route.EstimateNets(l)
-		route.ExtractRC(l, est)
 	}
 }
 

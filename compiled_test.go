@@ -20,7 +20,7 @@ func generateQuick(t *testing.T, name string, seed int64) *Structure {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _, err := Generate(c, Options{Seed: seed, Iterations: 40, BDIOSteps: 60})
+	s, _, err := generate(c, Options{Seed: seed, Iterations: 40, BDIOSteps: 60})
 	if err != nil {
 		t.Fatal(err)
 	}

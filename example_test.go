@@ -1,23 +1,28 @@
 package mps_test
 
 import (
+	"context"
 	"fmt"
 	"log"
 
 	"mps"
 )
 
-// ExampleGenerate demonstrates the paper's Fig. 1 workflow: one-time
+// ExampleRun demonstrates the paper's Fig. 1 workflow: one-time
 // structure generation followed by fast placement instantiation.
-func ExampleGenerate() {
+func ExampleRun() {
 	circuit, err := mps.Benchmark("circ01")
 	if err != nil {
 		log.Fatal(err)
 	}
-	s, _, err := mps.Generate(circuit, mps.Options{Seed: 1, Effort: mps.EffortQuick})
+	out, err := mps.Run(context.Background(), mps.Request{
+		Circuit: circuit,
+		Options: mps.Options{Seed: 1, Effort: mps.EffortQuick},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	s := out.Structure
 
 	// Query with every block at its minimum dimensions.
 	ws := make([]int, circuit.N())

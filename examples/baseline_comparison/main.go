@@ -13,6 +13,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -39,10 +40,14 @@ func main() {
 
 	fmt.Printf("generating structure for %s (balanced effort: the one-time\n", benchmark)
 	fmt.Println("cost a synthesis flow amortizes over every later run)...")
-	s, genStats, err := mps.Generate(circuit, mps.Options{Seed: 5, Effort: mps.EffortBalanced})
+	out, err := mps.Run(context.Background(), mps.Request{
+		Circuit: circuit,
+		Options: mps.Options{Seed: 5, Effort: mps.EffortBalanced},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	s, genStats := out.Structure, out.Stats[0]
 	fmt.Printf("  %d placements in %s\n\n", s.NumPlacements(), genStats.Duration.Round(time.Millisecond))
 
 	tpl := template.Balanced(circuit)

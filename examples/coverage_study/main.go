@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"math/rand"
@@ -30,14 +31,14 @@ func main() {
 
 	tb := stats.NewTable("iterations", "placements", "coverage", "hit rate", "gen time")
 	for _, iters := range []int{10, 25, 50, 100, 200, 400} {
-		s, genStats, err := mps.Generate(circuit, mps.Options{
-			Seed:       7,
-			Iterations: iters,
-			BDIOSteps:  80,
+		out, err := mps.Run(context.Background(), mps.Request{
+			Circuit: circuit,
+			Options: mps.Options{Seed: 7, Iterations: iters, BDIOSteps: 80},
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
+		s, genStats := out.Structure, out.Stats[0]
 		hit := s.CoverageMonteCarlo(rand.New(rand.NewSource(1)), 4000)
 		tb.AddRow(iters, s.NumPlacements(),
 			fmt.Sprintf("%.3g", s.Coverage()),

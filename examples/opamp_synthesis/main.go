@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -72,10 +73,14 @@ func main() {
 	// One-time structure generation (amortized across every synthesis run).
 	fmt.Println("generating multi-placement structure for the opamp topology...")
 	genStart := time.Now()
-	s, _, err := mps.Generate(circuit, mps.Options{Seed: 3, Effort: mps.EffortQuick})
+	out, err := mps.Run(context.Background(), mps.Request{
+		Circuit: circuit,
+		Options: mps.Options{Seed: 3, Effort: mps.EffortQuick},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	s := out.Structure
 	fmt.Printf("  %d placements in %s\n\n", s.NumPlacements(), time.Since(genStart).Round(time.Millisecond))
 
 	providers := []struct {

@@ -4,6 +4,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -27,10 +28,14 @@ func main() {
 	// One-time generation (Fig. 1a). EffortQuick keeps this demo fast;
 	// use EffortBalanced or EffortThorough for real structures.
 	fmt.Println("generating multi-placement structure...")
-	s, stats, err := mps.Generate(circuit, mps.Options{Seed: 42, Effort: mps.EffortQuick})
+	out, err := mps.Run(context.Background(), mps.Request{
+		Circuit: circuit,
+		Options: mps.Options{Seed: 42, Effort: mps.EffortQuick},
+	})
 	if err != nil {
 		log.Fatal(err)
 	}
+	s, stats := out.Structure, out.Stats[0]
 	fmt.Printf("  %d placements stored in %s (%d explored, %d engulfed)\n\n",
 		s.NumPlacements(), stats.Duration.Round(time.Millisecond),
 		stats.Iterations, stats.CandidatesDied)

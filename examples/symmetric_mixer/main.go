@@ -8,6 +8,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"time"
@@ -44,14 +45,14 @@ func main() {
 	tb := stats.NewTable("evaluator", "placements", "gen time", "mean sym penalty", "mean wire")
 	layouts := make(map[string]*cost.Layout)
 	for _, v := range variants {
-		s, genStats, err := mps.Generate(circuit, mps.Options{
-			Seed:      11,
-			Effort:    mps.EffortQuick,
-			Evaluator: v.ev,
+		out, err := mps.Run(context.Background(), mps.Request{
+			Circuit: circuit,
+			Options: mps.Options{Seed: 11, Effort: mps.EffortQuick, Evaluator: v.ev},
 		})
 		if err != nil {
 			log.Fatal(err)
 		}
+		s, genStats := out.Structure, out.Stats[0]
 
 		// Measure each stored placement at its own best dimensions — the
 		// layouts the structure will hand to a synthesis loop. (Random

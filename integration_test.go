@@ -22,7 +22,7 @@ func TestFullWorkflowGenerateSaveLoadSynthesize(t *testing.T) {
 	}
 
 	// Fig. 1a: one-time generation.
-	s, genStats, err := Generate(circuit, Options{Seed: 41, Effort: EffortQuick})
+	s, genStats, err := generate(circuit, Options{Seed: 41, Effort: EffortQuick})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -81,7 +81,7 @@ func TestBackupKinds(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, kind := range []BackupKind{BackupSlicingTree, BackupSequencePair} {
-		s, _, err := Generate(circuit, Options{Seed: 1, Effort: EffortQuick, Backup: kind})
+		s, _, err := generate(circuit, Options{Seed: 1, Effort: EffortQuick, Backup: kind})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -124,7 +124,7 @@ func TestSequencePairBackupCompacts(t *testing.T) {
 		hs[i] = b.HMax
 	}
 	area := func(kind BackupKind) int64 {
-		s, _, err := Generate(circuit, Options{
+		s, _, err := generate(circuit, Options{
 			Seed: 2, Effort: EffortQuick, Iterations: 1, BDIOSteps: 10, Backup: kind,
 		})
 		if err != nil {

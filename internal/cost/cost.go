@@ -51,28 +51,17 @@ type EvaluatorFunc func(l *Layout) float64
 // Cost implements Evaluator.
 func (f EvaluatorFunc) Cost(l *Layout) float64 { return f(l) }
 
-// Weighted is the default evaluator:
+// DefaultWeights is the default evaluator, the balanced objective vector:
 //
-//	cost = WireWeight * Σ_nets weight * HPWL(net)
-//	     + AreaWeight * area(bounding box of all blocks)
+//	cost = 1.0  * Σ_nets weight * HPWL(net)
+//	     + 0.05 * area(bounding box of all blocks)
 //
-// Single-pin terminal nets (pad stubs) are charged the
-// Manhattan distance from the pin to the nearest floorplan edge, modelling
-// the wire that must reach the chip boundary.
-type Weighted struct {
-	WireWeight float64
-	AreaWeight float64
-}
-
-// DefaultWeights balances the two terms so that on typical benchmarks
-// neither dominates: wire length counts per unit, area is scaled down since
-// it grows quadratically with floorplan size.
-var DefaultWeights = Weighted{WireWeight: 1.0, AreaWeight: 0.05}
-
-// Cost implements Evaluator.
-func (wt Weighted) Cost(l *Layout) float64 {
-	return wt.WireWeight*float64(WireLength(l)) + wt.AreaWeight*float64(UsedArea(l))
-}
+// Single-pin terminal nets (pad stubs) are charged the Manhattan distance
+// from the pin to the nearest floorplan edge, modelling the wire that must
+// reach the chip boundary. The weights balance the two terms so that on
+// typical benchmarks neither dominates: wire length counts per unit, area
+// is scaled down since it grows quadratically with floorplan size.
+var DefaultWeights = BalancedWeights
 
 // WireLength returns the weighted total wire length of the layout:
 // HPWL per multi-pin net plus boundary distance per pad-stub net.

@@ -109,7 +109,7 @@ func TestWeightedCostCombinesTerms(t *testing.T) {
 	l := twoBlockLayout(0, 0, 10, 0)
 	wire := float64(WireLength(l))
 	area := float64(UsedArea(l))
-	ev := Weighted{WireWeight: 2, AreaWeight: 0.5}
+	ev := Weights{Wire: 2, Area: 0.5}
 	want := 2*wire + 0.5*area
 	if got := ev.Cost(l); got != want {
 		t.Errorf("Cost = %g, want %g", got, want)
@@ -229,7 +229,7 @@ func TestNetLengthMatchesHPWLReference(t *testing.T) {
 		}
 		l := randomLayout(name, rng)
 		if allocs := testing.AllocsPerRun(20, func() { DefaultWeights.Cost(l) }); allocs != 0 {
-			t.Errorf("%s: Weighted.Cost allocates %v times per call, want 0", name, allocs)
+			t.Errorf("%s: DefaultWeights.Cost allocates %v times per call, want 0", name, allocs)
 		}
 	}
 }

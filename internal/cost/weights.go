@@ -5,7 +5,7 @@ package cost
 // HPWL + 0.05·area default into per-objective terms — wire length,
 // bounding-box area, and aspect-ratio deviation — scalarized by a
 // Weights vector. The all-zero (and the explicitly balanced) vector is
-// byte-identical to the historical Weighted default, which is what lets
+// byte-identical to the historical scalar default, which is what lets
 // weights thread through every layer above without perturbing a single
 // existing structure, spec key, or routing decision.
 
@@ -81,9 +81,10 @@ type Weights struct {
 // WeightLadder). Magnitudes stay near the balanced default because
 // annealing acceptance depends on the cost scale, not just its gradient.
 var (
-	// BalancedWeights is the canonical form of the default objective —
-	// numerically identical to DefaultWeights (wire 1, area 0.05, no
-	// aspect term), pinned by TestWeightsDefaultBitIdentical.
+	// BalancedWeights is the canonical form of the default objective
+	// (DefaultWeights): wire 1, area 0.05, no aspect term. Its cost is
+	// bit-identical to the historical scalar HPWL + 0.05·area, pinned by
+	// TestWeightsDefaultBitIdentical.
 	BalancedWeights = Weights{Wire: 1.0, Area: 0.05}
 	// AreaHeavyWeights trades wire for packing density.
 	AreaHeavyWeights = Weights{Wire: 0.2, Area: 0.25}
@@ -153,9 +154,9 @@ func (w Weights) Key() string {
 }
 
 // Scalarize collapses a term vector to one comparable cost. The wire and
-// area products mirror Weighted.Cost exactly; the aspect term is added
-// only when weighted, so default-weight scalarization stays bit-identical
-// to the historical scalar.
+// area products mirror Cost exactly; the aspect term is added only when
+// weighted, so default-weight scalarization stays bit-identical to the
+// historical scalar.
 func (w Weights) Scalarize(t Terms) float64 {
 	w = w.Canonical()
 	c := w.Wire*float64(t.Wire) + w.Area*float64(t.Area)
@@ -166,10 +167,10 @@ func (w Weights) Scalarize(t Terms) float64 {
 }
 
 // Cost implements Evaluator: the weighted scalarization of the layout's
-// term vector. At default weights this computes the same float expression
-// as Weighted.Cost in the same order, so generation under an explicit
-// balanced vector is bit-identical to generation under no weights at all
-// (pinned by TestWeightsDefaultBitIdentical).
+// term vector. At default weights this computes the historical scalar
+// expression, 1.0·wire + 0.05·area, in the same order, so generation under
+// the default objective is bit-identical to generation before weights
+// existed (pinned by TestWeightsDefaultBitIdentical).
 func (w Weights) Cost(l *Layout) float64 {
 	w = w.Canonical()
 	c := w.Wire*float64(WireLength(l)) + w.Area*float64(UsedArea(l))

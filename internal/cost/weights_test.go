@@ -33,23 +33,27 @@ func randomLayout(name string, rng *rand.Rand) *Layout {
 }
 
 // TestWeightsDefaultBitIdentical pins the compatibility contract the
-// whole refactor hangs on: the zero vector, the explicit balanced
-// vector, and the scalarized term vector all reproduce the historical
-// Weighted default bit for bit, on every seed circuit.
+// whole refactor hangs on: the default evaluator, the zero vector, the
+// explicit balanced vector, and the scalarized term vector all reproduce
+// the historical scalar default, written out below, bit for bit on every
+// seed circuit.
 func TestWeightsDefaultBitIdentical(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for _, name := range circuits.Names() {
 		for trial := 0; trial < 8; trial++ {
 			l := randomLayout(name, rng)
-			want := DefaultWeights.Cost(l)
+			want := 1.0*float64(WireLength(l)) + 0.05*float64(UsedArea(l))
+			if got := DefaultWeights.Cost(l); got != want {
+				t.Fatalf("%s: DefaultWeights cost %v != historical default %v", name, got, want)
+			}
 			if got := (Weights{}).Cost(l); got != want {
-				t.Fatalf("%s: zero-vector cost %v != Weighted default %v", name, got, want)
+				t.Fatalf("%s: zero-vector cost %v != historical default %v", name, got, want)
 			}
 			if got := BalancedWeights.Cost(l); got != want {
-				t.Fatalf("%s: balanced cost %v != Weighted default %v", name, got, want)
+				t.Fatalf("%s: balanced cost %v != historical default %v", name, got, want)
 			}
 			if got := BalancedWeights.Scalarize(Vector(l)); got != want {
-				t.Fatalf("%s: scalarized default %v != Weighted default %v", name, got, want)
+				t.Fatalf("%s: scalarized default %v != historical default %v", name, got, want)
 			}
 		}
 	}

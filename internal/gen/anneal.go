@@ -13,10 +13,11 @@ func init() { Register(annealBackend{}) }
 
 // annealBackend wraps the Placement Explorer — the paper's nested
 // simulated annealing — as the default generation backend. The Config
-// mapping below is exactly what mps.Generate built before backends
-// existed, and the Compact+Renumber finishing steps moved here with it,
-// so ByName("anneal") is byte-identical to the pre-interface pipeline
-// for identical seed and budgets (pinned by TestAnnealMatchesLegacyPipeline).
+// mapping below is exactly what the facade (mps.Run today) built before
+// backends existed, and the Compact+Renumber finishing steps moved here
+// with it, so ByName("anneal") is byte-identical to the pre-interface
+// pipeline for identical seed and budgets (pinned by
+// TestAnnealMatchesLegacyPipeline).
 type annealBackend struct{}
 
 func (annealBackend) Name() string { return Default }

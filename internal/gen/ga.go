@@ -71,9 +71,6 @@ func (gaBackend) Generate(ctx context.Context, c *netlist.Circuit, spec Spec) (*
 	}
 	fp := placement.DefaultFloorplan(c)
 	ev := spec.evaluator()
-	if ev == nil {
-		ev = cost.DefaultWeights
-	}
 	maxShift := fp.W() / 4
 	if maxShift < 1 {
 		maxShift = 1

@@ -9,9 +9,9 @@
 // Two backends register at init:
 //
 //   - "anneal" (the default): the paper's nested simulated annealing —
-//     Placement Explorer outside, BDIO inside — exactly as mps.Generate
-//     always ran it. For identical seeds and budgets its output is
-//     byte-identical to the pre-interface pipeline (pinned by test).
+//     Placement Explorer outside, BDIO inside — which mps.Run runs when a
+//     request names no backend. For identical seeds and budgets its output
+//     is byte-identical to the pre-interface pipeline (pinned by test).
 //   - "ga": a genetic algorithm over sequence-pair encodings. Parents
 //     recombine by order crossover of their derived sequence pairs
 //     (decoded to legal packings by longest paths), mutation reuses the
@@ -107,17 +107,14 @@ type Spec struct {
 }
 
 // evaluator resolves the cost hook a backend scores with: the explicit
-// Evaluator when set, the weighted objective when Weights is non-zero,
-// else nil — which leaves each backend on its historical default path,
-// keeping weightless specs bit-identical to pre-weights output.
+// Evaluator when set, else the weighted objective. The zero vector's
+// canonical form is cost.DefaultWeights, so weightless specs score
+// bit-identically to pre-weights output.
 func (s Spec) evaluator() cost.Evaluator {
 	if s.Evaluator != nil {
 		return s.Evaluator
 	}
-	if !s.Weights.IsZero() {
-		return s.Weights.Canonical()
-	}
-	return nil
+	return s.Weights.Canonical()
 }
 
 // Generator is one generation backend.

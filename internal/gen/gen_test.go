@@ -45,9 +45,8 @@ func TestRegistry(t *testing.T) {
 
 // TestAnnealMatchesLegacyPipeline pins the refactor's central promise:
 // the anneal backend is byte-identical to the pre-interface pipeline
-// (explorer.GenerateContext followed by Compact and Renumber — what
-// mps.Generate inlined before backends existed) for identical seed and
-// budgets.
+// (explorer.GenerateContext followed by Compact and Renumber — what the
+// facade inlined before backends existed) for identical seed and budgets.
 func TestAnnealMatchesLegacyPipeline(t *testing.T) {
 	for _, name := range []string{"circ01", "TwoStageOpamp"} {
 		c := circuits.MustByName(name)

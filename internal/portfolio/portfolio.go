@@ -363,14 +363,3 @@ func (p *Portfolio) CoverageMonteCarlo(rng *rand.Rand, samples int) float64 {
 	union, _ := p.SampleCoverage(rng, samples)
 	return union
 }
-
-// MemberCoverage returns each member's exact covered volume fraction
-// (core.Structure.Coverage). The union has no cheap exact form — member
-// boxes overlap across members — which is what SampleCoverage estimates.
-func (p *Portfolio) MemberCoverage() []float64 {
-	out := make([]float64, len(p.members))
-	for i, m := range p.members {
-		out[i] = m.Coverage()
-	}
-	return out
-}

@@ -262,13 +262,11 @@ func (s *Server) fetchFrom(sp obs.SpanRef, peer string, spec GenerateSpec) (*mps
 	if err != nil {
 		return nil, mps.Stats{}, fmt.Errorf("decoding peer artifact: %w", err)
 	}
-	st := &mps.Structure{Structure: cs}
-	st.SetBackupKind(spec.backupKind())
 	var stats mps.Stats
 	if cov := resp.Header.Get(clusterCoverageHeader); cov != "" {
 		fmt.Sscanf(cov, "%g", &stats.FinalCoverage)
 	}
-	return single(st), stats, nil
+	return single(spec.structure(cs)), stats, nil
 }
 
 // generateOnOwner asks the key's owner to generate spec (a marked,
@@ -513,9 +511,7 @@ func (s *Server) handleClusterAccept(w http.ResponseWriter, r *http.Request) {
 		}
 	} else {
 		// Store-less node: hold the transferred structure in the LRU.
-		st := &mps.Structure{Structure: cs}
-		st.SetBackupKind(spec.backupKind())
-		s.install(spec, single(st), mps.Stats{FinalCoverage: coverage}, false)
+		s.install(spec, single(spec.structure(cs)), mps.Stats{FinalCoverage: coverage}, false)
 	}
 	writeJSON(w, http.StatusOK, map[string]any{"key": spec.key(), "stored": true})
 }

@@ -173,8 +173,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 			return float64(len(s.batchSlots))
 		})
 	reg.GaugeFunc("mps_batch_slots_limit",
-		"Configured server-wide concurrent instantiate batch bound.", func() float64 {
-			return float64(s.cfg.MaxConcurrentBatches)
+		"Server-wide concurrent instantiate batch bound.", func() float64 {
+			return maxConcurrentBatches
 		})
 
 	// Jobs: live queue gauges plus the scheduler's monotonic lifetime

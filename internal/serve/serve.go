@@ -53,6 +53,7 @@ import (
 	"mps"
 	"mps/internal/circuits"
 	"mps/internal/cluster"
+	"mps/internal/core"
 	"mps/internal/jobs"
 	"mps/internal/obs"
 	"mps/internal/store"
@@ -66,17 +67,6 @@ type Config struct {
 	// Workers bounds the per-request InstantiateBatch worker pool.
 	// 0 uses GOMAXPROCS.
 	Workers int
-	// MaxConcurrentBatches bounds how many instantiate batches execute at
-	// once server-wide (each uses up to Workers goroutines); excess
-	// requests queue. Keeps N concurrent clients from oversubscribing the
-	// CPU with N×Workers runnable goroutines. Default 4.
-	MaxConcurrentBatches int
-	// MaxConcurrentGenerations sizes the worker pool of the internally
-	// created job scheduler when Jobs is nil. Dedup only collapses
-	// identical specs; the worker pool stops a sweep of distinct seeds
-	// from launching unbounded annealing runs — excess jobs queue.
-	// Ignored when Jobs is provided (its own Workers applies). Default 2.
-	MaxConcurrentGenerations int
 	// MaxBatch caps queries per instantiate request. It also sizes the
 	// request body limit (~1 KiB per query), so it bounds per-request
 	// decode memory: the default 8192 keeps any one request under ~8 MiB.
@@ -96,11 +86,13 @@ type Config struct {
 	// Jobs, when non-nil, is the generation job scheduler the server runs
 	// every annealing job on — supply one (see internal/jobs) to persist
 	// job state across restarts or to tune its worker pool. Nil creates a
-	// memory-only scheduler with MaxConcurrentGenerations workers. Either
-	// way the server owns the scheduler after New — Close shuts it down —
-	// and it must be exclusive to this server: job results publish into
-	// this server's cache entries, so two servers sharing a scheduler
-	// would dedup onto each other's jobs and hang.
+	// memory-only scheduler with the jobs package's default pool of 2
+	// workers: dedup only collapses identical specs, and the pool stops a
+	// sweep of distinct seeds from launching unbounded annealing runs —
+	// excess jobs queue. Either way the server owns the scheduler after
+	// New — Close shuts it down — and it must be exclusive to this server:
+	// job results publish into this server's cache entries, so two servers
+	// sharing a scheduler would dedup onto each other's jobs and hang.
 	Jobs *jobs.Scheduler
 	// Cluster, when non-nil, puts the server in cluster mode: the
 	// canonical spec key is consistent-hashed over the peer set, requests
@@ -142,12 +134,6 @@ func (cfg Config) withDefaults() Config {
 	if cfg.MaxGenerateIterations == 0 {
 		cfg.MaxGenerateIterations = 5000
 	}
-	if cfg.MaxConcurrentBatches <= 0 {
-		cfg.MaxConcurrentBatches = 4
-	}
-	if cfg.MaxConcurrentGenerations <= 0 {
-		cfg.MaxConcurrentGenerations = 2
-	}
 	if cfg.TraceBuffer == 0 {
 		cfg.TraceBuffer = 512
 	}
@@ -159,6 +145,12 @@ func (cfg Config) withDefaults() Config {
 	}
 	return cfg
 }
+
+// maxConcurrentBatches bounds how many instantiate batches execute at once
+// server-wide (each uses up to Config.Workers goroutines); excess requests
+// queue. Keeps N concurrent clients from oversubscribing the CPU with
+// N×Workers runnable goroutines.
+const maxConcurrentBatches = 4
 
 // Server is the query engine: an LRU cache of generated structures plus
 // the HTTP handlers that fill and query it. Safe for concurrent use.
@@ -174,7 +166,7 @@ type Server struct {
 	cluster *cluster.Cluster
 
 	// batchSlots is a semaphore bounding concurrent batch executions to
-	// the configured maximum.
+	// maxConcurrentBatches.
 	batchSlots chan struct{}
 
 	// metrics is the server's observability registry plus the hot-path
@@ -255,16 +247,13 @@ func New(cfg Config) *Server {
 	if sched == nil {
 		// A memory-only scheduler cannot fail to construct (no state file
 		// to load).
-		sched, _ = jobs.New(jobs.Config{
-			Workers: cfg.MaxConcurrentGenerations,
-			Logf:    cfg.Logf,
-		})
+		sched, _ = jobs.New(jobs.Config{Logf: cfg.Logf})
 	}
 	s := &Server{
 		cfg:        cfg,
 		sched:      sched,
 		cluster:    cfg.Cluster,
-		batchSlots: make(chan struct{}, cfg.MaxConcurrentBatches),
+		batchSlots: make(chan struct{}, maxConcurrentBatches),
 		cache:      make(map[string]*entry),
 		order:      list.New(),
 	}
@@ -555,14 +544,22 @@ func (g GenerateSpec) memberSpec(i int) GenerateSpec {
 	return m
 }
 
-// backupKind maps the spec's backup name to the facade's enum — used when
-// rehydrating a structure from the store, where only the backup must be
-// rebuilt (it is derived from the circuit, not persisted).
+// backupKind maps the spec's backup name to the facade's enum.
 func (g GenerateSpec) backupKind() mps.BackupKind {
 	if g.Backup == "seqpair" {
 		return mps.BackupSequencePair
 	}
 	return mps.BackupSlicingTree
+}
+
+// structure wraps a decoded structure — from the store, a peer fetch or a
+// cluster transfer — for serving, installing the backup the spec names:
+// only the backup must be rebuilt (it is derived from the circuit, not
+// persisted).
+func (g GenerateSpec) structure(cs *core.Structure) *mps.Structure {
+	st := &mps.Structure{Structure: cs}
+	st.SetBackupKind(g.backupKind())
+	return st
 }
 
 func (g GenerateSpec) options() mps.Options {
@@ -573,10 +570,6 @@ func (g GenerateSpec) options() mps.Options {
 	case "thorough":
 		effort = mps.EffortThorough
 	}
-	backup := mps.BackupSlicingTree
-	if g.Backup == "seqpair" {
-		backup = mps.BackupSequencePair
-	}
 	return mps.Options{
 		Seed:          g.Seed,
 		Iterations:    g.Iterations,
@@ -584,7 +577,7 @@ func (g GenerateSpec) options() mps.Options {
 		Effort:        effort,
 		Chains:        g.Chains,
 		MaxPlacements: g.MaxPlacements,
-		Backup:        backup,
+		Backup:        g.backupKind(),
 	}
 }
 
@@ -1077,8 +1070,7 @@ func (s *Server) loadFromStore(tr *obs.Trace, parent obs.SpanID, spec GenerateSp
 		s.logf("store: loading %s: %v (regenerating)", key, err)
 		return nil, mps.Stats{}, err
 	}
-	st := &mps.Structure{Structure: cs}
-	st.SetBackupKind(spec.backupKind())
+	st := spec.structure(cs)
 	// Materialize the compiled query index before the entry publishes so
 	// no instantiate request ever pays compile cost. Store files are v3
 	// (placements + compiled tables), so this is a cache hit — core.Load

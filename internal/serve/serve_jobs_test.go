@@ -243,16 +243,35 @@ func TestJobsCancelRunning(t *testing.T) {
 	}
 }
 
+// oneWorker returns a memory-only scheduler with a single worker, so a
+// test can keep the pool busy and hold a second job in the queue.
+func oneWorker(t *testing.T) *jobs.Scheduler {
+	t.Helper()
+	sched, err := jobs.New(jobs.Config{Workers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sched
+}
+
 // TestJobsCancelQueuedNeverRuns: with one worker busy, a queued job that
 // is cancelled must never start annealing.
 func TestJobsCancelQueuedNeverRuns(t *testing.T) {
-	s, ts := newTestServer(t, Config{MaxConcurrentGenerations: 1})
+	s, ts := newTestServer(t, Config{Jobs: oneWorker(t)})
 
 	var running jobView
 	if code, body := postJSON(t, ts.URL+"/v1/jobs", jobSubmitRequest{Spec: slowSpec(50)}, &running); code != http.StatusAccepted {
 		t.Fatalf("submit hog: %d %s", code, body)
 	}
 	waitJobState(t, ts.URL, running.ID, string(jobs.StateRunning))
+	// The job turns running before its worker reaches the generation
+	// call that counts the run; wait for the count so the checks below
+	// see exactly the hog's run.
+	for deadline := time.Now().Add(60 * time.Second); s.genRuns.Load() == 0; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatal("the hog job is running but never started generating")
+		}
+	}
 
 	var queued jobView
 	if code, body := postJSON(t, ts.URL+"/v1/jobs", jobSubmitRequest{Spec: slowSpec(51)}, &queued); code != http.StatusAccepted {
@@ -291,7 +310,7 @@ func TestJobsCancelQueuedNeverRuns(t *testing.T) {
 // queued generation may abandon it; the entry is dropped so a later
 // request retries, and the worker never runs the job.
 func TestJobsSoleWaiterDisconnectDropsQueued(t *testing.T) {
-	s := New(Config{MaxConcurrentGenerations: 1})
+	s := New(Config{Jobs: oneWorker(t)})
 	t.Cleanup(s.Close)
 
 	// Occupy the single worker with a job that is not a generation, so

@@ -2,6 +2,7 @@ package serve
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"io"
 	"net/http"
@@ -326,6 +327,58 @@ func TestBodySizeLimit(t *testing.T) {
 	code, _ = postJSON(t, ts.URL+"/v1/structures", big, nil)
 	if code != http.StatusBadRequest {
 		t.Errorf("oversized spec body: got %d, want 400", code)
+	}
+}
+
+// TestInstantiateBatchSlots covers the server-wide batch semaphore: with
+// all 4 slots held, an instantiate whose client goes away while it queues
+// is shed with a 503 and the slot gauges read 4 in use of 4; once one
+// slot frees, the same request is answered.
+func TestInstantiateBatchSlots(t *testing.T) {
+	const slots = 4
+	s, ts := newTestServer(t, Config{})
+	if code, body := postJSON(t, ts.URL+"/v1/structures", testSpec(1), nil); code != http.StatusOK {
+		t.Fatalf("generate: %d %s", code, body)
+	}
+	if got := cap(s.batchSlots); got != slots {
+		t.Fatalf("batch slots = %d, want %d", got, slots)
+	}
+	for i := 0; i < slots; i++ {
+		s.batchSlots <- struct{}{}
+	}
+	body, err := json.Marshal(map[string]any{"spec": testSpec(1), "queries": []any{testQuery(t, 0)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	instantiate := func(ctx context.Context) *httptest.ResponseRecorder {
+		req := httptest.NewRequest(http.MethodPost, "/v1/instantiate", bytes.NewReader(body)).WithContext(ctx)
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, req)
+		return rec
+	}
+
+	// The structure is cached, so the only wait left is the slot, and the
+	// request's context has already ended.
+	gone, cancel := context.WithCancel(context.Background())
+	cancel()
+	rec := instantiate(gone)
+	if rec.Code != http.StatusServiceUnavailable || !strings.Contains(rec.Body.String(), "canceled while queued for a batch slot") {
+		t.Fatalf("queued past its context: %d %s, want 503 canceled while queued for a batch slot", rec.Code, rec.Body)
+	}
+	m := scrapeMetrics(t, ts.URL)
+	for _, name := range []string{"mps_batch_slots_in_use", "mps_batch_slots_limit"} {
+		if got := m.Sum(name, nil); got != slots {
+			t.Errorf("%s = %v, want %d", name, got, slots)
+		}
+	}
+
+	<-s.batchSlots
+	if rec := instantiate(context.Background()); rec.Code != http.StatusOK {
+		t.Fatalf("with a free slot: %d %s, want 200", rec.Code, rec.Body)
+	}
+	if got := len(s.batchSlots); got != slots-1 {
+		t.Errorf("slots in use after the answered request = %d, want %d (its slot released)", got, slots-1)
 	}
 }
 

@@ -7,20 +7,19 @@
 //
 //	// One-time generation for a circuit topology (Fig. 1a).
 //	circuit, _ := mps.Benchmark("TwoStageOpamp")
-//	s, stats, _ := mps.Generate(circuit, mps.Options{Seed: 1})
+//	out, _ := mps.Run(ctx, mps.Request{Circuit: circuit, Options: mps.Options{Seed: 1}})
 //
 //	// Fast placement instantiation inside a sizing loop (Fig. 1b).
-//	res, _ := s.Instantiate(widths, heights)
+//	res, _ := out.Structure.Instantiate(widths, heights)
 //
-// Generate runs the paper's nested simulated annealing (Placement Explorer
-// outside, Block Dimensions-Interval Optimizer inside) and installs a
-// slicing-tree template as the backup for queries in uncovered dimension
-// space. The returned structure answers any in-bounds dimension vector with
-// exactly one placement.
+// Run's default backend is the paper's nested simulated annealing
+// (Placement Explorer outside, Block Dimensions-Interval Optimizer inside);
+// Run installs a slicing-tree template as the backup for queries in
+// uncovered dimension space. The returned structure answers any in-bounds
+// dimension vector with exactly one placement.
 package mps
 
 import (
-	"context"
 	"fmt"
 	"os"
 
@@ -76,7 +75,7 @@ type Stats = explorer.Stats
 // exact coverage so far).
 type Progress = explorer.Progress
 
-// Options tunes Generate. The zero value is a balanced default; Effort
+// Options tunes Run. The zero value is a balanced default; Effort
 // presets scale the annealing budgets.
 type Options struct {
 	// Seed drives all randomness. Equal seeds give identical structures
@@ -106,7 +105,7 @@ type Options struct {
 	Progress func(Progress)
 }
 
-// BackupKind selects the uncovered-space fallback installed by Generate.
+// BackupKind selects the uncovered-space fallback installed by Run.
 type BackupKind int
 
 const (
@@ -169,25 +168,6 @@ func Benchmark(name string) (*Circuit, error) { return circuits.ByName(name) }
 // BenchmarkNames returns all Table 1 circuit names in paper order.
 func BenchmarkNames() []string { return circuits.Names() }
 
-// Generate builds a multi-placement structure for the circuit — the
-// one-time offline step of Fig. 1a — and installs a balanced slicing-tree
-// template as the uncovered-space backup.
-func Generate(c *Circuit, opts Options) (*Structure, Stats, error) {
-	return GenerateContext(context.Background(), c, opts)
-}
-
-// GenerateContext is Generate with cooperative cancellation. Generation is
-// minutes- to hours-scale work; the context lets a caller (a job scheduler,
-// a shutting-down daemon) stop the nested annealers within one inner-SA
-// proposal. On cancellation the error satisfies errors.Is(err,
-// context.Canceled) (or DeadlineExceeded) and no structure is returned.
-//
-// Both Generate and GenerateContext run the default "anneal" backend; to
-// select a different generation backend, use Run with a Request naming it.
-func GenerateContext(ctx context.Context, c *Circuit, opts Options) (*Structure, Stats, error) {
-	return generateBackend(ctx, c, opts, DefaultBackend, Weights{})
-}
-
 func newBackup(c *Circuit, kind BackupKind) core.Backup {
 	if kind == BackupSequencePair {
 		return seqpair.NewBackup(c)
@@ -227,7 +207,7 @@ func LoadFile(path string, c *Circuit) (*Structure, error) {
 
 // SetBackupKind installs the uncovered-space backup selected by kind,
 // replacing any installed backup. It exists for callers that obtain a
-// structure outside Generate/LoadFile (e.g. the serving layer rehydrating
+// structure outside Run/LoadFile (e.g. the serving layer rehydrating
 // from its disk store) and must re-attach the backup their spec named.
 //
 // Swapping the backup deliberately does not invalidate the cached

@@ -1,6 +1,7 @@
 package mps
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"path/filepath"
@@ -12,6 +13,16 @@ import (
 // quickOpts is the fast preset used across facade tests.
 func quickOpts(seed int64) Options {
 	return Options{Seed: seed, Effort: EffortQuick}
+}
+
+// generate is the single-structure Run the facade tests share: K = 0,
+// the default backend and the default objective.
+func generate(c *Circuit, opts Options) (*Structure, Stats, error) {
+	res, err := Run(context.Background(), Request{Circuit: c, Options: opts})
+	if err != nil {
+		return nil, Stats{}, err
+	}
+	return res.Structure, res.Stats[0], nil
 }
 
 // randomDims returns a random in-bounds dimension vector for c.
@@ -48,7 +59,7 @@ func TestGenerateAndInstantiateEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, stats, err := Generate(c, quickOpts(1))
+	s, stats, err := generate(c, quickOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +109,7 @@ func TestSaveLoadFile(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _, err := Generate(c, quickOpts(3))
+	s, _, err := generate(c, quickOpts(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -155,7 +166,7 @@ func TestGenerateWithTargetCoverageStops(t *testing.T) {
 	opts := quickOpts(5)
 	opts.Iterations = 2000
 	opts.TargetCoverage = 1e-6
-	s, stats, err := Generate(c, opts)
+	s, stats, err := generate(c, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -172,7 +183,7 @@ func TestStructureInvariantsAfterFacadeGenerate(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _, err := Generate(c, quickOpts(6))
+	s, _, err := generate(c, quickOpts(6))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -61,7 +61,7 @@ func TestBinaryRoundTripTable1(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			s, _, err := Generate(c, Options{Seed: 7, Iterations: 12, BDIOSteps: 20})
+			s, _, err := generate(c, Options{Seed: 7, Iterations: 12, BDIOSteps: 20})
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -153,7 +153,7 @@ func TestSaveFileAtomicOverwrite(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _, err := Generate(c, Options{Seed: 1, Iterations: 8, BDIOSteps: 15})
+	s, _, err := generate(c, Options{Seed: 1, Iterations: 8, BDIOSteps: 15})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -41,7 +41,7 @@ func TestGeneratePortfolioMembersMatchSingles(t *testing.T) {
 	p, c := genQuickPortfolio(t, "circ01", 42)
 	for i := 0; i < p.K(); i++ {
 		opts := quickOpts(PortfolioMemberSeed(42, i))
-		single, _, err := Generate(c, opts)
+		single, _, err := generate(c, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -204,7 +204,7 @@ func TestSetBackupKindReachesCompiledPaths(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	s, _, err := Generate(c, quickOpts(1))
+	s, _, err := generate(c, quickOpts(1))
 	if err != nil {
 		t.Fatal(err)
 	}

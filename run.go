@@ -3,7 +3,6 @@ package mps
 // This file is the backend-aware entry point of the facade. Run is the
 // one generation call every shape reduces to: single structure or
 // K-member portfolio, any registered backend, uniform cancellation.
-// Generate and GenerateContext remain as thin single-structure wrappers.
 
 import (
 	"context"
@@ -49,9 +48,9 @@ func WeightLadder(k int) []Weights { return cost.WeightLadder(k) }
 type Request struct {
 	// Circuit is the circuit to generate for. Required.
 	Circuit *Circuit
-	// Options tunes generation exactly as for Generate. For portfolios
-	// (K >= 1) member i runs with Seed = PortfolioMemberSeed(Options.Seed, i)
-	// and every other option unchanged.
+	// Options tunes generation. For portfolios (K >= 1) member i runs
+	// with Seed = PortfolioMemberSeed(Options.Seed, i) and every other
+	// option unchanged.
 	Options Options
 	// Backend names the generation backend ("" = DefaultBackend). Unknown
 	// names fail fast, before any generation work starts, with an error

@@ -14,36 +14,6 @@ func tinyOpts(seed int64) Options {
 	return Options{Seed: seed, Iterations: 12, BDIOSteps: 30}
 }
 
-// TestRunSingleMatchesGenerate pins that Run with K == 0 and the default
-// backend is GenerateContext — byte for byte.
-func TestRunSingleMatchesGenerate(t *testing.T) {
-	c, err := Benchmark("circ01")
-	if err != nil {
-		t.Fatal(err)
-	}
-	res, err := Run(context.Background(), Request{Circuit: c, Options: tinyOpts(9)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Structure == nil || res.Portfolio != nil || len(res.Stats) != 1 {
-		t.Fatalf("single-structure result shape wrong: %+v", res)
-	}
-	legacy, _, err := Generate(c, tinyOpts(9))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b bytes.Buffer
-	if err := res.Structure.SaveBinary(&a); err != nil {
-		t.Fatal(err)
-	}
-	if err := legacy.SaveBinary(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("Run(K=0, default backend) differs from Generate")
-	}
-}
-
 func TestRunGABackend(t *testing.T) {
 	c, err := Benchmark("circ01")
 	if err != nil {
