@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"math"
 	"strconv"
-	"strings"
 
 	"mps/internal/geom"
 )
@@ -143,14 +142,16 @@ func (w Weights) Validate() error {
 // Key renders the canonical form as "wire,area,aspect" with shortest
 // round-trippable floats — the stable token spec keys and manifest rows
 // embed for non-default weights.
-func (w Weights) Key() string {
+func (w Weights) Key() string { return string(w.AppendKey(nil)) }
+
+// AppendKey appends Key's token to b.
+func (w Weights) AppendKey(b []byte) []byte {
 	w = w.Canonical()
-	parts := [...]string{
-		strconv.FormatFloat(w.Wire, 'g', -1, 64),
-		strconv.FormatFloat(w.Area, 'g', -1, 64),
-		strconv.FormatFloat(w.Aspect, 'g', -1, 64),
-	}
-	return strings.Join(parts[:], ",")
+	b = strconv.AppendFloat(b, w.Wire, 'g', -1, 64)
+	b = append(b, ',')
+	b = strconv.AppendFloat(b, w.Area, 'g', -1, 64)
+	b = append(b, ',')
+	return strconv.AppendFloat(b, w.Aspect, 'g', -1, 64)
 }
 
 // Scalarize collapses a term vector to one comparable cost. The wire and

@@ -215,6 +215,41 @@ func (r *Registry) CounterVec(name, help string, labelKeys ...string) *CounterVe
 	return &CounterVec{r.register(name, help, kindCounter, labelKeys, 1)}
 }
 
+// CodeCounters are one route's children of a request counter family
+// labeled (route, code). Each status code's child is created on first
+// use, as With creates it, so a code never returned has no series; after
+// that, counting a response takes no lock and allocates nothing.
+type CodeCounters struct {
+	vec   *CounterVec
+	route string
+	// codes caches the child of each code in [100, 600), the range
+	// net/http writes in practice; other codes go through With.
+	codes [500]atomic.Pointer[Counter]
+}
+
+// Codes returns route's status-code counters of a (route, code) family.
+// Resolve it once per route and keep it.
+func (v *CounterVec) Codes(route string) *CodeCounters {
+	return &CodeCounters{vec: v, route: route}
+}
+
+// Inc counts one response with status code.
+func (c *CodeCounters) Inc(code int) {
+	i := code - 100
+	if i < 0 || i >= len(c.codes) {
+		c.vec.With(c.route, strconv.Itoa(code)).Inc()
+		return
+	}
+	ctr := c.codes[i].Load()
+	if ctr == nil {
+		// With returns the same child for the same labels, so racing
+		// first uses store the same pointer.
+		ctr = c.vec.With(c.route, strconv.Itoa(code))
+		c.codes[i].Store(ctr)
+	}
+	ctr.Inc()
+}
+
 // DurationCounterVec is CounterVec with DurationCounter's units.
 func (r *Registry) DurationCounterVec(name, help string, labelKeys ...string) *CounterVec {
 	return &CounterVec{r.register(name, help, kindCounter, labelKeys, 1e-9)}

@@ -240,6 +240,40 @@ func TestRegistryRender(t *testing.T) {
 	}
 }
 
+// TestCodeCounters counts by status code from several goroutines at once,
+// first uses included, plus codes outside the cached range: every count
+// lands on its (route, code) series, and no other series appears.
+func TestCodeCounters(t *testing.T) {
+	r := NewRegistry()
+	codes := r.CounterVec("test_requests_total", "requests", "route", "code").Codes("r")
+	var wg sync.WaitGroup
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				codes.Inc(200)
+				codes.Inc(404)
+				codes.Inc(999)
+			}
+		}()
+	}
+	wg.Wait()
+	codes.Inc(599)
+	var b strings.Builder
+	if err := r.WriteProm(&b); err != nil {
+		t.Fatalf("WriteProm: %v", err)
+	}
+	want := "# HELP test_requests_total requests\n# TYPE test_requests_total counter\n" +
+		`test_requests_total{route="r",code="200"} 200` + "\n" +
+		`test_requests_total{route="r",code="404"} 200` + "\n" +
+		`test_requests_total{route="r",code="599"} 1` + "\n" +
+		`test_requests_total{route="r",code="999"} 200` + "\n"
+	if got := b.String(); got != want {
+		t.Fatalf("rendered\n%s\nwant\n%s", got, want)
+	}
+}
+
 func TestRegistryDuplicatePanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("dup_total", "first")

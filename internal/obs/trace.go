@@ -5,7 +5,8 @@
 // recorded with the same discipline as the stage counters: reserving and
 // committing a span is a handful of atomic operations against
 // pre-allocated slots, so instrumentation never puts the hot path back on
-// the allocator. Cross-node propagation rides the X-Mps-Trace header
+// the allocator (a segment's 9th span allocates the slot block once; see
+// maxSpans). Cross-node propagation rides the X-Mps-Trace header
 // (EncodeTraceHeader/ParseTraceHeader); completed traces are retained by
 // a tail-sampling TraceStore (tracestore.go).
 package obs
@@ -300,7 +301,15 @@ func randID() uint64 {
 // count is bounded by construction (a handful of stages plus per-peer
 // attempts), so 32 covers real traffic; overflow degrades to
 // aggregate-only recording with a dropped counter, never an allocation.
-const maxSpans = 32
+//
+// The first inlineSpans slots live in the Trace itself, enough for a
+// forwarded instantiate on either node (3 spans on the entry, 5 on the
+// owner); the rest come as one block, allocated only when a segment
+// reserves its 9th span.
+const (
+	maxSpans    = 32
+	inlineSpans = 8
+)
 
 // span is one pre-allocated span slot. The reserving goroutine writes the
 // plain fields, then commits them with the atomic endNs store (release);
@@ -351,7 +360,29 @@ type Trace struct {
 	// epilogue on the same goroutine; not for concurrent writers.
 	rootKey string
 
-	spans [maxSpans]span
+	spans [inlineSpans]span
+	block atomic.Pointer[[maxSpans - inlineSpans]span]
+}
+
+// slot returns span slot i (0-based), or nil when i lies in the block and
+// the block is not installed. grow installs it first: the goroutine that
+// reserved slot i calls with grow, and a CompareAndSwap lets racing
+// reservers agree on one block.
+func (t *Trace) slot(i int32, grow bool) *span {
+	if i < inlineSpans {
+		return &t.spans[i]
+	}
+	b := t.block.Load()
+	if b == nil {
+		if !grow {
+			return nil
+		}
+		b = new([maxSpans - inlineSpans]span)
+		if !t.block.CompareAndSwap(nil, b) {
+			b = t.block.Load()
+		}
+	}
+	return &b[i-inlineSpans]
 }
 
 // ctxKey carries the Trace on a context.
@@ -493,7 +524,7 @@ func (t *Trace) StartSpan(stage Stage) SpanRef {
 // span). Nil-safe. When the slot array is full the span degrades to
 // aggregate-only recording: the ref still measures, propagates the root
 // span ID, and bumps the dropped counter on End — never blocks, never
-// allocates.
+// allocates. The 9th span allocates the slot block (see maxSpans).
 func (t *Trace) StartSpanUnder(parent SpanID, stage Stage) SpanRef {
 	now := time.Now()
 	if t == nil {
@@ -507,7 +538,7 @@ func (t *Trace) StartSpanUnder(parent SpanID, stage Stage) SpanRef {
 		t.dropped.Add(1)
 		return SpanRef{t: t, id: t.base, stage: stage, start: now}
 	}
-	sp := &t.spans[i]
+	sp := t.slot(i, true)
 	id := SpanID(uint64(t.base) + uint64(i) + 1)
 	if id == 0 {
 		id = 1
@@ -543,7 +574,7 @@ func (r SpanRef) StartChild() SpanRef {
 // End, from the owning goroutine. No-op on unrecorded refs.
 func (r SpanRef) SetKey(key string) {
 	if r.t != nil && r.slot > 0 {
-		r.t.spans[r.slot-1].key = key
+		r.t.slot(r.slot-1, false).key = key
 	}
 }
 
@@ -556,7 +587,7 @@ func (r SpanRef) SetRemote(peer string) {
 	}
 	r.t.hasRemote.Store(true)
 	if r.slot > 0 {
-		r.t.spans[r.slot-1].remote = peer
+		r.t.slot(r.slot-1, false).remote = peer
 	}
 }
 
@@ -586,7 +617,7 @@ func (r SpanRef) End() time.Duration {
 	}
 	r.t.Observe(r.stage, d)
 	if r.slot > 0 {
-		sp := &r.t.spans[r.slot-1]
+		sp := r.t.slot(r.slot-1, false)
 		end := sp.startNs + int64(d)
 		if end == 0 {
 			end = 1 // endNs 0 means "uncommitted"; never store it for a finished span

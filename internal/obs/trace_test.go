@@ -188,6 +188,137 @@ func TestSpanOverflowDegradesToAggregates(t *testing.T) {
 	}
 }
 
+// sinkTrace keeps traces built in allocation tests on the heap, as a
+// request's trace is.
+var sinkTrace *Trace
+
+// TestSpanSlotsInlineThenBlock pins the slot layout: spans 1–8 live in
+// the Trace, spans 9–32 in the block the 9th installs, and the 33rd
+// degrades to aggregates. Snapshots list every committed span in slot
+// order under its historical ID, base+1+slot.
+func TestSpanSlotsInlineThenBlock(t *testing.T) {
+	tr := NewTrace()
+	ts := NewTraceStore("n", 4, 0, 1)
+	for i := 0; i < inlineSpans; i++ {
+		sp := tr.StartSpan(StageCache)
+		if got := tr.slot(int32(i), false); got != &tr.spans[i] {
+			t.Fatalf("span %d is not in inline slot %d", i+1, i)
+		}
+		sp.SetKey("k")
+		sp.End()
+	}
+	if tr.block.Load() != nil {
+		t.Fatal("8 spans installed the slot block")
+	}
+
+	// A reserver that has not installed the block yet: the snapshot
+	// lists the inline spans and skips the block.
+	tr.n.Add(1)
+	rec := ts.snapshot(tr, "r", "", 200, time.Millisecond, "sampled")
+	if len(rec.Spans) != 1+inlineSpans {
+		t.Fatalf("snapshot before the block exists has %d spans, want %d", len(rec.Spans), 1+inlineSpans)
+	}
+	tr.n.Add(-1)
+
+	for i := inlineSpans; i < maxSpans+1; i++ {
+		sp := tr.StartSpan(StageFetch)
+		sp.SetRemote("http://peer")
+		sp.End()
+	}
+	b := tr.block.Load()
+	if b == nil {
+		t.Fatal("the 9th span did not install the slot block")
+	}
+	for i := inlineSpans; i < maxSpans; i++ {
+		if got := tr.slot(int32(i), false); got != &b[i-inlineSpans] {
+			t.Fatalf("span %d is not in block slot %d", i+1, i-inlineSpans)
+		}
+	}
+	if got := tr.DroppedSpans(); got != 1 {
+		t.Fatalf("dropped = %d, want 1 (the 33rd span)", got)
+	}
+
+	rec = ts.snapshot(tr, "r", "", 200, time.Millisecond, "sampled")
+	if len(rec.Spans) != 1+maxSpans {
+		t.Fatalf("snapshot has %d spans, want %d", len(rec.Spans), 1+maxSpans)
+	}
+	for i, sp := range rec.Spans[1:] {
+		wantStage, wantKey, wantRemote := "cache", "k", ""
+		if i >= inlineSpans {
+			wantStage, wantKey, wantRemote = "fetch", "", "http://peer"
+		}
+		if sp.ID != SpanID(uint64(tr.RootSpan())+uint64(i)+1) || sp.Parent != tr.RootSpan() ||
+			sp.Stage != wantStage || sp.Key != wantKey || sp.Remote != wantRemote {
+			t.Fatalf("snapshot span %d = %+v, want ID root+%d, stage %s, key %q, remote %q",
+				i, sp, i+1, wantStage, wantKey, wantRemote)
+		}
+	}
+}
+
+// TestTraceSpanAllocs pins what a trace costs the allocator: a trace with
+// up to 8 spans is one allocation, the 9th span adds the block, and
+// overflow past 32 adds nothing.
+func TestTraceSpanAllocs(t *testing.T) {
+	for _, tc := range []struct{ spans, want int }{{0, 1}, {inlineSpans, 1}, {inlineSpans + 1, 2}, {maxSpans + 4, 2}} {
+		got := testing.AllocsPerRun(100, func() {
+			tr := NewTrace()
+			for i := 0; i < tc.spans; i++ {
+				tr.StartSpan(StageInstantiate).End()
+			}
+			sinkTrace = tr
+		})
+		if got != float64(tc.want) {
+			t.Errorf("NewTrace with %d spans: %v allocations, want %d", tc.spans, got, tc.want)
+		}
+	}
+}
+
+// TestConcurrentSpansAcrossBlockRaceClean starts spans on fresh traces
+// from several goroutines at once, so the 9th reservation, the block's
+// installation and later reservations race, while snapshots run beside
+// them. Every committed span must appear exactly once under its ID.
+func TestConcurrentSpansAcrossBlockRaceClean(t *testing.T) {
+	const goroutines, perG = 4, 5 // 20 spans: the 9th falls mid-race
+	ts := NewTraceStore("n", 4, 0, 1)
+	for round := 0; round < 200; round++ {
+		tr := NewTrace()
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for g := 0; g < goroutines; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := 0; i < perG; i++ {
+					sp := tr.StartSpan(StageFetch)
+					sp.SetKey("k")
+					sp.SetRemote("http://peer")
+					sp.End()
+				}
+			}()
+		}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			for i := 0; i < 4; i++ {
+				ts.snapshot(tr, "r", "", 200, time.Millisecond, "sampled")
+			}
+		}()
+		close(start)
+		wg.Wait()
+		rec := ts.snapshot(tr, "r", "", 200, time.Millisecond, "sampled")
+		if len(rec.Spans) != 1+goroutines*perG {
+			t.Fatalf("round %d: snapshot has %d spans, want %d", round, len(rec.Spans), 1+goroutines*perG)
+		}
+		for i, sp := range rec.Spans[1:] {
+			if sp.ID != SpanID(uint64(tr.RootSpan())+uint64(i)+1) || sp.Key != "k" || sp.Remote != "http://peer" {
+				t.Fatalf("round %d: span %d = %+v", round, i, sp)
+			}
+		}
+	}
+}
+
 // TestConcurrentSpansRaceClean exercises concurrent span recording
 // against snapshotting — the fan-out pattern — under the race detector.
 func TestConcurrentSpansRaceClean(t *testing.T) {

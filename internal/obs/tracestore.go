@@ -179,7 +179,10 @@ func (ts *TraceStore) snapshot(tr *Trace, route, from string, status int, d time
 		DurationNs:  int64(d),
 	})
 	for i := 0; i < n; i++ {
-		sp := &tr.spans[i]
+		sp := tr.slot(int32(i), false)
+		if sp == nil {
+			break // the block's reserver has not installed it yet
+		}
 		end := sp.endNs.Load() // acquire: commits the plain fields below
 		if end == 0 {
 			continue

@@ -674,10 +674,12 @@ func TestClusterHotKeyFanOut(t *testing.T) {
 }
 
 // TestClusterForwardAllocBound bounds the bytes a forwarded instantiate
-// allocates across a two-node fleet, both nodes and the client included.
-// Relaying the owner's answer through io.Copy allocated a fresh 32 KB
-// buffer per request (the instrument middleware's recorder hides
-// io.ReaderFrom), about half of everything a forwarded request allocated.
+// allocates across a two-node fleet, both nodes and the client included,
+// for a key-addressed and a spec-addressed body. Relaying the owner's
+// answer through io.Copy allocated a fresh 32 KB buffer per request (the
+// instrument middleware's recorder hides io.ReaderFrom), about half of
+// everything a forwarded request allocated. A spec-addressed body, as
+// sizing loops send, also pays the spec's decode and key on both nodes.
 func TestClusterForwardAllocBound(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts do not hold under the race detector")
@@ -692,45 +694,59 @@ func TestClusterForwardAllocBound(t *testing.T) {
 	if status, _, body := doClusterJSON(t, http.MethodPost, fleet.nodes[1].url+"/v1/structures", spec, nil); status != http.StatusOK {
 		t.Fatalf("generate on owner: %d %s", status, body)
 	}
-	req, err := json.Marshal(map[string]any{"key": key, "queries": []any{
-		testQuery(t, 0), testQuery(t, 1), testQuery(t, 0), testQuery(t, 1)}})
-	if err != nil {
-		t.Fatal(err)
-	}
+	queries := []any{testQuery(t, 0), testQuery(t, 1), testQuery(t, 0), testQuery(t, 1)}
 	entry := fleet.nodes[0].url + "/v1/instantiate"
-	forward := func() {
-		resp, err := http.Post(entry, "application/json", bytes.NewReader(req))
+	for _, leg := range []struct {
+		name  string
+		addr  map[string]any
+		bound uint64
+	}{
+		// Measured at ~60 KB with a fresh relay buffer per request and
+		// ~28 KB with a pooled one.
+		{"key", map[string]any{"key": key}, 44 << 10},
+		// Measured at ~30 KB with the spec decoded by encoding/json, keyed
+		// by fmt.Sprintf and traced into 32 slots, and ~25 KB after.
+		{"spec", map[string]any{"spec": spec}, 28 << 10},
+	} {
+		leg.addr["queries"] = queries
+		req, err := json.Marshal(leg.addr)
 		if err != nil {
 			t.Fatal(err)
 		}
-		defer resp.Body.Close()
-		if _, err := io.Copy(io.Discard, resp.Body); err != nil {
-			t.Fatal(err)
+		forward := func() {
+			resp, err := http.Post(entry, "application/json", bytes.NewReader(req))
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer resp.Body.Close()
+			if _, err := io.Copy(io.Discard, resp.Body); err != nil {
+				t.Fatal(err)
+			}
+			if resp.StatusCode != http.StatusOK {
+				t.Fatalf("forwarded %s-addressed instantiate: %d", leg.name, resp.StatusCode)
+			}
 		}
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("forwarded instantiate: %d", resp.StatusCode)
+		for i := 0; i < 20; i++ { // warm connections and pools
+			forward()
 		}
-	}
-	for i := 0; i < 20; i++ { // warm connections and pools
-		forward()
-	}
-	const n = 200
-	var before, after runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&before)
-	for i := 0; i < n; i++ {
-		forward()
-	}
-	runtime.ReadMemStats(&after)
-	if fwd := fleet.nodes[0].c.Stats().Forwards; fwd < n {
-		t.Fatalf("entry node forwarded %d requests, want at least %d", fwd, n)
-	}
-	perReq := (after.TotalAlloc - before.TotalAlloc) / n
-	t.Logf("%d bytes allocated per forwarded request", perReq)
-	// Measured at ~60 KB with a fresh relay buffer per request and ~28 KB
-	// with a pooled one.
-	if perReq > 44<<10 {
-		t.Errorf("forwarded instantiate allocated %d bytes per request, want at most %d", perReq, 44<<10)
+		const n = 200
+		fwdBefore := fleet.nodes[0].c.Stats().Forwards
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		for i := 0; i < n; i++ {
+			forward()
+		}
+		runtime.ReadMemStats(&after)
+		if fwd := fleet.nodes[0].c.Stats().Forwards - fwdBefore; fwd < n {
+			t.Fatalf("%s-addressed: entry node forwarded %d requests, want at least %d", leg.name, fwd, n)
+		}
+		perReq := (after.TotalAlloc - before.TotalAlloc) / n
+		t.Logf("%s-addressed: %d bytes allocated per forwarded request", leg.name, perReq)
+		if perReq > leg.bound {
+			t.Errorf("forwarded %s-addressed instantiate allocated %d bytes per request, want at most %d",
+				leg.name, perReq, leg.bound)
+		}
 	}
 }
 

@@ -81,8 +81,9 @@ func routeLabel(path string) string {
 type serverMetrics struct {
 	reg *obs.Registry
 
-	reqCount  *obs.CounterVec
-	routeHist map[string]*obs.Histogram
+	// routes holds each route label's latency histogram and request
+	// counters by status code.
+	routes map[string]routeMetrics
 
 	// Per-stage global accumulation, indexed by obs.Stage. Spans record
 	// here and into the request's Trace in one call (observe), so the
@@ -105,20 +106,25 @@ type serverMetrics struct {
 	slowQueries     *obs.Counter
 }
 
+type routeMetrics struct {
+	hist  *obs.Histogram
+	codes *obs.CodeCounters
+}
+
 // newServerMetrics builds the registry for s. Gauge and counter funcs
 // close over s and read live state at scrape time; they take the same
 // locks a request would (briefly), never the other way around, so a
 // scrape can't deadlock the serving path.
 func newServerMetrics(s *Server) *serverMetrics {
 	reg := obs.NewRegistry()
-	m := &serverMetrics{reg: reg, routeHist: make(map[string]*obs.Histogram, len(routeLabels))}
+	m := &serverMetrics{reg: reg, routes: make(map[string]routeMetrics, len(routeLabels))}
 
-	m.reqCount = reg.CounterVec("mps_http_requests_total",
+	reqCount := reg.CounterVec("mps_http_requests_total",
 		"HTTP requests served, by route and status code.", "route", "code")
 	durVec := reg.HistogramVec("mps_http_request_duration_seconds",
 		"HTTP request latency by route.", "route")
 	for _, rt := range routeLabels {
-		m.routeHist[rt] = durVec.With(rt)
+		m.routes[rt] = routeMetrics{hist: durVec.With(rt), codes: reqCount.Codes(rt)}
 	}
 
 	stageDur := reg.DurationCounterVec("mps_stage_duration_seconds_total",
@@ -453,8 +459,9 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 				// write carried, the request failed.
 				status = http.StatusInternalServerError
 			}
-			m.routeHist[route].Observe(elapsed)
-			m.reqCount.With(route, strconv.Itoa(status)).Inc()
+			rm := m.routes[route]
+			rm.hist.Observe(elapsed)
+			rm.codes.Inc(status)
 			// Forwarded *client* requests only: the /v1/cluster/* endpoints
 			// always carry the forward mark (it is the peer-protocol loop
 			// guard), so counting them would make every fetch look like a

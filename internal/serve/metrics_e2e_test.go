@@ -48,6 +48,54 @@ func hasSeries(s *loadgen.Scrape, prefix string) bool {
 	return false
 }
 
+// TestRequestCounterByRouteAndCode checks mps_http_requests_total counts
+// every (route, code) exactly and holds no series for a pair no request
+// produced.
+func TestRequestCounterByRouteAndCode(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	spec := testSpec(1)
+	inst := map[string]any{"spec": spec, "queries": []any{testQuery(t, 0)}}
+	sends := []struct {
+		path string
+		body any
+		code int
+		n    int
+	}{
+		{"/v1/structures", spec, http.StatusOK, 1},
+		{"/v1/structures", GenerateSpec{Circuit: "nope"}, http.StatusBadRequest, 2},
+		{"/v1/instantiate", inst, http.StatusOK, 3},
+		{"/v1/instantiate", map[string]any{"queries": []any{testQuery(t, 0)}}, http.StatusBadRequest, 2},
+		{"/v1/instantiate", map[string]any{"key": "nope", "queries": []any{testQuery(t, 0)}}, http.StatusNotFound, 1},
+	}
+	want := map[string]float64{} // series identity → count
+	labels := map[string]map[string]string{}
+	for _, sd := range sends {
+		for i := 0; i < sd.n; i++ {
+			if status, body := postJSON(t, ts.URL+sd.path, sd.body, nil); status != sd.code {
+				t.Fatalf("POST %s: %d %s, want %d", sd.path, status, body, sd.code)
+			}
+		}
+		route, code := routeLabel(sd.path), strconv.Itoa(sd.code)
+		id := `mps_http_requests_total{route="` + route + `",code="` + code + `"}`
+		want[id] += float64(sd.n)
+		labels[id] = map[string]string{"route": route, "code": code}
+	}
+
+	scrape := scrapeMetrics(t, ts.URL)
+	for id := range scrape.Values {
+		if _, ok := want[id]; !ok && strings.HasPrefix(id, "mps_http_requests_total{") {
+			t.Errorf("unexpected series %s", id)
+		}
+	}
+	for id, n := range want {
+		if _, ok := scrape.Values[id]; !ok {
+			t.Errorf("missing series %s", id)
+		} else if got := scrape.Sum("mps_http_requests_total", labels[id]); got != n {
+			t.Errorf("%s = %v, want %v", id, got, n)
+		}
+	}
+}
+
 // TestClusterMetricsEndToEnd drives real traffic through a two-node fleet
 // and checks the /metrics surface end to end: both nodes export the key
 // families, cross-node accounting agrees (the entry node's forward count

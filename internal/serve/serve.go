@@ -44,7 +44,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
-	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -54,6 +54,7 @@ import (
 	"mps/internal/circuits"
 	"mps/internal/cluster"
 	"mps/internal/core"
+	"mps/internal/gen"
 	"mps/internal/jobs"
 	"mps/internal/obs"
 	"mps/internal/store"
@@ -369,10 +370,9 @@ func (g *GenerateSpec) validateNames() error {
 	if g.Backend == "" {
 		g.Backend = mps.DefaultBackend
 	}
-	registered := mps.Backends()
-	if !slices.Contains(registered, g.Backend) {
+	if _, err := gen.ByName(g.Backend); err != nil {
 		return fmt.Errorf("unknown backend %q (registered: %s)",
-			g.Backend, strings.Join(registered, ", "))
+			g.Backend, strings.Join(mps.Backends(), ", "))
 	}
 	if err := g.Weights.weights().Validate(); err != nil {
 		return fmt.Errorf("weights: %w", err)
@@ -498,29 +498,46 @@ func (g GenerateSpec) resolvedMemberWeights() []mps.Weights {
 // manifests and job files recorded: every existing cache entry, store
 // artifact, and cluster assignment stays valid.
 func (g GenerateSpec) key() string {
-	base := fmt.Sprintf("%s|seed=%d|it=%d|bdio=%d|chains=%d|maxp=%d|backup=%s",
-		g.Circuit, g.Seed, g.Iterations, g.BDIOSteps, g.Chains, g.MaxPlacements, g.Backup)
+	b := make([]byte, 0, 128)
+	b = append(b, g.Circuit...)
+	b = append(b, "|seed="...)
+	b = strconv.AppendInt(b, g.Seed, 10)
+	b = append(b, "|it="...)
+	b = strconv.AppendInt(b, int64(g.Iterations), 10)
+	b = append(b, "|bdio="...)
+	b = strconv.AppendInt(b, int64(g.BDIOSteps), 10)
+	b = append(b, "|chains="...)
+	b = strconv.AppendInt(b, int64(g.Chains), 10)
+	b = append(b, "|maxp="...)
+	b = strconv.AppendInt(b, int64(g.MaxPlacements), 10)
+	b = append(b, "|backup="...)
+	b = append(b, g.Backup...)
 	if g.Backend != "" && g.Backend != mps.DefaultBackend {
-		base = fmt.Sprintf("%s|backend=%s", base, g.Backend)
+		b = append(b, "|backend="...)
+		b = append(b, g.Backend...)
 	}
 	if g.Weights != nil {
-		base = fmt.Sprintf("%s|w=%s", base, g.Weights.weights().Key())
+		b = append(b, "|w="...)
+		b = g.Weights.weights().AppendKey(b)
 	}
 	if g.Portfolio > 1 {
-		base = fmt.Sprintf("%s|k=%d", base, g.Portfolio)
+		b = append(b, "|k="...)
+		b = strconv.AppendInt(b, int64(g.Portfolio), 10)
 		if len(g.MemberWeights) != 0 {
-			keys := make([]string, len(g.MemberWeights))
+			b = append(b, "|mw="...)
 			for i := range g.MemberWeights {
+				if i > 0 {
+					b = append(b, ';')
+				}
 				// Zero entries (inherit the spec-level vector) stay empty so
 				// the suffix round-trips the canonical spec exactly.
 				if w := g.MemberWeights[i].weights(); !w.IsZero() {
-					keys[i] = w.Key()
+					b = w.AppendKey(b)
 				}
 			}
-			base = fmt.Sprintf("%s|mw=%s", base, strings.Join(keys, ";"))
 		}
 	}
-	return base
+	return string(b)
 }
 
 // memberSpec derives portfolio member i's single-structure spec: the

@@ -4,16 +4,21 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"io"
+	"math"
+	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
 	"slices"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"mps"
 	"mps/internal/circuits"
 	"mps/internal/core"
 	"mps/internal/store"
@@ -532,6 +537,141 @@ func TestSpecNormalization(t *testing.T) {
 	} {
 		if err := bad.normalize(); err == nil {
 			t.Errorf("spec %+v should not normalize", bad)
+		}
+	}
+}
+
+// historicalKey is GenerateSpec.key as a chain of fmt.Sprintf calls: one
+// for the base key and one per suffix, with each weights token built from
+// three strconv.FormatFloat calls joined by commas. Spec keys name store
+// files, manifest rows and ring positions, so key must reproduce it byte
+// for byte.
+func historicalKey(g GenerateSpec) string {
+	weightsKey := func(w WeightsSpec) string {
+		c := w.weights().Canonical()
+		return strings.Join([]string{
+			strconv.FormatFloat(c.Wire, 'g', -1, 64),
+			strconv.FormatFloat(c.Area, 'g', -1, 64),
+			strconv.FormatFloat(c.Aspect, 'g', -1, 64),
+		}, ",")
+	}
+	base := fmt.Sprintf("%s|seed=%d|it=%d|bdio=%d|chains=%d|maxp=%d|backup=%s",
+		g.Circuit, g.Seed, g.Iterations, g.BDIOSteps, g.Chains, g.MaxPlacements, g.Backup)
+	if g.Backend != "" && g.Backend != mps.DefaultBackend {
+		base = fmt.Sprintf("%s|backend=%s", base, g.Backend)
+	}
+	if g.Weights != nil {
+		base = fmt.Sprintf("%s|w=%s", base, weightsKey(*g.Weights))
+	}
+	if g.Portfolio > 1 {
+		base = fmt.Sprintf("%s|k=%d", base, g.Portfolio)
+		if len(g.MemberWeights) != 0 {
+			keys := make([]string, len(g.MemberWeights))
+			for i, w := range g.MemberWeights {
+				if (w != WeightsSpec{}) {
+					keys[i] = weightsKey(w)
+				}
+			}
+			base = fmt.Sprintf("%s|mw=%s", base, strings.Join(keys, ";"))
+		}
+	}
+	return base
+}
+
+// TestSpecKeyMatchesHistoricalKey checks key against historicalKey on a
+// table that takes every suffix (backend, w, k, and mw with zero
+// entries) and on random specs, normalized or not: the keys must be
+// byte-equal.
+func TestSpecKeyMatchesHistoricalKey(t *testing.T) {
+	specs := []GenerateSpec{
+		{Circuit: "TwoStageOpamp", Seed: 1, Effort: "balanced"},
+		{Circuit: "circ01", Seed: -9223372036854775808, Iterations: 9223372036854775807, Backup: "seqpair"},
+		{Circuit: "circ01", Backend: "ga"},
+		{Circuit: "circ01", Backend: "anneal"},
+		{Circuit: "circ01", Weights: &WeightsSpec{Wire: 1, Area: 0.01}},
+		{Circuit: "circ01", Weights: &WeightsSpec{}},
+		{Circuit: "circ01", Portfolio: 3},
+		{Circuit: "circ01", Portfolio: 1, MemberWeights: []WeightsSpec{{Area: 1}}},
+		{Circuit: "circ01", Backend: "ga", Weights: &WeightsSpec{Aspect: 2.5e-7}, Portfolio: 3,
+			MemberWeights: []WeightsSpec{{Area: 1}, {}, {Wire: 1e21, Area: 0.1}}},
+		{Circuit: "circ01", Portfolio: 2, MemberWeights: []WeightsSpec{{}, {}}},
+		{Circuit: "circ01", Portfolio: 2, MemberWeights: []WeightsSpec{}},
+	}
+	for _, base := range specs[:4] {
+		g := base
+		if err := g.normalize(); err == nil {
+			specs = append(specs, g)
+		}
+	}
+	rng := rand.New(rand.NewSource(21))
+	strs := []string{"", "circ01", "TwoStageOpamp", "a|b=c;d,e", "caf\u00e9", "bad\xff", "anneal", "ga", "tree"}
+	floats := []float64{0, 1, 0.05, 0.1, 1.0 / 3, 1e-300, 5e-324, 1e21, 123456789, math.MaxFloat64}
+	weights := func() WeightsSpec {
+		return WeightsSpec{Wire: floats[rng.Intn(len(floats))], Area: floats[rng.Intn(len(floats))],
+			Aspect: floats[rng.Intn(len(floats))]}
+	}
+	ints := func() int {
+		switch rng.Intn(4) {
+		case 0:
+			return rng.Intn(10)
+		case 1:
+			return -rng.Intn(1000)
+		default:
+			return rng.Int()
+		}
+	}
+	for i := 0; i < 2000; i++ {
+		g := GenerateSpec{
+			Circuit: strs[rng.Intn(len(strs))], Seed: rng.Int63() - rng.Int63(),
+			Effort: strs[rng.Intn(len(strs))], Iterations: ints(), BDIOSteps: ints(), Chains: ints(),
+			MaxPlacements: ints(), Backup: strs[rng.Intn(len(strs))], Backend: strs[rng.Intn(len(strs))],
+			Portfolio: rng.Intn(10) - 1,
+		}
+		if rng.Intn(2) == 0 {
+			w := weights()
+			g.Weights = &w
+		}
+		if rng.Intn(2) == 0 {
+			g.MemberWeights = make([]WeightsSpec, rng.Intn(5))
+			for j := range g.MemberWeights {
+				if rng.Intn(3) > 0 {
+					g.MemberWeights[j] = weights()
+				}
+			}
+		}
+		specs = append(specs, g)
+	}
+	for _, g := range specs {
+		if got, want := g.key(), historicalKey(g); got != want {
+			t.Fatalf("key of %+v:\n got %q\nwant %q", g, got, want)
+		}
+	}
+}
+
+// TestSpecKeyAllocs pins what resolving a spec costs the allocator on
+// every spec-addressed request: normalize allocates nothing, and key one
+// string, suffixes included.
+func TestSpecKeyAllocs(t *testing.T) {
+	weighted := testSpec(1)
+	weighted.Backend = "ga"
+	weighted.Portfolio = 3
+	weighted.Weights = &WeightsSpec{Wire: 1, Area: 0.01}
+	weighted.MemberWeights = []WeightsSpec{{Area: 1}, {}, {Wire: 1, Aspect: 0.5}}
+	for _, spec := range []GenerateSpec{{Circuit: "TwoStageOpamp", Seed: 1, Effort: "balanced"}, weighted} {
+		if n := testing.AllocsPerRun(100, func() {
+			g := spec
+			if err := g.normalize(); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Errorf("normalize(%+v): %v allocations, want 0", spec, n)
+		}
+		g := spec
+		if err := g.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		if n := testing.AllocsPerRun(100, func() { _ = g.key() }); n != 1 {
+			t.Errorf("key %q: %v allocations, want 1", g.key(), n)
 		}
 	}
 }

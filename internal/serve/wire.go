@@ -5,20 +5,24 @@ package serve
 //
 // The decoder makes one pass over bodies in the canonical grammar
 //
-//	{"key": "...", "spec": {...}, "weights": {...},
-//	 "queries": [{"ws": [ints], "hs": [ints], "weights": {"wire": n, "area": n, "aspect": n}}, ...]}
+//	{"key": "...", "spec": {spec}, "weights": {weights},
+//	 "queries": [{"ws": [ints], "hs": [ints], "weights": {weights}}, ...]}
+//
+//	spec:    {"circuit", "effort", "backup", "backend": strings,
+//	          "seed", "iterations", "bdio_steps", "chains",
+//	          "max_placements", "portfolio": integers,
+//	          "weights": {weights}, "member_weights": [{weights}, ...]}
+//	weights: {"wire": n, "area": n, "aspect": n}
 //
 // (every member optional, in any order, whitespace anywhere JSON allows
-// it) and cuts every ws and hs array from one int arena. The spec object
-// goes through decodeJSONBytes, so GenerateSpec keeps its exact semantics.
-// Any other body — escapes or non-ASCII in strings, keys spelled in
-// another case, duplicate keys, null, non-integer or out-of-range
-// dimensions, unknown fields, trailing bytes — goes whole to
-// decodeJSONBytes, which then accepts or rejects it with the same
-// request and error text as before the fast path existed. The input
-// bytes alone choose the path; FuzzInstantiateDecode checks that
-// whatever the fast path accepts, decodeJSONBytes accepts as the same
-// request.
+// it) and cuts every ws and hs array from one int arena. Any other body —
+// escapes or non-ASCII in strings, keys spelled in another case,
+// duplicate keys, null, non-integer or out-of-range integers, unknown
+// fields, trailing bytes — goes whole to decodeJSONBytes, which then
+// accepts or rejects it with the same request and error text as before
+// the fast path existed. The input bytes alone choose the path;
+// FuzzInstantiateDecode checks that whatever the fast path accepts,
+// decodeJSONBytes accepts as the same request.
 //
 // The encoder appends the response into a pooled buffer, byte for byte
 // what encoding/json writes for the map {"key", "results", "served"} of
@@ -74,10 +78,7 @@ func (d *wireDecoder) request(req *instantiateRequest) bool {
 		ok := false
 		switch string(k) {
 		case "key":
-			bit = 1
-			var s []byte
-			s, ok = d.str()
-			req.Key = string(s)
+			bit, ok = 1, d.text(&req.Key)
 		case "spec":
 			bit = 2
 			ok = d.spec(req)
@@ -128,37 +129,57 @@ func (d *wireDecoder) object(member func(k []byte) bool) bool {
 	}
 }
 
-// spec hands the spec object, delimited by bracket depth outside strings,
-// to the strict decoder. A valid JSON object ends where its depth first
-// returns to zero, so whatever decodeJSONBytes accepts here is exactly the
-// value the whole-body decoder would have read.
+// spec parses the spec object: each GenerateSpec field under its exact
+// JSON name, at most once.
 func (d *wireDecoder) spec(req *instantiateRequest) bool {
-	start, depth := d.i, 0
-	for ; d.i < len(d.b); d.i++ {
-		switch d.b[d.i] {
-		case '"':
-			for d.i++; d.i < len(d.b) && d.b[d.i] != '"'; d.i++ {
-				if d.b[d.i] == '\\' {
-					d.i++
-				}
-			}
-		case '{', '[':
-			depth++
-		case '}', ']':
-			if depth--; depth == 0 {
-				d.i++
-				if d.b[start] != '{' {
-					return false
-				}
-				req.Spec = new(GenerateSpec)
-				return decodeJSONBytes(d.b[start:d.i], req.Spec) == nil
-			}
-		}
-		if depth == 0 { // the value does not open with a bracket
+	g := new(GenerateSpec)
+	req.Spec = g
+	var seen uint16
+	return d.object(func(k []byte) bool {
+		var bit uint16
+		ok := false
+		switch string(k) {
+		case "circuit":
+			bit, ok = 1<<0, d.text(&g.Circuit)
+		case "effort":
+			bit, ok = 1<<1, d.text(&g.Effort)
+		case "backup":
+			bit, ok = 1<<2, d.text(&g.Backup)
+		case "backend":
+			bit, ok = 1<<3, d.text(&g.Backend)
+		case "seed":
+			var v int
+			v, ok = d.integer()
+			bit, g.Seed = 1<<4, int64(v)
+		case "iterations":
+			bit = 1 << 5
+			g.Iterations, ok = d.integer()
+		case "bdio_steps":
+			bit = 1 << 6
+			g.BDIOSteps, ok = d.integer()
+		case "chains":
+			bit = 1 << 7
+			g.Chains, ok = d.integer()
+		case "max_placements":
+			bit = 1 << 8
+			g.MaxPlacements, ok = d.integer()
+		case "portfolio":
+			bit = 1 << 9
+			g.Portfolio, ok = d.integer()
+		case "weights":
+			g.Weights = new(WeightsSpec)
+			bit, ok = 1<<10, d.weightsObject(g.Weights)
+		case "member_weights":
+			bit, ok = 1<<11, d.weightsArray(&g.MemberWeights)
+		default:
 			return false
 		}
-	}
-	return false
+		if seen&bit != 0 {
+			return false
+		}
+		seen |= bit
+		return ok
+	})
 }
 
 func (d *wireDecoder) queries(req *instantiateRequest) bool {
@@ -243,6 +264,32 @@ func (d *wireDecoder) weightsObject(w *WeightsSpec) bool {
 		*f = v
 		return err == nil
 	})
+}
+
+// weightsArray parses an array of weights objects into *ws. An empty
+// array yields an empty, non-nil slice, as encoding/json decodes it.
+func (d *wireDecoder) weightsArray(ws *[]WeightsSpec) bool {
+	if !d.next('[') {
+		return false
+	}
+	out := []WeightsSpec{}
+	if !d.next(']') {
+		for {
+			d.space()
+			out = append(out, WeightsSpec{})
+			if !d.weightsObject(&out[len(out)-1]) {
+				return false
+			}
+			if d.next(']') {
+				break
+			}
+			if !d.next(',') {
+				return false
+			}
+		}
+	}
+	*ws = out
+	return true
 }
 
 // intArray parses an array of integers into the arena, returning the
@@ -364,6 +411,13 @@ func (d *wireDecoder) str() ([]byte, bool) {
 		}
 	}
 	return nil, false
+}
+
+// text parses a str into *s.
+func (d *wireDecoder) text(s *string) bool {
+	v, ok := d.str()
+	*s = string(v)
+	return ok
 }
 
 // next skips whitespace and consumes c if it comes next.

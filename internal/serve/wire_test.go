@@ -46,7 +46,10 @@ var canonicalSeeds = []string{
 	" \t\r\n{ \"queries\" : [ { \"hs\" : [ 1 , -2 ] , \"ws\" : [ ] } ] , \"key\" : \"k\" } \n",
 	`{"key":"k","queries":[{"ws":[-0,0],"hs":[9223372036854775807,-9223372036854775808]}]}`,
 	`{"key":"k","queries":[{"ws":[1],"hs":[1],"weights":{"wire":-0,"area":1E+2,"aspect":0.5e-3}}]}`,
-	`{"spec":{"circuit":"c}]\"{\u0041"},"queries":[{"weights":{}}]}`,
+	`{"spec":{"circuit":"circ01","effort":"quick","backup":"seqpair","backend":"ga","seed":-7,"iterations":-20,"bdio_steps":40,"chains":2,"max_placements":-1,"portfolio":2,"weights":{},"member_weights":[]},"queries":[{"weights":{}}]}`,
+	`{"spec":{"member_weights":[{"wire":1},{},{"area":0.5,"aspect":2}],"weights":{"wire":1,"area":0.01},"portfolio":3,"circuit":"circ01","seed":0},"queries":[]}`,
+	` {"queries":[],"spec" : { "circuit" : "circ01" , "member_weights" : [ ] , "seed" : 9223372036854775807 } } `,
+	`{"spec":{},"queries":[{}]}`,
 	`{"queries":[{}]}`,
 	`{}`,
 }
@@ -70,7 +73,18 @@ var offGrammarSeeds = []string{
 	`{"key":"k","queries":[{"ws":[1],"hs":[1],"extra":1}]}`,
 	`{"key":"k","queries":[{"ws":[1],"hs":[1]}]}]]]`,
 	`{"key":"k","queries":[{"ws":[1],"hs":[1]}]} trailing`,
+	`{"spec":{"circuit":"c}]\"{\u0041"},"queries":[{"weights":{}}]}`,
+	`{"spec":null,"queries":[{"ws":[1],"hs":[1]}]}`,
+	`{"spec":{"circuit":"circ01","seed":1.0},"queries":[]}`,
+	`{"spec":{"Circuit":"circ01"},"queries":[]}`,
+	`{"spec":{"circuit":"circ01","circuit":"circ02"},"queries":[]}`,
 	`{"spec":{"circuit":"circ01","bogus":1},"queries":[{"ws":[1],"hs":[1]}]}`,
+	`{"spec":{"circuit":"circ\u00301"},"queries":[]}`,
+	`{"spec":{"circuit":"circ01","weights":null},"queries":[]}`,
+	`{"spec":{"circuit":"circ01","member_weights":null},"queries":[]}`,
+	`{"spec":{"circuit":"circ01","member_weights":[{"area":1},null]},"queries":[]}`,
+	`{"spec":{"circuit":"circ01","member_weights":[{"area":1},]},"queries":[]}`,
+	`{"spec":{"circuit":"circ01","portfolio":9223372036854775808},"queries":[]}`,
 	`{"spec":{"circuit":"circ01","seed":"1"},"queries":[]}`,
 	`{"spec":[],"queries":[]}`,
 	`{"spec":"circ01","queries":[]}`,
@@ -144,11 +158,17 @@ func FuzzInstantiateDecode(f *testing.F) {
 }
 
 // TestInstantiateDecodeAllocsFlat pins the arena: decoding a canonical
-// body allocates the same number of objects whatever the query count.
+// body allocates the same number of objects whatever the query count. On
+// a 4-query body that is 6 objects: the request, the int arena, the
+// query slice, the spec and its circuit and effort strings (7 weighted,
+// with the query weights arena).
 func TestInstantiateDecodeAllocsFlat(t *testing.T) {
 	for _, weighted := range []bool{false, true} {
-		var base float64
-		for i, n := range []int{4, 64, 256} {
+		want := 6.0
+		if weighted {
+			want = 7
+		}
+		for _, n := range []int{4, 64, 256} {
 			body := canonicalBody(t, n, weighted)
 			allocs := testing.AllocsPerRun(20, func() {
 				var req instantiateRequest
@@ -156,10 +176,8 @@ func TestInstantiateDecodeAllocsFlat(t *testing.T) {
 					t.Fatalf("decoding %d queries: %v", n, err)
 				}
 			})
-			if i == 0 {
-				base = allocs
-			} else if allocs != base {
-				t.Errorf("weighted=%v: %d queries decode in %v allocations, 4 queries in %v", weighted, n, allocs, base)
+			if allocs != want {
+				t.Errorf("weighted=%v: %d queries decode in %v allocations, want %v", weighted, n, allocs, want)
 			}
 		}
 	}
