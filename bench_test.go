@@ -556,25 +556,31 @@ func BenchmarkScalingGeneration(b *testing.B) {
 	}
 }
 
+// benchCodec is one structure writer BenchmarkSave and BenchmarkLoad
+// compare.
+type benchCodec struct {
+	name string
+	save func(io.Writer) error
+}
+
+// benchCodecs lists s's writers: binary v2, the one the program writes,
+// and the legacy gob v1 and binary v3 that Load still reads.
+func benchCodecs(s *core.Structure) []benchCodec {
+	return []benchCodec{{"gob", s.Save}, {"binary", s.SaveBinary}, {"v3", s.SaveBinaryCompiled}}
+}
+
 // BenchmarkSave measures structure encoding per codec on a generated
 // structure; file-bytes reports the encoded size.
 func BenchmarkSave(b *testing.B) {
 	s := structureFor(b, "TwoStageOpamp")
-	codecs := []struct {
-		name string
-		save func(io.Writer) error
-	}{
-		{"gob", s.Save},
-		{"binary", s.SaveBinary},
-	}
-	for _, codec := range codecs {
+	for _, codec := range benchCodecs(s) {
 		b.Run(codec.name, func(b *testing.B) {
 			var buf bytes.Buffer
 			if err := codec.save(&buf); err != nil {
 				b.Fatal(err)
 			}
-			b.SetBytes(int64(buf.Len()))
-			b.ReportMetric(float64(buf.Len()), "file-bytes")
+			size := buf.Len()
+			b.SetBytes(int64(size))
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -583,39 +589,47 @@ func BenchmarkSave(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+			// After the loop: ResetTimer deletes metrics reported before it.
+			b.ReportMetric(float64(size), "file-bytes")
 		})
 	}
 }
 
 // BenchmarkLoad measures structure decoding per codec — the cost a
-// warm-starting mpsd pays per persisted structure. The acceptance target
-// is binary measurably faster than gob and no larger on disk.
+// warm-starting mpsd pays per persisted structure — and, in each codec's
+// +compile row, decoding plus core.Compile: the state serving needs (a v3
+// load leaves the index compiled, so its Compile is a cache hit). The
+// acceptance target is binary measurably faster than gob and no larger on
+// disk.
 func BenchmarkLoad(b *testing.B) {
 	s := structureFor(b, "TwoStageOpamp")
 	c := s.Circuit()
-	codecs := []struct {
-		name string
-		save func(io.Writer) error
-	}{
-		{"gob", s.Save},
-		{"binary", s.SaveBinary},
-	}
-	for _, codec := range codecs {
-		b.Run(codec.name, func(b *testing.B) {
-			var buf bytes.Buffer
-			if err := codec.save(&buf); err != nil {
-				b.Fatal(err)
+	for _, codec := range benchCodecs(s) {
+		var buf bytes.Buffer
+		if err := codec.save(&buf); err != nil {
+			b.Fatal(err)
+		}
+		data := buf.Bytes()
+		for _, compile := range []bool{false, true} {
+			name := codec.name
+			if compile {
+				name += "+compile"
 			}
-			data := buf.Bytes()
-			b.SetBytes(int64(len(data)))
-			b.ReportMetric(float64(len(data)), "file-bytes")
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := core.Load(bytes.NewReader(data), c); err != nil {
-					b.Fatal(err)
+			b.Run(name, func(b *testing.B) {
+				b.SetBytes(int64(len(data)))
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					loaded, err := core.Load(bytes.NewReader(data), c)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if compile {
+						core.Compile(loaded)
+					}
 				}
-			}
-		})
+				b.ReportMetric(float64(len(data)), "file-bytes")
+			})
+		}
 	}
 }

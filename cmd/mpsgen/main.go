@@ -7,9 +7,9 @@
 //	mpsgen -circuit TwoStageOpamp -out tso.mps [-seed 1] [-effort quick|balanced|thorough]
 //	       [-backend anneal|ga] [-iterations N] [-bdio-steps N] [-chains N] [-v]
 //
-// Structures are written atomically in the v3 binary format (checksummed,
-// varint-packed, carrying the compiled query index). mpsquery/mpsinfo/mpsd
-// load it and the older v1 and v2 files transparently.
+// Structures are written atomically in the v2 binary format (checksummed,
+// varint-packed). mpsquery/mpsinfo/mpsd load it, and the legacy v3 and
+// gob v1 files earlier versions wrote, transparently.
 package main
 
 import (

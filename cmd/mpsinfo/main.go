@@ -6,7 +6,7 @@
 //	mpsinfo -circuit TwoStageOpamp -in tso.mps
 //	mpsinfo -circuit TwoStageOpamp -in tso.mps -json tso.json
 //
-// Both structure file formats (binary v2 and legacy gob v1) load
+// Every structure file format (binary v2, plus legacy v3 and gob v1) loads
 // transparently.
 package main
 

@@ -8,8 +8,9 @@
 //	mpsquery -circuit TwoStageOpamp -in tso.mps -frac 0.5 -render
 //
 // Dimensions are per-block WxH pairs in block order; -frac picks every
-// block's dimensions at the given fraction of its range instead. Both
-// structure file formats (binary v2 and legacy gob v1) load transparently.
+// block's dimensions at the given fraction of its range instead. Every
+// structure file format (binary v2, plus legacy v3 and gob v1) loads
+// transparently.
 package main
 
 import (

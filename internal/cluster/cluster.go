@@ -17,7 +17,7 @@ import (
 // Cluster is one node's routing brain: the ring for ownership decisions,
 // a per-peer circuit breaker so a dead peer costs a map lookup instead of
 // a connect timeout, a hot-key tracker for read-replica fan-out, and the
-// HTTP client that carries forwarded requests with bounded retry and
+// HTTP transport that carries forwarded requests with bounded retry and
 // backoff. Safe for concurrent use.
 type Cluster struct {
 	cfg  Config
@@ -25,11 +25,14 @@ type Cluster struct {
 	// mark is the ForwardHeader value for every request this node sends
 	// to a peer: one hop, from Self.
 	mark string
-	// client carries forwarded requests. No global client timeout: each
-	// Do applies the per-attempt deadline through its context, because
+	// transport carries forwarded requests: http.DefaultTransport, the
+	// pool the zero http.Client uses, called directly as
+	// httputil.ReverseProxy does, because a peer never redirects and the
+	// client's redirect handling clones every request's headers. Each
+	// attempt applies its own deadline through its context, because
 	// forwards (minutes of generation) and fetches (milliseconds of disk)
 	// need different budgets on one connection pool.
-	client *http.Client
+	transport http.RoundTripper
 
 	mu       sync.Mutex
 	breakers map[string]*Breaker
@@ -85,13 +88,13 @@ func New(cfg Config) (*Cluster, error) {
 		return nil, err
 	}
 	return &Cluster{
-		cfg:      cfg,
-		ring:     ring,
-		mark:     mark,
-		client:   &http.Client{},
-		breakers: make(map[string]*Breaker),
-		hot:      make(map[string]*hotKey),
-		rng:      rand.New(rand.NewSource(int64(hashKey(self) ^ 0x6d707364))),
+		cfg:       cfg,
+		ring:      ring,
+		mark:      mark,
+		transport: http.DefaultTransport,
+		breakers:  make(map[string]*Breaker),
+		hot:       make(map[string]*hotKey),
+		rng:       rand.New(rand.NewSource(int64(hashKey(self) ^ 0x6d707364))),
 	}, nil
 }
 
@@ -259,7 +262,7 @@ func (c *Cluster) attempt(att obs.SpanRef, ctx context.Context, peer, method, pa
 	if hv, ok := att.Header(); ok {
 		req.Header.Set(obs.TraceHeader, hv)
 	}
-	resp, err := c.client.Do(req)
+	resp, err := c.transport.RoundTrip(req)
 	if err != nil {
 		cancel()
 		return nil, err

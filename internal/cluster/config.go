@@ -31,8 +31,9 @@ type Config struct {
 	// the owner can legitimately take minutes, so the default is generous:
 	// 15 minutes. Fetches use the tighter FetchTimeout.
 	ForwardTimeout time.Duration
-	// FetchTimeout bounds one artifact-fetch attempt (v3 bytes off a
-	// peer's disk or cache — milliseconds when healthy). 0 defaults to 30s.
+	// FetchTimeout bounds one artifact-fetch attempt (structure-file bytes
+	// off a peer's disk or cache — milliseconds when healthy). 0 defaults
+	// to 30s.
 	FetchTimeout time.Duration
 	// Retries is how many times a failed forward attempt is retried
 	// against the same target (transport errors only — an HTTP response,

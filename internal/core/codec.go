@@ -31,15 +31,22 @@ import (
 // (which spends bytes on reflected type metadata and field headers) and
 // decoding is a single allocation-light pass instead of gob's reflection
 // walk.
+//
+// Format v3 is the v2 layout under version 3 with the compiled query
+// index's row tables appended before the CRC (appendTables). Load reads it
+// as a legacy format, as it reads gob v1: the tables can be trusted only
+// by compiling the rebuilt rows and comparing, which costs more than
+// compiling alone, so the program writes v2.
 
 const (
 	// binaryMagic introduces a v2/v3 file; Load sniffs it to pick the codec.
 	binaryMagic = "MPSB"
 	// binaryVersion is written after the magic and checked on load.
 	binaryVersion = 2
-	// binaryVersionCompiled marks a file that additionally carries the
-	// compiled query index's row tables after the placement records (see
-	// SaveBinaryCompiled); the placement section is byte-identical to v2.
+	// binaryVersionCompiled marks a legacy v3 file, which additionally
+	// carries the compiled query index's row tables after the placement
+	// records (see SaveBinaryCompiled); the placement section is
+	// byte-identical to v2.
 	binaryVersionCompiled = 3
 	// crcLen is the size of the trailing CRC-32C.
 	crcLen = 4
@@ -60,12 +67,11 @@ func (s *Structure) SaveBinary(w io.Writer) error {
 	return nil
 }
 
-// SaveBinaryCompiled writes the structure in the v3 binary format: the v2
-// placement payload plus the compiled query index's row tables, so a
-// loader gets the flat index for free instead of flattening the rows
-// itself — the daemon's store uses this so a warm start never compiles on
-// the request path. Compiling here is free when the structure was already
-// queried (Compile caches).
+// SaveBinaryCompiled writes the structure in the legacy v3 binary format:
+// the v2 placement payload plus the compiled query index's row tables.
+// The program writes v2 (SaveBinary); this writer stays, as Save stays for
+// gob v1, to produce the legacy files the reader's tests and the golden
+// generation table use.
 func (s *Structure) SaveBinaryCompiled(w io.Writer) error {
 	b := s.appendBinaryVersion(nil, binaryVersionCompiled)
 	b = Compile(s).appendTables(b)
@@ -134,14 +140,6 @@ func appendOptionalInts(b []byte, vs []int) []byte {
 	return appendInts(append(b, 1), vs)
 }
 
-// compiledTables is the decoded v3 compiled section: the flat row tables
-// of a CompiledStructure, expressed in the saved (dense, hole-free) ID
-// space. The anchor tables are not serialized — they are rebuilt from the
-// placement records in O(P·N) on attach.
-type compiledTables struct {
-	rowStart, spanLo, spanHi, idOff, ids []int32
-}
-
 // appendTables appends the compiled section of a v3 file: span counts per
 // row, breakpoints, id counts per span, then the id (slot) values, all
 // varint-packed. The on-disk form is id *lists* (stable and
@@ -173,128 +171,91 @@ func (cs *CompiledStructure) appendTables(b []byte) []byte {
 	return b
 }
 
-// decodeCompiledTables parses the v3 compiled section for n blocks and
-// count placements. It enforces only the bounds needed to build the
-// arrays safely (sizes against remaining payload, slots < count); semantic
-// agreement with the placement records is the attach step's cross-check.
-func decodeCompiledTables(r *binReader, n, count int) (*compiledTables, error) {
-	spans := int(r.uvarint("span count"))
-	idTotal := int(r.uvarint("id count"))
-	if r.err != nil {
-		return nil, r.err
+// matchSection reads a v3 file's compiled section from r, in the order
+// appendTables writes it, and reports whether it holds exactly cs's row
+// tables. Every decoded count, breakpoint and slot is compared with the
+// index as it is read, so none sizes an allocation or indexes a table; a
+// short or malformed section sets r.err.
+func (cs *CompiledStructure) matchSection(r *binReader) bool {
+	spans := r.uvarint("span count")
+	ids := r.uvarint("id count")
+	if spans != uint64(len(cs.spanLo)) {
+		return false
 	}
-	rest := len(r.data) - r.off
-	if spans < 0 || idTotal < 0 || spans > rest || idTotal > rest {
-		return nil, fmt.Errorf("core: v3 compiled section claims %d spans/%d ids, only %d payload bytes",
-			spans, idTotal, rest)
+	for row := 0; row+1 < len(cs.rowStart); row++ {
+		if r.uvarint("row span count") != uint64(cs.rowStart[row+1]-cs.rowStart[row]) {
+			return false
+		}
 	}
-	ct := &compiledTables{
-		rowStart: make([]int32, 2*n+1),
-		spanLo:   make([]int32, spans),
-		spanHi:   make([]int32, spans),
-		idOff:    make([]int32, spans+1),
-		ids:      make([]int32, idTotal),
+	for s := range cs.spanLo {
+		if r.varint("span breakpoint") != int(cs.spanLo[s]) ||
+			r.uvarint("span breakpoint") != uint64(cs.spanHi[s]-cs.spanLo[s]) {
+			return false
+		}
 	}
+	var slots []int32
 	total := 0
-	for row := 0; row < 2*n; row++ {
-		c := int(r.uvarint("row span count"))
-		total += c
-		if r.err != nil || c < 0 || total > spans {
-			r.fail("row span count")
-			return nil, r.err
+	for s := range cs.spanLo {
+		slots = cs.spanSlots(s, slots[:0])
+		if r.uvarint("span id count") != uint64(len(slots)) {
+			return false
 		}
-		ct.rowStart[row+1] = ct.rowStart[row] + int32(c)
+		total += len(slots)
 	}
-	if r.err == nil && total != spans {
-		return nil, fmt.Errorf("core: v3 row span counts sum to %d, header says %d", total, spans)
+	if ids != uint64(total) {
+		return false
 	}
-	for s := 0; s < spans; s++ {
-		lo := r.varint("span breakpoint")
-		d := r.uvarint("span breakpoint")
-		if d > maxIntervalLen {
-			r.fail("span breakpoint delta")
+	for s := range cs.spanLo {
+		slots = cs.spanSlots(s, slots[:0])
+		for _, slot := range slots {
+			if r.uvarint("placement slot") != uint64(slot) {
+				return false
+			}
 		}
-		if r.err != nil {
-			return nil, r.err
-		}
-		ct.spanLo[s], ct.spanHi[s] = int32(lo), int32(lo+int(d))
 	}
-	total = 0
-	for s := 0; s < spans; s++ {
-		c := int(r.uvarint("span id count"))
-		total += c
-		if r.err != nil || c < 0 || total > idTotal {
-			r.fail("span id count")
-			return nil, r.err
-		}
-		ct.idOff[s+1] = ct.idOff[s] + int32(c)
-	}
-	if r.err == nil && total != idTotal {
-		return nil, fmt.Errorf("core: v3 span id counts sum to %d, header says %d", total, idTotal)
-	}
-	for k := 0; k < idTotal; k++ {
-		slot := r.uvarint("placement slot")
-		if r.err != nil {
-			return nil, r.err
-		}
-		if slot >= uint64(count) {
-			return nil, fmt.Errorf("core: v3 compiled section references placement slot %d of %d", slot, count)
-		}
-		ct.ids[k] = int32(slot)
-	}
-	return ct, nil
+	return r.err == nil
 }
 
-// attachCompiled rebuilds a CompiledStructure from decoded tables plus the
-// freshly built (dense-ID) structure and installs it as s's cached index.
-// The tables are cross-checked against the interval rows buildStructure
-// just reconstructed — an O(S) walk — so a file whose compiled section
-// disagrees with its own placements is rejected rather than answering
-// compiled queries differently from tree queries.
-func attachCompiled(s *Structure, ct *compiledTables) error {
-	cs := newCompiledShell(s)
-	cs.rowStart = ct.rowStart
-	cs.spanLo, cs.spanHi = ct.spanLo, ct.spanHi
-	cs.masks = make([]uint64, len(ct.spanLo)*cs.words)
-	for span := range ct.spanLo {
-		off := span * cs.words
-		for k := ct.idOff[span]; k < ct.idOff[span+1]; k++ {
-			slot := ct.ids[k] // decode bounds-checked: 0 <= slot < count
-			cs.masks[off+int(slot>>6)] |= 1 << (slot & 63)
-		}
-	}
-	for id, p := range s.placements {
-		if p == nil { // cannot happen on a just-loaded structure
-			return fmt.Errorf("core: attaching compiled tables to a structure with holes")
-		}
-		cs.appendPlacement(id, p)
-	}
-	if !cs.matchesRows(s) {
+// checkTables reads a v3 file's compiled section, which starts at byte
+// off of the checksummed payload, against the index compiled from s, the
+// structure Load just rebuilt from the file's placement records. It
+// rejects a file whose tables differ from that index: compiled and tree
+// queries could otherwise disagree. On success the index stays cached on
+// s, as for any Compile.
+func checkTables(s *Structure, payload []byte, off int) error {
+	r := &binReader{data: payload, off: off}
+	match := Compile(s).matchSection(r)
+	switch {
+	case r.err != nil:
+		return r.err
+	case !match:
 		return fmt.Errorf("core: v3 compiled tables disagree with the placement records (corrupt save)")
+	case r.off != len(r.data):
+		return fmt.Errorf("core: %d trailing bytes after v2 payload", len(r.data)-r.off)
 	}
-	s.compiled.Store(cs)
 	return nil
 }
 
 // decodeBinary parses a complete v2/v3 file (magic through CRC) into the
-// shared fileFormat, plus the compiled tables when the file carries them
-// (v3). The checksum is verified first, so every later decode error
+// shared fileFormat. For a v3 file it also returns the offset of the
+// compiled section, for checkTables once the structure is built; 0 means
+// a v2 file. The checksum is verified first, so every later decode error
 // indicates a bug or a forged length field rather than line noise.
-func decodeBinary(data []byte) (*fileFormat, *compiledTables, error) {
+func decodeBinary(data []byte) (ff *fileFormat, tables int, err error) {
 	if len(data) < len(binaryMagic)+1+crcLen {
-		return nil, nil, fmt.Errorf("core: v2 file truncated (%d bytes)", len(data))
+		return nil, 0, fmt.Errorf("core: v2 file truncated (%d bytes)", len(data))
 	}
 	payload := data[:len(data)-crcLen]
 	want := binary.LittleEndian.Uint32(data[len(data)-crcLen:])
 	if got := crc32.Checksum(payload, castagnoli); got != want {
-		return nil, nil, fmt.Errorf("core: v2 checksum mismatch (file truncated or corrupt)")
+		return nil, 0, fmt.Errorf("core: v2 checksum mismatch (file truncated or corrupt)")
 	}
 	r := &binReader{data: payload, off: len(binaryMagic)} // magic already matched by the sniffer
 	version := r.uvarint("version")
 	if r.err == nil && version != binaryVersion && version != binaryVersionCompiled {
-		return nil, nil, fmt.Errorf("core: unsupported binary format version %d", version)
+		return nil, 0, fmt.Errorf("core: unsupported binary format version %d", version)
 	}
-	ff := &fileFormat{Version: formatVersion}
+	ff = &fileFormat{Version: formatVersion}
 	ff.CircuitName = string(r.bytes(int(r.uvarint("name length")), "circuit name"))
 	ff.Floorplan.X0 = r.varint("floorplan")
 	ff.Floorplan.Y0 = r.varint("floorplan")
@@ -303,7 +264,7 @@ func decodeBinary(data []byte) (*fileFormat, *compiledTables, error) {
 	n := int(r.uvarint("block count"))
 	count := int(r.uvarint("placement count"))
 	if r.err != nil {
-		return nil, nil, r.err
+		return nil, 0, r.err
 	}
 	// A placement record is at least 6 varints per block plus two floats
 	// and two presence bytes; reject forged counts before allocating. The
@@ -312,7 +273,7 @@ func decodeBinary(data []byte) (*fileFormat, *compiledTables, error) {
 	rest := len(payload) - r.off
 	if n < 0 || n > rest || count < 0 || count > rest ||
 		(count > 0 && uint64(count) > uint64(rest)/(6*uint64(n)+18)) {
-		return nil, nil, fmt.Errorf("core: v2 header claims %d placements of %d blocks, only %d payload bytes",
+		return nil, 0, fmt.Errorf("core: v2 header claims %d placements of %d blocks, only %d payload bytes",
 			count, n, rest)
 	}
 	ff.Placements = make([]savedPlacement, count)
@@ -327,23 +288,16 @@ func decodeBinary(data []byte) (*fileFormat, *compiledTables, error) {
 		sp.BestW = r.optionalInts(n, "best widths")
 		sp.BestH = r.optionalInts(n, "best heights")
 		if r.err != nil {
-			return nil, nil, fmt.Errorf("core: placement %d: %w", j, r.err)
+			return nil, 0, fmt.Errorf("core: placement %d: %w", j, r.err)
 		}
 	}
-	var ct *compiledTables
 	if version == binaryVersionCompiled {
-		var err error
-		if ct, err = decodeCompiledTables(r, n, count); err != nil {
-			return nil, nil, err
-		}
-		if r.err != nil {
-			return nil, nil, r.err
-		}
+		return ff, r.off, nil
 	}
 	if r.off != len(payload) {
-		return nil, nil, fmt.Errorf("core: %d trailing bytes after v2 payload", len(payload)-r.off)
+		return nil, 0, fmt.Errorf("core: %d trailing bytes after v2 payload", len(payload)-r.off)
 	}
-	return ff, ct, nil
+	return ff, 0, nil
 }
 
 // binReader decodes the v2 payload sequentially. Methods become no-ops

@@ -167,6 +167,53 @@ func TestGoldenV1Fixture(t *testing.T) {
 	}
 }
 
+// TestGoldenV3Fixture proves the legacy v3 files earlier versions wrote
+// stay loadable now that nothing in the program writes v3. The fixture is
+// circ01 at quick effort, seed 1, as SaveBinaryCompiled wrote it (its
+// SHA-256 was the golden generation table's circ01/anneal/seed 1 row when
+// it was frozen in testdata). The load must leave the index it checked
+// the file's tables against attached, answering as the tree does.
+func TestGoldenV3Fixture(t *testing.T) {
+	data, err := os.ReadFile(filepath.Join("testdata", "golden_v3_circ01.mps"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, []byte(binaryMagic+"\x03")) {
+		t.Fatalf("fixture starts %q, want the v3 header", data[:len(binaryMagic)+1])
+	}
+	c, err := circuits.ByName("circ01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := Load(bytes.NewReader(data), c)
+	if err != nil {
+		t.Fatalf("golden v3 fixture no longer loads: %v", err)
+	}
+	if got, want := s.NumPlacements(), 107; got != want {
+		t.Errorf("fixture has %d placements, want %d", got, want)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Errorf("fixture violates invariants: %v", err)
+	}
+	cs := s.compiled.Load()
+	if cs == nil {
+		t.Fatal("v3 load did not attach the compiled index")
+	}
+	assertCompiledAgrees(t, s, cs, 3, 3000)
+	// Uniform queries rarely land in a box: check every box's centre too.
+	n := c.N()
+	ws, hs := make([]int, n), make([]int, n)
+	for _, id := range s.IDs() {
+		p := s.Get(id)
+		for i := 0; i < n; i++ {
+			ws[i], hs[i] = (p.WLo[i]+p.WHi[i])/2, (p.HLo[i]+p.HHi[i])/2
+		}
+		if got, err := cs.QueryID(ws, hs); err != nil || got != id {
+			t.Fatalf("centre of placement %d: compiled answers %d, %v", id, got, err)
+		}
+	}
+}
+
 // TestLoadCorruptV2 sweeps deterministic corruptions of a v2 file:
 // every truncation and every byte-flip must produce an error (the CRC
 // catches them all) and must never panic.
@@ -243,8 +290,18 @@ func seal(payload []byte) []byte { return appendCRC(append([]byte(nil), payload.
 // FuzzLoad feeds arbitrary bytes to Load. The invariant: Load never
 // panics, and when it succeeds the structure passes the full invariant
 // check — the load path must validate everything CheckInvariants would.
+// Every input is loaded for the codec circuit and for circ01, so the
+// golden v3 fixture reaches the legacy reader's table check.
 func FuzzLoad(f *testing.F) {
 	s, c := codecStructure(f, 8)
+	circ01, err := circuits.ByName("circ01")
+	if err != nil {
+		f.Fatal(err)
+	}
+	fixture, err := os.ReadFile(filepath.Join("testdata", "golden_v3_circ01.mps"))
+	if err != nil {
+		f.Fatal(err)
+	}
 	var gobBuf, binBuf bytes.Buffer
 	if err := s.Save(&gobBuf); err != nil {
 		f.Fatal(err)
@@ -257,13 +314,16 @@ func FuzzLoad(f *testing.F) {
 	f.Add(binBuf.Bytes()[:len(binBuf.Bytes())/2])
 	f.Add([]byte(binaryMagic))
 	f.Add([]byte{})
+	f.Add(fixture)
 	f.Fuzz(func(t *testing.T, data []byte) {
-		loaded, err := Load(bytes.NewReader(data), c)
-		if err != nil {
-			return
-		}
-		if err := loaded.CheckInvariants(); err != nil {
-			t.Fatalf("Load accepted a structure that violates invariants: %v", err)
+		for _, circuit := range []*netlist.Circuit{c, circ01} {
+			loaded, err := Load(bytes.NewReader(data), circuit)
+			if err != nil {
+				continue
+			}
+			if err := loaded.CheckInvariants(); err != nil {
+				t.Fatalf("Load accepted a structure that violates invariants: %v", err)
+			}
 		}
 	})
 }

@@ -9,7 +9,6 @@ import (
 
 	"mps/internal/geom"
 	"mps/internal/netlist"
-	"mps/internal/placement"
 )
 
 // This file implements the compiled query index: a flattened, read-only
@@ -110,7 +109,14 @@ func Compile(s *Structure) *CompiledStructure {
 // filling), so its cost is linear in the total span and id counts.
 func compile(s *Structure) *CompiledStructure {
 	n := s.circuit.N()
-	cs := newCompiledShell(s)
+	cs := &CompiledStructure{
+		src:      s,
+		rowTable: rowTable{n: n, words: (s.alive + 63) / 64},
+		count:    s.alive,
+		slotID:   make([]int32, 0, s.alive),
+		xs:       make([]int32, 0, s.alive*n),
+		ys:       make([]int32, 0, s.alive*n),
+	}
 
 	spans := 0
 	for i := 0; i < n; i++ {
@@ -130,7 +136,11 @@ func compile(s *Structure) *CompiledStructure {
 			continue
 		}
 		idToSlot[id] = int32(len(cs.slotID))
-		cs.appendPlacement(id, p)
+		cs.slotID = append(cs.slotID, toI32(id, "placement id"))
+		for i := 0; i < n; i++ {
+			cs.xs = append(cs.xs, toI32(p.X[i], "block x anchor"))
+			cs.ys = append(cs.ys, toI32(p.Y[i], "block y anchor"))
+		}
 	}
 
 	flatten := func(iv geom.Interval, rowIDs []int) {
@@ -151,30 +161,6 @@ func compile(s *Structure) *CompiledStructure {
 	}
 	cs.rowStart = append(cs.rowStart, int32(len(cs.spanLo)))
 	return cs
-}
-
-// newCompiledShell sets up the placement-level fields shared by compile
-// and the v3 attach path.
-func newCompiledShell(s *Structure) *CompiledStructure {
-	n := s.circuit.N()
-	return &CompiledStructure{
-		src:      s,
-		rowTable: rowTable{n: n, words: (s.alive + 63) / 64},
-		count:    s.alive,
-		slotID:   make([]int32, 0, s.alive),
-		xs:       make([]int32, 0, s.alive*n),
-		ys:       make([]int32, 0, s.alive*n),
-	}
-}
-
-// appendPlacement records one live placement's identity and anchors under
-// the next dense slot.
-func (cs *CompiledStructure) appendPlacement(id int, p *placement.Placement) {
-	cs.slotID = append(cs.slotID, toI32(id, "placement id"))
-	for i := 0; i < cs.n; i++ {
-		cs.xs = append(cs.xs, toI32(p.X[i], "block x anchor"))
-		cs.ys = append(cs.ys, toI32(p.Y[i], "block y anchor"))
-	}
 }
 
 // toI32 narrows a table value, panicking on the (never-seen-in-practice)
@@ -418,7 +404,7 @@ func (cs *CompiledStructure) AnswerInto(res *Result, slot int, ws, hs []int) err
 }
 
 // spanSlots appends span s's set slots in ascending order — the id-list
-// view of the bitset, used by the v3 encoder and the row cross-check.
+// view of the bitset that a v3 file's compiled section stores.
 func (cs *CompiledStructure) spanSlots(s int, out []int32) []int32 {
 	off := s * cs.words
 	for k := 0; k < cs.words; k++ {
@@ -427,74 +413,6 @@ func (cs *CompiledStructure) spanSlots(s int, out []int32) []int32 {
 		}
 	}
 	return out
-}
-
-// matchesRows reports whether the index's row tables are exactly the
-// flattened form of s's interval rows (same spans, same placement sets).
-// Load uses it to cross-check tables read from disk against the rows it
-// just rebuilt, so a file whose compiled section diverges from its
-// placement records is rejected instead of answering queries
-// inconsistently.
-func (cs *CompiledStructure) matchesRows(s *Structure) bool {
-	n := s.circuit.N()
-	if cs.n != n || cs.count != s.alive || len(cs.rowStart) != 2*n+1 ||
-		len(cs.spanHi) != len(cs.spanLo) || len(cs.masks) != len(cs.spanLo)*cs.words {
-		return false
-	}
-	span := 0
-	ok := true
-	check := func(iv geom.Interval, rowIDs []int) {
-		if !ok || span >= len(cs.spanLo) {
-			ok = false
-			return
-		}
-		if int(cs.spanLo[span]) != iv.Lo || int(cs.spanHi[span]) != iv.Hi {
-			ok = false
-			return
-		}
-		off := span * cs.words
-		popcount := 0
-		for k := 0; k < cs.words; k++ {
-			popcount += bits.OnesCount64(cs.masks[off+k])
-		}
-		if popcount != len(rowIDs) {
-			ok = false
-			return
-		}
-		for _, id := range rowIDs {
-			slot := -1
-			// Slot order follows ID order, so the tree's ascending ids map
-			// to ascending slots; binary search keeps the check O(S log P).
-			lo, hi := 0, len(cs.slotID)
-			for lo < hi {
-				mid := int(uint(lo+hi) >> 1)
-				if int(cs.slotID[mid]) < id {
-					lo = mid + 1
-				} else {
-					hi = mid
-				}
-			}
-			if lo < len(cs.slotID) && int(cs.slotID[lo]) == id {
-				slot = lo
-			}
-			if slot < 0 || cs.masks[off+slot>>6]&(1<<(slot&63)) == 0 {
-				ok = false
-				return
-			}
-		}
-		span++
-	}
-	for i := 0; i < n && ok; i++ {
-		if int(cs.rowStart[2*i]) != span {
-			return false
-		}
-		s.wRows[i].Visit(check)
-		if !ok || int(cs.rowStart[2*i+1]) != span {
-			return false
-		}
-		s.hRows[i].Visit(check)
-	}
-	return ok && span == len(cs.spanLo) && int(cs.rowStart[2*n]) == span
 }
 
 // copyAnchors copies slot's anchors into res.X and res.Y, reusing their

@@ -17,10 +17,12 @@ import (
 // by cmd/mpsgen, saved, and loaded by the synthesis loop or the mpsd
 // structure store.
 //
-// Two formats exist on disk. Format v1 is a gob blob (Save); format v2 is
-// the checksummed binary codec in codec.go (SaveBinary). Load sniffs the
-// header and accepts both, funneling them through one trusted validation
-// path (buildStructure), so every loaded structure is checked the same way
+// Three formats exist on disk. Format v2 is the checksummed binary codec
+// in codec.go (SaveBinary), the one the program writes; format v1 is the
+// legacy gob blob (Save) and format v3 the legacy v2-plus-compiled-tables
+// layout (SaveBinaryCompiled). Load sniffs the header and accepts all
+// three, funneling them through one trusted validation path
+// (buildStructure), so every loaded structure is checked the same way
 // regardless of encoding.
 //
 // Only the live placements are serialized; the 2N rows are rebuilt on load
@@ -70,16 +72,17 @@ func (s *Structure) Save(w io.Writer) error {
 	return nil
 }
 
-// Load reads a structure saved by Save (gob v1), SaveBinary (v2) or
-// SaveBinaryCompiled (v3), sniffing the format from the first bytes. The
-// circuit must be the same topology the structure was generated for
-// (matched by name and block count). Placements are verified
-// pairwise-disjoint while loading, so a corrupted file that would violate
-// eq. 5 is rejected rather than silently repaired; v2/v3 files
-// additionally fail fast on a checksum mismatch before any semantic check
-// runs. A v3 file's compiled tables are cross-checked against the rebuilt
-// rows and installed, so the first Compile on the loaded structure is
-// free.
+// Load reads a structure saved by SaveBinary (v2), or by the legacy
+// writers Save (gob v1) and SaveBinaryCompiled (v3), sniffing the format
+// from the first bytes. The circuit must be the same topology the
+// structure was generated for (matched by name and block count).
+// Placements are verified pairwise-disjoint while loading, so a corrupted
+// file that would violate eq. 5 is rejected rather than silently
+// repaired; v2/v3 files additionally fail fast on a checksum mismatch
+// before any semantic check runs. A v2 or v1 load does not compile. A v3
+// load compiles the rebuilt rows and accepts the file only if its tables
+// equal that index, which then stays cached, so the first Compile on the
+// loaded structure is free.
 func Load(r io.Reader, c *netlist.Circuit) (*Structure, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(len(binaryMagic))
@@ -88,7 +91,7 @@ func Load(r io.Reader, c *netlist.Circuit) (*Structure, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: reading structure: %w", err)
 		}
-		ff, ct, err := decodeBinary(data)
+		ff, tables, err := decodeBinary(data)
 		if err != nil {
 			return nil, err
 		}
@@ -96,8 +99,8 @@ func Load(r io.Reader, c *netlist.Circuit) (*Structure, error) {
 		if err != nil {
 			return nil, err
 		}
-		if ct != nil {
-			if err := attachCompiled(s, ct); err != nil {
+		if tables > 0 {
+			if err := checkTables(s, data[:len(data)-crcLen], tables); err != nil {
 				return nil, err
 			}
 		}

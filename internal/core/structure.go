@@ -172,8 +172,8 @@ func (s *Structure) delete(id int) {
 // after a save/load round trip than before it. Renumbering a finished
 // structure (generation ends with deletes from overlap resolution and
 // Compact) makes its IDs stable across that round trip, which is what lets
-// cluster replicas that exchange v3 bytes report the same placement_id as
-// the owner's in-memory copy.
+// cluster replicas that exchange structure files report the same
+// placement_id as the owner's in-memory copy.
 //
 // The old→new ID map is monotone, so every row is relabeled in place (each
 // interval's id array stays ascending) and then coalesced once. That leaves

@@ -39,7 +39,7 @@ func init() { Register(gaBackend{}) }
 // ResetToMin -> Expand -> bdio.Optimize -> Structure.Insert, so every
 // evaluated individual lands in the structure under the same resolve
 // rules, and GA structures are indistinguishable downstream — compiled
-// indexes, v3 files, portfolios, and the cluster all serve them
+// indexes, structure files, portfolios, and the cluster all serve them
 // unchanged. One seeded rand.Rand drives the entire run on one
 // goroutine, so equal seeds give identical structures regardless of
 // Spec.Chains (which this backend ignores).

@@ -141,14 +141,13 @@ type Request struct {
 	// happen. Called without scheduler locks held.
 	Abandon func(err error)
 	// Trace, when non-nil, receives a job_run span covering the Run
-	// invocation, parented under TraceParent (0 = the trace root) — the
-	// originating request's trace accounts for queue-side anneal time.
-	// Dedup-joined submitters do not get a span: the job belongs to the
-	// trace that submitted it. The reference is dropped as soon as the job
-	// reaches a terminal state (or is abandoned), so a retained trace
-	// never pins scheduler memory.
-	Trace       *obs.Trace
-	TraceParent obs.SpanID
+	// invocation, parented under the trace's root — the originating
+	// request's trace accounts for queue-side anneal time. Dedup-joined
+	// submitters do not get a span: the job belongs to the trace that
+	// submitted it. The reference is dropped as soon as the job reaches a
+	// terminal state (or is abandoned), so a retained trace never pins
+	// scheduler memory.
+	Trace *obs.Trace
 }
 
 // Config tunes a Scheduler.
@@ -184,7 +183,7 @@ var ErrClosed = errors.New("jobs: scheduler closed")
 var ErrNotFound = errors.New("jobs: job not found")
 
 // ErrCancelled is the cause recorded on jobs cancelled via Cancel or
-// CancelQueued, and the error Abandon receives.
+// CancelQueuedSilent, and the error Abandon receives from Cancel and Close.
 var ErrCancelled = errors.New("jobs: cancelled")
 
 // stateFileName is the persisted queue state inside Config.Dir.
@@ -196,10 +195,9 @@ type job struct {
 	run     RunFunc
 	onDone  func(Snapshot)
 	abandon func(error)
-	// trace/traceParent carry the submitting request's trace so the worker
-	// can record a job_run span; cleared with run at every terminal edge.
-	trace       *obs.Trace
-	traceParent obs.SpanID
+	// trace carries the submitting request's trace so the worker can
+	// record a job_run span; cleared with run at every terminal edge.
+	trace *obs.Trace
 	// cancel is non-nil exactly while the job runs.
 	cancel context.CancelFunc
 	// heapIndex is the job's position in the pending heap, -1 off-heap.
@@ -362,7 +360,6 @@ func (s *Scheduler) Submit(req Request) (snap Snapshot, dedup bool, err error) {
 	j.onDone = req.Done
 	j.abandon = req.Abandon
 	j.trace = req.Trace
-	j.traceParent = req.TraceParent
 	j.snap.State = StateQueued
 	s.active[req.Key] = j
 	heap.Push(&s.queue, j)
@@ -457,30 +454,26 @@ func (s *Scheduler) List() []Snapshot {
 // Cancel does not wait for the worker to notice (use Wait). Cancelling a
 // terminal job is a no-op that returns its snapshot.
 func (s *Scheduler) Cancel(id string) (Snapshot, error) {
-	return s.cancel(id, false, false)
+	return s.cancel(id, false)
 }
 
-// CancelQueued cancels the job only if it has not started running. It
-// exists for submitters whose implicit path may drop queued work while a
-// run that already holds a worker is left to finish (so the result still
-// lands in a cache). Returns dropped=true only when the queued job was
-// cancelled by this call. The job's Abandon hook fires as with Cancel.
-func (s *Scheduler) CancelQueued(id string) (dropped bool) {
-	snap, err := s.cancel(id, true, false)
-	return err == nil && snap.State == StateCancelled
-}
-
-// CancelQueuedSilent is CancelQueued without the Abandon callback: on
-// dropped=true the caller has taken over notifying whoever waits on the
-// job. Because no submitter code runs inside it, it is safe to call while
-// holding submitter-side locks — the serving layer uses exactly that to
-// make its sole-waiter disconnect check atomic with its cache state.
+// CancelQueuedSilent cancels the job only if it has not started running,
+// for submitters whose implicit path may drop queued work while a run that
+// already holds a worker is left to finish (so the result still lands in
+// a cache). Returns dropped=true only when the queued job was cancelled by
+// this call. The job's Abandon hook does not fire: on dropped=true the
+// caller has taken over notifying whoever waits on the job. Because no
+// submitter code runs inside it, it is safe to call while holding
+// submitter-side locks — the serving layer uses exactly that to make its
+// sole-waiter disconnect check atomic with its cache state.
 func (s *Scheduler) CancelQueuedSilent(id string) (dropped bool) {
-	snap, err := s.cancel(id, true, true)
+	snap, err := s.cancel(id, true)
 	return err == nil && snap.State == StateCancelled
 }
 
-func (s *Scheduler) cancel(id string, onlyQueued, silent bool) (Snapshot, error) {
+// cancel is Cancel, or with queuedOnly CancelQueuedSilent: a running job
+// is left to finish and a queued one is dropped without its Abandon hook.
+func (s *Scheduler) cancel(id string, queuedOnly bool) (Snapshot, error) {
 	s.mu.Lock()
 	j, ok := s.jobs[id]
 	if !ok {
@@ -496,19 +489,19 @@ func (s *Scheduler) cancel(id string, onlyQueued, silent bool) (Snapshot, error)
 		j.snap.Finished = time.Now().UTC()
 		abandon := j.abandon
 		j.run, j.onDone, j.abandon = nil, nil, nil
-		j.trace, j.traceParent = nil, 0
+		j.trace = nil
 		close(j.done)
 		s.pruneLocked()
 		snap := j.snap
 		s.mu.Unlock()
 		s.tot.cancelled.Add(1)
-		if abandon != nil && !silent {
+		if abandon != nil && !queuedOnly {
 			abandon(fmt.Errorf("%w while queued", ErrCancelled))
 		}
 		s.saveState()
 		return snap, nil
 	case StateRunning:
-		if onlyQueued {
+		if queuedOnly {
 			snap := j.snap
 			s.mu.Unlock()
 			return snap, nil
@@ -616,7 +609,7 @@ func (s *Scheduler) Close() {
 				abandons = append(abandons, j.abandon)
 			}
 			j.run, j.onDone, j.abandon = nil, nil, nil
-			j.trace, j.traceParent = nil, 0
+			j.trace = nil
 			close(j.done)
 		case StateRunning:
 			if j.cancel != nil {
@@ -652,7 +645,7 @@ func (s *Scheduler) worker() {
 		j.cancel = cancel
 		j.snap.State = StateRunning
 		j.snap.Started = time.Now().UTC()
-		trace, traceParent, key := j.trace, j.traceParent, j.snap.Key
+		trace, key := j.trace, j.snap.Key
 		s.mu.Unlock()
 		s.tot.started.Add(1)
 		s.saveState()
@@ -660,8 +653,8 @@ func (s *Scheduler) worker() {
 		// Record the run under the submitter's trace: the anneal time a
 		// request spends waiting on this job lands in its span tree even
 		// when the work runs on a worker goroutine (or, via generate-on-
-		// owner, on another node). StartSpanUnder is nil-safe.
-		span := trace.StartSpanUnder(traceParent, obs.StageJobRun)
+		// owner, on another node). StartSpan is nil-safe.
+		span := trace.StartSpan(obs.StageJobRun)
 		span.SetKey(key)
 		err := s.invoke(ctx, j)
 		span.End()
@@ -671,7 +664,7 @@ func (s *Scheduler) worker() {
 		s.mu.Lock()
 		j.cancel = nil
 		j.run, j.abandon = nil, nil
-		j.trace, j.traceParent = nil, 0
+		j.trace = nil
 		onDone := j.onDone
 		j.onDone = nil
 		j.snap.Finished = time.Now().UTC()

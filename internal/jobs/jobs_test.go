@@ -247,8 +247,8 @@ func TestCancelQueuedOnlySkipsRunning(t *testing.T) {
 		t.Fatal(err)
 	}
 	<-entered
-	if s.CancelQueued(snap.ID) {
-		t.Error("CancelQueued dropped a running job")
+	if s.CancelQueuedSilent(snap.ID) {
+		t.Error("CancelQueuedSilent dropped a running job")
 	}
 	close(release)
 	final, err := s.Wait(context.Background(), snap.ID)

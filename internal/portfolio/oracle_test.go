@@ -1,8 +1,10 @@
 package portfolio
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"slices"
@@ -286,9 +288,11 @@ func mustBalancedMembers(t testing.TB) []*core.Structure {
 
 // oracleLeg checks queries drawn queries at p against the oracle, each
 // under a weight vector cycling through zero, unit, ladder and random
-// vectors, and returns how many were covered by two or more members. A
-// mismatch prints what it takes to replay it.
-func oracleLeg(t *testing.T, p *Portfolio, leg string, seed int64, queries int) (multi int) {
+// vectors, and returns how many were covered by two or more members. When
+// ref is non-nil, p holds ref's members after a codec round trip and every
+// answer must also equal ref's (see roundTripMismatch). A mismatch prints
+// what it takes to replay it.
+func oracleLeg(t *testing.T, p, ref *Portfolio, leg string, seed int64, queries int) (multi int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed*1000 + int64(p.K())))
 	var res core.Result
@@ -299,6 +303,9 @@ func oracleLeg(t *testing.T, p *Portfolio, leg string, seed int64, queries int) 
 		}
 		ws, hs := drawQuery(rng, p, drawKind(rng))
 		covering, mismatch := checkAgainstOracle(t, p, &res, w, ws, hs)
+		if mismatch == "" && ref != nil {
+			mismatch = roundTripMismatch(ref, p, w, ws, hs)
+		}
 		if mismatch != "" {
 			t.Fatalf("%s, seed %d, K=%d, query %d, weights %+v, ws %v, hs %v: %s",
 				leg, seed, p.K(), q, w, ws, hs, mismatch)
@@ -311,20 +318,97 @@ func oracleLeg(t *testing.T, p *Portfolio, leg string, seed int64, queries int) 
 	return multi
 }
 
+// roundTripMismatch compares one answer of p, whose members are ref's
+// after a codec round trip, with ref's answer: member, backup flag,
+// anchors and error text must be equal, and a stored answer's placement
+// ID must be ref's under Load's dense renumbering (its rank among the
+// member's live IDs; a compacted member has ID holes). It returns "" when
+// they agree.
+func roundTripMismatch(ref, p *Portfolio, w cost.Weights, ws, hs []int) string {
+	var want, got core.Result
+	wm, wantErr := ref.InstantiateWeightedInto(&want, w, ws, hs)
+	gm, err := p.InstantiateWeightedInto(&got, w, ws, hs)
+	if gm != wm || fmt.Sprint(err) != fmt.Sprint(wantErr) {
+		return fmt.Sprintf("round trip: member %d, err %v; in memory: member %d, err %v", gm, err, wm, wantErr)
+	}
+	if err != nil {
+		return ""
+	}
+	id := want.PlacementID
+	if !want.FromBackup {
+		id, _ = slices.BinarySearch(ref.Member(wm).IDs(), want.PlacementID)
+	}
+	if got.PlacementID != id || got.FromBackup != want.FromBackup ||
+		!slices.Equal(got.X, want.X) || !slices.Equal(got.Y, want.Y) {
+		return fmt.Sprintf("round trip: answer %+v; in memory %+v (dense ID %d)", got, want, id)
+	}
+	return ""
+}
+
+// oracleCodecs are the binary writers a codec round-trip leg saves
+// members with: v2, which the program writes, and v3, which earlier
+// versions wrote and Load still reads.
+var oracleCodecs = []struct {
+	name string
+	save func(*core.Structure, io.Writer) error
+}{
+	{"v2", (*core.Structure).SaveBinary},
+	{"v3", (*core.Structure).SaveBinaryCompiled},
+}
+
+// reload saves every member with save and loads it back through
+// core.Load, with the template backup genMember installs.
+func reload(t testing.TB, members []*core.Structure, save func(*core.Structure, io.Writer) error) []*core.Structure {
+	t.Helper()
+	out := make([]*core.Structure, len(members))
+	for i, m := range members {
+		var buf bytes.Buffer
+		if err := save(m, &buf); err != nil {
+			t.Fatal(err)
+		}
+		s, err := core.Load(&buf, m.Circuit())
+		if err != nil {
+			t.Fatalf("reloading member %d: %v", i, err)
+		}
+		s.SetBackup(template.Balanced(m.Circuit()))
+		out[i] = s
+	}
+	return out
+}
+
+// codecLegs runs oracleLeg on portfolios of members[:k] after each
+// codec's round trip, comparing every answer with ref's.
+func codecLegs(t *testing.T, ref *Portfolio, reloaded map[string][]*core.Structure, leg string, seed int64, queries int) {
+	t.Helper()
+	for _, codec := range oracleCodecs {
+		p, err := New(reloaded[codec.name][:ref.K()])
+		if err != nil {
+			t.Fatal(err)
+		}
+		oracleLeg(t, p, ref, leg+", "+codec.name+" round trip", seed, queries)
+	}
+}
+
 // TestRoutingOracle checks portfolio routing against the brute-force
 // oracle on every registered circuit, K ∈ {1, 2, 3, 8}, over covered, box
-// corner, uniform, out-of-bounds and wrong-length queries.
+// corner, uniform, out-of-bounds and wrong-length queries — in memory and
+// after each codec's round trip.
 func TestRoutingOracle(t *testing.T) {
 	const seed, queries = 11, 600
 	members := oracleMembers(t, seed)
 	multi := 0
 	for _, name := range circuits.Names() {
+		reloaded := map[string][]*core.Structure{}
+		for _, codec := range oracleCodecs {
+			reloaded[codec.name] = reload(t, members[name], codec.save)
+		}
 		for _, k := range []int{1, 2, 3, oracleK} {
 			p, err := New(members[name][:k])
 			if err != nil {
 				t.Fatal(err)
 			}
-			multi += oracleLeg(t, p, "circuit "+name, seed, queries)
+			multi += oracleLeg(t, p, nil, "circuit "+name, seed, queries)
+			codecLegs(t, p, reloaded, "circuit "+name, seed, queries)
 		}
 	}
 	if multi < 200 {
@@ -334,21 +418,30 @@ func TestRoutingOracle(t *testing.T) {
 
 // TestRoutingOracleBalanced runs the oracle on balanced-effort
 // TwoStageOpamp members at K ∈ {2, 3, 8}: multi-word masks, member
-// segments that end mid-mask, and (at K=8) the pooled merged mask.
+// segments that end mid-mask, and (at K=8) the pooled merged mask — in
+// memory and after each codec's round trip.
 func TestRoutingOracleBalanced(t *testing.T) {
 	const seed, queries = 13, 3000
 	members := mustBalancedMembers(t)
 	for i, m := range members {
 		t.Logf("balanced member %d: %d placements", i, m.NumPlacements())
 	}
+	reloaded := map[string][]*core.Structure{}
+	for _, codec := range oracleCodecs {
+		reloaded[codec.name] = reload(t, members, codec.save)
+	}
 	for _, k := range []int{2, 3, oracleK} {
 		p, err := New(members[:k])
 		if err != nil {
 			t.Fatal(err)
 		}
-		if multi := oracleLeg(t, p, "balanced TwoStageOpamp", seed, queries); multi < 50 {
+		if multi := oracleLeg(t, p, nil, "balanced TwoStageOpamp", seed, queries); multi < 50 {
 			t.Fatalf("K=%d: only %d queries were covered by two or more members, want >= 50", k, multi)
 		}
+		// The first third of the same draws: the mask shapes above come
+		// from the members, not the query count, and the full count would
+		// double the package's time under -race.
+		codecLegs(t, p, reloaded, "balanced TwoStageOpamp", seed, queries/3)
 	}
 }
 

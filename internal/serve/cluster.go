@@ -1,7 +1,8 @@
 // Cluster-mode routing for the serve layer: which node answers a request,
 // how non-owned requests are proxied there, and how structure artifacts
 // move between nodes (peer fetch, rebalance transfer) using the store's
-// v3 files as the wire format.
+// structure files (v2; legacy v3 files move as they are) as the wire
+// format.
 //
 // Routing rules (the whole protocol):
 //
@@ -20,7 +21,7 @@
 //     fallbacks for one key into one job.
 //  5. A node serving a key it does not own (replica fan-out, fallback, a
 //     forwarded portfolio member) first tries to *fetch* the built
-//     artifact (v3 bytes) from the owner — milliseconds — so generation
+//     artifact (v2 bytes) from the owner — milliseconds — so generation
 //     still happens exactly once cluster-wide while owners are up.
 package serve
 
@@ -42,8 +43,9 @@ import (
 	"mps/internal/obs"
 )
 
-// maxTransferBytes bounds a fetched or pushed structure artifact. v3
-// files for the paper's circuits are KBs to low MBs; 256 MiB is far above
+// maxTransferBytes bounds a fetched or pushed structure artifact.
+// Structure files for the paper's circuits are KBs to low MBs (legacy v3
+// ones up to six times larger than v2); 256 MiB is far above
 // any legitimate structure and merely stops a rogue peer from ballooning
 // memory.
 const maxTransferBytes = 256 << 20
@@ -192,7 +194,7 @@ func (s *Server) remoteWork(tr *obs.Trace, e *entry) {
 	}
 }
 
-// fetchFromPeers tries to pull the built structure (v3 bytes) for spec
+// fetchFromPeers tries to pull the built structure (v2 bytes) for spec
 // from the key's replica set, owner first. Milliseconds against a healthy
 // peer; a dead one costs at most one FetchTimeout before its breaker
 // starts refusing instantly.
@@ -418,8 +420,9 @@ const (
 
 // handleClusterStructure is GET /v1/cluster/structure?key=K[&meta=1]: the
 // peer artifact endpoint. Answers from the LRU (encoding member 0 of a
-// one-member entry) or the store (streaming the v3 file); never generates,
-// never forwards — it exists so peers can move built artifacts, not work.
+// one-member entry as v2) or the store (streaming the file as it is on
+// disk); never generates, never forwards — it exists so peers can move
+// built artifacts, not work.
 // Portfolio keys (K > 1) answer meta-only (the artifact is its members;
 // peers assemble locally, fetching each member from its own owner).
 func (s *Server) handleClusterStructure(w http.ResponseWriter, r *http.Request) {
@@ -439,7 +442,7 @@ func (s *Server) handleClusterStructure(w http.ResponseWriter, r *http.Request) 
 			return
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
-		if err := e.p.Member(0).SaveBinaryCompiled(w); err != nil {
+		if err := e.p.Member(0).SaveBinary(w); err != nil {
 			s.logf("cluster: encoding %s for peer: %v", key, err)
 		}
 		return
@@ -471,9 +474,9 @@ func (s *Server) handleClusterStructure(w http.ResponseWriter, r *http.Request) 
 }
 
 // handleClusterAccept is POST /v1/cluster/accept: the receiving side of a
-// rebalance transfer — manifest meta in headers, v3 bytes as the body.
-// The artifact revalidates through core.Load before anything persists, so
-// a corrupt transfer is rejected, never stored.
+// rebalance transfer — manifest meta in headers, the structure file as the
+// body. The artifact revalidates through core.Load before anything
+// persists, so a corrupt transfer is rejected, never stored.
 func (s *Server) handleClusterAccept(w http.ResponseWriter, r *http.Request) {
 	var spec GenerateSpec
 	if err := json.Unmarshal([]byte(r.Header.Get(clusterSpecHeader)), &spec); err != nil {
@@ -526,8 +529,9 @@ type RebalanceReport struct {
 }
 
 // Rebalance walks the local store and pushes every structure whose key
-// this node no longer owns to its owning peer, reusing the persisted v3
-// file verbatim as the transfer format. With drop, successfully
+// this node no longer owns to its owning peer, reusing the persisted
+// structure file verbatim as the transfer format (the receiver's Put
+// rewrites a legacy v3 file as v2). With drop, successfully
 // transferred local copies are deleted (run without drop first: keeping
 // the copy is free read-replica capacity until space matters). Portfolio
 // grouping rows never transfer — the artifact is its members, which

@@ -10,8 +10,7 @@
 // is its one-member case, which the portfolio answers without routing,
 // and a portfolio spec fans its K members out as ordinary entries. The
 // index is always materialized off the request path: after generation on
-// the job worker, or during the disk load (v3 store files carry the
-// compiled tables).
+// the job worker, or right after the disk load or peer fetch.
 //
 // Generation requests for the same key are deduplicated: concurrent
 // clients share one generation run (per-entry sync.Once) and all block on
@@ -100,7 +99,7 @@ type Config struct {
 	// for non-owned keys are forwarded (single-hop) to the owning node,
 	// and non-owned keys served locally (replica fan-out, owner-down
 	// fallback, portfolio members owned elsewhere) are fetched as built
-	// v3 artifacts from peers before any local generation. See
+	// artifacts from peers before any local generation. See
 	// internal/serve/cluster.go for the routing rules.
 	Cluster *cluster.Cluster
 	// Logf, when non-nil, receives operational log lines (store persist
@@ -813,9 +812,7 @@ func (s *Server) runGeneration(ctx context.Context, spec GenerateSpec, report fu
 		return nil, stats, err
 	}
 	// Wrapping compiles on the job worker, not on the first instantiate
-	// request: queries against this structure — including the background
-	// persist, which saves the compiled tables into the v3 file — find the
-	// index ready.
+	// request: queries against this structure find the index ready.
 	return single(res.Structure), stats, nil
 }
 
@@ -1029,8 +1026,8 @@ func single(st *mps.Structure) *mps.Portfolio {
 // means a row existed but could not be loaded (corrupt file, circuit
 // mismatch), which callers also treat as a miss after counting it.
 //
-// A one-member spec reads its v3 file; the read and compile phases record
-// as store_read and compile spans on tr (nil for background callers),
+// A one-member spec reads its structure file; the read and compile phases
+// record as store_read and compile spans on tr (nil for background callers),
 // nested under parent. A K-member spec reads its grouping row and takes
 // each member from the cache first — sharing the cached structure and its
 // compiled index instead of decoding a second copy — else loads it
@@ -1089,10 +1086,10 @@ func (s *Server) loadFromStore(tr *obs.Trace, parent obs.SpanID, spec GenerateSp
 	}
 	st := spec.structure(cs)
 	// Materialize the compiled query index before the entry publishes so
-	// no instantiate request ever pays compile cost. Store files are v3
-	// (placements + compiled tables), so this is a cache hit — core.Load
-	// attached the index during decode; only a legacy v2 file compiles
-	// here, still off the request path.
+	// no instantiate request ever pays compile cost. Store files are v2
+	// (placements only), so this compiles, off the request path; a legacy
+	// v3 file arrives with the index core.Load compiled to check its
+	// tables.
 	compileSpan := tr.StartSpanUnder(parent, obs.StageCompile)
 	p := single(st)
 	s.metrics.endSpan(compileSpan)
@@ -1894,8 +1891,8 @@ const maxQueryBytes = 1024
 // sizes the buffer, with one spare byte so the read that reports EOF needs
 // no regrowth; declarations past maxPresize grow with the bytes that
 // actually arrive, so a client cannot reserve megabytes by announcing
-// them. The buffer is never pooled: a forward hands it to http.Client,
-// whose transport may read it after Do returns.
+// them. The buffer is never pooled: a forward hands it to the HTTP
+// transport, which may read it after RoundTrip returns.
 func readBody(w http.ResponseWriter, r *http.Request, limit int64) ([]byte, error) {
 	size := int64(512)
 	if n := r.ContentLength; n >= 0 && n < min(limit, maxPresize) {

@@ -192,6 +192,7 @@ func TestJobsAsyncLifecycle(t *testing.T) {
 func TestJobsCancelRunning(t *testing.T) {
 	dir := t.TempDir()
 	s, ts := newTestServer(t, Config{Store: openStore(t, dir), Logf: t.Logf})
+	t.Cleanup(s.Flush) // the fresh-spec generation at the end persists in the background
 	spec := slowSpec(42)
 
 	var submitted jobView

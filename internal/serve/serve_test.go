@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
+	"net/url"
 	"os"
 	"path/filepath"
 	"slices"
@@ -739,6 +740,82 @@ func TestStoreWarmRestart(t *testing.T) {
 	}
 	if runs := s2.genRuns.Load(); runs != 0 {
 		t.Fatalf("restarted server ran %d generations, want 0 (must serve from disk)", runs)
+	}
+}
+
+// TestStoreWritesV2LoadsLegacyV3: the program writes one structure
+// format. A persisted generation and the peer artifact endpoint's answer
+// for a cached entry are both v2, and a store file an earlier version left
+// as v3 still serves after a restart: no annealing run, and every answer
+// byte for byte the one the generating server gave.
+func TestStoreWritesV2LoadsLegacyV3(t *testing.T) {
+	dir := t.TempDir()
+	fleet := newTestFleet(t, fleetConfig{n: 1, serve: func(cfg *Config) { cfg.Store = openStore(t, dir) }})
+	node := fleet.nodes[0]
+	spec := testSpec(3)
+	if _, err := node.s.Generate(spec); err != nil {
+		t.Fatal(err)
+	}
+	node.s.Flush()
+	key := specKey(t, spec)
+	meta, ok := node.store.Stat(key)
+	if !ok {
+		t.Fatal("generation was not persisted")
+	}
+	path := filepath.Join(dir, meta.File)
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, []byte("MPSB\x02")) {
+		t.Fatalf("store file starts %q, want the v2 header", data[:min(5, len(data))])
+	}
+	code, _, body := doClusterJSON(t, http.MethodGet, node.url+"/v1/cluster/structure?key="+url.QueryEscape(key), nil, nil)
+	if code != http.StatusOK || !bytes.HasPrefix(body, []byte("MPSB\x02")) {
+		t.Fatalf("peer artifact for a cached entry: status %d, body starts %q; want 200 and the v2 header",
+			code, body[:min(5, len(body))])
+	}
+
+	// Query the middle of a few stored boxes (answered by their
+	// placements) and the two fixed queries.
+	e, ok := node.s.lookup(key)
+	if !ok {
+		t.Fatal("generated entry is not cached")
+	}
+	st := e.p.Member(0)
+	queries := []map[string][]int{testQuery(t, 0), testQuery(t, 1)}
+	for _, id := range st.IDs()[:3] {
+		p := st.Get(id)
+		ws, hs := make([]int, len(p.WLo)), make([]int, len(p.HLo))
+		for i := range ws {
+			ws[i], hs[i] = (p.WLo[i]+p.WHi[i])/2, (p.HLo[i]+p.HHi[i])/2
+		}
+		queries = append(queries, map[string][]int{"ws": ws, "hs": hs})
+	}
+	req := map[string]any{"spec": spec, "queries": queries}
+	code, want := postJSON(t, node.url+"/v1/instantiate", req, nil)
+	if code != http.StatusOK {
+		t.Fatalf("instantiate: %d %s", code, want)
+	}
+
+	// Leave the file an earlier version wrote: the same structure as v3.
+	var v3 bytes.Buffer
+	if err := st.SaveBinaryCompiled(&v3); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, v3.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2, ts := newTestServer(t, Config{Store: openStore(t, dir), Logf: t.Logf})
+	code, got := postJSON(t, ts.URL+"/v1/instantiate", req, nil)
+	if code != http.StatusOK || got != want {
+		t.Fatalf("instantiate from the legacy v3 file: %d\n got  %s\n want %s", code, got, want)
+	}
+	if !strings.Contains(want, `"placement_id":`+strconv.Itoa(st.IDs()[0])) {
+		t.Fatalf("no answer came from a stored placement: %s", want)
+	}
+	if runs := s2.genRuns.Load(); runs != 0 {
+		t.Fatalf("restarted server ran %d generations, want 0 (must serve the v3 file)", runs)
 	}
 }
 

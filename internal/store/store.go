@@ -2,10 +2,10 @@
 // paper's "generate once, instantiate forever" premise (Fig. 1): generated
 // multi-placement structures outlive the process that paid for them. A Dir
 // holds one structure file per canonical (circuit, seed, options) key —
-// written atomically in the v3 binary format (internal/core/codec.go:
-// placements plus the compiled query index's tables) —
-// plus a rewritable JSON manifest recording circuit, seed, options,
-// placement count, byte size, and creation time.
+// written atomically in the v2 binary format (internal/core/codec.go; v3
+// files earlier versions wrote still load) — plus a rewritable JSON
+// manifest recording circuit, seed, options, placement count, byte size,
+// and creation time.
 //
 // Structure portfolios persist as grouping rows in the same manifest
 // (PortfolioMeta): K member keys in routing order plus the portfolio's
@@ -73,7 +73,7 @@ type Meta struct {
 }
 
 // PortfolioMeta is one portfolio manifest row: a grouping of K member
-// structures (each a regular manifest entry, persisted with the v3 codec)
+// structures (each a regular manifest entry, persisted with the v2 codec)
 // under the portfolio's own canonical key. Members are referenced by their
 // entry keys — member files are shared with, and deduplicated against,
 // identical single-structure entries rather than copied.
@@ -290,10 +290,10 @@ func (d *Dir) Put(meta Meta, s *core.Structure) (Meta, error) {
 	// The structure write happens outside the entries lock: concurrent
 	// Puts to one key land on the same filename, where the atomic rename
 	// makes the race benign (one complete file wins). Structures persist
-	// in the v3 format — placements plus the compiled query index's row
-	// tables — so whoever loads the file next (a warm-starting daemon)
-	// gets the flat index without a compile on its request path.
-	n, err := WriteFileAtomic(filepath.Join(d.root, meta.File), s.SaveBinaryCompiled)
+	// in the v2 format, placements only: whoever loads the file compiles
+	// the query index off its request path, which costs less than reading
+	// and checking persisted tables would.
+	n, err := WriteFileAtomic(filepath.Join(d.root, meta.File), s.SaveBinary)
 	if err != nil {
 		return Meta{}, fmt.Errorf("store: %w", err)
 	}
@@ -357,7 +357,7 @@ func (d *Dir) List() []Meta {
 
 // ReadFile returns the raw persisted bytes for key's structure file plus
 // its manifest row — the transfer primitive behind cluster rebalance and
-// peer fetches, where the v3 file moves between nodes verbatim (the
+// peer fetches, where the structure file moves between nodes verbatim (the
 // receiver revalidates through core.Load, so no trust rides on the
 // bytes).
 func (d *Dir) ReadFile(key string) ([]byte, Meta, error) {

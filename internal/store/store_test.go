@@ -246,7 +246,7 @@ func TestOpenSweepsTempFiles(t *testing.T) {
 func crashedPut(t *testing.T, dir, key string, s *core.Structure) string {
 	t.Helper()
 	path := filepath.Join(dir, fileName(key))
-	if _, err := WriteFileAtomic(path, s.SaveBinaryCompiled); err != nil {
+	if _, err := WriteFileAtomic(path, s.SaveBinary); err != nil {
 		t.Fatal(err)
 	}
 	return path

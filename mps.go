@@ -48,8 +48,8 @@ type CompiledStructure = core.CompiledStructure
 // Compiled returns the structure's compiled query index — its 2N interval
 // rows flattened into sorted int32 breakpoint and placement-id tables with
 // binary-search lookup and zero allocations per covered query. The index
-// is built lazily on first use and cached (structures loaded from v3 files
-// arrive with it prebuilt), so every query path on the facade —
+// is built lazily on first use and cached (structures loaded from legacy
+// v3 files arrive with it built), so every query path on the facade —
 // Instantiate, InstantiateBatch, the mpsd handlers — pays compile cost at
 // most once per structure.
 func (s *Structure) Compiled() *CompiledStructure {
@@ -175,21 +175,21 @@ func newBackup(c *Circuit, kind BackupKind) core.Backup {
 	return template.Balanced(c)
 }
 
-// SaveFile writes the structure to path in the v3 binary format — the
-// placements plus the compiled query index, as the serving store writes
-// them — so LoadFile hands back a structure whose index needs no compile.
-// The write is crash-safe: content lands in a temp file in path's
-// directory and is fsynced and renamed over path, so an interrupted save
-// never truncates or tears an existing structure file.
+// SaveFile writes the structure to path in the v2 binary format, as the
+// serving store writes it: the placements, from which LoadFile rebuilds
+// the rows and the first query compiles the index. The write is
+// crash-safe: content lands in a temp file in path's directory and is
+// fsynced and renamed over path, so an interrupted save never truncates
+// or tears an existing structure file.
 func (s *Structure) SaveFile(path string) error {
-	if _, err := store.WriteFileAtomic(path, s.SaveBinaryCompiled); err != nil {
+	if _, err := store.WriteFileAtomic(path, s.SaveBinary); err != nil {
 		return fmt.Errorf("mps: %w", err)
 	}
 	return nil
 }
 
-// LoadFile reads a structure previously saved for the given circuit —
-// any format version (v1 gob, v2, v3), sniffed from the file header — and
+// LoadFile reads a structure previously saved for the given circuit — v2,
+// or the legacy v3 and gob v1, sniffed from the file header — and
 // re-installs the default template backup.
 func LoadFile(path string, c *Circuit) (*Structure, error) {
 	f, err := os.Open(path)

@@ -2,8 +2,8 @@ package mps
 
 // Persistence acceptance tests for the binary structure codecs and the
 // crash-safe SaveFile path: every Table 1 circuit must round-trip through
-// the v3 and v2 formats with identical Instantiate behavior, and legacy
-// gob files must keep loading through the same facade.
+// the v2 format SaveFile writes with identical Instantiate behavior, and
+// the legacy v3 and gob files must keep loading through the same facade.
 
 import (
 	"io"
@@ -46,10 +46,10 @@ func sweepCompare(t *testing.T, c *Circuit, a, b *Structure, trials int, seed in
 }
 
 // TestBinaryRoundTripTable1 is the acceptance property for the binary
-// codecs: for every Table 1 circuit, SaveFile (v3) → Load and SaveBinary
-// (v2) → Load yield structures whose Instantiate output matches the
-// original on a randomized query sweep — and the gob v1 format of the same
-// structure still loads via sniffing.
+// codecs: for every Table 1 circuit, SaveFile (v2) → LoadFile and
+// SaveBinaryCompiled (legacy v3) → LoadFile yield structures whose
+// Instantiate output matches the original on a randomized query sweep —
+// and the gob v1 format of the same structure still loads via sniffing.
 func TestBinaryRoundTripTable1(t *testing.T) {
 	if testing.Short() {
 		t.Skip("generates a structure per Table 1 circuit")
@@ -66,25 +66,13 @@ func TestBinaryRoundTripTable1(t *testing.T) {
 				t.Fatal(err)
 			}
 
-			// SaveFile writes v3: the v2 payload plus the compiled index.
-			path := filepath.Join(dir, name+".mps")
-			if err := s.SaveFile(path); err != nil {
+			// SaveFile writes v2, the one format the program writes.
+			binPath := filepath.Join(dir, name+".mps")
+			if err := s.SaveFile(binPath); err != nil {
 				t.Fatal(err)
 			}
-			if head := fileHead(t, path, 5); string(head) != "MPSB\x03" {
-				t.Fatalf("SaveFile wrote header %q, want the v3 header", head)
-			}
-			fromFile, err := LoadFile(path, c)
-			if err != nil {
-				t.Fatal(err)
-			}
-			sweepCompare(t, c, s, fromFile, 150, 11)
-
-			// The v2 and v1 writers remain in core; their files still load.
-			binPath := filepath.Join(dir, name+".v2.mps")
-			saveWith(t, binPath, s.SaveBinary)
 			if head := fileHead(t, binPath, 5); string(head) != "MPSB\x02" {
-				t.Fatalf("SaveBinary wrote header %q, want the v2 header", head)
+				t.Fatalf("SaveFile wrote header %q, want the v2 header", head)
 			}
 			fromBin, err := LoadFile(binPath, c)
 			if err != nil {
@@ -94,6 +82,22 @@ func TestBinaryRoundTripTable1(t *testing.T) {
 				t.Fatalf("v2 load has %d placements, want %d", fromBin.NumPlacements(), s.NumPlacements())
 			}
 			sweepCompare(t, c, s, fromBin, 150, 11)
+
+			// The legacy v3 and v1 writers remain in core; their files
+			// still load.
+			v3Path := filepath.Join(dir, name+".v3.mps")
+			saveWith(t, v3Path, s.SaveBinaryCompiled)
+			if head := fileHead(t, v3Path, 5); string(head) != "MPSB\x03" {
+				t.Fatalf("SaveBinaryCompiled wrote header %q, want the v3 header", head)
+			}
+			fromV3, err := LoadFile(v3Path, c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if fromV3.NumPlacements() != s.NumPlacements() {
+				t.Fatalf("v3 load has %d placements, want %d", fromV3.NumPlacements(), s.NumPlacements())
+			}
+			sweepCompare(t, c, s, fromV3, 150, 11)
 
 			gobPath := filepath.Join(dir, name+".gob.mps")
 			saveWith(t, gobPath, s.Save)

@@ -53,8 +53,8 @@ func newPortfolio(members []*Structure, weights []Weights, stats []Stats) (*Port
 	return &Portfolio{p}, stats, nil
 }
 
-// SaveFiles writes each member to its path (v3 binary with the compiled
-// index, atomically), member i to paths[i] — the file layout LoadPortfolio
+// SaveFiles writes each member to its path (v2 binary, atomically, as
+// SaveFile writes it), member i to paths[i] — the file layout LoadPortfolio
 // reads back. Member order is part of the portfolio's semantics (routing
 // tie-break, backup fallback), so keep the path order stable.
 func (p *Portfolio) SaveFiles(paths []string) error {
