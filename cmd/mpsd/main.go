@@ -13,7 +13,6 @@
 //	     [-cluster-self http://node1:8723]
 //	     [-cluster-peers http://node1:8723,http://node2:8723]
 //	     [-slow-query 2s] [-pprof-addr localhost:6060]
-//	     [-trace-buffer 512] [-trace-slow 2s] [-trace-sample 0.1]
 //
 // With -store-dir, generated structures are persisted to a disk-backed
 // repository (atomic v2 binary files plus a JSON manifest) and the daemon
@@ -72,9 +71,10 @@
 //
 // Every response carries X-Mps-Trace-Id, and each request records a span
 // tree (cache lookup, job wait, instantiate, encode, forwards, fetches)
-// into a bounded per-node ring with tail sampling — errors, slow
-// requests, and cross-node traces are always retained, plus a
-// deterministic -trace-sample fraction of the rest:
+// into a bounded per-node ring of 512 with tail sampling — errors,
+// requests over -slow-query, and cross-node traces are always retained,
+// plus a deterministic tenth of the rest. A request over -slow-query is
+// also logged as one JSON line rendered from its retained trace:
 //
 //	GET /v1/debug/traces       list retained traces (route=, min_ms=, limit=)
 //	GET /v1/debug/traces/{id}  one trace assembled across the cluster
@@ -162,13 +162,7 @@ func main() {
 	clusterRetryBackoff := flag.Duration("cluster-retry-backoff", 0,
 		"first retry delay, doubling per retry (0 = default 100ms)")
 	slowQuery := flag.Duration("slow-query", 0,
-		"log requests at least this slow as one-line JSON with a per-stage time breakdown (0 disables)")
-	traceBuffer := flag.Int("trace-buffer", 0,
-		"completed traces retained per node for /v1/debug/traces (0 = default 512, negative disables tracing retention)")
-	traceSlow := flag.Duration("trace-slow", 0,
-		"always retain traces at least this slow (0 = follow -slow-query, negative disables the slow rule)")
-	traceSample := flag.Float64("trace-sample", 0,
-		"fraction of ordinary traces retained, deterministic on trace ID (0 = default 0.1, negative disables)")
+		"log requests at least this slow as one-line JSON with a per-stage time breakdown, and always retain their traces (0 disables)")
 	pprofAddr := flag.String("pprof-addr", "",
 		"listen address for net/http/pprof, e.g. localhost:6060 (empty = off; never on the serving mux)")
 	flag.Parse()
@@ -180,9 +174,6 @@ func main() {
 		MaxGenerateIterations: *maxIterations,
 		Logf:                  log.Printf,
 		SlowQuery:             *slowQuery,
-		TraceBuffer:           *traceBuffer,
-		TraceSlow:             *traceSlow,
-		TraceSample:           *traceSample,
 	}
 	if *storeDir != "" {
 		st, err := store.Open(*storeDir)

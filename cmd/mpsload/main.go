@@ -192,7 +192,7 @@ func printTraces(res *loadgen.Result, client *http.Client, asJSON bool) {
 		}
 		if !rendered {
 			fmt.Fprintf(os.Stderr,
-				"mpsload: no retained trace for %s — run mpsd with -trace-slow (or -slow-query) to pin slow traces\n", op)
+				"mpsload: no retained trace for %s — run mpsd with -slow-query to pin slow traces\n", op)
 		}
 	}
 }

@@ -299,35 +299,24 @@ func (c *Cluster) CountFallback() { c.fallbacks.Add(1) }
 
 func (c *Cluster) CountFetch() { c.fetches.Add(1) }
 
-// Stats is a snapshot of the cluster layer's counters for health
-// endpoints and tests.
+// Stats is a snapshot of the cluster layer's routing counters, exported
+// as mps_cluster_events_total. Breaker states are read through
+// BreakerGauges.
 type Stats struct {
-	Self         string                  `json:"self"`
-	Peers        []string                `json:"peers"`
-	Forwards     int64                   `json:"forwards"`
-	Fallbacks    int64                   `json:"fallbacks"`
-	Fetches      int64                   `json:"fetches"`
-	BreakerSkips int64                   `json:"breaker_skips"`
-	Breakers     map[string]BreakerState `json:"breakers,omitempty"`
+	Forwards     int64
+	Fallbacks    int64
+	Fetches      int64
+	BreakerSkips int64
 }
 
-// Stats returns the current counters and breaker states.
+// Stats returns the current counters.
 func (c *Cluster) Stats() Stats {
-	st := Stats{
-		Self:         c.cfg.Self,
-		Peers:        c.Peers(),
+	return Stats{
 		Forwards:     c.forwards.Load(),
 		Fallbacks:    c.fallbacks.Load(),
 		Fetches:      c.fetches.Load(),
 		BreakerSkips: c.breakerSkips.Load(),
-		Breakers:     map[string]BreakerState{},
 	}
-	c.mu.Lock()
-	for p, b := range c.breakers {
-		st.Breakers[p] = b.State()
-	}
-	c.mu.Unlock()
-	return st
 }
 
 // ForwardTimeout and FetchTimeout expose the configured budgets to the

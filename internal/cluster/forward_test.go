@@ -188,8 +188,8 @@ func TestDoBreakerTripsAndSkips(t *testing.T) {
 	if !errors.Is(err, ErrPeerDown) {
 		t.Fatalf("tripped breaker returned %v, want ErrPeerDown", err)
 	}
-	if st := c.Stats(); st.Breakers[peer] != BreakerOpen || st.BreakerSkips != 1 {
-		t.Fatalf("stats after trip: %+v", st)
+	if g, st := c.BreakerGauges(), c.Stats(); g[peer] != BreakerOpen.GaugeValue() || st.BreakerSkips != 1 {
+		t.Fatalf("after trip: breakers %v, stats %+v", g, st)
 	}
 }
 

@@ -137,7 +137,9 @@ func TestPriorityOrderAndFIFO(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		last = snap
+		if sub.name == "low-b" {
+			last = snap
+		}
 	}
 	close(release)
 	if _, err := s.Wait(context.Background(), first.ID); err != nil {

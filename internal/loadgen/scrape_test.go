@@ -32,7 +32,7 @@ func TestParsePromRoundTrip(t *testing.T) {
 		v := reg.CounterVec("mps_test_labeled_total", "labeled", "route", "code")
 		v.With("instantiate", "200").Add(41)
 		v.With("structures", "503").Inc()
-		reg.Gauge("mps_test_gauge", "g").Set(3)
+		reg.GaugeFunc("mps_test_gauge", "g", func() float64 { return 3 })
 		esc := reg.CounterVec("mps_test_esc_total", "escapes", "peer")
 		esc.With(`he said "hi"\there`).Inc()
 	})

@@ -16,7 +16,7 @@ import (
 type Counter struct{ v atomic.Int64 }
 
 // Add increases the counter; negative deltas are ignored (a counter
-// never goes down — use a Gauge for that).
+// never goes down).
 func (c *Counter) Add(n int64) {
 	if n > 0 {
 		c.v.Add(n)
@@ -27,7 +27,7 @@ func (c *Counter) Add(n int64) {
 func (c *Counter) Inc() { c.v.Add(1) }
 
 // AddDuration accumulates a duration in nanoseconds — the storage form
-// of duration counters (rendered as seconds; see DurationCounter).
+// of duration counters (rendered as seconds; see DurationCounterVec).
 func (c *Counter) AddDuration(d time.Duration) {
 	if d > 0 {
 		c.v.Add(int64(d))
@@ -36,18 +36,6 @@ func (c *Counter) AddDuration(d time.Duration) {
 
 // Load returns the current value.
 func (c *Counter) Load() int64 { return c.v.Load() }
-
-// Gauge is an atomic instantaneous value.
-type Gauge struct{ v atomic.Int64 }
-
-// Set replaces the value.
-func (g *Gauge) Set(n int64) { g.v.Store(n) }
-
-// Add moves the value by n (negative allowed).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }
 
 // kind is the Prometheus metric type of a family.
 type kind string
@@ -62,7 +50,6 @@ const (
 type child struct {
 	labelVals []string
 	c         *Counter
-	g         *Gauge
 	h         *Histogram
 }
 
@@ -72,15 +59,15 @@ type family struct {
 	help      string
 	kind      kind
 	labelKeys []string
-	// scale multiplies counter/gauge values at render time; duration
-	// counters store nanoseconds and render seconds (scale 1e-9).
+	// scale multiplies counter values at render time; duration counters
+	// store nanoseconds and render seconds (scale 1e-9).
 	scale float64
 
 	mu       sync.Mutex
 	children map[string]*child
 	order    []string // creation order; sorted at render
 
-	// fn, when non-nil, produces gauge values at scrape time instead of
+	// fn, when non-nil, produces values at scrape time instead of
 	// reading stored children: key is the label value ("" when the family
 	// is unlabeled). Scrape-time evaluation is what lets queue depths and
 	// breaker states reflect the instant of the scrape with zero
@@ -144,8 +131,6 @@ func (f *family) get(vals []string) *child {
 		switch f.kind {
 		case kindCounter:
 			ch.c = &Counter{}
-		case kindGauge:
-			ch.g = &Gauge{}
 		case kindHistogram:
 			ch.h = &Histogram{}
 		}
@@ -158,18 +143,6 @@ func (f *family) get(vals []string) *child {
 // Counter registers and returns an unlabeled counter.
 func (r *Registry) Counter(name, help string) *Counter {
 	return r.register(name, help, kindCounter, nil, 1).get(nil).c
-}
-
-// DurationCounter registers a counter that accumulates nanoseconds
-// (via AddDuration) and renders seconds — the Prometheus convention for
-// time-sum series (name it *_seconds_total).
-func (r *Registry) DurationCounter(name, help string) *Counter {
-	return r.register(name, help, kindCounter, nil, 1e-9).get(nil).c
-}
-
-// Gauge registers and returns an unlabeled gauge.
-func (r *Registry) Gauge(name, help string) *Gauge {
-	return r.register(name, help, kindGauge, nil, 1).get(nil).g
 }
 
 // GaugeFunc registers a gauge whose value is computed at scrape time.
@@ -250,7 +223,9 @@ func (c *CodeCounters) Inc(code int) {
 	ctr.Inc()
 }
 
-// DurationCounterVec is CounterVec with DurationCounter's units.
+// DurationCounterVec registers a labeled counter family that accumulates
+// nanoseconds (via AddDuration) and renders seconds — the Prometheus
+// convention for time-sum series (name it *_seconds_total).
 func (r *Registry) DurationCounterVec(name, help string, labelKeys ...string) *CounterVec {
 	return &CounterVec{r.register(name, help, kindCounter, labelKeys, 1e-9)}
 }
@@ -265,11 +240,6 @@ func (v *HistogramVec) With(labelVals ...string) *Histogram { return v.f.get(lab
 // HistogramVec registers a labeled histogram family.
 func (r *Registry) HistogramVec(name, help string, labelKeys ...string) *HistogramVec {
 	return &HistogramVec{r.register(name, help, kindHistogram, labelKeys, 1)}
-}
-
-// Histogram registers and returns an unlabeled histogram.
-func (r *Registry) Histogram(name, help string) *Histogram {
-	return r.register(name, help, kindHistogram, nil, 1).get(nil).h
 }
 
 // WriteProm renders every family in Prometheus text exposition format,
@@ -345,8 +315,6 @@ func (f *family) write(w io.Writer) error {
 		switch f.kind {
 		case kindCounter:
 			fmt.Fprintf(&b, "%s%s %s\n", f.name, labels, formatValue(float64(ch.c.Load())*f.scale))
-		case kindGauge:
-			fmt.Fprintf(&b, "%s%s %s\n", f.name, labels, formatValue(float64(ch.g.Load())*f.scale))
 		case kindHistogram:
 			les, cum := ch.h.promBuckets()
 			for i, le := range les {

@@ -187,11 +187,10 @@ func TestRegistryRender(t *testing.T) {
 	c.Add(5)
 	c.Add(-3) // ignored: counters are monotonic
 	c.Inc()
-	g := r.Gauge("test_depth", "depth")
-	g.Set(7)
-	g.Add(-2)
-	d := r.DurationCounter("test_busy_seconds_total", "busy time")
+	r.GaugeFunc("test_depth", "depth", func() float64 { return 5 })
+	d := r.DurationCounterVec("test_busy_seconds_total", "busy time", "stage").With("cache")
 	d.AddDuration(1500 * time.Millisecond)
+	d.AddDuration(-time.Second) // ignored: counters are monotonic
 	v := r.CounterVec("test_requests_total", "requests", "route", "code")
 	v.With("instantiate", "200").Add(3)
 	v.With(`we"ird\`+"\n\xff", "500").Inc()
@@ -199,7 +198,7 @@ func TestRegistryRender(t *testing.T) {
 	r.GaugeVecFunc("test_breaker_state", "breaker", "peer", func() map[string]float64 {
 		return map[string]float64{"b": 1, "a": 0}
 	})
-	h := r.Histogram("test_latency_seconds", "latency")
+	h := r.HistogramVec("test_latency_seconds", "latency", "route").With("instantiate")
 	h.Observe(3 * time.Microsecond)
 
 	var b strings.Builder
@@ -210,17 +209,17 @@ func TestRegistryRender(t *testing.T) {
 	for _, want := range []string{
 		"# HELP test_ops_total ops\n# TYPE test_ops_total counter\ntest_ops_total 6\n",
 		"test_depth 5\n",
-		"test_busy_seconds_total 1.5\n",
+		`test_busy_seconds_total{stage="cache"} 1.5`,
 		`test_requests_total{route="instantiate",code="200"} 3`,
 		`test_requests_total{route="we\"ird\\\n",code="500"} 1`,
 		"test_live 2.5\n",
 		`test_breaker_state{peer="a"} 0`,
 		`test_breaker_state{peer="b"} 1`,
-		`test_latency_seconds_bucket{le="1e-06"} 0`,
-		`test_latency_seconds_bucket{le="4e-06"} 1`,
-		`test_latency_seconds_bucket{le="+Inf"} 1`,
-		"test_latency_seconds_sum 3e-06\n",
-		"test_latency_seconds_count 1\n",
+		`test_latency_seconds_bucket{route="instantiate",le="1e-06"} 0`,
+		`test_latency_seconds_bucket{route="instantiate",le="4e-06"} 1`,
+		`test_latency_seconds_bucket{route="instantiate",le="+Inf"} 1`,
+		`test_latency_seconds_sum{route="instantiate"} 3e-06`,
+		`test_latency_seconds_count{route="instantiate"} 1`,
 	} {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
@@ -282,7 +281,7 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 			t.Fatalf("duplicate registration must panic")
 		}
 	}()
-	r.Gauge("dup_total", "second")
+	r.GaugeFunc("dup_total", "second", func() float64 { return 0 })
 }
 
 func TestRegistryHandler(t *testing.T) {
@@ -311,8 +310,8 @@ func TestRegistryHandler(t *testing.T) {
 func TestTrace(t *testing.T) {
 	// A nil trace (untraced context) absorbs everything silently.
 	var nilT *Trace
-	nilT.Observe(StageCompile, time.Second)
-	if nilT.Dur(StageCompile) != 0 || nilT.Ops(StageCompile) != 0 || nilT.StageBreakdown() != nil {
+	nilT.StartSpan(StageCompile).End()
+	if !nilT.ID().IsZero() || nilT.DroppedSpans() != 0 || nilT.CrossNode() {
 		t.Fatalf("nil trace must read zero")
 	}
 	if TraceFrom(context.Background()) != nil {
@@ -323,35 +322,22 @@ func TestTrace(t *testing.T) {
 	if TraceFrom(ctx) != tr {
 		t.Fatalf("TraceFrom must return the trace WithTrace installed")
 	}
-	tr.Observe(StageCache, 2*time.Millisecond)
-	tr.Observe(StageCache, 3*time.Millisecond)
-	tr.Observe(StageJobWait, 50*time.Millisecond)
-	tr.Observe(StageEncode, -time.Second) // clamps to 0 duration, still counts the op
-	if tr.Dur(StageCache) != 5*time.Millisecond || tr.Ops(StageCache) != 2 {
-		t.Fatalf("cache: dur=%v ops=%d", tr.Dur(StageCache), tr.Ops(StageCache))
-	}
-	bd := tr.StageBreakdown()
-	if bd["cache"] != 5 || bd["job_wait"] != 50 {
-		t.Fatalf("breakdown = %v", bd)
-	}
-	if _, ok := bd["encode"]; ok {
-		t.Fatalf("zero-duration stage must not render: %v", bd)
-	}
 
-	// Concurrent observation (the forward/fan-out case) must be safe.
+	// Concurrent recording (the forward/fan-out case) must be safe and
+	// must account for every span: recorded in a slot or counted dropped.
 	var wg sync.WaitGroup
 	for i := 0; i < 4; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for j := 0; j < 100; j++ {
-				tr.Observe(StageFetch, time.Microsecond)
+				tr.StartSpan(StageFetch).End()
 			}
 		}()
 	}
 	wg.Wait()
-	if tr.Ops(StageFetch) != 400 {
-		t.Fatalf("fetch ops = %d, want 400", tr.Ops(StageFetch))
+	if got := tr.DroppedSpans(); got != 400-maxSpans {
+		t.Fatalf("fetch spans dropped = %d, want %d of 400", got, 400-maxSpans)
 	}
 }
 

@@ -1,4 +1,4 @@
-// Request tracing: per-stage aggregates plus a real span model.
+// Request tracing: one bounded span tree per request.
 //
 // Every request gets a Trace carrying a 128-bit trace ID and a bounded
 // tree of spans (stage, monotonic start/end, parent, peer/key attributes)
@@ -8,7 +8,8 @@
 // the allocator (a segment's 9th span allocates the slot block once; see
 // maxSpans). Cross-node propagation rides the X-Mps-Trace header
 // (EncodeTraceHeader/ParseTraceHeader); completed traces are retained by
-// a tail-sampling TraceStore (tracestore.go).
+// a tail-sampling TraceStore (tracestore.go), and the retained record is
+// the one record of the request: the slow-query line is rendered from it.
 package obs
 
 import (
@@ -22,14 +23,14 @@ import (
 )
 
 // Stage names one phase of answering a request. Stages are a small fixed
-// enum — a Trace stores per-stage totals in a flat array, so recording a
-// span is two atomic adds and no allocation.
+// enum, so a span's stage is one byte and the per-stage metric series are
+// registered up front.
 type Stage uint8
 
 const (
 	// StageCache: LRU lookup and entry bookkeeping. For the request that
 	// triggers an inline disk read-through this span contains the
-	// StageStoreRead/StageCompile work (spans overlap; see Trace).
+	// StageStoreRead/StageCompile work (spans overlap; see SlowQuery).
 	StageCache Stage = iota
 	// StageStoreRead: disk-store read-through (file read + decode).
 	StageStoreRead
@@ -299,8 +300,8 @@ func randID() uint64 {
 
 // maxSpans bounds the spans recorded per trace segment. A request's span
 // count is bounded by construction (a handful of stages plus per-peer
-// attempts), so 32 covers real traffic; overflow degrades to
-// aggregate-only recording with a dropped counter, never an allocation.
+// attempts), so 32 covers real traffic; overflow goes unrecorded and is
+// counted as dropped, never an allocation.
 //
 // The first inlineSpans slots live in the Trace itself, enough for a
 // forwarded instantiate on either node (3 spans on the entry, 5 on the
@@ -326,22 +327,14 @@ type span struct {
 	endNs   atomic.Int64
 }
 
-// Trace accumulates one request's observability state: per-stage
-// duration/op aggregates (the slow-query breakdown and global stage
-// counters) plus the span tree segment recorded on this node. It travels
-// on the request context (WithTrace/TraceFrom) so any layer the request
-// passes through can attribute its time without new plumbing; a nil
-// *Trace is valid and records nothing, so instrumented code never has to
-// check whether tracing is on.
-//
-// Stages may overlap (StageCache contains an inline read-through's
-// StageStoreRead), so the per-stage totals are attribution, not a
-// partition of wall time. Fields are atomic because peer fetches and
-// fan-out goroutines may record concurrently with the request goroutine.
+// Trace is the span tree segment one request records on this node. It
+// travels on the request context (WithTrace/TraceFrom) so any layer the
+// request passes through can attribute its time without new plumbing; a
+// nil *Trace is valid and records nothing, so instrumented code never has
+// to check whether tracing is on. Fields are atomic because peer fetches
+// and fan-out goroutines may record concurrently with the request
+// goroutine.
 type Trace struct {
-	durs [NumStages]atomic.Int64
-	ops  [NumStages]atomic.Int32
-
 	// id is the 128-bit trace identity, shared by every segment of a
 	// cross-node request. parent is the remote span this segment nests
 	// under (0 at the trace origin). base is this segment's random span-ID
@@ -474,8 +467,8 @@ func (t *Trace) CrossNode() bool {
 	return t.parent != 0 || t.hasRemote.Load()
 }
 
-// DroppedSpans returns how many spans overflowed the slot array (their
-// durations still landed in the stage aggregates). Nil-safe.
+// DroppedSpans returns how many spans overflowed the slot array and went
+// unrecorded. Nil-safe.
 func (t *Trace) DroppedSpans() int32 {
 	if t == nil {
 		return 0
@@ -484,8 +477,8 @@ func (t *Trace) DroppedSpans() int32 {
 }
 
 // Annotate records the structure key the request resolved to on the root
-// span. Handler-goroutine only (plain field; the epilogue reads it on the
-// same goroutine). Nil-safe.
+// span. Handler-goroutine only (plain field; the epilogue's snapshot reads
+// it on the same goroutine). Nil-safe.
 func (t *Trace) Annotate(key string) {
 	if t == nil {
 		return
@@ -493,21 +486,13 @@ func (t *Trace) Annotate(key string) {
 	t.rootKey = key
 }
 
-// RootKey returns the Annotate'd structure key. Nil-safe.
-func (t *Trace) RootKey() string {
-	if t == nil {
-		return ""
-	}
-	return t.rootKey
-}
-
 // SpanRef is a handle on a started span: a stack value, so starting and
 // ending a span allocates nothing. The zero value is valid and records
 // nothing. A ref is owned by the goroutine that started it until End;
-// ending twice double-counts the aggregates — don't.
+// end it once.
 type SpanRef struct {
 	t     *Trace
-	slot  int32 // 1-based slot index; 0 = aggregate-only (nil trace or overflow)
+	slot  int32 // 1-based slot index; 0 = unrecorded (nil trace or overflow)
 	id    SpanID
 	stage Stage
 	start time.Time
@@ -521,10 +506,10 @@ func (t *Trace) StartSpan(stage Stage) SpanRef {
 }
 
 // StartSpanUnder starts a span nested under parent (0 means the root
-// span). Nil-safe. When the slot array is full the span degrades to
-// aggregate-only recording: the ref still measures, propagates the root
-// span ID, and bumps the dropped counter on End — never blocks, never
-// allocates. The 9th span allocates the slot block (see maxSpans).
+// span). Nil-safe. When the slot array is full the span goes unrecorded:
+// the trace counts it as dropped, and the ref still measures and
+// propagates the root span ID — never blocks, never allocates. The 9th
+// span allocates the slot block (see maxSpans).
 func (t *Trace) StartSpanUnder(parent SpanID, stage Stage) SpanRef {
 	now := time.Now()
 	if t == nil {
@@ -554,8 +539,8 @@ func (t *Trace) StartSpanUnder(parent SpanID, stage Stage) SpanRef {
 func (r SpanRef) Trace() *Trace { return r.t }
 
 // SpanID returns the span's ID — the parent for propagation and child
-// spans. Aggregate-only refs return the root span ID so propagation
-// still links into the trace; zero refs return 0.
+// spans. Overflow refs return the root span ID so propagation still
+// links into the trace; zero refs return 0.
 func (r SpanRef) SpanID() SpanID { return r.id }
 
 // Stage returns the stage the span records under.
@@ -604,18 +589,14 @@ func (r SpanRef) Header() (string, bool) {
 	return EncodeTraceHeader(r.t.id, span), true
 }
 
-// End commits the span — attributes become visible to snapshots — and
-// feeds the trace's stage aggregates. Returns the measured duration
-// (real even for nil-trace refs, so callers can feed global counters).
+// End commits the span: its attributes become visible to snapshots.
+// Returns the measured duration (real even for unrecorded refs, so
+// callers can feed global counters).
 func (r SpanRef) End() time.Duration {
 	d := time.Since(r.start)
 	if d < 0 {
 		d = 0
 	}
-	if r.t == nil {
-		return d
-	}
-	r.t.Observe(r.stage, d)
 	if r.slot > 0 {
 		sp := r.t.slot(r.slot-1, false)
 		end := sp.startNs + int64(d)
@@ -642,66 +623,64 @@ func SpanFromContext(ctx context.Context) SpanRef {
 	return r
 }
 
-// Observe adds one span to the stage's total. Nil-safe, allocation-free.
-func (t *Trace) Observe(s Stage, d time.Duration) {
-	if t == nil || s >= NumStages {
-		return
-	}
-	if d < 0 {
-		d = 0
-	}
-	t.durs[s].Add(int64(d))
-	t.ops[s].Add(1)
-}
-
-// Dur returns the stage's accumulated time. Nil-safe.
-func (t *Trace) Dur(s Stage) time.Duration {
-	if t == nil || s >= NumStages {
-		return 0
-	}
-	return time.Duration(t.durs[s].Load())
-}
-
-// Ops returns how many spans the stage accumulated. Nil-safe.
-func (t *Trace) Ops(s Stage) int32 {
-	if t == nil || s >= NumStages {
-		return 0
-	}
-	return t.ops[s].Load()
-}
-
-// StageBreakdown returns the non-zero stages as a name → milliseconds
-// map — the slow-query log's "stages" object. Nil-safe (returns nil).
-func (t *Trace) StageBreakdown() map[string]float64 {
-	if t == nil {
-		return nil
-	}
-	var out map[string]float64
-	for s := Stage(0); s < NumStages; s++ {
-		if d := t.durs[s].Load(); d > 0 {
-			if out == nil {
-				out = make(map[string]float64, 4)
-			}
-			out[stageNames[s]] = float64(d) / float64(time.Millisecond)
-		}
-	}
-	return out
-}
-
 // SlowQueryEntry is the slow-query log line: one JSON object per
 // over-threshold request, with the stage breakdown that tells an
 // operator *where* the time went, not just that it went, and the trace
-// ID as an exemplar linking the line to /v1/debug/traces/{id}.
+// ID as an exemplar linking the line to /v1/debug/traces/{id}. It is
+// rendered from the request's retained TraceRecord (see SlowQuery).
+// DroppedSpans counts the spans the segment had no slot for: their time
+// is missing from Stages.
 type SlowQueryEntry struct {
-	Method   string             `json:"method"`
-	Path     string             `json:"path"`
-	Route    string             `json:"route"`
-	Status   int                `json:"status"`
-	Millis   float64            `json:"ms"`
-	ServedBy string             `json:"served_by,omitempty"`
-	Key      string             `json:"key,omitempty"`
-	TraceID  string             `json:"trace_id,omitempty"`
-	Stages   map[string]float64 `json:"stages,omitempty"`
+	Method       string             `json:"method"`
+	Path         string             `json:"path"`
+	Route        string             `json:"route"`
+	Status       int                `json:"status"`
+	Millis       float64            `json:"ms"`
+	ServedBy     string             `json:"served_by,omitempty"`
+	Key          string             `json:"key,omitempty"`
+	TraceID      string             `json:"trace_id,omitempty"`
+	Stages       map[string]float64 `json:"stages,omitempty"`
+	DroppedSpans int32              `json:"dropped_spans,omitempty"`
+}
+
+// SlowQuery returns the slow-query line of the request rec records;
+// method, path and the node that served the answer come from the HTTP
+// exchange.
+//
+// Stages sums the segment's spans per stage, in milliseconds, as
+// /metrics counts them: the root span (the whole request) is skipped,
+// and so is a span whose parent has the same stage — a cluster.Do
+// attempt under its forward or fetch span — whose time its parent
+// already holds. Different stages may still overlap (cache contains an
+// inline read-through's store_read), so the totals are attribution, not
+// a partition of wall time.
+func (rec *TraceRecord) SlowQuery(method, path, servedBy string) SlowQueryEntry {
+	stageOf := make(map[SpanID]string, len(rec.Spans))
+	for _, sp := range rec.Spans {
+		stageOf[sp.ID] = sp.Stage
+	}
+	ns := make(map[string]int64, 4)
+	for _, sp := range rec.Spans {
+		if sp.ID != rec.Root && sp.DurationNs > 0 && stageOf[sp.Parent] != sp.Stage {
+			ns[sp.Stage] += sp.DurationNs
+		}
+	}
+	stages := make(map[string]float64, len(ns))
+	for name, d := range ns {
+		stages[name] = float64(d) / float64(time.Millisecond)
+	}
+	return SlowQueryEntry{
+		Method:       method,
+		Path:         path,
+		Route:        rec.Route,
+		Status:       rec.Status,
+		Millis:       float64(rec.DurationNs) / float64(time.Millisecond),
+		ServedBy:     servedBy,
+		Key:          rec.Key,
+		TraceID:      rec.ID.String(),
+		Stages:       stages,
+		DroppedSpans: rec.DroppedSpans,
+	}
 }
 
 // Render returns the entry as one-line JSON. Marshaling a flat struct of

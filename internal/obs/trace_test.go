@@ -100,7 +100,8 @@ func TestSpanRecordingAndSnapshot(t *testing.T) {
 		t.Fatal("SetRemote did not mark the trace cross-node")
 	}
 	ts := NewTraceStore("n1", 8, 0, 1)
-	if reason := ts.Offer(tr, "instantiate", "", 200, 5*time.Millisecond); reason == "" {
+	kept := ts.Offer(tr, "instantiate", "", 200, 5*time.Millisecond)
+	if kept == nil {
 		t.Fatal("sample=1 store discarded the trace")
 	}
 	recs := ts.Get(tr.ID())
@@ -108,6 +109,9 @@ func TestSpanRecordingAndSnapshot(t *testing.T) {
 		t.Fatalf("Get returned %d records, want 1", len(recs))
 	}
 	rec := recs[0]
+	if rec != kept {
+		t.Fatal("Offer returned a different record than the store retained")
+	}
 	if rec.Key != "key-1" || rec.Route != "instantiate" || rec.Node != "n1" {
 		t.Fatalf("record meta: %+v", rec)
 	}
@@ -162,21 +166,18 @@ func TestNilTraceSpans(t *testing.T) {
 	if _, ok := sp.Header(); ok {
 		t.Fatal("nil-trace span produced a propagation header")
 	}
-	if tr.CrossNode() || tr.RootKey() != "" {
+	if tr.CrossNode() || tr.DroppedSpans() != 0 {
 		t.Fatal("nil trace mutated")
 	}
 }
 
-func TestSpanOverflowDegradesToAggregates(t *testing.T) {
+func TestSpanOverflowCountsDropped(t *testing.T) {
 	tr := NewTrace()
 	for i := 0; i < maxSpans+5; i++ {
 		tr.StartSpan(StageInstantiate).End()
 	}
 	if got := tr.DroppedSpans(); got != 5 {
 		t.Fatalf("dropped = %d, want 5", got)
-	}
-	if got := tr.Ops(StageInstantiate); got != maxSpans+5 {
-		t.Fatalf("aggregate ops = %d, want %d", got, maxSpans+5)
 	}
 	// Overflow refs still propagate: they carry the root span.
 	sp := tr.StartSpan(StageForward)
@@ -188,14 +189,79 @@ func TestSpanOverflowDegradesToAggregates(t *testing.T) {
 	}
 }
 
+// TestSlowQueryStages pins how the slow-query line sums a retained
+// record's spans: the root span is skipped, a same-stage child (a
+// cluster.Do attempt under its forward span) is not added again, a child
+// of another stage (store_read under cache) counts in its own stage,
+// siblings of one stage add up, zero-length stages do not render, and
+// the line reports the segment's dropped spans.
+func TestSlowQueryStages(t *testing.T) {
+	const ms = int64(time.Millisecond)
+	rec := &TraceRecord{
+		ID: TraceID{Hi: 1, Lo: 2}, Root: 10, Route: "instantiate", Key: "k",
+		Status: 200, DurationNs: 12 * ms, DroppedSpans: 2,
+		Spans: []SpanRecord{
+			{ID: 10, Parent: 99, Stage: "request", DurationNs: 12 * ms},
+			{ID: 11, Parent: 10, Stage: "forward", DurationNs: 4 * ms},
+			{ID: 12, Parent: 11, Stage: "forward", DurationNs: 3 * ms, Remote: "http://peer"},
+			{ID: 13, Parent: 10, Stage: "forward", DurationNs: ms},
+			{ID: 14, Parent: 10, Stage: "cache", DurationNs: 2 * ms},
+			{ID: 15, Parent: 14, Stage: "store_read", DurationNs: 3 * ms / 2},
+			{ID: 16, Parent: 10, Stage: "encode"},
+		},
+	}
+	e := rec.SlowQuery("POST", "/v1/instantiate", "http://peer")
+	want := map[string]float64{"forward": 5, "cache": 2, "store_read": 1.5}
+	if len(e.Stages) != len(want) {
+		t.Fatalf("stages = %v, want %v", e.Stages, want)
+	}
+	for name, v := range want {
+		if e.Stages[name] != v {
+			t.Fatalf("stages = %v, want %v", e.Stages, want)
+		}
+	}
+	if e.Route != "instantiate" || e.Status != 200 || e.Millis != 12 || e.Key != "k" ||
+		e.TraceID != rec.ID.String() || e.ServedBy != "http://peer" || e.DroppedSpans != 2 {
+		t.Fatalf("entry = %+v", e)
+	}
+	if line := e.Render(); !strings.Contains(line, `"dropped_spans":2`) {
+		t.Fatalf("line does not report dropped spans: %s", line)
+	}
+
+	// The same rule on a recorded trace: a forward span with one attempt
+	// child counts the forward span's time exactly once.
+	tr := NewTrace()
+	fwd := tr.StartSpan(StageForward)
+	att := fwd.StartChild()
+	att.SetRemote("http://peer")
+	time.Sleep(time.Millisecond)
+	att.End()
+	fwd.End()
+	for i := 0; i < maxSpans; i++ {
+		tr.StartSpan(StageEncode).End()
+	}
+	got := NewTraceStore("n", 4, 0, 1).Offer(tr, "instantiate", "", 200, 5*time.Millisecond)
+	if got == nil {
+		t.Fatal("sample=1 store discarded the trace")
+	}
+	e = got.SlowQuery("POST", "/v1/instantiate", "")
+	if fwdNs := got.Spans[1].DurationNs; got.Spans[1].Stage != "forward" ||
+		e.Stages["forward"] != float64(fwdNs)/float64(time.Millisecond) {
+		t.Fatalf("stages.forward = %v, want the forward span's %dns", e.Stages["forward"], fwdNs)
+	}
+	if e.DroppedSpans != 2 || !strings.Contains(e.Render(), `"dropped_spans":2`) {
+		t.Fatalf("dropped spans = %d, want 2 (34 spans, 32 slots)", e.DroppedSpans)
+	}
+}
+
 // sinkTrace keeps traces built in allocation tests on the heap, as a
 // request's trace is.
 var sinkTrace *Trace
 
 // TestSpanSlotsInlineThenBlock pins the slot layout: spans 1–8 live in
-// the Trace, spans 9–32 in the block the 9th installs, and the 33rd
-// degrades to aggregates. Snapshots list every committed span in slot
-// order under its historical ID, base+1+slot.
+// the Trace, spans 9–32 in the block the 9th installs, and the 33rd is
+// dropped. Snapshots list every committed span in slot order under its
+// historical ID, base+1+slot.
 func TestSpanSlotsInlineThenBlock(t *testing.T) {
 	tr := NewTrace()
 	ts := NewTraceStore("n", 4, 0, 1)
@@ -344,18 +410,25 @@ func TestConcurrentSpansRaceClean(t *testing.T) {
 
 func TestTailSamplingRules(t *testing.T) {
 	mk := func() *Trace { return NewTrace() }
+	// offer returns the retention reason, "" for a discarded trace.
+	offer := func(ts *TraceStore, tr *Trace, from string, status int, d time.Duration) string {
+		if rec := ts.Offer(tr, "r", from, status, d); rec != nil {
+			return rec.Retained
+		}
+		return ""
+	}
 	ts := NewTraceStore("n", 16, 10*time.Millisecond, 0)
-	if r := ts.Offer(mk(), "r", "", 200, time.Millisecond); r != "" {
+	if r := offer(ts, mk(), "", 200, time.Millisecond); r != "" {
 		t.Fatalf("fast 200 retained as %q, want discard", r)
 	}
-	if r := ts.Offer(mk(), "r", "", 500, time.Millisecond); r != "error" {
+	if r := offer(ts, mk(), "", 500, time.Millisecond); r != "error" {
 		t.Fatalf("5xx retained as %q, want error", r)
 	}
-	if r := ts.Offer(mk(), "r", "", 200, 50*time.Millisecond); r != "slow" {
+	if r := offer(ts, mk(), "", 200, 50*time.Millisecond); r != "slow" {
 		t.Fatalf("slow retained as %q, want slow", r)
 	}
 	cross := NewLinkedTrace(TraceID{Hi: 1, Lo: 1}, 7)
-	if r := ts.Offer(cross, "r", "up", 200, time.Millisecond); r != "cross_node" {
+	if r := offer(ts, cross, "up", 200, time.Millisecond); r != "cross_node" {
 		t.Fatalf("propagated trace retained as %q, want cross_node", r)
 	}
 
@@ -365,8 +438,8 @@ func TestTailSamplingRules(t *testing.T) {
 	b := NewTraceStore("b", 16, 0, 0.5)
 	for i := 0; i < 64; i++ {
 		tr := NewTrace()
-		ra := a.Offer(tr, "r", "", 200, time.Millisecond)
-		rb := b.Offer(tr, "r", "", 200, time.Millisecond)
+		ra := offer(a, tr, "", 200, time.Millisecond)
+		rb := offer(b, tr, "", 200, time.Millisecond)
 		if (ra == "") != (rb == "") {
 			t.Fatalf("nodes disagree on trace %v: %q vs %q", tr.ID(), ra, rb)
 		}

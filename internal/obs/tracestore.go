@@ -92,14 +92,11 @@ type TraceStore struct {
 	cap  int
 }
 
-// NewTraceStore returns a store retaining up to capacity completed
+// NewTraceStore returns a store retaining up to capacity (> 0) completed
 // traces on node. slow is the always-retain latency threshold (<= 0
 // disables it); sample is the retained fraction of ordinary traces
 // (clamped to [0,1]).
 func NewTraceStore(node string, capacity int, slow time.Duration, sample float64) *TraceStore {
-	if capacity <= 0 {
-		capacity = 512
-	}
 	var bound uint64
 	switch {
 	case sample >= 1:
@@ -111,21 +108,16 @@ func NewTraceStore(node string, capacity int, slow time.Duration, sample float64
 }
 
 // Node returns the node name records are stamped with.
-func (ts *TraceStore) Node() string {
-	if ts == nil {
-		return ""
-	}
-	return ts.node
-}
+func (ts *TraceStore) Node() string { return ts.node }
 
 // Offer presents a finished request's trace for retention and returns
-// the retention reason ("" = discarded). from names the upstream
-// forwarder (parsed from the forward mark), route/status/d the request's
-// outcome. Nil-safe; the discard path takes no lock and allocates
+// the retained record, or nil when the trace is discarded. from names
+// the upstream forwarder (parsed from the forward mark), route/status/d
+// the request's outcome. The discard path takes no lock and allocates
 // nothing.
-func (ts *TraceStore) Offer(tr *Trace, route, from string, status int, d time.Duration) string {
-	if ts == nil || tr == nil || tr.id.IsZero() {
-		return ""
+func (ts *TraceStore) Offer(tr *Trace, route, from string, status int, d time.Duration) *TraceRecord {
+	if tr == nil || tr.id.IsZero() {
+		return nil
 	}
 	ts.offered.Add(1)
 	var reason string
@@ -144,7 +136,7 @@ func (ts *TraceStore) Offer(tr *Trace, route, from string, status int, d time.Du
 	case tr.id.Lo < ts.sampleBound:
 		reason = "sampled"
 	default:
-		return ""
+		return nil
 	}
 	rec := ts.snapshot(tr, route, from, status, d, reason)
 	ts.retained.Add(1)
@@ -156,7 +148,7 @@ func (ts *TraceStore) Offer(tr *Trace, route, from string, status int, d time.Du
 		ts.next = (ts.next + 1) % len(ts.ring)
 	}
 	ts.mu.Unlock()
-	return reason
+	return rec
 }
 
 // snapshot copies the trace's committed spans into an immutable record.
@@ -219,9 +211,6 @@ func (ts *TraceStore) snapshot(tr *Trace, route, from string, status int, d time
 // (a portfolio fan-out sends a peer several requests under one trace).
 // Records are immutable after insertion; sharing pointers is safe.
 func (ts *TraceStore) Get(id TraceID) []*TraceRecord {
-	if ts == nil {
-		return nil
-	}
 	var out []*TraceRecord
 	ts.mu.Lock()
 	for _, rec := range ts.ring {
@@ -243,9 +232,6 @@ type TraceFilter struct {
 
 // Recent returns retained segments, newest first, filtered.
 func (ts *TraceStore) Recent(f TraceFilter) []*TraceRecord {
-	if ts == nil {
-		return nil
-	}
 	limit := f.Limit
 	if limit <= 0 {
 		limit = 50
@@ -280,9 +266,6 @@ func (ts *TraceStore) Recent(f TraceFilter) []*TraceRecord {
 // Stats returns the lifetime offered/retained counters and the current
 // buffer depth, for scrape-time metric funcs.
 func (ts *TraceStore) Stats() (offered, retained int64, buffered int) {
-	if ts == nil {
-		return 0, 0, 0
-	}
 	ts.mu.Lock()
 	buffered = len(ts.ring)
 	ts.mu.Unlock()

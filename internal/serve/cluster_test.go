@@ -537,12 +537,12 @@ func TestClusterFaultInjection(t *testing.T) {
 	if got := peer.s.genRuns.Load(); got != 0 {
 		t.Fatalf("hanging peer ran %d generations, want 0", got)
 	}
-	st := entry.c.Stats()
-	if st.Fallbacks == 0 {
+	if entry.c.Stats().Fallbacks == 0 {
 		t.Fatal("no fallback counted")
 	}
-	if st.Breakers[peerURL] != cluster.BreakerOpen {
-		t.Fatalf("breaker for %s is %q, want open after consecutive failures", peerURL, st.Breakers[peerURL])
+	open, closed := cluster.BreakerOpen.GaugeValue(), cluster.BreakerClosed.GaugeValue()
+	if g := entry.c.BreakerGauges()[peerURL]; g != open {
+		t.Fatalf("breaker gauge for %s is %v, want %v (open) after consecutive failures", peerURL, g, open)
 	}
 
 	// Phase 2 — breaker open: the same request again is answered from the
@@ -605,8 +605,8 @@ func TestClusterFaultInjection(t *testing.T) {
 	if got := entry.s.genRuns.Load(); got != 3 {
 		t.Fatalf("entry node ran %d generations, want 3", got)
 	}
-	if st := entry.c.Stats(); st.Breakers[peerURL] != cluster.BreakerOpen {
-		t.Fatalf("breaker is %q after dropped connections, want open", st.Breakers[peerURL])
+	if g := entry.c.BreakerGauges()[peerURL]; g != open {
+		t.Fatalf("breaker gauge is %v after dropped connections, want %v (open)", g, open)
 	}
 
 	// Phase 5 — recovery: once the peer heals and the cooldown elapses,
@@ -622,8 +622,8 @@ func TestClusterFaultInjection(t *testing.T) {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("probe answered %d", resp.StatusCode)
 	}
-	if st := entry.c.Stats(); st.Breakers[peerURL] != cluster.BreakerClosed {
-		t.Fatalf("breaker is %q after a successful probe, want closed", st.Breakers[peerURL])
+	if g, ok := entry.c.BreakerGauges()[peerURL]; !ok || g != closed {
+		t.Fatalf("breaker gauge is (%v, %v) after a successful probe, want %v (closed)", g, ok, closed)
 	}
 }
 

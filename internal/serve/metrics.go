@@ -85,10 +85,10 @@ type serverMetrics struct {
 	// counters by status code.
 	routes map[string]routeMetrics
 
-	// Per-stage global accumulation, indexed by obs.Stage. Spans record
-	// here and into the request's Trace in one call (observe), so the
-	// stage totals do not depend on a request surviving to the middleware
-	// epilogue — background fetches count too.
+	// Per-stage global accumulation, indexed by obs.Stage. A span counts
+	// here when it ends (endSpan), so the stage totals do not depend on a
+	// request surviving to the middleware epilogue — background fetches
+	// count too.
 	stageDur [obs.NumStages]*obs.Counter
 	stageOps [obs.NumStages]*obs.Counter
 
@@ -262,23 +262,22 @@ func newServerMetrics(s *Server) *serverMetrics {
 			"peer", func() map[string]float64 { return shares })
 	}
 
-	if ts := s.traces; ts != nil {
-		reg.CounterFunc("mps_traces_offered_total",
-			"Completed requests offered to the trace store.", func() float64 {
-				offered, _, _ := ts.Stats()
-				return float64(offered)
-			})
-		reg.CounterFunc("mps_traces_retained_total",
-			"Traces kept by tail sampling (error, slow, cross-node, or sampled).", func() float64 {
-				_, retained, _ := ts.Stats()
-				return float64(retained)
-			})
-		reg.GaugeFunc("mps_traces_buffered",
-			"Trace segments currently in the ring buffer.", func() float64 {
-				_, _, buffered := ts.Stats()
-				return float64(buffered)
-			})
-	}
+	ts := s.traces
+	reg.CounterFunc("mps_traces_offered_total",
+		"Completed requests offered to the trace store.", func() float64 {
+			offered, _, _ := ts.Stats()
+			return float64(offered)
+		})
+	reg.CounterFunc("mps_traces_retained_total",
+		"Traces kept by tail sampling (error, slow, cross-node, or sampled).", func() float64 {
+			_, retained, _ := ts.Stats()
+			return float64(retained)
+		})
+	reg.GaugeFunc("mps_traces_buffered",
+		"Trace segments currently in the ring buffer.", func() float64 {
+			_, _, buffered := ts.Stats()
+			return float64(buffered)
+		})
 
 	// Go runtime health — "is this node GC-bound?" answerable from
 	// /metrics alone. The memstats-backed gauges share one cached
@@ -383,19 +382,17 @@ func (m *serverMetrics) countAnswers(circuit string, batch []mps.BatchResult) {
 	}
 }
 
-// observe records one span globally and on the request's trace (tr may be
-// nil — background work). Allocation-free.
-func (m *serverMetrics) observe(tr *obs.Trace, st obs.Stage, d time.Duration) {
-	tr.Observe(st, d)
+// observe records one stage duration measured outside a span (a job's
+// run, from the scheduler's snapshot). Allocation-free.
+func (m *serverMetrics) observe(st obs.Stage, d time.Duration) {
 	if d > 0 {
 		m.stageDur[st].AddDuration(d)
 	}
 	m.stageOps[st].Inc()
 }
 
-// endSpan commits sp and feeds the global per-stage counters — the span
-// counterpart of observe (SpanRef.End already fed the trace's own
-// aggregates). Allocation-free; safe on zero refs.
+// endSpan commits sp to its trace and feeds the global per-stage
+// counters. Allocation-free; safe on zero refs.
 func (m *serverMetrics) endSpan(sp obs.SpanRef) time.Duration {
 	d := sp.End()
 	if d > 0 {
@@ -432,9 +429,9 @@ func (w *statusRecorder) Unwrap() http.ResponseWriter { return w.ResponseWriter 
 // attach a Trace to the context — linked to the upstream span when the
 // request carries an X-Mps-Trace header — then on completion record the
 // per-route latency histogram and request counter, count forwarded client
-// traffic, offer the trace to the tail-sampling store, and emit the
-// slow-query line (with the trace ID as exemplar) when the request ran
-// over threshold.
+// traffic, offer the trace to the tail-sampling store, and, when the
+// request ran over SlowQuery, emit the slow-query line rendered from the
+// record the store retained.
 //
 // The epilogue runs even when the handler panics — the deferred close
 // treats the in-flight response as a 500 so the trace is finished and
@@ -474,20 +471,12 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 			if fwd, _, err := cluster.ParseForward(r.Header.Get(cluster.ForwardHeader)); err == nil {
 				from = fwd.From
 			}
-			s.traces.Offer(tr, route, from, status, elapsed)
+			// The store's slow rule uses the same threshold, so a slow
+			// request's record is always retained.
+			rec := s.traces.Offer(tr, route, from, status, elapsed)
 			if s.cfg.SlowQuery > 0 && elapsed >= s.cfg.SlowQuery {
 				m.slowQueries.Inc()
-				line := obs.SlowQueryEntry{
-					Method:   r.Method,
-					Path:     r.URL.Path,
-					Route:    route,
-					Status:   status,
-					Millis:   float64(elapsed) / float64(time.Millisecond),
-					ServedBy: w.Header().Get(cluster.ServedByHeader),
-					TraceID:  tr.ID().String(),
-					Key:      tr.RootKey(),
-					Stages:   tr.StageBreakdown(),
-				}
+				line := rec.SlowQuery(r.Method, r.URL.Path, w.Header().Get(cluster.ServedByHeader))
 				s.logf("slow-query %s", line.Render())
 			}
 		}

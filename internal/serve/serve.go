@@ -105,24 +105,24 @@ type Config struct {
 	// Logf, when non-nil, receives operational log lines (store persist
 	// or warm-load failures). Nil discards them; counters still track.
 	Logf func(format string, args ...any)
-	// SlowQuery, when positive, logs every request that takes at least
-	// this long as a one-line JSON record through Logf, with the
-	// per-stage time breakdown naming where the time went. Zero disables
-	// the log; the mps_slow_queries_total counter tracks either way.
+	// SlowQuery, when positive, is the one slow-request threshold: the
+	// tail sampler retains the trace of every request that takes at least
+	// this long, and the request is logged as a one-line JSON record
+	// through Logf, rendered from that trace, with the per-stage time
+	// breakdown naming where the time went. The mps_slow_queries_total
+	// counter counts these requests even when Logf is nil. Zero disables
+	// both the log and the sampler's slow rule.
 	SlowQuery time.Duration
-	// TraceBuffer bounds the per-node ring of retained traces served by
-	// /v1/debug/traces. 0 means 512; negative disables tracing retention
-	// entirely (spans still feed the stage aggregates).
-	TraceBuffer int
-	// TraceSlow is the always-retain latency threshold for tail sampling.
-	// 0 inherits SlowQuery; negative disables the slow rule.
-	TraceSlow time.Duration
-	// TraceSample is the fraction of ordinary (fast, successful,
-	// single-node) traces retained, decided deterministically from the
-	// trace ID so every node keeps the same traces. 0 means 0.1; negative
-	// means none.
-	TraceSample float64
 }
+
+// Trace retention: each node keeps its last traceBuffer completed trace
+// segments for /v1/debug/traces, and besides every error, slow and
+// cross-node trace it keeps the traceSample share of the rest, decided
+// from the trace ID so every node keeps the same traces.
+const (
+	traceBuffer = 512
+	traceSample = 0.1
+)
 
 func (cfg Config) withDefaults() Config {
 	if cfg.CacheSize <= 0 {
@@ -133,15 +133,6 @@ func (cfg Config) withDefaults() Config {
 	}
 	if cfg.MaxGenerateIterations == 0 {
 		cfg.MaxGenerateIterations = 5000
-	}
-	if cfg.TraceBuffer == 0 {
-		cfg.TraceBuffer = 512
-	}
-	if cfg.TraceSlow == 0 {
-		cfg.TraceSlow = cfg.SlowQuery
-	}
-	if cfg.TraceSample == 0 {
-		cfg.TraceSample = 0.1
 	}
 	return cfg
 }
@@ -176,7 +167,7 @@ type Server struct {
 	metrics *serverMetrics
 
 	// traces is the tail-sampled ring of completed request traces behind
-	// /v1/debug/traces; nil when retention is disabled (TraceBuffer < 0).
+	// /v1/debug/traces and the slow-query log.
 	traces *obs.TraceStore
 
 	// genRuns counts full annealing runs started — not cache or store
@@ -249,28 +240,18 @@ func New(cfg Config) *Server {
 		// to load).
 		sched, _ = jobs.New(jobs.Config{Logf: cfg.Logf})
 	}
+	node := "local"
+	if cfg.Cluster != nil {
+		node = cfg.Cluster.Self()
+	}
 	s := &Server{
 		cfg:        cfg,
 		sched:      sched,
 		cluster:    cfg.Cluster,
 		batchSlots: make(chan struct{}, maxConcurrentBatches),
+		traces:     obs.NewTraceStore(node, traceBuffer, cfg.SlowQuery, traceSample),
 		cache:      make(map[string]*entry),
 		order:      list.New(),
-	}
-	if cfg.TraceBuffer > 0 {
-		node := "local"
-		if cfg.Cluster != nil {
-			node = cfg.Cluster.Self()
-		}
-		slow := cfg.TraceSlow
-		if slow < 0 {
-			slow = 0
-		}
-		sample := cfg.TraceSample
-		if sample < 0 {
-			sample = 0
-		}
-		s.traces = obs.NewTraceStore(node, cfg.TraceBuffer, slow, sample)
 	}
 	s.metrics = newServerMetrics(s)
 	s.genRuns = s.metrics.genRuns
@@ -752,7 +733,7 @@ func (s *Server) submitGeneration(tr *obs.Trace, e *entry) {
 			// The scheduler records the job_run span on the submitting trace;
 			// the server-wide stage counters live here, where the metrics are.
 			if snap.Finished.After(snap.Started) {
-				s.metrics.observe(nil, obs.StageJobRun, snap.Finished.Sub(snap.Started))
+				s.metrics.observe(obs.StageJobRun, snap.Finished.Sub(snap.Started))
 			}
 			s.publish(e, genP, genStats, genErr)
 		},

@@ -35,10 +35,6 @@ type traceSummary struct {
 }
 
 func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
-	if s.traces == nil {
-		writeError(w, http.StatusNotFound, "trace retention disabled (TraceBuffer < 0)")
-		return
-	}
 	f := obs.TraceFilter{Route: r.URL.Query().Get("route")}
 	if v := r.URL.Query().Get("min_ms"); v != "" {
 		ms, err := strconv.ParseFloat(v, 64)
@@ -76,10 +72,6 @@ func (s *Server) handleTraceList(w http.ResponseWriter, r *http.Request) {
 }
 
 func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
-	if s.traces == nil {
-		writeError(w, http.StatusNotFound, "trace retention disabled (TraceBuffer < 0)")
-		return
-	}
 	id, ok := obs.ParseTraceID(r.PathValue("id"))
 	if !ok {
 		writeError(w, http.StatusBadRequest, "trace id must be 32 lowercase hex digits")

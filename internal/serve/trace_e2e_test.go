@@ -2,8 +2,11 @@ package serve
 
 import (
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -208,6 +211,88 @@ func TestClusterTraceEndToEnd(t *testing.T) {
 		if !found {
 			t.Errorf("node %s listing does not include trace %s", n.url, traceID)
 		}
+	}
+}
+
+// TestClusterSlowQueryReadsRetainedTrace drives a forwarded instantiate
+// through a 2-node fleet where every request is over the slow-query
+// threshold. The entry node's slow-query line must name a trace that node
+// retained, and its stages.forward must equal exactly the forward span
+// under that segment's root: the cluster.Do attempt span nested under it
+// is the same time and is not counted again, as /metrics does not count
+// it either.
+func TestClusterSlowQueryReadsRetainedTrace(t *testing.T) {
+	var mu sync.Mutex
+	lines := map[string][]string{} // node → its slow-query JSON lines
+	fleet := newTestFleet(t, fleetConfig{
+		n: 2,
+		cluster: func(cfg *cluster.Config) {
+			cfg.Replicas = 1 // every read of a peer-owned key forwards
+		},
+		serve: func(cfg *Config) {
+			cfg.SlowQuery = time.Nanosecond
+			self, logf := cfg.Cluster.Self(), cfg.Logf
+			cfg.Logf = func(format string, args ...any) {
+				if rest, ok := strings.CutPrefix(format, "slow-query "); ok {
+					mu.Lock()
+					lines[self] = append(lines[self], fmt.Sprintf(rest, args...))
+					mu.Unlock()
+				}
+				logf(format, args...)
+			}
+		},
+	})
+	entry := fleet.nodes[0]
+	spec := fleet.specOwnedBy(t, 1, 700)
+	if status, _, body := doClusterJSON(t, http.MethodPost, entry.url+"/v1/structures", spec, nil); status != http.StatusOK {
+		t.Fatalf("generate via entry: %d %s", status, body)
+	}
+	instReq := map[string]any{"spec": spec, "queries": []any{testQuery(t, 0), testQuery(t, 1)}}
+	status, hdr, body := doClusterJSON(t, http.MethodPost, entry.url+"/v1/instantiate", instReq, nil)
+	if status != http.StatusOK {
+		t.Fatalf("instantiate via entry: %d %s", status, body)
+	}
+	traceID := hdr.Get(obs.TraceIDHeader)
+
+	// The middleware epilogue writes the line and may finish after the
+	// client has read the response.
+	var line obs.SlowQueryEntry
+	for deadline := time.Now().Add(5 * time.Second); line.TraceID != traceID; time.Sleep(5 * time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("entry node logged no slow-query line for trace %s", traceID)
+		}
+		mu.Lock()
+		logged := append([]string(nil), lines[entry.url]...)
+		mu.Unlock()
+		for _, l := range logged {
+			var e obs.SlowQueryEntry
+			if err := json.Unmarshal([]byte(l), &e); err != nil {
+				t.Fatalf("slow-query line %q: %v", l, err)
+			}
+			if e.TraceID == traceID {
+				line = e
+			}
+		}
+	}
+	if line.Route != "instantiate" || line.Status != http.StatusOK {
+		t.Fatalf("slow-query line %+v, want the instantiate's 200", line)
+	}
+
+	segs := entry.s.traces.Get(mustTraceID(t, line.TraceID))
+	if len(segs) != 1 {
+		t.Fatalf("entry node retained %d segments of the line's trace, want 1", len(segs))
+	}
+	var fwd obs.SpanRecord
+	for _, sp := range segs[0].Spans {
+		if sp.Stage == "forward" && sp.Parent == segs[0].Root {
+			fwd = sp
+		}
+	}
+	if fwd.ID == 0 {
+		t.Fatalf("entry segment has no forward span under its root: %+v", segs[0].Spans)
+	}
+	if want := float64(fwd.DurationNs) / float64(time.Millisecond); line.Stages["forward"] != want {
+		t.Fatalf("slow-query stages.forward = %v ms, want the forward span's %v ms", line.Stages["forward"], want)
 	}
 }
 
