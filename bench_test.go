@@ -175,6 +175,29 @@ func BenchmarkCompiledInstantiate(b *testing.B) {
 	}
 }
 
+// BenchmarkRunBalanced times one balanced-effort generation of
+// TwoStageOpamp through Run (300 explorer iterations of 300 BDIO steps,
+// then Compact and Renumber), without and with a Progress hook, which
+// adds the per-iteration Coverage the server's jobs report.
+func BenchmarkRunBalanced(b *testing.B) {
+	c := circuits.MustByName("TwoStageOpamp")
+	for _, progress := range []bool{false, true} {
+		name := "plain"
+		var hook func(Progress)
+		if progress {
+			name, hook = "progress", func(Progress) {}
+		}
+		b.Run(name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(context.Background(), Request{Circuit: c, Options: Options{Seed: 1, Progress: hook}}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkCompile measures building the flat index from a generated
 // structure — the one-time cost the compile-once/query-many contract
 // amortizes away. Each iteration reloads the structure (outside the

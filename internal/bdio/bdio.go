@@ -78,6 +78,11 @@ type problem struct {
 	layout  cost.Layout
 	pct     float64
 
+	// sc rescores moves when ev is cost.Incremental (incremental set);
+	// other evaluators score every move through Cost.
+	sc          cost.Scorer
+	incremental bool
+
 	// move undo state
 	movedBlock int
 	movedDim   int // 0 = width, 1 = height
@@ -113,7 +118,12 @@ func (pr *problem) Propose(rng *rand.Rand, magnitude float64) float64 {
 		delta := rng.Intn(2*step+1) - step
 		*cur = iv.Clamp(*cur + delta)
 	}
-	c := pr.ev.Cost(&pr.layout)
+	var c float64
+	if pr.incremental {
+		c = pr.sc.Move(i)
+	} else {
+		c = pr.ev.Cost(&pr.layout)
+	}
 	if c < pr.best {
 		pr.best = c
 		copy(pr.bestW, pr.layout.W)
@@ -132,6 +142,9 @@ func (pr *problem) Reject() {
 	} else {
 		pr.layout.H[pr.movedBlock] = pr.prevVal
 	}
+	if pr.incremental {
+		pr.sc.Undo()
+	}
 }
 
 // Optimize runs the BDIO on p (in place): it anneals dimensions inside p's
@@ -143,34 +156,7 @@ func Optimize(c *netlist.Circuit, p *placement.Placement, fp geom.Rect, ev cost.
 	if cfg.Rand == nil {
 		return Result{}, fmt.Errorf("bdio: Config.Rand is required")
 	}
-	n := c.N()
-	pr := &problem{
-		circuit: c,
-		place:   p,
-		ev:      ev,
-		pct:     cfg.PerturbPct,
-		layout: cost.Layout{
-			Circuit:   c,
-			X:         p.X,
-			Y:         p.Y,
-			W:         make([]int, n),
-			H:         make([]int, n),
-			Floorplan: fp,
-		},
-		bestW: make([]int, n),
-		bestH: make([]int, n),
-	}
-	// Start at the interval midpoints (deterministic; the annealer explores
-	// from there).
-	for i := 0; i < n; i++ {
-		pr.layout.W[i] = (p.WLo[i] + p.WHi[i]) / 2
-		pr.layout.H[i] = (p.HLo[i] + p.HHi[i]) / 2
-	}
-	initCost := ev.Cost(&pr.layout)
-	pr.best = initCost
-	copy(pr.bestW, pr.layout.W)
-	copy(pr.bestH, pr.layout.H)
-
+	pr, initCost := newProblem(c, p, fp, ev, cfg.PerturbPct)
 	stats, err := anneal.Run(pr, initCost, anneal.Config{
 		Cooling: cfg.Cooling,
 		Steps:   cfg.Steps,
@@ -199,6 +185,47 @@ func Optimize(c *netlist.Circuit, p *placement.Placement, fp geom.Rect, ev cost.
 		optimizeRanges(p, res.BestW, res.BestH, res.BestCost, res.AvgCost)
 	}
 	return res, nil
+}
+
+// newProblem sets up the inner SA on p at its interval midpoints and
+// returns it with the starting cost. The four dimension vectors share one
+// allocation.
+func newProblem(c *netlist.Circuit, p *placement.Placement, fp geom.Rect, ev cost.Evaluator, pct float64) (*problem, float64) {
+	n := c.N()
+	dims := make([]int, 4*n)
+	pr := &problem{
+		circuit: c,
+		place:   p,
+		ev:      ev,
+		pct:     pct,
+		layout: cost.Layout{
+			Circuit:   c,
+			X:         p.X,
+			Y:         p.Y,
+			W:         dims[:n:n],
+			H:         dims[n : 2*n : 2*n],
+			Floorplan: fp,
+		},
+		bestW: dims[2*n : 3*n : 3*n],
+		bestH: dims[3*n : 4*n : 4*n],
+	}
+	// Start at the interval midpoints (deterministic; the annealer explores
+	// from there).
+	for i := 0; i < n; i++ {
+		pr.layout.W[i] = (p.WLo[i] + p.WHi[i]) / 2
+		pr.layout.H[i] = (p.HLo[i] + p.HHi[i]) / 2
+	}
+	var initCost float64
+	if inc, ok := ev.(cost.Incremental); ok {
+		pr.incremental = true
+		initCost = inc.Start(&pr.sc, &pr.layout)
+	} else {
+		initCost = ev.Cost(&pr.layout)
+	}
+	pr.best = initCost
+	copy(pr.bestW, pr.layout.W)
+	copy(pr.bestH, pr.layout.H)
+	return pr, initCost
 }
 
 // optimizeRanges implements eq. 6, read as follows: each

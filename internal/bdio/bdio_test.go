@@ -2,6 +2,7 @@ package bdio
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mps/internal/circuits"
@@ -12,7 +13,7 @@ import (
 
 // expandedPlacement returns a random legal, expanded placement on the named
 // benchmark, ready for the BDIO.
-func expandedPlacement(t *testing.T, name string, seed int64) (*placement.Placement, geom.Rect, *cost.Layout) {
+func expandedPlacement(t testing.TB, name string, seed int64) (*placement.Placement, geom.Rect, *cost.Layout) {
 	t.Helper()
 	c := circuits.MustByName(name)
 	fp := placement.DefaultFloorplan(c)
@@ -180,5 +181,70 @@ func TestHigherAvgCostShrinksMore(t *testing.T) {
 	loose := hiLoose - 50
 	if tight >= loose {
 		t.Errorf("tight half-width %d should be smaller than loose %d", tight, loose)
+	}
+}
+
+// TestStepAllocFree pins one BDIO step — a proposal scored by the
+// incremental scorer, then its rejection — at zero allocations.
+func TestStepAllocFree(t *testing.T) {
+	c := circuits.MustByName("TwoStageOpamp")
+	p, fp, _ := expandedPlacement(t, "TwoStageOpamp", 1)
+	pr, _ := newProblem(c, p, fp, cost.DefaultWeights, 0.25)
+	if !pr.incremental {
+		t.Fatal("the default weights did not take the incremental path")
+	}
+	rng := rand.New(rand.NewSource(1))
+	if allocs := testing.AllocsPerRun(500, func() {
+		pr.Propose(rng, 0.5)
+		pr.Reject()
+	}); allocs != 0 {
+		t.Fatalf("a BDIO step allocates %v times, want 0", allocs)
+	}
+}
+
+// TestIncrementalMatchesCost runs the same BDIO twice, once with the
+// default weights (the incremental scorer) and once with the same weights
+// behind an EvaluatorFunc (full Cost on every proposal), and requires the
+// same result bit for bit on every Table 1 circuit.
+func TestIncrementalMatchesCost(t *testing.T) {
+	for _, name := range circuits.Names() {
+		c := circuits.MustByName(name)
+		for _, w := range append([]cost.Weights{{}}, cost.WeightLadder(4)...) {
+			run := func(ev cost.Evaluator) (Result, *placement.Placement) {
+				p, fp, _ := expandedPlacement(t, name, 3)
+				res, err := Optimize(c, p, fp, ev, Config{Steps: 200, Rand: rand.New(rand.NewSource(5))})
+				if err != nil {
+					t.Fatal(err)
+				}
+				return res, p
+			}
+			inc, pi := run(w)
+			full, pf := run(cost.EvaluatorFunc(w.Cost))
+			if inc.AvgCost != full.AvgCost || inc.BestCost != full.BestCost || inc.Stats != full.Stats ||
+				!reflect.DeepEqual(pi, pf) {
+				t.Fatalf("%s weights %+v: incremental run %+v, full-cost run %+v", name, w, inc, full)
+			}
+		}
+	}
+}
+
+// BenchmarkOptimize times one BDIO run at the balanced effort's 300 steps
+// on every Table 1 circuit, from a fresh copy of one expanded placement.
+func BenchmarkOptimize(b *testing.B) {
+	for _, name := range circuits.Names() {
+		b.Run(name, func(b *testing.B) {
+			c := circuits.MustByName(name)
+			p, fp, _ := expandedPlacement(b, name, 1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				cand := p.Clone()
+				b.StartTimer()
+				if _, err := Optimize(c, cand, fp, cost.DefaultWeights, Config{Steps: 300, Rand: rand.New(rand.NewSource(int64(i)))}); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

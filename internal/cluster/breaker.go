@@ -111,6 +111,16 @@ func (b *Breaker) Failure() {
 	}
 }
 
+// Abandon records a request whose caller gave up before the peer
+// answered: neither a success nor a failure, so the state and failure
+// count stay as they are. A half-open probe's slot is freed, so the next
+// request probes instead of waiting on an answer that will never come.
+func (b *Breaker) Abandon() {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.probing = false
+}
+
 // trip opens the breaker. Callers must hold b.mu.
 func (b *Breaker) trip() {
 	b.state = BreakerOpen

@@ -202,6 +202,11 @@ var ErrPeerDown = fmt.Errorf("cluster: peer breaker open")
 // records a child span naming the peer and the request ships an
 // X-Mps-Trace header, so the remote segment nests under this exact
 // network attempt — a retried forward shows each try separately.
+//
+// A caller that gives up is not a peer failure: once ctx ends, Do stops
+// retrying and returns an error wrapping ctx.Err() without crediting or
+// blaming the breaker (a half-open probe's slot is freed for the next
+// request).
 func (c *Cluster) Do(ctx context.Context, peer, method, path string, body []byte, hdr http.Header, timeout time.Duration) (*http.Response, error) {
 	br := c.breaker(peer)
 	if !br.Allow() {
@@ -219,8 +224,9 @@ func (c *Cluster) Do(ctx context.Context, peer, method, path string, body []byte
 			select {
 			case <-time.After(backoff):
 			case <-ctx.Done():
-				br.Failure()
-				return nil, fmt.Errorf("cluster: forward to %s: %w (last error: %v)", peer, ctx.Err(), lastErr)
+				br.Abandon()
+				return nil, fmt.Errorf("cluster: forward to %s abandoned after %d attempts: %w (last error: %v)",
+					peer, attempt, ctx.Err(), lastErr)
 			}
 			backoff *= 2
 		}
@@ -232,11 +238,15 @@ func (c *Cluster) Do(ctx context.Context, peer, method, path string, body []byte
 			br.Success()
 			return resp, nil
 		}
+		if ctx.Err() != nil {
+			// The caller is gone: retrying serves nobody, and the peer
+			// did not fail.
+			br.Abandon()
+			return nil, fmt.Errorf("cluster: forward to %s abandoned after %d attempts: %w (last error: %v)",
+				peer, attempt+1, ctx.Err(), err)
+		}
 		lastErr = err
 		c.logf("cluster: %s %s%s attempt %d/%d: %v", method, peer, path, attempt+1, c.cfg.Retries+1, err)
-		if ctx.Err() != nil {
-			break // the caller is gone; retrying serves nobody
-		}
 	}
 	br.Failure()
 	return nil, fmt.Errorf("cluster: forward to %s failed after %d attempts: %w", peer, c.cfg.Retries+1, lastErr)

@@ -193,6 +193,44 @@ func TestDoBreakerTripsAndSkips(t *testing.T) {
 	}
 }
 
+// TestDoCancelledCallerIsNotAFailure: a caller that gives up mid-attempt
+// gets its context's error after one attempt, and the breaker neither
+// counts it nor keeps a half-open probe slot waiting on it.
+func TestDoCancelledCallerIsNotAFailure(t *testing.T) {
+	ts := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		<-r.Context().Done()
+	}))
+	defer ts.Close()
+
+	c := clusterForPeer(t, ts.URL, Config{Retries: 2, BreakerThreshold: 1, ForwardTimeout: time.Minute})
+	for i := 0; i < 3; i++ {
+		ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+		_, err := c.Do(ctx, ts.URL, http.MethodGet, "/x", nil, nil, 0)
+		cancel()
+		if !errors.Is(err, context.DeadlineExceeded) || !strings.Contains(err.Error(), "abandoned after 1 attempts") {
+			t.Fatalf("cancelled Do returned %v, want the context's error after one attempt", err)
+		}
+		if g := c.BreakerGauges()[ts.URL]; g != BreakerClosed.GaugeValue() {
+			t.Fatalf("breaker gauge %v after a cancelled caller, want closed", g)
+		}
+	}
+
+	// A half-open probe whose caller gives up frees the probe slot.
+	b := c.breaker(ts.URL)
+	b.Failure()
+	b.mu.Lock()
+	b.openedAt = time.Time{}
+	b.mu.Unlock()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Millisecond)
+	defer cancel()
+	if _, err := c.Do(ctx, ts.URL, http.MethodGet, "/x", nil, nil, 0); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("cancelled probe returned %v", err)
+	}
+	if b.State() != BreakerHalfOpen || !b.Allow() {
+		t.Fatalf("after a cancelled probe: state %s, next probe refused", b.State())
+	}
+}
+
 // TestRouteReadFansOutWhenHot: cold keys route to the owner; past the
 // hot threshold the replica set (and only the replica set) serves reads.
 func TestRouteReadFansOutWhenHot(t *testing.T) {

@@ -8,17 +8,19 @@ import (
 	"sync"
 
 	"mps/internal/geom"
+	"mps/internal/intervalmap"
 	"mps/internal/netlist"
 )
 
-// This file implements the compiled query index: a flattened, read-only
-// form of a Structure built once after generation (or loading) and queried
-// forever after. The tree path answers a query by walking 2N pointer-rich
-// interval lists and merge-intersecting their sorted id arrays; the
-// compiled path binary-searches 2N sorted []int32 breakpoint arrays laid
-// out back to back and intersects placement *bitsets* — one W-word mask
-// per interval — so a query is a handful of contiguous cache lines,
-// branch-predictable compares and word-wide ANDs, with zero allocations.
+// This file implements the compiled query index: a flat, read-only form
+// of a Structure's rows built once after generation (or loading) and
+// queried forever after. The tree path answers a query by walking 2N
+// pointer-rich interval lists and merge-intersecting their sorted id
+// arrays; the compiled path binary-searches 2N sorted []int32 breakpoint
+// arrays laid out back to back and intersects placement *bitsets* — one
+// W-word mask per interval — so a query is a handful of contiguous cache
+// lines, branch-predictable compares and word-wide ANDs, with zero
+// allocations.
 //
 // Memory layout (structure of arrays). The row tables are a rowTable, the
 // one search-and-AND form a compiled structure and a merged portfolio
@@ -89,13 +91,12 @@ type rowTable struct {
 // costs no allocation once warm.
 const maxStackWords = 16
 
-// Compile flattens the structure's 2N interval rows into a
-// CompiledStructure. The result is cached on the structure — repeated
-// calls return the same index until a mutation (Insert, Compact)
-// invalidates it — so callers can treat Compile as cheap after the first
-// call. Compile panics if any breakpoint or anchor exceeds the int32
-// range; every benchmark circuit and every structure accepted by Load is
-// orders of magnitude below it.
+// Compile builds the structure's CompiledStructure. The result is cached
+// on the structure — repeated calls return the same index until a
+// mutation (Insert, Compact, Renumber) invalidates it — so callers can
+// treat Compile as cheap after the first call. Compile panics if any
+// breakpoint or anchor exceeds the int32 range; every benchmark circuit
+// and every structure accepted by Load is orders of magnitude below it.
 func Compile(s *Structure) *CompiledStructure {
 	if cs := s.compiled.Load(); cs != nil {
 		return cs
@@ -105,37 +106,30 @@ func Compile(s *Structure) *CompiledStructure {
 	return cs
 }
 
-// compile builds the flat tables. It walks every row twice (sizing, then
-// filling), so its cost is linear in the total span and id counts.
+// compile builds the flat tables. Each of the 2N rows comes from one
+// sweep over the live placements' intervals in the box table (see
+// intervalmap.Sweeper), whose span masks are already the slot bitsets the
+// table stores, so the cost is linear in the row's registrations (plus a
+// sort when its breakpoints are sparse) and in the spans' mask words.
 func compile(s *Structure) *CompiledStructure {
 	n := s.circuit.N()
 	cs := &CompiledStructure{
 		src:      s,
-		rowTable: rowTable{n: n, words: (s.alive + 63) / 64},
+		rowTable: rowTable{n: n, words: (s.alive + 63) / 64, rowStart: make([]int32, 0, 2*n+1)},
 		count:    s.alive,
 		slotID:   make([]int32, 0, s.alive),
 		xs:       make([]int32, 0, s.alive*n),
 		ys:       make([]int32, 0, s.alive*n),
 	}
 
-	spans := 0
-	for i := 0; i < n; i++ {
-		spans += s.wRows[i].Len() + s.hRows[i].Len()
-	}
-	cs.rowStart = make([]int32, 0, 2*n+1)
-	cs.spanLo = make([]int32, 0, spans)
-	cs.spanHi = make([]int32, 0, spans)
-	cs.masks = make([]uint64, 0, spans*cs.words)
-
 	// Dense re-index: slot order follows ID order, so bit order matches
 	// the tree's ascending id arrays.
-	idToSlot := make([]int32, len(s.placements))
+	ids := make([]int, 0, s.alive)
 	for id, p := range s.placements {
 		if p == nil {
-			idToSlot[id] = -1
 			continue
 		}
-		idToSlot[id] = int32(len(cs.slotID))
+		ids = append(ids, id)
 		cs.slotID = append(cs.slotID, toI32(id, "placement id"))
 		for i := 0; i < n; i++ {
 			cs.xs = append(cs.xs, toI32(p.X[i], "block x anchor"))
@@ -143,21 +137,17 @@ func compile(s *Structure) *CompiledStructure {
 		}
 	}
 
-	flatten := func(iv geom.Interval, rowIDs []int) {
-		cs.spanLo = append(cs.spanLo, toI32(iv.Lo, "interval breakpoint"))
-		cs.spanHi = append(cs.spanHi, toI32(iv.Hi, "interval breakpoint"))
-		off := len(cs.masks)
-		cs.masks = append(cs.masks, make([]uint64, cs.words)...)
-		for _, id := range rowIDs {
-			slot := idToSlot[id]
-			cs.masks[off+int(slot>>6)] |= 1 << (slot & 63)
-		}
+	lo, hi := make([]int, len(ids)), make([]int, len(ids))
+	var sw intervalmap.Sweeper
+	emit := func(l, h int, mask []uint64) {
+		cs.spanLo = append(cs.spanLo, toI32(l, "interval breakpoint"))
+		cs.spanHi = append(cs.spanHi, toI32(h, "interval breakpoint"))
+		cs.masks = append(cs.masks, mask...)
 	}
-	for i := 0; i < n; i++ {
+	for r := 0; r < 2*n; r++ {
 		cs.rowStart = append(cs.rowStart, int32(len(cs.spanLo)))
-		s.wRows[i].Visit(flatten)
-		cs.rowStart = append(cs.rowStart, int32(len(cs.spanLo)))
-		s.hRows[i].Visit(flatten)
+		s.rowIntervals(r, ids, lo, hi)
+		sw.Sweep(lo, hi, emit)
 	}
 	cs.rowStart = append(cs.rowStart, int32(len(cs.spanLo)))
 	return cs

@@ -4,6 +4,13 @@
 // rows (Fig. 3): a width row and a height row per block, each an ascending
 // non-overlapping interval list carrying placement indices.
 //
+// A Structure records each placement's 2N validity intervals in one flat
+// box table, four values per block in ID order. Generation reads and edits
+// only that table: overlap resolution finds conflicts by scanning it, and
+// storing, shrinking, deleting and renumbering rewrite entries. The rows
+// are derived from it, never edited: Compile sweeps it into the flat
+// query index, and the first tree query sweeps it into the linked rows.
+//
 // The defining invariant is eq. 5, |M(V)| <= 1 for every V, enforced by
 // keeping the stored placements' 2N-dimensional dimension boxes pairwise
 // disjoint (see resolve.go). Queries on covered space return exactly one
@@ -19,15 +26,17 @@
 // already does this for its parallel chains — while the query path
 // (Lookup, Query, Instantiate, Coverage and friends) is safe for any
 // number of concurrent readers once generation has finished. Queries
-// share no mutable state: the interval rows are only read, per-call
-// intersection scratch comes from an internal sync.Pool, and results are
-// copied out of the structure. Installed Backup implementations must
+// share no mutable state: the box table is only read, the linked rows are
+// built on first use and published through an atomic pointer (readers
+// racing on first use each build an equal copy), per-call intersection
+// scratch comes from an internal sync.Pool, and results are copied out of
+// the structure. Installed Backup implementations must
 // themselves be safe for concurrent Place calls (both shipped backups,
 // template and seqpair, are stateless after construction).
 //
-// Compile follows the same life cycle: it flattens the rows into a
+// Compile follows the same life cycle: it builds the rows as a
 // CompiledStructure (compiled.go) — the serving hot path — once
 // generation is done, caches the result on the structure, and any
-// mutation invalidates the cache. The compiled index is likewise safe
-// for unlimited concurrent readers.
+// mutation invalidates the cache, as it drops the linked rows. The
+// compiled index is likewise safe for unlimited concurrent readers.
 package core

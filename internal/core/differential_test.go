@@ -1,20 +1,24 @@
 package core
 
 // Differential tests for the generation fast paths: the cached coverage
-// terms and the in-place Renumber each run against the code they
-// replaced, on structures churned by overlap resolution. The references
-// are exported so the generated-structure tests in package core_test can
-// use them too.
+// terms, the in-place Renumber, the rows swept from the box table and the
+// box-table conflict scan each run against a reference or the definition,
+// on structures churned by overlap resolution. The references are
+// exported so the generated-structure tests in package core_test can use
+// them too.
 
 import (
 	"bytes"
+	"fmt"
 	"io"
 	"math"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mps/internal/circuits"
+	"mps/internal/geom"
 	"mps/internal/intervalmap"
 	"mps/internal/netlist"
 	"mps/internal/placement"
@@ -56,46 +60,174 @@ func CoverageFromScratch(s *Structure) float64 {
 	return math.Exp2(maxLg + math.Log2(sum))
 }
 
-// RenumberRemoveInsert is Renumber by removing every moved placement from
-// all 2N rows and re-inserting it under its new ID. The coverage terms
-// move with the placements, as Renumber moves them.
+// RenumberRemoveInsert is Renumber by emptying the structure and storing
+// every live placement afresh, in ID order: store appends a new box table
+// instead of Renumber's in-place packing. store recomputes each coverage
+// term, which equals the one Renumber moves bit for bit.
 func RenumberRemoveInsert(s *Structure) {
 	if len(s.placements) == s.alive {
 		return
 	}
-	s.compiled.Store(nil)
-	n := s.circuit.N()
-	next := 0
-	for id, p := range s.placements {
-		if p == nil {
-			continue
+	var live []*placement.Placement
+	for _, p := range s.placements {
+		if p != nil {
+			live = append(live, p)
 		}
-		if id != next {
-			for i := 0; i < n; i++ {
-				s.wRows[i].Remove(id, p.WIv(i))
-				s.hRows[i].Remove(id, p.HIv(i))
-				s.wRows[i].Insert(next, p.WIv(i))
-				s.hRows[i].Insert(next, p.HIv(i))
-			}
-			p.ID = next
-			s.placements[next] = p
-			s.terms[next] = s.terms[id]
-			s.placements[id] = nil
-		}
-		next++
 	}
-	s.placements = s.placements[:next]
-	s.terms = s.terms[:next]
+	s.invalidate()
+	s.placements, s.terms, s.boxes, s.alive = nil, nil, nil, 0
+	for _, p := range live {
+		if _, err := s.store(p); err != nil {
+			panic(err)
+		}
+	}
 }
 
-// RowSnapshots returns the snapshot of every row: block 0's width and
-// height rows, then block 1's, and so on.
+// RowSnapshots returns the snapshot of every row the tree query path
+// walks: block 0's width and height rows, then block 1's, and so on.
 func RowSnapshots(s *Structure) [][]intervalmap.Span {
-	out := make([][]intervalmap.Span, 0, 2*s.circuit.N())
-	for i := range s.wRows {
-		out = append(out, s.wRows[i].Snapshot(), s.hRows[i].Snapshot())
+	rows := s.view()
+	out := make([][]intervalmap.Span, len(rows))
+	for r, row := range rows {
+		out[r] = row.Snapshot()
 	}
 	return out
+}
+
+// DefinedRows builds every row, in RowSnapshots' order, from the live
+// placements by the definition of a row rather than by a sweep: each
+// elementary interval between consecutive breakpoints (every interval's
+// Lo and Hi+1) carries the ascending IDs of the placements whose interval
+// holds its first value; intervals carrying none are dropped, and
+// touching neighbours carrying the same IDs merge.
+func DefinedRows(s *Structure) [][]intervalmap.Span {
+	out := make([][]intervalmap.Span, 2*s.circuit.N())
+	for r := range out {
+		var cuts []int
+		for _, p := range s.placements {
+			if p != nil {
+				iv := rowInterval(p, r)
+				cuts = append(cuts, iv.Lo)
+				if iv.Hi < math.MaxInt {
+					cuts = append(cuts, iv.Hi+1)
+				}
+			}
+		}
+		slices.Sort(cuts)
+		cuts = slices.Compact(cuts)
+		for k, lo := range cuts {
+			hi := math.MaxInt
+			if k+1 < len(cuts) {
+				hi = cuts[k+1] - 1
+			}
+			var ids []int
+			for id, p := range s.placements {
+				if p != nil && rowInterval(p, r).Contains(lo) {
+					ids = append(ids, id)
+				}
+			}
+			if len(ids) == 0 {
+				continue
+			}
+			if m := len(out[r]); m > 0 && out[r][m-1].Iv.Hi+1 == lo && slices.Equal(out[r][m-1].IDs, ids) {
+				out[r][m-1].Iv.Hi = hi
+				continue
+			}
+			out[r] = append(out[r], intervalmap.Span{Iv: geom.NewInterval(lo, hi), IDs: ids})
+		}
+	}
+	return out
+}
+
+// CompiledRows returns the compiled index's row tables in RowSnapshots'
+// form, each span's slots mapped back to placement IDs.
+func CompiledRows(cs *CompiledStructure) [][]intervalmap.Span {
+	out := make([][]intervalmap.Span, 2*cs.n)
+	var slots []int32
+	for r := range out {
+		for sp := cs.rowStart[r]; sp < cs.rowStart[r+1]; sp++ {
+			slots = cs.spanSlots(int(sp), slots[:0])
+			ids := make([]int, len(slots))
+			for k, slot := range slots {
+				ids[k] = int(cs.slotID[slot])
+			}
+			out[r] = append(out[r], intervalmap.Span{Iv: geom.NewInterval(int(cs.spanLo[sp]), int(cs.spanHi[sp])), IDs: ids})
+		}
+	}
+	return out
+}
+
+// CheckBruteForce checks the rows view, the compiled tables and the
+// conflict scan against their definitions: both row forms against
+// DefinedRows; the tree and compiled Lookup against LookupLinear at every
+// live box's corners and centre and at random dimension vectors; and
+// conflicting, for every live box and for random boxes, against
+// BoxOverlaps with every live placement.
+func CheckBruteForce(s *Structure, rng *rand.Rand) error {
+	want := DefinedRows(s)
+	if got := RowSnapshots(s); !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("rows view %v differs from the definition %v", got, want)
+	}
+	cs := Compile(s)
+	if got := CompiledRows(cs); !reflect.DeepEqual(got, want) {
+		return fmt.Errorf("compiled rows %v differ from the definition %v", got, want)
+	}
+	c := s.circuit
+	n := c.N()
+	probe := func(ws, hs []int) error {
+		want := s.LookupLinear(ws, hs)
+		if got := s.Lookup(ws, hs); !slices.Equal(got, want) {
+			return fmt.Errorf("tree Lookup(%v, %v) = %v, linear scan %v", ws, hs, got, want)
+		}
+		if got := cs.Lookup(ws, hs); !slices.Equal(got, want) {
+			return fmt.Errorf("compiled Lookup(%v, %v) = %v, linear scan %v", ws, hs, got, want)
+		}
+		return nil
+	}
+	ws, hs := make([]int, n), make([]int, n)
+	var boxes []*placement.Placement
+	for _, id := range s.IDs() {
+		p := s.placements[id]
+		boxes = append(boxes, p)
+		for _, corner := range []func(lo, hi int) int{
+			func(lo, hi int) int { return lo },
+			func(lo, hi int) int { return hi },
+			func(lo, hi int) int { return lo + (hi-lo)/2 },
+		} {
+			for i := 0; i < n; i++ {
+				ws[i], hs[i] = corner(p.WLo[i], p.WHi[i]), corner(p.HLo[i], p.HHi[i])
+			}
+			if err := probe(ws, hs); err != nil {
+				return err
+			}
+		}
+	}
+	for k := 0; k < 64; k++ {
+		for i, b := range c.Blocks {
+			ws[i], hs[i] = b.WRange().Rand(rng), b.HRange().Rand(rng)
+		}
+		if err := probe(ws, hs); err != nil {
+			return err
+		}
+		p, err := placement.RandomLegal(c, s.fp, rng)
+		if err != nil {
+			return err
+		}
+		p.Expand(c, s.fp, 1+rng.Intn(3))
+		boxes = append(boxes, p)
+	}
+	for _, p := range boxes {
+		var want []int
+		for _, id := range s.IDs() {
+			if p.BoxOverlaps(s.placements[id]) {
+				want = append(want, id)
+			}
+		}
+		if got := s.conflicting(p); !slices.Equal(got, want) {
+			return fmt.Errorf("conflicting(%v) = %v, all-pairs BoxOverlaps %v", p, got, want)
+		}
+	}
+	return nil
 }
 
 // HasIDHoles reports whether some placement ID below the highest is free.
@@ -149,10 +281,11 @@ func v3Bytes(t *testing.T, s *Structure) []byte {
 	return buf.Bytes()
 }
 
-// TestRenumberMatchesRemoveInsert: the in-place relabel leaves the same
-// rows, row by row and span by span, and the same v3 bytes as removing
-// and re-inserting every moved placement, on structures with ID holes
-// from overlap resolution alone and from resolution plus Compact.
+// TestRenumberMatchesRemoveInsert: the in-place packing of the box table
+// leaves the rows, row by row and span by span, that the definition gives
+// for the live placements stored afresh, and the same v3 bytes as that
+// fresh store, on structures with ID holes from overlap resolution alone
+// and from resolution plus Compact.
 func TestRenumberMatchesRemoveInsert(t *testing.T) {
 	for _, name := range []string{"circ01", "TwoStageOpamp", "Mixer"} {
 		c := circuits.MustByName(name)
@@ -169,7 +302,7 @@ func TestRenumberMatchesRemoveInsert(t *testing.T) {
 				}
 				RenumberRemoveInsert(want)
 				got.Renumber()
-				if !reflect.DeepEqual(RowSnapshots(got), RowSnapshots(want)) {
+				if !reflect.DeepEqual(RowSnapshots(got), DefinedRows(want)) {
 					t.Fatalf("%s seed %d compact=%v: rows differ from the remove+insert reference", name, seed, compact)
 				}
 				if !bytes.Equal(v3Bytes(t, got), v3Bytes(t, want)) {
@@ -223,5 +356,109 @@ func TestCoverageMatchesFromScratch(t *testing.T) {
 				t.Fatalf("%s: loaded Coverage %v, saved %v", name, loaded.Coverage(), s.Coverage())
 			}
 		}
+	}
+}
+
+// TestChurnMatchesBruteForce checks the rows view, the compiled tables
+// and the conflict scan against brute force (CheckBruteForce) after every
+// Insert of churned structures, whose resolution shrinks, forks and
+// deletes stored placements, and again after Compact and Renumber.
+func TestChurnMatchesBruteForce(t *testing.T) {
+	for _, name := range []string{"circ01", "TwoStageOpamp", "Mixer"} {
+		c := circuits.MustByName(name)
+		for seed := int64(1); seed <= 2; seed++ {
+			rng := rand.New(rand.NewSource(seed))
+			check := func(s *Structure) {
+				t.Helper()
+				if err := CheckBruteForce(s, rng); err != nil {
+					t.Fatalf("%s seed %d: %v", name, seed, err)
+				}
+			}
+			s := churnedStructure(t, c, seed, 40, check)
+			s.Compact()
+			check(s)
+			s.Renumber()
+			check(s)
+		}
+	}
+}
+
+// TestTreeQueriesBuildRowsConcurrently runs tree queries from many
+// goroutines on structures whose rows view was never built: a fresh load,
+// and a generated structure right after a mutation dropped its view.
+// Every reader may build the view on first use; under -race this checks
+// that building and publishing it is race-free, and every answer must
+// still match the linear scan.
+func TestTreeQueriesBuildRowsConcurrently(t *testing.T) {
+	base := churnedStructure(t, circuits.MustByName("TwoStageOpamp"), 4, 40, nil)
+	var v2 bytes.Buffer
+	if err := base.SaveBinary(&v2); err != nil {
+		t.Fatal(err)
+	}
+	loaded, err := Load(&v2, base.circuit)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base.Renumber()
+	for _, s := range []*Structure{loaded, base} {
+		if s.rows.Load() != nil {
+			t.Fatal("rows view built before the first query")
+		}
+		const workers = 8
+		done := make(chan error, workers)
+		for w := 0; w < workers; w++ {
+			go func(seed int64) {
+				rng := rand.New(rand.NewSource(seed))
+				n := s.circuit.N()
+				ws, hs := make([]int, n), make([]int, n)
+				for trial := 0; trial < 300; trial++ {
+					randomDims(s, rng, ws, hs)
+					if got, want := s.Lookup(ws, hs), s.LookupLinear(ws, hs); !slices.Equal(got, want) {
+						done <- fmt.Errorf("Lookup(%v, %v) = %v, linear scan %v", ws, hs, got, want)
+						return
+					}
+					if _, err := s.Query(ws, hs); err != nil && err != ErrUncovered {
+						done <- err
+						return
+					}
+				}
+				done <- nil
+			}(int64(w + 1))
+		}
+		for w := 0; w < workers; w++ {
+			if err := <-done; err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
+// TestConflictingAllocFree pins the conflict scan at zero allocations once
+// its scratch buffers have grown: it runs once per candidate piece on
+// every Insert.
+func TestConflictingAllocFree(t *testing.T) {
+	s := churnedStructure(t, circuits.MustByName("TwoStageOpamp"), 2, 40, nil)
+	var probes []*placement.Placement
+	for _, id := range s.IDs() {
+		probes = append(probes, s.Get(id).Clone())
+	}
+	rng := rand.New(rand.NewSource(9))
+	for k := 0; k < 8; k++ {
+		p, err := placement.RandomLegal(s.circuit, s.fp, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Expand(s.circuit, s.fp, 3)
+		probes = append(probes, p)
+	}
+	for _, p := range probes {
+		s.conflicting(p)
+	}
+	k := 0
+	if allocs := testing.AllocsPerRun(200, func() {
+		s.conflicting(probes[k%len(probes)])
+		k++
+	}); allocs != 0 {
+		t.Fatalf("conflicting allocates %v times per call, want 0", allocs)
 	}
 }

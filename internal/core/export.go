@@ -98,13 +98,9 @@ func (s *Structure) Summary() StructSummaryJSON {
 	} else {
 		sum.BestBestCost = 0
 	}
-	for i := 0; i < s.circuit.N(); i++ {
-		for _, row := range []interface{ Len() int }{s.wRows[i], s.hRows[i]} {
-			sum.RowIntervals += row.Len()
-			if row.Len() > sum.MaxRowLength {
-				sum.MaxRowLength = row.Len()
-			}
-		}
+	for _, row := range s.view() {
+		sum.RowIntervals += row.Len()
+		sum.MaxRowLength = max(sum.MaxRowLength, row.Len())
 	}
 	return sum
 }
@@ -113,12 +109,12 @@ func (s *Structure) Summary() StructSummaryJSON {
 // width and height rows — the Figure-3 row occupancy profile cmd/mpsinfo
 // prints.
 func (s *Structure) RowHistogram() (wLens, hLens []int) {
-	n := s.circuit.N()
-	wLens = make([]int, n)
-	hLens = make([]int, n)
-	for i := 0; i < n; i++ {
-		wLens[i] = s.wRows[i].Len()
-		hLens[i] = s.hRows[i].Len()
+	rows := s.view()
+	wLens = make([]int, len(rows)/2)
+	hLens = make([]int, len(rows)/2)
+	for i := range wLens {
+		wLens[i] = rows[2*i].Len()
+		hLens[i] = rows[2*i+1].Len()
 	}
 	return wLens, hLens
 }

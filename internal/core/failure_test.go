@@ -8,8 +8,6 @@ package core
 import (
 	"strings"
 	"testing"
-
-	"mps/internal/geom"
 )
 
 // healthy builds a small structure with a few disjoint placements.
@@ -112,9 +110,11 @@ func TestDetectsDanglingRowReference(t *testing.T) {
 
 func TestDetectsRowCorruption(t *testing.T) {
 	s := healthy(t)
-	// Directly violate the row's list invariants by inserting a stray
-	// overlapping registration for a live id.
-	s.wRows[0].Insert(0, geom.NewInterval(25, 35))
+	// Register a stray interval for a live id directly in the box table,
+	// the record every row is swept from: block 0's width row now claims
+	// placement 0 on [25, 35], overlapping placement 1.
+	box := s.box(0)
+	box[0], box[1] = 25, 35
 	if err := s.CheckInvariants(); err == nil {
 		t.Fatal("stray row registration not detected")
 	}

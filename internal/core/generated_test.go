@@ -3,6 +3,7 @@ package core_test
 import (
 	"bytes"
 	"math"
+	"math/rand"
 	"reflect"
 	"testing"
 
@@ -15,8 +16,8 @@ import (
 // TestGeneratedStructuresMatchReferences runs the generation fast paths
 // against their references on structures the explorer generated: Coverage
 // against the from-scratch recomputation after generation, Compact,
-// Renumber and Load, and Renumber against removing and re-inserting every
-// moved placement.
+// Renumber and Load, and Renumber against storing the live placements
+// afresh, whose rows come from the definition (DefinedRows).
 func TestGeneratedStructuresMatchReferences(t *testing.T) {
 	for _, name := range []string{"circ01", "TwoStageOpamp", "Mixer"} {
 		c := circuits.MustByName(name)
@@ -50,7 +51,7 @@ func TestGeneratedStructuresMatchReferences(t *testing.T) {
 			core.RenumberRemoveInsert(want)
 			got.Renumber()
 			same(got, "after Renumber")
-			if !reflect.DeepEqual(core.RowSnapshots(got), core.RowSnapshots(want)) {
+			if !reflect.DeepEqual(core.RowSnapshots(got), core.DefinedRows(want)) {
 				t.Fatalf("%s seed %d: rows differ from the remove+insert reference", name, seed)
 			}
 			var gotV3, wantV3 bytes.Buffer
@@ -74,6 +75,54 @@ func TestGeneratedStructuresMatchReferences(t *testing.T) {
 			same(loaded, "after Load")
 			if math.Float64bits(loaded.Coverage()) != math.Float64bits(got.Coverage()) {
 				t.Fatalf("%s seed %d: loaded Coverage %v, saved %v", name, seed, loaded.Coverage(), got.Coverage())
+			}
+		}
+	}
+}
+
+// TestGeneratedInsertsMatchBruteForce inserts 20 of another seed's
+// generated placements, one at a time, into a generated structure and
+// into a structure loaded from its v2 file, and after every Insert checks
+// the rows view, the compiled tables and the conflict scan against brute
+// force (CheckBruteForce).
+func TestGeneratedInsertsMatchBruteForce(t *testing.T) {
+	for _, name := range []string{"circ01", "TwoStageOpamp", "Mixer"} {
+		c := circuits.MustByName(name)
+		generate := func(seed int64) *core.Structure {
+			s, _, err := explorer.Generate(c, explorer.Config{
+				Seed:          seed,
+				MaxIterations: 40,
+				BDIO:          bdio.Config{Steps: 60},
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}
+		s, other := generate(1), generate(2)
+		var v2 bytes.Buffer
+		if err := s.SaveBinary(&v2); err != nil {
+			t.Fatal(err)
+		}
+		loaded, err := core.Load(&v2, c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(3))
+		for _, dst := range []*core.Structure{s, loaded} {
+			if err := core.CheckBruteForce(dst, rng); err != nil {
+				t.Fatalf("%s before inserts: %v", name, err)
+			}
+			for k, id := range other.IDs()[:min(20, other.NumPlacements())] {
+				if _, err := dst.Insert(other.Get(id).Clone()); err != nil {
+					t.Fatal(err)
+				}
+				if err := core.CheckBruteForce(dst, rng); err != nil {
+					t.Fatalf("%s after insert %d: %v", name, k, err)
+				}
+			}
+			if err := dst.CheckInvariants(); err != nil {
+				t.Fatalf("%s: %v", name, err)
 			}
 		}
 	}

@@ -3,6 +3,11 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
+
+	"mps/internal/geom"
+	"mps/internal/intervalmap"
+	"mps/internal/placement"
 )
 
 // CheckInvariants verifies the structural guarantees of the multi-placement
@@ -10,29 +15,39 @@ import (
 //
 //  1. every row satisfies the Figure-3 list invariants;
 //  2. every live placement has non-empty intervals inside designer bounds,
-//     is geometrically legal at maximum dimensions, and is registered in
-//     every row exactly on its validity intervals;
-//  3. no two live placements' dimension boxes overlap (the eq. 5 guarantee);
-//  4. no row references a deleted placement;
-//  5. every live placement's cached coverage term equals its recomputed
+//     is geometrically legal at maximum dimensions, is recorded in the box
+//     table exactly as its intervals, and is registered in every row
+//     exactly on its validity intervals;
+//  3. every deleted ID's box table entry is emptied;
+//  4. no two live placements' dimension boxes overlap (the eq. 5 guarantee);
+//  5. no row references a deleted placement;
+//  6. every live placement's cached coverage term equals its recomputed
 //     term bit for bit.
 //
 // It is O(P²·N + rows) and intended for tests and failure injection, not
 // hot paths.
 func (s *Structure) CheckInvariants() error {
 	n := s.circuit.N()
-	for i := 0; i < n; i++ {
-		if err := s.wRows[i].CheckInvariants(); err != nil {
-			return fmt.Errorf("width row %d: %w", i, err)
-		}
-		if err := s.hRows[i].CheckInvariants(); err != nil {
-			return fmt.Errorf("height row %d: %w", i, err)
+	if len(s.boxes) != 4*n*len(s.placements) {
+		return fmt.Errorf("core: box table holds %d values for %d placement slots of %d blocks",
+			len(s.boxes), len(s.placements), n)
+	}
+	rows := s.view()
+	for r, row := range rows {
+		if err := row.CheckInvariants(); err != nil {
+			return fmt.Errorf("%s row %d: %w", dimName(r), r/2, err)
 		}
 	}
 
 	live := 0
 	for id, p := range s.placements {
 		if p == nil {
+			box := s.box(id)
+			for k := 0; k < len(box); k += 2 {
+				if (geom.Interval{Lo: box[k], Hi: box[k+1]}) != emptyBox {
+					return fmt.Errorf("core: deleted placement %d still registered in the box table", id)
+				}
+			}
 			continue
 		}
 		live++
@@ -48,8 +63,13 @@ func (s *Structure) CheckInvariants() error {
 		if err := p.CheckLegal(s.fp); err != nil {
 			return fmt.Errorf("core: placement %d: %w", id, err)
 		}
+		box := s.box(id)
 		for i := 0; i < n; i++ {
-			if err := checkRegistered(s, id, i); err != nil {
+			if got, want := [4]int(box[4*i:4*i+4]), [4]int{p.WLo[i], p.WHi[i], p.HLo[i], p.HHi[i]}; got != want {
+				return fmt.Errorf("core: placement %d block %d: registered (w, h) = %v in the box table, placement has %v",
+					id, i, got, want)
+			}
+			if err := checkRegistered(rows, p, i); err != nil {
 				return err
 			}
 		}
@@ -72,30 +92,24 @@ func (s *Structure) CheckInvariants() error {
 
 	// Rows must reference only live placements, and only inside the
 	// placement's own validity interval (no stray registrations).
-	for i := 0; i < n; i++ {
-		for _, span := range s.wRows[i].Snapshot() {
-			for _, id := range span.IDs {
+	var stray error
+	for r, row := range rows {
+		row.Visit(func(span geom.Interval, ids []int) {
+			for _, id := range ids {
+				if stray != nil {
+					return
+				}
 				p := s.Get(id)
 				if p == nil {
-					return fmt.Errorf("core: width row %d references deleted placement %d", i, id)
-				}
-				if !p.WIv(i).ContainsInterval(span.Iv) {
-					return fmt.Errorf("core: width row %d registers placement %d on %v outside its box %v",
-						i, id, span.Iv, p.WIv(i))
-				}
-			}
-		}
-		for _, span := range s.hRows[i].Snapshot() {
-			for _, id := range span.IDs {
-				p := s.Get(id)
-				if p == nil {
-					return fmt.Errorf("core: height row %d references deleted placement %d", i, id)
-				}
-				if !p.HIv(i).ContainsInterval(span.Iv) {
-					return fmt.Errorf("core: height row %d registers placement %d on %v outside its box %v",
-						i, id, span.Iv, p.HIv(i))
+					stray = fmt.Errorf("core: %s row %d references deleted placement %d", dimName(r), r/2, id)
+				} else if iv := rowInterval(p, r); !iv.ContainsInterval(span) {
+					stray = fmt.Errorf("core: %s row %d registers placement %d on %v outside its box %v",
+						dimName(r), r/2, id, span, iv)
 				}
 			}
+		})
+		if stray != nil {
+			return stray
 		}
 	}
 
@@ -113,39 +127,46 @@ func (s *Structure) CheckInvariants() error {
 	return nil
 }
 
-// checkRegistered verifies placement id appears in block i's rows exactly on
+// dimName names row r's dimension: even rows are widths, odd rows heights.
+func dimName(r int) string {
+	if r%2 == 0 {
+		return "width"
+	}
+	return "height"
+}
+
+// rowInterval returns p's interval in row r.
+func rowInterval(p *placement.Placement, r int) geom.Interval {
+	if r%2 == 0 {
+		return p.WIv(r / 2)
+	}
+	return p.HIv(r / 2)
+}
+
+// checkRegistered verifies placement p appears in block i's rows exactly on
 // its validity intervals: present at both endpoints, absent just outside.
-func checkRegistered(s *Structure, id, i int) error {
-	p := s.placements[id]
+func checkRegistered(rows []*intervalmap.Row, p *placement.Placement, i int) error {
 	wiv, hiv := p.WIv(i), p.HIv(i)
+	w, h := rows[2*i], rows[2*i+1]
 	for _, probe := range []struct {
-		row    interface{ Lookup(int) []int }
+		row    *intervalmap.Row
 		v      int
 		wantIn bool
 		what   string
 	}{
-		{s.wRows[i], wiv.Lo, true, "w.Lo"},
-		{s.wRows[i], wiv.Hi, true, "w.Hi"},
-		{s.wRows[i], wiv.Lo - 1, false, "w.Lo-1"},
-		{s.wRows[i], wiv.Hi + 1, false, "w.Hi+1"},
-		{s.hRows[i], hiv.Lo, true, "h.Lo"},
-		{s.hRows[i], hiv.Hi, true, "h.Hi"},
-		{s.hRows[i], hiv.Lo - 1, false, "h.Lo-1"},
-		{s.hRows[i], hiv.Hi + 1, false, "h.Hi+1"},
+		{w, wiv.Lo, true, "w.Lo"},
+		{w, wiv.Hi, true, "w.Hi"},
+		{w, wiv.Lo - 1, false, "w.Lo-1"},
+		{w, wiv.Hi + 1, false, "w.Hi+1"},
+		{h, hiv.Lo, true, "h.Lo"},
+		{h, hiv.Hi, true, "h.Hi"},
+		{h, hiv.Lo - 1, false, "h.Lo-1"},
+		{h, hiv.Hi + 1, false, "h.Hi+1"},
 	} {
-		if got := containsInt(probe.row.Lookup(probe.v), id); got != probe.wantIn {
+		if got := slices.Contains(probe.row.Lookup(probe.v), p.ID); got != probe.wantIn {
 			return fmt.Errorf("core: placement %d block %d: registered=%v at %s, want %v",
-				id, i, got, probe.what, probe.wantIn)
+				p.ID, i, got, probe.what, probe.wantIn)
 		}
 	}
 	return nil
-}
-
-func containsInt(s []int, v int) bool {
-	for _, x := range s {
-		if x == v {
-			return true
-		}
-	}
-	return false
 }

@@ -118,17 +118,34 @@ func (s *Structure) resolveCandidate(p *placement.Placement, stats *InsertStats)
 }
 
 // conflicting returns the IDs of stored placements whose boxes overlap p's,
-// using block 0's width row as a pre-filter (every placement is registered
-// in every row).
+// ascending. It scans the flat box table in ID order: two boxes overlap
+// exactly when their intervals overlap in every one of the 2N rows, so
+// most entries are rejected at their first row, and an emptied entry
+// (a deleted ID) at once. A p with an empty interval overlaps nothing, as
+// in BoxOverlaps. The result is a scratch buffer the next call overwrites;
+// no caller holds one result across another call.
 func (s *Structure) conflicting(p *placement.Placement) []int {
-	candidates := s.wRows[0].IDsOverlapping(p.WIv(0))
-	out := candidates[:0]
-	for _, id := range candidates {
-		q := s.placements[id]
-		if q != nil && p.BoxOverlaps(q) {
+	out := s.conflicts[:0]
+	if p.BoxEmpty() {
+		return out
+	}
+	q := s.probe[:0]
+	for i := range p.X {
+		q = append(q, p.WLo[i], p.WHi[i], p.HLo[i], p.HHi[i])
+	}
+	s.probe = q
+	w := len(q)
+	for id, off := 0, 0; off < len(s.boxes); id, off = id+1, off+w {
+		b := s.boxes[off : off+w : off+w]
+		k := 0
+		for k < w && b[k] <= q[k+1] && q[k] <= b[k+1] {
+			k += 2
+		}
+		if k == w && s.placements[id] != nil {
 			out = append(out, id)
 		}
 	}
+	s.conflicts = out
 	return out
 }
 

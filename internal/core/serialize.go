@@ -25,9 +25,10 @@ import (
 // (buildStructure), so every loaded structure is checked the same way
 // regardless of encoding.
 //
-// Only the live placements are serialized; the 2N rows are rebuilt on load
-// by re-storing every placement, which guarantees a loaded structure's rows
-// are consistent with its placements by construction.
+// Only the live placements are serialized; load re-stores every
+// placement into a fresh box table, from which the rows are derived, so a
+// loaded structure's rows are consistent with its placements by
+// construction.
 
 // fileFormat is the decoded on-disk representation shared by both codecs.
 type fileFormat struct {
@@ -80,9 +81,9 @@ func (s *Structure) Save(w io.Writer) error {
 // file that would violate eq. 5 is rejected rather than silently
 // repaired; v2/v3 files additionally fail fast on a checksum mismatch
 // before any semantic check runs. A v2 or v1 load does not compile. A v3
-// load compiles the rebuilt rows and accepts the file only if its tables
-// equal that index, which then stays cached, so the first Compile on the
-// loaded structure is free.
+// load compiles the loaded structure and accepts the file only if its
+// tables equal that index, which then stays cached, so the first Compile
+// on the loaded structure is free.
 func Load(r io.Reader, c *netlist.Circuit) (*Structure, error) {
 	br := bufio.NewReader(r)
 	head, err := br.Peek(len(binaryMagic))
@@ -124,10 +125,10 @@ func Load(r io.Reader, c *netlist.Circuit) (*Structure, error) {
 // invariants CheckInvariants verifies: arity and designer bounds (store),
 // geometric legality at max dims (CheckLegal), and pairwise-disjoint
 // dimension boxes (eq. 5). Box overlap — which only a corrupt or forged
-// file can contain — is detected via the interval rows as each placement
-// is stored (a row pre-filter plus box checks against the few row-sharing
-// candidates) instead of the former all-pairs BoxOverlaps pass, so
-// loading stays near-linear in placements for well-formed files.
+// file can contain — is detected by the conflict scan overlap resolution
+// uses, run for each placement before it is stored. That is quadratic in
+// placements, but each comparison reads the contiguous box table and
+// stops at the first row in which the two boxes are disjoint.
 func buildStructure(ff *fileFormat, c *netlist.Circuit) (*Structure, error) {
 	if c.Name != ff.CircuitName {
 		return nil, fmt.Errorf("core: file is for circuit %q, not %q", ff.CircuitName, c.Name)

@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync"
 	"sync/atomic"
 
@@ -39,8 +40,16 @@ type Structure struct {
 	// and never read.
 	terms []float64
 
-	// wRows[i] and hRows[i] are block i's width and height rows.
-	wRows, hRows []*intervalmap.Row
+	// boxes is the flat box table: ID id's 2N validity intervals are
+	// boxes[id*4N : (id+1)*4N], four values per block (WLo, WHi, HLo,
+	// HHi) in block order, so row r's interval sits at offset 2r. store
+	// appends an entry, shrinkRow rewrites one, delete empties one (see
+	// emptyBox) and Renumber packs the table. conflicting scans it, and
+	// Compile and the rows view sweep it.
+	boxes []int
+	// conflicts and probe are conflicting's result and its copy of the
+	// candidate's box, reused across calls.
+	conflicts, probe []int
 
 	backup Backup
 
@@ -51,27 +60,18 @@ type Structure struct {
 	// never share scratch space (holds *[]int).
 	scratch sync.Pool
 
-	// compiled caches the flat query index built by Compile; mutations
-	// (store, delete, shrinkRow) drop it so a stale index can never answer
-	// for rows that have since changed.
+	// compiled caches the flat query index built by Compile, and rows the
+	// Figure-3 linked rows the tree query path walks, built on first use.
+	// Mutations (store, delete, shrinkRow, Renumber) drop both, so neither
+	// can answer for boxes that have since changed.
 	compiled atomic.Pointer[CompiledStructure]
+	rows     atomic.Pointer[[]*intervalmap.Row]
 }
 
 // NewStructure returns an empty structure for the circuit on the given
 // floorplan.
 func NewStructure(c *netlist.Circuit, fp geom.Rect) *Structure {
-	n := c.N()
-	s := &Structure{
-		circuit: c,
-		fp:      fp,
-		wRows:   make([]*intervalmap.Row, n),
-		hRows:   make([]*intervalmap.Row, n),
-	}
-	for i := 0; i < n; i++ {
-		s.wRows[i] = &intervalmap.Row{}
-		s.hRows[i] = &intervalmap.Row{}
-	}
-	return s
+	return &Structure{circuit: c, fp: fp}
 }
 
 // Circuit returns the topology this structure was generated for.
@@ -125,8 +125,8 @@ func (s *Structure) Get(id int) *placement.Placement {
 	return s.placements[id]
 }
 
-// store assigns the next ID to p, records it, and registers its intervals
-// in all 2N rows (the paper's Store Placement routine). The caller must
+// store assigns the next ID to p, records it, and appends its intervals
+// to the box table (the paper's Store Placement routine). The caller must
 // have resolved overlaps first.
 func (s *Structure) store(p *placement.Placement) (int, error) {
 	if p.BoxEmpty() {
@@ -135,37 +135,54 @@ func (s *Structure) store(p *placement.Placement) (int, error) {
 	if err := p.CheckIntervalsWithin(s.circuit); err != nil {
 		return -1, err
 	}
-	s.compiled.Store(nil)
+	s.invalidate()
 	id := len(s.placements)
 	p.ID = id
 	s.placements = append(s.placements, p)
 	s.terms = append(s.terms, s.coverageTerm(p))
 	s.alive++
-	for i := 0; i < s.circuit.N(); i++ {
-		s.wRows[i].Insert(id, p.WIv(i))
-		s.hRows[i].Insert(id, p.HIv(i))
+	for i := range p.X {
+		s.boxes = append(s.boxes, p.WLo[i], p.WHi[i], p.HLo[i], p.HHi[i])
 	}
 	return id, nil
 }
 
-// delete removes the placement from the structure and all rows.
+// delete removes the placement from the structure and empties its box
+// table entry.
 func (s *Structure) delete(id int) {
-	p := s.placements[id]
-	if p == nil {
+	if s.placements[id] == nil {
 		return
 	}
-	s.compiled.Store(nil)
-	for i := 0; i < s.circuit.N(); i++ {
-		s.wRows[i].Remove(id, p.WIv(i))
-		s.hRows[i].Remove(id, p.HIv(i))
+	s.invalidate()
+	box := s.box(id)
+	for k := 0; k < len(box); k += 2 {
+		box[k], box[k+1] = emptyBox.Lo, emptyBox.Hi
 	}
 	s.placements[id] = nil
 	s.alive--
 }
 
+// emptyBox is every interval of a deleted ID's box table entry. It
+// overlaps only an interval spanning the whole int range, so conflicting
+// rejects an emptied entry at its first row (and checks liveness before
+// reporting any match); the sweeps skip deleted IDs outright.
+var emptyBox = geom.Interval{Lo: math.MaxInt, Hi: math.MinInt}
+
+// box returns ID id's entry in the box table.
+func (s *Structure) box(id int) []int {
+	w := 4 * s.circuit.N()
+	return s.boxes[id*w : (id+1)*w : (id+1)*w]
+}
+
+// invalidate drops the compiled index and the rows view after a mutation.
+func (s *Structure) invalidate() {
+	s.compiled.Store(nil)
+	s.rows.Store(nil)
+}
+
 // Renumber packs live placement IDs into the dense range [0, alive), in
-// ascending current-ID order, and rewrites the row registrations to match.
-// Queries are unaffected except for the IDs they report.
+// ascending current-ID order, and packs the box table to match. Queries
+// are unaffected except for the IDs they report.
 //
 // Serialization keeps only live placements, in ID order, and load re-stores
 // them densely — so a structure with ID holes answers QueryID differently
@@ -175,68 +192,83 @@ func (s *Structure) delete(id int) {
 // cluster replicas that exchange structure files report the same
 // placement_id as the owner's in-memory copy.
 //
-// The old→new ID map is monotone, so every row is relabeled in place (each
-// interval's id array stays ascending) and then coalesced once. That leaves
-// exactly the rows a Remove and re-Insert of every moved placement would:
-// the first such Remove coalesces every row, and relabeling neither splits
-// nor merges intervals.
+// The old→new ID map is monotone and the rows are derived from the box
+// table, so the rows that follow are exactly those of storing the live
+// placements afresh in ID order.
 func (s *Structure) Renumber() {
 	if len(s.placements) == s.alive {
 		return // already dense
 	}
-	s.compiled.Store(nil)
-	newID := make([]int, len(s.placements))
-	moved := false
+	s.invalidate()
+	w := 4 * s.circuit.N()
 	next := 0
 	for id, p := range s.placements {
 		if p == nil {
-			newID[id] = -1
 			continue
 		}
-		newID[id] = next
 		// next <= id always (holes only shrink the index), so the target
 		// slot is free or is p's own.
 		if id != next {
-			moved = true
 			p.ID = next
 			s.placements[next] = p
 			s.terms[next] = s.terms[id]
+			copy(s.boxes[next*w:(next+1)*w], s.boxes[id*w:(id+1)*w])
 			s.placements[id] = nil
 		}
 		next++
 	}
 	s.placements = s.placements[:next]
 	s.terms = s.terms[:next]
-	if !moved {
-		return // only trailing holes: no registration changes
-	}
-	for i := range s.wRows {
-		s.wRows[i].Relabel(newID)
-		s.hRows[i].Relabel(newID)
-	}
+	s.boxes = s.boxes[:next*w]
 }
 
 // shrinkRow narrows one validity interval of a stored placement in place,
-// updating the affected row. dim 0 is width, 1 is height.
+// updating its box table entry. dim 0 is width, 1 is height.
 func (s *Structure) shrinkRow(p *placement.Placement, block, dim int, newIv geom.Interval) {
-	s.compiled.Store(nil)
-	var row *intervalmap.Row
-	var old geom.Interval
-	if dim == 0 {
-		row = s.wRows[block]
-		old = p.WIv(block)
-	} else {
-		row = s.hRows[block]
-		old = p.HIv(block)
-	}
-	row.Remove(p.ID, old)
-	row.Insert(p.ID, newIv)
+	s.invalidate()
 	if dim == 0 {
 		p.WLo[block], p.WHi[block] = newIv.Lo, newIv.Hi
 	} else {
 		p.HLo[block], p.HHi[block] = newIv.Lo, newIv.Hi
 	}
+	off := 4*block + 2*dim
+	box := s.box(p.ID)
+	box[off], box[off+1] = newIv.Lo, newIv.Hi
 	s.terms[p.ID] = s.coverageTerm(p)
+}
+
+// view returns the Figure-3 linked rows of the live placements, building
+// and caching them on first use: rows[2i] and rows[2i+1] are block i's
+// width and height rows, in the compiled tables' order. Only the tree
+// query path reads them; the compiled index sweeps the box table itself.
+// Concurrent first readers may each build the rows; any of them is
+// correct, since the box table only changes under the mutations that drop
+// them.
+func (s *Structure) view() []*intervalmap.Row {
+	if v := s.rows.Load(); v != nil {
+		return *v
+	}
+	ids := s.IDs()
+	lo, hi := make([]int, len(ids)), make([]int, len(ids))
+	rows := make([]*intervalmap.Row, 2*s.circuit.N())
+	var sw intervalmap.Sweeper
+	for r := range rows {
+		s.rowIntervals(r, ids, lo, hi)
+		rows[r] = sw.Build(lo, hi, ids)
+	}
+	s.rows.Store(&rows)
+	return rows
+}
+
+// rowIntervals fills lo[k], hi[k] with row r's interval of placement
+// ids[k], read from the box table (row 2i is block i's width, 2i+1 its
+// height).
+func (s *Structure) rowIntervals(r int, ids []int, lo, hi []int) {
+	w := 4 * s.circuit.N()
+	for k, id := range ids {
+		off := id*w + 2*r
+		lo[k], hi[k] = s.boxes[off], s.boxes[off+1]
+	}
 }
 
 // Lookup returns the IDs of all stored placements covering the dimension
@@ -288,16 +320,15 @@ func (s *Structure) putScratch(sp *[]int, acc []int) {
 
 // intersectInto computes the eq. 4 row intersection into acc and returns it.
 func (s *Structure) intersectInto(acc []int, ws, hs []int) []int {
-	n := s.circuit.N()
+	rows := s.view()
 	first := true
-	for i := 0; i < n; i++ {
+	for i := 0; i < len(rows)/2; i++ {
 		for dim := 0; dim < 2; dim++ {
-			var ids []int
-			if dim == 0 {
-				ids = s.wRows[i].Lookup(ws[i])
-			} else {
-				ids = s.hRows[i].Lookup(hs[i])
+			v := ws[i]
+			if dim == 1 {
+				v = hs[i]
 			}
+			ids := rows[2*i+dim].Lookup(v)
 			if len(ids) == 0 {
 				return acc[:0]
 			}

@@ -7,11 +7,20 @@
 // row per block). Feeding a dimension value to a row walks the list to the
 // covering interval and yields that interval's placement-index array — the
 // W_i / H_i functions of paper eq. 3.
+//
+// A row is a function of its registrations alone: its intervals are the
+// maximal runs of values on which the same non-empty set of placements is
+// registered. A Sweeper derives those runs from the registrations in one
+// pass, so rows are built, never edited: core.Compile copies the sweep's
+// spans into its flat tables, and Build links them into the Row the tree
+// query path walks.
 package intervalmap
 
 import (
 	"fmt"
+	"math"
 	"math/bits"
+	"slices"
 	"sort"
 	"strings"
 
@@ -53,194 +62,184 @@ func (r *Row) Lookup(v int) []int {
 	return nil
 }
 
-// Insert registers placement id as valid on the inclusive interval iv,
-// splitting existing interval objects as needed to keep the list ascending
-// and non-overlapping (the paper's Store Placement routine).
-// Inserting an empty interval is a no-op.
-func (r *Row) Insert(id int, iv geom.Interval) {
-	if iv.Empty() {
-		return
-	}
-	lo := iv.Lo
-	prev := (*node)(nil)
-	cur := r.head
-	for lo <= iv.Hi {
-		// Skip nodes entirely before lo.
-		for cur != nil && cur.iv.Hi < lo {
-			prev, cur = cur, cur.next
-		}
-		if cur == nil || cur.iv.Lo > iv.Hi {
-			// Gap covers the rest of [lo, iv.Hi]: one fresh node.
-			nn := &node{iv: geom.NewInterval(lo, iv.Hi), ids: []int{id}, next: cur}
-			r.link(prev, nn)
-			r.nodes++
-			return
-		}
-		if lo < cur.iv.Lo {
-			// Gap before cur: fill it, then continue into cur.
-			gapHi := min(iv.Hi, cur.iv.Lo-1)
-			nn := &node{iv: geom.NewInterval(lo, gapHi), ids: []int{id}, next: cur}
-			r.link(prev, nn)
-			r.nodes++
-			prev = nn
-			lo = gapHi + 1
-			continue
-		}
-		// lo is inside cur. Split off the uncovered prefix of cur.
-		if cur.iv.Lo < lo {
-			left := &node{iv: geom.NewInterval(cur.iv.Lo, lo-1), ids: cloneIDs(cur.ids), next: cur}
-			r.link(prev, left)
-			r.nodes++
-			cur.iv.Lo = lo
-			prev = left
-		}
-		// Split off the uncovered suffix of cur.
-		if cur.iv.Hi > iv.Hi {
-			right := &node{iv: geom.NewInterval(iv.Hi+1, cur.iv.Hi), ids: cloneIDs(cur.ids), next: cur.next}
-			cur.next = right
-			cur.iv.Hi = iv.Hi
-			r.nodes++
-		}
-		// cur is now fully covered by [lo, iv.Hi]: tag it.
-		cur.ids = addID(cur.ids, id)
-		lo = cur.iv.Hi + 1
-		prev, cur = cur, cur.next
-	}
+// Sweeper derives rows from registrations: slot k of a sweep is registered
+// on the inclusive interval [lo[k], hi[k]], and a slot with hi[k] < lo[k]
+// is not registered at all. The zero value is ready to use. A Sweeper
+// keeps its scratch buffers between sweeps, so it is not safe for
+// concurrent use.
+type Sweeper struct {
+	vals []int    // per event, its breakpoint
+	code []int32  // per event, slot<<1 where the slot starts, slot<<1|1 past its end
+	key  []int32  // per event, its breakpoint's bucket
+	cuts []int    // the distinct breakpoints, ascending
+	ends []int32  // per breakpoint, the end of its events in ev
+	ev   []int32  // the event codes grouped by breakpoint
+	mask []uint64 // the slots registered on the current interval
 }
 
-// Remove deletes placement id from the given interval range. Interval
-// objects left with no placements are unlinked; objects partially covered
-// are split so only the covered part loses the id. Removing from an empty
-// interval is a no-op.
-func (r *Row) Remove(id int, iv geom.Interval) {
-	if iv.Empty() {
-		return
-	}
-	prev := (*node)(nil)
-	cur := r.head
-	for cur != nil && cur.iv.Lo <= iv.Hi {
-		if cur.iv.Hi < iv.Lo {
-			prev, cur = cur, cur.next
-			continue
-		}
-		if !containsID(cur.ids, id) {
-			prev, cur = cur, cur.next
-			continue
-		}
-		// Split off an uncovered prefix.
-		if cur.iv.Lo < iv.Lo {
-			left := &node{iv: geom.NewInterval(cur.iv.Lo, iv.Lo-1), ids: cloneIDs(cur.ids), next: cur}
-			r.link(prev, left)
-			r.nodes++
-			cur.iv.Lo = iv.Lo
-			prev = left
-		}
-		// Split off an uncovered suffix.
-		if cur.iv.Hi > iv.Hi {
-			right := &node{iv: geom.NewInterval(iv.Hi+1, cur.iv.Hi), ids: cloneIDs(cur.ids), next: cur.next}
-			cur.next = right
-			cur.iv.Hi = iv.Hi
-			r.nodes++
-		}
-		cur.ids = dropID(cur.ids, id)
-		if len(cur.ids) == 0 {
-			r.unlink(prev, cur)
-			cur = cur.next // prev unchanged
-			if prev == nil {
-				cur = r.head
-			} else {
-				cur = prev.next
-			}
-			continue
-		}
-		prev, cur = cur, cur.next
-	}
-	r.coalesce()
-}
-
-// RemoveAll deletes placement id from every interval of the row.
-func (r *Row) RemoveAll(id int) {
-	prev := (*node)(nil)
-	cur := r.head
-	for cur != nil {
-		if containsID(cur.ids, id) {
-			cur.ids = dropID(cur.ids, id)
-			if len(cur.ids) == 0 {
-				r.unlink(prev, cur)
-				if prev == nil {
-					cur = r.head
-				} else {
-					cur = prev.next
-				}
-				continue
-			}
-		}
-		prev, cur = cur, cur.next
-	}
-	r.coalesce()
-}
-
-// IDsOverlapping returns the distinct placement indices registered anywhere
-// on the given interval, in ascending order. Indices must be non-negative.
+// Sweep calls emit once per interval of the row the registrations define,
+// in ascending order: [lo, hi] is a maximal run of values on which the
+// same non-empty set of slots is registered, and mask holds that set (bit
+// k%64 of word k/64 is slot k). mask is reused between calls and must not
+// be modified or retained.
 //
-// It dedupes through a bitset over the indices it meets (on the stack for
-// indices below 512), so the result is the only allocation.
-func (r *Row) IDsOverlapping(iv geom.Interval) []int {
-	maxID := -1
-	for n := r.head; n != nil && n.iv.Lo <= iv.Hi; n = n.next {
-		if n.iv.Overlaps(iv) {
-			maxID = max(maxID, n.ids[len(n.ids)-1]) // ids are ascending
+// The breakpoints are every lo[k] and every hi[k]+1, with hi[k]+1 never
+// computed for hi[k] == math.MaxInt, so registrations may reach either end
+// of the int range. A breakpoint always changes the set, since some slot
+// starts or stops there and none does both, so consecutive intervals
+// differ and need no merging.
+func (sw *Sweeper) Sweep(lo, hi []int, emit func(lo, hi int, mask []uint64)) {
+	sw.bucket(lo, hi)
+	cuts, ends, ev := sw.cuts, sw.ends, sw.ev
+	words := (len(lo) + 63) / 64
+	mask := slices.Grow(sw.mask[:0], words)[:words]
+	clear(mask)
+	sw.mask = mask
+	active, begin := 0, int32(0)
+	for c, v := range cuts {
+		for _, e := range ev[begin:ends[c]] {
+			k := e >> 1
+			if e&1 == 0 {
+				mask[k>>6] |= 1 << (k & 63)
+				active++
+			} else {
+				mask[k>>6] &^= 1 << (k & 63)
+				active--
+			}
 		}
-	}
-	if maxID < 0 {
-		return nil
-	}
-	var stack [8]uint64
-	seen := stack[:]
-	if words := maxID/64 + 1; words > len(stack) {
-		seen = make([]uint64, words)
-	}
-	count := 0
-	for n := r.head; n != nil && n.iv.Lo <= iv.Hi; n = n.next {
-		if !n.iv.Overlaps(iv) {
+		begin = ends[c]
+		if active == 0 {
 			continue
 		}
-		for _, id := range n.ids {
-			w, bit := id>>6, uint64(1)<<(id&63)
-			if seen[w]&bit == 0 {
-				seen[w] |= bit
-				count++
+		// Past the last breakpoint only registrations ending at MaxInt
+		// are still open.
+		end := math.MaxInt
+		if c+1 < len(cuts) {
+			end = cuts[c+1] - 1
+		}
+		emit(v, end, mask)
+	}
+}
+
+// bucket groups the registrations' events by breakpoint: sw.cuts holds
+// the distinct breakpoints in ascending order, and breakpoint c's events
+// are sw.ev[sw.ends[c-1]:sw.ends[c]] (from 0 for c = 0). It is a counting
+// sort, keyed by a breakpoint's offset from the smallest when the
+// breakpoints lie within a few times their number of each other, as
+// designer dimension ranges do, and otherwise by its rank among the
+// sorted distinct breakpoints.
+func (sw *Sweeper) bucket(lo, hi []int) {
+	vals, code := slices.Grow(sw.vals[:0], 2*len(lo)), slices.Grow(sw.code[:0], 2*len(lo))
+	for k := range lo {
+		if lo[k] <= hi[k] {
+			vals = append(vals, lo[k])
+			code = append(code, int32(k)<<1)
+			if hi[k] < math.MaxInt {
+				vals = append(vals, hi[k]+1)
+				code = append(code, int32(k)<<1|1)
 			}
 		}
 	}
-	out := make([]int, 0, count)
-	for w, word := range seen {
-		for word != 0 {
-			out = append(out, w<<6|bits.TrailingZeros64(word))
-			word &= word - 1
+	sw.vals, sw.code = vals, code
+	if len(vals) == 0 {
+		sw.cuts, sw.ends, sw.ev = sw.cuts[:0], sw.ends[:0], sw.ev[:0]
+		return
+	}
+	first, last := slices.Min(vals), slices.Max(vals)
+	key := slices.Grow(sw.key[:0], len(vals))[:len(vals)]
+	sw.key = key
+	var buckets int
+	cuts := sw.cuts[:0]
+	// uint(last)-uint(first) is the exact distance, even across the whole
+	// int range.
+	dense := uint(last)-uint(first) < 4*uint(len(vals))
+	if dense {
+		buckets = last - first + 1
+		for e, v := range vals {
+			key[e] = int32(v - first)
+		}
+	} else {
+		cuts = append(cuts, vals...)
+		slices.Sort(cuts)
+		cuts = slices.Compact(cuts)
+		buckets = len(cuts)
+		for e, v := range vals {
+			i, _ := slices.BinarySearch(cuts, v)
+			key[e] = int32(i)
 		}
 	}
-	return out
+
+	// Count each bucket's events one place up, prefix-sum into bucket
+	// starts, then place the events: each bucket's cursor ends where the
+	// bucket does.
+	ends := slices.Grow(sw.ends[:0], buckets+1)[:buckets+1]
+	clear(ends)
+	for _, b := range key {
+		ends[b+1]++
+	}
+	for b := 1; b <= buckets; b++ {
+		ends[b] += ends[b-1]
+	}
+	ev := slices.Grow(sw.ev[:0], len(vals))[:len(vals)]
+	for e, b := range key {
+		ev[ends[b]] = code[e]
+		ends[b]++
+	}
+	ends = ends[:buckets]
+	if dense {
+		// Keep the buckets holding events, in place: bucket b is value
+		// first+b.
+		begin := int32(0)
+		for b, end := range ends {
+			if end > begin {
+				cuts = append(cuts, first+b)
+				ends[len(cuts)-1] = end
+				begin = end
+			}
+		}
+		ends = ends[:len(cuts)]
+	}
+	sw.cuts, sw.ends, sw.ev = cuts, ends, ev
 }
 
-// Relabel rewrites every placement index id in the row to newID[id], then
-// merges intervals left touching with identical id sets. newID must be
-// strictly increasing over the indices the row holds, so each interval's
-// id array stays ascending when rewritten in place; core.Renumber uses it
-// to pack IDs without removing and re-inserting placements.
-func (r *Row) Relabel(newID []int) {
-	for n := r.head; n != nil; n = n.next {
-		for i, id := range n.ids {
-			n.ids[i] = newID[id]
+// Build returns the row that registers ids[k] on [lo[k], hi[k]] for every
+// slot k: Sweep's intervals, each carrying the ids of its slots. ids must
+// be strictly ascending, so every interval's id array is too. The row's
+// nodes share one backing array, and its id arrays another.
+func (sw *Sweeper) Build(lo, hi, ids []int) *Row {
+	var nodes []node
+	var all []int
+	sw.Sweep(lo, hi, func(l, h int, mask []uint64) {
+		n := len(all)
+		for w, word := range mask {
+			for ; word != 0; word &= word - 1 {
+				all = append(all, ids[w<<6|bits.TrailingZeros64(word)])
+			}
+		}
+		nodes = append(nodes, node{iv: geom.NewInterval(l, h), ids: all[n:]})
+	})
+	// all may have moved as it grew: point every node into its final
+	// backing array, and link the nodes, whose slice no longer grows.
+	r := &Row{nodes: len(nodes)}
+	off := 0
+	for i := range nodes {
+		k := len(nodes[i].ids)
+		nodes[i].ids = all[off : off+k : off+k]
+		off += k
+		if i+1 < len(nodes) {
+			nodes[i].next = &nodes[i+1]
 		}
 	}
-	r.coalesce()
+	if len(nodes) > 0 {
+		r.head = &nodes[0]
+	}
+	return r
 }
 
 // Visit calls fn for every interval of the row in ascending order, passing
 // the interval and its placement-id array. The ids slice is shared with the
 // row and must not be modified or retained. Unlike Snapshot, Visit allocates
-// nothing — it is the walk core.Compile uses to flatten rows.
+// nothing.
 func (r *Row) Visit(fn func(iv geom.Interval, ids []int)) {
 	for n := r.head; n != nil; n = n.next {
 		fn(n.iv, n.ids)
@@ -342,78 +341,8 @@ func (r *Row) String() string {
 	return b.String()
 }
 
-// link inserts nn after prev (or at the head when prev is nil).
-func (r *Row) link(prev, nn *node) {
-	if prev == nil {
-		r.head = nn
-	} else {
-		prev.next = nn
-	}
-}
-
-// unlink removes cur, which follows prev (or is the head when prev is nil).
-func (r *Row) unlink(prev, cur *node) {
-	if prev == nil {
-		r.head = cur.next
-	} else {
-		prev.next = cur.next
-	}
-	r.nodes--
-}
-
-// coalesce merges adjacent intervals that touch and carry identical id sets,
-// keeping the list minimal after removals.
-func (r *Row) coalesce() {
-	for n := r.head; n != nil && n.next != nil; {
-		nx := n.next
-		if n.iv.Hi+1 == nx.iv.Lo && equalIDs(n.ids, nx.ids) {
-			n.iv.Hi = nx.iv.Hi
-			n.next = nx.next
-			r.nodes--
-			continue
-		}
-		n = nx
-	}
-}
-
 func cloneIDs(ids []int) []int {
 	out := make([]int, len(ids))
 	copy(out, ids)
 	return out
-}
-
-func addID(ids []int, id int) []int {
-	i := sort.SearchInts(ids, id)
-	if i < len(ids) && ids[i] == id {
-		return ids
-	}
-	ids = append(ids, 0)
-	copy(ids[i+1:], ids[i:])
-	ids[i] = id
-	return ids
-}
-
-func dropID(ids []int, id int) []int {
-	i := sort.SearchInts(ids, id)
-	if i >= len(ids) || ids[i] != id {
-		return ids
-	}
-	return append(ids[:i], ids[i+1:]...)
-}
-
-func containsID(ids []int, id int) bool {
-	i := sort.SearchInts(ids, id)
-	return i < len(ids) && ids[i] == id
-}
-
-func equalIDs(a, b []int) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }

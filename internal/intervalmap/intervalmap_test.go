@@ -1,9 +1,11 @@
 package intervalmap
 
 import (
+	"encoding/binary"
+	"math"
 	"math/rand"
 	"reflect"
-	"sort"
+	"slices"
 	"testing"
 
 	"mps/internal/geom"
@@ -11,9 +13,23 @@ import (
 
 func iv(lo, hi int) geom.Interval { return geom.NewInterval(lo, hi) }
 
+// build returns the row registering id k on regs[k] for every k. An empty
+// interval leaves its id unregistered, which is how core's box table
+// records a deleted placement.
+func build(regs ...geom.Interval) *Row {
+	lo, hi, ids := make([]int, len(regs)), make([]int, len(regs)), make([]int, len(regs))
+	for k, r := range regs {
+		lo[k], hi[k], ids[k] = r.Lo, r.Hi, k
+	}
+	var sw Sweeper
+	return sw.Build(lo, hi, ids)
+}
+
+// emptied is a registration core's delete leaves behind.
+var emptied = iv(1, 0)
+
 func TestInsertIntoEmptyRow(t *testing.T) {
-	var r Row
-	r.Insert(0, iv(5, 10))
+	r := build(iv(5, 10))
 	if got := r.Lookup(7); !reflect.DeepEqual(got, []int{0}) {
 		t.Errorf("Lookup(7) = %v, want [0]", got)
 	}
@@ -29,10 +45,7 @@ func TestInsertIntoEmptyRow(t *testing.T) {
 }
 
 func TestInsertDisjointKeepsAscendingOrder(t *testing.T) {
-	var r Row
-	r.Insert(1, iv(20, 30))
-	r.Insert(0, iv(1, 5))
-	r.Insert(2, iv(10, 12))
+	r := build(iv(1, 5), iv(20, 30), iv(10, 12))
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -46,9 +59,7 @@ func TestInsertDisjointKeepsAscendingOrder(t *testing.T) {
 }
 
 func TestInsertOverlappingSplits(t *testing.T) {
-	var r Row
-	r.Insert(0, iv(0, 10))
-	r.Insert(1, iv(5, 15))
+	r := build(iv(0, 10), iv(5, 15))
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -72,9 +83,7 @@ func TestInsertOverlappingSplits(t *testing.T) {
 }
 
 func TestInsertContainedInterval(t *testing.T) {
-	var r Row
-	r.Insert(0, iv(0, 20))
-	r.Insert(1, iv(8, 12))
+	r := build(iv(0, 20), iv(8, 12))
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -90,11 +99,8 @@ func TestInsertContainedInterval(t *testing.T) {
 }
 
 func TestInsertSpanningGapsAndNodes(t *testing.T) {
-	var r Row
-	r.Insert(0, iv(0, 3))
-	r.Insert(1, iv(10, 13))
 	// id 2 spans gap + node + gap + node + trailing gap.
-	r.Insert(2, iv(2, 20))
+	r := build(iv(0, 3), iv(10, 13), iv(2, 20))
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -118,57 +124,28 @@ func TestInsertSpanningGapsAndNodes(t *testing.T) {
 }
 
 func TestInsertEmptyIntervalNoop(t *testing.T) {
-	var r Row
-	r.Insert(0, iv(5, 4))
-	if !r.Empty() {
-		t.Error("inserting empty interval should be a no-op")
+	if r := build(iv(5, 4)); !r.Empty() {
+		t.Error("an empty interval should register nothing")
 	}
 }
 
-func TestInsertIdempotent(t *testing.T) {
-	var r Row
-	r.Insert(0, iv(0, 10))
-	r.Insert(0, iv(0, 10))
-	if err := r.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if got := r.Lookup(5); !reflect.DeepEqual(got, []int{0}) {
-		t.Errorf("Lookup(5) = %v, want [0]", got)
-	}
-}
-
+// TestRemoveFullInterval: emptying a row's only registration, as core's
+// delete does, leaves an empty row.
 func TestRemoveFullInterval(t *testing.T) {
-	var r Row
-	r.Insert(0, iv(0, 10))
-	r.Remove(0, iv(0, 10))
-	if !r.Empty() {
+	if r := build(iv(0, 10)); r.Empty() {
+		t.Fatal("registered row is empty")
+	}
+	r := build(emptied)
+	if !r.Empty() || r.Len() != 0 {
 		t.Errorf("row should be empty after full removal: %s", r.String())
 	}
-}
-
-func TestRemovePartialSplits(t *testing.T) {
-	var r Row
-	r.Insert(0, iv(0, 10))
-	r.Remove(0, iv(4, 6))
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatal(err)
-	}
-	if got := r.Lookup(3); !reflect.DeepEqual(got, []int{0}) {
-		t.Errorf("Lookup(3) = %v, want [0]", got)
-	}
-	if got := r.Lookup(5); got != nil {
-		t.Errorf("Lookup(5) = %v, want nil", got)
-	}
-	if got := r.Lookup(7); !reflect.DeepEqual(got, []int{0}) {
-		t.Errorf("Lookup(7) = %v, want [0]", got)
 	}
 }
 
 func TestRemoveOnlyTargetID(t *testing.T) {
-	var r Row
-	r.Insert(0, iv(0, 10))
-	r.Insert(1, iv(0, 10))
-	r.Remove(0, iv(0, 10))
+	r := build(emptied, iv(0, 10))
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -177,33 +154,38 @@ func TestRemoveOnlyTargetID(t *testing.T) {
 	}
 }
 
+// TestRemoveAll: an emptied registration leaves its id nowhere in the row,
+// and every other id exactly where it was registered.
 func TestRemoveAll(t *testing.T) {
-	var r Row
-	r.Insert(0, iv(0, 5))
-	r.Insert(0, iv(10, 15))
-	r.Insert(1, iv(3, 12))
-	r.RemoveAll(0)
+	r := build(emptied, iv(3, 12), iv(10, 15))
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	for v := 0; v <= 15; v++ {
+	for v := -1; v <= 16; v++ {
 		got := r.Lookup(v)
-		for _, id := range got {
-			if id == 0 {
-				t.Fatalf("id 0 still present at %d after RemoveAll", v)
-			}
+		if slices.Contains(got, 0) {
+			t.Fatalf("id 0 still present at %d after removal", v)
+		}
+		var want []int
+		if v >= 3 && v <= 12 {
+			want = append(want, 1)
+		}
+		if v >= 10 && v <= 15 {
+			want = append(want, 2)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("Lookup(%d) = %v, want %v", v, got, want)
 		}
 	}
-	if got := r.Lookup(5); !reflect.DeepEqual(got, []int{1}) {
-		t.Errorf("Lookup(5) = %v, want [1]", got)
-	}
 }
 
+// TestRemoveCoalesces: a row rebuilt after emptying the registration that
+// split it is one interval again, not three.
 func TestRemoveCoalesces(t *testing.T) {
-	var r Row
-	r.Insert(0, iv(0, 20))
-	r.Insert(1, iv(5, 10)) // splits into [0,4]{0} [5,10]{0,1} [11,20]{0}
-	r.Remove(1, iv(5, 10)) // should merge back into [0,20]{0}
+	if r := build(iv(0, 20), iv(5, 10)); r.Len() != 3 {
+		t.Fatalf("Len = %d, want 3 before removal: %s", r.Len(), r.String())
+	}
+	r := build(iv(0, 20), emptied)
 	if err := r.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
@@ -212,127 +194,31 @@ func TestRemoveCoalesces(t *testing.T) {
 	}
 }
 
-func TestIDsOverlapping(t *testing.T) {
-	var r Row
-	r.Insert(0, iv(0, 5))
-	r.Insert(1, iv(4, 10))
-	r.Insert(2, iv(20, 25))
-	got := r.IDsOverlapping(iv(5, 21))
-	if !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Errorf("IDsOverlapping = %v, want [0 1 2]", got)
-	}
-	got = r.IDsOverlapping(iv(11, 19))
-	if len(got) != 0 {
-		t.Errorf("IDsOverlapping gap = %v, want empty", got)
-	}
-}
-
-// idsOverlappingReference is the map-and-sort IDsOverlapping the bitset
-// version replaced: distinct ids on any interval overlapping iv, ascending.
-func idsOverlappingReference(r *Row, iv geom.Interval) []int {
-	var out []int
-	seen := map[int]bool{}
-	for _, sp := range r.Snapshot() {
-		if !sp.Iv.Overlaps(iv) {
-			continue
-		}
-		for _, id := range sp.IDs {
-			if !seen[id] {
-				seen[id] = true
-				out = append(out, id)
-			}
-		}
-	}
-	sort.Ints(out)
-	return out
-}
-
-// TestIDsOverlappingMatchesMapReference runs the bitset IDsOverlapping
-// against the map-based reference on random rows, with ids both below and
-// above the 512 the stack bitset holds.
-func TestIDsOverlappingMatchesMapReference(t *testing.T) {
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 40; trial++ {
-		var r Row
-		idSpan := 40
-		if trial%2 == 1 {
-			idSpan = 2000
-		}
-		type reg struct {
-			id int
-			iv geom.Interval
-		}
-		var live []reg
-		used := map[int]bool{}
-		for step := 0; step < 120; step++ {
-			if len(live) > 0 && rng.Intn(4) == 0 {
-				k := rng.Intn(len(live))
-				r.Remove(live[k].id, live[k].iv)
-				delete(used, live[k].id)
-				live = append(live[:k], live[k+1:]...)
-				continue
-			}
-			id := rng.Intn(idSpan)
-			if used[id] {
-				continue
-			}
-			lo := rng.Intn(200)
-			reg := reg{id, iv(lo, lo+rng.Intn(60))}
-			r.Insert(reg.id, reg.iv)
-			used[id] = true
-			live = append(live, reg)
-		}
+// TestRelabelMonotone: building the same registrations under another
+// strictly increasing id map, as core.Renumber's packed box table does,
+// keeps every interval in place and every id array ascending.
+func TestRelabelMonotone(t *testing.T) {
+	lo, hi := []int{0, 5, 20}, []int{9, 14, 24}
+	var sw Sweeper
+	for _, tc := range []struct {
+		ids  []int
+		want string
+	}{
+		{[]int{3, 7, 9}, "[0,4][3] [5,9][3 7] [10,14][7] [20,24][9]"},
+		{[]int{0, 1, 2}, "[0,4][0] [5,9][0 1] [10,14][1] [20,24][2]"},
+	} {
+		r := sw.Build(lo, hi, tc.ids)
 		if err := r.CheckInvariants(); err != nil {
 			t.Fatal(err)
 		}
-		for q := 0; q < 60; q++ {
-			lo := rng.Intn(260) - 20
-			query := iv(lo, lo+rng.Intn(80))
-			got := r.IDsOverlapping(query)
-			want := idsOverlappingReference(&r, query)
-			if !reflect.DeepEqual(got, want) {
-				t.Fatalf("trial %d: IDsOverlapping(%v) = %v, reference %v\nrow %s", trial, query, got, want, r.String())
-			}
+		if got := r.String(); got != tc.want {
+			t.Errorf("ids %v: row %s, want %s", tc.ids, got, tc.want)
 		}
-	}
-}
-
-// TestRelabelMonotone: relabeling with a strictly increasing map keeps
-// every id array ascending and every interval in place, and coalesces a
-// row left with touching intervals of equal id sets.
-func TestRelabelMonotone(t *testing.T) {
-	var r Row
-	r.Insert(3, iv(0, 9))
-	r.Insert(7, iv(5, 14))
-	r.Insert(9, iv(20, 24))
-	newID := make([]int, 10)
-	for i := range newID {
-		newID[i] = -1
-	}
-	newID[3], newID[7], newID[9] = 0, 1, 2
-	r.Relabel(newID)
-	if err := r.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-	if got, want := r.String(), "[0,4][0] [5,9][0 1] [10,14][1] [20,24][2]"; got != want {
-		t.Errorf("relabeled row %s, want %s", got, want)
-	}
-
-	split, err := FromSnapshot([]Span{{iv(0, 4), []int{5}}, {iv(5, 9), []int{5}}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	split.Relabel([]int{0, 0, 0, 0, 0, 1})
-	if got, want := split.String(), "[0,9][1]"; got != want || split.Len() != 1 {
-		t.Errorf("relabeled split row %s (%d nodes), want %s", got, split.Len(), want)
 	}
 }
 
 func TestSnapshotRoundTrip(t *testing.T) {
-	var r Row
-	r.Insert(0, iv(0, 5))
-	r.Insert(1, iv(3, 9))
-	r.Insert(2, iv(20, 30))
+	r := build(iv(0, 5), iv(3, 9), iv(20, 30))
 	spans := r.Snapshot()
 	r2, err := FromSnapshot(spans)
 	if err != nil {
@@ -349,13 +235,10 @@ func TestSnapshotRoundTrip(t *testing.T) {
 	}
 }
 
-// TestVisitMatchesSnapshot pins Visit (the allocation-free walk behind
-// core.Compile) to Snapshot's view of the row, order included.
+// TestVisitMatchesSnapshot pins Visit (the allocation-free walk
+// core.CheckInvariants uses) to Snapshot's view of the row, order included.
 func TestVisitMatchesSnapshot(t *testing.T) {
-	var r Row
-	r.Insert(0, iv(0, 5))
-	r.Insert(1, iv(3, 9))
-	r.Insert(2, iv(20, 30))
+	r := build(iv(0, 5), iv(3, 9), iv(20, 30))
 	var visited []Span
 	r.Visit(func(ivl geom.Interval, ids []int) {
 		visited = append(visited, Span{Iv: ivl, IDs: append([]int(nil), ids...)})
@@ -380,50 +263,182 @@ func TestFromSnapshotRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestRandomizedAgainstOracle drives a Row with random inserts/removes and
-// cross-checks every lookup against a brute-force map oracle.
-func TestRandomizedAgainstOracle(t *testing.T) {
-	const domain = 64
-	rng := rand.New(rand.NewSource(123))
-	for trial := 0; trial < 50; trial++ {
-		var r Row
-		oracle := make(map[int]map[int]bool) // value -> set of ids
-		for op := 0; op < 200; op++ {
-			id := rng.Intn(8)
-			lo := rng.Intn(domain)
-			hi := lo + rng.Intn(domain-lo)
-			interval := iv(lo, hi)
-			if rng.Float64() < 0.65 {
-				r.Insert(id, interval)
-				for v := lo; v <= hi; v++ {
-					if oracle[v] == nil {
-						oracle[v] = map[int]bool{}
-					}
-					oracle[v][id] = true
-				}
-			} else {
-				r.Remove(id, interval)
-				for v := lo; v <= hi; v++ {
-					delete(oracle[v], id)
-				}
-			}
-		}
-		if err := r.CheckInvariants(); err != nil {
-			t.Fatalf("trial %d: %v\n%s", trial, err, r.String())
-		}
-		for v := 0; v < domain; v++ {
-			got := r.Lookup(v)
-			want := oracle[v]
-			if len(got) != len(want) {
-				t.Fatalf("trial %d: Lookup(%d) = %v, oracle has %d ids", trial, v, got, len(want))
-			}
-			for _, id := range got {
-				if !want[id] {
-					t.Fatalf("trial %d: Lookup(%d) returned stray id %d", trial, v, id)
-				}
-			}
+// definition is what a row means at one value: the ids registered on an
+// interval holding v, ascending (nil when none).
+func definition(lo, hi, ids []int, v int) []int {
+	var out []int
+	for k := range lo {
+		if lo[k] <= v && v <= hi[k] {
+			out = append(out, ids[k])
 		}
 	}
+	return out
+}
+
+// checkDefinition builds the row of the registrations and compares it with
+// the per-value definition, without relying on how the sweep finds its
+// breakpoints: every interval carries the definition's ids at both ends,
+// no registration starts or stops strictly inside an interval (so the set
+// is constant on it), intervals that touch carry different ids (so they
+// are maximal), and Lookup agrees with the definition on every value that
+// starts, ends or borders a registration or an interval, at both ends of
+// the int range, and on every value in [dense0, dense1].
+func checkDefinition(t *testing.T, lo, hi, ids []int, dense0, dense1 int) {
+	t.Helper()
+	var sw Sweeper
+	r := sw.Build(lo, hi, ids)
+	if err := r.CheckInvariants(); err != nil {
+		t.Fatalf("%v\nrow %s", err, r.String())
+	}
+	spans := r.Snapshot()
+	probes := []int{math.MinInt, math.MaxInt, 0}
+	near := func(v int) {
+		probes = append(probes, v)
+		if v > math.MinInt {
+			probes = append(probes, v-1)
+		}
+		if v < math.MaxInt {
+			probes = append(probes, v+1)
+		}
+	}
+	for i, sp := range spans {
+		for _, v := range []int{sp.Iv.Lo, sp.Iv.Hi} {
+			if want := definition(lo, hi, ids, v); !reflect.DeepEqual(sp.IDs, want) {
+				t.Fatalf("interval %v carries %v, definition at %d is %v\nrow %s", sp.Iv, sp.IDs, v, want, r.String())
+			}
+		}
+		for k := range lo {
+			if lo[k] > hi[k] {
+				continue
+			}
+			if lo[k] > sp.Iv.Lo && lo[k] <= sp.Iv.Hi {
+				t.Fatalf("registration %d [%d,%d] starts inside interval %v\nrow %s", k, lo[k], hi[k], sp.Iv, r.String())
+			}
+			if hi[k] >= sp.Iv.Lo && hi[k] < sp.Iv.Hi {
+				t.Fatalf("registration %d [%d,%d] ends inside interval %v\nrow %s", k, lo[k], hi[k], sp.Iv, r.String())
+			}
+		}
+		if i > 0 && spans[i-1].Iv.Hi+1 == sp.Iv.Lo && reflect.DeepEqual(spans[i-1].IDs, sp.IDs) {
+			t.Fatalf("touching intervals %v and %v carry the same ids %v\nrow %s", spans[i-1].Iv, sp.Iv, sp.IDs, r.String())
+		}
+		near(sp.Iv.Lo)
+		near(sp.Iv.Hi)
+	}
+	for k := range lo {
+		near(lo[k])
+		near(hi[k])
+	}
+	for v := dense0; v <= dense1; v++ {
+		probes = append(probes, v)
+	}
+	for _, v := range probes {
+		if got, want := r.Lookup(v), definition(lo, hi, ids, v); !reflect.DeepEqual(got, want) {
+			t.Fatalf("Lookup(%d) = %v, definition %v\nrow %s", v, got, want, r.String())
+		}
+	}
+}
+
+// TestRandomizedAgainstOracle builds rows from random registrations and
+// checks each against the per-value definition, on registrations mixing
+// negative, single-point, abutting, emptied and int-range-ending
+// intervals, with enough slots to need several mask words.
+func TestRandomizedAgainstOracle(t *testing.T) {
+	rng := rand.New(rand.NewSource(123))
+	for trial := 0; trial < 200; trial++ {
+		slots := 1 + rng.Intn(8)
+		if trial%4 == 3 {
+			slots = 65 + rng.Intn(140)
+		}
+		lo, hi, ids := make([]int, slots), make([]int, slots), make([]int, slots)
+		next := rng.Intn(3)
+		for k := range lo {
+			ids[k] = next
+			next += 1 + rng.Intn(3)
+			l := rng.Intn(64) - 32
+			switch rng.Intn(8) {
+			case 0: // single point
+				lo[k], hi[k] = l, l
+			case 1: // abuts the previous registration
+				if k > 0 && hi[k-1] < math.MaxInt {
+					l = hi[k-1] + 1
+				}
+				lo[k], hi[k] = l, l+rng.Intn(10)
+			case 2: // runs to the top of the int range
+				lo[k], hi[k] = l, math.MaxInt
+			case 3: // starts at the bottom of the int range
+				lo[k], hi[k] = math.MinInt, l
+			case 4: // emptied
+				lo[k], hi[k] = emptied.Lo, emptied.Hi
+			default:
+				lo[k], hi[k] = l, l+rng.Intn(24)
+			}
+		}
+		checkDefinition(t, lo, hi, ids, -40, 70)
+	}
+}
+
+// TestSweepMasksMatchBuild: the masks Sweep hands out (the form
+// core.Compile copies) hold exactly the slots Build lists, interval by
+// interval.
+func TestSweepMasksMatchBuild(t *testing.T) {
+	lo := []int{0, 5, -3, 100, 7, math.MinInt, 40}
+	hi := []int{9, 14, -3, math.MaxInt, 6, -10, 40}
+	ids := []int{0, 1, 2, 3, 4, 5, 6}
+	var sw Sweeper
+	want := sw.Build(lo, hi, ids).Snapshot()
+	var got []Span
+	sw.Sweep(lo, hi, func(l, h int, mask []uint64) {
+		var slots []int
+		for k := range lo {
+			if mask[k/64]>>(k%64)&1 == 1 {
+				slots = append(slots, k)
+			}
+		}
+		got = append(got, Span{Iv: iv(l, h), IDs: slots})
+	})
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("Sweep gave %v, Build %v", got, want)
+	}
+}
+
+// FuzzSweepDefinition checks rows built from fuzzed registrations against
+// the per-value definition. Each registration is 4 bytes: a kind, a
+// signed start, a length and an id gap; kinds add single points, abutting
+// starts, intervals ending at math.MaxInt or starting at math.MinInt, and
+// emptied registrations to plain ones.
+func FuzzSweepDefinition(f *testing.F) {
+	f.Add([]byte{0, 5, 3, 0, 1, 250, 0, 1, 2, 10, 4, 0})
+	f.Add([]byte{3, 0, 0, 0, 4, 20, 2, 1, 5, 0, 0, 0, 6, 7, 1, 2})
+	f.Add(binary.LittleEndian.AppendUint32(nil, 0x01020304))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		n := min(len(data)/4, 130)
+		lo, hi, ids := make([]int, n), make([]int, n), make([]int, n)
+		next := 0
+		for k := 0; k < n; k++ {
+			b := data[4*k : 4*k+4]
+			ids[k] = next
+			next += 1 + int(b[3]%3)
+			l, length := int(int8(b[1])), int(b[2]%32)
+			switch b[0] % 6 {
+			case 0:
+				lo[k], hi[k] = l, l+length
+			case 1:
+				lo[k], hi[k] = l, l
+			case 2:
+				if k > 0 && hi[k-1] < math.MaxInt {
+					l = hi[k-1] + 1
+				}
+				lo[k], hi[k] = l, l+length
+			case 3:
+				lo[k], hi[k] = l, math.MaxInt
+			case 4:
+				lo[k], hi[k] = math.MinInt, l
+			case 5:
+				lo[k], hi[k] = emptied.Lo, emptied.Hi
+			}
+		}
+		checkDefinition(t, lo, hi, ids, -140, 170)
+	})
 }
 
 func TestStringRendering(t *testing.T) {
@@ -431,31 +446,36 @@ func TestStringRendering(t *testing.T) {
 	if got := r.String(); got != "(empty)" {
 		t.Errorf("empty String = %q", got)
 	}
-	r.Insert(3, iv(1, 2))
-	if got := r.String(); got == "(empty)" || got == "" {
+	if got := build(iv(1, 2)).String(); got == "(empty)" || got == "" {
 		t.Errorf("String = %q, want rendering", got)
 	}
 }
 
-func BenchmarkRowInsert(b *testing.B) {
+func BenchmarkRowBuild(b *testing.B) {
 	rng := rand.New(rand.NewSource(1))
+	lo, hi, ids := make([]int, 800), make([]int, 800), make([]int, 800)
+	for k := range lo {
+		lo[k] = rng.Intn(100)
+		hi[k] = lo[k] + rng.Intn(30)
+		ids[k] = k
+	}
+	var sw Sweeper
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		var r Row
-		for id := 0; id < 100; id++ {
-			lo := rng.Intn(1000)
-			r.Insert(id, iv(lo, lo+rng.Intn(100)))
-		}
+		sw.Build(lo, hi, ids)
 	}
 }
 
 func BenchmarkRowLookup(b *testing.B) {
-	var r Row
 	rng := rand.New(rand.NewSource(2))
-	for id := 0; id < 200; id++ {
-		lo := rng.Intn(2000)
-		r.Insert(id, iv(lo, lo+rng.Intn(50)))
+	lo, hi, ids := make([]int, 200), make([]int, 200), make([]int, 200)
+	for k := range lo {
+		lo[k] = rng.Intn(2000)
+		hi[k] = lo[k] + rng.Intn(50)
+		ids[k] = k
 	}
+	var sw Sweeper
+	r := sw.Build(lo, hi, ids)
 	b.ResetTimer()
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {

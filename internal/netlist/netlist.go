@@ -10,6 +10,7 @@ package netlist
 
 import (
 	"fmt"
+	"sync/atomic"
 
 	"mps/internal/geom"
 )
@@ -84,10 +85,34 @@ type Circuit struct {
 	Blocks     []*Block
 	Nets       []*Net
 	Symmetries []*SymmetryGroup
+
+	// blockNets caches BlockNets.
+	blockNets atomic.Pointer[[][]int]
 }
 
 // N returns the number of blocks.
 func (c *Circuit) N() int { return len(c.Blocks) }
+
+// BlockNets returns, per block, the ascending indices of the nets with a
+// pin on it: the nets whose lengths can change when that block's
+// dimensions do. It is built on first use and cached on the circuit, so
+// no block, net or pin may change after the first call; the result is
+// shared and must not be modified.
+func (c *Circuit) BlockNets() [][]int {
+	if bn := c.blockNets.Load(); bn != nil {
+		return *bn
+	}
+	bn := make([][]int, len(c.Blocks))
+	for k, net := range c.Nets {
+		for _, p := range net.Pins {
+			if nets := bn[p.Block]; len(nets) == 0 || nets[len(nets)-1] != k {
+				bn[p.Block] = append(nets, k)
+			}
+		}
+	}
+	c.blockNets.Store(&bn)
+	return bn
+}
 
 // Terminals returns the total number of terminal pins over all nets,
 // matching the "Terminals" column of the paper's Table 1.

@@ -1,7 +1,9 @@
 package netlist
 
 import (
+	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"mps/internal/geom"
@@ -246,5 +248,38 @@ func TestBuilderWRangeHRange(t *testing.T) {
 	}
 	if got := blk.HRange(); got != geom.NewInterval(2, 5) {
 		t.Errorf("HRange = %v", got)
+	}
+}
+
+// TestBlockNets: each block lists, once and in ascending order, exactly
+// the nets with a pin on it, and concurrent first calls on a fresh
+// circuit (portfolio members generate concurrently on one circuit) agree
+// without a data race.
+func TestBlockNets(t *testing.T) {
+	b := NewBuilder("nets")
+	b.Block("a", 4, 10, 4, 10)
+	b.Block("b", 4, 10, 4, 10)
+	b.Block("c", 4, 10, 4, 10)
+	b.Block("d", 4, 10, 4, 10)
+	b.Net("n0", 1, P("a"), P("b"))
+	b.Net("n1", 1, P("b"), PAt("b", 0, 1), P("c"))
+	b.Net("n2", 1, T("a", 0, 0))
+	c := b.MustBuild()
+	want := [][]int{{0, 2}, {0, 1}, {1}, nil}
+	const readers = 8
+	got := make([][][]int, readers)
+	var wg sync.WaitGroup
+	for g := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[g] = c.BlockNets()
+		}()
+	}
+	wg.Wait()
+	for g := range got {
+		if !reflect.DeepEqual(got[g], want) {
+			t.Fatalf("reader %d: BlockNets = %v, want %v", g, got[g], want)
+		}
 	}
 }

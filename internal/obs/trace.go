@@ -20,6 +20,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Stage names one phase of answering a request. Stages are a small fixed
@@ -353,6 +354,12 @@ type Trace struct {
 	// epilogue on the same goroutine; not for concurrent writers.
 	rootKey string
 
+	// idHex holds id's 32 hex digits and idHeader the one-element header
+	// value naming them (see IDHeader), both set once when the trace is
+	// made.
+	idHex    [32]byte
+	idHeader [1]string
+
 	spans [inlineSpans]span
 	block atomic.Pointer[[maxSpans - inlineSpans]span]
 }
@@ -400,7 +407,11 @@ func NewLinkedTrace(id TraceID, parent SpanID) *Trace {
 	if base == 0 {
 		base = 1
 	}
-	return &Trace{id: id, parent: parent, base: base, start: time.Now()}
+	t := &Trace{id: id, parent: parent, base: base, start: time.Now()}
+	appendHex64(appendHex64(t.idHex[:0], id.Hi), id.Lo)
+	// The string shares idHex, which nothing writes again.
+	t.idHeader[0] = unsafe.String(&t.idHex[0], len(t.idHex))
+	return t
 }
 
 // WithTrace returns ctx carrying a fresh Trace, and the Trace. One
@@ -431,6 +442,18 @@ func (t *Trace) ID() TraceID {
 		return TraceID{}
 	}
 	return t.id
+}
+
+// IDHeader returns the value of the X-Mps-Trace-Id response header: a
+// one-element slice holding the trace ID's 32 hex digits. Both live inside
+// the trace, so a middleware that assigns it to the header map under
+// TraceIDHeader, which is already canonical, allocates nothing. The slice
+// has capacity 1, so appending to it copies. Nil for a nil trace.
+func (t *Trace) IDHeader() []string {
+	if t == nil {
+		return nil
+	}
+	return t.idHeader[:]
 }
 
 // ParentSpan returns the remote span this segment nests under (0 at the

@@ -2,6 +2,8 @@ package obs
 
 import (
 	"encoding/json"
+	"net/http"
+	"net/textproto"
 	"strings"
 	"sync"
 	"testing"
@@ -336,6 +338,35 @@ func TestTraceSpanAllocs(t *testing.T) {
 		if got != float64(tc.want) {
 			t.Errorf("NewTrace with %d spans: %v allocations, want %d", tc.spans, got, tc.want)
 		}
+	}
+}
+
+// TestTraceIDHeader: the header value a trace carries names its ID, under
+// a key net/http keeps as is, and assigning it allocates nothing; a
+// caller appending to the value cannot change the trace's copy.
+func TestTraceIDHeader(t *testing.T) {
+	if got := textproto.CanonicalMIMEHeaderKey(TraceIDHeader); got != TraceIDHeader {
+		t.Fatalf("TraceIDHeader %q is not canonical (%q)", TraceIDHeader, got)
+	}
+	for _, tr := range []*Trace{NewTrace(), NewLinkedTrace(TraceID{Hi: 1, Lo: 0xabc}, 7)} {
+		v := tr.IDHeader()
+		if len(v) != 1 || v[0] != tr.ID().String() {
+			t.Fatalf("IDHeader = %q, want [%q]", v, tr.ID().String())
+		}
+		_ = append(v, "extra")
+		if got := tr.IDHeader(); len(got) != 1 || got[0] != tr.ID().String() {
+			t.Fatalf("IDHeader after an append to its value = %q", got)
+		}
+		h := http.Header{TraceIDHeader: nil}
+		if allocs := testing.AllocsPerRun(100, func() { h[TraceIDHeader] = tr.IDHeader() }); allocs != 0 {
+			t.Fatalf("setting the trace ID header allocates %v times", allocs)
+		}
+		if got := h.Get(TraceIDHeader); got != tr.ID().String() {
+			t.Fatalf("header reads %q, want %q", got, tr.ID().String())
+		}
+	}
+	if (*Trace)(nil).IDHeader() != nil {
+		t.Fatal("nil trace has an ID header")
 	}
 }
 

@@ -100,6 +100,12 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, key string
 	ctx := obs.ContextWithSpan(r.Context(), fwdSpan)
 	resp, err := c.Do(ctx, target, r.Method, r.URL.RequestURI(), body, hdr, c.ForwardTimeout())
 	if err != nil {
+		if r.Context().Err() != nil {
+			// The client is gone: nobody would read a local answer, so
+			// there is no fallback to count and no local work to start.
+			writeError(w, http.StatusServiceUnavailable, "canceled while forwarding")
+			return true
+		}
 		c.CountFallback()
 		s.logf("cluster: forwarding %s %s (key %s) to %s: %v — serving locally",
 			r.Method, r.URL.Path, key, target, err)
@@ -113,6 +119,10 @@ func (s *Server) maybeForward(w http.ResponseWriter, r *http.Request, key string
 		// the request and refused it; relaying that verdict is correct.
 		io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 		c.MarkFailure(target)
+		if r.Context().Err() != nil {
+			writeError(w, http.StatusServiceUnavailable, "canceled while forwarding")
+			return true
+		}
 		c.CountFallback()
 		s.logf("cluster: %s answered %d for %s %s (key %s) — serving locally",
 			target, resp.StatusCode, r.Method, r.URL.Path, key)

@@ -988,3 +988,81 @@ func tryJSON(url string, body any) (int, []byte, error) {
 	data, err := io.ReadAll(resp.Body)
 	return resp.StatusCode, data, err
 }
+
+// TestClusterCancelledForwardIsNotAPeerFailure: clients that give up while
+// the entry node forwards their request to a hanging owner are not peer
+// failures. The entry node's breaker stays closed, mps_cluster_events_total
+// does not move (no fallback is counted), no local generation starts for a
+// client that is gone, and the next request forwards normally once the
+// owner answers again.
+func TestClusterCancelledForwardIsNotAPeerFailure(t *testing.T) {
+	fleet := newTestFleet(t, fleetConfig{n: 2, flaky: []int{1}})
+	entry, owner, proxy := fleet.nodes[0], fleet.nodes[1], fleet.proxies[1]
+	peerURL := owner.c.Self()
+	closed := cluster.BreakerClosed.GaugeValue()
+
+	// One forward that succeeds, so the breaker exists and reads closed.
+	if status, hdr, body := doClusterJSON(t, http.MethodPost, entry.url+"/v1/structures", fleet.specOwnedBy(t, 1, 100), nil); status != http.StatusOK || hdr.Get(cluster.ServedByHeader) != peerURL {
+		t.Fatalf("warm-up forward: %d served by %q: %s", status, hdr.Get(cluster.ServedByHeader), body)
+	}
+	before := scrapeMetrics(t, entry.url)
+	if g, ok := entry.c.BreakerGauges()[peerURL]; !ok || g != closed {
+		t.Fatalf("breaker gauge (%v, %v) after a good forward, want %v (closed)", g, ok, closed)
+	}
+
+	// Two clients give up mid-forward: as many as the breaker's threshold,
+	// so counting them as failures would open it.
+	proxy.setMode("hang")
+	for i := 0; i < 2; i++ {
+		spec := fleet.specOwnedBy(t, 1, int64(200+100*i))
+		buf, err := json.Marshal(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+		req, err := http.NewRequestWithContext(ctx, http.MethodPost, entry.url+"/v1/structures", bytes.NewReader(buf))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		if resp, err := http.DefaultClient.Do(req); err == nil {
+			resp.Body.Close()
+			t.Fatalf("request %d answered %d although its owner hangs", i, resp.StatusCode)
+		}
+		cancel()
+		// The entry node's handler records the request once it returns.
+		deadline := time.Now().Add(5 * time.Second)
+		for scrapeMetrics(t, entry.url).Sub(before).Sum("mps_http_requests_total", map[string]string{"route": "structures"}) < float64(i+1) {
+			if time.Now().After(deadline) {
+				t.Fatalf("entry node never finished cancelled request %d", i)
+			}
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	after := scrapeMetrics(t, entry.url)
+	if g := entry.c.BreakerGauges()[peerURL]; g != closed {
+		t.Fatalf("breaker gauge %v after cancelled forwards, want %v (closed)", g, closed)
+	}
+	for _, event := range []string{"forward", "fallback", "fetch", "breaker_skip"} {
+		sel := map[string]string{"event": event}
+		if b, a := before.Sum("mps_cluster_events_total", sel), after.Sum("mps_cluster_events_total", sel); a != b {
+			t.Fatalf("mps_cluster_events_total{event=%q} went %v -> %v for cancelled forwards", event, b, a)
+		}
+	}
+	if got := entry.s.genRuns.Load(); got != 0 {
+		t.Fatalf("entry node ran %d generations for clients that were gone", got)
+	}
+
+	// The owner answers again: the next request forwards as usual.
+	proxy.setMode("ok")
+	status, hdr, body := doClusterJSON(t, http.MethodPost, entry.url+"/v1/structures", fleet.specOwnedBy(t, 1, 400), nil)
+	if status != http.StatusOK || hdr.Get(cluster.ServedByHeader) != peerURL {
+		t.Fatalf("forward after cancellations: %d served by %q: %s", status, hdr.Get(cluster.ServedByHeader), body)
+	}
+	if got := entry.c.Stats().Forwards; got != 2 {
+		t.Fatalf("entry node counted %d forwards, want 2", got)
+	}
+	if got := entry.s.genRuns.Load(); got != 0 {
+		t.Fatalf("entry node ran %d generations, want 0", got)
+	}
+}

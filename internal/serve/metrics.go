@@ -443,7 +443,7 @@ func (s *Server) instrument(next http.Handler) http.Handler {
 		route := routeLabel(r.URL.Path)
 		upID, upSpan, _ := obs.ParseTraceHeader(r.Header.Get(obs.TraceHeader))
 		ctx, tr := obs.WithTraceLink(r.Context(), upID, upSpan)
-		w.Header().Set(obs.TraceIDHeader, tr.ID().String())
+		w.Header()[obs.TraceIDHeader] = tr.IDHeader()
 		rec := &statusRecorder{ResponseWriter: w, status: http.StatusOK}
 		start := time.Now()
 
