@@ -178,7 +178,9 @@ func BenchmarkCompiledInstantiate(b *testing.B) {
 // BenchmarkRunBalanced times one balanced-effort generation of
 // TwoStageOpamp through Run (300 explorer iterations of 300 BDIO steps,
 // then Compact and Renumber), without and with a Progress hook, which
-// adds the per-iteration Coverage the server's jobs report.
+// adds the per-iteration Coverage the server's jobs report. That
+// Coverage reads the structure's kept exponentials, so the two rows
+// differ by two passes over the placements per iteration.
 func BenchmarkRunBalanced(b *testing.B) {
 	c := circuits.MustByName("TwoStageOpamp")
 	for _, progress := range []bool{false, true} {

@@ -7,10 +7,14 @@ package mps
 // under concurrent compiled queries.
 
 import (
+	"bytes"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"sync"
 	"testing"
+
+	"mps/internal/core"
 )
 
 // generateQuick builds a small but non-trivial structure for name.
@@ -130,5 +134,50 @@ func TestCompiledConcurrentFacadeQueries(t *testing.T) {
 	close(errs)
 	if err := <-errs; err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompileAllocBound pins what compiling a loaded structure allocates:
+// the balanced TwoStageOpamp seed 1 structure (838 placements, 243 spans)
+// holds about 70 KB of tables, and Compile may allocate little beyond
+// them, since the sweeps write into pooled scratch and the span tables
+// are copied out at their exact size. Compile runs after every
+// generation and on every load.
+func TestCompileAllocBound(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("generates a balanced-effort structure; the race detector drops pooled scratch")
+	}
+	c, err := Benchmark("TwoStageOpamp")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, _, err := generate(c, Options{Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	if err := s.SaveBinary(&buf); err != nil {
+		t.Fatal(err)
+	}
+	const runs = 20
+	loaded := make([]*core.Structure, runs+1)
+	for i := range loaded {
+		if loaded[i], err = core.Load(bytes.NewReader(buf.Bytes()), c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	core.Compile(loaded[runs]) // warm the scratch
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for _, l := range loaded[:runs] {
+		core.Compile(l)
+	}
+	runtime.ReadMemStats(&after)
+	allocs := (after.Mallocs - before.Mallocs) / runs
+	kb := float64(after.TotalAlloc-before.TotalAlloc) / runs / 1024
+	t.Logf("Compile of %d placements, %d spans: %d allocations, %.1f KB",
+		s.NumPlacements(), core.Compile(loaded[0]).NumSpans(), allocs, kb)
+	if allocs > 15 || kb > 110 {
+		t.Fatalf("Compile allocates %d times and %.1f KB per call, want at most 15 and 110 KB", allocs, kb)
 	}
 }

@@ -1,6 +1,10 @@
 package core
 
-import "mps/internal/placement"
+import (
+	"slices"
+
+	"mps/internal/placement"
+)
 
 // Overlap resolution fragments placements: every fork leaves two (or, after
 // repeated conflicts, many) stored placements with identical coordinates
@@ -17,87 +21,132 @@ import "mps/internal/placement"
 // better half.
 
 // Compact merges abutting fragments until none remain and returns the
-// number of merges performed.
+// number of merges performed. Each merge is of the live pair (a, b),
+// a < b, that comes first in (a, b) order among the mergeable pairs, as
+// tryMerge(a, b), and the merged piece takes the next ID: the merges of a
+// scan that restarts after every one.
+//
+// Only placements with identical coordinates can merge, so Compact sorts
+// the live IDs by coordinates into groups (ascending IDs within each) and
+// keeps each group's first mergeable pair. The next merge is the pair
+// with the lowest first ID over all groups; a merge changes only its own
+// group, whose next pair is searched again from where the merged pair's
+// first member stood (see compactGroup.find). That is O(Σ group²) pair
+// checks, and nothing is allocated per placement.
 func (s *Structure) Compact() int {
-	merges := 0
-	for {
-		merged := s.compactOnce()
-		if merged == 0 {
-			return merges
+	ids := s.IDs()
+	slices.SortFunc(ids, func(a, b int) int {
+		p, q := s.placements[a], s.placements[b]
+		if c := slices.Compare(p.X, q.X); c != 0 {
+			return c
 		}
-		merges += merged
+		if c := slices.Compare(p.Y, q.Y); c != 0 {
+			return c
+		}
+		return a - b
+	})
+	var groups []compactGroup
+	for lo := 0; lo < len(ids); {
+		p, hi := s.placements[ids[lo]], lo+1
+		for hi < len(ids) && sameCoords(p, s.placements[ids[hi]]) {
+			hi++
+		}
+		g := compactGroup{ids: ids[lo:hi:hi]}
+		if g.find(s, 0, false) {
+			groups = append(groups, g)
+		}
+		lo = hi
 	}
+	merges := 0
+	for len(groups) > 0 {
+		next := 0
+		for k := range groups {
+			if groups[k].first() < groups[next].first() {
+				next = k
+			}
+		}
+		g := &groups[next]
+		a, b := g.ids[g.i], g.ids[g.j]
+		m := tryMerge(s.placements[a], s.placements[b])
+		s.delete(a)
+		s.delete(b)
+		// Union of two previously-disjoint boxes: store cannot fail on
+		// overlap grounds, and interval bounds are inherited.
+		id, err := s.store(m)
+		if err != nil {
+			// Restore is impossible mid-merge; surface loudly. This cannot
+			// happen for boxes that were stored before.
+			panic("core: Compact failed to store merged placement: " + err.Error())
+		}
+		merges++
+		// Drop a and b, and append the merged piece: it holds the highest
+		// ID, so the group stays ascending.
+		i, j, n := g.i, g.j, len(g.ids)
+		copy(g.ids[i:], g.ids[i+1:j])
+		copy(g.ids[j-1:], g.ids[j+1:])
+		g.ids = g.ids[:n-1]
+		g.ids[n-2] = id
+		if !g.find(s, i, true) {
+			groups[next] = groups[len(groups)-1]
+			groups = groups[:len(groups)-1]
+		}
+	}
+	s.rebaseExps()
+	return merges
 }
 
-// compactOnce scans all live pairs and performs at most one merge per pair
-// scan round; it returns the number of merges applied this round.
-func (s *Structure) compactOnce() int {
-	ids := s.IDs()
-	for a := 0; a < len(ids); a++ {
-		p := s.placements[ids[a]]
-		if p == nil {
-			continue
-		}
-		for b := a + 1; b < len(ids); b++ {
-			q := s.placements[ids[b]]
-			if q == nil {
-				continue
-			}
-			if m := tryMerge(p, q); m != nil {
-				s.delete(p.ID)
-				s.delete(q.ID)
-				// Union of two previously-disjoint boxes: store cannot fail
-				// on overlap grounds, and interval bounds are inherited.
-				if _, err := s.store(m); err != nil {
-					// Restore is impossible mid-merge; surface loudly. This
-					// cannot happen for boxes that were stored before.
-					panic("core: Compact failed to store merged placement: " + err.Error())
-				}
-				return 1
+// compactGroup is one coordinate group of Compact: its live IDs in
+// ascending order and, after a successful find, its first mergeable pair
+// as positions i < j in ids.
+type compactGroup struct {
+	ids  []int
+	i, j int
+}
+
+// first returns the lower ID of the group's pending pair.
+func (g *compactGroup) first() int { return g.ids[g.i] }
+
+// find sets the group's first mergeable pair in (lower, higher) ID order
+// and reports whether there is one. The caller knows that no pair whose
+// lower member sits before position from can merge, except, when fresh,
+// with the last member: after the merge of the pair at (i, j) that holds
+// with from = i, since every pair before it was checked and the only new
+// member is the merged piece at the end.
+func (g *compactGroup) find(s *Structure, from int, fresh bool) bool {
+	last := len(g.ids) - 1
+	if fresh {
+		q := s.placements[g.ids[last]]
+		for x := 0; x < from; x++ {
+			if b, _ := mergeRow(s.placements[g.ids[x]], q); b >= 0 {
+				g.i, g.j = x, last
+				return true
 			}
 		}
 	}
-	return 0
+	for x := from; x < last; x++ {
+		p := s.placements[g.ids[x]]
+		for y := x + 1; y <= last; y++ {
+			if b, _ := mergeRow(p, s.placements[g.ids[y]]); b >= 0 {
+				g.i, g.j = x, y
+				return true
+			}
+		}
+	}
+	return false
+}
+
+// sameCoords reports whether p and q anchor every block at the same place.
+func sameCoords(p, q *placement.Placement) bool {
+	return slices.Equal(p.X, q.X) && slices.Equal(p.Y, q.Y)
 }
 
 // tryMerge returns the merged placement when p and q are mergeable, nil
-// otherwise.
+// otherwise. The merge copies p, so the lower ID goes first.
 func tryMerge(p, q *placement.Placement) *placement.Placement {
-	n := p.N()
-	for i := 0; i < n; i++ {
-		if p.X[i] != q.X[i] || p.Y[i] != q.Y[i] {
-			return nil
-		}
-	}
-	// Find the single differing row; all others must be identical.
-	diffBlock, diffDim := -1, -1
-	for i := 0; i < n; i++ {
-		for d := 0; d < 2; d++ {
-			var pl, ph, ql, qh int
-			if d == 0 {
-				pl, ph, ql, qh = p.WLo[i], p.WHi[i], q.WLo[i], q.WHi[i]
-			} else {
-				pl, ph, ql, qh = p.HLo[i], p.HHi[i], q.HLo[i], q.HHi[i]
-			}
-			if pl == ql && ph == qh {
-				continue
-			}
-			if diffBlock >= 0 {
-				return nil // two differing rows: union is not a box
-			}
-			// The differing intervals must abut.
-			if ph+1 != ql && qh+1 != pl {
-				return nil
-			}
-			diffBlock, diffDim = i, d
-		}
-	}
+	diffBlock, diffDim := mergeRow(p, q)
 	if diffBlock < 0 {
-		// Identical boxes cannot coexist (disjointness invariant); treat as
-		// non-mergeable and let CheckInvariants flag the corruption.
 		return nil
 	}
-
 	m := p.Clone()
 	m.ID = -1
 	var lenP, lenQ int
@@ -124,4 +173,41 @@ func tryMerge(p, q *placement.Placement) *placement.Placement {
 		m.BestH = append([]int(nil), better.BestH...)
 	}
 	return m
+}
+
+// mergeRow returns the one row (block, dim 0 for width or 1 for height)
+// in which p and q differ when they are mergeable, and block −1 when they
+// are not: different coordinates, two differing rows, intervals that do
+// not abut, or identical boxes.
+func mergeRow(p, q *placement.Placement) (block, dim int) {
+	if !sameCoords(p, q) {
+		return -1, -1
+	}
+	// Find the single differing row; all others must be identical.
+	block, dim = -1, -1
+	for i := range p.X {
+		for d := 0; d < 2; d++ {
+			var pl, ph, ql, qh int
+			if d == 0 {
+				pl, ph, ql, qh = p.WLo[i], p.WHi[i], q.WLo[i], q.WHi[i]
+			} else {
+				pl, ph, ql, qh = p.HLo[i], p.HHi[i], q.HLo[i], q.HHi[i]
+			}
+			if pl == ql && ph == qh {
+				continue
+			}
+			if block >= 0 {
+				return -1, -1 // two differing rows: union is not a box
+			}
+			// The differing intervals must abut.
+			if ph+1 != ql && qh+1 != pl {
+				return -1, -1
+			}
+			block, dim = i, d
+		}
+	}
+	// Identical boxes (block still −1) cannot coexist (disjointness
+	// invariant); they are non-mergeable, and CheckInvariants flags the
+	// corruption.
+	return block, dim
 }

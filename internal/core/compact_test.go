@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"reflect"
 	"testing"
+
+	"mps/internal/placement"
 )
 
 // TestCompactMergesForkFragments: forcing a fork and then removing its
@@ -279,5 +281,69 @@ func TestRenumberPacksIDsStably(t *testing.T) {
 	s.Renumber()
 	if !reflect.DeepEqual(ids, s.IDs()) {
 		t.Fatal("second Renumber changed IDs")
+	}
+}
+
+// interleavedGroups stores six placements in two coordinate groups whose
+// merges interleave in (a, b) order. Group 1 (block 1 anchored at x 200)
+// holds A=0, B=2, C=5, where only B and C merge at first and their merged
+// piece then merges with A, a lower ID than B. Group 2 (x 210) holds
+// D=1, E=3, F=4 as three abutting block-1 widths. The boxes of the two
+// groups are disjoint in block 1's width.
+func interleavedGroups(t *testing.T) *Structure {
+	t.Helper()
+	c, fp := pairCircuit()
+	s := NewStructure(c, fp)
+	g1, g2 := [2]int{51, 100}, [2]int{1, 40}
+	group2 := func(avg float64, w1 [2]int) *placement.Placement {
+		p := mk(avg, g2, full(), w1, full())
+		p.X[1] = 210
+		return p
+	}
+	for _, p := range []*placement.Placement{
+		mk(3.0, [2]int{1, 10}, full(), g1, full()),           // 0: A
+		group2(2.5, [2]int{1, 10}),                           // 1: D
+		mk(4.0, [2]int{11, 20}, [2]int{1, 50}, g1, full()),   // 2: B
+		group2(1.5, [2]int{11, 20}),                          // 3: E
+		group2(5.0, [2]int{21, 30}),                          // 4: F
+		mk(2.0, [2]int{11, 20}, [2]int{51, 100}, g1, full()), // 5: C
+	} {
+		if _, err := s.Insert(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if s.NumPlacements() != 6 || len(s.placements) != 6 {
+		t.Fatalf("setup: %d placements in %d slots, want 6 in 6", s.NumPlacements(), len(s.placements))
+	}
+	return s
+}
+
+// TestCompactMatchesRestartInterleaved: on two coordinate groups whose
+// mergeable pairs interleave, Compact performs the restart scan's merges
+// in its order — (1,3)→6 in group 2, (2,5)→7 and (0,7)→8 in group 1,
+// then (4,6)→9 in group 2 — so IDs, boxes, costs and the v3 bytes after
+// Renumber all agree. A scan that resumed after a merge instead of
+// restarting would miss (0,7), whose lower ID precedes the merged pair.
+func TestCompactMatchesRestartInterleaved(t *testing.T) {
+	got, want := interleavedGroups(t), interleavedGroups(t)
+	if m := CompactRestart(want); m != 4 {
+		t.Fatalf("reference: %d merges, want 4", m)
+	}
+	if m := got.Compact(); m != 4 {
+		t.Fatalf("Compact: %d merges, want 4", m)
+	}
+	if ids := got.IDs(); !reflect.DeepEqual(ids, []int{8, 9}) {
+		t.Fatalf("IDs after Compact %v, want [8 9]", ids)
+	}
+	if err := SameStructure(got, want); err != nil {
+		t.Fatal(err)
+	}
+	if err := got.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	got.Renumber()
+	want.Renumber()
+	if !bytes.Equal(v3Bytes(t, got), v3Bytes(t, want)) {
+		t.Fatal("v3 bytes after Renumber differ from the restart scan's")
 	}
 }

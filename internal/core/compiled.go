@@ -111,20 +111,25 @@ func Compile(s *Structure) *CompiledStructure {
 // intervalmap.Sweeper), whose span masks are already the slot bitsets the
 // table stores, so the cost is linear in the row's registrations (plus a
 // sort when its breakpoints are sparse) and in the spans' mask words.
+// The sweeps append to pooled scratch, and the span tables are copied out
+// of it once, at their exact size, so a compile allocates little beyond
+// the tables it returns.
 func compile(s *Structure) *CompiledStructure {
-	n := s.circuit.N()
+	n, count := s.circuit.N(), s.alive
 	cs := &CompiledStructure{
 		src:      s,
-		rowTable: rowTable{n: n, words: (s.alive + 63) / 64, rowStart: make([]int32, 0, 2*n+1)},
-		count:    s.alive,
-		slotID:   make([]int32, 0, s.alive),
-		xs:       make([]int32, 0, s.alive*n),
-		ys:       make([]int32, 0, s.alive*n),
+		rowTable: rowTable{n: n, words: (count + 63) / 64, rowStart: make([]int32, 2*n+1)},
+		count:    count,
+		slotID:   make([]int32, 0, count),
+		xs:       make([]int32, 0, count*n),
+		ys:       make([]int32, 0, count*n),
 	}
+	sc := compileScratch.Get().(*compileBuffers)
+	defer compileScratch.Put(sc)
 
 	// Dense re-index: slot order follows ID order, so bit order matches
 	// the tree's ascending id arrays.
-	ids := make([]int, 0, s.alive)
+	ids := sc.ids[:0]
 	for id, p := range s.placements {
 		if p == nil {
 			continue
@@ -136,22 +141,38 @@ func compile(s *Structure) *CompiledStructure {
 			cs.ys = append(cs.ys, toI32(p.Y[i], "block y anchor"))
 		}
 	}
-
-	lo, hi := make([]int, len(ids)), make([]int, len(ids))
-	var sw intervalmap.Sweeper
+	lo := slices.Grow(sc.lo[:0], count)[:count]
+	hi := slices.Grow(sc.hi[:0], count)[:count]
+	spanLo, spanHi, masks := sc.spanLo[:0], sc.spanHi[:0], sc.masks[:0]
 	emit := func(l, h int, mask []uint64) {
-		cs.spanLo = append(cs.spanLo, toI32(l, "interval breakpoint"))
-		cs.spanHi = append(cs.spanHi, toI32(h, "interval breakpoint"))
-		cs.masks = append(cs.masks, mask...)
+		spanLo = append(spanLo, toI32(l, "interval breakpoint"))
+		spanHi = append(spanHi, toI32(h, "interval breakpoint"))
+		masks = append(masks, mask...)
 	}
 	for r := 0; r < 2*n; r++ {
-		cs.rowStart = append(cs.rowStart, int32(len(cs.spanLo)))
+		cs.rowStart[r] = int32(len(spanLo))
 		s.rowIntervals(r, ids, lo, hi)
-		sw.Sweep(lo, hi, emit)
+		sc.sw.Sweep(lo, hi, emit)
 	}
-	cs.rowStart = append(cs.rowStart, int32(len(cs.spanLo)))
+	cs.rowStart[2*n] = int32(len(spanLo))
+	cs.spanLo = append([]int32(nil), spanLo...)
+	cs.spanHi = append([]int32(nil), spanHi...)
+	cs.masks = append([]uint64(nil), masks...)
+	sc.ids, sc.lo, sc.hi, sc.spanLo, sc.spanHi, sc.masks = ids, lo, hi, spanLo, spanHi, masks
 	return cs
 }
+
+// compileBuffers is compile's working memory, kept between compiles in
+// compileScratch: the live IDs, one row's intervals, the sweeper, and
+// every row's spans before the exact copy.
+type compileBuffers struct {
+	sw             intervalmap.Sweeper
+	ids, lo, hi    []int
+	spanLo, spanHi []int32
+	masks          []uint64
+}
+
+var compileScratch = sync.Pool{New: func() any { return new(compileBuffers) }}
 
 // toI32 narrows a table value, panicking on the (never-seen-in-practice)
 // overflow rather than silently answering queries from truncated tables.

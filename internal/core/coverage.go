@@ -28,32 +28,37 @@ import (
 // hundreds of sub-1 factors cannot underflow to zero mid-way on large
 // circuits. See TestCoverageWideRangeNoOverflow.
 //
-// The per-placement terms are cached (see coverageTerm), so the explorer's
-// per-iteration Progress report and TargetCoverage stop check cost O(P)
-// Exp2 calls and no Log2 at all.
+// The per-placement terms and their exponentials are cached (see
+// coverageTerm and rebaseExps). Once generation's last mutation has
+// rebased the exponentials, the explorer's per-iteration Progress report
+// and TargetCoverage stop check cost two Exp2 calls, one Log2 and two
+// passes of comparisons and additions. Coverage never writes: a stale
+// cache is computed around, not repaired.
 func (s *Structure) Coverage() float64 {
 	// log-sum-exp over per-placement log2 volume fractions, the same
 	// pattern as CoverageLog2 — two passes over the placements (max, then
 	// sum) in ID order, allocating nothing.
-	maxLg := math.Inf(-1)
-	for id, p := range s.placements {
-		if p == nil {
-			continue
-		}
-		if lg := s.terms[id]; lg > maxLg {
-			maxLg = lg
-		}
-	}
+	maxLg := s.largestTerm()
 	if math.IsInf(maxLg, -1) {
 		return 0 // no placements, or only empty boxes (unreachable once stored)
 	}
 	sum := 0.0
-	for id, p := range s.placements {
-		if p == nil {
-			continue
+	if s.expsValid && s.expBase == maxLg {
+		// exps[id] is Exp2(terms[id] - maxLg) bit for bit; a -Inf term's
+		// is 0, which leaves the sum as skipping it does.
+		for id, p := range s.placements {
+			if p != nil {
+				sum += s.exps[id]
+			}
 		}
-		if lg := s.terms[id]; !math.IsInf(lg, -1) {
-			sum += math.Exp2(lg - maxLg)
+	} else {
+		for id, p := range s.placements {
+			if p == nil {
+				continue
+			}
+			if lg := s.terms[id]; !math.IsInf(lg, -1) {
+				sum += math.Exp2(lg - maxLg)
+			}
 		}
 	}
 	return math.Exp2(maxLg + math.Log2(sum))
@@ -63,14 +68,56 @@ func (s *Structure) Coverage() float64 {
 // the summand Coverage combines. store and shrinkRow cache it in s.terms
 // whenever they set a placement's box, and Renumber moves it with its
 // placement, so s.terms[id] always equals coverageTerm(s.placements[id])
-// bit for bit (CheckInvariants verifies this).
+// bit for bit (CheckInvariants verifies this). The designer-range Log2
+// values come from s.rangeLg, the same operands computed once.
 func (s *Structure) coverageTerm(p *placement.Placement) float64 {
 	lg := 0.0
-	for i, b := range s.circuit.Blocks {
-		lg += math.Log2(p.WIv(i).LenFloat()) - math.Log2(b.WRange().LenFloat())
-		lg += math.Log2(p.HIv(i).LenFloat()) - math.Log2(b.HRange().LenFloat())
+	for i := range p.X {
+		lg += math.Log2(p.WIv(i).LenFloat()) - s.rangeLg[2*i]
+		lg += math.Log2(p.HIv(i).LenFloat()) - s.rangeLg[2*i+1]
 	}
 	return lg
+}
+
+// setExp caches ID id's exponential after its term became lg, or marks
+// the cache stale when lg exceeds the base.
+func (s *Structure) setExp(id int, lg float64) {
+	if !s.expsValid {
+		return
+	}
+	if lg > s.expBase {
+		s.expsValid = false
+		return
+	}
+	s.exps[id] = math.Exp2(lg - s.expBase)
+}
+
+// largestTerm returns the largest live coverage term in ID order, -Inf
+// when no placement is live.
+func (s *Structure) largestTerm() float64 {
+	maxLg := math.Inf(-1)
+	for id, p := range s.placements {
+		if p != nil && s.terms[id] > maxLg {
+			maxLg = s.terms[id]
+		}
+	}
+	return maxLg
+}
+
+// rebaseExps recomputes a stale exponential cache: the base becomes the
+// largest live term, and every live entry its term's exponential against
+// that base.
+func (s *Structure) rebaseExps() {
+	if s.expsValid {
+		return
+	}
+	base := s.largestTerm()
+	for id, p := range s.placements {
+		if p != nil {
+			s.exps[id] = math.Exp2(s.terms[id] - base)
+		}
+	}
+	s.expBase, s.expsValid = base, true
 }
 
 // CoverageLog2 returns log2 of the total covered volume in dimension-vector

@@ -75,12 +75,83 @@ func RenumberRemoveInsert(s *Structure) {
 		}
 	}
 	s.invalidate()
-	s.placements, s.terms, s.boxes, s.alive = nil, nil, nil, 0
+	s.placements, s.terms, s.exps, s.boxes, s.alive = nil, nil, nil, nil, 0
+	s.expsValid = false
 	for _, p := range live {
 		if _, err := s.store(p); err != nil {
 			panic(err)
 		}
 	}
+	s.rebaseExps()
+}
+
+// CompactRestart is Compact as a scan that restarts after every merge:
+// it walks the live pairs (a, b), a < b, in order, merges the first
+// mergeable one as tryMerge(a, b) under the next ID, and starts over,
+// until no pair merges. Compact must perform the same merges in the same
+// order.
+func CompactRestart(s *Structure) int {
+	merges := 0
+	for {
+		ids := s.IDs()
+		merged := false
+	scan:
+		for a := 0; a < len(ids); a++ {
+			for b := a + 1; b < len(ids); b++ {
+				if m := tryMerge(s.placements[ids[a]], s.placements[ids[b]]); m != nil {
+					s.delete(ids[a])
+					s.delete(ids[b])
+					if _, err := s.store(m); err != nil {
+						panic(err)
+					}
+					merges++
+					merged = true
+					break scan
+				}
+			}
+		}
+		if !merged {
+			s.rebaseExps()
+			return merges
+		}
+	}
+}
+
+// SameStructure reports the first difference between two structures'
+// placement slots, box tables and coverage terms: live IDs, coordinates,
+// intervals, and the cost fields bit for bit.
+func SameStructure(got, want *Structure) error {
+	if len(got.placements) != len(want.placements) || got.alive != want.alive {
+		return fmt.Errorf("%d slots, %d live; want %d slots, %d live",
+			len(got.placements), got.alive, len(want.placements), want.alive)
+	}
+	bits := math.Float64bits
+	for id, p := range got.placements {
+		q := want.placements[id]
+		if (p == nil) != (q == nil) {
+			return fmt.Errorf("slot %d live = %v, want %v", id, p != nil, q != nil)
+		}
+		if p == nil {
+			continue
+		}
+		if p.ID != q.ID || !slices.Equal(p.X, q.X) || !slices.Equal(p.Y, q.Y) ||
+			!slices.Equal(p.WLo, q.WLo) || !slices.Equal(p.WHi, q.WHi) ||
+			!slices.Equal(p.HLo, q.HLo) || !slices.Equal(p.HHi, q.HHi) {
+			return fmt.Errorf("placement %d: %+v, want %+v", id, p, q)
+		}
+		if bits(p.AvgCost) != bits(q.AvgCost) || bits(p.BestCost) != bits(q.BestCost) ||
+			!slices.Equal(p.BestW, q.BestW) || !slices.Equal(p.BestH, q.BestH) {
+			return fmt.Errorf("placement %d costs: avg %v best %v at %v %v, want avg %v best %v at %v %v",
+				id, p.AvgCost, p.BestCost, p.BestW, p.BestH, q.AvgCost, q.BestCost, q.BestW, q.BestH)
+		}
+		if bits(got.terms[id]) != bits(want.terms[id]) {
+			return fmt.Errorf("placement %d coverage term %v, want %v", id, got.terms[id], want.terms[id])
+		}
+	}
+	if !slices.Equal(got.boxes, want.boxes) {
+		return fmt.Errorf("box tables differ")
+	}
+	return nil
 }
 
 // RowSnapshots returns the snapshot of every row the tree query path
@@ -356,6 +427,139 @@ func TestCoverageMatchesFromScratch(t *testing.T) {
 				t.Fatalf("%s: loaded Coverage %v, saved %v", name, loaded.Coverage(), s.Coverage())
 			}
 		}
+	}
+}
+
+// TestCoverageCacheUnderMutation drives a seeded sequence of the
+// mutations the cached coverage exponentials must follow: Insert (store,
+// and resolution's shrinks, forks and deletes), shrinking and deleting a
+// random placement or the one holding the largest term, Compact,
+// Renumber, and a v2 save and Load. After every step Coverage must equal
+// the two-pass formula written out (CoverageFromScratch) bit for bit and
+// CheckInvariants must hold; deleting or shrinking the largest term must
+// mark the cache stale, and Insert, Compact, Renumber and Load must leave
+// it valid.
+func TestCoverageCacheUnderMutation(t *testing.T) {
+	for _, name := range []string{"circ01", "TwoStageOpamp", "Mixer"} {
+		c := circuits.MustByName(name)
+		rng := rand.New(rand.NewSource(11))
+		s := churnedStructure(t, c, 11, 20, nil)
+		cached := 0
+		check := func(step int, what string) {
+			t.Helper()
+			if got, want := s.Coverage(), CoverageFromScratch(s); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("%s step %d (%s): Coverage = %v, from scratch %v", name, step, what, got, want)
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatalf("%s step %d (%s): %v", name, step, what, err)
+			}
+			if s.expsValid {
+				cached++
+			}
+		}
+		valid := func(step int, what string) {
+			t.Helper()
+			if !s.expsValid {
+				t.Fatalf("%s step %d: the cache is stale after %s", name, step, what)
+			}
+		}
+		largest := func() int {
+			best := -1
+			for _, id := range s.IDs() {
+				if best < 0 || s.terms[id] > s.terms[best] {
+					best = id
+				}
+			}
+			return best
+		}
+		// shrink narrows one interval of id by one from the top, in a row
+		// wider than one value, and reports whether it found one.
+		shrink := func(id int) bool {
+			p := s.placements[id]
+			for _, r := range rng.Perm(2 * c.N()) {
+				if iv := rowInterval(p, r); iv.Hi > iv.Lo {
+					s.shrinkRow(p, r/2, r%2, geom.Interval{Lo: iv.Lo, Hi: iv.Hi - 1})
+					return true
+				}
+			}
+			return false
+		}
+		for step := 0; step < 120; step++ {
+			if s.alive < 4 {
+				s = churnedStructure(t, c, int64(step), 20, nil)
+			}
+			ids := s.IDs()
+			switch op := rng.Intn(10); op {
+			case 0, 1, 2:
+				p, err := placement.RandomLegal(c, s.fp, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.Expand(c, s.fp, 1+rng.Intn(3))
+				p.AvgCost = 100 * rng.Float64()
+				if _, err := s.Insert(p); err != nil {
+					t.Fatal(err)
+				}
+				valid(step, "Insert")
+				check(step, "Insert")
+			case 3:
+				if shrink(ids[rng.Intn(len(ids))]) {
+					check(step, "shrink")
+				}
+			case 4:
+				was := s.expsValid
+				if shrink(largest()) {
+					if was && s.expsValid {
+						t.Fatalf("%s step %d: shrinking the largest term left the cache valid", name, step)
+					}
+					check(step, "shrink the largest")
+				}
+			case 5:
+				s.delete(ids[rng.Intn(len(ids))])
+				check(step, "delete")
+			case 6:
+				s.delete(largest())
+				if s.expsValid {
+					t.Fatalf("%s step %d: deleting the largest term left the cache valid", name, step)
+				}
+				check(step, "delete the largest")
+			case 7:
+				s.Compact()
+				valid(step, "Compact")
+				check(step, "Compact")
+			case 8:
+				s.Renumber()
+				valid(step, "Renumber")
+				check(step, "Renumber")
+			case 9:
+				var buf bytes.Buffer
+				if err := s.SaveBinary(&buf); err != nil {
+					t.Fatal(err)
+				}
+				loaded, err := Load(&buf, c)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(loaded.Coverage()) != math.Float64bits(s.Coverage()) {
+					t.Fatalf("%s step %d: loaded Coverage %v, saved %v", name, step, loaded.Coverage(), s.Coverage())
+				}
+				s = loaded
+				valid(step, "Load")
+				check(step, "Load")
+			}
+		}
+		if cached < 60 {
+			t.Fatalf("%s: Coverage read a valid cache in only %d steps", name, cached)
+		}
+	}
+}
+
+// TestCoverageAllocFree pins Coverage at zero allocations: the Progress
+// hook calls it once per explorer iteration.
+func TestCoverageAllocFree(t *testing.T) {
+	s := churnedStructure(t, circuits.MustByName("TwoStageOpamp"), 2, 40, nil)
+	if allocs := testing.AllocsPerRun(100, func() { s.Coverage() }); allocs != 0 {
+		t.Fatalf("Coverage allocates %v times per call, want 0", allocs)
 	}
 }
 

@@ -22,7 +22,10 @@ import (
 //  4. no two live placements' dimension boxes overlap (the eq. 5 guarantee);
 //  5. no row references a deleted placement;
 //  6. every live placement's cached coverage term equals its recomputed
-//     term bit for bit.
+//     term bit for bit;
+//  7. while the coverage exponentials are marked valid, their base is the
+//     largest live term and every live exponential equals
+//     Exp2(term − base) bit for bit.
 //
 // It is O(P²·N + rows) and intended for tests and failure injection, not
 // hot paths.
@@ -122,6 +125,25 @@ func (s *Structure) CheckInvariants() error {
 		}
 		if want := s.coverageTerm(p); math.Float64bits(s.terms[id]) != math.Float64bits(want) {
 			return fmt.Errorf("core: placement %d caches coverage term %v, its box gives %v", id, s.terms[id], want)
+		}
+	}
+
+	if len(s.exps) != len(s.placements) {
+		return fmt.Errorf("core: %d coverage exponentials for %d placement slots", len(s.exps), len(s.placements))
+	}
+	if !s.expsValid {
+		return nil
+	}
+	base := s.largestTerm()
+	if math.Float64bits(s.expBase) != math.Float64bits(base) {
+		return fmt.Errorf("core: coverage exponentials based on %v, the largest live term is %v", s.expBase, base)
+	}
+	for id, p := range s.placements {
+		if p == nil {
+			continue
+		}
+		if want := math.Exp2(s.terms[id] - base); math.Float64bits(s.exps[id]) != math.Float64bits(want) {
+			return fmt.Errorf("core: placement %d caches coverage exponential %v, its term gives %v", id, s.exps[id], want)
 		}
 	}
 	return nil

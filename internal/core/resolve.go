@@ -73,6 +73,7 @@ func (s *Structure) Insert(cand *placement.Placement) (InsertStats, error) {
 	if len(stats.StoredIDs) == 0 {
 		stats.CandidateDied = true
 	}
+	s.rebaseExps()
 	return stats, nil
 }
 

@@ -169,5 +169,6 @@ func buildStructure(ff *fileFormat, c *netlist.Circuit) (*Structure, error) {
 			return nil, fmt.Errorf("core: placement %d: %w", idx, err)
 		}
 	}
+	s.rebaseExps()
 	return s, nil
 }

@@ -37,8 +37,21 @@ type Structure struct {
 
 	// terms[id] caches coverageTerm(placements[id]) for live placements,
 	// so Coverage needs no Log2 per call. Entries of deleted IDs are stale
-	// and never read.
-	terms []float64
+	// and never read. rangeLg holds the 2N designer-range Log2 values
+	// coverageTerm subtracts (width of block i at 2i, height at 2i+1).
+	terms   []float64
+	rangeLg []float64
+
+	// exps[id] caches Exp2(terms[id] - expBase) for live placements while
+	// expsValid holds, and expBase is then the largest live term, so
+	// Coverage needs no Exp2 per placement. store and shrinkRow write one
+	// entry; a term above expBase, or deleting or shrinking the entry
+	// equal to it, clears expsValid, and rebaseExps (run at the end of
+	// Insert, Compact, Renumber and Load) recomputes the cache in one
+	// pass. Readers never write it.
+	exps      []float64
+	expBase   float64
+	expsValid bool
 
 	// boxes is the flat box table: ID id's 2N validity intervals are
 	// boxes[id*4N : (id+1)*4N], four values per block (WLo, WHi, HLo,
@@ -71,7 +84,12 @@ type Structure struct {
 // NewStructure returns an empty structure for the circuit on the given
 // floorplan.
 func NewStructure(c *netlist.Circuit, fp geom.Rect) *Structure {
-	return &Structure{circuit: c, fp: fp}
+	s := &Structure{circuit: c, fp: fp, rangeLg: make([]float64, 2*c.N())}
+	for i, b := range c.Blocks {
+		s.rangeLg[2*i] = math.Log2(b.WRange().LenFloat())
+		s.rangeLg[2*i+1] = math.Log2(b.HRange().LenFloat())
+	}
+	return s
 }
 
 // Circuit returns the topology this structure was generated for.
@@ -139,7 +157,10 @@ func (s *Structure) store(p *placement.Placement) (int, error) {
 	id := len(s.placements)
 	p.ID = id
 	s.placements = append(s.placements, p)
-	s.terms = append(s.terms, s.coverageTerm(p))
+	lg := s.coverageTerm(p)
+	s.terms = append(s.terms, lg)
+	s.exps = append(s.exps, 0)
+	s.setExp(id, lg)
 	s.alive++
 	for i := range p.X {
 		s.boxes = append(s.boxes, p.WLo[i], p.WHi[i], p.HLo[i], p.HHi[i])
@@ -157,6 +178,9 @@ func (s *Structure) delete(id int) {
 	box := s.box(id)
 	for k := 0; k < len(box); k += 2 {
 		box[k], box[k+1] = emptyBox.Lo, emptyBox.Hi
+	}
+	if s.terms[id] == s.expBase {
+		s.expsValid = false
 	}
 	s.placements[id] = nil
 	s.alive--
@@ -196,6 +220,7 @@ func (s *Structure) invalidate() {
 // table, so the rows that follow are exactly those of storing the live
 // placements afresh in ID order.
 func (s *Structure) Renumber() {
+	defer s.rebaseExps()
 	if len(s.placements) == s.alive {
 		return // already dense
 	}
@@ -211,14 +236,14 @@ func (s *Structure) Renumber() {
 		if id != next {
 			p.ID = next
 			s.placements[next] = p
-			s.terms[next] = s.terms[id]
+			s.terms[next], s.exps[next] = s.terms[id], s.exps[id]
 			copy(s.boxes[next*w:(next+1)*w], s.boxes[id*w:(id+1)*w])
 			s.placements[id] = nil
 		}
 		next++
 	}
 	s.placements = s.placements[:next]
-	s.terms = s.terms[:next]
+	s.terms, s.exps = s.terms[:next], s.exps[:next]
 	s.boxes = s.boxes[:next*w]
 }
 
@@ -234,7 +259,12 @@ func (s *Structure) shrinkRow(p *placement.Placement, block, dim int, newIv geom
 	off := 4*block + 2*dim
 	box := s.box(p.ID)
 	box[off], box[off+1] = newIv.Lo, newIv.Hi
-	s.terms[p.ID] = s.coverageTerm(p)
+	lg := s.coverageTerm(p)
+	if s.terms[p.ID] == s.expBase {
+		s.expsValid = false
+	}
+	s.terms[p.ID] = lg
+	s.setExp(p.ID, lg)
 }
 
 // view returns the Figure-3 linked rows of the live placements, building

@@ -1,5 +1,12 @@
 package cost
 
+import (
+	"math"
+	"slices"
+
+	"mps/internal/geom"
+)
+
 // Incremental is the optional extension of Evaluator for annealers that
 // change one block's width or height per move, as the BDIO does: a Scorer
 // started by Start rescores a move by measuring only the nets with a pin
@@ -15,28 +22,82 @@ type Incremental interface {
 // Scorer is the state of one incremental scoring run: the current length
 // of every net, the lengths the last Move replaced, and the circuit's
 // per-block net incidence (netlist.Circuit.BlockNets, built once per
-// circuit). The zero value is ready for Start, and a Scorer reuses its
-// buffers across Starts.
+// circuit). It also keeps the cost's two totals as running state, so a
+// Move reads them instead of rescanning every net and block:
+//
+//   - the weighted wire total, as an integer in units of 2^-e, when every
+//     net weight is a multiple of 2^-e (see dyadicUnits);
+//   - the bounding box's right and top edges, when every block rect is
+//     non-empty. Moves change widths and heights only, so the bottom-left
+//     corner never moves.
+//
+// Either total falls back to the full loop whenever its condition fails.
+// The zero value is ready for Start, and a Scorer reuses its buffers
+// across Starts.
 type Scorer struct {
 	w     Weights
 	l     *Layout
 	nets  [][]int // per block, the nets with a pin on it
-	buf   []int   // backs lens and saved
+	buf   []int   // backs lens, saved, units and edges
 	lens  []int   // current length of every net
 	saved []int   // the last Move's replaced lengths, in nets[moved] order
 	moved int     // the block of the last Move, -1 when none is undoable
+
+	// Wire total: when fixed, units[k] is net k's weight in units of
+	// scale, wire is Σ units[k]·lens[k] (wrapping, and then never read,
+	// while long > 0) and long counts the nets whose length is outside
+	// [0, 2^31). When not fixed, units and wire are never read.
+	fixed bool
+	scale float64
+	units []int
+	wire  int64
+	long  int
+
+	// Bounding box: while box holds, edges[2i] and edges[2i+1] are block
+	// i's right and top edges, x0, y0 the fixed bottom-left corner, and
+	// right, top the largest edges.
+	box        bool
+	edges      []int
+	x0, y0     int
+	right, top int
+
+	// The totals and the moved block's edges before the last Move.
+	savedWire            int64
+	savedLong            int
+	savedEdges           [2]int
+	savedRight, savedTop int
 }
 
 // Start implements Incremental for the weighted objective.
 func (w Weights) Start(sc *Scorer, l *Layout) float64 {
-	m := len(l.Circuit.Nets)
-	if cap(sc.buf) < 2*m {
-		sc.buf = make([]int, 2*m)
+	m, n := len(l.Circuit.Nets), len(l.X)
+	if cap(sc.buf) < 3*m+2*n {
+		sc.buf = make([]int, 3*m+2*n)
 	}
-	sc.lens, sc.saved = sc.buf[:m], sc.buf[m:2*m]
+	buf := sc.buf[:3*m+2*n]
+	sc.lens, sc.saved, sc.units, sc.edges = buf[:m], buf[m:2*m], buf[2*m:3*m], buf[3*m:]
 	sc.w, sc.l, sc.nets, sc.moved = w.Canonical(), l, l.Circuit.BlockNets(), -1
+	sc.fixed, sc.scale = dyadicUnits(l, sc.units)
+	sc.wire, sc.long = 0, 0
 	for k, net := range l.Circuit.Nets {
-		sc.lens[k] = netLength(l, net)
+		d := netLength(l, net)
+		sc.lens[k] = d
+		sc.wire += int64(sc.units[k]) * int64(d)
+		sc.long += longNet(d)
+	}
+	sc.box = n > 0
+	for i := 0; i < n; i++ {
+		if l.W[i] <= 0 || l.H[i] <= 0 {
+			sc.box = false
+		}
+		sc.edges[2*i], sc.edges[2*i+1] = l.X[i]+l.W[i], l.Y[i]+l.H[i]
+	}
+	if sc.box {
+		sc.x0, sc.y0 = slices.Min(l.X), slices.Min(l.Y)
+		sc.right, sc.top = sc.edges[0], sc.edges[1]
+		for i := 1; i < n; i++ {
+			sc.right, sc.top = max(sc.right, sc.edges[2*i]), max(sc.top, sc.edges[2*i+1])
+		}
 	}
 	return sc.cost()
 }
@@ -45,43 +106,157 @@ func (w Weights) Start(sc *Scorer, l *Layout) float64 {
 // measuring only b's nets again, and returns its cost: bit-identical to
 // the Cost of the evaluator that started sc.
 func (sc *Scorer) Move(b int) float64 {
+	sc.savedWire, sc.savedLong = sc.wire, sc.long
 	for k, net := range sc.nets[b] {
-		sc.saved[k] = sc.lens[net]
-		sc.lens[net] = netLength(sc.l, sc.l.Circuit.Nets[net])
+		old, d := sc.lens[net], netLength(sc.l, sc.l.Circuit.Nets[net])
+		sc.saved[k], sc.lens[net] = old, d
+		sc.wire += int64(sc.units[net]) * (int64(d) - int64(old))
+		sc.long += longNet(d) - longNet(old)
 	}
 	sc.moved = b
+	if sc.box {
+		l := sc.l
+		if l.W[b] <= 0 || l.H[b] <= 0 {
+			sc.box = false
+		} else {
+			sc.savedEdges = [2]int{sc.edges[2*b], sc.edges[2*b+1]}
+			sc.savedRight, sc.savedTop = sc.right, sc.top
+			sc.right = sc.moveEdge(2*b, l.X[b]+l.W[b], sc.right)
+			sc.top = sc.moveEdge(2*b+1, l.Y[b]+l.H[b], sc.top)
+		}
+	}
 	return sc.cost()
 }
 
-// Undo restores the net lengths from before the last Move; the caller
-// restores the moved block's dimension.
+// moveEdge sets edges[e] to v and returns the new largest edge of its
+// kind (even e: right edges, odd e: top edges), given the largest before.
+// Only a shrinking edge that held the largest needs a rescan.
+func (sc *Scorer) moveEdge(e, v, largest int) int {
+	old := sc.edges[e]
+	sc.edges[e] = v
+	if v >= largest {
+		return v
+	}
+	if old < largest {
+		return largest
+	}
+	largest = v
+	for k := e & 1; k < len(sc.edges); k += 2 {
+		largest = max(largest, sc.edges[k])
+	}
+	return largest
+}
+
+// Undo restores the net lengths and totals from before the last Move;
+// the caller restores the moved block's dimension.
 func (sc *Scorer) Undo() {
-	if sc.moved < 0 {
+	b := sc.moved
+	if b < 0 {
 		return
 	}
-	for k, net := range sc.nets[sc.moved] {
+	for k, net := range sc.nets[b] {
 		sc.lens[net] = sc.saved[k]
+	}
+	sc.wire, sc.long = sc.savedWire, sc.savedLong
+	if sc.box {
+		sc.edges[2*b], sc.edges[2*b+1] = sc.savedEdges[0], sc.savedEdges[1]
+		sc.right, sc.top = sc.savedRight, sc.savedTop
 	}
 	sc.moved = -1
 }
 
-// cost evaluates Weights.Cost's expression over the kept lengths. The
-// weighted wire total is summed over every net in net order, as
-// WireLength sums it, and never adjusted incrementally, so the float
-// result carries the same bits.
+// cost evaluates Weights.Cost's expression over the kept state. The
+// weighted wire total is WireLength's in-order float sum: read from the
+// integer total when that is exact (see dyadicUnits), else summed over
+// every net in net order as WireLength sums it. The bounding box is
+// boundingBox's: the kept edges when every block rect is non-empty, as
+// Rect.Union skips empty ones, else the full scan.
 func (sc *Scorer) cost() float64 {
 	var total float64
-	for k, net := range sc.l.Circuit.Nets {
-		w := net.Weight
-		if w == 0 {
-			w = 1
+	if sc.fixed && sc.long == 0 && uint64(sc.wire) < 1<<53 {
+		total = float64(sc.wire) * sc.scale
+	} else {
+		for k, net := range sc.l.Circuit.Nets {
+			w := net.Weight
+			if w == 0 {
+				w = 1
+			}
+			total += w * float64(sc.lens[k])
 		}
-		total += w * float64(sc.lens[k])
 	}
-	bb := boundingBox(sc.l)
+	var bb geom.Rect
+	if sc.box {
+		bb = geom.Rect{X0: sc.x0, Y0: sc.y0, X1: sc.right, Y1: sc.top}
+	} else {
+		bb = boundingBox(sc.l)
+	}
 	c := sc.w.Wire*float64(int64(total+0.5)) + sc.w.Area*float64(bb.Area())
 	if sc.w.Aspect != 0 {
 		c += sc.w.Aspect * float64(AspectDeviation(bb.W(), bb.H()))
 	}
 	return c
+}
+
+// maxUnitExp and maxUnit bound the fixed-point wire total: a net weight
+// takes the integer path when it is m·2^-e with e ≤ maxUnitExp, and no
+// weight may exceed maxUnit units. With lengths below 2^31 and fewer than
+// 2^16 nets, the integer total cannot overflow.
+const (
+	maxUnitExp = 16
+	maxUnit    = 1 << 16
+)
+
+// dyadicUnits fills units[k] with net k's weight (0 meaning 1, as in
+// WireLength) in units of scale = 2^-e, the smallest e that makes every
+// weight an integer, and reports whether the integer total is usable.
+// Registry weights (2, 1, 0.5, 0.25) give e = 2.
+//
+// Why the integer total is exact: every term w·len is then
+// units·len·2^-e, and every partial sum of the non-negative terms is at
+// most the total. While the total is below 2^53 units, each term and
+// each partial sum is an integer multiple of 2^-e below 2^53·2^-e, so
+// exactly representable, and WireLength's in-order float loop rounds
+// nothing: it returns exactly wire·2^-e. A non-dyadic weight (0.1, 1/3),
+// a negative or huge one, or too many nets leaves the loop in charge,
+// and units unused.
+func dyadicUnits(l *Layout, units []int) (ok bool, scale float64) {
+	if len(units) >= 1<<16 {
+		return false, 0
+	}
+	e := 0
+	for _, net := range l.Circuit.Nets {
+		w := net.Weight
+		if w == 0 {
+			w = 1
+		}
+		if !(w > 0) {
+			return false, 0
+		}
+		for v := math.Ldexp(w, e); v != math.Trunc(v); v = math.Ldexp(w, e) {
+			if e++; e > maxUnitExp {
+				return false, 0
+			}
+		}
+	}
+	for k, net := range l.Circuit.Nets {
+		w := net.Weight
+		if w == 0 {
+			w = 1
+		}
+		v := math.Ldexp(w, e)
+		if v > maxUnit {
+			return false, 0
+		}
+		units[k] = int(v)
+	}
+	return true, math.Ldexp(1, -e)
+}
+
+// longNet reports (as 0 or 1) whether a net length falls outside the
+// integer total's range [0, 2^31).
+func longNet(d int) int {
+	if uint(d) < 1<<31 {
+		return 0
+	}
+	return 1
 }

@@ -235,7 +235,7 @@ func runChain(ctx context.Context, c *netlist.Circuit, s *core.Structure, cfg Co
 
 		// Resolve Overlaps + Store Placement.
 		lock()
-		insert, err := s.Insert(cand.Clone())
+		insert, err := s.Insert(cand)
 		if err != nil {
 			unlock()
 			return fmt.Errorf("explorer: %w", err)

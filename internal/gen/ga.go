@@ -213,7 +213,7 @@ func (r *gaRun) evaluate(ctx context.Context, p *placement.Placement) (float64, 
 		return 0, fmt.Errorf("gen/ga: %w", err)
 	}
 
-	insert, err := r.s.Insert(cand.Clone())
+	insert, err := r.s.Insert(cand)
 	if err != nil {
 		return 0, fmt.Errorf("gen/ga: %w", err)
 	}
