@@ -25,15 +25,36 @@ import (
 // a < b, that comes first in (a, b) order among the mergeable pairs, as
 // tryMerge(a, b), and the merged piece takes the next ID: the merges of a
 // scan that restarts after every one.
-//
-// Only placements with identical coordinates can merge, so Compact sorts
-// the live IDs by coordinates into groups (ascending IDs within each) and
-// keeps each group's first mergeable pair. The next merge is the pair
-// with the lowest first ID over all groups; a merge changes only its own
-// group, whose next pair is searched again from where the merged pair's
-// first member stood (see compactGroup.find). That is O(Σ group²) pair
-// checks, and nothing is allocated per placement.
 func (s *Structure) Compact() int {
+	merges := 0
+	for {
+		a, b := s.firstMergeable()
+		if a < 0 {
+			s.rebaseExps()
+			return merges
+		}
+		m := tryMerge(s.placements[a], s.placements[b])
+		s.delete(a)
+		s.delete(b)
+		// Union of two previously-disjoint boxes: store cannot fail on
+		// overlap grounds, and interval bounds are inherited.
+		if _, err := s.store(m); err != nil {
+			// Restore is impossible mid-merge; surface loudly. This cannot
+			// happen for boxes that were stored before.
+			panic("core: Compact failed to store merged placement: " + err.Error())
+		}
+		merges++
+	}
+}
+
+// firstMergeable returns the mergeable live pair (a, b), a < b, that comes
+// first in (a, b) order, and -1, -1 when no pair merges. Only placements
+// with identical coordinates can merge, so it sorts the live IDs by
+// coordinates into groups, ascending within each, and checks pairs within
+// a group only: each group's first mergeable pair in scan order is its
+// first in (a, b) order, and the answer is the one with the lowest a. That
+// is one sort and O(Σ group²) pair checks per call, with one allocation.
+func (s *Structure) firstMergeable() (a, b int) {
 	ids := s.IDs()
 	slices.SortFunc(ids, func(a, b int) int {
 		p, q := s.placements[a], s.placements[b]
@@ -45,94 +66,27 @@ func (s *Structure) Compact() int {
 		}
 		return a - b
 	})
-	var groups []compactGroup
+	a, b = -1, -1
 	for lo := 0; lo < len(ids); {
 		p, hi := s.placements[ids[lo]], lo+1
 		for hi < len(ids) && sameCoords(p, s.placements[ids[hi]]) {
 			hi++
 		}
-		g := compactGroup{ids: ids[lo:hi:hi]}
-		if g.find(s, 0, false) {
-			groups = append(groups, g)
-		}
+		group := ids[lo:hi]
 		lo = hi
-	}
-	merges := 0
-	for len(groups) > 0 {
-		next := 0
-		for k := range groups {
-			if groups[k].first() < groups[next].first() {
-				next = k
-			}
-		}
-		g := &groups[next]
-		a, b := g.ids[g.i], g.ids[g.j]
-		m := tryMerge(s.placements[a], s.placements[b])
-		s.delete(a)
-		s.delete(b)
-		// Union of two previously-disjoint boxes: store cannot fail on
-		// overlap grounds, and interval bounds are inherited.
-		id, err := s.store(m)
-		if err != nil {
-			// Restore is impossible mid-merge; surface loudly. This cannot
-			// happen for boxes that were stored before.
-			panic("core: Compact failed to store merged placement: " + err.Error())
-		}
-		merges++
-		// Drop a and b, and append the merged piece: it holds the highest
-		// ID, so the group stays ascending.
-		i, j, n := g.i, g.j, len(g.ids)
-		copy(g.ids[i:], g.ids[i+1:j])
-		copy(g.ids[j-1:], g.ids[j+1:])
-		g.ids = g.ids[:n-1]
-		g.ids[n-2] = id
-		if !g.find(s, i, true) {
-			groups[next] = groups[len(groups)-1]
-			groups = groups[:len(groups)-1]
-		}
-	}
-	s.rebaseExps()
-	return merges
-}
-
-// compactGroup is one coordinate group of Compact: its live IDs in
-// ascending order and, after a successful find, its first mergeable pair
-// as positions i < j in ids.
-type compactGroup struct {
-	ids  []int
-	i, j int
-}
-
-// first returns the lower ID of the group's pending pair.
-func (g *compactGroup) first() int { return g.ids[g.i] }
-
-// find sets the group's first mergeable pair in (lower, higher) ID order
-// and reports whether there is one. The caller knows that no pair whose
-// lower member sits before position from can merge, except, when fresh,
-// with the last member: after the merge of the pair at (i, j) that holds
-// with from = i, since every pair before it was checked and the only new
-// member is the merged piece at the end.
-func (g *compactGroup) find(s *Structure, from int, fresh bool) bool {
-	last := len(g.ids) - 1
-	if fresh {
-		q := s.placements[g.ids[last]]
-		for x := 0; x < from; x++ {
-			if b, _ := mergeRow(s.placements[g.ids[x]], q); b >= 0 {
-				g.i, g.j = x, last
-				return true
+	scan:
+		for x, ga := range group {
+			for _, gb := range group[x+1:] {
+				if row, _ := mergeRow(s.placements[ga], s.placements[gb]); row >= 0 {
+					if a < 0 || ga < a {
+						a, b = ga, gb
+					}
+					break scan
+				}
 			}
 		}
 	}
-	for x := from; x < last; x++ {
-		p := s.placements[g.ids[x]]
-		for y := x + 1; y <= last; y++ {
-			if b, _ := mergeRow(p, s.placements[g.ids[y]]); b >= 0 {
-				g.i, g.j = x, y
-				return true
-			}
-		}
-	}
-	return false
+	return a, b
 }
 
 // sameCoords reports whether p and q anchor every block at the same place.

@@ -22,23 +22,18 @@ type Incremental interface {
 // Scorer is the state of one incremental scoring run: the current length
 // of every net, the lengths the last Move replaced, and the circuit's
 // per-block net incidence (netlist.Circuit.BlockNets, built once per
-// circuit). It also keeps the cost's two totals as running state, so a
-// Move reads them instead of rescanning every net and block:
-//
-//   - the weighted wire total, as an integer in units of 2^-e, when every
-//     net weight is a multiple of 2^-e (see dyadicUnits);
-//   - the bounding box's right and top edges, when every block rect is
-//     non-empty. Moves change widths and heights only, so the bottom-left
-//     corner never moves.
-//
-// Either total falls back to the full loop whenever its condition fails.
-// The zero value is ready for Start, and a Scorer reuses its buffers
-// across Starts.
+// circuit). It also keeps the weighted wire total as running state, an
+// integer in units of 2^-e when every net weight is a multiple of 2^-e
+// (see dyadicUnits), so a Move reads it instead of rescanning every net;
+// otherwise cost sums the nets in order. Moves change widths and heights
+// only, so Start also takes the bounding box's bottom-left corner once
+// (see box). The zero value is ready for Start, and a Scorer reuses its
+// buffers across Starts.
 type Scorer struct {
 	w     Weights
 	l     *Layout
 	nets  [][]int // per block, the nets with a pin on it
-	buf   []int   // backs lens, saved, units and edges
+	buf   []int   // backs lens, saved and units
 	lens  []int   // current length of every net
 	saved []int   // the last Move's replaced lengths, in nets[moved] order
 	moved int     // the block of the last Move, -1 when none is undoable
@@ -53,29 +48,23 @@ type Scorer struct {
 	wire  int64
 	long  int
 
-	// Bounding box: while box holds, edges[2i] and edges[2i+1] are block
-	// i's right and top edges, x0, y0 the fixed bottom-left corner, and
-	// right, top the largest edges.
-	box        bool
-	edges      []int
-	x0, y0     int
-	right, top int
+	// x0, y0 is the smallest block X and Y: the bounding box's
+	// bottom-left corner while every block rect is non-empty.
+	x0, y0 int
 
-	// The totals and the moved block's edges before the last Move.
-	savedWire            int64
-	savedLong            int
-	savedEdges           [2]int
-	savedRight, savedTop int
+	// The wire totals before the last Move.
+	savedWire int64
+	savedLong int
 }
 
 // Start implements Incremental for the weighted objective.
 func (w Weights) Start(sc *Scorer, l *Layout) float64 {
 	m, n := len(l.Circuit.Nets), len(l.X)
-	if cap(sc.buf) < 3*m+2*n {
-		sc.buf = make([]int, 3*m+2*n)
+	if cap(sc.buf) < 3*m {
+		sc.buf = make([]int, 3*m)
 	}
-	buf := sc.buf[:3*m+2*n]
-	sc.lens, sc.saved, sc.units, sc.edges = buf[:m], buf[m:2*m], buf[2*m:3*m], buf[3*m:]
+	buf := sc.buf[:3*m]
+	sc.lens, sc.saved, sc.units = buf[:m], buf[m:2*m], buf[2*m:]
 	sc.w, sc.l, sc.nets, sc.moved = w.Canonical(), l, l.Circuit.BlockNets(), -1
 	sc.fixed, sc.scale = dyadicUnits(l, sc.units)
 	sc.wire, sc.long = 0, 0
@@ -85,19 +74,9 @@ func (w Weights) Start(sc *Scorer, l *Layout) float64 {
 		sc.wire += int64(sc.units[k]) * int64(d)
 		sc.long += longNet(d)
 	}
-	sc.box = n > 0
-	for i := 0; i < n; i++ {
-		if l.W[i] <= 0 || l.H[i] <= 0 {
-			sc.box = false
-		}
-		sc.edges[2*i], sc.edges[2*i+1] = l.X[i]+l.W[i], l.Y[i]+l.H[i]
-	}
-	if sc.box {
+	sc.x0, sc.y0 = 0, 0
+	if n > 0 {
 		sc.x0, sc.y0 = slices.Min(l.X), slices.Min(l.Y)
-		sc.right, sc.top = sc.edges[0], sc.edges[1]
-		for i := 1; i < n; i++ {
-			sc.right, sc.top = max(sc.right, sc.edges[2*i]), max(sc.top, sc.edges[2*i+1])
-		}
 	}
 	return sc.cost()
 }
@@ -114,37 +93,7 @@ func (sc *Scorer) Move(b int) float64 {
 		sc.long += longNet(d) - longNet(old)
 	}
 	sc.moved = b
-	if sc.box {
-		l := sc.l
-		if l.W[b] <= 0 || l.H[b] <= 0 {
-			sc.box = false
-		} else {
-			sc.savedEdges = [2]int{sc.edges[2*b], sc.edges[2*b+1]}
-			sc.savedRight, sc.savedTop = sc.right, sc.top
-			sc.right = sc.moveEdge(2*b, l.X[b]+l.W[b], sc.right)
-			sc.top = sc.moveEdge(2*b+1, l.Y[b]+l.H[b], sc.top)
-		}
-	}
 	return sc.cost()
-}
-
-// moveEdge sets edges[e] to v and returns the new largest edge of its
-// kind (even e: right edges, odd e: top edges), given the largest before.
-// Only a shrinking edge that held the largest needs a rescan.
-func (sc *Scorer) moveEdge(e, v, largest int) int {
-	old := sc.edges[e]
-	sc.edges[e] = v
-	if v >= largest {
-		return v
-	}
-	if old < largest {
-		return largest
-	}
-	largest = v
-	for k := e & 1; k < len(sc.edges); k += 2 {
-		largest = max(largest, sc.edges[k])
-	}
-	return largest
 }
 
 // Undo restores the net lengths and totals from before the last Move;
@@ -158,10 +107,6 @@ func (sc *Scorer) Undo() {
 		sc.lens[net] = sc.saved[k]
 	}
 	sc.wire, sc.long = sc.savedWire, sc.savedLong
-	if sc.box {
-		sc.edges[2*b], sc.edges[2*b+1] = sc.savedEdges[0], sc.savedEdges[1]
-		sc.right, sc.top = sc.savedRight, sc.savedTop
-	}
 	sc.moved = -1
 }
 
@@ -169,8 +114,7 @@ func (sc *Scorer) Undo() {
 // weighted wire total is WireLength's in-order float sum: read from the
 // integer total when that is exact (see dyadicUnits), else summed over
 // every net in net order as WireLength sums it. The bounding box is
-// boundingBox's: the kept edges when every block rect is non-empty, as
-// Rect.Union skips empty ones, else the full scan.
+// boundingBox's (see box).
 func (sc *Scorer) cost() float64 {
 	var total float64
 	if sc.fixed && sc.long == 0 && uint64(sc.wire) < 1<<53 {
@@ -184,17 +128,27 @@ func (sc *Scorer) cost() float64 {
 			total += w * float64(sc.lens[k])
 		}
 	}
-	var bb geom.Rect
-	if sc.box {
-		bb = geom.Rect{X0: sc.x0, Y0: sc.y0, X1: sc.right, Y1: sc.top}
-	} else {
-		bb = boundingBox(sc.l)
-	}
+	bb := sc.box()
 	c := sc.w.Wire*float64(int64(total+0.5)) + sc.w.Area*float64(bb.Area())
 	if sc.w.Aspect != 0 {
 		c += sc.w.Aspect * float64(AspectDeviation(bb.W(), bb.H()))
 	}
 	return c
+}
+
+// box returns boundingBox(sc.l). While every block rect is non-empty,
+// Rect.Union skips none, so the box spans the kept bottom-left corner and
+// the largest right and top edges; otherwise it is the full scan.
+func (sc *Scorer) box() geom.Rect {
+	l := sc.l
+	bb := geom.Rect{X0: sc.x0, Y0: sc.y0, X1: sc.x0, Y1: sc.y0}
+	for i, x := range l.X {
+		if l.W[i] <= 0 || l.H[i] <= 0 {
+			return boundingBox(l)
+		}
+		bb.X1, bb.Y1 = max(bb.X1, x+l.W[i]), max(bb.Y1, l.Y[i]+l.H[i])
+	}
+	return bb
 }
 
 // maxUnitExp and maxUnit bound the fixed-point wire total: a net weight
