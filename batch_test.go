@@ -1,8 +1,9 @@
 package mps
 
 import (
+	"fmt"
 	"math/rand"
-	"reflect"
+	"slices"
 	"sync"
 	"testing"
 
@@ -57,23 +58,84 @@ func asBatchResult(res Result, err error) BatchResult {
 	return br
 }
 
+// referenceQueries returns a seeded query pool for s and the answer the
+// reference scan (core.Structure.Instantiate) gives to each query: n
+// uniform random queries (mostly backup answers on a sparse structure), n
+// drawn from stored boxes, both corners (WLo/HLo and WHi/HHi) of every
+// stored box and one out-of-bounds query, shuffled so every batch chunk
+// mixes the kinds.
+func referenceQueries(t *testing.T, s *Structure, seed int64, n int) (qs []DimQuery, want []BatchResult) {
+	t.Helper()
+	c := s.Circuit()
+	rng := rand.New(rand.NewSource(seed))
+	qs = randomQueries(c, rng, n)
+	ws, hs := experiments.CoveredQueryPool(s.Structure, rng, n)
+	if ws == nil {
+		t.Fatal("structure has no stored placements")
+	}
+	for i := range ws {
+		qs = append(qs, DimQuery{Ws: ws[i], Hs: hs[i]})
+	}
+	for _, id := range s.IDs() {
+		p := s.Get(id)
+		qs = append(qs,
+			DimQuery{Ws: slices.Clone(p.WLo), Hs: slices.Clone(p.HLo)},
+			DimQuery{Ws: slices.Clone(p.WHi), Hs: slices.Clone(p.HHi)})
+	}
+	oob := DimQuery{Ws: slices.Clone(qs[0].Ws), Hs: slices.Clone(qs[0].Hs)}
+	oob.Ws[0] = c.Blocks[0].WMax + 1
+	qs = append(qs, oob)
+	rng.Shuffle(len(qs), func(i, j int) { qs[i], qs[j] = qs[j], qs[i] })
+
+	want = make([]BatchResult, len(qs))
+	var stored, backup, failed int
+	for i, q := range qs {
+		res, err := s.Structure.Instantiate(q.Ws, q.Hs)
+		want[i] = asBatchResult(res, err)
+		switch {
+		case err != nil:
+			failed++
+		case res.FromBackup:
+			backup++
+		default:
+			stored++
+		}
+	}
+	if stored == 0 || backup == 0 || failed == 0 {
+		t.Fatalf("seed %d: the reference answers %d queries from stored placements, %d from the backup and %d with an error; want every kind",
+			seed, stored, backup, failed)
+	}
+	return qs, want
+}
+
+// answerDiff says how an answer differs from the reference answer — error
+// text, placement ID, member, backup flag or anchors — or returns "" when
+// they agree.
+func answerDiff(got, want BatchResult) string {
+	switch {
+	case (got.Err == nil) != (want.Err == nil) || got.Err != nil && got.Err.Error() != want.Err.Error():
+		return fmt.Sprintf("error %v, reference %v", got.Err, want.Err)
+	case got.PlacementID != want.PlacementID || got.Member != want.Member || got.FromBackup != want.FromBackup:
+		return fmt.Sprintf("placement %d member %d backup %v, reference placement %d member %d backup %v",
+			got.PlacementID, got.Member, got.FromBackup, want.PlacementID, want.Member, want.FromBackup)
+	case !slices.Equal(got.X, want.X) || !slices.Equal(got.Y, want.Y):
+		return fmt.Sprintf("anchors %v/%v, reference %v/%v", got.X, got.Y, want.X, want.Y)
+	}
+	return ""
+}
+
 // TestInstantiateBatchMatchesSerial checks the worker pool returns, in query
-// order, exactly what serial Instantiate calls return.
+// order, exactly what the reference scan answers query by query, on
+// random, covered, box-corner and out-of-bounds queries.
 func TestInstantiateBatchMatchesSerial(t *testing.T) {
 	s := batchStructure(t)
-	rng := rand.New(rand.NewSource(42))
-	queries := randomQueries(s.Circuit(), rng, 500)
-
-	want := make([]BatchResult, len(queries))
-	for i, q := range queries {
-		res, err := s.Instantiate(q.Ws, q.Hs)
-		want[i] = asBatchResult(res, err)
-	}
-
+	const seed = 42
+	queries, want := referenceQueries(t, s, seed, 250)
 	for _, workers := range []int{0, 1, 2, 8} {
-		got := s.InstantiateBatchWorkers(queries, workers)
-		if !reflect.DeepEqual(got, want) {
-			t.Errorf("workers=%d: batch results differ from serial execution", workers)
+		for i, br := range s.InstantiateBatchWorkers(queries, workers) {
+			if d := answerDiff(br, want[i]); d != "" {
+				t.Fatalf("seed %d, workers=%d, query %d (%v/%v): %s", seed, workers, i, queries[i].Ws, queries[i].Hs, d)
+			}
 		}
 	}
 }
@@ -170,20 +232,14 @@ func TestInstantiateBatchEmptyAndSmall(t *testing.T) {
 
 // TestConcurrentInstantiate hammers one generated structure from many
 // goroutines mixing direct Instantiate calls and InstantiateBatch, and
-// asserts every answer is identical to serial execution. Run under -race
-// this is the concurrency contract test for the whole query path
-// (structure rows, pooled scratch, backup template).
+// asserts every answer equals the reference scan's. Run under -race this
+// is the concurrency contract test for the whole query path (compiled
+// index, pooled masks, backup template).
 func TestConcurrentInstantiate(t *testing.T) {
 	s := batchStructure(t)
-	rng := rand.New(rand.NewSource(1234))
-	const nQueries = 400
-	queries := randomQueries(s.Circuit(), rng, nQueries)
-
-	want := make([]BatchResult, nQueries)
-	for i, q := range queries {
-		res, err := s.Instantiate(q.Ws, q.Hs)
-		want[i] = asBatchResult(res, err)
-	}
+	const seed = 1234
+	queries, want := referenceQueries(t, s, seed, 200)
+	nQueries := len(queries)
 
 	const goroutines = 12
 	var wg sync.WaitGroup
@@ -194,10 +250,9 @@ func TestConcurrentInstantiate(t *testing.T) {
 			defer wg.Done()
 			if g%3 == 0 {
 				// Whole batch through the worker pool.
-				got := s.InstantiateBatchWorkers(queries, 4)
-				for i := range got {
-					if !reflect.DeepEqual(got[i], want[i]) {
-						errs <- "batch result diverged from serial"
+				for i, br := range s.InstantiateBatchWorkers(queries, 4) {
+					if d := answerDiff(br, want[i]); d != "" {
+						errs <- fmt.Sprintf("seed %d, batch query %d: %s", seed, i, d)
 						return
 					}
 				}
@@ -207,8 +262,8 @@ func TestConcurrentInstantiate(t *testing.T) {
 			for k := 0; k < nQueries; k++ {
 				i := (k*7 + g*13) % nQueries
 				res, err := s.Instantiate(queries[i].Ws, queries[i].Hs)
-				if !reflect.DeepEqual(asBatchResult(res, err), want[i]) {
-					errs <- "single result diverged from serial"
+				if d := answerDiff(asBatchResult(res, err), want[i]); d != "" {
+					errs <- fmt.Sprintf("seed %d, single query %d: %s", seed, i, d)
 					return
 				}
 			}

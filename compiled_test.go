@@ -2,9 +2,9 @@ package mps
 
 // Equivalence property tests for the compiled query index at facade level:
 // for every seed circuit, the flat index (Compiled) must answer randomized
-// dimension vectors exactly as the tree path does — anchors, placement
-// provenance, backup fallback and errors included — and stay race-clean
-// under concurrent compiled queries.
+// dimension vectors exactly as the reference scan (core.Structure's
+// Instantiate) does — anchors, placement provenance, backup fallback and
+// errors included — and stay race-clean under concurrent compiled queries.
 
 import (
 	"bytes"
@@ -45,7 +45,7 @@ func TestCompiledEquivalenceAllCircuits(t *testing.T) {
 			s := generateQuick(t, name, 11)
 			cs := s.Compiled()
 			if cs.NumPlacements() != s.NumPlacements() {
-				t.Fatalf("compiled %d placements, tree %d", cs.NumPlacements(), s.NumPlacements())
+				t.Fatalf("compiled %d placements, structure %d", cs.NumPlacements(), s.NumPlacements())
 			}
 			c := s.Circuit()
 			rng := rand.New(rand.NewSource(17))
@@ -70,22 +70,22 @@ func TestCompiledEquivalenceAllCircuits(t *testing.T) {
 						hs[i] = p.HLo[i] + rng.Intn(p.HHi[i]-p.HLo[i]+1)
 					}
 				}
-				treeRes, treeErr := s.Structure.Instantiate(ws, hs)
+				refRes, refErr := s.Structure.Instantiate(ws, hs)
 				flatRes, flatErr := cs.Instantiate(ws, hs)
-				if (treeErr == nil) != (flatErr == nil) {
-					t.Fatalf("error divergence at %v/%v: tree %v, compiled %v", ws, hs, treeErr, flatErr)
+				if (refErr == nil) != (flatErr == nil) {
+					t.Fatalf("error divergence at %v/%v: scan %v, compiled %v", ws, hs, refErr, flatErr)
 				}
-				if treeErr != nil {
+				if refErr != nil {
 					continue
 				}
-				if !reflect.DeepEqual(treeRes, flatRes) {
-					t.Fatalf("result divergence at %v/%v:\ntree     %+v\ncompiled %+v", ws, hs, treeRes, flatRes)
+				if !reflect.DeepEqual(refRes, flatRes) {
+					t.Fatalf("result divergence at %v/%v:\nscan     %+v\ncompiled %+v", ws, hs, refRes, flatRes)
 				}
-				if !treeRes.FromBackup {
+				if !refRes.FromBackup {
 					covered++
 				}
-				if lt, lf := s.Lookup(ws, hs), cs.Lookup(ws, hs); !reflect.DeepEqual(lt, lf) {
-					t.Fatalf("Lookup divergence at %v/%v: tree %v, compiled %v", ws, hs, lt, lf)
+				if lr, lf := s.LookupLinear(ws, hs), cs.Lookup(ws, hs); !reflect.DeepEqual(lr, lf) {
+					t.Fatalf("Lookup divergence at %v/%v: scan %v, compiled %v", ws, hs, lr, lf)
 				}
 			}
 			if covered == 0 {

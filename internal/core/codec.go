@@ -219,8 +219,8 @@ func (cs *CompiledStructure) matchSection(r *binReader) bool {
 // checkTables reads a v3 file's compiled section, which starts at byte
 // off of the checksummed payload, against the index compiled from s, the
 // structure Load just rebuilt from the file's placement records. It
-// rejects a file whose tables differ from that index: compiled and tree
-// queries could otherwise disagree. On success the index stays cached on
+// rejects a file whose tables differ from that index: its tables and its
+// placement records could otherwise disagree. On success the index stays cached on
 // s, as for any Compile.
 func checkTables(s *Structure, payload []byte, off int) error {
 	r := &binReader{data: payload, off: off}

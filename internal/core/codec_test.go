@@ -172,7 +172,7 @@ func TestGoldenV1Fixture(t *testing.T) {
 // circ01 at quick effort, seed 1, as SaveBinaryCompiled wrote it (its
 // SHA-256 was the golden generation table's circ01/anneal/seed 1 row when
 // it was frozen in testdata). The load must leave the index it checked
-// the file's tables against attached, answering as the tree does.
+// the file's tables against attached, answering as the reference scan does.
 func TestGoldenV3Fixture(t *testing.T) {
 	data, err := os.ReadFile(filepath.Join("testdata", "golden_v3_circ01.mps"))
 	if err != nil {

@@ -6,11 +6,17 @@ import (
 	"mps/internal/placement"
 )
 
-// Overlap resolution fragments placements: every fork leaves two (or, after
-// repeated conflicts, many) stored placements with identical coordinates
-// whose dimension boxes abut. Compact re-merges such fragments, shrinking
-// the structure without changing what any query returns — smaller Table 2
-// "Placements" counts and faster row walks for free.
+// Compact merges stored placements whose dimension boxes abut and whose
+// coordinates are identical, without changing what any query returns. A
+// fork in overlap resolution never leaves such a pair: the winner's
+// interval lies between the loser's two pieces, and later shrinks only
+// widen that gap. The merges that do occur join placements from different
+// explorer iterations that reached the same coordinates on abutting boxes
+// — rare: 3 merges in 24 anneal runs at the backend's default budgets,
+// all on circ01. A merge leaves one stored placement instead of two (the
+// Table 2 "Placements" count), and its row drops the span boundary where
+// the two boxes met unless another placement's interval breaks there too,
+// so the compiled index holds no more spans.
 //
 // Two live placements merge when they have identical block coordinates and
 // identical validity intervals in every row except exactly one, where the
@@ -20,7 +26,7 @@ import (
 // is the interval-length-weighted mean, BestCost/BestW/BestH come from the
 // better half.
 
-// Compact merges abutting fragments until none remain and returns the
+// Compact merges such pairs until none remain and returns the
 // number of merges performed. Each merge is of the live pair (a, b),
 // a < b, that comes first in (a, b) order among the mergeable pairs, as
 // tryMerge(a, b), and the merged piece takes the next ID: the merges of a

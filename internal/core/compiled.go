@@ -12,15 +12,14 @@ import (
 	"mps/internal/netlist"
 )
 
-// This file implements the compiled query index: a flat, read-only form
-// of a Structure's rows built once after generation (or loading) and
-// queried forever after. The tree path answers a query by walking 2N
-// pointer-rich interval lists and merge-intersecting their sorted id
-// arrays; the compiled path binary-searches 2N sorted []int32 breakpoint
-// arrays laid out back to back and intersects placement *bitsets* — one
-// W-word mask per interval — so a query is a handful of contiguous cache
-// lines, branch-predictable compares and word-wide ANDs, with zero
-// allocations.
+// This file implements the compiled query index: the one index over a
+// Structure's rows, built once after generation (or loading) and queried
+// forever after. It binary-searches 2N sorted []int32 breakpoint arrays
+// laid out back to back and intersects placement *bitsets* — one W-word
+// mask per interval — so a query is a handful of contiguous cache lines,
+// branch-predictable compares and word-wide ANDs, with zero allocations.
+// Structure.Query and Instantiate answer the same function by scanning
+// the placements; they are the reference this index is tested against.
 //
 // Memory layout (structure of arrays). The row tables are a rowTable, the
 // one search-and-AND form a compiled structure and a merged portfolio
@@ -44,15 +43,15 @@ import (
 // visits them. Placement IDs are re-indexed to dense slots so the bitsets
 // and anchor tables stay hole-free when placements were deleted during
 // generation; results are mapped back to original IDs on the way out, so
-// compiled answers are indistinguishable from tree answers.
+// compiled answers are indistinguishable from the reference scan's.
 
 // CompiledStructure is the flat form of a Structure. Build one with
 // Compile; it shares the source structure's circuit, designer-bound
-// validation and backup, and answers Lookup/Query/Instantiate with results
-// semantically identical to the tree path. Like the tree path it is safe
-// for any number of concurrent readers (each query intersects into a
-// stack-resident or pooled mask); it must only be built after generation
-// has finished.
+// validation and backup, and answers Lookup/QueryID/Instantiate with
+// results identical to the source structure's LookupLinear, Query and
+// Instantiate. It is safe for any number of concurrent readers (each
+// query intersects into a stack-resident or pooled mask); it must only be
+// built after generation has finished.
 type CompiledStructure struct {
 	// src supplies the circuit (dimension validation) and the backup
 	// fallback; the flat tables below answer every covered query without
@@ -127,8 +126,8 @@ func compile(s *Structure) *CompiledStructure {
 	sc := compileScratch.Get().(*compileBuffers)
 	defer compileScratch.Put(sc)
 
-	// Dense re-index: slot order follows ID order, so bit order matches
-	// the tree's ascending id arrays.
+	// Dense re-index: slot order follows ID order, so bit order is
+	// ascending ID order.
 	ids := sc.ids[:0]
 	for id, p := range s.placements {
 		if p == nil {
@@ -196,6 +195,9 @@ func (cs *CompiledStructure) NumPlacements() int { return cs.count }
 // the memory-layout comment, a proxy for the index's footprint.
 func (cs *CompiledStructure) NumSpans() int { return len(cs.spanLo) }
 
+// rowLen returns the number of spans in row r.
+func (t *rowTable) rowLen(r int) int { return int(t.rowStart[r+1] - t.rowStart[r]) }
+
 // findSpan binary-searches row r for the span covering v. Row spans are
 // ascending and non-overlapping, so the last span with Lo <= v is the only
 // candidate; -1 means v is uncovered in this row.
@@ -218,9 +220,8 @@ func (t *rowTable) findSpan(r, v int) int {
 }
 
 // intersect computes the eq. 4 row intersection into the acc mask (len
-// t.words) and reports whether any placement survived — the compiled
-// mirror of Structure.intersectInto, with the sorted-array merges replaced
-// by word-wide ANDs.
+// t.words) and reports whether any placement survived: one span per row,
+// ANDed word by word.
 func (t *rowTable) intersect(acc []uint64, ws, hs []int) bool {
 	w := t.words
 	first := true
@@ -305,7 +306,7 @@ func (cs *CompiledStructure) lookupUnique(ws, hs []int) (slot, count int) {
 }
 
 // Lookup returns the IDs of all stored placements covering the dimension
-// vector, ascending — identical to Structure.Lookup on the source
+// vector, ascending — identical to Structure.LookupLinear on the source
 // structure. The result is nil when uncovered and shares no memory with
 // the index.
 func (cs *CompiledStructure) Lookup(ws, hs []int) []int {
@@ -350,7 +351,7 @@ func (cs *CompiledStructure) eq5Error(count int, ws, hs []int) error {
 // QueryID implements the paper's function M over the flat tables: the
 // unique covering placement's ID, ErrUncovered when nothing covers the
 // vector (the backup is Instantiate's business, not QueryID's), or the
-// eq. 5 violation error — exactly the tree Query's behavior, minus the
+// eq. 5 violation error — exactly Structure.Query's behavior, minus the
 // placement pointer.
 func (cs *CompiledStructure) QueryID(ws, hs []int) (int, error) {
 	slot, err := cs.cover(ws, hs)
@@ -364,8 +365,8 @@ func (cs *CompiledStructure) QueryID(ws, hs []int) (int, error) {
 }
 
 // Instantiate answers a placement request from the flat tables, falling
-// back to the source structure's backup for uncovered space — semantically
-// identical to Structure.Instantiate.
+// back to the source structure's backup for uncovered space — the same
+// answer as Structure.Instantiate, the reference scan.
 func (cs *CompiledStructure) Instantiate(ws, hs []int) (Result, error) {
 	var res Result
 	if err := cs.InstantiateInto(&res, ws, hs); err != nil {

@@ -21,8 +21,8 @@ func randomDims(s *Structure, rng *rand.Rand, ws, hs []int) {
 }
 
 // assertCompiledAgrees sweeps trials random dimension vectors and fails on
-// the first query where the compiled index and the tree path disagree on
-// Lookup, Query/QueryID, or Instantiate.
+// the first query where the compiled index and the reference scan disagree
+// on Lookup/LookupLinear, QueryID/Query, or Instantiate.
 func assertCompiledAgrees(t *testing.T, s *Structure, cs *CompiledStructure, seed int64, trials int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -31,41 +31,41 @@ func assertCompiledAgrees(t *testing.T, s *Structure, cs *CompiledStructure, see
 	for trial := 0; trial < trials; trial++ {
 		randomDims(s, rng, ws, hs)
 
-		if tree, flat := s.Lookup(ws, hs), cs.Lookup(ws, hs); !reflect.DeepEqual(tree, flat) {
-			t.Fatalf("Lookup diverges at %v/%v: tree %v, compiled %v", ws, hs, tree, flat)
+		if ref, flat := s.LookupLinear(ws, hs), cs.Lookup(ws, hs); !reflect.DeepEqual(ref, flat) {
+			t.Fatalf("Lookup diverges at %v/%v: scan %v, compiled %v", ws, hs, ref, flat)
 		}
 
-		p, treeErr := s.Query(ws, hs)
+		p, refErr := s.Query(ws, hs)
 		id, flatErr := cs.QueryID(ws, hs)
-		if (treeErr == nil) != (flatErr == nil) {
-			t.Fatalf("Query diverges at %v/%v: tree err %v, compiled err %v", ws, hs, treeErr, flatErr)
+		if (refErr == nil) != (flatErr == nil) {
+			t.Fatalf("Query diverges at %v/%v: scan err %v, compiled err %v", ws, hs, refErr, flatErr)
 		}
-		if treeErr == nil && p.ID != id {
-			t.Fatalf("Query diverges at %v/%v: tree id %d, compiled id %d", ws, hs, p.ID, id)
+		if refErr == nil && p.ID != id {
+			t.Fatalf("Query diverges at %v/%v: scan id %d, compiled id %d", ws, hs, p.ID, id)
 		}
 
-		treeRes, treeErr := s.Instantiate(ws, hs)
+		refRes, refErr := s.Instantiate(ws, hs)
 		flatRes, flatErr := cs.Instantiate(ws, hs)
-		if (treeErr == nil) != (flatErr == nil) {
-			t.Fatalf("Instantiate diverges at %v/%v: tree err %v, compiled err %v", ws, hs, treeErr, flatErr)
+		if (refErr == nil) != (flatErr == nil) {
+			t.Fatalf("Instantiate diverges at %v/%v: scan err %v, compiled err %v", ws, hs, refErr, flatErr)
 		}
-		if treeErr != nil {
+		if refErr != nil {
 			continue
 		}
-		if !reflect.DeepEqual(treeRes, flatRes) {
-			t.Fatalf("Instantiate diverges at %v/%v:\ntree     %+v\ncompiled %+v", ws, hs, treeRes, flatRes)
+		if !reflect.DeepEqual(refRes, flatRes) {
+			t.Fatalf("Instantiate diverges at %v/%v:\nscan     %+v\ncompiled %+v", ws, hs, refRes, flatRes)
 		}
 	}
 }
 
 // TestCompiledLookupEquivalence is the core equivalence property: on a
 // structure with dozens of placements, the flat index answers every query
-// exactly as the interval rows do.
+// exactly as the reference scan does.
 func TestCompiledLookupEquivalence(t *testing.T) {
 	s, _ := codecStructure(t, 40)
 	cs := Compile(s)
 	if cs.NumPlacements() != s.NumPlacements() {
-		t.Fatalf("compiled %d placements, tree %d", cs.NumPlacements(), s.NumPlacements())
+		t.Fatalf("compiled %d placements, structure %d", cs.NumPlacements(), s.NumPlacements())
 	}
 	if cs.NumSpans() == 0 {
 		t.Fatal("compiled index has no spans")
@@ -75,7 +75,7 @@ func TestCompiledLookupEquivalence(t *testing.T) {
 
 // TestCompileCaches verifies Compile returns the cached index until a
 // mutation invalidates it, and that the recompiled index matches the
-// mutated rows.
+// mutated structure.
 func TestCompileCaches(t *testing.T) {
 	s, _ := codecStructure(t, 12)
 	cs := Compile(s)
@@ -89,7 +89,7 @@ func TestCompileCaches(t *testing.T) {
 		t.Fatal("delete did not invalidate the compiled index")
 	}
 	if cs2.NumPlacements() != s.NumPlacements() {
-		t.Fatalf("recompiled %d placements, tree %d", cs2.NumPlacements(), s.NumPlacements())
+		t.Fatalf("recompiled %d placements, structure %d", cs2.NumPlacements(), s.NumPlacements())
 	}
 	assertCompiledAgrees(t, s, cs2, 2, 1500)
 }
@@ -117,7 +117,7 @@ func TestCompiledBackupParity(t *testing.T) {
 	s.SetBackup(fixedBackup{})
 	// The compiled index reads the backup through its source structure, so
 	// installing one after compilation is visible without recompiling —
-	// same as the tree path.
+	// same as the reference scan.
 	assertCompiledAgrees(t, s, cs, 4, 1500)
 }
 
@@ -458,7 +458,7 @@ func bboxArea(res Result, ws, hs []int) (area, dead int64) {
 
 // FuzzCompiledLookup is the differential fuzzer of the CI smoke step:
 // whatever structure Load accepts, the compiled index must answer
-// arbitrary dimension vectors exactly as the interval rows do, and a
+// arbitrary dimension vectors exactly as LookupLinear does, and a
 // merged index over it, the seed structure (in both orders) or an empty
 // structure must report for each member the placement that member's own
 // QueryID names, with the same error text.
@@ -500,9 +500,9 @@ func FuzzCompiledLookup(f *testing.F) {
 					hs[i] = rng.Intn(2000) - 500
 				}
 			}
-			tree, flat := loaded.Lookup(ws, hs), cs.Lookup(ws, hs)
-			if !reflect.DeepEqual(tree, flat) {
-				t.Fatalf("Lookup diverges at %v/%v: tree %v, compiled %v", ws, hs, tree, flat)
+			ref, flat := loaded.LookupLinear(ws, hs), cs.Lookup(ws, hs)
+			if !reflect.DeepEqual(ref, flat) {
+				t.Fatalf("Lookup diverges at %v/%v: scan %v, compiled %v", ws, hs, ref, flat)
 			}
 			for i, mi := range merges {
 				if d := coverMismatch(mi, ws, hs); d != "" {

@@ -9,7 +9,10 @@
 // only that table: overlap resolution finds conflicts by scanning it, and
 // storing, shrinking, deleting and renumbering rewrite entries. The rows
 // are derived from it, never edited: Compile sweeps it into the flat
-// query index, and the first tree query sweeps it into the linked rows.
+// query index (compiled.go), the one index queries are served from.
+// Structure.Query and Instantiate answer the same function by scanning
+// the placements with Covers; they are the brute-force reference the index
+// is tested against, not a second index.
 //
 // The defining invariant is eq. 5, |M(V)| <= 1 for every V, enforced by
 // keeping the stored placements' 2N-dimensional dimension boxes pairwise
@@ -24,19 +27,17 @@
 // (Fig. 1): generation (Insert, Compact, SetBackup, SetResolveStrategy)
 // mutates the structure and must be externally serialized — the explorer
 // already does this for its parallel chains — while the query path
-// (Lookup, Query, Instantiate, Coverage and friends) is safe for any
+// (LookupLinear, Query, Instantiate, Coverage and friends) is safe for any
 // number of concurrent readers once generation has finished. Queries
-// share no mutable state: the box table is only read, the linked rows are
-// built on first use and published through an atomic pointer (readers
-// racing on first use each build an equal copy), per-call intersection
-// scratch comes from an internal sync.Pool, and results are copied out of
-// the structure. Installed Backup implementations must
+// share no mutable state: they only read the placements, and results are
+// copied out of the structure. Installed Backup implementations must
 // themselves be safe for concurrent Place calls (both shipped backups,
 // template and seqpair, are stateless after construction).
 //
 // Compile follows the same life cycle: it builds the rows as a
 // CompiledStructure (compiled.go) — the serving hot path — once
-// generation is done, caches the result on the structure, and any
-// mutation invalidates the cache, as it drops the linked rows. The
-// compiled index is likewise safe for unlimited concurrent readers.
+// generation is done, publishes the result on the structure through an
+// atomic pointer (concurrent first callers may each build an equal copy),
+// and any mutation drops it. The compiled index is likewise safe for
+// unlimited concurrent readers.
 package core

@@ -291,7 +291,7 @@ func TestInsertRandomizedInvariants(t *testing.T) {
 		}
 	}
 
-	// Brute-force oracle: Lookup must agree with a linear Covers scan.
+	// Brute-force oracle: the compiled Lookup must agree with a linear Covers scan.
 	ws := make([]int, 3)
 	hs := make([]int, 3)
 	for trial := 0; trial < 3000; trial++ {
@@ -299,7 +299,7 @@ func TestInsertRandomizedInvariants(t *testing.T) {
 			ws[i] = 1 + rng.Intn(12)
 			hs[i] = 1 + rng.Intn(12)
 		}
-		got := s.Lookup(ws, hs)
+		got := Compile(s).Lookup(ws, hs)
 		var want []int
 		for _, id := range s.IDs() {
 			if s.Get(id).Covers(ws, hs) {

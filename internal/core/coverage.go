@@ -167,7 +167,7 @@ func (s *Structure) CoverageMonteCarlo(rng *rand.Rand, samples int) float64 {
 			ws[i] = b.WRange().Rand(rng)
 			hs[i] = b.HRange().Rand(rng)
 		}
-		if _, count := s.lookupUnique(ws, hs); count > 0 {
+		if _, count := s.scan(ws, hs); count > 0 {
 			hits++
 		}
 	}

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"bytes"
 	"math"
 	"math/rand"
 	"testing"
@@ -60,6 +61,39 @@ func TestCoverageWideRangeNoOverflow(t *testing.T) {
 	mc := s.CoverageMonteCarlo(rand.New(rand.NewSource(2)), 4000)
 	if diff := mc - got; diff < -0.05 || diff > 0.05 {
 		t.Errorf("CoverageMonteCarlo = %g on the wide-range circuit, exact %g", mc, got)
+	}
+
+	// Query and Instantiate scan the placements, so they answer past the
+	// compiled index's int32 range instead of panicking in Compile.
+	ws, hs := []int{half}, []int{math.MaxInt}
+	if q, err := s.Query(ws, hs); err != nil || q.ID != 0 {
+		t.Errorf("Query at %v/%v = %v, %v; want placement 0", ws, hs, q, err)
+	}
+	if res, err := s.Instantiate(ws, hs); err != nil || res.PlacementID != 0 {
+		t.Errorf("Instantiate at %v/%v = %+v, %v; want placement 0", ws, hs, res, err)
+	}
+	ws[0] = half + 1
+	if _, err := s.Query(ws, hs); err != ErrUncovered {
+		t.Errorf("Query at %v/%v: %v, want ErrUncovered", ws, hs, err)
+	}
+	if _, err := s.Instantiate(ws, hs); err != ErrUncovered {
+		t.Errorf("Instantiate at %v/%v: %v, want ErrUncovered", ws, hs, err)
+	}
+
+	// CheckInvariants compiles the rows, so it reports the floorplan Load
+	// rejects, with Load's error, rather than panicking. (The gob codec
+	// carries the wide values to Load's floorplan check; a v2 file of them
+	// fails earlier, as a corrupt interval delta.)
+	var buf bytes.Buffer
+	if err := s.Save(&buf); err != nil {
+		t.Fatal(err)
+	}
+	_, loadErr := Load(&buf, c)
+	if loadErr == nil {
+		t.Fatal("Load accepted a floorplan past the int32 range")
+	}
+	if err := s.CheckInvariants(); err == nil || err.Error() != loadErr.Error() {
+		t.Errorf("CheckInvariants = %v, want Load's error %q", err, loadErr)
 	}
 }
 

@@ -1,11 +1,11 @@
 package core
 
 // Differential tests for the generation fast paths: the cached coverage
-// terms, the in-place Renumber, the rows swept from the box table and the
-// box-table conflict scan each run against a reference or the definition,
-// on structures churned by overlap resolution. The references are
-// exported so the generated-structure tests in package core_test can use
-// them too.
+// terms, the in-place Renumber, the compiled rows swept from the box table
+// and the box-table conflict scan each run against a reference or the
+// definition, on structures churned by overlap resolution. The references
+// are exported so the generated-structure tests in package core_test can
+// use them too.
 
 import (
 	"bytes"
@@ -19,7 +19,6 @@ import (
 
 	"mps/internal/circuits"
 	"mps/internal/geom"
-	"mps/internal/intervalmap"
 	"mps/internal/netlist"
 	"mps/internal/placement"
 )
@@ -154,25 +153,22 @@ func SameStructure(got, want *Structure) error {
 	return nil
 }
 
-// RowSnapshots returns the snapshot of every row the tree query path
-// walks: block 0's width and height rows, then block 1's, and so on.
-func RowSnapshots(s *Structure) [][]intervalmap.Span {
-	rows := s.view()
-	out := make([][]intervalmap.Span, len(rows))
-	for r, row := range rows {
-		out[r] = row.Snapshot()
-	}
-	return out
+// RowSpan is one interval of a row and the ascending IDs of the
+// placements registered on it.
+type RowSpan struct {
+	Iv  geom.Interval
+	IDs []int
 }
 
-// DefinedRows builds every row, in RowSnapshots' order, from the live
-// placements by the definition of a row rather than by a sweep: each
+// DefinedRows builds every row from the live placements by the definition
+// of a row rather than by a sweep — block 0's width and height rows, then
+// block 1's, and so on: each
 // elementary interval between consecutive breakpoints (every interval's
 // Lo and Hi+1) carries the ascending IDs of the placements whose interval
 // holds its first value; intervals carrying none are dropped, and
 // touching neighbours carrying the same IDs merge.
-func DefinedRows(s *Structure) [][]intervalmap.Span {
-	out := make([][]intervalmap.Span, 2*s.circuit.N())
+func DefinedRows(s *Structure) [][]RowSpan {
+	out := make([][]RowSpan, 2*s.circuit.N())
 	for r := range out {
 		var cuts []int
 		for _, p := range s.placements {
@@ -204,16 +200,16 @@ func DefinedRows(s *Structure) [][]intervalmap.Span {
 				out[r][m-1].Iv.Hi = hi
 				continue
 			}
-			out[r] = append(out[r], intervalmap.Span{Iv: geom.NewInterval(lo, hi), IDs: ids})
+			out[r] = append(out[r], RowSpan{Iv: geom.NewInterval(lo, hi), IDs: ids})
 		}
 	}
 	return out
 }
 
-// CompiledRows returns the compiled index's row tables in RowSnapshots'
+// CompiledRows returns the compiled index's row tables in DefinedRows'
 // form, each span's slots mapped back to placement IDs.
-func CompiledRows(cs *CompiledStructure) [][]intervalmap.Span {
-	out := make([][]intervalmap.Span, 2*cs.n)
+func CompiledRows(cs *CompiledStructure) [][]RowSpan {
+	out := make([][]RowSpan, 2*cs.n)
 	var slots []int32
 	for r := range out {
 		for sp := cs.rowStart[r]; sp < cs.rowStart[r+1]; sp++ {
@@ -222,23 +218,19 @@ func CompiledRows(cs *CompiledStructure) [][]intervalmap.Span {
 			for k, slot := range slots {
 				ids[k] = int(cs.slotID[slot])
 			}
-			out[r] = append(out[r], intervalmap.Span{Iv: geom.NewInterval(int(cs.spanLo[sp]), int(cs.spanHi[sp])), IDs: ids})
+			out[r] = append(out[r], RowSpan{Iv: geom.NewInterval(int(cs.spanLo[sp]), int(cs.spanHi[sp])), IDs: ids})
 		}
 	}
 	return out
 }
 
-// CheckBruteForce checks the rows view, the compiled tables and the
-// conflict scan against their definitions: both row forms against
-// DefinedRows; the tree and compiled Lookup against LookupLinear at every
-// live box's corners and centre and at random dimension vectors; and
-// conflicting, for every live box and for random boxes, against
-// BoxOverlaps with every live placement.
+// CheckBruteForce checks the compiled tables and the conflict scan
+// against their definitions: the compiled rows against DefinedRows; the
+// compiled Lookup against LookupLinear at every live box's corners and
+// centre and at random dimension vectors; and conflicting, for every live
+// box and for random boxes, against BoxOverlaps with every live placement.
 func CheckBruteForce(s *Structure, rng *rand.Rand) error {
 	want := DefinedRows(s)
-	if got := RowSnapshots(s); !reflect.DeepEqual(got, want) {
-		return fmt.Errorf("rows view %v differs from the definition %v", got, want)
-	}
 	cs := Compile(s)
 	if got := CompiledRows(cs); !reflect.DeepEqual(got, want) {
 		return fmt.Errorf("compiled rows %v differ from the definition %v", got, want)
@@ -247,9 +239,6 @@ func CheckBruteForce(s *Structure, rng *rand.Rand) error {
 	n := c.N()
 	probe := func(ws, hs []int) error {
 		want := s.LookupLinear(ws, hs)
-		if got := s.Lookup(ws, hs); !slices.Equal(got, want) {
-			return fmt.Errorf("tree Lookup(%v, %v) = %v, linear scan %v", ws, hs, got, want)
-		}
 		if got := cs.Lookup(ws, hs); !slices.Equal(got, want) {
 			return fmt.Errorf("compiled Lookup(%v, %v) = %v, linear scan %v", ws, hs, got, want)
 		}
@@ -353,7 +342,7 @@ func v3Bytes(t *testing.T, s *Structure) []byte {
 }
 
 // TestRenumberMatchesRemoveInsert: the in-place packing of the box table
-// leaves the rows, row by row and span by span, that the definition gives
+// compiles to the rows, row by row and span by span, that the definition gives
 // for the live placements stored afresh, and the same v3 bytes as that
 // fresh store, on structures with ID holes from overlap resolution alone
 // and from resolution plus Compact.
@@ -373,7 +362,7 @@ func TestRenumberMatchesRemoveInsert(t *testing.T) {
 				}
 				RenumberRemoveInsert(want)
 				got.Renumber()
-				if !reflect.DeepEqual(RowSnapshots(got), DefinedRows(want)) {
+				if !reflect.DeepEqual(CompiledRows(Compile(got)), DefinedRows(want)) {
 					t.Fatalf("%s seed %d compact=%v: rows differ from the remove+insert reference", name, seed, compact)
 				}
 				if !bytes.Equal(v3Bytes(t, got), v3Bytes(t, want)) {
@@ -563,8 +552,8 @@ func TestCoverageAllocFree(t *testing.T) {
 	}
 }
 
-// TestChurnMatchesBruteForce checks the rows view, the compiled tables
-// and the conflict scan against brute force (CheckBruteForce) after every
+// TestChurnMatchesBruteForce checks the compiled tables and the conflict
+// scan against brute force (CheckBruteForce) after every
 // Insert of churned structures, whose resolution shrinks, forks and
 // deletes stored placements, and again after Compact and Renumber.
 func TestChurnMatchesBruteForce(t *testing.T) {
@@ -587,13 +576,13 @@ func TestChurnMatchesBruteForce(t *testing.T) {
 	}
 }
 
-// TestTreeQueriesBuildRowsConcurrently runs tree queries from many
-// goroutines on structures whose rows view was never built: a fresh load,
-// and a generated structure right after a mutation dropped its view.
-// Every reader may build the view on first use; under -race this checks
-// that building and publishing it is race-free, and every answer must
-// still match the linear scan.
-func TestTreeQueriesBuildRowsConcurrently(t *testing.T) {
+// TestFirstCompileConcurrently runs queries from many goroutines on
+// structures whose compiled index was never built: a fresh load, and a
+// churned structure right after Renumber dropped its index. Every
+// reader may compile and publish the index on first use; under -race
+// this checks that doing so is race-free, and every compiled answer must
+// still match the reference scan (LookupLinear and Query).
+func TestFirstCompileConcurrently(t *testing.T) {
 	base := churnedStructure(t, circuits.MustByName("TwoStageOpamp"), 4, 40, nil)
 	var v2 bytes.Buffer
 	if err := base.SaveBinary(&v2); err != nil {
@@ -603,10 +592,11 @@ func TestTreeQueriesBuildRowsConcurrently(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	Compile(base)
 	base.Renumber()
 	for _, s := range []*Structure{loaded, base} {
-		if s.rows.Load() != nil {
-			t.Fatal("rows view built before the first query")
+		if s.compiled.Load() != nil {
+			t.Fatal("index compiled before the first query")
 		}
 		const workers = 8
 		done := make(chan error, workers)
@@ -617,12 +607,15 @@ func TestTreeQueriesBuildRowsConcurrently(t *testing.T) {
 				ws, hs := make([]int, n), make([]int, n)
 				for trial := 0; trial < 300; trial++ {
 					randomDims(s, rng, ws, hs)
-					if got, want := s.Lookup(ws, hs), s.LookupLinear(ws, hs); !slices.Equal(got, want) {
-						done <- fmt.Errorf("Lookup(%v, %v) = %v, linear scan %v", ws, hs, got, want)
+					cs := Compile(s)
+					if got, want := cs.Lookup(ws, hs), s.LookupLinear(ws, hs); !slices.Equal(got, want) {
+						done <- fmt.Errorf("compiled Lookup(%v, %v) = %v, linear scan %v", ws, hs, got, want)
 						return
 					}
-					if _, err := s.Query(ws, hs); err != nil && err != ErrUncovered {
-						done <- err
+					id, err := cs.QueryID(ws, hs)
+					p, refErr := s.Query(ws, hs)
+					if err != refErr || err == nil && id != p.ID {
+						done <- fmt.Errorf("QueryID(%v, %v) = %d, %v; Query gives %v, %v", ws, hs, id, err, p, refErr)
 						return
 					}
 				}

@@ -75,7 +75,10 @@ func (s *Structure) WriteJSON(w io.Writer) error {
 	return nil
 }
 
-// Summary computes the aggregate metrics of the structure.
+// Summary computes the aggregate metrics of the structure. Its row counts
+// come from the compiled index, so like Compile (and RowHistogram) it
+// panics on a hand-built structure past the int32 range, which Load never
+// returns.
 func (s *Structure) Summary() StructSummaryJSON {
 	sum := StructSummaryJSON{
 		Placements:   s.alive,
@@ -98,23 +101,24 @@ func (s *Structure) Summary() StructSummaryJSON {
 	} else {
 		sum.BestBestCost = 0
 	}
-	for _, row := range s.view() {
-		sum.RowIntervals += row.Len()
-		sum.MaxRowLength = max(sum.MaxRowLength, row.Len())
+	cs := Compile(s)
+	sum.RowIntervals = cs.NumSpans()
+	for r := 0; r < 2*cs.n; r++ {
+		sum.MaxRowLength = max(sum.MaxRowLength, cs.rowLen(r))
 	}
 	return sum
 }
 
-// RowHistogram returns, per block, the number of interval objects in its
-// width and height rows — the Figure-3 row occupancy profile cmd/mpsinfo
-// prints.
+// RowHistogram returns, per block, the number of intervals in its width
+// and height rows — the Figure-3 row occupancy profile cmd/mpsinfo prints,
+// read from the compiled index.
 func (s *Structure) RowHistogram() (wLens, hLens []int) {
-	rows := s.view()
-	wLens = make([]int, len(rows)/2)
-	hLens = make([]int, len(rows)/2)
+	cs := Compile(s)
+	wLens = make([]int, cs.n)
+	hLens = make([]int, cs.n)
 	for i := range wLens {
-		wLens[i] = rows[2*i].Len()
-		hLens[i] = rows[2*i+1].Len()
+		wLens[i] = cs.rowLen(2 * i)
+		hLens[i] = cs.rowLen(2*i + 1)
 	}
 	return wLens, hLens
 }

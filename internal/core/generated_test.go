@@ -53,7 +53,7 @@ func TestGeneratedStructuresMatchReferences(t *testing.T) {
 			core.RenumberRemoveInsert(want)
 			got.Renumber()
 			same(got, "after Renumber")
-			if !reflect.DeepEqual(core.RowSnapshots(got), core.DefinedRows(want)) {
+			if !reflect.DeepEqual(core.CompiledRows(core.Compile(got)), core.DefinedRows(want)) {
 				t.Fatalf("%s seed %d: rows differ from the remove+insert reference", name, seed)
 			}
 			var gotV3, wantV3 bytes.Buffer
@@ -85,8 +85,8 @@ func TestGeneratedStructuresMatchReferences(t *testing.T) {
 // TestGeneratedInsertsMatchBruteForce inserts 20 of another seed's
 // generated placements, one at a time, into a generated structure and
 // into a structure loaded from its v2 file, and after every Insert checks
-// the rows view, the compiled tables and the conflict scan against brute
-// force (CheckBruteForce).
+// the compiled tables and the conflict scan against brute force
+// (CheckBruteForce).
 func TestGeneratedInsertsMatchBruteForce(t *testing.T) {
 	for _, name := range []string{"circ01", "TwoStageOpamp", "Mixer"} {
 		c := circuits.MustByName(name)

@@ -3,43 +3,43 @@ package core
 import (
 	"fmt"
 	"math"
-	"slices"
 
 	"mps/internal/geom"
-	"mps/internal/intervalmap"
 	"mps/internal/placement"
 )
 
 // CheckInvariants verifies the structural guarantees of the multi-placement
 // structure exhaustively:
 //
-//  1. every row satisfies the Figure-3 list invariants;
+//  1. every row's spans are ascending, disjoint and non-empty, and each
+//     carries at least one placement;
 //  2. every live placement has non-empty intervals inside designer bounds,
 //     is geometrically legal at maximum dimensions, is recorded in the box
 //     table exactly as its intervals, and is registered in every row
-//     exactly on its validity intervals;
+//     exactly on its validity intervals: present at both ends, absent just
+//     outside;
 //  3. every deleted ID's box table entry is emptied;
 //  4. no two live placements' dimension boxes overlap (the eq. 5 guarantee);
-//  5. no row references a deleted placement;
+//  5. no span carries a placement outside that placement's interval;
 //  6. every live placement's cached coverage term equals its recomputed
 //     term bit for bit;
 //  7. while the coverage exponentials are marked valid, their base is the
 //     largest live term and every live exponential equals
 //     Exp2(term − base) bit for bit.
 //
-// It is O(P²·N + rows) and intended for tests and failure injection, not
-// hot paths.
+// The rows are the compiled index's, swept afresh from the box table and
+// not cached, so a check publishes nothing. A floorplan past the int32
+// range, which the compiled tables cannot hold, fails first with Load's
+// error. It is O(P²·N + spans·P) and intended for tests and failure
+// injection, not hot paths.
 func (s *Structure) CheckInvariants() error {
+	if err := checkFloorplan(s.fp); err != nil {
+		return err
+	}
 	n := s.circuit.N()
 	if len(s.boxes) != 4*n*len(s.placements) {
 		return fmt.Errorf("core: box table holds %d values for %d placement slots of %d blocks",
 			len(s.boxes), len(s.placements), n)
-	}
-	rows := s.view()
-	for r, row := range rows {
-		if err := row.CheckInvariants(); err != nil {
-			return fmt.Errorf("%s row %d: %w", dimName(r), r/2, err)
-		}
 	}
 
 	live := 0
@@ -72,13 +72,20 @@ func (s *Structure) CheckInvariants() error {
 				return fmt.Errorf("core: placement %d block %d: registered (w, h) = %v in the box table, placement has %v",
 					id, i, got, want)
 			}
-			if err := checkRegistered(rows, p, i); err != nil {
-				return err
-			}
 		}
 	}
 	if live != s.alive {
 		return fmt.Errorf("core: alive count %d, found %d live placements", s.alive, live)
+	}
+
+	cs := compile(s)
+	if err := s.checkSpans(cs); err != nil {
+		return err
+	}
+	for slot, id := range cs.slotID {
+		if err := checkRegistered(cs, slot, s.placements[id]); err != nil {
+			return err
+		}
 	}
 
 	// Pairwise disjointness of dimension boxes.
@@ -90,29 +97,6 @@ func (s *Structure) CheckInvariants() error {
 				return fmt.Errorf("core: placements %d and %d have overlapping dimension boxes",
 					ids[a], ids[b])
 			}
-		}
-	}
-
-	// Rows must reference only live placements, and only inside the
-	// placement's own validity interval (no stray registrations).
-	var stray error
-	for r, row := range rows {
-		row.Visit(func(span geom.Interval, ids []int) {
-			for _, id := range ids {
-				if stray != nil {
-					return
-				}
-				p := s.Get(id)
-				if p == nil {
-					stray = fmt.Errorf("core: %s row %d references deleted placement %d", dimName(r), r/2, id)
-				} else if iv := rowInterval(p, r); !iv.ContainsInterval(span) {
-					stray = fmt.Errorf("core: %s row %d registers placement %d on %v outside its box %v",
-						dimName(r), r/2, id, span, iv)
-				}
-			}
-		})
-		if stray != nil {
-			return stray
 		}
 	}
 
@@ -149,6 +133,41 @@ func (s *Structure) CheckInvariants() error {
 	return nil
 }
 
+// checkSpans verifies checks 1 and 5 on the compiled rows: each row's
+// spans are non-empty, ascending and disjoint, and every span carries at
+// least one placement, each live and registered on the whole span.
+func (s *Structure) checkSpans(cs *CompiledStructure) error {
+	var slots []int32
+	for r := 0; r < 2*cs.n; r++ {
+		for sp := int(cs.rowStart[r]); sp < int(cs.rowStart[r+1]); sp++ {
+			span := geom.Interval{Lo: int(cs.spanLo[sp]), Hi: int(cs.spanHi[sp])}
+			if span.Empty() {
+				return fmt.Errorf("core: %s row %d: empty span %v", dimName(r), r/2, span)
+			}
+			if sp > int(cs.rowStart[r]) && int(cs.spanHi[sp-1]) >= span.Lo {
+				return fmt.Errorf("core: %s row %d: span %v follows %v out of order or overlapping",
+					dimName(r), r/2, span, geom.Interval{Lo: int(cs.spanLo[sp-1]), Hi: int(cs.spanHi[sp-1])})
+			}
+			slots = cs.spanSlots(sp, slots[:0])
+			if len(slots) == 0 {
+				return fmt.Errorf("core: %s row %d: span %v carries no placements", dimName(r), r/2, span)
+			}
+			for _, slot := range slots {
+				id := int(cs.slotID[slot])
+				p := s.Get(id)
+				if p == nil {
+					return fmt.Errorf("core: %s row %d references deleted placement %d", dimName(r), r/2, id)
+				}
+				if iv := rowInterval(p, r); !iv.ContainsInterval(span) {
+					return fmt.Errorf("core: %s row %d registers placement %d on %v outside its box %v",
+						dimName(r), r/2, id, span, iv)
+				}
+			}
+		}
+	}
+	return nil
+}
+
 // dimName names row r's dimension: even rows are widths, odd rows heights.
 func dimName(r int) string {
 	if r%2 == 0 {
@@ -165,29 +184,30 @@ func rowInterval(p *placement.Placement, r int) geom.Interval {
 	return p.HIv(r / 2)
 }
 
-// checkRegistered verifies placement p appears in block i's rows exactly on
-// its validity intervals: present at both endpoints, absent just outside.
-func checkRegistered(rows []*intervalmap.Row, p *placement.Placement, i int) error {
-	wiv, hiv := p.WIv(i), p.HIv(i)
-	w, h := rows[2*i], rows[2*i+1]
-	for _, probe := range []struct {
-		row    *intervalmap.Row
-		v      int
-		wantIn bool
-		what   string
-	}{
-		{w, wiv.Lo, true, "w.Lo"},
-		{w, wiv.Hi, true, "w.Hi"},
-		{w, wiv.Lo - 1, false, "w.Lo-1"},
-		{w, wiv.Hi + 1, false, "w.Hi+1"},
-		{h, hiv.Lo, true, "h.Lo"},
-		{h, hiv.Hi, true, "h.Hi"},
-		{h, hiv.Lo - 1, false, "h.Lo-1"},
-		{h, hiv.Hi + 1, false, "h.Hi+1"},
-	} {
-		if got := slices.Contains(probe.row.Lookup(probe.v), p.ID); got != probe.wantIn {
-			return fmt.Errorf("core: placement %d block %d: registered=%v at %s, want %v",
-				p.ID, i, got, probe.what, probe.wantIn)
+// checkRegistered verifies the placement p in compiled slot slot appears in
+// every row exactly on its validity interval: present at both ends, absent
+// just outside.
+func checkRegistered(cs *CompiledStructure, slot int, p *placement.Placement) error {
+	registered := func(r, v int) bool {
+		sp := cs.findSpan(r, v)
+		return sp >= 0 && cs.masks[sp*cs.words+slot/64]>>(slot%64)&1 == 1
+	}
+	for r := 0; r < 2*cs.n; r++ {
+		iv := rowInterval(p, r)
+		for _, probe := range []struct {
+			v      int
+			wantIn bool
+			what   string
+		}{
+			{iv.Lo, true, "Lo"},
+			{iv.Hi, true, "Hi"},
+			{iv.Lo - 1, false, "Lo-1"},
+			{iv.Hi + 1, false, "Hi+1"},
+		} {
+			if got := registered(r, probe.v); got != probe.wantIn {
+				return fmt.Errorf("core: placement %d block %d: registered=%v at %s %s, want %v",
+					p.ID, r/2, got, dimName(r), probe.what, probe.wantIn)
+			}
 		}
 	}
 	return nil

@@ -133,14 +133,8 @@ func buildStructure(ff *fileFormat, c *netlist.Circuit) (*Structure, error) {
 	if c.Name != ff.CircuitName {
 		return nil, fmt.Errorf("core: file is for circuit %q, not %q", ff.CircuitName, c.Name)
 	}
-	// Bound the floorplan to the compiled index's int32 coordinate space.
-	// CheckLegal keeps every anchor inside the floorplan, so this one check
-	// makes Compile's int32 narrowing infallible for any loaded structure —
-	// a forged file cannot turn the decoder's error contract into a panic.
-	for _, v := range [4]int{ff.Floorplan.X0, ff.Floorplan.Y0, ff.Floorplan.X1, ff.Floorplan.Y1} {
-		if v < math.MinInt32 || v > math.MaxInt32 {
-			return nil, fmt.Errorf("core: floorplan %v exceeds the int32 coordinate range", ff.Floorplan)
-		}
+	if err := checkFloorplan(ff.Floorplan); err != nil {
+		return nil, err
 	}
 	s := NewStructure(c, ff.Floorplan)
 	n := c.N()
@@ -171,4 +165,18 @@ func buildStructure(ff *fileFormat, c *netlist.Circuit) (*Structure, error) {
 	}
 	s.rebaseExps()
 	return s, nil
+}
+
+// checkFloorplan bounds a floorplan to the compiled index's int32
+// coordinate space. CheckLegal keeps every anchor inside the floorplan, so
+// this one check makes Compile's int32 narrowing infallible for any loaded
+// structure — a forged file cannot turn the decoder's error contract into
+// a panic — and CheckInvariants runs it before compiling a hand-built one.
+func checkFloorplan(fp geom.Rect) error {
+	for _, v := range [4]int{fp.X0, fp.Y0, fp.X1, fp.Y1} {
+		if v < math.MinInt32 || v > math.MaxInt32 {
+			return fmt.Errorf("core: floorplan %v exceeds the int32 coordinate range", fp)
+		}
+	}
+	return nil
 }

@@ -4,11 +4,9 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"sync"
 	"sync/atomic"
 
 	"mps/internal/geom"
-	"mps/internal/intervalmap"
 	"mps/internal/netlist"
 	"mps/internal/placement"
 )
@@ -58,7 +56,7 @@ type Structure struct {
 	// HHi) in block order, so row r's interval sits at offset 2r. store
 	// appends an entry, shrinkRow rewrites one, delete empties one (see
 	// emptyBox) and Renumber packs the table. conflicting scans it, and
-	// Compile and the rows view sweep it.
+	// Compile sweeps it.
 	boxes []int
 	// conflicts and probe are conflicting's result and its copy of the
 	// candidate's box, reused across calls.
@@ -69,16 +67,10 @@ type Structure struct {
 	// resolveStrategy selects the shrink row during overlap resolution.
 	resolveStrategy ResolveRowStrategy
 
-	// scratch pools query-intersection buffers so concurrent Lookup calls
-	// never share scratch space (holds *[]int).
-	scratch sync.Pool
-
-	// compiled caches the flat query index built by Compile, and rows the
-	// Figure-3 linked rows the tree query path walks, built on first use.
-	// Mutations (store, delete, shrinkRow, Renumber) drop both, so neither
-	// can answer for boxes that have since changed.
+	// compiled caches the flat query index built by Compile. Mutations
+	// (store, delete, shrinkRow, Renumber) drop it, so it never answers for
+	// boxes that have since changed.
 	compiled atomic.Pointer[CompiledStructure]
-	rows     atomic.Pointer[[]*intervalmap.Row]
 }
 
 // NewStructure returns an empty structure for the circuit on the given
@@ -106,10 +98,12 @@ func (s *Structure) SetBackup(b Backup) { s.backup = b }
 // exists for the ablation benchmarks.
 func (s *Structure) SetResolveStrategy(rs ResolveRowStrategy) { s.resolveStrategy = rs }
 
-// LookupLinear is the reference query implementation: a linear scan over
-// all live placements with Covers. It exists to validate Lookup and as the
-// ablation baseline for the row-based query path; results match Lookup
-// exactly.
+// LookupLinear returns the IDs of all live placements covering the
+// dimension vector, ascending — the raw intersection of eq. 4 before the
+// |M(V)| = 1 check, nil when uncovered. It is the reference the compiled
+// index's Lookup is tested against: a linear scan with Covers over the
+// placements themselves, sharing no data with the box table the index is
+// swept from.
 func (s *Structure) LookupLinear(ws, hs []int) []int {
 	var out []int
 	for id, p := range s.placements {
@@ -198,11 +192,8 @@ func (s *Structure) box(id int) []int {
 	return s.boxes[id*w : (id+1)*w : (id+1)*w]
 }
 
-// invalidate drops the compiled index and the rows view after a mutation.
-func (s *Structure) invalidate() {
-	s.compiled.Store(nil)
-	s.rows.Store(nil)
-}
+// invalidate drops the compiled index after a mutation.
+func (s *Structure) invalidate() { s.compiled.Store(nil) }
 
 // Renumber packs live placement IDs into the dense range [0, alive), in
 // ascending current-ID order, and packs the box table to match. Queries
@@ -216,7 +207,7 @@ func (s *Structure) invalidate() {
 // cluster replicas that exchange structure files report the same
 // placement_id as the owner's in-memory copy.
 //
-// The old→new ID map is monotone and the rows are derived from the box
+// The old→new ID map is monotone and Compile sweeps its rows from the box
 // table, so the rows that follow are exactly those of storing the live
 // placements afresh in ID order.
 func (s *Structure) Renumber() {
@@ -267,29 +258,6 @@ func (s *Structure) shrinkRow(p *placement.Placement, block, dim int, newIv geom
 	s.setExp(p.ID, lg)
 }
 
-// view returns the Figure-3 linked rows of the live placements, building
-// and caching them on first use: rows[2i] and rows[2i+1] are block i's
-// width and height rows, in the compiled tables' order. Only the tree
-// query path reads them; the compiled index sweeps the box table itself.
-// Concurrent first readers may each build the rows; any of them is
-// correct, since the box table only changes under the mutations that drop
-// them.
-func (s *Structure) view() []*intervalmap.Row {
-	if v := s.rows.Load(); v != nil {
-		return *v
-	}
-	ids := s.IDs()
-	lo, hi := make([]int, len(ids)), make([]int, len(ids))
-	rows := make([]*intervalmap.Row, 2*s.circuit.N())
-	var sw intervalmap.Sweeper
-	for r := range rows {
-		s.rowIntervals(r, ids, lo, hi)
-		rows[r] = sw.Build(lo, hi, ids)
-	}
-	s.rows.Store(&rows)
-	return rows
-}
-
 // rowIntervals fills lo[k], hi[k] with row r's interval of placement
 // ids[k], read from the box table (row 2i is block i's width, 2i+1 its
 // height).
@@ -301,79 +269,21 @@ func (s *Structure) rowIntervals(r int, ids []int, lo, hi []int) {
 	}
 }
 
-// Lookup returns the IDs of all stored placements covering the dimension
-// vector — the raw intersection of eq. 4 before the |M(V)| = 1 check.
-// The result is nil when uncovered and shares no memory with the rows.
-// Lookup is safe for concurrent use: intersection scratch is taken from a
-// per-structure pool, never shared between calls.
-func (s *Structure) Lookup(ws, hs []int) []int {
-	sp, acc := s.intersectScratch(ws, hs)
-	var out []int
-	if len(acc) > 0 {
-		out = make([]int, len(acc))
-		copy(out, acc)
-	}
-	s.putScratch(sp, acc)
-	return out
-}
-
-// lookupUnique is the allocation-free hot path behind Lookup and Query: it
-// returns the covering placement ID and the intersection size, without
-// copying the full ID set out. count > 1 (an eq.5 violation) returns an
-// arbitrary covering ID.
-func (s *Structure) lookupUnique(ws, hs []int) (id, count int) {
-	sp, acc := s.intersectScratch(ws, hs)
-	id, count = -1, len(acc)
-	if count > 0 {
-		id = acc[0]
-	}
-	s.putScratch(sp, acc)
-	return id, count
-}
-
-// intersectScratch runs the eq. 4 intersection in a pooled buffer. Callers
-// must hand both return values to putScratch once done reading acc.
-func (s *Structure) intersectScratch(ws, hs []int) (sp *[]int, acc []int) {
-	sp, _ = s.scratch.Get().(*[]int)
-	if sp == nil {
-		sp = new([]int)
-	}
-	return sp, s.intersectInto((*sp)[:0], ws, hs)
-}
-
-// putScratch returns a buffer obtained from intersectScratch to the pool,
-// keeping any capacity acc grew to.
-func (s *Structure) putScratch(sp *[]int, acc []int) {
-	*sp = acc[:0]
-	s.scratch.Put(sp)
-}
-
-// intersectInto computes the eq. 4 row intersection into acc and returns it.
-func (s *Structure) intersectInto(acc []int, ws, hs []int) []int {
-	rows := s.view()
-	first := true
-	for i := 0; i < len(rows)/2; i++ {
-		for dim := 0; dim < 2; dim++ {
-			v := ws[i]
-			if dim == 1 {
-				v = hs[i]
+// scan is the allocation-free reference walk behind Query and
+// CoverageMonteCarlo: the lowest live ID whose placement covers the
+// dimension vector (-1 when none does) and the number of covering
+// placements, counted with Covers over every live placement.
+func (s *Structure) scan(ws, hs []int) (id, count int) {
+	id = -1
+	for k, p := range s.placements {
+		if p != nil && p.Covers(ws, hs) {
+			if count == 0 {
+				id = k
 			}
-			ids := rows[2*i+dim].Lookup(v)
-			if len(ids) == 0 {
-				return acc[:0]
-			}
-			if first {
-				acc = append(acc[:0], ids...)
-				first = false
-				continue
-			}
-			acc = intersectSorted(acc, ids)
-			if len(acc) == 0 {
-				return acc
-			}
+			count++
 		}
 	}
-	return acc
+	return id, count
 }
 
 // Result is a placement instantiation: anchors for every block plus the
@@ -389,14 +299,19 @@ type Result struct {
 }
 
 // Query implements the paper's function M (eq. 1/4): it returns the unique
-// stored placement covering dims (ws, hs). Uncovered space falls back to
-// the backup when installed, else returns ErrUncovered. More than one
-// covering placement is an invariant violation and returns an error.
+// stored placement covering dims (ws, hs), or ErrUncovered when none does.
+// More than one covering placement is an invariant violation and returns
+// an error.
+//
+// Query and Instantiate are the reference answer, not the serving path:
+// they scan every live placement (see scan), so they answer in time linear
+// in the placements and share nothing with the compiled index that tests
+// and the benchmark check against them. Serving goes through Compile.
 func (s *Structure) Query(ws, hs []int) (*placement.Placement, error) {
 	if err := s.checkDims(ws, hs); err != nil {
 		return nil, err
 	}
-	id, count := s.lookupUnique(ws, hs)
+	id, count := s.scan(ws, hs)
 	switch count {
 	case 0:
 		return nil, ErrUncovered
@@ -404,12 +319,14 @@ func (s *Structure) Query(ws, hs []int) (*placement.Placement, error) {
 		return s.placements[id], nil
 	}
 	return nil, fmt.Errorf("core: eq.5 violated — %d placements cover one dimension vector: %v",
-		count, s.Lookup(ws, hs))
+		count, s.LookupLinear(ws, hs))
 }
 
 // Instantiate answers a synthesis-loop placement request: given block
 // dimensions it returns anchors from the covering stored placement, or from
-// the backup template for uncovered space.
+// the backup template for uncovered space (ErrUncovered when none is
+// installed). Like Query it is the brute-force reference;
+// CompiledStructure.Instantiate is the serving twin that must match it.
 func (s *Structure) Instantiate(ws, hs []int) (Result, error) {
 	p, err := s.Query(ws, hs)
 	switch {
@@ -441,25 +358,6 @@ func (s *Structure) checkDims(ws, hs []int) error {
 		}
 	}
 	return nil
-}
-
-// intersectSorted intersects two ascending slices in place into acc.
-func intersectSorted(acc, other []int) []int {
-	out := acc[:0]
-	i, j := 0, 0
-	for i < len(acc) && j < len(other) {
-		switch {
-		case acc[i] < other[j]:
-			i++
-		case acc[i] > other[j]:
-			j++
-		default:
-			out = append(out, acc[i])
-			i++
-			j++
-		}
-	}
-	return out
 }
 
 func cloneInts(s []int) []int {

@@ -114,55 +114,6 @@ func CompareBench(baseline, current []BenchResult, tolerance float64) (deltas []
 	return deltas, regressed
 }
 
-// RatioGate asserts a speed relationship between two ops measured in the
-// same run. Unlike the absolute baseline comparison it is machine
-// independent — both sides ran on the same hardware moments apart — so it
-// stays meaningful on CI runners that are faster or slower than the
-// machine that recorded the baseline.
-type RatioGate struct {
-	Fast       string  // op that must be faster
-	Slow       string  // op it is measured against
-	MinSpeedup float64 // Slow.NsPerOp / Fast.NsPerOp must be >= this
-}
-
-// DefaultRatioGates pins the compiled query index's acceptance property:
-// on covered queries the compiled path must stay at least 2× faster than
-// the tree path (the measured ratio is ~3×; the margin absorbs noise).
-var DefaultRatioGates = []RatioGate{
-	{
-		Fast:       "instantiate_covered_compiled/TwoStageOpamp",
-		Slow:       "instantiate_covered/TwoStageOpamp",
-		MinSpeedup: 2.0,
-	},
-}
-
-// CheckRatioGates evaluates the gates against one run's results and
-// returns a failure message per violated (or unevaluable) gate.
-func CheckRatioGates(current []BenchResult, gates []RatioGate) []string {
-	byName := make(map[string]BenchResult, len(current))
-	for _, r := range current {
-		byName[r.Name] = r
-	}
-	var failures []string
-	for _, g := range gates {
-		fast, okF := byName[g.Fast]
-		slow, okS := byName[g.Slow]
-		if !okF || !okS {
-			failures = append(failures, fmt.Sprintf("ratio gate %s vs %s: op missing from this run", g.Fast, g.Slow))
-			continue
-		}
-		if fast.NsPerOp <= 0 {
-			failures = append(failures, fmt.Sprintf("ratio gate %s: non-positive ns/op", g.Fast))
-			continue
-		}
-		if speedup := slow.NsPerOp / fast.NsPerOp; speedup < g.MinSpeedup {
-			failures = append(failures, fmt.Sprintf("%s is only %.2fx faster than %s (gate: >=%.1fx)",
-				g.Fast, speedup, g.Slow, g.MinSpeedup))
-		}
-	}
-	return failures
-}
-
 // RenderBenchDeltas prints the comparison as a table, flagging gate
 // failures in the status column.
 func RenderBenchDeltas(w io.Writer, deltas []BenchDelta) {

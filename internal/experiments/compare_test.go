@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"bytes"
 	"path/filepath"
 	"testing"
 )
@@ -89,61 +88,5 @@ func TestBenchJSONRoundTripDeterministic(t *testing.T) {
 	deltas, regressed := CompareBench(report.Results, results, -1)
 	if regressed || len(deltas) != 2 {
 		t.Fatalf("self-comparison regressed: %+v", deltas)
-	}
-}
-
-func TestCheckRatioGates(t *testing.T) {
-	results := []BenchResult{
-		{Name: "fast", NsPerOp: 100},
-		{Name: "slow", NsPerOp: 350},
-	}
-	gate := []RatioGate{{Fast: "fast", Slow: "slow", MinSpeedup: 2.0}}
-	if failures := CheckRatioGates(results, gate); len(failures) != 0 {
-		t.Fatalf("3.5x speedup failed a 2x gate: %v", failures)
-	}
-	gate[0].MinSpeedup = 4.0
-	if failures := CheckRatioGates(results, gate); len(failures) != 1 {
-		t.Fatalf("3.5x speedup passed a 4x gate: %v", failures)
-	}
-	gate[0].Fast = "absent"
-	if failures := CheckRatioGates(results, gate); len(failures) != 1 {
-		t.Fatalf("missing op passed the gate: %v", failures)
-	}
-	// The default gates must reference ops RunMicro actually produces, so
-	// the CI gate can never silently evaluate nothing.
-	for _, g := range DefaultRatioGates {
-		if g.Fast == "" || g.Slow == "" || g.MinSpeedup < 1 {
-			t.Fatalf("malformed default gate: %+v", g)
-		}
-	}
-}
-
-// TestRunQueryPerfShape runs the tree-vs-compiled study on one tiny
-// configuration and sanity-checks the row invariants (compiled never
-// allocates, table renders).
-func TestRunQueryPerfShape(t *testing.T) {
-	if testing.Short() {
-		t.Skip("runs testing.Benchmark pairs")
-	}
-	old := queryPerfCircuits
-	queryPerfCircuits = []string{"circ01"}
-	defer func() { queryPerfCircuits = old }()
-	var buf bytes.Buffer
-	rows, err := RunQueryPerf(&buf, EffortQuick, 5)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rows) != 1 {
-		t.Fatalf("got %d rows, want 1", len(rows))
-	}
-	r := rows[0]
-	if r.CompiledAllocs != 0 {
-		t.Errorf("compiled path allocates %d/op, want 0", r.CompiledAllocs)
-	}
-	if r.Placements == 0 || r.Spans == 0 || r.TreeNs <= 0 || r.CompiledNs <= 0 {
-		t.Errorf("degenerate row: %+v", r)
-	}
-	if buf.Len() == 0 {
-		t.Error("no table rendered")
 	}
 }

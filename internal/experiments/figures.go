@@ -45,11 +45,12 @@ func RunFigure5(s *core.Structure) (Figure5, error) {
 	wsA, hsA := mkDims(0.30)
 	wsB, hsB := mkDims(0.85)
 
-	resA, err := s.Instantiate(wsA, hsA)
+	cs := core.Compile(s)
+	resA, err := cs.Instantiate(wsA, hsA)
 	if err != nil {
 		return Figure5{}, fmt.Errorf("experiments: fig5 a: %w", err)
 	}
-	resB, err := s.Instantiate(wsB, hsB)
+	resB, err := cs.Instantiate(wsB, hsB)
 	if err != nil {
 		return Figure5{}, fmt.Errorf("experiments: fig5 b: %w", err)
 	}
@@ -128,10 +129,11 @@ func RunFigure6(s *core.Structure, ev cost.Evaluator, maxPoints int) (Figure6, e
 	}
 
 	// Pass 1: record the structure's selection per sweep point.
+	cs := core.Compile(s)
 	selected := map[int]bool{}
 	for _, v := range fig.SweepValues {
 		ws[sweepBlock] = v
-		res, err := s.Instantiate(ws, hs)
+		res, err := cs.Instantiate(ws, hs)
 		if err != nil {
 			return Figure6{}, fmt.Errorf("experiments: fig6: %w", err)
 		}
@@ -262,7 +264,7 @@ func RunFigure7(s *core.Structure) (Figure7, error) {
 		ws[i] = (b.WMin + b.WMax) / 2
 		hs[i] = (b.HMin + b.HMax) / 2
 	}
-	res, err := s.Instantiate(ws, hs)
+	res, err := core.Compile(s).Instantiate(ws, hs)
 	if err != nil {
 		return Figure7{}, fmt.Errorf("experiments: fig7: %w", err)
 	}

@@ -51,9 +51,9 @@ type BenchReport struct {
 }
 
 // RunMicro benchmarks the serving stack's critical operations — quick
-// generation, instantiation through the tree and compiled query paths
-// (mixed and covered-only workloads), best-of-K portfolio routing (the
-// covered routed op is the 0 allocs/op gate), and both on-disk codecs — via
+// generation, instantiation through the compiled query index (mixed and
+// covered-only workloads), best-of-K portfolio routing (the covered routed
+// op is the 0 allocs/op gate), and both on-disk codecs — via
 // testing.Benchmark, renders a table to w, and returns the rows for
 // WriteBenchJSON. The quick-effort budgets keep a full run in the tens of
 // seconds, small enough for CI, and every op is deterministic in
@@ -160,16 +160,8 @@ func RunMicro(w io.Writer, seed int64) ([]BenchResult, error) {
 				}
 			}
 		}},
-		{"instantiate/TwoStageOpamp", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				q := i % batchSize
-				if _, err := s.Instantiate(ws[q], hs[q]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
-		// The compiled twin of the op above, on the same mixed
-		// covered/backup query stream — the end-to-end serving delta.
+		// The mixed covered/backup query stream through the compiled index:
+		// what a served query pays, backup answers included.
 		{"instantiate_compiled/TwoStageOpamp", func(b *testing.B) {
 			var res core.Result
 			for i := 0; i < b.N; i++ {
@@ -179,17 +171,9 @@ func RunMicro(w io.Writer, seed int64) ([]BenchResult, error) {
 				}
 			}
 		}},
-		// Covered-only queries: the pure index comparison with the backup
-		// template out of the loop. The compiled row is the CI gate's
-		// zero-allocation sentinel — allocs/op must stay exactly 0.
-		{"instantiate_covered/TwoStageOpamp", func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				q := i % batchSize
-				if _, err := s.Instantiate(cws[q], chs[q]); err != nil {
-					b.Fatal(err)
-				}
-			}
-		}},
+		// Covered-only queries: the index alone, with the backup template
+		// out of the loop. This row is the CI gate's zero-allocation
+		// sentinel — allocs/op must stay exactly 0.
 		{"instantiate_covered_compiled/TwoStageOpamp", func(b *testing.B) {
 			var res core.Result
 			for i := 0; i < b.N; i++ {
@@ -343,6 +327,31 @@ func RunMicro(w io.Writer, seed int64) ([]BenchResult, error) {
 	}
 	tb.Render(w)
 	return out, nil
+}
+
+// CoveredQueryPool draws count dimension vectors uniformly from stored
+// placements' dimension boxes, so every query resolves to a stored
+// placement. It returns nils when the structure holds no placements —
+// callers must treat that as "nothing to benchmark". Shared by RunMicro,
+// RunPareto and the root covered-query benchmarks and batch tests.
+func CoveredQueryPool(s *core.Structure, rng *rand.Rand, count int) (ws, hs [][]int) {
+	ids := s.IDs()
+	if len(ids) == 0 {
+		return nil, nil
+	}
+	n := s.Circuit().N()
+	ws = make([][]int, count)
+	hs = make([][]int, count)
+	for q := 0; q < count; q++ {
+		p := s.Get(ids[rng.Intn(len(ids))])
+		ws[q] = make([]int, n)
+		hs[q] = make([]int, n)
+		for i := 0; i < n; i++ {
+			ws[q][i] = p.WLo[i] + rng.Intn(p.WHi[i]-p.WLo[i]+1)
+			hs[q][i] = p.HLo[i] + rng.Intn(p.HHi[i]-p.HLo[i]+1)
+		}
+	}
+	return ws, hs
 }
 
 // WriteBenchJSON writes the rows as a BENCH_results.json document at

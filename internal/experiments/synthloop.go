@@ -33,6 +33,7 @@ func RunSynthComparison(w io.Writer, s *core.Structure, seed int64) ([]SynthRow,
 	sizer := modgen.DefaultSizer(c)
 	fp := s.Floorplan()
 	obj := synth.LayoutOnlyObjective(cost.WithSymmetry(cost.DefaultWeights, 2))
+	cs := core.Compile(s)
 
 	providers := []struct {
 		name  string
@@ -40,7 +41,7 @@ func RunSynthComparison(w io.Writer, s *core.Structure, seed int64) ([]SynthRow,
 		steps int
 	}{
 		{"multi-placement structure", synth.ProviderFunc(func(ws, hs []int) ([]int, []int, error) {
-			res, err := s.Instantiate(ws, hs)
+			res, err := cs.Instantiate(ws, hs)
 			if err != nil {
 				return nil, nil, err
 			}

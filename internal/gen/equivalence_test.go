@@ -3,7 +3,8 @@ package gen
 // Cross-backend equivalence property suite: every registered backend
 // must produce structures that are indistinguishable downstream — the
 // structural invariants hold, the compiled query index answers exactly
-// like the tree, and the v3 codec round-trips. New backends get this
+// like the reference scan (core.Structure.Instantiate), and the v3 codec
+// round-trips. New backends get this
 // coverage for free; CI runs the suite once per backend via the
 // MPS_BACKENDS filter (see .github/workflows/ci.yml).
 
@@ -56,7 +57,7 @@ func randomDims(c *netlist.Circuit, rng *rand.Rand) (ws, hs []int) {
 
 // checkEquivalence generates one structure for the spec and checks the
 // downstream properties single-structure serving relies on: structural
-// invariants, compiled-vs-tree query agreement, and the v3 round trip.
+// invariants, compiled-vs-scan query agreement, and the v3 round trip.
 func checkEquivalence(t *testing.T, name string, spec Spec) {
 	t.Helper()
 	g, err := ByName(spec.Backend)
@@ -79,13 +80,13 @@ func checkEquivalence(t *testing.T, name string, spec Spec) {
 	}
 	s.SetBackup(template.Balanced(c))
 
-	// Compiled-vs-tree query equivalence on a mixed
+	// Compiled-vs-scan query equivalence on a mixed
 	// covered/backup stream.
 	cs := core.Compile(s)
 	rng := rand.New(rand.NewSource(23))
 	for q := 0; q < 64; q++ {
 		ws, hs := randomDims(c, rng)
-		tree, err := s.Instantiate(ws, hs)
+		ref, err := s.Instantiate(ws, hs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -93,9 +94,9 @@ func checkEquivalence(t *testing.T, name string, spec Spec) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if tree.PlacementID != flat.PlacementID || tree.FromBackup != flat.FromBackup {
-			t.Fatalf("query %d: tree (id %d, backup %v) != compiled (id %d, backup %v)",
-				q, tree.PlacementID, tree.FromBackup, flat.PlacementID, flat.FromBackup)
+		if ref.PlacementID != flat.PlacementID || ref.FromBackup != flat.FromBackup {
+			t.Fatalf("query %d: scan (id %d, backup %v) != compiled (id %d, backup %v)",
+				q, ref.PlacementID, ref.FromBackup, flat.PlacementID, flat.FromBackup)
 		}
 	}
 

@@ -462,6 +462,11 @@ func TestPruneKeepsRecentTerminal(t *testing.T) {
 func TestConcurrentSubmitCancelList(t *testing.T) {
 	s := newTestScheduler(t, Config{Workers: 4})
 	var wg sync.WaitGroup
+	// A cancelled job that was already running stays Running until its
+	// worker returns, so the final check first waits for every job this
+	// test cancelled.
+	var cancelledMu sync.Mutex
+	var cancelled []string
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
 		go func(g int) {
@@ -480,6 +485,9 @@ func TestConcurrentSubmitCancelList(t *testing.T) {
 				}
 				if i%3 == 0 {
 					s.Cancel(snap.ID)
+					cancelledMu.Lock()
+					cancelled = append(cancelled, snap.ID)
+					cancelledMu.Unlock()
 				} else if _, err := s.Wait(context.Background(), snap.ID); err != nil {
 					t.Error(err)
 					return
@@ -498,6 +506,11 @@ func TestConcurrentSubmitCancelList(t *testing.T) {
 		}()
 	}
 	wg.Wait()
+	for _, id := range cancelled {
+		if _, err := s.Wait(context.Background(), id); err != nil {
+			t.Fatal(err)
+		}
+	}
 	st := s.Stats()
 	if st.Queued != 0 || st.Running != 0 {
 		t.Errorf("work left after drain: %+v", st)

@@ -35,8 +35,8 @@ type oracleAnswer struct {
 }
 
 // oracleRoute answers one query by definition:
-//   - dimension errors and eq. 5 violations come from each member's tree
-//     Query, first member first;
+//   - dimension errors and eq. 5 violations come from each member's
+//     Query (the reference scan), first member first;
 //   - each member's covering placement comes from a linear scan over its
 //     stored boxes (at most one per member, by eq. 5);
 //   - each covering placement is scored by cost.Vector on the layout it
@@ -44,7 +44,7 @@ type oracleAnswer struct {
 //   - the winner minimizes the weighted scalar (0 for the zero vector,
 //     which is the legacy area rule), then area, then dead space, then
 //     member index;
-//   - when no member covers, member 0's tree Instantiate answers.
+//   - when no member covers, member 0's Instantiate answers.
 func oracleRoute(t testing.TB, p *Portfolio, w cost.Weights, ws, hs []int) oracleAnswer {
 	t.Helper()
 	for m := 0; m < p.K(); m++ {

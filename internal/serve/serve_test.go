@@ -163,21 +163,28 @@ func TestGenerateThenInstantiate(t *testing.T) {
 	}
 
 	// The third query lies in the first stored placement's box, so a
-	// stored placement answers it.
+	// stored placement answers it. The expected answers come from the
+	// reference scan (core.Structure.Instantiate), not from the compiled
+	// index the handler serves from.
 	e, ok := s.lookup(info.Key)
 	if !ok {
 		t.Fatal("generated structure not cached")
 	}
 	st := e.p.Member(0)
 	pl := st.Get(st.IDs()[0])
-	want, err := core.Compile(st).Instantiate(pl.WLo, pl.HLo)
-	if err != nil || want.FromBackup {
-		t.Fatalf("covered query: %+v, %v", want, err)
+	queries := []map[string][]int{testQuery(t, 0), testQuery(t, 1), {"ws": pl.WLo, "hs": pl.HLo}}
+	want := make([]core.Result, len(queries))
+	for i, q := range queries {
+		res, err := st.Instantiate(q["ws"], q["hs"])
+		if err != nil {
+			t.Fatalf("reference answer %d: %v", i, err)
+		}
+		want[i] = res
 	}
-	req := map[string]any{
-		"key":     info.Key,
-		"queries": []map[string][]int{testQuery(t, 0), testQuery(t, 1), {"ws": pl.WLo, "hs": pl.HLo}},
+	if want[2].FromBackup {
+		t.Fatalf("covered query answered from the backup: %+v", want[2])
 	}
+	req := map[string]any{"key": info.Key, "queries": queries}
 	var out struct {
 		Key     string `json:"key"`
 		Served  int    `json:"served"`
@@ -211,9 +218,12 @@ func TestGenerateThenInstantiate(t *testing.T) {
 			t.Errorf("result %d: member %d with from_backup %v, want %d", i, r.Member, r.FromBackup, wantMember)
 		}
 	}
-	if got := out.Results[2]; got.FromBackup || got.PlacementID != want.PlacementID ||
-		!slices.Equal(got.X, want.X) || !slices.Equal(got.Y, want.Y) {
-		t.Errorf("covered result %+v, want placement %d at %v/%v", got, want.PlacementID, want.X, want.Y)
+	for i, got := range out.Results {
+		if w := want[i]; got.FromBackup != w.FromBackup || got.PlacementID != w.PlacementID ||
+			!slices.Equal(got.X, w.X) || !slices.Equal(got.Y, w.Y) {
+			t.Errorf("result %d %+v, reference placement %d (backup %v) at %v/%v",
+				i, got, w.PlacementID, w.FromBackup, w.X, w.Y)
+		}
 	}
 
 	// Addressing by inline spec must also work (and hit the cache).

@@ -57,9 +57,10 @@ func (s *Structure) Compiled() *CompiledStructure {
 }
 
 // Instantiate answers a placement request through the compiled query
-// index, compiling it on first use. Results are semantically identical to
-// the tree path (core.Structure.Instantiate), which remains reachable
-// through the embedded structure for ablation and testing.
+// index, compiling it on first use. Results are identical to those of the
+// embedded core.Structure's Instantiate, a brute-force scan over the
+// stored placements kept as the reference the tests check this answer
+// against.
 func (s *Structure) Instantiate(ws, hs []int) (Result, error) {
 	return s.Compiled().Instantiate(ws, hs)
 }
@@ -212,9 +213,10 @@ func LoadFile(path string, c *Circuit) (*Structure, error) {
 //
 // Swapping the backup deliberately does not invalidate the cached
 // CompiledStructure: the compiled index holds only the flattened interval
-// rows and anchor tables — it never captures the backup. Both query paths
-// (tree and compiled, and with them InstantiateBatch) read the backup
-// through the structure at query time, so the very next uncovered query
+// rows and anchor tables — it never captures the backup. Every query path
+// (the compiled index, InstantiateBatch and the embedded structure's
+// reference scan) reads the backup through the structure at query time,
+// so the very next uncovered query
 // answers from the new backup while covered queries keep the prebuilt
 // index. TestSetBackupKindReachesCompiledPaths pins this. Like SetBackup,
 // the swap itself must not race in-flight queries — do it during setup,

@@ -51,8 +51,8 @@ func TestGeneratePortfolioMembersMatchSingles(t *testing.T) {
 		rng := rand.New(rand.NewSource(int64(i)))
 		for trial := 0; trial < 200; trial++ {
 			ws, hs := randomDims(c, rng)
-			a := p.Member(i).Lookup(ws, hs)
-			b := single.Lookup(ws, hs)
+			a := p.Member(i).LookupLinear(ws, hs)
+			b := single.LookupLinear(ws, hs)
 			if !reflect.DeepEqual(a, b) {
 				t.Fatalf("member %d diverges from standalone generation at %v/%v: %v vs %v", i, ws, hs, a, b)
 			}
