@@ -393,54 +393,6 @@ func BenchmarkBaselineAnnealingPlace(b *testing.B) {
 
 // --- Ablations ------------------------------------------------------------
 
-// BenchmarkAblationResolveRow compares the paper's smallest-overlap shrink
-// row against first-overlap, reporting retained coverage as the quality
-// signal alongside time.
-func BenchmarkAblationResolveRow(b *testing.B) {
-	for _, tc := range []struct {
-		name     string
-		strategy core.ResolveRowStrategy
-	}{
-		{"smallest-overlap", core.SmallestOverlapRow},
-		{"first-overlap", core.FirstOverlapRow},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			c := circuits.MustByName("circ02")
-			var coverage float64
-			for i := 0; i < b.N; i++ {
-				s := core.NewStructure(c, placement.DefaultFloorplan(c))
-				s.SetResolveStrategy(tc.strategy)
-				rng := rand.New(rand.NewSource(7))
-				if err := fillRandom(s, c, rng, 60); err != nil {
-					b.Fatal(err)
-				}
-				coverage = s.Coverage()
-			}
-			b.ReportMetric(coverage*1e6, "coverage-ppm")
-		})
-	}
-}
-
-// fillRandom inserts random expanded placements (no BDIO) — the resolve
-// workload isolated from annealing noise.
-func fillRandom(s *core.Structure, c *Circuit, rng *rand.Rand, n int) error {
-	for k := 0; k < n; k++ {
-		p, err := placement.RandomLegal(c, s.Floorplan(), rng)
-		if err != nil {
-			return err
-		}
-		p.Expand(c, s.Floorplan(), 1)
-		p.AvgCost = 1 + rng.Float64()*9
-		p.BestCost = p.AvgCost / 2
-		p.BestW = append([]int(nil), p.WHi...)
-		p.BestH = append([]int(nil), p.HHi...)
-		if _, err := s.Insert(p); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
 // BenchmarkAblationEq6 compares generation with and without the Optimize
 // Ranges shrink (eq. 6), reporting final structure size and coverage.
 func BenchmarkAblationEq6(b *testing.B) {

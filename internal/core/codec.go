@@ -60,7 +60,12 @@ var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 // SaveBinary writes the structure to w in the v2 binary format. The whole
 // payload is assembled in memory (structures are kilobytes to low
 // megabytes) so the trailing checksum covers exactly the bytes written.
+// A floorplan Load would refuse (see checkFloorplan) is refused with
+// Load's error before any byte is written.
 func (s *Structure) SaveBinary(w io.Writer) error {
+	if err := checkFloorplan(s.fp); err != nil {
+		return err
+	}
 	if _, err := w.Write(appendCRC(s.appendBinary(nil))); err != nil {
 		return fmt.Errorf("core: writing structure: %w", err)
 	}
@@ -71,8 +76,11 @@ func (s *Structure) SaveBinary(w io.Writer) error {
 // the v2 placement payload plus the compiled query index's row tables.
 // The program writes v2 (SaveBinary); this writer stays, as Save stays for
 // gob v1, to produce the legacy files the reader's tests and the golden
-// generation table use.
+// generation table use. It refuses what SaveBinary refuses.
 func (s *Structure) SaveBinaryCompiled(w io.Writer) error {
+	if err := checkFloorplan(s.fp); err != nil {
+		return err
+	}
 	b := s.appendBinaryVersion(nil, binaryVersionCompiled)
 	b = Compile(s).appendTables(b)
 	if _, err := w.Write(appendCRC(b)); err != nil {
@@ -104,24 +112,24 @@ func (s *Structure) appendBinaryVersion(b []byte, version uint64) []byte {
 	n := s.circuit.N()
 	b = binary.AppendUvarint(b, uint64(n))
 	b = binary.AppendUvarint(b, uint64(s.alive))
-	for _, p := range s.placements {
-		if p == nil {
+	for id, r := range s.recs {
+		if r == nil {
 			continue
 		}
-		b = appendInts(b, p.X)
-		b = appendInts(b, p.Y)
-		for i := 0; i < n; i++ {
-			b = binary.AppendVarint(b, int64(p.WLo[i]))
-			b = binary.AppendUvarint(b, uint64(p.WHi[i]-p.WLo[i]))
+		box := s.box(id)
+		b = appendInts(b, r.X)
+		b = appendInts(b, r.Y)
+		for _, off := range [2]int{0, 2} { // widths, then heights
+			for i := 0; i < n; i++ {
+				lo, hi := box[4*i+off], box[4*i+off+1]
+				b = binary.AppendVarint(b, int64(lo))
+				b = binary.AppendUvarint(b, uint64(hi-lo))
+			}
 		}
-		for i := 0; i < n; i++ {
-			b = binary.AppendVarint(b, int64(p.HLo[i]))
-			b = binary.AppendUvarint(b, uint64(p.HHi[i]-p.HLo[i]))
-		}
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.AvgCost))
-		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(p.BestCost))
-		b = appendOptionalInts(b, p.BestW)
-		b = appendOptionalInts(b, p.BestH)
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.AvgCost))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(r.BestCost))
+		b = appendOptionalInts(b, r.BestW)
+		b = appendOptionalInts(b, r.BestH)
 	}
 	return b
 }

@@ -42,7 +42,7 @@ func codecStructure(t testing.TB, count int) (*Structure, *netlist.Circuit) {
 			p.BestW = []int{lo, 2, 3, 4}
 			p.BestH = []int{5, 6, 7, 8}
 		}
-		if _, err := s.store(p); err != nil {
+		if _, err := storePlacement(s, p); err != nil {
 			t.Fatal(err)
 		}
 	}

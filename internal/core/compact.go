@@ -3,7 +3,7 @@ package core
 import (
 	"slices"
 
-	"mps/internal/placement"
+	"mps/internal/geom"
 )
 
 // Compact merges stored placements whose dimension boxes abut and whose
@@ -22,14 +22,14 @@ import (
 // identical validity intervals in every row except exactly one, where the
 // intervals abut ([a,b] and [b+1,c]). The merged box is then exactly the
 // set union of the two boxes, so disjointness against all other placements
-// is preserved by construction. Costs are combined conservatively: AvgCost
-// is the interval-length-weighted mean, BestCost/BestW/BestH come from the
-// better half.
+// is preserved by construction, and storing it cannot fail. Costs are
+// combined conservatively: AvgCost is the interval-length-weighted mean,
+// BestCost/BestW/BestH come from the better half.
 
 // Compact merges such pairs until none remain and returns the
 // number of merges performed. Each merge is of the live pair (a, b),
 // a < b, that comes first in (a, b) order among the mergeable pairs, as
-// tryMerge(a, b), and the merged piece takes the next ID: the merges of a
+// merge(a, b), and the merged piece takes the next ID: the merges of a
 // scan that restarts after every one.
 func (s *Structure) Compact() int {
 	merges := 0
@@ -39,16 +39,7 @@ func (s *Structure) Compact() int {
 			s.rebaseExps()
 			return merges
 		}
-		m := tryMerge(s.placements[a], s.placements[b])
-		s.delete(a)
-		s.delete(b)
-		// Union of two previously-disjoint boxes: store cannot fail on
-		// overlap grounds, and interval bounds are inherited.
-		if _, err := s.store(m); err != nil {
-			// Restore is impossible mid-merge; surface loudly. This cannot
-			// happen for boxes that were stored before.
-			panic("core: Compact failed to store merged placement: " + err.Error())
-		}
+		s.merge(a, b)
 		merges++
 	}
 }
@@ -63,7 +54,7 @@ func (s *Structure) Compact() int {
 func (s *Structure) firstMergeable() (a, b int) {
 	ids := s.IDs()
 	slices.SortFunc(ids, func(a, b int) int {
-		p, q := s.placements[a], s.placements[b]
+		p, q := s.recs[a], s.recs[b]
 		if c := slices.Compare(p.X, q.X); c != 0 {
 			return c
 		}
@@ -74,8 +65,8 @@ func (s *Structure) firstMergeable() (a, b int) {
 	})
 	a, b = -1, -1
 	for lo := 0; lo < len(ids); {
-		p, hi := s.placements[ids[lo]], lo+1
-		for hi < len(ids) && sameCoords(p, s.placements[ids[hi]]) {
+		p, hi := s.recs[ids[lo]], lo+1
+		for hi < len(ids) && sameCoords(p, s.recs[ids[hi]]) {
 			hi++
 		}
 		group := ids[lo:hi]
@@ -83,7 +74,7 @@ func (s *Structure) firstMergeable() (a, b int) {
 	scan:
 		for x, ga := range group {
 			for _, gb := range group[x+1:] {
-				if row, _ := mergeRow(s.placements[ga], s.placements[gb]); row >= 0 {
+				if s.mergeRow(ga, gb) >= 0 {
 					if a < 0 || ga < a {
 						a, b = ga, gb
 					}
@@ -96,78 +87,66 @@ func (s *Structure) firstMergeable() (a, b int) {
 }
 
 // sameCoords reports whether p and q anchor every block at the same place.
-func sameCoords(p, q *placement.Placement) bool {
+func sameCoords(p, q *record) bool {
 	return slices.Equal(p.X, q.X) && slices.Equal(p.Y, q.Y)
 }
 
-// tryMerge returns the merged placement when p and q are mergeable, nil
-// otherwise. The merge copies p, so the lower ID goes first.
-func tryMerge(p, q *placement.Placement) *placement.Placement {
-	diffBlock, diffDim := mergeRow(p, q)
-	if diffBlock < 0 {
-		return nil
+// merge replaces the mergeable live placements a < b by their union under
+// the next ID, with a new record, since it combines costs, that shares the
+// halves' slices: a's anchors, the better half's BestCost, and its BestW
+// and BestH when it has them (a's otherwise).
+func (s *Structure) merge(a, b int) {
+	r := s.mergeRow(a, b)
+	ra, rb := s.recs[a], s.recs[b]
+	box := append(s.fork[:0], s.box(a)...)
+	s.fork = box
+	ia, ib := boxRow(box, r), boxRow(s.box(b), r)
+	lenA, lenB := ia.Hi-ia.Lo+1, ib.Hi-ib.Lo+1
+	setRow(box, r, geom.Interval{Lo: min(ia.Lo, ib.Lo), Hi: max(ia.Hi, ib.Hi)})
+	m := &record{
+		X: ra.X, Y: ra.Y,
+		AvgCost: (ra.AvgCost*float64(lenA) + rb.AvgCost*float64(lenB)) / float64(lenA+lenB),
+		BestW:   ra.BestW, BestH: ra.BestH,
 	}
-	m := p.Clone()
-	m.ID = -1
-	var lenP, lenQ int
-	if diffDim == 0 {
-		lenP = p.WHi[diffBlock] - p.WLo[diffBlock] + 1
-		lenQ = q.WHi[diffBlock] - q.WLo[diffBlock] + 1
-		m.WLo[diffBlock] = min(p.WLo[diffBlock], q.WLo[diffBlock])
-		m.WHi[diffBlock] = max(p.WHi[diffBlock], q.WHi[diffBlock])
-	} else {
-		lenP = p.HHi[diffBlock] - p.HLo[diffBlock] + 1
-		lenQ = q.HHi[diffBlock] - q.HLo[diffBlock] + 1
-		m.HLo[diffBlock] = min(p.HLo[diffBlock], q.HLo[diffBlock])
-		m.HHi[diffBlock] = max(p.HHi[diffBlock], q.HHi[diffBlock])
-	}
-	total := float64(lenP + lenQ)
-	m.AvgCost = (p.AvgCost*float64(lenP) + q.AvgCost*float64(lenQ)) / total
-	better := p
-	if q.BestCost < p.BestCost {
-		better = q
+	better := ra
+	if rb.BestCost < ra.BestCost {
+		better = rb
 	}
 	m.BestCost = better.BestCost
 	if better.BestW != nil {
-		m.BestW = append([]int(nil), better.BestW...)
-		m.BestH = append([]int(nil), better.BestH...)
+		m.BestW, m.BestH = better.BestW, better.BestH
 	}
-	return m
+	s.delete(a)
+	s.delete(b)
+	s.store(m, box)
 }
 
-// mergeRow returns the one row (block, dim 0 for width or 1 for height)
-// in which p and q differ when they are mergeable, and block −1 when they
-// are not: different coordinates, two differing rows, intervals that do
-// not abut, or identical boxes.
-func mergeRow(p, q *placement.Placement) (block, dim int) {
-	if !sameCoords(p, q) {
-		return -1, -1
+// mergeRow returns the one row in which live placements a and b differ
+// when they are mergeable, and −1 when they are not: different
+// coordinates, two differing rows, intervals that do not abut, or
+// identical boxes.
+func (s *Structure) mergeRow(a, b int) int {
+	if !sameCoords(s.recs[a], s.recs[b]) {
+		return -1
 	}
-	// Find the single differing row; all others must be identical.
-	block, dim = -1, -1
-	for i := range p.X {
-		for d := 0; d < 2; d++ {
-			var pl, ph, ql, qh int
-			if d == 0 {
-				pl, ph, ql, qh = p.WLo[i], p.WHi[i], q.WLo[i], q.WHi[i]
-			} else {
-				pl, ph, ql, qh = p.HLo[i], p.HHi[i], q.HLo[i], q.HHi[i]
-			}
-			if pl == ql && ph == qh {
-				continue
-			}
-			if block >= 0 {
-				return -1, -1 // two differing rows: union is not a box
-			}
-			// The differing intervals must abut.
-			if ph+1 != ql && qh+1 != pl {
-				return -1, -1
-			}
-			block, dim = i, d
+	pa, pb := s.box(a), s.box(b)
+	row := -1
+	for r := 0; r < len(pa)/2; r++ {
+		p, q := boxRow(pa, r), boxRow(pb, r)
+		if p == q {
+			continue
 		}
+		if row >= 0 {
+			return -1 // two differing rows: union is not a box
+		}
+		// The differing intervals must abut.
+		if p.Hi+1 != q.Lo && q.Hi+1 != p.Lo {
+			return -1
+		}
+		row = r
 	}
-	// Identical boxes (block still −1) cannot coexist (disjointness
+	// Identical boxes (row still −1) cannot coexist (disjointness
 	// invariant); they are non-mergeable, and CheckInvariants flags the
 	// corruption.
-	return block, dim
+	return row
 }

@@ -312,8 +312,8 @@ func interleavedGroups(t *testing.T) *Structure {
 			t.Fatal(err)
 		}
 	}
-	if s.NumPlacements() != 6 || len(s.placements) != 6 {
-		t.Fatalf("setup: %d placements in %d slots, want 6 in 6", s.NumPlacements(), len(s.placements))
+	if s.NumPlacements() != 6 || len(s.recs) != 6 {
+		t.Fatalf("setup: %d placements in %d slots, want 6 in 6", s.NumPlacements(), len(s.recs))
 	}
 	return s
 }

@@ -19,7 +19,7 @@ import (
 // mask per interval — so a query is a handful of contiguous cache lines,
 // branch-predictable compares and word-wide ANDs, with zero allocations.
 // Structure.Query and Instantiate answer the same function by scanning
-// the placements; they are the reference this index is tested against.
+// the box table; they are the reference this index is tested against.
 //
 // Memory layout (structure of arrays). The row tables are a rowTable, the
 // one search-and-AND form a compiled structure and a merged portfolio
@@ -129,15 +129,15 @@ func compile(s *Structure) *CompiledStructure {
 	// Dense re-index: slot order follows ID order, so bit order is
 	// ascending ID order.
 	ids := sc.ids[:0]
-	for id, p := range s.placements {
-		if p == nil {
+	for id, r := range s.recs {
+		if r == nil {
 			continue
 		}
 		ids = append(ids, id)
 		cs.slotID = append(cs.slotID, toI32(id, "placement id"))
 		for i := 0; i < n; i++ {
-			cs.xs = append(cs.xs, toI32(p.X[i], "block x anchor"))
-			cs.ys = append(cs.ys, toI32(p.Y[i], "block y anchor"))
+			cs.xs = append(cs.xs, toI32(r.X[i], "block x anchor"))
+			cs.ys = append(cs.ys, toI32(r.Y[i], "block y anchor"))
 		}
 	}
 	lo := slices.Grow(sc.lo[:0], count)[:count]
@@ -150,7 +150,9 @@ func compile(s *Structure) *CompiledStructure {
 	}
 	for r := 0; r < 2*n; r++ {
 		cs.rowStart[r] = int32(len(spanLo))
-		s.rowIntervals(r, ids, lo, hi)
+		for k, id := range ids { // row r's intervals, from the box table
+			lo[k], hi[k] = s.boxes[4*n*id+2*r], s.boxes[4*n*id+2*r+1]
+		}
 		sc.sw.Sweep(lo, hi, emit)
 	}
 	cs.rowStart[2*n] = int32(len(spanLo))

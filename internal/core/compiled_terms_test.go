@@ -35,7 +35,7 @@ func termsStructure(t testing.TB, count int) *Structure {
 		p.WHi = append(p.WHi, 40, 40)
 		p.HLo = append(p.HLo, 1, 1)
 		p.HHi = append(p.HHi, 40, 40)
-		if _, err := s.store(p); err != nil {
+		if _, err := storePlacement(s, p); err != nil {
 			t.Fatal(err)
 		}
 	}

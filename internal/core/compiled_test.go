@@ -285,14 +285,16 @@ func TestLoadRejectsInt32OverflowFloorplan(t *testing.T) {
 	s := NewStructure(c, huge)
 	p := mk(1, [2]int{10, 20}, [2]int{10, 20}, [2]int{10, 20}, [2]int{10, 20})
 	p.X = []int{1 << 35, 0}
-	if _, err := s.store(p); err != nil {
+	if _, err := storePlacement(s, p); err != nil {
 		t.Fatal(err)
 	}
-	// No v3 leg: SaveBinaryCompiled cannot produce such a file (Compile's
-	// programmatic panic fires in the writer), and a forged v3 file is
-	// rejected by the same buildStructure check before its tables attach.
+	// The v2 and v3 writers refuse such a structure with Load's error, so
+	// the v2 file is forged from the payload they would write. No v3 leg:
+	// a forged v3 file is rejected by the same buildStructure check before
+	// its tables attach.
 	for name, save := range map[string]func(io.Writer) error{
-		"v1": s.Save, "v2": s.SaveBinary,
+		"v1": s.Save,
+		"v2": func(w io.Writer) error { _, err := w.Write(appendCRC(s.appendBinary(nil))); return err },
 	} {
 		var buf bytes.Buffer
 		if err := save(&buf); err != nil {

@@ -151,6 +151,84 @@ func TestCandidateForks(t *testing.T) {
 	}
 }
 
+// TestPiecesShareRecord: the pieces an Insert cuts from one candidate
+// share the candidate's record, and the two pieces of a forked stored
+// placement share the loser's; only the intervals differ, in the box
+// table.
+func TestPiecesShareRecord(t *testing.T) {
+	c, fp := pairCircuit()
+	s := NewStructure(c, fp)
+	if _, err := s.Insert(mk(1.0, [2]int{40, 50}, full(), full(), full())); err != nil {
+		t.Fatal(err)
+	}
+	stats, err := s.Insert(mk(2.0, [2]int{10, 100}, full(), full(), full()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ids := stats.StoredIDs; len(ids) != 2 || s.recs[ids[0]] != s.recs[ids[1]] || s.recs[ids[0]] == s.recs[0] {
+		t.Fatalf("forked candidate stored as %v with records %p, %p; want two pieces of one new record",
+			ids, s.recs[ids[0]], s.recs[ids[len(ids)-1]])
+	}
+
+	s = NewStructure(c, fp)
+	if _, err := s.Insert(mk(2.0, full(), full(), full(), full())); err != nil {
+		t.Fatal(err)
+	}
+	loser := s.recs[0]
+	stats, err = s.Insert(mk(1.0, [2]int{40, 50}, full(), full(), full()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.StoredForked != 1 || !reflect.DeepEqual(s.IDs(), []int{1, 2, 3}) || !reflect.DeepEqual(stats.StoredIDs, []int{3}) {
+		t.Fatalf("stats %+v, IDs %v; want the stored placement forked into 1 and 2 and the newcomer at 3", stats, s.IDs())
+	}
+	if s.recs[1] != loser || s.recs[2] != loser || s.recs[3] == loser {
+		t.Error("the stored fork's pieces do not share the loser's record")
+	}
+	if p, q := s.Get(1), s.Get(2); p.WHi[0] != 39 || q.WLo[0] != 51 || p.AvgCost != 2.0 || q.AvgCost != 2.0 {
+		t.Errorf("fork pieces %+v and %+v, want w0 [1,39] and [51,100] at cost 2", p, q)
+	}
+	if err := s.CheckInvariants(); err != nil {
+		t.Error(err)
+	}
+}
+
+// TestInsertRefusesBadCandidate: a candidate with an empty interval or an
+// interval outside its designer bounds gets the error storing it always
+// gave, before anything is stored or shrunk. The out-of-bounds one would
+// win its conflict and fork the stored placement.
+func TestInsertRefusesBadCandidate(t *testing.T) {
+	c, fp := pairCircuit()
+	build := func() *Structure {
+		s := NewStructure(c, fp)
+		if _, err := s.Insert(mk(2.0, full(), full(), full(), full())); err != nil {
+			t.Fatal(err)
+		}
+		Compile(s)
+		return s
+	}
+	outside := mk(1.0, [2]int{0, 50}, full(), full(), full()) // width 0 is below the minimum 1
+	for _, tc := range []struct {
+		cand *placement.Placement
+		want string
+	}{
+		{mk(1.0, [2]int{20, 10}, full(), full(), full()), "core: refusing to store placement with empty dimension box"},
+		{outside, outside.CheckIntervalsWithin(c).Error()},
+	} {
+		s, want := build(), build()
+		cs := s.compiled.Load()
+		if _, err := s.Insert(tc.cand); err == nil || err.Error() != tc.want {
+			t.Errorf("Insert: %v, want %q", err, tc.want)
+		}
+		if err := SameStructure(s, want); err != nil {
+			t.Errorf("refused candidate changed the structure: %v", err)
+		}
+		if s.compiled.Load() != cs {
+			t.Error("refused candidate dropped the compiled index")
+		}
+	}
+}
+
 // TestCandidateEngulfed: a worse newcomer entirely inside an incumbent's box
 // must die without changing the structure.
 func TestCandidateEngulfed(t *testing.T) {

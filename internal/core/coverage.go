@@ -3,8 +3,6 @@ package core
 import (
 	"math"
 	"math/rand"
-
-	"mps/internal/placement"
 )
 
 // This file implements the coverage metrics of §3.1.4: the Placement
@@ -46,14 +44,14 @@ func (s *Structure) Coverage() float64 {
 	if s.expsValid && s.expBase == maxLg {
 		// exps[id] is Exp2(terms[id] - maxLg) bit for bit; a -Inf term's
 		// is 0, which leaves the sum as skipping it does.
-		for id, p := range s.placements {
-			if p != nil {
+		for id, r := range s.recs {
+			if r != nil {
 				sum += s.exps[id]
 			}
 		}
 	} else {
-		for id, p := range s.placements {
-			if p == nil {
+		for id, r := range s.recs {
+			if r == nil {
 				continue
 			}
 			if lg := s.terms[id]; !math.IsInf(lg, -1) {
@@ -64,17 +62,16 @@ func (s *Structure) Coverage() float64 {
 	return math.Exp2(maxLg + math.Log2(sum))
 }
 
-// coverageTerm returns p's log2 volume fraction of the designer space,
-// the summand Coverage combines. store and shrinkRow cache it in s.terms
-// whenever they set a placement's box, and Renumber moves it with its
-// placement, so s.terms[id] always equals coverageTerm(s.placements[id])
-// bit for bit (CheckInvariants verifies this). The designer-range Log2
-// values come from s.rangeLg, the same operands computed once.
-func (s *Structure) coverageTerm(p *placement.Placement) float64 {
+// coverageTerm returns the log2 volume fraction of the designer space
+// a box covers, the summand Coverage combines. store and shrinkRow cache
+// it in s.terms whenever they set a box, and Renumber moves it with its
+// box, so s.terms[id] always equals coverageTerm(s.box(id)) bit for bit
+// (CheckInvariants verifies this). The designer-range Log2 values come
+// from s.rangeLg, the same operands computed once.
+func (s *Structure) coverageTerm(box []int) float64 {
 	lg := 0.0
-	for i := range p.X {
-		lg += math.Log2(p.WIv(i).LenFloat()) - s.rangeLg[2*i]
-		lg += math.Log2(p.HIv(i).LenFloat()) - s.rangeLg[2*i+1]
+	for r := range s.rangeLg {
+		lg += math.Log2(boxRow(box, r).LenFloat()) - s.rangeLg[r]
 	}
 	return lg
 }
@@ -96,8 +93,8 @@ func (s *Structure) setExp(id int, lg float64) {
 // when no placement is live.
 func (s *Structure) largestTerm() float64 {
 	maxLg := math.Inf(-1)
-	for id, p := range s.placements {
-		if p != nil && s.terms[id] > maxLg {
+	for id, r := range s.recs {
+		if r != nil && s.terms[id] > maxLg {
 			maxLg = s.terms[id]
 		}
 	}
@@ -112,8 +109,8 @@ func (s *Structure) rebaseExps() {
 		return
 	}
 	base := s.largestTerm()
-	for id, p := range s.placements {
-		if p != nil {
+	for id, r := range s.recs {
+		if r != nil {
 			s.exps[id] = math.Exp2(s.terms[id] - base)
 		}
 	}
@@ -128,11 +125,11 @@ func (s *Structure) CoverageLog2() float64 {
 	// log-sum-exp over per-placement log2 volumes.
 	maxLg := math.Inf(-1)
 	lgs := make([]float64, 0, s.alive)
-	for _, p := range s.placements {
-		if p == nil {
+	for id, r := range s.recs {
+		if r == nil {
 			continue
 		}
-		lg := p.Log2BoxVolume()
+		lg := boxLog2Volume(s.box(id))
 		lgs = append(lgs, lg)
 		if lg > maxLg {
 			maxLg = lg

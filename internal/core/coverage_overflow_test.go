@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"io"
 	"math"
 	"math/rand"
 	"testing"
@@ -43,7 +44,7 @@ func TestCoverageWideRangeNoOverflow(t *testing.T) {
 		WLo: []int{0}, WHi: []int{half}, // ~half the width range
 		HLo: []int{0}, HHi: []int{math.MaxInt}, // the full height range
 	}
-	if _, err := s.store(p); err != nil {
+	if _, err := storePlacement(s, p); err != nil {
 		t.Fatal(err)
 	}
 
@@ -82,8 +83,9 @@ func TestCoverageWideRangeNoOverflow(t *testing.T) {
 
 	// CheckInvariants compiles the rows, so it reports the floorplan Load
 	// rejects, with Load's error, rather than panicking. (The gob codec
-	// carries the wide values to Load's floorplan check; a v2 file of them
-	// fails earlier, as a corrupt interval delta.)
+	// carries the wide values to Load's floorplan check.) The v2 and v3
+	// writers refuse the structure with that error before writing a byte,
+	// rather than write a file Load reads as corrupt or panic in Compile.
 	var buf bytes.Buffer
 	if err := s.Save(&buf); err != nil {
 		t.Fatal(err)
@@ -94,6 +96,12 @@ func TestCoverageWideRangeNoOverflow(t *testing.T) {
 	}
 	if err := s.CheckInvariants(); err == nil || err.Error() != loadErr.Error() {
 		t.Errorf("CheckInvariants = %v, want Load's error %q", err, loadErr)
+	}
+	for name, save := range map[string]func(io.Writer) error{"v2": s.SaveBinary, "v3": s.SaveBinaryCompiled} {
+		var out bytes.Buffer
+		if err := save(&out); err == nil || err.Error() != loadErr.Error() || out.Len() != 0 {
+			t.Errorf("%s writer: %v after %d bytes, want Load's error %q and nothing written", name, err, out.Len(), loadErr)
+		}
 	}
 }
 

@@ -24,23 +24,20 @@ import (
 )
 
 // CoverageFromScratch is Coverage without the cached terms: every call
-// recomputes each live placement's log2 volume fraction, then runs the
-// same two-pass log-sum-exp in ID order.
+// recomputes each live placement's log2 volume fraction from its box,
+// then runs the same two-pass log-sum-exp in ID order.
 func CoverageFromScratch(s *Structure) float64 {
-	lgFrac := func(p *placement.Placement) float64 {
+	lgFrac := func(box []int) float64 {
 		lg := 0.0
 		for i, b := range s.circuit.Blocks {
-			lg += math.Log2(p.WIv(i).LenFloat()) - math.Log2(b.WRange().LenFloat())
-			lg += math.Log2(p.HIv(i).LenFloat()) - math.Log2(b.HRange().LenFloat())
+			lg += math.Log2(boxRow(box, 2*i).LenFloat()) - math.Log2(b.WRange().LenFloat())
+			lg += math.Log2(boxRow(box, 2*i+1).LenFloat()) - math.Log2(b.HRange().LenFloat())
 		}
 		return lg
 	}
 	maxLg := math.Inf(-1)
-	for _, p := range s.placements {
-		if p == nil {
-			continue
-		}
-		if lg := lgFrac(p); lg > maxLg {
+	for _, id := range s.IDs() {
+		if lg := lgFrac(s.box(id)); lg > maxLg {
 			maxLg = lg
 		}
 	}
@@ -48,11 +45,8 @@ func CoverageFromScratch(s *Structure) float64 {
 		return 0
 	}
 	sum := 0.0
-	for _, p := range s.placements {
-		if p == nil {
-			continue
-		}
-		if lg := lgFrac(p); !math.IsInf(lg, -1) {
+	for _, id := range s.IDs() {
+		if lg := lgFrac(s.box(id)); !math.IsInf(lg, -1) {
 			sum += math.Exp2(lg - maxLg)
 		}
 	}
@@ -60,35 +54,33 @@ func CoverageFromScratch(s *Structure) float64 {
 }
 
 // RenumberRemoveInsert is Renumber by emptying the structure and storing
-// every live placement afresh, in ID order: store appends a new box table
-// instead of Renumber's in-place packing. store recomputes each coverage
-// term, which equals the one Renumber moves bit for bit.
+// every live placement's record and box afresh, in ID order: store
+// appends a new box table instead of Renumber's in-place packing. store
+// recomputes each coverage term, which equals the one Renumber moves bit
+// for bit.
 func RenumberRemoveInsert(s *Structure) {
-	if len(s.placements) == s.alive {
+	if len(s.recs) == s.alive {
 		return
 	}
-	var live []*placement.Placement
-	for _, p := range s.placements {
-		if p != nil {
-			live = append(live, p)
-		}
+	var recs []*record
+	var boxes [][]int
+	for _, id := range s.IDs() {
+		recs = append(recs, s.recs[id])
+		boxes = append(boxes, slices.Clone(s.box(id)))
 	}
 	s.invalidate()
-	s.placements, s.terms, s.exps, s.boxes, s.alive = nil, nil, nil, nil, 0
+	s.recs, s.terms, s.exps, s.boxes, s.alive = nil, nil, nil, nil, 0
 	s.expsValid = false
-	for _, p := range live {
-		if _, err := s.store(p); err != nil {
-			panic(err)
-		}
+	for k, rec := range recs {
+		s.store(rec, boxes[k])
 	}
 	s.rebaseExps()
 }
 
 // CompactRestart is Compact as a scan that restarts after every merge:
 // it walks the live pairs (a, b), a < b, in order, merges the first
-// mergeable one as tryMerge(a, b) under the next ID, and starts over,
-// until no pair merges. Compact must perform the same merges in the same
-// order.
+// mergeable one as merge(a, b) under the next ID, and starts over, until
+// no pair merges. Compact must perform the same merges in the same order.
 func CompactRestart(s *Structure) int {
 	merges := 0
 	for {
@@ -97,12 +89,8 @@ func CompactRestart(s *Structure) int {
 	scan:
 		for a := 0; a < len(ids); a++ {
 			for b := a + 1; b < len(ids); b++ {
-				if m := tryMerge(s.placements[ids[a]], s.placements[ids[b]]); m != nil {
-					s.delete(ids[a])
-					s.delete(ids[b])
-					if _, err := s.store(m); err != nil {
-						panic(err)
-					}
+				if s.mergeRow(ids[a], ids[b]) >= 0 {
+					s.merge(ids[a], ids[b])
 					merges++
 					merged = true
 					break scan
@@ -117,16 +105,16 @@ func CompactRestart(s *Structure) int {
 }
 
 // SameStructure reports the first difference between two structures'
-// placement slots, box tables and coverage terms: live IDs, coordinates,
-// intervals, and the cost fields bit for bit.
+// placement slots, box tables and coverage terms: live IDs, and Get's
+// copies' coordinates, intervals and cost fields bit for bit.
 func SameStructure(got, want *Structure) error {
-	if len(got.placements) != len(want.placements) || got.alive != want.alive {
+	if len(got.recs) != len(want.recs) || got.alive != want.alive {
 		return fmt.Errorf("%d slots, %d live; want %d slots, %d live",
-			len(got.placements), got.alive, len(want.placements), want.alive)
+			len(got.recs), got.alive, len(want.recs), want.alive)
 	}
 	bits := math.Float64bits
-	for id, p := range got.placements {
-		q := want.placements[id]
+	for id := range got.recs {
+		p, q := got.Get(id), want.Get(id)
 		if (p == nil) != (q == nil) {
 			return fmt.Errorf("slot %d live = %v, want %v", id, p != nil, q != nil)
 		}
@@ -153,6 +141,19 @@ func SameStructure(got, want *Structure) error {
 	return nil
 }
 
+// storePlacement stores p as it is, with the checks Insert runs first but
+// without overlap resolution: for structures that skip Insert, or that
+// break eq. 5 on purpose.
+func storePlacement(s *Structure, p *placement.Placement) (int, error) {
+	if err := s.checkCandidate(p); err != nil {
+		return -1, err
+	}
+	return s.store(newRecord(p), boxOf(p)), nil
+}
+
+// boxOf returns p's validity box in the box table's layout.
+func boxOf(p *placement.Placement) []int { return appendBox(nil, p) }
+
 // RowSpan is one interval of a row and the ascending IDs of the
 // placements registered on it.
 type RowSpan struct {
@@ -169,15 +170,14 @@ type RowSpan struct {
 // touching neighbours carrying the same IDs merge.
 func DefinedRows(s *Structure) [][]RowSpan {
 	out := make([][]RowSpan, 2*s.circuit.N())
+	ids := s.IDs()
 	for r := range out {
 		var cuts []int
-		for _, p := range s.placements {
-			if p != nil {
-				iv := rowInterval(p, r)
-				cuts = append(cuts, iv.Lo)
-				if iv.Hi < math.MaxInt {
-					cuts = append(cuts, iv.Hi+1)
-				}
+		for _, id := range ids {
+			iv := boxRow(s.box(id), r)
+			cuts = append(cuts, iv.Lo)
+			if iv.Hi < math.MaxInt {
+				cuts = append(cuts, iv.Hi+1)
 			}
 		}
 		slices.Sort(cuts)
@@ -187,20 +187,20 @@ func DefinedRows(s *Structure) [][]RowSpan {
 			if k+1 < len(cuts) {
 				hi = cuts[k+1] - 1
 			}
-			var ids []int
-			for id, p := range s.placements {
-				if p != nil && rowInterval(p, r).Contains(lo) {
-					ids = append(ids, id)
+			var on []int
+			for _, id := range ids {
+				if boxRow(s.box(id), r).Contains(lo) {
+					on = append(on, id)
 				}
 			}
-			if len(ids) == 0 {
+			if len(on) == 0 {
 				continue
 			}
-			if m := len(out[r]); m > 0 && out[r][m-1].Iv.Hi+1 == lo && slices.Equal(out[r][m-1].IDs, ids) {
+			if m := len(out[r]); m > 0 && out[r][m-1].Iv.Hi+1 == lo && slices.Equal(out[r][m-1].IDs, on) {
 				out[r][m-1].Iv.Hi = hi
 				continue
 			}
-			out[r] = append(out[r], RowSpan{Iv: geom.NewInterval(lo, hi), IDs: ids})
+			out[r] = append(out[r], RowSpan{Iv: geom.NewInterval(lo, hi), IDs: on})
 		}
 	}
 	return out
@@ -245,10 +245,10 @@ func CheckBruteForce(s *Structure, rng *rand.Rand) error {
 		return nil
 	}
 	ws, hs := make([]int, n), make([]int, n)
-	var boxes []*placement.Placement
+	var probes []*placement.Placement
 	for _, id := range s.IDs() {
-		p := s.placements[id]
-		boxes = append(boxes, p)
+		p := s.Get(id)
+		probes = append(probes, p)
 		for _, corner := range []func(lo, hi int) int{
 			func(lo, hi int) int { return lo },
 			func(lo, hi int) int { return hi },
@@ -274,24 +274,24 @@ func CheckBruteForce(s *Structure, rng *rand.Rand) error {
 			return err
 		}
 		p.Expand(c, s.fp, 1+rng.Intn(3))
-		boxes = append(boxes, p)
+		probes = append(probes, p)
 	}
-	for _, p := range boxes {
+	for _, p := range probes {
 		var want []int
 		for _, id := range s.IDs() {
-			if p.BoxOverlaps(s.placements[id]) {
+			if p.BoxOverlaps(s.Get(id)) {
 				want = append(want, id)
 			}
 		}
-		if got := s.conflicting(p); !slices.Equal(got, want) {
-			return fmt.Errorf("conflicting(%v) = %v, all-pairs BoxOverlaps %v", p, got, want)
+		if got := s.conflicting(boxOf(p)); !slices.Equal(got, want) {
+			return fmt.Errorf("conflicting(%v) = %v, all-pairs BoxOverlaps %v", boxOf(p), got, want)
 		}
 	}
 	return nil
 }
 
 // HasIDHoles reports whether some placement ID below the highest is free.
-func HasIDHoles(s *Structure) bool { return len(s.placements) > s.alive }
+func HasIDHoles(s *Structure) bool { return len(s.recs) > s.alive }
 
 // churnedStructure inserts count random legal placements with random
 // costs into a fresh structure for c. Each is expanded to its maximal box,
@@ -464,10 +464,9 @@ func TestCoverageCacheUnderMutation(t *testing.T) {
 		// shrink narrows one interval of id by one from the top, in a row
 		// wider than one value, and reports whether it found one.
 		shrink := func(id int) bool {
-			p := s.placements[id]
 			for _, r := range rng.Perm(2 * c.N()) {
-				if iv := rowInterval(p, r); iv.Hi > iv.Lo {
-					s.shrinkRow(p, r/2, r%2, geom.Interval{Lo: iv.Lo, Hi: iv.Hi - 1})
+				if iv := boxRow(s.box(id), r); iv.Hi > iv.Lo {
+					s.shrinkRow(id, r, geom.Interval{Lo: iv.Lo, Hi: iv.Hi - 1})
 					return true
 				}
 			}
@@ -635,9 +634,9 @@ func TestFirstCompileConcurrently(t *testing.T) {
 // every Insert.
 func TestConflictingAllocFree(t *testing.T) {
 	s := churnedStructure(t, circuits.MustByName("TwoStageOpamp"), 2, 40, nil)
-	var probes []*placement.Placement
+	var probes [][]int
 	for _, id := range s.IDs() {
-		probes = append(probes, s.Get(id).Clone())
+		probes = append(probes, slices.Clone(s.box(id)))
 	}
 	rng := rand.New(rand.NewSource(9))
 	for k := 0; k < 8; k++ {
@@ -646,7 +645,7 @@ func TestConflictingAllocFree(t *testing.T) {
 			t.Fatal(err)
 		}
 		p.Expand(s.circuit, s.fp, 3)
-		probes = append(probes, p)
+		probes = append(probes, boxOf(p))
 	}
 	for _, p := range probes {
 		s.conflicting(p)
@@ -658,4 +657,71 @@ func TestConflictingAllocFree(t *testing.T) {
 	}); allocs != 0 {
 		t.Fatalf("conflicting allocates %v times per call, want 0", allocs)
 	}
+}
+
+// FuzzInsert drives overlap resolution with fuzzed input: the seed draws
+// RandomLegal candidates on the chosen circuit, and each op byte picks a
+// Compact, a Renumber or an Insert, whose candidate loses a fuzz-chosen
+// set of interval prefixes and suffixes and takes one of four costs, so
+// cost ties are common. After every step CheckInvariants and
+// CheckBruteForce must hold, Coverage must equal CoverageFromScratch bit
+// for bit, and every piece an Insert stored must share one record.
+func FuzzInsert(f *testing.F) {
+	f.Add(int64(1), uint8(0), []byte{0, 1, 2, 3, 4, 5, 6, 7, 0xfe, 8, 9, 0xff, 10})
+	f.Add(int64(2), uint8(1), []byte{0x10, 0x21, 0x32, 0x43, 0x54, 0x65, 0x0e, 0x76, 0x0f})
+	f.Add(int64(3), uint8(2), []byte{0xaa, 0x55, 0xaa, 0x55, 0x3e, 0xaa, 0x55, 0x3f, 0xaa})
+	names := []string{"circ01", "TwoStageOpamp", "Mixer"}
+	f.Fuzz(func(t *testing.T, seed int64, circuit uint8, ops []byte) {
+		c := circuits.MustByName(names[int(circuit)%len(names)])
+		fp := placement.DefaultFloorplan(c)
+		s := NewStructure(c, fp)
+		rng := rand.New(rand.NewSource(seed))
+		// cut picks a bound in [lo, hi] for a fuzz bit: the interval's own
+		// bound when the bit is clear, a random one when it is set.
+		cut := func(bit bool, keep, lo, hi int) int {
+			if !bit {
+				return keep
+			}
+			return lo + rng.Intn(hi-lo+1)
+		}
+		for step, op := range ops[:min(len(ops), 32)] {
+			switch op & 0x0f {
+			case 0x0e:
+				s.Compact()
+			case 0x0f:
+				s.Renumber()
+			default:
+				p, err := placement.RandomLegal(c, fp, rng)
+				if err != nil {
+					t.Fatal(err)
+				}
+				p.Expand(c, fp, 1+int(op&3))
+				for i := range p.X {
+					bits := int(op) >> (i % 4)
+					p.WLo[i] = cut(bits&1 != 0, p.WLo[i], p.WLo[i], p.WHi[i])
+					p.HHi[i] = cut(bits&2 != 0, p.HHi[i], p.HLo[i], p.HHi[i])
+				}
+				p.AvgCost = float64(op >> 6)
+				p.BestCost = p.AvgCost / 2
+				stats, err := s.Insert(p)
+				if err != nil {
+					t.Fatalf("step %d: %v", step, err)
+				}
+				for _, id := range stats.StoredIDs {
+					if s.recs[id] != s.recs[stats.StoredIDs[0]] {
+						t.Fatalf("step %d: pieces %v of one Insert hold different records", step, stats.StoredIDs)
+					}
+				}
+			}
+			if err := s.CheckInvariants(); err != nil {
+				t.Fatalf("step %d (op %#x): %v", step, op, err)
+			}
+			if err := CheckBruteForce(s, rng); err != nil {
+				t.Fatalf("step %d (op %#x): %v", step, op, err)
+			}
+			if got, want := s.Coverage(), CoverageFromScratch(s); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("step %d (op %#x): Coverage = %v, from scratch %v", step, op, got, want)
+			}
+		}
+	})
 }

@@ -57,14 +57,15 @@ func (s *Structure) WriteJSON(w io.Writer) error {
 		Floorplan: [4]int{s.fp.X0, s.fp.Y0, s.fp.X1, s.fp.Y1},
 		Summary:   s.Summary(),
 	}
-	for _, id := range s.IDs() {
-		p := s.placements[id]
+	saved := s.saved()
+	for k, id := range s.IDs() {
+		sp := saved[k]
 		doc.Placements = append(doc.Placements, PlacementJSON{
 			ID: id,
-			X:  p.X, Y: p.Y,
-			WLo: p.WLo, WHi: p.WHi, HLo: p.HLo, HHi: p.HHi,
-			AvgCost: p.AvgCost, BestCost: p.BestCost,
-			Log2Volume: p.Log2BoxVolume(),
+			X:  sp.X, Y: sp.Y,
+			WLo: sp.WLo, WHi: sp.WHi, HLo: sp.HLo, HHi: sp.HHi,
+			AvgCost: sp.AvgCost, BestCost: sp.BestCost,
+			Log2Volume: boxLog2Volume(s.box(id)),
 		})
 	}
 	enc := json.NewEncoder(w)
@@ -87,13 +88,13 @@ func (s *Structure) Summary() StructSummaryJSON {
 		BestBestCost: math.Inf(1),
 	}
 	var costTotal float64
-	for _, p := range s.placements {
-		if p == nil {
+	for _, r := range s.recs {
+		if r == nil {
 			continue
 		}
-		costTotal += p.AvgCost
-		if p.BestCost < sum.BestBestCost {
-			sum.BestBestCost = p.BestCost
+		costTotal += r.AvgCost
+		if r.BestCost < sum.BestBestCost {
+			sum.BestBestCost = r.BestCost
 		}
 	}
 	if s.alive > 0 {
@@ -130,9 +131,9 @@ func (s *Structure) CostQuantiles(q int) []float64 {
 		return nil
 	}
 	costs := make([]float64, 0, s.alive)
-	for _, p := range s.placements {
-		if p != nil {
-			costs = append(costs, p.AvgCost)
+	for _, r := range s.recs {
+		if r != nil {
+			costs = append(costs, r.AvgCost)
 		}
 	}
 	sort.Float64s(costs)

@@ -1,7 +1,8 @@
 package core
 
-// Failure-injection tests: corrupt a healthy structure in targeted ways and
-// verify CheckInvariants reports each corruption class. These guard the
+// Failure-injection tests: corrupt a healthy structure's box table or a
+// record in targeted ways and verify CheckInvariants reports each
+// corruption class. These guard the
 // debuggability story — a structure that silently violates eq. 5 would
 // return wrong placements during synthesis with no error anywhere.
 
@@ -28,32 +29,19 @@ func healthy(t *testing.T) *Structure {
 
 func TestDetectsOverlappingBoxes(t *testing.T) {
 	s := healthy(t)
-	// Widen placement 0's box so it overlaps placement 1's region without
-	// touching the rows (simulating a partial-update bug).
-	p := s.Get(0)
-	p.WHi[0] = 40
+	// Widen placement 0's box so it overlaps placement 1's region
+	// (simulating a partial-update bug).
+	s.box(0)[1] = 40
 	err := s.CheckInvariants()
 	if err == nil {
 		t.Fatal("overlapping boxes not detected")
 	}
 }
 
-func TestDetectsRowDeregistrationDrift(t *testing.T) {
-	s := healthy(t)
-	// Shrink the placement's recorded interval without updating the row:
-	// the row now claims validity outside the placement's box.
-	p := s.Get(1)
-	p.WLo[0] += 5
-	err := s.CheckInvariants()
-	if err == nil || !strings.Contains(err.Error(), "registered") {
-		t.Fatalf("row drift not detected: %v", err)
-	}
-}
-
 func TestDetectsEmptyBox(t *testing.T) {
 	s := healthy(t)
-	p := s.Get(2)
-	p.WLo[0], p.WHi[0] = 10, 5
+	box := s.box(2)
+	box[0], box[1] = 10, 5
 	err := s.CheckInvariants()
 	if err == nil || !strings.Contains(err.Error(), "empty") {
 		t.Fatalf("empty box not detected: %v", err)
@@ -62,8 +50,7 @@ func TestDetectsEmptyBox(t *testing.T) {
 
 func TestDetectsOutOfBoundsInterval(t *testing.T) {
 	s := healthy(t)
-	p := s.Get(0)
-	p.WHi[1] = 9999 // way beyond designer max
+	s.box(0)[5] = 9999 // block 1's width, way beyond designer max
 	if err := s.CheckInvariants(); err == nil {
 		t.Fatal("out-of-bounds interval not detected")
 	}
@@ -71,9 +58,9 @@ func TestDetectsOutOfBoundsInterval(t *testing.T) {
 
 func TestDetectsGeometricOverlap(t *testing.T) {
 	s := healthy(t)
-	p := s.Get(0)
+	r := s.recs[0]
 	// Move block 1 onto block 0: illegal at max dims.
-	p.X[1], p.Y[1] = p.X[0], p.Y[0]
+	r.X[1], r.Y[1] = r.X[0], r.Y[0]
 	if err := s.CheckInvariants(); err == nil {
 		t.Fatal("geometric overlap not detected")
 	}
@@ -88,19 +75,11 @@ func TestDetectsAliveCountDrift(t *testing.T) {
 	}
 }
 
-func TestDetectsIDMismatch(t *testing.T) {
-	s := healthy(t)
-	s.Get(0).ID = 7
-	err := s.CheckInvariants()
-	if err == nil || !strings.Contains(err.Error(), "ID") {
-		t.Fatalf("ID mismatch not detected: %v", err)
-	}
-}
-
 func TestDetectsDanglingRowReference(t *testing.T) {
 	s := healthy(t)
-	// Delete the placement record but leave the rows untouched.
-	s.placements[1] = nil
+	// Delete the record but leave its box table entry, from which the
+	// rows are swept, untouched.
+	s.recs[1] = nil
 	s.alive--
 	err := s.CheckInvariants()
 	if err == nil {
@@ -117,5 +96,17 @@ func TestDetectsRowCorruption(t *testing.T) {
 	box[0], box[1] = 25, 35
 	if err := s.CheckInvariants(); err == nil {
 		t.Fatal("stray row registration not detected")
+	}
+}
+
+// TestDetectsMarginViolation: a record whose anchors keep blocks apart
+// but inside a spacing halo is illegal; CheckInvariants checks Get's
+// copy, which carries the circuit's margins.
+func TestDetectsMarginViolation(t *testing.T) {
+	s := healthy(t)
+	s.circuit.Blocks[0].Margin = 300 // the blocks sit 200 apart at (0,0) and (200,200)
+	err := s.CheckInvariants()
+	if err == nil || !strings.Contains(err.Error(), "spacing") {
+		t.Fatalf("margin violation not detected: %v", err)
 	}
 }

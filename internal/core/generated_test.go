@@ -233,7 +233,7 @@ func fragment(t *testing.T, s *core.Structure, seed int64) *core.Structure {
 			lo, hi = p.HLo, p.HHi
 		}
 		if depth == 0 || hi[i] == lo[i] || (depth < 3 && rng.Intn(2) == 0) {
-			// BestCost ties are common, and tryMerge keeps the first
+			// BestCost ties are common, and merge keeps the first
 			// piece's best dimensions on a tie, so the merge order shows
 			// in BestW too.
 			p.AvgCost *= 1 + rng.Float64()

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"mps/internal/geom"
-	"mps/internal/placement"
 )
 
 // CheckInvariants verifies the structural guarantees of the multi-placement
@@ -14,10 +13,10 @@ import (
 //  1. every row's spans are ascending, disjoint and non-empty, and each
 //     carries at least one placement;
 //  2. every live placement has non-empty intervals inside designer bounds,
-//     is geometrically legal at maximum dimensions, is recorded in the box
-//     table exactly as its intervals, and is registered in every row
-//     exactly on its validity intervals: present at both ends, absent just
-//     outside;
+//     is geometrically legal at maximum dimensions with the circuit's
+//     spacing halos (checked on Get's copy), and is registered in every
+//     row exactly on its validity intervals: present at both ends, absent
+//     just outside;
 //  3. every deleted ID's box table entry is emptied;
 //  4. no two live placements' dimension boxes overlap (the eq. 5 guarantee);
 //  5. no span carries a placement outside that placement's interval;
@@ -37,14 +36,14 @@ func (s *Structure) CheckInvariants() error {
 		return err
 	}
 	n := s.circuit.N()
-	if len(s.boxes) != 4*n*len(s.placements) {
+	if len(s.boxes) != 4*n*len(s.recs) {
 		return fmt.Errorf("core: box table holds %d values for %d placement slots of %d blocks",
-			len(s.boxes), len(s.placements), n)
+			len(s.boxes), len(s.recs), n)
 	}
 
 	live := 0
-	for id, p := range s.placements {
-		if p == nil {
+	for id, r := range s.recs {
+		if r == nil {
 			box := s.box(id)
 			for k := 0; k < len(box); k += 2 {
 				if (geom.Interval{Lo: box[k], Hi: box[k+1]}) != emptyBox {
@@ -54,9 +53,7 @@ func (s *Structure) CheckInvariants() error {
 			continue
 		}
 		live++
-		if p.ID != id {
-			return fmt.Errorf("core: placement at slot %d has ID %d", id, p.ID)
-		}
+		p := s.Get(id)
 		if p.BoxEmpty() {
 			return fmt.Errorf("core: placement %d has an empty dimension box", id)
 		}
@@ -65,13 +62,6 @@ func (s *Structure) CheckInvariants() error {
 		}
 		if err := p.CheckLegal(s.fp); err != nil {
 			return fmt.Errorf("core: placement %d: %w", id, err)
-		}
-		box := s.box(id)
-		for i := 0; i < n; i++ {
-			if got, want := [4]int(box[4*i:4*i+4]), [4]int{p.WLo[i], p.WHi[i], p.HLo[i], p.HHi[i]}; got != want {
-				return fmt.Errorf("core: placement %d block %d: registered (w, h) = %v in the box table, placement has %v",
-					id, i, got, want)
-			}
 		}
 	}
 	if live != s.alive {
@@ -83,7 +73,7 @@ func (s *Structure) CheckInvariants() error {
 		return err
 	}
 	for slot, id := range cs.slotID {
-		if err := checkRegistered(cs, slot, s.placements[id]); err != nil {
+		if err := checkRegistered(cs, slot, int(id), s.box(int(id))); err != nil {
 			return err
 		}
 	}
@@ -92,28 +82,24 @@ func (s *Structure) CheckInvariants() error {
 	ids := s.IDs()
 	for a := 0; a < len(ids); a++ {
 		for b := a + 1; b < len(ids); b++ {
-			p, q := s.placements[ids[a]], s.placements[ids[b]]
-			if p.BoxOverlaps(q) {
+			if boxesOverlap(s.box(ids[a]), s.box(ids[b])) {
 				return fmt.Errorf("core: placements %d and %d have overlapping dimension boxes",
 					ids[a], ids[b])
 			}
 		}
 	}
 
-	if len(s.terms) != len(s.placements) {
-		return fmt.Errorf("core: %d coverage terms for %d placement slots", len(s.terms), len(s.placements))
+	if len(s.terms) != len(s.recs) {
+		return fmt.Errorf("core: %d coverage terms for %d placement slots", len(s.terms), len(s.recs))
 	}
-	for id, p := range s.placements {
-		if p == nil {
-			continue
-		}
-		if want := s.coverageTerm(p); math.Float64bits(s.terms[id]) != math.Float64bits(want) {
+	for _, id := range ids {
+		if want := s.coverageTerm(s.box(id)); math.Float64bits(s.terms[id]) != math.Float64bits(want) {
 			return fmt.Errorf("core: placement %d caches coverage term %v, its box gives %v", id, s.terms[id], want)
 		}
 	}
 
-	if len(s.exps) != len(s.placements) {
-		return fmt.Errorf("core: %d coverage exponentials for %d placement slots", len(s.exps), len(s.placements))
+	if len(s.exps) != len(s.recs) {
+		return fmt.Errorf("core: %d coverage exponentials for %d placement slots", len(s.exps), len(s.recs))
 	}
 	if !s.expsValid {
 		return nil
@@ -122,10 +108,7 @@ func (s *Structure) CheckInvariants() error {
 	if math.Float64bits(s.expBase) != math.Float64bits(base) {
 		return fmt.Errorf("core: coverage exponentials based on %v, the largest live term is %v", s.expBase, base)
 	}
-	for id, p := range s.placements {
-		if p == nil {
-			continue
-		}
+	for _, id := range ids {
 		if want := math.Exp2(s.terms[id] - base); math.Float64bits(s.exps[id]) != math.Float64bits(want) {
 			return fmt.Errorf("core: placement %d caches coverage exponential %v, its term gives %v", id, s.exps[id], want)
 		}
@@ -154,11 +137,10 @@ func (s *Structure) checkSpans(cs *CompiledStructure) error {
 			}
 			for _, slot := range slots {
 				id := int(cs.slotID[slot])
-				p := s.Get(id)
-				if p == nil {
+				if s.recs[id] == nil {
 					return fmt.Errorf("core: %s row %d references deleted placement %d", dimName(r), r/2, id)
 				}
-				if iv := rowInterval(p, r); !iv.ContainsInterval(span) {
+				if iv := boxRow(s.box(id), r); !iv.ContainsInterval(span) {
 					return fmt.Errorf("core: %s row %d registers placement %d on %v outside its box %v",
 						dimName(r), r/2, id, span, iv)
 				}
@@ -176,24 +158,16 @@ func dimName(r int) string {
 	return "height"
 }
 
-// rowInterval returns p's interval in row r.
-func rowInterval(p *placement.Placement, r int) geom.Interval {
-	if r%2 == 0 {
-		return p.WIv(r / 2)
-	}
-	return p.HIv(r / 2)
-}
-
-// checkRegistered verifies the placement p in compiled slot slot appears in
-// every row exactly on its validity interval: present at both ends, absent
-// just outside.
-func checkRegistered(cs *CompiledStructure, slot int, p *placement.Placement) error {
+// checkRegistered verifies the placement id with validity box box, in
+// compiled slot slot, appears in every row exactly on its validity
+// interval: present at both ends, absent just outside.
+func checkRegistered(cs *CompiledStructure, slot, id int, box []int) error {
 	registered := func(r, v int) bool {
 		sp := cs.findSpan(r, v)
 		return sp >= 0 && cs.masks[sp*cs.words+slot/64]>>(slot%64)&1 == 1
 	}
 	for r := 0; r < 2*cs.n; r++ {
-		iv := rowInterval(p, r)
+		iv := boxRow(box, r)
 		for _, probe := range []struct {
 			v      int
 			wantIn bool
@@ -206,7 +180,7 @@ func checkRegistered(cs *CompiledStructure, slot int, p *placement.Placement) er
 		} {
 			if got := registered(r, probe.v); got != probe.wantIn {
 				return fmt.Errorf("core: placement %d block %d: registered=%v at %s %s, want %v",
-					p.ID, r/2, got, dimName(r), probe.what, probe.wantIn)
+					id, r/2, got, dimName(r), probe.what, probe.wantIn)
 			}
 		}
 	}

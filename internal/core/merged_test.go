@@ -54,7 +54,7 @@ func mergeMembers(t *testing.T) (codec, shifted, dense, empty, bad, bad2 *Compil
 			p.WHi = append(p.WHi, 40, 40)
 			p.HLo = append(p.HLo, 1, 1)
 			p.HHi = append(p.HHi, 40-i%4, 40)
-			if _, err := st.store(p); err != nil {
+			if _, err := storePlacement(st, p); err != nil {
 				t.Fatal(err)
 			}
 		}

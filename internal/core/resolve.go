@@ -1,7 +1,8 @@
 package core
 
 import (
-	"fmt"
+	"math"
+	"slices"
 
 	"mps/internal/geom"
 	"mps/internal/placement"
@@ -23,18 +24,10 @@ import (
 //     two placements, one on each side (the paper's fork case);
 //   - loser's interval is inside the winner's in every overlapping row:
 //     the loser's box is engulfed and the loser is deleted.
-
-// ResolveRowStrategy selects the row in which a conflict loser is shrunk.
-type ResolveRowStrategy int
-
-const (
-	// SmallestOverlapRow shrinks in the row with the least overlap,
-	// preserving the most box volume — the paper's choice (default).
-	SmallestOverlapRow ResolveRowStrategy = iota
-	// FirstOverlapRow shrinks in the first overlapping row found — the
-	// ablation baseline (BenchmarkAblationResolveRow).
-	FirstOverlapRow
-)
+//
+// Resolution cuts boxes only, the candidate's and the box table's entries:
+// the pieces of one candidate share its record, and the two pieces of a
+// forked stored placement the loser's.
 
 // InsertStats reports what an Insert did, for generation telemetry.
 type InsertStats struct {
@@ -48,27 +41,30 @@ type InsertStats struct {
 // Insert resolves the candidate against all stored placements and stores
 // what survives. The candidate may be stored as-is, shrunk, forked into
 // multiple placements, or dropped entirely if better placements already
-// cover its whole box. Insert owns the candidate afterwards; callers must
-// not reuse it.
+// cover its whole box; every piece stored shares one record of its
+// anchors, costs and best dimensions. A candidate with an empty interval
+// or one outside its designer bounds is refused before anything changes.
+// Insert keeps no reference to the candidate.
 func (s *Structure) Insert(cand *placement.Placement) (InsertStats, error) {
 	var stats InsertStats
-	pending := []*placement.Placement{cand}
+	if err := s.checkCandidate(cand); err != nil {
+		return stats, err
+	}
+	s.cand = appendBox(s.cand[:0], cand)
+	var rec *record
+	pending := [][]int{s.cand}
 	for len(pending) > 0 {
-		p := pending[len(pending)-1]
+		box := pending[len(pending)-1]
 		pending = pending[:len(pending)-1]
-		survived, pieces, err := s.resolveCandidate(p, &stats)
-		if err != nil {
-			return stats, err
-		}
-		pending = append(pending, pieces...)
-		if survived == nil {
+		var survived bool
+		survived, pending = s.resolveCandidate(box, cand.AvgCost, pending, &stats)
+		if !survived {
 			continue
 		}
-		id, err := s.store(survived)
-		if err != nil {
-			return stats, err
+		if rec == nil {
+			rec = newRecord(cand)
 		}
-		stats.StoredIDs = append(stats.StoredIDs, id)
+		stats.StoredIDs = append(stats.StoredIDs, s.store(rec, box))
 	}
 	if len(stats.StoredIDs) == 0 {
 		stats.CandidateDied = true
@@ -77,64 +73,48 @@ func (s *Structure) Insert(cand *placement.Placement) (InsertStats, error) {
 	return stats, nil
 }
 
-// resolveCandidate eliminates all conflicts between p and stored placements.
-// It returns the surviving (possibly shrunk) candidate or nil if p died,
-// plus any forked-off pieces of p that still need independent resolution.
-func (s *Structure) resolveCandidate(p *placement.Placement, stats *InsertStats) (*placement.Placement, []*placement.Placement, error) {
-	var pieces []*placement.Placement
+// resolveCandidate eliminates all conflicts between a piece of the
+// candidate, whose average cost is avg, and the stored placements, cutting
+// box in place. It reports whether the piece survived, and appends to
+// pending the pieces forked off it, which still need independent
+// resolution.
+func (s *Structure) resolveCandidate(box []int, avg float64, pending [][]int, stats *InsertStats) (bool, [][]int) {
 	// Collect current conflicts once; boxes only ever shrink during
 	// resolution, so no new conflicts can appear mid-loop.
-	conflicts := s.conflicting(p)
-	for _, qid := range conflicts {
-		q := s.placements[qid]
-		if q == nil || !p.BoxOverlaps(q) {
+	for _, qid := range s.conflicting(box) {
+		q := s.recs[qid]
+		if q == nil || !boxesOverlap(box, s.box(qid)) {
 			continue // q was deleted or already disjoint after earlier shrinks
 		}
 		// Higher average cost loses the region (ties keep the incumbent).
-		if p.AvgCost >= q.AvgCost {
-			left, right, died := splitLoser(p, q, s.resolveStrategy)
+		if avg >= q.AvgCost {
+			right, died := splitLoser(box, s.box(qid))
 			if died {
 				stats.CandidateDied = true
-				return nil, pieces, nil
+				return false, pending
 			}
-			if left != nil && right != nil {
-				// Fork: keep resolving the left piece here; the right piece
-				// restarts resolution from scratch.
-				pieces = append(pieces, right)
-				p = left
-				continue
-			}
-			if left != nil {
-				p = left
-			} else {
-				p = right
+			if right != nil {
+				// Fork: keep resolving the left piece here; the right
+				// piece restarts resolution from scratch.
+				pending = append(pending, right)
 			}
 		} else {
-			if err := s.shrinkStored(q, p, stats); err != nil {
-				return nil, pieces, err
-			}
+			s.shrinkStored(qid, box, stats)
 		}
 	}
-	return p, pieces, nil
+	return true, pending
 }
 
-// conflicting returns the IDs of stored placements whose boxes overlap p's,
-// ascending. It scans the flat box table in ID order: two boxes overlap
-// exactly when their intervals overlap in every one of the 2N rows, so
-// most entries are rejected at their first row, and an emptied entry
-// (a deleted ID) at once. A p with an empty interval overlaps nothing, as
-// in BoxOverlaps. The result is a scratch buffer the next call overwrites;
-// no caller holds one result across another call.
-func (s *Structure) conflicting(p *placement.Placement) []int {
+// conflicting returns the IDs of stored placements whose boxes overlap the
+// box q, ascending. It scans the flat box table in ID order: two boxes
+// overlap exactly when their intervals overlap in every one of the 2N
+// rows, so most entries are rejected at their first row, and an emptied
+// entry (a deleted ID) at once. q must have no empty interval, which
+// checkCandidate ensures before any caller scans. The result is a scratch
+// buffer the next call overwrites; no caller holds one result across
+// another call.
+func (s *Structure) conflicting(q []int) []int {
 	out := s.conflicts[:0]
-	if p.BoxEmpty() {
-		return out
-	}
-	q := s.probe[:0]
-	for i := range p.X {
-		q = append(q, p.WLo[i], p.WHi[i], p.HLo[i], p.HHi[i])
-	}
-	s.probe = q
 	w := len(q)
 	for id, off := 0, 0; off < len(s.boxes); id, off = id+1, off+w {
 		b := s.boxes[off : off+w : off+w]
@@ -142,7 +122,7 @@ func (s *Structure) conflicting(p *placement.Placement) []int {
 		for k < w && b[k] <= q[k+1] && q[k] <= b[k+1] {
 			k += 2
 		}
-		if k == w && s.placements[id] != nil {
+		if k == w && s.recs[id] != nil {
 			out = append(out, id)
 		}
 	}
@@ -150,136 +130,97 @@ func (s *Structure) conflicting(p *placement.Placement) []int {
 	return out
 }
 
-// chooseRow picks the row in which to shrink the loser: among rows where
-// both boxes overlap, the smallest overlap wins (or the first overlap under
-// the ablation strategy), with rows that would not annihilate the loser
-// (loser interval not contained in winner's) strongly preferred. Returns
-// block index, dim (0=w, 1=h), and whether every overlapping row
-// annihilates the loser (engulfed case).
-func chooseRow(loser, winner *placement.Placement, strategy ResolveRowStrategy) (block, dim int, engulfed bool) {
-	bestBlock, bestDim := -1, -1
-	bestLen := int(^uint(0) >> 1)
-	foundSafe := false
-	for i := range loser.X {
-		for d := 0; d < 2; d++ {
-			var liv, wiv geom.Interval
-			if d == 0 {
-				liv, wiv = loser.WIv(i), winner.WIv(i)
-			} else {
-				liv, wiv = loser.HIv(i), winner.HIv(i)
-			}
-			ov := liv.OverlapLen(wiv)
-			if ov == 0 {
-				continue
-			}
-			safe := !wiv.ContainsInterval(liv)
-			if safe && !foundSafe {
-				// First safe row trumps any unsafe row found so far.
-				foundSafe = true
-				bestBlock, bestDim, bestLen = i, d, ov
-				if strategy == FirstOverlapRow {
-					return bestBlock, bestDim, false
-				}
-				continue
-			}
-			if safe == foundSafe && ov < bestLen {
-				bestBlock, bestDim, bestLen = i, d, ov
-			}
+// chooseRow picks the row in which to shrink the loser's box: among the
+// rows where the two boxes overlap, the smallest overlap wins — the
+// paper's choice, which keeps the most box volume — with rows that would
+// not annihilate the loser (loser interval not contained in the winner's)
+// strongly preferred. It returns the row (2i for block i's width, 2i+1
+// for its height) and whether every overlapping row annihilates the loser
+// (engulfed case).
+func chooseRow(loser, winner []int) (row int, engulfed bool) {
+	row, bestLen, foundSafe := -1, math.MaxInt, false
+	for r := 0; r < len(loser)/2; r++ {
+		liv, wiv := boxRow(loser, r), boxRow(winner, r)
+		ov := liv.OverlapLen(wiv)
+		if ov == 0 {
+			continue
+		}
+		safe := !wiv.ContainsInterval(liv)
+		if safe && !foundSafe {
+			// First safe row trumps any unsafe row found so far.
+			foundSafe = true
+			row, bestLen = r, ov
+			continue
+		}
+		if safe == foundSafe && ov < bestLen {
+			row, bestLen = r, ov
 		}
 	}
-	if bestBlock < 0 {
-		// No overlapping row at all — caller should have checked BoxOverlaps.
-		return -1, -1, false
-	}
-	return bestBlock, bestDim, !foundSafe
+	return row, !foundSafe
 }
 
-// splitLoser removes the winner's interval from the loser in the chosen row
-// and returns the surviving pieces as fresh placements (left/right may be
-// nil; both nil with died=true when the loser is engulfed). The loser
-// placement itself is not mutated.
-func splitLoser(loser, winner *placement.Placement, strategy ResolveRowStrategy) (left, right *placement.Placement, died bool) {
-	block, dim, engulfed := chooseRow(loser, winner, strategy)
-	if block < 0 || engulfed {
-		return nil, nil, true
-	}
-	var liv, wiv geom.Interval
-	if dim == 0 {
-		liv, wiv = loser.WIv(block), winner.WIv(block)
-	} else {
-		liv, wiv = loser.HIv(block), winner.HIv(block)
-	}
-	res := liv.Subtract(wiv)
-	mk := func(iv geom.Interval) *placement.Placement {
-		if iv.Empty() {
-			return nil
-		}
-		c := loser.Clone()
-		c.ID = -1
-		if dim == 0 {
-			c.WLo[block], c.WHi[block] = iv.Lo, iv.Hi
-		} else {
-			c.HLo[block], c.HHi[block] = iv.Lo, iv.Hi
-		}
-		return c
-	}
-	left, right = mk(res.Left), mk(res.Right)
-	if left == nil && right == nil {
-		return nil, nil, true
-	}
-	return left, right, false
-}
-
-// shrinkStored removes the candidate's region from a stored placement,
-// updating rows in place (shrink), replacing it with two stored pieces
-// (fork), or deleting it (engulfed).
-func (s *Structure) shrinkStored(q, winner *placement.Placement, stats *InsertStats) error {
-	block, dim, engulfed := chooseRow(q, winner, s.resolveStrategy)
-	if block < 0 {
-		return fmt.Errorf("core: shrinkStored called on non-overlapping placements %d", q.ID)
-	}
+// splitLoser removes the winner's interval from the loser's box in the
+// chosen row, in place: the loser keeps its left piece, or its only one,
+// and a fork returns the right piece as a new box. died reports an
+// engulfed loser, left unchanged. In a row chooseRow calls safe, the
+// winner's interval leaves at least one piece.
+func splitLoser(loser, winner []int) (right []int, died bool) {
+	r, engulfed := chooseRow(loser, winner)
 	if engulfed {
-		s.delete(q.ID)
-		stats.StoredDeleted++
-		return nil
+		return nil, true
 	}
-	var liv, wiv geom.Interval
-	if dim == 0 {
-		liv, wiv = q.WIv(block), winner.WIv(block)
-	} else {
-		liv, wiv = q.HIv(block), winner.HIv(block)
-	}
-	res := liv.Subtract(wiv)
+	res := boxRow(loser, r).Subtract(boxRow(winner, r))
 	switch {
-	case res.Left.Empty() && res.Right.Empty():
-		s.delete(q.ID)
+	case res.Left.Empty():
+		setRow(loser, r, res.Right)
+	case res.Right.Empty():
+		setRow(loser, r, res.Left)
+	default:
+		right = slices.Clone(loser)
+		setRow(right, r, res.Right)
+		setRow(loser, r, res.Left)
+	}
+	return right, false
+}
+
+// shrinkStored removes the winner's region from stored placement id:
+// it narrows the chosen row in place (shrink), replaces the placement by
+// two stored pieces (fork), or deletes it (engulfed).
+func (s *Structure) shrinkStored(id int, winner []int, stats *InsertStats) {
+	box := s.box(id)
+	r, engulfed := chooseRow(box, winner)
+	if engulfed {
+		s.delete(id)
 		stats.StoredDeleted++
-	case res.Left.Empty() || res.Right.Empty():
-		keep := res.Left
-		if keep.Empty() {
-			keep = res.Right
-		}
-		s.shrinkRow(q, block, dim, keep)
+		return
+	}
+	res := boxRow(box, r).Subtract(boxRow(winner, r))
+	switch {
+	case res.Left.Empty():
+		s.shrinkRow(id, r, res.Right)
+		stats.StoredShrunk++
+	case res.Right.Empty():
+		s.shrinkRow(id, r, res.Left)
 		stats.StoredShrunk++
 	default:
-		// Fork: replace q by two narrowed copies. Both inherit q's costs,
-		// since they hold the same anchors the BDIO evaluated, and cannot
-		// conflict with anything: each box is a subset of q's box minus
-		// the winner's region.
-		s.delete(q.ID)
-		for _, iv := range []geom.Interval{res.Left, res.Right} {
-			c := q.Clone()
-			c.ID = -1
-			if dim == 0 {
-				c.WLo[block], c.WHi[block] = iv.Lo, iv.Hi
-			} else {
-				c.HLo[block], c.HHi[block] = iv.Lo, iv.Hi
-			}
-			if _, err := s.store(c); err != nil {
-				return err
-			}
-		}
+		// Fork: replace the placement by two narrowed pieces of its
+		// record, built in one scratch box. They hold the anchors the
+		// BDIO evaluated, so they keep its costs, and cannot conflict
+		// with anything: each box is a subset of the old one minus the
+		// winner's region.
+		rec := s.recs[id]
+		piece := append(s.fork[:0], box...)
+		s.fork = piece
+		s.delete(id)
+		setRow(piece, r, res.Left)
+		s.store(rec, piece)
+		setRow(piece, r, res.Right)
+		s.store(rec, piece)
 		stats.StoredForked++
 	}
-	return nil
+}
+
+// setRow sets row r's interval of a box.
+func setRow(box []int, r int, iv geom.Interval) {
+	box[2*r], box[2*r+1] = iv.Lo, iv.Hi
 }

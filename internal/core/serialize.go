@@ -55,17 +55,7 @@ func (s *Structure) Save(w io.Writer) error {
 		Version:     formatVersion,
 		CircuitName: s.circuit.Name,
 		Floorplan:   s.fp,
-	}
-	for _, p := range s.placements {
-		if p == nil {
-			continue
-		}
-		ff.Placements = append(ff.Placements, savedPlacement{
-			X: p.X, Y: p.Y,
-			WLo: p.WLo, WHi: p.WHi, HLo: p.HLo, HHi: p.HHi,
-			AvgCost: p.AvgCost, BestCost: p.BestCost,
-			BestW: p.BestW, BestH: p.BestH,
-		})
+		Placements:  s.saved(),
 	}
 	if err := gob.NewEncoder(w).Encode(ff); err != nil {
 		return fmt.Errorf("core: encoding structure: %w", err)
@@ -120,15 +110,16 @@ func Load(r io.Reader, c *netlist.Circuit) (*Structure, error) {
 }
 
 // buildStructure is the single trusted deserialization path: it validates
-// the decoded file against the circuit and re-stores every placement,
-// whatever codec produced it. A loaded structure satisfies the same
-// invariants CheckInvariants verifies: arity and designer bounds (store),
-// geometric legality at max dims (CheckLegal), and pairwise-disjoint
-// dimension boxes (eq. 5). Box overlap — which only a corrupt or forged
-// file can contain — is detected by the conflict scan overlap resolution
-// uses, run for each placement before it is stored. That is quadratic in
-// placements, but each comparison reads the contiguous box table and
-// stops at the first row in which the two boxes are disjoint.
+// the decoded file against the circuit and re-stores every placement, as a
+// record and a box table entry, whatever codec produced it. A loaded
+// structure satisfies the same invariants CheckInvariants verifies: arity
+// and designer bounds (checkCandidate), geometric legality at max dims
+// (CheckLegal), and pairwise-disjoint dimension boxes (eq. 5). Box overlap
+// — which only a corrupt or forged file can contain — is detected by the
+// conflict scan overlap resolution uses, run for each placement before it
+// is stored. That is quadratic in placements, but each comparison reads
+// the contiguous box table and stops at the first row in which the two
+// boxes are disjoint.
 func buildStructure(ff *fileFormat, c *netlist.Circuit) (*Structure, error) {
 	if c.Name != ff.CircuitName {
 		return nil, fmt.Errorf("core: file is for circuit %q, not %q", ff.CircuitName, c.Name)
@@ -137,7 +128,10 @@ func buildStructure(ff *fileFormat, c *netlist.Circuit) (*Structure, error) {
 		return nil, err
 	}
 	s := NewStructure(c, ff.Floorplan)
-	n := c.N()
+	// Size the per-ID tables once; the box table grows as it fills.
+	n, count := c.N(), len(ff.Placements)
+	s.recs, s.terms, s.exps = make([]*record, 0, count), make([]float64, 0, count), make([]float64, 0, count)
+	box := make([]int, 0, 4*n)
 	for idx, sp := range ff.Placements {
 		if len(sp.X) != n || len(sp.Y) != n || len(sp.WLo) != n || len(sp.WHi) != n ||
 			len(sp.HLo) != n || len(sp.HHi) != n {
@@ -146,25 +140,47 @@ func buildStructure(ff *fileFormat, c *netlist.Circuit) (*Structure, error) {
 		if (sp.BestW != nil && len(sp.BestW) != n) || (sp.BestH != nil && len(sp.BestH) != n) {
 			return nil, fmt.Errorf("core: placement %d has wrong best-dims arity for %d blocks", idx, n)
 		}
-		p := &placement.Placement{
-			ID: -1,
-			X:  sp.X, Y: sp.Y,
-			WLo: sp.WLo, WHi: sp.WHi, HLo: sp.HLo, HHi: sp.HHi,
-			AvgCost: sp.AvgCost, BestCost: sp.BestCost,
-			BestW: sp.BestW, BestH: sp.BestH,
-		}
+		// The decoded slices, viewed as a placement for its checks.
+		p := placement.Placement{X: sp.X, Y: sp.Y, WLo: sp.WLo, WHi: sp.WHi, HLo: sp.HLo, HHi: sp.HHi}
 		if err := p.CheckLegal(s.fp); err != nil {
 			return nil, fmt.Errorf("core: placement %d: %w", idx, err)
 		}
-		if ids := s.conflicting(p); len(ids) > 0 {
-			return nil, fmt.Errorf("core: placements %d and %d in file overlap (corrupt save)", idx, ids[0])
-		}
-		if _, err := s.store(p); err != nil {
+		if err := s.checkCandidate(&p); err != nil {
 			return nil, fmt.Errorf("core: placement %d: %w", idx, err)
 		}
+		box = appendBox(box[:0], &p)
+		if ids := s.conflicting(box); len(ids) > 0 {
+			return nil, fmt.Errorf("core: placements %d and %d in file overlap (corrupt save)", idx, ids[0])
+		}
+		rec := record{X: sp.X, Y: sp.Y, AvgCost: sp.AvgCost, BestCost: sp.BestCost, BestW: sp.BestW, BestH: sp.BestH}
+		s.store(&rec, box)
 	}
 	s.rebaseExps()
 	return s, nil
+}
+
+// saved returns the live placements as the file formats hold them, in ID
+// order: each record's slices, and its box's intervals as the four
+// per-block columns WLo, WHi, HLo and HHi, all cut from one array.
+func (s *Structure) saved() []savedPlacement {
+	out := make([]savedPlacement, 0, s.alive)
+	ivs := make([]int, 0, len(s.boxes))
+	for id, r := range s.recs {
+		if r == nil {
+			continue
+		}
+		sp := savedPlacement{X: r.X, Y: r.Y, AvgCost: r.AvgCost, BestCost: r.BestCost, BestW: r.BestW, BestH: r.BestH}
+		box := s.box(id)
+		for c, col := range [4]*[]int{&sp.WLo, &sp.WHi, &sp.HLo, &sp.HHi} {
+			n := len(ivs)
+			for k := c; k < len(box); k += 4 {
+				ivs = append(ivs, box[k])
+			}
+			*col = ivs[n:len(ivs):len(ivs)]
+		}
+		out = append(out, sp)
+	}
+	return out
 }
 
 // checkFloorplan bounds a floorplan to the compiled index's int32

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 
 	"mps/internal/geom"
 	"mps/internal/netlist"
@@ -38,7 +39,7 @@ type Placement struct {
 
 	// margins caches the per-block design-rule halos of the circuit; nil
 	// means all zero (placements built as struct literals, margin-free
-	// circuits, loaded structures).
+	// circuits).
 	margins []int
 }
 
@@ -46,40 +47,51 @@ type Placement struct {
 // dimension intervals collapsed to the blocks' minimum dimensions, the
 // state the paper's Placement Selector starts from.
 func New(c *netlist.Circuit) *Placement {
-	n := c.N()
-	p := &Placement{
-		ID: -1,
-		X:  make([]int, n), Y: make([]int, n),
-		WLo: make([]int, n), WHi: make([]int, n),
-		HLo: make([]int, n), HHi: make([]int, n),
-	}
+	p := Make(c, 0, 0)
 	for i, b := range c.Blocks {
 		p.WLo[i], p.WHi[i] = b.WMin, b.WMin
 		p.HLo[i], p.HHi[i] = b.HMin, b.HMin
 	}
-	p.AttachMargins(c)
 	return p
 }
 
-// AttachMargins caches the circuit's per-block spacing halos on the
-// placement so geometric checks can enforce them. Placements constructed
-// outside New (struct literals, deserialization) have no margins until this
-// is called.
-func (p *Placement) AttachMargins(c *netlist.Circuit) {
-	any := false
-	for _, b := range c.Blocks {
-		if b.Margin > 0 {
-			any = true
-			break
+// Make returns a zeroed placement for c with ID -1: every anchor,
+// interval and cost zero, BestW and BestH of nBestW and nBestH entries,
+// and the circuit's per-block spacing halos attached so geometric checks
+// enforce them. Its slices are cut from one array, as Clone's are.
+func Make(c *netlist.Circuit, nBestW, nBestH int) *Placement {
+	n, m := c.N(), 0
+	if slices.ContainsFunc(c.Blocks, func(b *netlist.Block) bool { return b.Margin > 0 }) {
+		m = n
+	}
+	p := &Placement{ID: -1}
+	p.cut([9]int{n, n, n, n, n, n, nBestW, nBestH, m})
+	for i := range p.margins {
+		p.margins[i] = c.Blocks[i].Margin
+	}
+	return p
+}
+
+// slices returns the addresses of p's slice fields in the order cut lays
+// them out.
+func (p *Placement) slices() [9]*[]int {
+	return [9]*[]int{&p.X, &p.Y, &p.WLo, &p.WHi, &p.HLo, &p.HHi, &p.BestW, &p.BestH, &p.margins}
+}
+
+// cut points p's slice fields at consecutive parts of one new zeroed
+// array, field k at lens[k] entries capped at that length, so appending
+// to one never writes into the next. A field of length 0 is nil.
+func (p *Placement) cut(lens [9]int) {
+	total := 0
+	for _, l := range lens {
+		total += l
+	}
+	buf := make([]int, total)
+	for k, f := range p.slices() {
+		*f = nil
+		if l := lens[k]; l > 0 {
+			*f, buf = buf[:l:l], buf[l:]
 		}
-	}
-	if !any {
-		p.margins = nil
-		return
-	}
-	p.margins = make([]int, c.N())
-	for i, b := range c.Blocks {
-		p.margins[i] = b.Margin
 	}
 }
 
@@ -108,23 +120,18 @@ func inflate(r geom.Rect, m int) geom.Rect {
 // N returns the number of blocks.
 func (p *Placement) N() int { return len(p.X) }
 
-// Clone returns a deep copy of p.
+// Clone returns a deep copy of p in two allocations: the struct and one
+// array its slices are cut from (see cut; empty slices come back nil).
 func (p *Placement) Clone() *Placement {
-	q := &Placement{
-		ID:      p.ID,
-		AvgCost: p.AvgCost, BestCost: p.BestCost,
-		X: cloneInts(p.X), Y: cloneInts(p.Y),
-		WLo: cloneInts(p.WLo), WHi: cloneInts(p.WHi),
-		HLo: cloneInts(p.HLo), HHi: cloneInts(p.HHi),
+	q := &Placement{ID: p.ID, AvgCost: p.AvgCost, BestCost: p.BestCost}
+	src := p.slices()
+	var lens [9]int
+	for k, f := range src {
+		lens[k] = len(*f)
 	}
-	if p.BestW != nil {
-		q.BestW = cloneInts(p.BestW)
-	}
-	if p.BestH != nil {
-		q.BestH = cloneInts(p.BestH)
-	}
-	if p.margins != nil {
-		q.margins = cloneInts(p.margins)
+	q.cut(lens)
+	for k, f := range q.slices() {
+		copy(*f, *src[k])
 	}
 	return q
 }
@@ -507,10 +514,4 @@ func wrap(v, lo, hi int) int {
 		m += span
 	}
 	return lo + m
-}
-
-func cloneInts(s []int) []int {
-	out := make([]int, len(s))
-	copy(out, s)
-	return out
 }

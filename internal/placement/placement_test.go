@@ -2,6 +2,7 @@ package placement
 
 import (
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"mps/internal/circuits"
@@ -48,6 +49,29 @@ func TestCloneIsDeep(t *testing.T) {
 	q.BestW[2] = 99
 	if p.X[0] == 99 || p.WHi[1] == 99 || p.BestW[2] == 99 {
 		t.Error("Clone shares backing arrays with original")
+	}
+}
+
+// TestCloneOneArray: a copy costs the struct and one array, and its
+// slices are capped, so appending to one never writes into the next.
+func TestCloneOneArray(t *testing.T) {
+	c := circuits.MustByName("TwoStageOpamp") // has margins
+	p := New(c)
+	p.BestW, p.BestH = make([]int, c.N()), make([]int, c.N())
+	if allocs := testing.AllocsPerRun(100, func() { p.Clone() }); allocs > 2 {
+		t.Errorf("Clone makes %v allocations, want at most 2", allocs)
+	}
+	q := p.Clone()
+	wantY := append([]int(nil), q.Y...)
+	q.X = append(q.X, 7, 7, 7)
+	if !reflect.DeepEqual(q.Y, wantY) {
+		t.Errorf("appending to a copy's X changed its Y: %v, want %v", q.Y, wantY)
+	}
+	if q.clearance(0, 1) != p.clearance(0, 1) || (p.BestW != nil) != (q.BestW != nil) {
+		t.Error("Clone lost margins or best dimensions")
+	}
+	if r := (&Placement{X: []int{1}}).Clone(); r.BestW != nil || r.margins != nil || len(r.X) != 1 {
+		t.Errorf("Clone of a placement without best dimensions or margins: %+v", r)
 	}
 }
 
