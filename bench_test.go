@@ -51,7 +51,7 @@ func benchGenerate(b *testing.B, name string) {
 	c := circuits.MustByName(name)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		s, _, err := explorer.Generate(c, explorer.Config{
+		s, _, err := explorer.GenerateContext(context.Background(), c, explorer.Config{
 			Seed:          int64(i + 1),
 			MaxIterations: 30,
 			BDIO:          bdio.Config{Steps: 60},
@@ -393,38 +393,6 @@ func BenchmarkBaselineAnnealingPlace(b *testing.B) {
 
 // --- Ablations ------------------------------------------------------------
 
-// BenchmarkAblationEq6 compares generation with and without the Optimize
-// Ranges shrink (eq. 6), reporting final structure size and coverage.
-func BenchmarkAblationEq6(b *testing.B) {
-	for _, tc := range []struct {
-		name    string
-		disable bool
-	}{
-		{"with-eq6", false},
-		{"without-eq6", true},
-	} {
-		b.Run(tc.name, func(b *testing.B) {
-			c := circuits.MustByName("circ01")
-			var placements int
-			var coverage float64
-			for i := 0; i < b.N; i++ {
-				s, _, err := explorer.Generate(c, explorer.Config{
-					Seed:          9,
-					MaxIterations: 30,
-					BDIO:          bdio.Config{Steps: 60, DisableRangeShrink: tc.disable},
-				})
-				if err != nil {
-					b.Fatal(err)
-				}
-				placements = s.NumPlacements()
-				coverage = s.Coverage()
-			}
-			b.ReportMetric(float64(placements), "placements")
-			b.ReportMetric(coverage*1e6, "coverage-ppm")
-		})
-	}
-}
-
 // BenchmarkAblationQueryPath compares the compiled index's Lookup against
 // the linear Covers scan on the same structure.
 func BenchmarkAblationQueryPath(b *testing.B) {
@@ -463,7 +431,7 @@ func BenchmarkAblationParallelChains(b *testing.B) {
 		b.Run(map[int]string{1: "chains-1", 4: "chains-4"}[chains], func(b *testing.B) {
 			c := circuits.MustByName("Mixer")
 			for i := 0; i < b.N; i++ {
-				_, _, err := explorer.Generate(c, explorer.Config{
+				_, _, err := explorer.GenerateContext(context.Background(), c, explorer.Config{
 					Seed:          13,
 					MaxIterations: 40,
 					Chains:        chains,
@@ -483,7 +451,7 @@ func BenchmarkCompact(b *testing.B) {
 	c := circuits.MustByName("Mixer")
 	for i := 0; i < b.N; i++ {
 		b.StopTimer()
-		s, _, err := explorer.Generate(c, explorer.Config{
+		s, _, err := explorer.GenerateContext(context.Background(), c, explorer.Config{
 			Seed:          int64(i),
 			MaxIterations: 40,
 			BDIO:          bdio.Config{Steps: 60},
@@ -502,7 +470,7 @@ func BenchmarkScalingGeneration(b *testing.B) {
 	for _, c := range circuits.ScalingFamily([]int{5, 15, 25}) {
 		b.Run(c.Name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				_, _, err := explorer.Generate(c, explorer.Config{
+				_, _, err := explorer.GenerateContext(context.Background(), c, explorer.Config{
 					Seed:          1,
 					MaxIterations: 30,
 					BDIO:          bdio.Config{Steps: 60},

@@ -194,6 +194,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
+	if q := sched.Quarantined(); q != "" {
+		log.Printf("jobs: state file in %s did not parse; moved it to %s and started with an empty job history",
+			*jobsDir, q)
+	}
 	cfg.Jobs = sched
 	if *clusterPeers != "" || *clusterPeersFile != "" {
 		if *clusterPeers != "" && *clusterPeersFile != "" {

@@ -1,8 +1,10 @@
-// Package anneal provides the simulated-annealing engine shared by the four
-// annealers in this repository: the Placement Explorer (outer loop of the
-// paper's Fig. 4), the Block Dimensions-Interval Optimizer (inner loop), the
-// optimization-based baseline placer, and the sizing optimizer of the
-// synthesis example.
+// Package anneal provides the simulated-annealing engine that three
+// annealers in this repository run on: the Block Dimensions-Interval
+// Optimizer (the inner loop of the paper's Fig. 4), the optimization-based
+// baseline placer (optplace), and the sizing optimizer of the synthesis loop
+// (synth). The Placement Explorer keeps its own outer loop: it calibrates
+// its temperature after the first iteration, has no minimum-temperature
+// stop, and cools its move radius with the iteration index.
 //
 // The engine is deliberately small: geometric cooling, Metropolis
 // acceptance, and run statistics. Problem-specific state, moves and costs
@@ -30,25 +32,18 @@ type Problem interface {
 	Reject()
 }
 
-// Config controls an annealing run.
+// Config controls an annealing run. The starting temperature is
+// calibrated from the initial cost (10% of it, floor 1), and the run stops
+// early once the temperature falls to minTemp.
 type Config struct {
-	// InitialTemp is the starting temperature. If zero, it is calibrated
-	// from the initial cost (10% of it, floor 1).
-	InitialTemp float64
 	// Cooling is the geometric cooling factor per step, in (0,1).
 	// Default 0.995.
 	Cooling float64
 	// Steps is the total number of proposals. Default 1000.
 	Steps int
-	// MinTemp stops the run early once reached. Default 1e-6.
-	MinTemp float64
-	// Seed seeds the run's private RNG when Rand is nil.
-	Seed int64
-	// Rand, when non-nil, is used instead of a new source (lets callers
-	// share one stream across nested annealers deterministically).
+	// Rand supplies randomness; required (callers share one stream across
+	// nested annealers deterministically).
 	Rand *rand.Rand
-	// OnStep, when non-nil, observes every step after it resolves.
-	OnStep func(s Step)
 	// Stop, when non-nil, requests cooperative cancellation: the run checks
 	// it before every proposal and returns ErrStopped (with the statistics
 	// accumulated so far) as soon as it is closed. Callers typically pass a
@@ -57,14 +52,8 @@ type Config struct {
 	Stop <-chan struct{}
 }
 
-// Step describes one annealing step for observers.
-type Step struct {
-	Index    int
-	Temp     float64
-	Cost     float64 // candidate cost
-	Accepted bool
-	Best     float64 // best cost so far, including this step
-}
+// minTemp is the temperature at which a run stops early.
+const minTemp = 1e-6
 
 // Stats summarizes a completed run.
 type Stats struct {
@@ -79,14 +68,6 @@ type Stats struct {
 	FinalTemp float64
 }
 
-// AcceptRate returns the fraction of accepted proposals.
-func (s Stats) AcceptRate() float64 {
-	if s.Steps == 0 {
-		return 0
-	}
-	return float64(s.Accepted) / float64(s.Steps)
-}
-
 // ErrNoSteps is returned when Config.Steps resolves to a non-positive count.
 var ErrNoSteps = errors.New("anneal: no steps configured")
 
@@ -98,8 +79,8 @@ var ErrStopped = errors.New("anneal: stopped")
 
 // Run anneals the problem starting from the given initial cost and returns
 // run statistics. The problem is left holding its final (last-accepted)
-// solution; callers needing the best-ever solution should track it in their
-// Accept implementation or via OnStep.
+// solution; callers needing the best-ever solution track it in their
+// Problem.
 func Run(p Problem, initCost float64, cfg Config) (Stats, error) {
 	steps := cfg.Steps
 	if steps == 0 {
@@ -115,18 +96,11 @@ func Run(p Problem, initCost float64, cfg Config) (Stats, error) {
 	if cooling <= 0 || cooling >= 1 {
 		return Stats{}, errors.New("anneal: cooling factor must be in (0,1)")
 	}
-	minTemp := cfg.MinTemp
-	if minTemp == 0 {
-		minTemp = 1e-6
-	}
-	temp := cfg.InitialTemp
-	if temp == 0 {
-		temp = math.Max(1, 0.1*math.Abs(initCost))
-	}
 	rng := cfg.Rand
 	if rng == nil {
-		rng = rand.New(rand.NewSource(cfg.Seed))
+		return Stats{}, errors.New("anneal: Config.Rand is required")
 	}
+	temp := math.Max(1, 0.1*math.Abs(initCost))
 
 	stats := Stats{InitCost: initCost, BestCost: initCost, FinalCost: initCost}
 	current := initCost
@@ -166,9 +140,6 @@ func Run(p Problem, initCost float64, cfg Config) (Stats, error) {
 			stats.BestCost = cand
 		}
 		stats.Steps++
-		if cfg.OnStep != nil {
-			cfg.OnStep(Step{Index: i, Temp: temp, Cost: cand, Accepted: accepted, Best: stats.BestCost})
-		}
 		temp *= cooling
 	}
 	stats.FinalCost = current

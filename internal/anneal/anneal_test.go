@@ -28,7 +28,7 @@ func (q *quadratic) Reject() { q.x = q.prev }
 
 func TestRunConvergesOnQuadratic(t *testing.T) {
 	q := &quadratic{x: 100, target: 3, step: 10}
-	stats, err := Run(q, q.cost(q.x), Config{Steps: 20000, Cooling: 0.999, Seed: 1})
+	stats, err := Run(q, q.cost(q.x), Config{Steps: 20000, Cooling: 0.999, Rand: rand.New(rand.NewSource(1))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,7 +46,7 @@ func TestRunConvergesOnQuadratic(t *testing.T) {
 func TestRunDeterministicWithSeed(t *testing.T) {
 	run := func() (float64, Stats) {
 		q := &quadratic{x: 50, target: 0, step: 5}
-		stats, err := Run(q, q.cost(q.x), Config{Steps: 500, Seed: 42})
+		stats, err := Run(q, q.cost(q.x), Config{Steps: 500, Rand: rand.New(rand.NewSource(42))})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -61,25 +61,15 @@ func TestRunDeterministicWithSeed(t *testing.T) {
 
 func TestRunStatsAccounting(t *testing.T) {
 	q := &quadratic{x: 10, target: 0, step: 1}
-	var observed int
-	stats, err := Run(q, q.cost(q.x), Config{
-		Steps: 200, Seed: 7,
-		OnStep: func(s Step) { observed++ },
-	})
+	stats, err := Run(q, q.cost(q.x), Config{Steps: 200, Rand: rand.New(rand.NewSource(7))})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if stats.Steps != 200 {
 		t.Errorf("Steps = %d, want 200", stats.Steps)
 	}
-	if observed != stats.Steps {
-		t.Errorf("OnStep called %d times, want %d", observed, stats.Steps)
-	}
 	if stats.Accepted < 1 || stats.Accepted > stats.Steps {
 		t.Errorf("Accepted = %d out of %d, implausible", stats.Accepted, stats.Steps)
-	}
-	if rate := stats.AcceptRate(); rate <= 0 || rate > 1 {
-		t.Errorf("AcceptRate = %g, want in (0,1]", rate)
 	}
 	if stats.MeanCost <= 0 {
 		t.Errorf("MeanCost = %g, want positive", stats.MeanCost)
@@ -91,28 +81,34 @@ func TestRunStatsAccounting(t *testing.T) {
 
 func TestRunConfigValidation(t *testing.T) {
 	q := &quadratic{x: 1, target: 0, step: 1}
-	if _, err := Run(q, 1, Config{Steps: -1}); err == nil {
+	rng := rand.New(rand.NewSource(1))
+	if _, err := Run(q, 1, Config{Steps: -1, Rand: rng}); err == nil {
 		t.Error("negative steps should error")
 	}
-	if _, err := Run(q, 1, Config{Cooling: 1.5}); err == nil {
+	if _, err := Run(q, 1, Config{Cooling: 1.5, Rand: rng}); err == nil {
 		t.Error("cooling >= 1 should error")
 	}
-	if _, err := Run(q, 1, Config{Cooling: -0.5}); err == nil {
+	if _, err := Run(q, 1, Config{Cooling: -0.5, Rand: rng}); err == nil {
 		t.Error("negative cooling should error")
+	}
+	if _, err := Run(q, 1, Config{Steps: 10}); err == nil {
+		t.Error("a nil Rand should error")
 	}
 }
 
 func TestRunStopsAtMinTemp(t *testing.T) {
 	q := &quadratic{x: 10, target: 0, step: 1}
 	stats, err := Run(q, q.cost(q.x), Config{
-		Steps: 1000000, Cooling: 0.5, InitialTemp: 1, MinTemp: 0.01, Seed: 3,
+		Steps: 1000000, Cooling: 0.5, Rand: rand.New(rand.NewSource(3)),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	// 0.5^k < 0.01 after ~7 steps; the run must stop far before a million.
-	if stats.Steps > 20 {
-		t.Errorf("Steps = %d, want early stop near 7", stats.Steps)
+	// The temperature starts at 10 (10% of the initial cost 100) and halves
+	// every step; 10·0.5^k > minTemp (1e-6) holds for k = 0..23 only, so
+	// the run stops after 24 of its million steps.
+	if stats.Steps != 24 {
+		t.Errorf("Steps = %d, want 24 (stopped at minTemp)", stats.Steps)
 	}
 }
 
@@ -173,9 +169,9 @@ func TestSharedRandStream(t *testing.T) {
 }
 
 func TestInitialTempCalibration(t *testing.T) {
-	// With InitialTemp unset, the engine must still run and anneal.
+	// The temperature calibrated from the initial cost must anneal.
 	q := &quadratic{x: 1000, target: 0, step: 100}
-	stats, err := Run(q, q.cost(q.x), Config{Steps: 5000, Seed: 5})
+	stats, err := Run(q, q.cost(q.x), Config{Steps: 5000, Rand: rand.New(rand.NewSource(5))})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,22 +180,29 @@ func TestInitialTempCalibration(t *testing.T) {
 	}
 }
 
+// stopAfter is a quadratic whose n-th proposal closes stop.
+type stopAfter struct {
+	quadratic
+	n    int
+	stop chan struct{}
+}
+
+func (s *stopAfter) Propose(rng *rand.Rand, magnitude float64) float64 {
+	if s.n--; s.n == 0 {
+		close(s.stop)
+	}
+	return s.quadratic.Propose(rng, magnitude)
+}
+
 func TestRunStopChannel(t *testing.T) {
 	// A stop after N steps halts the run with ErrStopped and stats for the
 	// steps that completed.
 	stop := make(chan struct{})
-	q := &quadratic{x: 1000, target: 0, step: 10}
-	steps := 0
+	q := &stopAfter{quadratic: quadratic{x: 1000, target: 0, step: 10}, n: 25, stop: stop}
 	stats, err := Run(q, q.cost(q.x), Config{
 		Steps: 1 << 20,
-		Seed:  3,
+		Rand:  rand.New(rand.NewSource(3)),
 		Stop:  stop,
-		OnStep: func(Step) {
-			steps++
-			if steps == 25 {
-				close(stop)
-			}
-		},
 	})
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("err = %v, want ErrStopped", err)
@@ -211,7 +214,7 @@ func TestRunStopChannel(t *testing.T) {
 	// A pre-closed stop channel runs zero steps.
 	closed := make(chan struct{})
 	close(closed)
-	stats, err = Run(q, q.cost(q.x), Config{Steps: 100, Seed: 4, Stop: closed})
+	stats, err = Run(q, q.cost(q.x), Config{Steps: 100, Rand: rand.New(rand.NewSource(4)), Stop: closed})
 	if !errors.Is(err, ErrStopped) {
 		t.Fatalf("pre-closed stop: err = %v, want ErrStopped", err)
 	}
@@ -220,7 +223,7 @@ func TestRunStopChannel(t *testing.T) {
 	}
 
 	// A nil stop channel never fires.
-	if _, err := Run(q, q.cost(q.x), Config{Steps: 50, Seed: 5}); err != nil {
+	if _, err := Run(q, q.cost(q.x), Config{Steps: 50, Rand: rand.New(rand.NewSource(5))}); err != nil {
 		t.Fatalf("nil stop: %v", err)
 	}
 }

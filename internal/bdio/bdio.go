@@ -27,17 +27,6 @@ type Config struct {
 	// Steps is the inner-SA iteration count (paper: "a number of iterations
 	// set by the user"). Default 400.
 	Steps int
-	// Cooling is the geometric cooling factor. Default 0.99.
-	Cooling float64
-	// PerturbPct scales dimension moves as a fraction of each interval's
-	// span (paper §3.2.1: "perturbs the proposed w and h values by a
-	// percentage input set by the user"). Default 0.25.
-	PerturbPct float64
-	// DisableRangeShrink skips the Optimize Ranges step (eq. 6), keeping
-	// the full expanded intervals. Ablation hook: without
-	// the shrink, stored boxes conflict far more and resolution discards
-	// more volume.
-	DisableRangeShrink bool
 	// Rand supplies randomness; required (pass a seeded *rand.Rand).
 	Rand *rand.Rand
 	// Stop, when non-nil, cooperatively cancels the inner annealing run:
@@ -47,18 +36,15 @@ type Config struct {
 	Stop <-chan struct{}
 }
 
-func (cfg Config) withDefaults() Config {
-	if cfg.Steps == 0 {
-		cfg.Steps = 400
-	}
-	if cfg.Cooling == 0 {
-		cfg.Cooling = 0.99
-	}
-	if cfg.PerturbPct == 0 {
-		cfg.PerturbPct = 0.25
-	}
-	return cfg
-}
+// The inner SA's fixed settings, which the paper leaves to the user.
+const (
+	// cooling is the geometric cooling factor.
+	cooling = 0.99
+	// perturbPct scales dimension moves as a fraction of each interval's
+	// span (paper §3.2.1: "perturbs the proposed w and h values by a
+	// percentage input set by the user").
+	perturbPct = 0.25
+)
 
 // Result summarizes a BDIO run. AvgCost is what the Placement Explorer uses
 // as the placement's cost in its own annealing.
@@ -76,7 +62,6 @@ type problem struct {
 	place   *placement.Placement
 	ev      cost.Evaluator
 	layout  cost.Layout
-	pct     float64
 
 	// sc rescores moves when ev is cost.Incremental (incremental set);
 	// other evaluators score every move through Cost.
@@ -111,7 +96,7 @@ func (pr *problem) Propose(rng *rand.Rand, magnitude float64) float64 {
 
 	span := iv.Len() - 1
 	if span > 0 {
-		step := int(math.Round(pr.pct * magnitude * float64(span)))
+		step := int(math.Round(perturbPct * magnitude * float64(span)))
 		if step < 1 {
 			step = 1
 		}
@@ -152,14 +137,14 @@ func (pr *problem) Reject() {
 // intervals around the best dimensions per eq. 6. The placement's
 // coordinates are never touched.
 func Optimize(c *netlist.Circuit, p *placement.Placement, fp geom.Rect, ev cost.Evaluator, cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
-	if cfg.Rand == nil {
-		return Result{}, fmt.Errorf("bdio: Config.Rand is required")
+	steps := cfg.Steps
+	if steps == 0 {
+		steps = 400
 	}
-	pr, initCost := newProblem(c, p, fp, ev, cfg.PerturbPct)
+	pr, initCost := newProblem(c, p, fp, ev)
 	stats, err := anneal.Run(pr, initCost, anneal.Config{
-		Cooling: cfg.Cooling,
-		Steps:   cfg.Steps,
+		Cooling: cooling,
+		Steps:   steps,
 		Rand:    cfg.Rand,
 		Stop:    cfg.Stop,
 	})
@@ -181,23 +166,20 @@ func Optimize(c *netlist.Circuit, p *placement.Placement, fp geom.Rect, ev cost.
 	p.BestCost = res.BestCost
 	p.BestW = append([]int(nil), res.BestW...)
 	p.BestH = append([]int(nil), res.BestH...)
-	if !cfg.DisableRangeShrink {
-		optimizeRanges(p, res.BestW, res.BestH, res.BestCost, res.AvgCost)
-	}
+	optimizeRanges(p, res.BestW, res.BestH, res.BestCost, res.AvgCost)
 	return res, nil
 }
 
 // newProblem sets up the inner SA on p at its interval midpoints and
 // returns it with the starting cost. The four dimension vectors share one
 // allocation.
-func newProblem(c *netlist.Circuit, p *placement.Placement, fp geom.Rect, ev cost.Evaluator, pct float64) (*problem, float64) {
+func newProblem(c *netlist.Circuit, p *placement.Placement, fp geom.Rect, ev cost.Evaluator) (*problem, float64) {
 	n := c.N()
 	dims := make([]int, 4*n)
 	pr := &problem{
 		circuit: c,
 		place:   p,
 		ev:      ev,
-		pct:     pct,
 		layout: cost.Layout{
 			Circuit:   c,
 			X:         p.X,

@@ -189,7 +189,7 @@ func TestHigherAvgCostShrinksMore(t *testing.T) {
 func TestStepAllocFree(t *testing.T) {
 	c := circuits.MustByName("TwoStageOpamp")
 	p, fp, _ := expandedPlacement(t, "TwoStageOpamp", 1)
-	pr, _ := newProblem(c, p, fp, cost.DefaultWeights, 0.25)
+	pr, _ := newProblem(c, p, fp, cost.DefaultWeights)
 	if !pr.incremental {
 		t.Fatal("the default weights did not take the incremental path")
 	}

@@ -2,6 +2,7 @@ package core_test
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"math"
 	"math/rand"
@@ -25,7 +26,7 @@ func TestGeneratedStructuresMatchReferences(t *testing.T) {
 		c := circuits.MustByName(name)
 		for seed := int64(1); seed <= 2; seed++ {
 			generate := func() *core.Structure {
-				s, _, err := explorer.Generate(c, explorer.Config{
+				s, _, err := explorer.GenerateContext(context.Background(), c, explorer.Config{
 					Seed:          seed,
 					MaxIterations: 60,
 					BDIO:          bdio.Config{Steps: 80},
@@ -91,7 +92,7 @@ func TestGeneratedInsertsMatchBruteForce(t *testing.T) {
 	for _, name := range []string{"circ01", "TwoStageOpamp", "Mixer"} {
 		c := circuits.MustByName(name)
 		generate := func(seed int64) *core.Structure {
-			s, _, err := explorer.Generate(c, explorer.Config{
+			s, _, err := explorer.GenerateContext(context.Background(), c, explorer.Config{
 				Seed:          seed,
 				MaxIterations: 40,
 				BDIO:          bdio.Config{Steps: 60},
@@ -165,7 +166,7 @@ func TestCompactMatchesRestartScan(t *testing.T) {
 	for _, r := range runs {
 		c := circuits.MustByName(r.name)
 		generate := func() *core.Structure {
-			s, _, err := explorer.Generate(c, explorer.Config{
+			s, _, err := explorer.GenerateContext(context.Background(), c, explorer.Config{
 				Seed:          r.seed,
 				MaxIterations: r.iters,
 				BDIO:          bdio.Config{Steps: r.steps},

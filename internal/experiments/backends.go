@@ -8,16 +8,13 @@ package experiments
 // shows up here (and in BENCH_results.json) with zero harness changes.
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"time"
 
 	"mps/internal/circuits"
-	"mps/internal/core"
 	"mps/internal/gen"
 	"mps/internal/stats"
-	"mps/internal/template"
 )
 
 // BackendRow is one (backend, circuit) measurement of the comparison —
@@ -31,39 +28,13 @@ type BackendRow struct {
 	WallClock  time.Duration `json:"wall_clock_ns"`
 }
 
-// GenerateBackendForBenchmark is GenerateForBenchmark through a named
-// generation backend: the same per-circuit effort budgets, the same
-// template backup, any registered backend.
-func GenerateBackendForBenchmark(backend, name string, effort Effort, seed int64) (*core.Structure, gen.Stats, error) {
-	c, err := circuits.ByName(name)
-	if err != nil {
-		return nil, gen.Stats{}, err
-	}
-	g, err := gen.ByName(backend)
-	if err != nil {
-		return nil, gen.Stats{}, err
-	}
-	iters, steps := effort.budgetsFor(c.N())
-	s, st, err := g.Generate(context.Background(), c, gen.Spec{
-		Backend:    backend,
-		Seed:       seed,
-		Iterations: iters,
-		BDIOSteps:  steps,
-	})
-	if err != nil {
-		return nil, st, err
-	}
-	s.SetBackup(template.Balanced(c))
-	return s, st, nil
-}
-
 // RunBackends runs the full backends × circuits comparison, renders a
 // table to w (nil = silent), and returns the rows for the JSON report.
 func RunBackends(w io.Writer, effort Effort, seed int64) ([]BackendRow, error) {
 	rows := make([]BackendRow, 0, len(gen.Names())*len(circuits.Table1))
 	for _, backend := range gen.Names() {
 		for _, e := range circuits.Table1 {
-			s, st, err := GenerateBackendForBenchmark(backend, e.Name, effort, seed)
+			s, st, err := generateBenchmark(e.Name, effort, gen.Spec{Backend: backend, Seed: seed})
 			if err != nil {
 				return nil, fmt.Errorf("experiments: %s/%s: %w", backend, e.Name, err)
 			}

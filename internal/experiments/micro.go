@@ -13,6 +13,7 @@ import (
 
 	"mps/internal/core"
 	"mps/internal/cost"
+	"mps/internal/gen"
 	"mps/internal/obs"
 	"mps/internal/portfolio"
 	"mps/internal/stats"
@@ -155,7 +156,7 @@ func RunMicro(w io.Writer, seed int64) ([]BenchResult, error) {
 		// making its allocs/op exactly reproducible too.
 		{"generate_ga_fixed_seed", func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				if _, _, err := GenerateBackendForBenchmark("ga", "circ01", EffortQuick, seed); err != nil {
+				if _, _, err := generateBenchmark("circ01", EffortQuick, gen.Spec{Backend: "ga", Seed: seed}); err != nil {
 					b.Fatal(err)
 				}
 			}

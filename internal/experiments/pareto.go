@@ -1,18 +1,15 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"io"
 	"math/rand"
 
-	"mps/internal/circuits"
 	"mps/internal/core"
 	"mps/internal/cost"
 	"mps/internal/gen"
 	"mps/internal/portfolio"
 	"mps/internal/stats"
-	"mps/internal/template"
 )
 
 // This file implements the Pareto-portfolio study behind `mpsbench
@@ -55,34 +52,6 @@ const paretoSamples = 4000
 // to the (wire, area, aspect) term columns.
 var paretoObjectives = []cost.Weights{{Wire: 1}, {Area: 1}, {Aspect: 1}}
 
-// GenerateWeightedForBenchmark is GenerateForBenchmark under an explicit
-// generation objective: the default backend with Spec.Weights set, so
-// the member matches what the facade generates for a ladder rung at the
-// same seed.
-func GenerateWeightedForBenchmark(name string, effort Effort, seed int64, weights cost.Weights) (*core.Structure, error) {
-	c, err := circuits.ByName(name)
-	if err != nil {
-		return nil, err
-	}
-	g, err := gen.ByName(gen.Default)
-	if err != nil {
-		return nil, err
-	}
-	iters, steps := effort.budgetsFor(c.N())
-	s, _, err := g.Generate(context.Background(), c, gen.Spec{
-		Backend:    gen.Default,
-		Seed:       seed,
-		Iterations: iters,
-		BDIOSteps:  steps,
-		Weights:    weights,
-	})
-	if err != nil {
-		return nil, err
-	}
-	s.SetBackup(template.Balanced(c))
-	return s, nil
-}
-
 // paretoPortfolios builds the two equal-K portfolios for a circuit:
 // seed-diverse (every member weightless, the pre-weights artifact) and
 // weight-diverse (member i on ladder rung i), sharing the member seeds.
@@ -95,7 +64,7 @@ func paretoPortfolios(name string, effort Effort, seed int64, k int) (seedDiv, w
 		if seedMembers[i], _, err = GenerateForBenchmark(name, effort, ms); err != nil {
 			return nil, nil, err
 		}
-		if weightMembers[i], err = GenerateWeightedForBenchmark(name, effort, ms, ladder[i]); err != nil {
+		if weightMembers[i], _, err = generateBenchmark(name, effort, gen.Spec{Seed: ms, Weights: ladder[i]}); err != nil {
 			return nil, nil, err
 		}
 	}

@@ -5,11 +5,9 @@ import (
 	"io"
 	"time"
 
-	"mps/internal/bdio"
 	"mps/internal/circuits"
-	"mps/internal/explorer"
+	"mps/internal/gen"
 	"mps/internal/stats"
-	"mps/internal/template"
 )
 
 // ScalingRow is one point of the block-count scaling study — the extension
@@ -29,16 +27,10 @@ func RunScaling(w io.Writer, sizes []int, effort Effort, seed int64) ([]ScalingR
 	iters, steps := effort.budgets()
 	rows := make([]ScalingRow, 0, len(sizes))
 	for _, c := range circuits.ScalingFamily(sizes) {
-		s, st, err := explorer.Generate(c, explorer.Config{
-			Seed:          seed,
-			MaxIterations: iters,
-			BDIO:          bdio.Config{Steps: steps},
-		})
+		s, st, err := generate(c, gen.Spec{Seed: seed, Iterations: iters, BDIOSteps: steps})
 		if err != nil {
 			return nil, fmt.Errorf("experiments: scaling %s: %w", c.Name, err)
 		}
-		s.Compact()
-		s.SetBackup(template.Balanced(c))
 		avg, _, err := MeasureInstantiation(s, 500, seed+1)
 		if err != nil {
 			return nil, err

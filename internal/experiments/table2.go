@@ -1,15 +1,15 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"math/rand"
 	"time"
 
-	"mps/internal/bdio"
 	"mps/internal/circuits"
 	"mps/internal/core"
-	"mps/internal/explorer"
+	"mps/internal/gen"
 	"mps/internal/netlist"
 	"mps/internal/stats"
 	"mps/internal/template"
@@ -61,23 +61,36 @@ type Table2Row struct {
 }
 
 // GenerateForBenchmark generates a structure for one named benchmark at the
-// given effort, with the template backup installed — the shared entry point
-// for the Table 2, Figure 5/6/7 harnesses and the benchmarks.
-func GenerateForBenchmark(name string, effort Effort, seed int64) (*core.Structure, explorer.Stats, error) {
+// given effort with the default backend, with the template backup
+// installed — the shared entry point for the Table 2, Figure 5/6/7
+// harnesses and the benchmarks.
+func GenerateForBenchmark(name string, effort Effort, seed int64) (*core.Structure, gen.Stats, error) {
+	return generateBenchmark(name, effort, gen.Spec{Seed: seed})
+}
+
+// generateBenchmark is generate for a named benchmark at the effort's
+// per-circuit budgets.
+func generateBenchmark(name string, effort Effort, spec gen.Spec) (*core.Structure, gen.Stats, error) {
 	c, err := circuits.ByName(name)
 	if err != nil {
-		return nil, explorer.Stats{}, err
+		return nil, gen.Stats{}, err
 	}
-	iters, steps := effort.budgetsFor(c.N())
-	s, st, err := explorer.Generate(c, explorer.Config{
-		Seed:          seed,
-		MaxIterations: iters,
-		BDIO:          bdio.Config{Steps: steps},
-	})
+	spec.Iterations, spec.BDIOSteps = effort.budgetsFor(c.N())
+	return generate(c, spec)
+}
+
+// generate builds every structure the harness measures: the spec's
+// backend (finished, so compacted and renumbered) at the spec's explicit
+// budgets, then the template backup.
+func generate(c *netlist.Circuit, spec gen.Spec) (*core.Structure, gen.Stats, error) {
+	g, err := gen.ByName(spec.Backend)
+	if err != nil {
+		return nil, gen.Stats{}, err
+	}
+	s, st, err := g.Generate(context.Background(), c, spec)
 	if err != nil {
 		return nil, st, err
 	}
-	s.Compact()
 	s.SetBackup(template.Balanced(c))
 	return s, st, nil
 }

@@ -9,7 +9,9 @@
 // Every explored placement is resolved and stored; the Metropolis test on
 // the BDIO's average cost only decides which placement seeds the next
 // perturbation. The run stops on coverage target, placement budget, or
-// iteration budget — whichever first.
+// iteration budget — whichever first. Evaluate, the step from Placement
+// Expansion to Store Placement plus the stop test, is the part every
+// generation backend shares: internal/gen's GA evaluates through it too.
 package explorer
 
 import (
@@ -44,8 +46,8 @@ type Config struct {
 	// volume fraction is a product of 2N per-row fractions, so coverage
 	// on large circuits stays far below any useful target.
 	TargetCoverage float64
-	// BDIO configures the inner annealer (its Rand field is ignored; the
-	// explorer supplies one per chain).
+	// BDIO configures the inner annealer. GenerateContext sets its Rand
+	// and Stop per chain; a direct caller of Evaluate sets them itself.
 	BDIO bdio.Config
 	// Evaluator scores layouts. Default cost.DefaultWeights.
 	Evaluator cost.Evaluator
@@ -109,16 +111,12 @@ type Stats struct {
 	Duration       time.Duration
 }
 
-// Generate runs the Placement Explorer and returns the filled structure.
-func Generate(c *netlist.Circuit, cfg Config) (*core.Structure, Stats, error) {
-	return GenerateContext(context.Background(), c, cfg)
-}
-
-// GenerateContext is Generate with cooperative cancellation: the context's
-// Done channel is checked between outer iterations and threaded into the
-// inner annealer, so a cancelled generation stops within one BDIO proposal.
-// On cancellation the context's error is returned and the partially filled
-// structure is discarded — generation is all or nothing.
+// GenerateContext runs the Placement Explorer and returns the filled
+// structure. The context is checked before every explored placement and
+// threaded into the inner annealer, so a cancelled generation stops within
+// one BDIO proposal. On cancellation the context's error is returned and
+// the partially filled structure is discarded — generation is all or
+// nothing.
 func GenerateContext(ctx context.Context, c *netlist.Circuit, cfg Config) (*core.Structure, Stats, error) {
 	if err := c.Validate(); err != nil {
 		return nil, Stats{}, fmt.Errorf("explorer: %w", err)
@@ -160,20 +158,11 @@ func GenerateContext(ctx context.Context, c *netlist.Circuit, cfg Config) (*core
 	return s, stats, nil
 }
 
-// runChain executes one explorer chain. When mu is non-nil, structure
-// access and stats updates are serialized across chains.
+// runChain executes one explorer chain: the Placement Selector, the
+// perturbation schedule and the Metropolis test around Evaluate. When mu
+// is non-nil, structure access and stats updates are serialized across
+// chains.
 func runChain(ctx context.Context, c *netlist.Circuit, s *core.Structure, cfg Config, chain int, rng *rand.Rand, stats *Stats, mu *sync.Mutex) error {
-	lock := func() {
-		if mu != nil {
-			mu.Lock()
-		}
-	}
-	unlock := func() {
-		if mu != nil {
-			mu.Unlock()
-		}
-	}
-
 	// Placement Selector: initial random legal placement at minimum dims.
 	fp := s.Floorplan()
 	accepted, err := placement.RandomLegal(c, fp, rng)
@@ -189,14 +178,10 @@ func runChain(ctx context.Context, c *netlist.Circuit, s *core.Structure, cfg Co
 	if iters < 1 {
 		iters = 1
 	}
-	bcfg := cfg.BDIO
-	bcfg.Rand = rng
-	bcfg.Stop = ctx.Done()
+	cfg.BDIO.Rand = rng
+	cfg.BDIO.Stop = ctx.Done()
 
 	for it := 0; it < iters; it++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("explorer: generation cancelled: %w", err)
-		}
 		// Perturb Placement: the candidate's coordinates come from the last
 		// accepted placement (paper: "Otherwise, the last accepted placement
 		// is used"), moved with toroidal wrap. The first iteration explores
@@ -217,49 +202,10 @@ func runChain(ctx context.Context, c *netlist.Circuit, s *core.Structure, cfg Co
 			base.Perturb(c, fp, rng, perturbFraction, shift)
 		}
 
-		// Placement Expansion grows the candidate's intervals.
-		cand := base.Clone()
-		cand.ResetToMin(c)
-		cand.Expand(c, fp, expandStep)
-
-		// Inner annealer: shrink intervals, attach costs.
-		res, err := bdio.Optimize(c, cand, fp, cfg.Evaluator, bcfg)
+		avgCost, stop, err := Evaluate(ctx, c, s, base.Clone(), cfg, chain, it, stats, mu)
 		if err != nil {
-			// A stop mid-BDIO is a cancellation, not an annealer fault: the
-			// half-optimized candidate is discarded, never stored.
-			if errors.Is(err, anneal.ErrStopped) {
-				return fmt.Errorf("explorer: generation cancelled: %w", context.Cause(ctx))
-			}
 			return fmt.Errorf("explorer: %w", err)
 		}
-
-		// Resolve Overlaps + Store Placement.
-		lock()
-		insert, err := s.Insert(cand)
-		if err != nil {
-			unlock()
-			return fmt.Errorf("explorer: %w", err)
-		}
-		stats.Iterations++
-		if insert.CandidateDied {
-			stats.CandidatesDied++
-		} else {
-			stats.Stored++
-		}
-		if res.AvgCost < stats.BestAvgCost {
-			stats.BestAvgCost = res.AvgCost
-		}
-		if cfg.Progress != nil {
-			cfg.Progress(Progress{
-				Chain:      chain,
-				Iteration:  it,
-				Placements: s.NumPlacements(),
-				Coverage:   s.Coverage(),
-			})
-		}
-		stop := (cfg.MaxPlacements > 0 && s.NumPlacements() >= cfg.MaxPlacements) ||
-			(cfg.TargetCoverage > 0 && s.Coverage() >= cfg.TargetCoverage)
-		unlock()
 		if stop {
 			return nil
 		}
@@ -269,18 +215,83 @@ func runChain(ctx context.Context, c *netlist.Circuit, s *core.Structure, cfg Co
 		// on rejection the previous accepted placement is restored (it was
 		// never overwritten).
 		if temp == 0 {
-			temp = math.Max(1, 0.1*res.AvgCost) // first-iteration calibration
+			temp = math.Max(1, 0.1*avgCost) // first-iteration calibration
 		}
-		accept := res.AvgCost <= acceptedCost ||
-			rng.Float64() < math.Exp(-(res.AvgCost-acceptedCost)/temp)
+		accept := avgCost <= acceptedCost ||
+			rng.Float64() < math.Exp(-(avgCost-acceptedCost)/temp)
 		if accept {
 			accepted = base
-			acceptedCost = res.AvgCost
-			lock()
+			acceptedCost = avgCost
+			if mu != nil {
+				mu.Lock()
+			}
 			stats.Accepted++
-			unlock()
+			if mu != nil {
+				mu.Unlock()
+			}
 		}
 		temp *= cooling
 	}
 	return nil
+}
+
+// Evaluate runs one explored placement through the Fig. 4 step every
+// generation backend shares: Placement Expansion (cand's intervals restart
+// at minimum dimensions and grow by expandStep), the BDIO (cfg.Evaluator
+// and cfg.BDIO, whose Rand and Stop the caller sets), then Resolve
+// Overlaps and Store Placement. It takes ownership of cand and draws from
+// no random stream but the BDIO's. The insert, the Stats counters, the
+// cfg.Progress report for (chain, it) and the stop test run under mu when
+// it is non-nil. It returns the BDIO average cost and whether the
+// structure reached cfg.MaxPlacements or cfg.TargetCoverage; its errors,
+// a cancelled ctx's included, carry no package prefix.
+func Evaluate(ctx context.Context, c *netlist.Circuit, s *core.Structure, cand *placement.Placement, cfg Config, chain, it int, stats *Stats, mu *sync.Mutex) (avgCost float64, stop bool, err error) {
+	if err := ctx.Err(); err != nil {
+		return 0, false, fmt.Errorf("generation cancelled: %w", err)
+	}
+	// Placement Expansion grows the candidate's intervals.
+	fp := s.Floorplan()
+	cand.ResetToMin(c)
+	cand.Expand(c, fp, expandStep)
+
+	// Inner annealer: shrink intervals, attach costs.
+	res, err := bdio.Optimize(c, cand, fp, cfg.Evaluator, cfg.BDIO)
+	if err != nil {
+		// A stop mid-BDIO is a cancellation, not an annealer fault: the
+		// half-optimized candidate is discarded, never stored.
+		if errors.Is(err, anneal.ErrStopped) {
+			return 0, false, fmt.Errorf("generation cancelled: %w", context.Cause(ctx))
+		}
+		return 0, false, err
+	}
+
+	// Resolve Overlaps + Store Placement.
+	if mu != nil {
+		mu.Lock()
+		defer mu.Unlock()
+	}
+	insert, err := s.Insert(cand)
+	if err != nil {
+		return 0, false, err
+	}
+	stats.Iterations++
+	if insert.CandidateDied {
+		stats.CandidatesDied++
+	} else {
+		stats.Stored++
+	}
+	if res.AvgCost < stats.BestAvgCost {
+		stats.BestAvgCost = res.AvgCost
+	}
+	if cfg.Progress != nil {
+		cfg.Progress(Progress{
+			Chain:      chain,
+			Iteration:  it,
+			Placements: s.NumPlacements(),
+			Coverage:   s.Coverage(),
+		})
+	}
+	stop = (cfg.MaxPlacements > 0 && s.NumPlacements() >= cfg.MaxPlacements) ||
+		(cfg.TargetCoverage > 0 && s.Coverage() >= cfg.TargetCoverage)
+	return res.AvgCost, stop, nil
 }

@@ -24,7 +24,7 @@ func quickCfg(seed int64) Config {
 
 func TestGenerateFillsStructure(t *testing.T) {
 	c := circuits.MustByName("circ01")
-	s, stats, err := Generate(c, quickCfg(1))
+	s, stats, err := GenerateContext(context.Background(), c, quickCfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -53,7 +53,7 @@ func TestGenerateInvariantsAcrossBenchmarks(t *testing.T) {
 	for _, name := range []string{"circ02", "TwoStageOpamp", "Mixer"} {
 		t.Run(name, func(t *testing.T) {
 			c := circuits.MustByName(name)
-			s, _, err := Generate(c, quickCfg(2))
+			s, _, err := GenerateContext(context.Background(), c, quickCfg(2))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -69,11 +69,11 @@ func TestGenerateInvariantsAcrossBenchmarks(t *testing.T) {
 
 func TestGenerateDeterministicWithSeed(t *testing.T) {
 	c := circuits.MustByName("circ01")
-	s1, stats1, err := Generate(c, quickCfg(7))
+	s1, stats1, err := GenerateContext(context.Background(), c, quickCfg(7))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, stats2, err := Generate(c, quickCfg(7))
+	s2, stats2, err := GenerateContext(context.Background(), c, quickCfg(7))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,11 +105,11 @@ func TestGenerateDeterministicWithSeed(t *testing.T) {
 
 func TestGenerateSeedChangesResult(t *testing.T) {
 	c := circuits.MustByName("circ01")
-	s1, _, err := Generate(c, quickCfg(1))
+	s1, _, err := GenerateContext(context.Background(), c, quickCfg(1))
 	if err != nil {
 		t.Fatal(err)
 	}
-	s2, _, err := Generate(c, quickCfg(2))
+	s2, _, err := GenerateContext(context.Background(), c, quickCfg(2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,7 +137,7 @@ func TestGenerateStopsAtMaxPlacements(t *testing.T) {
 	cfg := quickCfg(4)
 	cfg.MaxIterations = 500
 	cfg.MaxPlacements = 5
-	s, stats, err := Generate(c, cfg)
+	s, stats, err := GenerateContext(context.Background(), c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,11 +156,11 @@ func TestGenerateCoverageGrowsWithBudget(t *testing.T) {
 	large := quickCfg(5)
 	large.MaxIterations = 80
 
-	sSmall, _, err := Generate(c, small)
+	sSmall, _, err := GenerateContext(context.Background(), c, small)
 	if err != nil {
 		t.Fatal(err)
 	}
-	sLarge, _, err := Generate(c, large)
+	sLarge, _, err := GenerateContext(context.Background(), c, large)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,7 +184,7 @@ func TestGenerateProgressCallback(t *testing.T) {
 		// trims or removes stored boxes, so they are recorded, not ordered.
 		lastPlacements, lastCoverage = p.Placements, p.Coverage
 	}
-	if _, _, err := Generate(c, cfg); err != nil {
+	if _, _, err := GenerateContext(context.Background(), c, cfg); err != nil {
 		t.Fatal(err)
 	}
 	if calls != cfg.MaxIterations {
@@ -263,7 +263,7 @@ func TestGenerateParallelChains(t *testing.T) {
 	cfg := quickCfg(8)
 	cfg.MaxIterations = 40
 	cfg.Chains = 4
-	s, stats, err := Generate(c, cfg)
+	s, stats, err := GenerateContext(context.Background(), c, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -281,7 +281,7 @@ func TestGenerateParallelChains(t *testing.T) {
 func TestGenerateRejectsInvalidCircuit(t *testing.T) {
 	c := circuits.MustByName("circ01")
 	c.Blocks[0].WMin = -3
-	if _, _, err := Generate(c, quickCfg(9)); err == nil {
+	if _, _, err := GenerateContext(context.Background(), c, quickCfg(9)); err == nil {
 		t.Error("invalid circuit should fail Generate")
 	}
 }
@@ -290,7 +290,7 @@ func TestGenerateRejectsInvalidCircuit(t *testing.T) {
 // every query inside a stored box must come back with legal coordinates.
 func TestGeneratedQueriesReturnStoredPlacements(t *testing.T) {
 	c := circuits.MustByName("TwoStageOpamp")
-	s, _, err := Generate(c, quickCfg(10))
+	s, _, err := GenerateContext(context.Background(), c, quickCfg(10))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -9,10 +9,9 @@ import (
 	"sort"
 	"time"
 
-	"mps/internal/anneal"
 	"mps/internal/bdio"
 	"mps/internal/core"
-	"mps/internal/cost"
+	"mps/internal/explorer"
 	"mps/internal/geom"
 	"mps/internal/netlist"
 	"mps/internal/placement"
@@ -35,14 +34,15 @@ func init() { Register(gaBackend{}) }
 // occasionally SwapBlocks). Tournament selection ranks individuals by
 // the same BDIO average cost the explorer anneals on.
 //
-// Evaluation is deliberately identical to one explorer iteration:
-// ResetToMin -> Expand -> bdio.Optimize -> Structure.Insert, so every
-// evaluated individual lands in the structure under the same resolve
-// rules, and GA structures are indistinguishable downstream — compiled
-// indexes, structure files, portfolios, and the cluster all serve them
-// unchanged. One seeded rand.Rand drives the entire run on one
-// goroutine, so equal seeds give identical structures regardless of
-// Spec.Chains (which this backend ignores).
+// Every individual is evaluated through explorer.Evaluate, the Fig. 4
+// step the anneal backend runs once per iteration (expansion, BDIO,
+// resolve, store, stats, progress, stop test), so every evaluated
+// individual lands in the structure under the same resolve rules, and GA
+// structures are indistinguishable downstream — compiled indexes,
+// structure files, portfolios, and the cluster all serve them unchanged.
+// One seeded rand.Rand drives the entire run on one goroutine, so equal
+// seeds give identical structures regardless of Spec.Chains (which this
+// backend ignores).
 type gaBackend struct{}
 
 func (gaBackend) Name() string { return "ga" }
@@ -70,25 +70,23 @@ func (gaBackend) Generate(ctx context.Context, c *netlist.Circuit, spec Spec) (*
 		iters = 300
 	}
 	fp := placement.DefaultFloorplan(c)
-	ev := spec.evaluator()
-	maxShift := fp.W() / 4
-	if maxShift < 1 {
-		maxShift = 1
-	}
-
+	rng := rand.New(rand.NewSource(spec.Seed))
 	r := &gaRun{
-		c:        c,
-		fp:       fp,
-		s:        core.NewStructure(c, fp),
-		rng:      rand.New(rand.NewSource(spec.Seed)),
-		spec:     spec,
-		ev:       ev,
+		c:   c,
+		fp:  fp,
+		s:   core.NewStructure(c, fp),
+		rng: rng,
+		cfg: explorer.Config{
+			MaxPlacements:  spec.MaxPlacements,
+			TargetCoverage: spec.TargetCoverage,
+			Evaluator:      spec.evaluator(),
+			BDIO:           bdio.Config{Steps: spec.BDIOSteps, Rand: rng, Stop: ctx.Done()},
+			Progress:       spec.Progress,
+		},
 		budget:   iters,
-		maxShift: maxShift,
+		maxShift: max(1, fp.W()/4),
 		gap:      maxMargin(c),
-		bcfg:     bdio.Config{Steps: spec.BDIOSteps, Stop: ctx.Done()},
 	}
-	r.bcfg.Rand = r.rng
 	r.stats.BestAvgCost = math.Inf(1)
 	r.stats.Chains = 1
 
@@ -116,12 +114,9 @@ type gaRun struct {
 	fp       geom.Rect
 	s        *core.Structure
 	rng      *rand.Rand
-	spec     Spec
-	ev       cost.Evaluator
-	bcfg     bdio.Config
-	stats    Stats
-	budget   int // total evaluation budget (outer-iteration equivalent)
-	evals    int
+	cfg      explorer.Config // what explorer.Evaluate needs of the spec
+	stats    Stats           // Iterations counts evaluations so far
+	budget   int             // total evaluation budget (outer-iteration equivalent)
 	maxShift int
 	gap      int
 }
@@ -140,13 +135,13 @@ func (r *gaRun) evolve(ctx context.Context) error {
 		return err
 	}
 
-	for r.evals < r.budget {
+	for r.stats.Iterations < r.budget {
 		sort.SliceStable(pop, func(i, j int) bool { return pop[i].fitness < pop[j].fitness })
 		next := make([]individual, 0, len(pop))
 		for i := 0; i < gaElite && i < len(pop); i++ {
 			next = append(next, pop[i])
 		}
-		for len(next) < len(pop) && r.evals < r.budget {
+		for len(next) < len(pop) && r.stats.Iterations < r.budget {
 			p1 := r.tournament(pop)
 			p2 := r.tournament(pop)
 			child := r.crossover(p1.p, p2.p)
@@ -171,7 +166,7 @@ func (r *gaRun) evolve(ctx context.Context) error {
 // give the crossover operator good building blocks from generation zero.
 func (r *gaRun) initialPopulation(ctx context.Context, size int) ([]individual, error) {
 	pop := make([]individual, 0, size)
-	for i := 0; i < size && r.evals < r.budget; i++ {
+	for i := 0; i < size && r.stats.Iterations < r.budget; i++ {
 		var p *placement.Placement
 		if i%2 == 1 {
 			p = r.decodePair(seqpair.Random(r.c.N(), r.rng))
@@ -192,54 +187,20 @@ func (r *gaRun) initialPopulation(ctx context.Context, size int) ([]individual, 
 	return pop, nil
 }
 
-// evaluate runs one explorer-identical iteration on the individual:
-// expand intervals from minimum dims, BDIO-optimize, resolve and store
-// into the shared structure. The individual itself keeps its coordinates
-// and minimum dims; only the stored clone carries the optimized
-// intervals and costs. Returns the BDIO average cost as fitness.
+// evaluate runs explorer.Evaluate on a copy of the individual, as
+// evaluation number stats.Iterations of chain 0. The individual itself
+// keeps its coordinates and minimum dims; only the stored copy carries
+// the optimized intervals and costs. Returns the BDIO average cost as
+// fitness.
 func (r *gaRun) evaluate(ctx context.Context, p *placement.Placement) (float64, error) {
-	if err := ctx.Err(); err != nil {
-		return 0, fmt.Errorf("gen/ga: generation cancelled: %w", err)
-	}
-	cand := p.Clone()
-	cand.ResetToMin(r.c)
-	cand.Expand(r.c, r.fp, 1)
-
-	res, err := bdio.Optimize(r.c, cand, r.fp, r.ev, r.bcfg)
-	if err != nil {
-		if errors.Is(err, anneal.ErrStopped) {
-			return 0, fmt.Errorf("gen/ga: generation cancelled: %w", context.Cause(ctx))
-		}
-		return 0, fmt.Errorf("gen/ga: %w", err)
-	}
-
-	insert, err := r.s.Insert(cand)
+	fit, stop, err := explorer.Evaluate(ctx, r.c, r.s, p.Clone(), r.cfg, 0, r.stats.Iterations, &r.stats, nil)
 	if err != nil {
 		return 0, fmt.Errorf("gen/ga: %w", err)
 	}
-	r.evals++
-	r.stats.Iterations++
-	if insert.CandidateDied {
-		r.stats.CandidatesDied++
-	} else {
-		r.stats.Stored++
+	if stop {
+		return fit, errGATargetReached
 	}
-	if res.AvgCost < r.stats.BestAvgCost {
-		r.stats.BestAvgCost = res.AvgCost
-	}
-	if r.spec.Progress != nil {
-		r.spec.Progress(Progress{
-			Chain:      0,
-			Iteration:  r.evals - 1,
-			Placements: r.s.NumPlacements(),
-			Coverage:   r.s.Coverage(),
-		})
-	}
-	if (r.spec.MaxPlacements > 0 && r.s.NumPlacements() >= r.spec.MaxPlacements) ||
-		(r.spec.TargetCoverage > 0 && r.s.Coverage() >= r.spec.TargetCoverage) {
-		return res.AvgCost, errGATargetReached
-	}
-	return res.AvgCost, nil
+	return fit, nil
 }
 
 // tournament returns the fitter of two individuals drawn at random

@@ -16,10 +16,10 @@
 //     recombine by order crossover of their derived sequence pairs
 //     (decoded to legal packings by longest paths), mutation reuses the
 //     explorer's perturbation move set, tournament selection ranks by
-//     the same BDIO average cost, and every evaluated candidate is
-//     resolved and stored into the structure exactly as the explorer
-//     stores its candidates — so compiled indexes, portfolios, the
-//     store, and the cluster serve GA output unchanged.
+//     the same BDIO average cost, and every candidate is evaluated
+//     through explorer.Evaluate, the step the explorer runs once per
+//     iteration — so compiled indexes, portfolios, the store, and the
+//     cluster serve GA output unchanged.
 //
 // The Generator contract: on success the returned structure is finished —
 // compacted (fork fragments re-merged), densely renumbered (IDs survive a

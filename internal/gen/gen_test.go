@@ -4,12 +4,14 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"math"
 	"slices"
 	"strings"
 	"testing"
 
 	"mps/internal/bdio"
 	"mps/internal/circuits"
+	"mps/internal/core"
 	"mps/internal/explorer"
 )
 
@@ -118,39 +120,78 @@ func TestGADeterministic(t *testing.T) {
 	}
 }
 
-func TestGACancellation(t *testing.T) {
+// TestBackendStopsAndCancels pins how every backend under test ends a
+// run on circ01 before its budget: the MaxPlacements and TargetCoverage
+// targets stop it as a success, and a cancelled context, before the run
+// or from a Progress report, fails it with context.Canceled, no
+// structure and no report after the cancelling one. Like
+// TestBackendEquivalence it honours MPS_BACKENDS.
+func TestBackendStopsAndCancels(t *testing.T) {
+	const budget = 200
 	c := circuits.MustByName("circ01")
-	g, err := ByName("ga")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	s, _, err := g.Generate(ctx, c, Spec{Seed: 1, Iterations: 24, BDIOSteps: 40})
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if s != nil {
-		t.Error("cancelled generation returned a structure")
-	}
-}
+	for _, backend := range backendsUnderTest(t) {
+		g, err := ByName(backend)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// run generates under spec at the shared seed and budgets and
+		// cancels the context at the cancelAt-th Progress report (0: before
+		// the run, -1: never). It returns the number of reports seen.
+		run := func(spec Spec, cancelAt int) (*core.Structure, Stats, int, error) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if cancelAt == 0 {
+				cancel()
+			}
+			reports := 0
+			spec.Seed, spec.Iterations, spec.BDIOSteps = 1, budget, 40
+			spec.Progress = func(Progress) {
+				if reports++; reports == cancelAt {
+					cancel()
+				}
+			}
+			s, stats, err := g.Generate(ctx, c, spec)
+			return s, stats, reports, err
+		}
 
-func TestGAStopsAtMaxPlacements(t *testing.T) {
-	c := circuits.MustByName("circ01")
-	g, err := ByName("ga")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s, stats, err := g.Generate(context.Background(), c,
-		Spec{Seed: 1, Iterations: 200, BDIOSteps: 40, MaxPlacements: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if stats.Iterations >= 200 {
-		t.Errorf("GA burned the full budget (%d evaluations) despite MaxPlacements", stats.Iterations)
-	}
-	if s.NumPlacements() == 0 {
-		t.Error("no placements stored")
+		t.Run(backend+"/max_placements", func(t *testing.T) {
+			s, stats, _, err := run(Spec{MaxPlacements: 4}, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if s.NumPlacements() < 4 {
+				t.Errorf("%d placements, want at least MaxPlacements = 4", s.NumPlacements())
+			}
+			if stats.Iterations >= budget {
+				t.Errorf("%d evaluations: the run burned its budget despite MaxPlacements", stats.Iterations)
+			}
+		})
+		t.Run(backend+"/target_coverage", func(t *testing.T) {
+			_, stats, _, err := run(Spec{TargetCoverage: math.SmallestNonzeroFloat64}, -1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Iterations != 1 {
+				t.Errorf("%d evaluations, want 1: the first stored placement reaches any positive target", stats.Iterations)
+			}
+		})
+		for _, tc := range []struct {
+			name     string
+			cancelAt int
+		}{{"cancel_mid_run", 3}, {"cancel_before_run", 0}} {
+			t.Run(backend+"/"+tc.name, func(t *testing.T) {
+				s, _, reports, err := run(Spec{}, tc.cancelAt)
+				if !errors.Is(err, context.Canceled) {
+					t.Fatalf("err = %v, want context.Canceled", err)
+				}
+				if s != nil {
+					t.Error("cancelled generation returned a structure")
+				}
+				if reports != tc.cancelAt {
+					t.Errorf("%d Progress reports, want %d", reports, tc.cancelAt)
+				}
+			})
+		}
 	}
 }
 

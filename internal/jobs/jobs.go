@@ -5,8 +5,10 @@
 //
 // A Scheduler owns a priority FIFO queue drained by a bounded worker pool.
 // Each job carries the canonical spec key the serving layer's LRU and disk
-// store already use, so submissions deduplicate onto in-flight work the
-// same way cache lookups do. Jobs move through a small lifecycle:
+// store already use. The scheduler runs every submission it accepts;
+// deduplicating generation is the submitter's job (the serving layer's
+// cache entry submits at most once per key). Jobs move through a small
+// lifecycle:
 //
 //	queued → running → done | failed | cancelled
 //
@@ -20,7 +22,9 @@
 // jobs.json rewrite per transition, via store.WriteFileAtomic), so a
 // restarted daemon still reports its history: completed jobs list with
 // their final progress, and jobs that were queued or running when the
-// process died surface through Interrupted for the caller to resubmit.
+// process died surface through Interrupted for the caller to resubmit. A
+// state file that does not parse is renamed aside with its bytes kept
+// (see Quarantined), and the scheduler starts with an empty history.
 package jobs
 
 import (
@@ -87,7 +91,7 @@ type Snapshot struct {
 	// ID is the scheduler-assigned job identifier ("job-000001", ...).
 	ID string `json:"id"`
 	// Key is the canonical spec key (the same string the serve LRU and
-	// disk store use), the unit of deduplication.
+	// disk store use).
 	Key string `json:"key"`
 	// Spec is the submitter's opaque job description (serve stores the
 	// normalized GenerateSpec as JSON) so listings and restarts can show
@@ -116,8 +120,9 @@ type RunFunc func(ctx context.Context, report func(Progress)) error
 
 // Request describes one submission.
 type Request struct {
-	// Key is the canonical spec key; required. At most one non-terminal
-	// job exists per key (Submit dedupes onto it).
+	// Key is the canonical spec key; required. It names the job's work
+	// in listings and RecordDone's history; Submit does not deduplicate
+	// on it.
 	Key string
 	// Spec is recorded verbatim on the job (optional).
 	Spec json.RawMessage
@@ -127,11 +132,8 @@ type Request struct {
 	Run RunFunc
 	// Done, when non-nil, is called exactly once after a job that ran
 	// reaches its terminal state — after the scheduler has finished its
-	// own bookkeeping (in particular, after the key has left the active
-	// set, so a concurrent resubmission of the key starts a fresh job
-	// rather than deduping onto this finished one). Called without
-	// scheduler locks held; submitters publish their results here, not
-	// inside Run.
+	// own bookkeeping. Called without scheduler locks held; submitters
+	// publish their results here, not inside Run.
 	Done func(snap Snapshot)
 	// Abandon, when non-nil, is called exactly once — instead of Run and
 	// Done, and never concurrently with them — if the job is cancelled
@@ -142,11 +144,9 @@ type Request struct {
 	Abandon func(err error)
 	// Trace, when non-nil, receives a job_run span covering the Run
 	// invocation, parented under the trace's root — the originating
-	// request's trace accounts for queue-side anneal time. Dedup-joined
-	// submitters do not get a span: the job belongs to the trace that
-	// submitted it. The reference is dropped as soon as the job reaches a
-	// terminal state (or is abandoned), so a retained trace never pins
-	// scheduler memory.
+	// request's trace accounts for queue-side anneal time. The reference
+	// is dropped as soon as the job reaches a terminal state (or is
+	// abandoned), so a retained trace never pins scheduler memory.
 	Trace *obs.Trace
 }
 
@@ -216,10 +216,9 @@ type Scheduler struct {
 	baseCtx    context.Context
 	baseCancel context.CancelFunc
 
-	mu     sync.Mutex
-	cond   *sync.Cond // signalled when the queue grows or the scheduler closes
-	jobs   map[string]*job
-	active map[string]*job // queued or running, by key (dedup target)
+	mu   sync.Mutex
+	cond *sync.Cond // signalled when the queue grows or the scheduler closes
+	jobs map[string]*job
 	// lastDone tracks the most recent successful job per key so
 	// RecordDone is idempotent across cache/store hits.
 	lastDone map[string]*job
@@ -229,6 +228,9 @@ type Scheduler struct {
 	// interrupted holds jobs loaded from disk in a non-terminal state —
 	// work a previous process accepted but never finished.
 	interrupted []Snapshot
+	// quarantined names the file New moved an unparsable state file to
+	// ("" when it found none).
+	quarantined string
 
 	wg sync.WaitGroup
 
@@ -244,13 +246,14 @@ type Scheduler struct {
 // New starts a scheduler with cfg.Workers workers. With cfg.Dir set it
 // loads the persisted state first: terminal jobs are kept for listing,
 // non-terminal ones are marked failed ("interrupted by restart") and
-// surfaced through Interrupted for resubmission.
+// surfaced through Interrupted for resubmission. A state file that does
+// not parse is renamed aside (see Quarantined) and the scheduler starts
+// with an empty history; other read errors, and a failed rename, fail New.
 func New(cfg Config) (*Scheduler, error) {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{
 		cfg:      cfg,
 		jobs:     map[string]*job{},
-		active:   map[string]*job{},
 		lastDone: map[string]*job{},
 	}
 	s.cond = sync.NewCond(&s.mu)
@@ -288,7 +291,12 @@ func (s *Scheduler) load() error {
 	}
 	var st persistedState
 	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("jobs: corrupt state file in %s: %w", s.cfg.Dir, err)
+		name, err := store.Quarantine(s.cfg.Dir, stateFileName)
+		if err != nil {
+			return fmt.Errorf("jobs: quarantining corrupt state file: %w", err)
+		}
+		s.quarantined = name
+		return nil
 	}
 	s.seq = st.Seq
 	for _, snap := range st.Jobs {
@@ -322,6 +330,11 @@ func (s *Scheduler) load() error {
 	return nil
 }
 
+// Quarantined returns the name, inside Config.Dir, of the file New moved an
+// unparsable state file to, or "" when the state file parsed (or was
+// absent).
+func (s *Scheduler) Quarantined() string { return s.quarantined }
+
 // Interrupted returns the jobs that a previous process accepted but never
 // finished (loaded from the state file in a queued or running state). They
 // are listed as failed; their Spec lets the caller resubmit them.
@@ -333,27 +346,18 @@ func (s *Scheduler) Interrupted() []Snapshot {
 	return out
 }
 
-// Submit enqueues req and returns the job's snapshot. If a queued or
-// running job already exists for req.Key, that job's snapshot is returned
-// with dedup=true and nothing is enqueued — concurrent submitters share
-// one generation, mirroring the serving layer's cache dedup.
-func (s *Scheduler) Submit(req Request) (snap Snapshot, dedup bool, err error) {
+// Submit enqueues req as a new job and returns its snapshot.
+func (s *Scheduler) Submit(req Request) (Snapshot, error) {
 	if req.Key == "" {
-		return Snapshot{}, false, fmt.Errorf("jobs: empty key")
+		return Snapshot{}, fmt.Errorf("jobs: empty key")
 	}
 	if req.Run == nil {
-		return Snapshot{}, false, fmt.Errorf("jobs: nil run function")
+		return Snapshot{}, fmt.Errorf("jobs: nil run function")
 	}
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
-		return Snapshot{}, false, ErrClosed
-	}
-	if j, ok := s.active[req.Key]; ok {
-		snap = j.snap
-		s.mu.Unlock()
-		s.tot.deduped.Add(1)
-		return snap, true, nil
+		return Snapshot{}, ErrClosed
 	}
 	j := s.newJobLocked(req.Key, req.Spec, req.Priority)
 	j.run = req.Run
@@ -361,14 +365,13 @@ func (s *Scheduler) Submit(req Request) (snap Snapshot, dedup bool, err error) {
 	j.abandon = req.Abandon
 	j.trace = req.Trace
 	j.snap.State = StateQueued
-	s.active[req.Key] = j
 	heap.Push(&s.queue, j)
 	s.cond.Signal()
-	snap = j.snap
+	snap := j.snap
 	s.mu.Unlock()
 	s.tot.submitted.Add(1)
 	s.saveState()
-	return snap, false, nil
+	return snap, nil
 }
 
 // RecordDone ensures a completed job record exists for key — used when a
@@ -483,7 +486,6 @@ func (s *Scheduler) cancel(id string, queuedOnly bool) (Snapshot, error) {
 	switch j.snap.State {
 	case StateQueued:
 		heap.Remove(&s.queue, j.heapIndex)
-		delete(s.active, j.snap.Key)
 		j.snap.State = StateCancelled
 		j.snap.Error = "cancelled while queued"
 		j.snap.Finished = time.Now().UTC()
@@ -600,7 +602,6 @@ func (s *Scheduler) Close() {
 			if j.heapIndex >= 0 {
 				heap.Remove(&s.queue, j.heapIndex)
 			}
-			delete(s.active, j.snap.Key)
 			j.snap.State = StateCancelled
 			j.snap.Error = "scheduler shutting down"
 			j.snap.Finished = time.Now().UTC()
@@ -681,7 +682,6 @@ func (s *Scheduler) worker() {
 			j.snap.State = StateFailed
 			j.snap.Error = err.Error()
 		}
-		delete(s.active, j.snap.Key)
 		close(j.done)
 		s.pruneLocked()
 		closed := s.closed
@@ -698,9 +698,6 @@ func (s *Scheduler) worker() {
 		if !closed {
 			s.saveState()
 		}
-		// Done fires only after the key has left the active set, so a
-		// submitter reacting to it (dropping a failed cache entry, say)
-		// can never race a resubmission into deduping onto this dead job.
 		if onDone != nil {
 			onDone(snap)
 		}

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -43,7 +44,7 @@ func blockingRun(entered chan<- struct{}, release <-chan struct{}) RunFunc {
 func TestSubmitRunsToDone(t *testing.T) {
 	s := newTestScheduler(t, Config{Workers: 1})
 	var ran atomic.Int32
-	snap, dedup, err := s.Submit(Request{
+	snap, err := s.Submit(Request{
 		Key:  "k1",
 		Spec: json.RawMessage(`{"circuit":"circ01"}`),
 		Run: func(ctx context.Context, report func(Progress)) error {
@@ -52,8 +53,8 @@ func TestSubmitRunsToDone(t *testing.T) {
 			return nil
 		},
 	})
-	if err != nil || dedup {
-		t.Fatalf("Submit: err=%v dedup=%v", err, dedup)
+	if err != nil {
+		t.Fatalf("Submit: %v", err)
 	}
 	if snap.ID == "" || snap.State != StateQueued && snap.State != StateRunning {
 		t.Fatalf("bad submit snapshot: %+v", snap)
@@ -73,44 +74,11 @@ func TestSubmitRunsToDone(t *testing.T) {
 	}
 }
 
-func TestSubmitDedupsActiveKey(t *testing.T) {
-	s := newTestScheduler(t, Config{Workers: 1})
-	entered := make(chan struct{})
-	release := make(chan struct{})
-	a, dedup, err := s.Submit(Request{Key: "k", Run: blockingRun(entered, release)})
-	if err != nil || dedup {
-		t.Fatalf("first submit: err=%v dedup=%v", err, dedup)
-	}
-	<-entered // job is running
-	b, dedup, err := s.Submit(Request{Key: "k", Run: func(context.Context, func(Progress)) error {
-		t.Error("deduped submission ran")
-		return nil
-	}})
-	if err != nil || !dedup {
-		t.Fatalf("second submit: err=%v dedup=%v", err, dedup)
-	}
-	if b.ID != a.ID {
-		t.Errorf("dedup returned a different job: %s vs %s", b.ID, a.ID)
-	}
-	close(release)
-	if _, err := s.Wait(context.Background(), a.ID); err != nil {
-		t.Fatal(err)
-	}
-	// A terminal job no longer dedups: the key can be resubmitted.
-	c, dedup, err := s.Submit(Request{Key: "k", Run: func(context.Context, func(Progress)) error { return nil }})
-	if err != nil || dedup {
-		t.Fatalf("resubmit after done: err=%v dedup=%v", err, dedup)
-	}
-	if c.ID == a.ID {
-		t.Error("resubmission reused the finished job")
-	}
-}
-
 func TestPriorityOrderAndFIFO(t *testing.T) {
 	s := newTestScheduler(t, Config{Workers: 1})
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	first, _, err := s.Submit(Request{Key: "hold", Run: blockingRun(entered, release)})
+	first, err := s.Submit(Request{Key: "hold", Run: blockingRun(entered, release)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -133,7 +101,7 @@ func TestPriorityOrderAndFIFO(t *testing.T) {
 	}{
 		{"low-a", 0}, {"low-b", 0}, {"high-a", 5}, {"high-b", 5},
 	} {
-		snap, _, err := s.Submit(Request{Key: sub.name, Priority: sub.prio, Run: mkRun(sub.name)})
+		snap, err := s.Submit(Request{Key: sub.name, Priority: sub.prio, Run: mkRun(sub.name)})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -175,13 +143,13 @@ func TestCancelQueuedNeverRuns(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	if _, _, err := s.Submit(Request{Key: "hold", Run: blockingRun(entered, release)}); err != nil {
+	if _, err := s.Submit(Request{Key: "hold", Run: blockingRun(entered, release)}); err != nil {
 		t.Fatal(err)
 	}
 	<-entered
 
 	var abandoned atomic.Int32
-	snap, _, err := s.Submit(Request{
+	snap, err := s.Submit(Request{
 		Key: "victim",
 		Run: func(context.Context, func(Progress)) error {
 			t.Error("cancelled queued job ran")
@@ -221,7 +189,7 @@ func TestCancelQueuedNeverRuns(t *testing.T) {
 func TestCancelRunningStopsPromptly(t *testing.T) {
 	s := newTestScheduler(t, Config{Workers: 1})
 	entered := make(chan struct{})
-	snap, _, err := s.Submit(Request{Key: "r", Run: blockingRun(entered, nil)})
+	snap, err := s.Submit(Request{Key: "r", Run: blockingRun(entered, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +212,7 @@ func TestCancelQueuedOnlySkipsRunning(t *testing.T) {
 	s := newTestScheduler(t, Config{Workers: 1})
 	entered := make(chan struct{})
 	release := make(chan struct{})
-	snap, _, err := s.Submit(Request{Key: "r", Run: blockingRun(entered, release)})
+	snap, err := s.Submit(Request{Key: "r", Run: blockingRun(entered, release)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -262,7 +230,7 @@ func TestCancelQueuedOnlySkipsRunning(t *testing.T) {
 func TestFailedRunMarksFailed(t *testing.T) {
 	s := newTestScheduler(t, Config{Workers: 1})
 	boom := errors.New("boom")
-	snap, _, err := s.Submit(Request{Key: "f", Run: func(context.Context, func(Progress)) error { return boom }})
+	snap, err := s.Submit(Request{Key: "f", Run: func(context.Context, func(Progress)) error { return boom }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -275,7 +243,7 @@ func TestFailedRunMarksFailed(t *testing.T) {
 	}
 
 	// A panicking run fails its job without killing the worker.
-	snap, _, err = s.Submit(Request{Key: "p", Run: func(context.Context, func(Progress)) error { panic("eek") }})
+	snap, err = s.Submit(Request{Key: "p", Run: func(context.Context, func(Progress)) error { panic("eek") }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +251,7 @@ func TestFailedRunMarksFailed(t *testing.T) {
 		t.Fatalf("panic job: %+v, %v", final, err)
 	}
 	// Worker still alive: another job completes.
-	snap, _, err = s.Submit(Request{Key: "after", Run: func(context.Context, func(Progress)) error { return nil }})
+	snap, err = s.Submit(Request{Key: "after", Run: func(context.Context, func(Progress)) error { return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -316,13 +284,13 @@ func TestCloseCancelsRunningAndAbandonsQueued(t *testing.T) {
 		t.Fatal(err)
 	}
 	entered := make(chan struct{})
-	running, _, err := s.Submit(Request{Key: "running", Run: blockingRun(entered, nil)})
+	running, err := s.Submit(Request{Key: "running", Run: blockingRun(entered, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-entered
 	var abandoned atomic.Int32
-	queued, _, err := s.Submit(Request{
+	queued, err := s.Submit(Request{
 		Key:     "queued",
 		Run:     func(context.Context, func(Progress)) error { t.Error("queued job ran during close"); return nil },
 		Abandon: func(error) { abandoned.Add(1) },
@@ -346,7 +314,7 @@ func TestCloseCancelsRunningAndAbandonsQueued(t *testing.T) {
 	if abandoned.Load() != 1 {
 		t.Errorf("Abandon called %d times, want 1", abandoned.Load())
 	}
-	if _, _, err := s.Submit(Request{Key: "late", Run: func(context.Context, func(Progress)) error { return nil }}); !errors.Is(err, ErrClosed) {
+	if _, err := s.Submit(Request{Key: "late", Run: func(context.Context, func(Progress)) error { return nil }}); !errors.Is(err, ErrClosed) {
 		t.Errorf("Submit after close: %v, want ErrClosed", err)
 	}
 }
@@ -359,7 +327,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	doneJob, _, err := s1.Submit(Request{Key: "done-key", Spec: spec,
+	doneJob, err := s1.Submit(Request{Key: "done-key", Spec: spec,
 		Run: func(ctx context.Context, report func(Progress)) error {
 			report(Progress{Placements: 12, Coverage: 0.5})
 			return nil
@@ -372,12 +340,12 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	}
 	// Leave one job running and one queued at "crash" time.
 	entered := make(chan struct{})
-	runningJob, _, err := s1.Submit(Request{Key: "running-key", Spec: spec, Run: blockingRun(entered, nil)})
+	runningJob, err := s1.Submit(Request{Key: "running-key", Spec: spec, Run: blockingRun(entered, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
 	<-entered
-	queuedJob, _, err := s1.Submit(Request{Key: "queued-key", Spec: spec, Run: blockingRun(nil, nil)})
+	queuedJob, err := s1.Submit(Request{Key: "queued-key", Spec: spec, Run: blockingRun(nil, nil)})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -409,7 +377,7 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 		}
 	}
 	// New submissions must not collide with restored IDs.
-	fresh, _, err := s2.Submit(Request{Key: "fresh", Run: func(context.Context, func(Progress)) error { return nil }})
+	fresh, err := s2.Submit(Request{Key: "fresh", Run: func(context.Context, func(Progress)) error { return nil }})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -420,13 +388,57 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 	}
 }
 
-func TestCorruptStateFileRejected(t *testing.T) {
+// TestCorruptStateFileQuarantined: a state file that does not parse is
+// moved aside with its bytes kept, New starts with an empty history, and
+// the next transition writes a state file that a second New loads. A
+// state file that cannot be read still fails New.
+func TestCorruptStateFileQuarantined(t *testing.T) {
 	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, stateFileName), []byte("{nope"), 0o644); err != nil {
+	garbage := []byte("{nope")
+	if err := os.WriteFile(filepath.Join(dir, stateFileName), garbage, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := New(Config{Dir: dir}); err == nil {
-		t.Fatal("corrupt state file accepted")
+	s, err := New(Config{Workers: 1, Dir: dir})
+	if err != nil {
+		t.Fatalf("New with a corrupt state file: %v", err)
+	}
+	q := s.Quarantined()
+	if !strings.HasPrefix(q, stateFileName+".corrupt-") || strings.ContainsAny(q, "/\\") {
+		t.Fatalf("Quarantined() = %q, want a file name %s.corrupt-<unix ns>", q, stateFileName)
+	}
+	if kept, err := os.ReadFile(filepath.Join(dir, q)); err != nil || string(kept) != string(garbage) {
+		t.Fatalf("quarantined file holds %q (err %v), want the corrupt state file's bytes", kept, err)
+	}
+	if n, in := len(s.List()), len(s.Interrupted()); n != 0 || in != 0 {
+		t.Fatalf("quarantined scheduler holds %d jobs, %d interrupted; want none", n, in)
+	}
+
+	snap, err := s.Submit(Request{Key: "k", Run: func(context.Context, func(Progress)) error { return nil }})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Wait(context.Background(), snap.ID); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	s2, err := New(Config{Workers: 1, Dir: dir})
+	if err != nil {
+		t.Fatalf("New after the quarantine: %v", err)
+	}
+	defer s2.Close()
+	if q := s2.Quarantined(); q != "" {
+		t.Errorf("second New quarantined %q; the rewritten state file should parse", q)
+	}
+	if got, ok := s2.Get(snap.ID); !ok || got.State != StateDone {
+		t.Errorf("job %s after reload: %+v (ok=%v), want done", snap.ID, got, ok)
+	}
+
+	unreadable := t.TempDir()
+	if err := os.Mkdir(filepath.Join(unreadable, stateFileName), 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := New(Config{Dir: unreadable}); err == nil {
+		t.Error("a state file that cannot be read was accepted")
 	}
 }
 
@@ -434,7 +446,7 @@ func TestPruneKeepsRecentTerminal(t *testing.T) {
 	s := newTestScheduler(t, Config{Workers: 1, KeepFinished: 3})
 	var ids []string
 	for i := 0; i < 6; i++ {
-		snap, _, err := s.Submit(Request{
+		snap, err := s.Submit(Request{
 			Key: fmt.Sprintf("k%d", i),
 			Run: func(context.Context, func(Progress)) error { return nil },
 		})
@@ -472,7 +484,7 @@ func TestConcurrentSubmitCancelList(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			for i := 0; i < 20; i++ {
-				snap, _, err := s.Submit(Request{
+				snap, err := s.Submit(Request{
 					Key: fmt.Sprintf("k-%d-%d", g, i),
 					Run: func(ctx context.Context, report func(Progress)) error {
 						report(Progress{Iteration: i})
@@ -524,11 +536,11 @@ func TestCancelQueuedSilentSkipsAbandon(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	if _, _, err := s.Submit(Request{Key: "hold", Run: blockingRun(entered, release)}); err != nil {
+	if _, err := s.Submit(Request{Key: "hold", Run: blockingRun(entered, release)}); err != nil {
 		t.Fatal(err)
 	}
 	<-entered
-	snap, _, err := s.Submit(Request{
+	snap, err := s.Submit(Request{
 		Key:     "victim",
 		Run:     func(context.Context, func(Progress)) error { t.Error("silently cancelled job ran"); return nil },
 		Done:    func(Snapshot) { t.Error("Done fired for a job that never ran") },
@@ -546,41 +558,5 @@ func TestCancelQueuedSilentSkipsAbandon(t *testing.T) {
 	// Running jobs are not silently droppable either.
 	if s.CancelQueuedSilent("job-000001") {
 		t.Error("silent cancel dropped a running job")
-	}
-}
-
-// TestDoneFiresAfterActiveRetired: inside Done, the job's key must already
-// have left the active set, so a resubmission starts fresh instead of
-// deduping onto the finished job.
-func TestDoneFiresAfterActiveRetired(t *testing.T) {
-	s := newTestScheduler(t, Config{Workers: 1})
-	dedupInDone := make(chan bool, 1)
-	snap, _, err := s.Submit(Request{
-		Key: "k",
-		Run: func(context.Context, func(Progress)) error { return errors.New("boom") },
-		Done: func(Snapshot) {
-			_, dedup, err := s.Submit(Request{
-				Key: "k",
-				Run: func(context.Context, func(Progress)) error { return nil },
-			})
-			if err != nil {
-				t.Error(err)
-			}
-			dedupInDone <- dedup
-		},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Wait(context.Background(), snap.ID); err != nil {
-		t.Fatal(err)
-	}
-	select {
-	case dedup := <-dedupInDone:
-		if dedup {
-			t.Error("Submit inside Done deduped onto the just-finished job")
-		}
-	case <-time.After(30 * time.Second):
-		t.Fatal("Done never fired")
 	}
 }

@@ -13,7 +13,6 @@ import (
 // backwards.
 type totals struct {
 	submitted    atomic.Int64
-	deduped      atomic.Int64
 	recordedDone atomic.Int64
 	started      atomic.Int64
 	done         atomic.Int64
@@ -23,10 +22,8 @@ type totals struct {
 
 // Totals is the exported snapshot of the lifetime counters.
 type Totals struct {
-	// Submitted counts jobs accepted into the queue (dedup hits excluded).
+	// Submitted counts jobs accepted into the queue.
 	Submitted int64
-	// Deduped counts Submit calls that landed on an already-active key.
-	Deduped int64
 	// RecordedDone counts born-done records from RecordDone (cache/store
 	// hits that never queued).
 	RecordedDone int64
@@ -46,7 +43,6 @@ type Totals struct {
 func (s *Scheduler) Totals() Totals {
 	return Totals{
 		Submitted:    s.tot.submitted.Load(),
-		Deduped:      s.tot.deduped.Load(),
 		RecordedDone: s.tot.recordedDone.Load(),
 		Started:      s.tot.started.Load(),
 		Done:         s.tot.done.Load(),

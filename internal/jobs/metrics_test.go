@@ -15,7 +15,7 @@ func TestTotalsAndMetrics(t *testing.T) {
 
 	// One worker: park it on a blocking job so the next submissions queue.
 	release := make(chan struct{})
-	blockSnap, _, err := s.Submit(Request{Key: "block", Run: func(ctx context.Context, _ func(Progress)) error {
+	blockSnap, err := s.Submit(Request{Key: "block", Run: func(ctx context.Context, _ func(Progress)) error {
 		<-release
 		return nil
 	}})
@@ -34,11 +34,8 @@ func TestTotalsAndMetrics(t *testing.T) {
 	waitRunning()
 
 	noop := func(ctx context.Context, _ func(Progress)) error { return nil }
-	q1, _, _ := s.Submit(Request{Key: "q1", Priority: 5, Run: noop})
+	q1, _ := s.Submit(Request{Key: "q1", Priority: 5, Run: noop})
 	s.Submit(Request{Key: "q2", Run: noop})
-	if _, dedup, _ := s.Submit(Request{Key: "q2", Run: noop}); !dedup {
-		t.Fatal("resubmitted key must dedup")
-	}
 	s.RecordDone("hit", nil, Progress{})
 
 	m := s.Metrics()
@@ -65,7 +62,7 @@ func TestTotalsAndMetrics(t *testing.T) {
 	}
 
 	tot := s.Totals()
-	if tot.Submitted != 3 || tot.Deduped != 1 || tot.RecordedDone != 1 {
+	if tot.Submitted != 3 || tot.RecordedDone != 1 {
 		t.Fatalf("totals = %+v", tot)
 	}
 	if tot.Done != 2 || tot.Cancelled != 1 || tot.Failed != 0 {

@@ -17,36 +17,23 @@ import (
 	"mps/internal/placement"
 )
 
-// Config controls one annealing placement run.
+// Config controls one annealing placement run. Layouts are scored with
+// cost.DefaultWeights.
 type Config struct {
 	// Steps is the number of SA moves. Default 2000.
 	Steps int
-	// Cooling is the geometric cooling factor. Default 0.997.
-	Cooling float64
-	// SwapProb is the probability a move swaps two blocks instead of
-	// displacing one. Default 0.2.
-	SwapProb float64
 	// Seed drives the run's randomness.
 	Seed int64
-	// Evaluator scores layouts. Default cost.DefaultWeights.
-	Evaluator cost.Evaluator
 }
 
-func (cfg Config) withDefaults() Config {
-	if cfg.Steps == 0 {
-		cfg.Steps = 2000
-	}
-	if cfg.Cooling == 0 {
-		cfg.Cooling = 0.997
-	}
-	if cfg.SwapProb == 0 {
-		cfg.SwapProb = 0.2
-	}
-	if cfg.Evaluator == nil {
-		cfg.Evaluator = cost.DefaultWeights
-	}
-	return cfg
-}
+// The annealer's fixed settings.
+const (
+	// cooling is the geometric cooling factor.
+	cooling = 0.997
+	// swapProb is the probability a move swaps two blocks instead of
+	// displacing one.
+	swapProb = 0.2
+)
 
 // Result is an annealed placement for one dimension vector.
 type Result struct {
@@ -65,8 +52,6 @@ type problem struct {
 	fp      geom.Rect
 	place   *placement.Placement
 	layout  cost.Layout
-	ev      cost.Evaluator
-	swap    float64
 	maxMove int
 
 	// undo state
@@ -83,7 +68,7 @@ type problem struct {
 func (pr *problem) Propose(rng *rand.Rand, magnitude float64) float64 {
 	n := pr.circuit.N()
 	pr.movedJ = -1
-	if n > 1 && rng.Float64() < pr.swap {
+	if n > 1 && rng.Float64() < swapProb {
 		i, j := rng.Intn(n), rng.Intn(n)
 		for j == i {
 			j = rng.Intn(n)
@@ -100,7 +85,7 @@ func (pr *problem) Propose(rng *rand.Rand, magnitude float64) float64 {
 		pr.place.Perturb1(pr.circuit, pr.fp, rng, i, shift)
 	}
 	pr.syncLayout()
-	c := pr.ev.Cost(&pr.layout)
+	c := cost.DefaultWeights.Cost(&pr.layout)
 	if c < pr.best {
 		pr.best = c
 		copy(pr.bestX, pr.place.X)
@@ -130,7 +115,10 @@ func (pr *problem) syncLayout() {
 // placement found. Every returned placement is legal (non-overlapping, in
 // bounds).
 func Place(c *netlist.Circuit, fp geom.Rect, ws, hs []int, cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
+	steps := cfg.Steps
+	if steps == 0 {
+		steps = 2000
+	}
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	p, err := placement.RandomLegalAt(c, fp, rng, ws, hs)
 	if err != nil {
@@ -141,8 +129,6 @@ func Place(c *netlist.Circuit, fp geom.Rect, ws, hs []int, cfg Config) (Result, 
 		circuit: c,
 		fp:      fp,
 		place:   p,
-		ev:      cfg.Evaluator,
-		swap:    cfg.SwapProb,
 		maxMove: max(1, fp.W()/3),
 		layout: cost.Layout{
 			Circuit:   c,
@@ -156,14 +142,14 @@ func Place(c *netlist.Circuit, fp geom.Rect, ws, hs []int, cfg Config) (Result, 
 		bestY: make([]int, n),
 	}
 	pr.syncLayout()
-	initCost := cfg.Evaluator.Cost(&pr.layout)
+	initCost := cost.DefaultWeights.Cost(&pr.layout)
 	pr.best = initCost
 	copy(pr.bestX, p.X)
 	copy(pr.bestY, p.Y)
 
 	stats, err := anneal.Run(pr, initCost, anneal.Config{
-		Steps:   cfg.Steps,
-		Cooling: cfg.Cooling,
+		Steps:   steps,
+		Cooling: cooling,
 		Rand:    rng,
 	})
 	if err != nil {

@@ -113,11 +113,11 @@ func TestPlaceMoreStepsNoWorse(t *testing.T) {
 	c := circuits.MustByName("Mixer")
 	fp := placement.DefaultFloorplan(c)
 	ws, hs := midDims(c)
-	short, err := Place(c, fp, ws, hs, Config{Steps: 100, Seed: 5, Cooling: 0.999})
+	short, err := Place(c, fp, ws, hs, Config{Steps: 100, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	long, err := Place(c, fp, ws, hs, Config{Steps: 5000, Seed: 5, Cooling: 0.999})
+	long, err := Place(c, fp, ws, hs, Config{Steps: 5000, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}

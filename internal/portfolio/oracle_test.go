@@ -2,6 +2,7 @@ package portfolio
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -262,7 +263,7 @@ var balancedMembers = sync.OnceValues(func() ([]*core.Structure, error) {
 	c := circuits.MustByName("TwoStageOpamp")
 	members := make([]*core.Structure, oracleK)
 	for i := range members {
-		s, _, err := explorer.Generate(c, explorer.Config{
+		s, _, err := explorer.GenerateContext(context.Background(), c, explorer.Config{
 			Seed:          MemberSeed(1, i),
 			MaxIterations: 300,
 			BDIO:          bdio.Config{Steps: 300},

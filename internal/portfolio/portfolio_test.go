@@ -1,6 +1,7 @@
 package portfolio
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -19,7 +20,7 @@ import (
 // facade produces, at test-scale budgets.
 func genMember(t testing.TB, c *netlist.Circuit, seed int64, i int) *core.Structure {
 	t.Helper()
-	s, _, err := explorer.Generate(c, explorer.Config{
+	s, _, err := explorer.GenerateContext(context.Background(), c, explorer.Config{
 		Seed:          MemberSeed(seed, i),
 		MaxIterations: 20,
 		BDIO:          bdio.Config{Steps: 20},

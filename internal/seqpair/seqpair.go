@@ -4,21 +4,18 @@
 // for every block pair, a left-of or below relation, and positions follow
 // from longest-path computations.
 //
-// In this repository sequence pairs serve two roles: a compacting
+// In this repository sequence pairs serve two roles: the genotype the GA
+// generation backend recombines (internal/gen), and a compacting
 // alternative to the slicing-tree template as the multi-placement
 // structure's uncovered-space backup (paper §3.1.4's "template-like
-// placement"; Pack produces tighter layouts than a balanced tree), and a
-// second optimization-based baseline (paper §1's per-iteration placement
-// optimization) whose every visited state is legal by construction.
+// placement"; longest-path packing gives tighter layouts than a balanced
+// tree).
 package seqpair
 
 import (
 	"fmt"
 	"math/rand"
 
-	"mps/internal/anneal"
-	"mps/internal/cost"
-	"mps/internal/geom"
 	"mps/internal/netlist"
 )
 
@@ -42,14 +39,6 @@ func New(n int) SeqPair {
 // Random returns a uniformly random sequence pair.
 func Random(n int, rng *rand.Rand) SeqPair {
 	return SeqPair{Plus: rng.Perm(n), Minus: rng.Perm(n)}
-}
-
-// Clone returns a deep copy.
-func (sp SeqPair) Clone() SeqPair {
-	return SeqPair{
-		Plus:  append([]int(nil), sp.Plus...),
-		Minus: append([]int(nil), sp.Minus...),
-	}
 }
 
 // Validate checks both sequences are permutations of the same length.
@@ -124,150 +113,6 @@ func (sp SeqPair) Positions(ws, hs []int, gap int) (x, y []int, err error) {
 		y[b] = best
 	}
 	return x, y, nil
-}
-
-// Config controls the sequence-pair annealing placer.
-type Config struct {
-	// Steps is the SA move budget. Default 1500.
-	Steps int
-	// Cooling is the geometric cooling factor. Default 0.997.
-	Cooling float64
-	// Seed drives the run.
-	Seed int64
-	// Evaluator scores layouts. Default cost.DefaultWeights.
-	Evaluator cost.Evaluator
-}
-
-func (cfg Config) withDefaults() Config {
-	if cfg.Steps == 0 {
-		cfg.Steps = 1500
-	}
-	if cfg.Cooling == 0 {
-		cfg.Cooling = 0.997
-	}
-	if cfg.Evaluator == nil {
-		cfg.Evaluator = cost.DefaultWeights
-	}
-	return cfg
-}
-
-// Result is an annealed packing.
-type Result struct {
-	X, Y  []int
-	Cost  float64
-	Pair  SeqPair
-	Stats anneal.Stats
-}
-
-// problem is the SA state: the sequence pair itself. Every candidate is a
-// legal packing, so no penalty or repair is needed.
-type problem struct {
-	circuit *netlist.Circuit
-	sp      SeqPair
-	prev    SeqPair
-	layout  cost.Layout
-	ev      cost.Evaluator
-	gap     int
-
-	best     float64
-	bestX    []int
-	bestY    []int
-	bestPair SeqPair
-}
-
-// Propose implements anneal.Problem: swap two entries in one or both
-// sequences.
-func (pr *problem) Propose(rng *rand.Rand, magnitude float64) float64 {
-	n := len(pr.sp.Plus)
-	pr.prev = pr.sp.Clone()
-	i, j := rng.Intn(n), rng.Intn(n)
-	for n > 1 && j == i {
-		j = rng.Intn(n)
-	}
-	switch rng.Intn(3) {
-	case 0:
-		pr.sp.Plus[i], pr.sp.Plus[j] = pr.sp.Plus[j], pr.sp.Plus[i]
-	case 1:
-		pr.sp.Minus[i], pr.sp.Minus[j] = pr.sp.Minus[j], pr.sp.Minus[i]
-	default:
-		pr.sp.Plus[i], pr.sp.Plus[j] = pr.sp.Plus[j], pr.sp.Plus[i]
-		pr.sp.Minus[i], pr.sp.Minus[j] = pr.sp.Minus[j], pr.sp.Minus[i]
-	}
-	x, y, err := pr.sp.Positions(pr.layout.W, pr.layout.H, pr.gap)
-	if err != nil {
-		// Cannot happen for valid permutations; treat as a terrible move.
-		return 1e308
-	}
-	copy(pr.layout.X, x)
-	copy(pr.layout.Y, y)
-	c := pr.ev.Cost(&pr.layout)
-	if c < pr.best {
-		pr.best = c
-		copy(pr.bestX, x)
-		copy(pr.bestY, y)
-		pr.bestPair = pr.sp.Clone()
-	}
-	return c
-}
-
-// Accept implements anneal.Problem.
-func (pr *problem) Accept() {}
-
-// Reject implements anneal.Problem.
-func (pr *problem) Reject() { pr.sp = pr.prev }
-
-// Pack anneals a sequence pair for the sized circuit and returns the best
-// packing found. The gap honors the circuit's largest design-rule halo.
-func Pack(c *netlist.Circuit, fp geom.Rect, ws, hs []int, cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
-	n := c.N()
-	if len(ws) != n || len(hs) != n {
-		return Result{}, fmt.Errorf("seqpair: dims sized %d/%d, want %d", len(ws), len(hs), n)
-	}
-	gap := 0
-	for _, b := range c.Blocks {
-		if b.Margin > gap {
-			gap = b.Margin
-		}
-	}
-	rng := rand.New(rand.NewSource(cfg.Seed))
-	pr := &problem{
-		circuit: c,
-		sp:      Random(n, rng),
-		ev:      cfg.Evaluator,
-		gap:     gap,
-		layout: cost.Layout{
-			Circuit:   c,
-			X:         make([]int, n),
-			Y:         make([]int, n),
-			W:         append([]int(nil), ws...),
-			H:         append([]int(nil), hs...),
-			Floorplan: fp,
-		},
-		bestX: make([]int, n),
-		bestY: make([]int, n),
-	}
-	x, y, err := pr.sp.Positions(ws, hs, gap)
-	if err != nil {
-		return Result{}, err
-	}
-	copy(pr.layout.X, x)
-	copy(pr.layout.Y, y)
-	initCost := cfg.Evaluator.Cost(&pr.layout)
-	pr.best = initCost
-	copy(pr.bestX, x)
-	copy(pr.bestY, y)
-	pr.bestPair = pr.sp.Clone()
-
-	stats, err := anneal.Run(pr, initCost, anneal.Config{
-		Steps:   cfg.Steps,
-		Cooling: cfg.Cooling,
-		Rand:    rng,
-	})
-	if err != nil {
-		return Result{}, fmt.Errorf("seqpair: %w", err)
-	}
-	return Result{X: pr.bestX, Y: pr.bestY, Cost: pr.best, Pair: pr.bestPair, Stats: stats}, nil
 }
 
 // Backup adapts a fixed sequence pair to the core.Backup / synth.Provider

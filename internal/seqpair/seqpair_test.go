@@ -6,9 +6,7 @@ import (
 	"testing/quick"
 
 	"mps/internal/circuits"
-	"mps/internal/cost"
 	"mps/internal/geom"
-	"mps/internal/placement"
 )
 
 func midDims(t *testing.T, name string) ([]int, []int) {
@@ -131,87 +129,6 @@ func TestValidateRejectsBadPairs(t *testing.T) {
 	}
 	if _, _, err := New(2).Positions([]int{1}, []int{1, 1}, 0); err == nil {
 		t.Error("short dims accepted")
-	}
-}
-
-func TestPackLegalAndImproves(t *testing.T) {
-	c := circuits.MustByName("Mixer")
-	fp := placement.DefaultFloorplan(c)
-	ws, hs := midDims(t, "Mixer")
-	res, err := Pack(c, fp, ws, hs, Config{Steps: 1500, Seed: 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertLegal(t, res.X, res.Y, ws, hs, 0)
-	if res.Cost > res.Stats.InitCost {
-		t.Errorf("annealed cost %g worse than initial %g", res.Cost, res.Stats.InitCost)
-	}
-	if err := res.Pair.Validate(); err != nil {
-		t.Errorf("best pair invalid: %v", err)
-	}
-}
-
-func TestPackDeterministic(t *testing.T) {
-	c := circuits.MustByName("circ02")
-	fp := placement.DefaultFloorplan(c)
-	ws, hs := midDims(t, "circ02")
-	a, err := Pack(c, fp, ws, hs, Config{Steps: 300, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b, err := Pack(c, fp, ws, hs, Config{Steps: 300, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if a.Cost != b.Cost {
-		t.Errorf("same seed, different costs: %g vs %g", a.Cost, b.Cost)
-	}
-}
-
-// TestPackBeatsNaiveRowPacking: annealing must beat the un-optimized
-// identity pair (a single row) on the objective Pack actually minimizes —
-// weighted wire + area. A single row of 8 blocks is terrible on both terms.
-func TestPackBeatsNaiveRowPacking(t *testing.T) {
-	c := circuits.MustByName("circ08")
-	fp := placement.DefaultFloorplan(c)
-	ws, hs := midDims(t, "circ08")
-	res, err := Pack(c, fp, ws, hs, Config{Steps: 2500, Seed: 5})
-	if err != nil {
-		t.Fatal(err)
-	}
-	x, y, err := New(c.N()).Positions(ws, hs, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	row := cost.Layout{Circuit: c, X: x, Y: y, W: ws, H: hs, Floorplan: fp}
-	rowCost := cost.DefaultWeights.Cost(&row)
-	if res.Cost >= rowCost {
-		t.Errorf("annealed cost %g not better than single-row cost %g", res.Cost, rowCost)
-	}
-}
-
-func TestPackHonorsMargins(t *testing.T) {
-	c := circuits.MustByName("TwoStageOpamp") // DIFF has margin 2
-	fp := placement.DefaultFloorplan(c)
-	ws, hs := midDims(t, "TwoStageOpamp")
-	res, err := Pack(c, fp, ws, hs, Config{Steps: 500, Seed: 7})
-	if err != nil {
-		t.Fatal(err)
-	}
-	// All pairwise gaps must be at least the max margin along one axis...
-	// sequence-pair guarantees gap spacing between *adjacent* blocks in the
-	// packing relation; verify no pair is closer than 0 (legal) and that
-	// the DIFF block keeps its 2-unit halo from every block it abuts.
-	assertLegal(t, res.X, res.Y, ws, hs, 2)
-	diff := c.BlockIndex("DIFF")
-	rd := geom.NewRect(res.X[diff]-2, res.Y[diff]-2, ws[diff]+4, hs[diff]+4)
-	for j := range ws {
-		if j == diff {
-			continue
-		}
-		if rd.Overlaps(geom.NewRect(res.X[j], res.Y[j], ws[j], hs[j])) {
-			t.Errorf("block %d violates DIFF's 2-unit halo", j)
-		}
 	}
 }
 

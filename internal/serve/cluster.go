@@ -6,7 +6,7 @@
 //
 // Routing rules (the whole protocol):
 //
-//  1. The canonical spec key — already the cache/store/job dedup key — is
+//  1. The canonical spec key — already the cache, store and job key — is
 //     the shard key. The consistent-hash ring maps it to one owning node.
 //  2. A node receiving a client request for a key it does not own proxies
 //     it to the owner (reads of hot keys: to a uniform pick from the
@@ -195,8 +195,8 @@ func (s *Server) remoteWork(tr *obs.Trace, e *entry) {
 	case handled:
 		s.publishDone(e, p, stats)
 	default:
-		// Owner and replicas unreachable: serve anyway. The local scheduler
-		// dedups concurrent fallbacks for this key onto this one job.
+		// Owner and replicas unreachable: serve anyway. The key's one cache
+		// entry submits one job, so concurrent fallbacks share it.
 		s.cluster.CountFallback()
 		s.logf("cluster: owner %s unreachable for %s — degrading to local generation",
 			s.cluster.Owner(e.key), e.key)

@@ -207,7 +207,6 @@ func newServerMetrics(s *Server) *serverMetrics {
 			t := s.sched.Totals()
 			return map[string]float64{
 				"submitted":     float64(t.Submitted),
-				"deduped":       float64(t.Deduped),
 				"recorded_done": float64(t.RecordedDone),
 				"started":       float64(t.Started),
 				"done":          float64(t.Done),

@@ -90,9 +90,7 @@ type Config struct {
 	// workers: dedup only collapses identical specs, and the pool stops a
 	// sweep of distinct seeds from launching unbounded annealing runs —
 	// excess jobs queue. Either way the server owns the scheduler after
-	// New — Close shuts it down — and it must be exclusive to this server:
-	// job results publish into this server's cache entries, so two servers
-	// sharing a scheduler would dedup onto each other's jobs and hang.
+	// New — Close shuts it down — so it must be exclusive to this server.
 	Jobs *jobs.Scheduler
 	// Cluster, when non-nil, puts the server in cluster mode: the
 	// canonical spec key is consistent-hashed over the peer set, requests
@@ -705,13 +703,13 @@ func (s *Server) startWork(tr *obs.Trace, parent obs.SpanID, e *entry) {
 func (s *Server) submitGeneration(tr *obs.Trace, e *entry) {
 	// Run and Done execute sequentially on the same worker, so the result
 	// variables they share need no further synchronization. Publication
-	// happens in Done — after the scheduler has retired the key from its
-	// active set — so a request racing a failed entry's removal starts a
-	// fresh job instead of deduping onto the dead one.
+	// happens in Done, after the scheduler has finished the job's
+	// bookkeeping. The entry submits at most once, so it is the only dedup
+	// layer a key's generation has.
 	var genP *mps.Portfolio
 	var genStats mps.Stats
 	var genErr error
-	snap, _, err := s.sched.Submit(jobs.Request{
+	snap, err := s.sched.Submit(jobs.Request{
 		Key:      e.key,
 		Spec:     mustSpecJSON(e.spec),
 		Priority: e.priority,

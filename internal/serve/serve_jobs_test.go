@@ -319,7 +319,7 @@ func TestJobsSoleWaiterDisconnectDropsQueued(t *testing.T) {
 	entered := make(chan struct{})
 	release := make(chan struct{})
 	defer close(release)
-	if _, _, err := s.Jobs().Submit(jobs.Request{Key: "hog", Run: func(ctx context.Context, _ func(jobs.Progress)) error {
+	if _, err := s.Jobs().Submit(jobs.Request{Key: "hog", Run: func(ctx context.Context, _ func(jobs.Progress)) error {
 		close(entered)
 		select {
 		case <-release:

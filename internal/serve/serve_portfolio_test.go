@@ -243,7 +243,7 @@ func interruptedState(t *testing.T, spec GenerateSpec) string {
 		t.Fatal(err)
 	}
 	running := make(chan struct{})
-	if _, _, err := sched.Submit(jobs.Request{
+	if _, err := sched.Submit(jobs.Request{
 		Key:  norm.key(),
 		Spec: specJSON,
 		Run: func(ctx context.Context, _ func(jobs.Progress)) error {

@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"time"
 )
 
 // tmpPrefix marks in-progress writes; Open sweeps leftovers from crashed
@@ -48,6 +49,20 @@ func WriteFileAtomic(path string, write func(io.Writer) error) (int64, error) {
 	}
 	syncDir(dir)
 	return cw.n, nil
+}
+
+// Quarantine renames the file name inside dir, one that did not parse,
+// aside to name.corrupt-<unix ns> with its bytes intact, and returns the
+// new name. The name never starts with tmpPrefix, so Open's temp sweep
+// keeps the quarantined bytes for inspection. Dir's manifest and the job
+// scheduler's state file share it, so one corrupt file cannot keep a
+// server from booting.
+func Quarantine(dir, name string) (string, error) {
+	aside := fmt.Sprintf("%s.corrupt-%d", name, time.Now().UnixNano())
+	if err := os.Rename(filepath.Join(dir, name), filepath.Join(dir, aside)); err != nil {
+		return "", err
+	}
+	return aside, nil
 }
 
 // syncDir fsyncs a directory so the rename itself is durable. Best-effort:

@@ -164,10 +164,8 @@ func Open(root string) (*Dir, error) {
 	}
 	var m manifest
 	if err := json.Unmarshal(data, &m); err != nil {
-		// The name never starts with tmpPrefix, so the sweep above keeps
-		// the quarantined bytes for inspection.
-		name := fmt.Sprintf("%s.corrupt-%d", manifestName, time.Now().UnixNano())
-		if err := os.Rename(filepath.Join(root, manifestName), filepath.Join(root, name)); err != nil {
+		name, err := Quarantine(root, manifestName)
+		if err != nil {
 			return nil, fmt.Errorf("store: quarantining corrupt manifest: %w", err)
 		}
 		d.quarantined = name

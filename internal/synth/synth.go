@@ -57,27 +57,18 @@ func LayoutOnlyObjective(ev cost.Evaluator) Objective {
 type Config struct {
 	// Steps is the number of sizing iterations. Default 300.
 	Steps int
-	// Cooling is the sizing annealer's cooling factor. Default 0.99.
-	Cooling float64
 	// Seed drives the run.
 	Seed int64
-	// PerturbPct scales sizing moves as a fraction of each variable's
-	// range. Default 0.2.
-	PerturbPct float64
 }
 
-func (cfg Config) withDefaults() Config {
-	if cfg.Steps == 0 {
-		cfg.Steps = 300
-	}
-	if cfg.Cooling == 0 {
-		cfg.Cooling = 0.99
-	}
-	if cfg.PerturbPct == 0 {
-		cfg.PerturbPct = 0.2
-	}
-	return cfg
-}
+// The sizing annealer's fixed settings.
+const (
+	// cooling is the geometric cooling factor.
+	cooling = 0.99
+	// perturbPct scales sizing moves as a fraction of each variable's
+	// range.
+	perturbPct = 0.2
+)
 
 // Result summarizes a synthesis run.
 type Result struct {
@@ -107,7 +98,6 @@ type problem struct {
 	obj      Objective
 	fp       geom.Rect
 	ranges   []modgen.FloatRange
-	pct      float64
 
 	x       []float64
 	prevVal float64
@@ -126,7 +116,7 @@ func (pr *problem) Propose(rng *rand.Rand, magnitude float64) float64 {
 	i := rng.Intn(len(pr.x))
 	pr.prevIdx, pr.prevVal = i, pr.x[i]
 	span := pr.ranges[i].Hi - pr.ranges[i].Lo
-	delta := (rng.Float64()*2 - 1) * pr.pct * magnitude * span
+	delta := (rng.Float64()*2 - 1) * perturbPct * magnitude * span
 	pr.x[i] = pr.ranges[i].Clamp(pr.x[i] + delta)
 	return pr.evaluate()
 }
@@ -169,7 +159,10 @@ func (pr *problem) evaluate() float64 {
 
 // Run executes the sizing loop and returns the best point found.
 func Run(sizer *modgen.Sizer, provider Provider, obj Objective, fp geom.Rect, cfg Config) (Result, error) {
-	cfg = cfg.withDefaults()
+	steps := cfg.Steps
+	if steps == 0 {
+		steps = 300
+	}
 	if sizer.NumVars() == 0 {
 		return Result{}, fmt.Errorf("synth: sizer has no variables")
 	}
@@ -183,7 +176,6 @@ func Run(sizer *modgen.Sizer, provider Provider, obj Objective, fp geom.Rect, cf
 		obj:      obj,
 		fp:       fp,
 		ranges:   ranges,
-		pct:      cfg.PerturbPct,
 		x:        make([]float64, sizer.NumVars()),
 		bestX:    make([]float64, sizer.NumVars()),
 		res:      &res,
@@ -197,8 +189,8 @@ func Run(sizer *modgen.Sizer, provider Provider, obj Objective, fp geom.Rect, cf
 	initCost := pr.evaluate()
 
 	stats, err := anneal.Run(pr, initCost, anneal.Config{
-		Steps:   cfg.Steps,
-		Cooling: cfg.Cooling,
+		Steps:   steps,
+		Cooling: cooling,
 		Rand:    rng,
 	})
 	if err != nil {
