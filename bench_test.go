@@ -252,10 +252,13 @@ func BenchmarkPortfolioRoute(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	members, weights := run.Portfolio.Members(), run.Portfolio.MemberWeights()
+	members := make([]*core.Structure, run.Portfolio.K())
+	for i := range members {
+		members[i] = run.Portfolio.Member(i)
+	}
 	for _, k := range []int{1, 3, 8} {
 		b.Run(fmt.Sprintf("K=%d", k), func(b *testing.B) {
-			p, err := portfolio.NewWeighted(members[:k], weights[:k])
+			p, err := portfolio.New(members[:k])
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -16,9 +16,11 @@
 //
 // With -store-dir, generated structures are persisted to a disk-backed
 // repository (atomic v2 binary files plus a JSON manifest) and the daemon
-// warm-starts from it: up to -store-warm structures (default: the cache
-// size) are loaded into the LRU at boot, and any cache miss consults the
-// store before regenerating, so a restart never repeats an annealing run.
+// warm-starts from it: up to -store-warm cache entries (default: the cache
+// size, and never more than the cache has room for) are loaded into the
+// LRU at boot, the newest structures first and then the portfolios whose
+// members all landed, and any cache miss consults the store before
+// regenerating, so a restart never repeats an annealing run.
 //
 // Generation runs as a background workload on a job scheduler with
 // -gen-workers annealing workers. With -jobs-dir, job state survives
@@ -53,7 +55,7 @@
 // the smallest instantiated area and falls back to the backup only when
 // no member covers it. Members share cache keys, store files, and jobs
 // with identical single-structure specs; with -store-dir the grouping is
-// recorded in the manifest and warm-starts like any structure.
+// recorded in the manifest and warm-starts from its cached members.
 //
 // Endpoints:
 //
@@ -136,7 +138,7 @@ func main() {
 	storeDir := flag.String("store-dir", "",
 		"persistent structure store directory (empty = memory-only)")
 	storeWarm := flag.Int("store-warm", -1,
-		"structures to warm-load from the store at startup (-1 = cache size, 0 = disable)")
+		"cache entries to warm-load from the store at startup, structures then portfolios (-1 = cache size, 0 = disable)")
 	genWorkers := flag.Int("gen-workers", 2,
 		"generation job workers (concurrent annealing runs)")
 	jobsDir := flag.String("jobs-dir", "",

@@ -71,7 +71,7 @@ func paretoPortfolios(name string, effort Effort, seed int64, k int) (seedDiv, w
 	if seedDiv, err = portfolio.New(seedMembers); err != nil {
 		return nil, nil, err
 	}
-	if weightDiv, err = portfolio.NewWeighted(weightMembers, ladder); err != nil {
+	if weightDiv, err = portfolio.New(weightMembers); err != nil {
 		return nil, nil, err
 	}
 	return seedDiv, weightDiv, nil

@@ -24,7 +24,9 @@
 // their final progress, and jobs that were queued or running when the
 // process died surface through Interrupted for the caller to resubmit. A
 // state file that does not parse is renamed aside with its bytes kept
-// (see Quarantined), and the scheduler starts with an empty history.
+// (see Quarantined), and the scheduler starts with an empty history and a
+// sequence seeded from the clock, so no ID the lost history handed out is
+// issued again.
 package jobs
 
 import (
@@ -248,7 +250,8 @@ type Scheduler struct {
 // non-terminal ones are marked failed ("interrupted by restart") and
 // surfaced through Interrupted for resubmission. A state file that does
 // not parse is renamed aside (see Quarantined) and the scheduler starts
-// with an empty history; other read errors, and a failed rename, fail New.
+// with an empty history, its job IDs seeded past the lost ones and written
+// before New returns; other read errors, and a failed rename, fail New.
 func New(cfg Config) (*Scheduler, error) {
 	cfg = cfg.withDefaults()
 	s := &Scheduler{
@@ -284,7 +287,7 @@ func (s *Scheduler) load() error {
 	}
 	data, err := os.ReadFile(filepath.Join(s.cfg.Dir, stateFileName))
 	if errors.Is(err, fs.ErrNotExist) {
-		return nil
+		return s.seedPastQuarantine()
 	}
 	if err != nil {
 		return fmt.Errorf("jobs: %w", err)
@@ -296,7 +299,7 @@ func (s *Scheduler) load() error {
 			return fmt.Errorf("jobs: quarantining corrupt state file: %w", err)
 		}
 		s.quarantined = name
-		return nil
+		return s.seedPastQuarantine()
 	}
 	s.seq = st.Seq
 	for _, snap := range st.Jobs {
@@ -327,6 +330,25 @@ func (s *Scheduler) load() error {
 		}
 	}
 	s.pruneLocked()
+	return nil
+}
+
+// seedPastQuarantine runs when load finds no parsable state file. If a
+// quarantined one lies in Dir (just moved aside, or left by a boot that
+// crashed before its first state write), the seq that handed out the lost
+// history's IDs is unreadable, so seq restarts from the current Unix time
+// in milliseconds, above any count of submissions, and the state file is
+// written at once: the next boot reads that seq back instead of seeding
+// again. Without one, the directory is new and seq starts at 0.
+func (s *Scheduler) seedPastQuarantine() error {
+	aside, err := store.HasQuarantined(s.cfg.Dir, stateFileName)
+	if err != nil {
+		return fmt.Errorf("jobs: %w", err)
+	}
+	if aside {
+		s.seq = time.Now().UnixMilli()
+		s.saveState()
+	}
 	return nil
 }
 

@@ -389,11 +389,31 @@ func TestPersistenceAcrossRestart(t *testing.T) {
 }
 
 // TestCorruptStateFileQuarantined: a state file that does not parse is
-// moved aside with its bytes kept, New starts with an empty history, and
-// the next transition writes a state file that a second New loads. A
-// state file that cannot be read still fails New.
+// moved aside with its bytes kept, New starts with an empty history whose
+// job IDs never repeat the lost history's, and the next transition writes
+// a state file that a second New loads. A directory holding only a
+// quarantined file (a crash between the rename and the first state write)
+// seeds the IDs the same way. A state file that cannot be read still fails
+// New.
 func TestCorruptStateFileQuarantined(t *testing.T) {
 	dir := t.TempDir()
+	// A history of three jobs, job-000001..000003, then a corrupt file.
+	first, err := New(Config{Workers: 1, Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var lost []Snapshot
+	for i := 0; i < 3; i++ {
+		snap, err := first.Submit(Request{Key: fmt.Sprintf("old%d", i), Run: func(context.Context, func(Progress)) error { return nil }})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := first.Wait(context.Background(), snap.ID); err != nil {
+			t.Fatal(err)
+		}
+		lost = append(lost, snap)
+	}
+	first.Close()
 	garbage := []byte("{nope")
 	if err := os.WriteFile(filepath.Join(dir, stateFileName), garbage, 0o644); err != nil {
 		t.Fatal(err)
@@ -417,6 +437,12 @@ func TestCorruptStateFileQuarantined(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	for _, old := range lost {
+		if snap.ID == old.ID || snap.Seq <= old.Seq {
+			t.Fatalf("first job after the quarantine is %s (seq %d); the lost history issued %s (seq %d)",
+				snap.ID, snap.Seq, old.ID, old.Seq)
+		}
+	}
 	if _, err := s.Wait(context.Background(), snap.ID); err != nil {
 		t.Fatal(err)
 	}
@@ -431,6 +457,25 @@ func TestCorruptStateFileQuarantined(t *testing.T) {
 	}
 	if got, ok := s2.Get(snap.ID); !ok || got.State != StateDone {
 		t.Errorf("job %s after reload: %+v (ok=%v), want done", snap.ID, got, ok)
+	}
+
+	crashed := t.TempDir()
+	if err := os.WriteFile(filepath.Join(crashed, stateFileName+".corrupt-1"), garbage, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := time.Now().UnixMilli()
+	s3, err := New(Config{Workers: 1, Dir: crashed})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s3.Close()
+	if _, err := os.Stat(filepath.Join(crashed, stateFileName)); err != nil {
+		t.Errorf("New beside a quarantined file did not write the state file: %v", err)
+	}
+	if seeded, err := s3.Submit(Request{Key: "k", Run: func(context.Context, func(Progress)) error { return nil }}); err != nil {
+		t.Fatal(err)
+	} else if seeded.Seq <= before {
+		t.Errorf("first job beside a quarantined file has seq %d, want above the boot's Unix ms %d", seeded.Seq, before)
 	}
 
 	unreadable := t.TempDir()

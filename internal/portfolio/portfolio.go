@@ -37,9 +37,9 @@
 // Only members that cover the query are scored, and only when two or more
 // do. The zero weight vector never scalarizes: every covering member
 // scores 0 and the area rule decides alone, so callers that never weight
-// queries are unchanged. Members built via NewWeighted additionally record
-// the weights they were generated under (MemberWeights), purely as
-// routing-diagnostic metadata.
+// queries are unchanged. A portfolio holds its members and nothing else:
+// how a member was generated (seed, backend, objective) never enters
+// routing.
 //
 // # Concurrency
 //
@@ -80,11 +80,6 @@ type Portfolio struct {
 	members  []*core.Structure
 	compiled []*core.CompiledStructure
 	merged   *core.MergedIndex
-	// weights records each member's generation objective (zero = the
-	// default balanced cost). Metadata only — routing reads query
-	// weights, never member weights — but persisted so warm starts can
-	// report how a portfolio's members were diversified.
-	weights []cost.Weights
 }
 
 // Result is one portfolio instantiation: the winning member's placement
@@ -103,28 +98,11 @@ type Result struct {
 // query ever pays compile cost. The member order is preserved — it is the
 // routing tie-break and member 0's backup is the uncovered-space fallback.
 func New(members []*core.Structure) (*Portfolio, error) {
-	return NewWeighted(members, nil)
-}
-
-// NewWeighted is New additionally recording each member's generation
-// weights: weights must be empty (no record) or one valid vector per
-// member, member i's at index i (the zero vector meaning the default
-// balanced objective). The weights do not alter routing — they are the
-// metadata MemberWeights reports and the serving layer persists.
-func NewWeighted(members []*core.Structure, weights []cost.Weights) (*Portfolio, error) {
 	if len(members) == 0 {
 		return nil, fmt.Errorf("portfolio: no members")
 	}
 	if len(members) > MaxMembers {
 		return nil, fmt.Errorf("portfolio: %d members exceeds the maximum %d", len(members), MaxMembers)
-	}
-	if len(weights) != 0 && len(weights) != len(members) {
-		return nil, fmt.Errorf("portfolio: %d member weights for %d members", len(weights), len(members))
-	}
-	for i, w := range weights {
-		if err := w.Validate(); err != nil {
-			return nil, fmt.Errorf("portfolio: member %d weights: %w", i, err)
-		}
 	}
 	for i, m := range members {
 		if m == nil {
@@ -136,7 +114,6 @@ func NewWeighted(members []*core.Structure, weights []cost.Weights) (*Portfolio,
 		circuit:  c,
 		members:  append([]*core.Structure(nil), members...),
 		compiled: make([]*core.CompiledStructure, len(members)),
-		weights:  append([]cost.Weights(nil), weights...),
 	}
 	for i, m := range members {
 		if err := sameCircuit(c, m.Circuit()); err != nil {
@@ -178,21 +155,6 @@ func (p *Portfolio) Circuit() *netlist.Circuit { return p.circuit }
 
 // Member returns member i's structure.
 func (p *Portfolio) Member(i int) *core.Structure { return p.members[i] }
-
-// Members returns the member structures in routing order. The slice is a
-// copy; the structures are shared.
-func (p *Portfolio) Members() []*core.Structure {
-	return append([]*core.Structure(nil), p.members...)
-}
-
-// MemberWeights returns each member's recorded generation weights in
-// member order (the zero vector when no record was attached). The slice
-// is a copy.
-func (p *Portfolio) MemberWeights() []cost.Weights {
-	out := make([]cost.Weights, len(p.members))
-	copy(out, p.weights)
-	return out
-}
 
 // NumPlacements returns the total stored placements across members.
 func (p *Portfolio) NumPlacements() int {

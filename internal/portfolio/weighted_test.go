@@ -108,8 +108,7 @@ func weightedPair(t *testing.T) (*Portfolio, []int, []int) {
 	compact := mk([]int{0, 4, 0}, []int{0, 0, 4}) // bbox 8x8, wire 4
 	rowwise := mk([]int{0, 8, 4}, []int{0, 0, 0}) // bbox 12x4, wire 8
 
-	p, err := NewWeighted([]*core.Structure{compact, rowwise},
-		[]cost.Weights{cost.WireHeavyWeights, cost.AreaHeavyWeights})
+	p, err := New([]*core.Structure{compact, rowwise})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,41 +195,6 @@ func assertDirectAnswer(t *testing.T, p *Portfolio, ws, hs []int) {
 		if err == nil && (got.PlacementID != want.PlacementID || got.FromBackup != want.FromBackup ||
 			!slices.Equal(got.X, want.X) || !slices.Equal(got.Y, want.Y)) {
 			t.Fatalf("weights %+v: answer %+v, want %+v", w, got, want)
-		}
-	}
-}
-
-func TestNewWeightedValidates(t *testing.T) {
-	c := circuits.MustByName("circ01")
-	members := []*core.Structure{genMember(t, c, 3, 0), genMember(t, c, 3, 1)}
-
-	if _, err := NewWeighted(members, []cost.Weights{{Wire: 1}}); err == nil {
-		t.Error("mismatched weights length accepted")
-	}
-	if _, err := NewWeighted(members, []cost.Weights{{Wire: -1}, {}}); err == nil {
-		t.Error("negative member weight accepted")
-	}
-
-	wts := []cost.Weights{cost.AreaHeavyWeights, cost.WireHeavyWeights}
-	p, err := NewWeighted(members, wts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got := p.MemberWeights()
-	for i := range wts {
-		if got[i] != wts[i] {
-			t.Errorf("MemberWeights[%d] = %+v, want %+v", i, got[i], wts[i])
-		}
-	}
-
-	// Weightless construction reports zero vectors, one per member.
-	plain, err := New(members)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, w := range plain.MemberWeights() {
-		if !w.IsZero() {
-			t.Errorf("unweighted MemberWeights[%d] = %+v, want zero", i, w)
 		}
 	}
 }

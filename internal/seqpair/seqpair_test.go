@@ -21,21 +21,26 @@ func midDims(t *testing.T, name string) ([]int, []int) {
 	return ws, hs
 }
 
+// assertLegal checks a packing: every block at a non-negative anchor and
+// every pair of blocks at least gap apart, which is each block's rect grown
+// by gap on every side missing the other block.
 func assertLegal(t *testing.T, x, y, ws, hs []int, gap int) {
 	t.Helper()
 	for i := range ws {
 		ri := geom.NewRect(x[i], y[i], ws[i], hs[i])
-		for j := i + 1; j < len(ws); j++ {
-			rj := geom.NewRect(x[j], y[j], ws[j], hs[j])
-			if ri.Overlaps(rj) {
-				t.Fatalf("blocks %d and %d overlap: %v vs %v", i, j, ri, rj)
+		halo := geom.Rect{X0: ri.X0 - gap, Y0: ri.Y0 - gap, X1: ri.X1 + gap, Y1: ri.Y1 + gap}
+		for j := range ws {
+			if j == i {
+				continue
+			}
+			if rj := geom.NewRect(x[j], y[j], ws[j], hs[j]); halo.Overlaps(rj) {
+				t.Fatalf("blocks %d and %d closer than gap %d: %v vs %v", i, j, gap, ri, rj)
 			}
 		}
 		if x[i] < 0 || y[i] < 0 {
 			t.Fatalf("block %d packed at negative position (%d,%d)", i, x[i], y[i])
 		}
 	}
-	_ = gap
 }
 
 func TestIdentityPairIsARow(t *testing.T) {
@@ -132,23 +137,27 @@ func TestValidateRejectsBadPairs(t *testing.T) {
 	}
 }
 
+// TestBackupPlace: over every Table 1 circuit the backup packs legally,
+// keeping its margin-derived gap between every pair of blocks, and
+// deterministically.
 func TestBackupPlace(t *testing.T) {
-	c := circuits.MustByName("circ06")
-	bk := NewBackup(c)
-	ws, hs := midDims(t, "circ06")
-	x, y, err := bk.Place(ws, hs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertLegal(t, x, y, ws, hs, bk.Gap)
-	// Deterministic.
-	x2, y2, err := bk.Place(ws, hs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range x {
-		if x[i] != x2[i] || y[i] != y2[i] {
-			t.Fatal("backup not deterministic")
+	for _, name := range circuits.Names() {
+		c := circuits.MustByName(name)
+		bk := NewBackup(c)
+		ws, hs := midDims(t, name)
+		x, y, err := bk.Place(ws, hs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertLegal(t, x, y, ws, hs, bk.Gap)
+		x2, y2, err := bk.Place(ws, hs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i := range x {
+			if x[i] != x2[i] || y[i] != y2[i] {
+				t.Fatalf("%s: backup not deterministic", name)
+			}
 		}
 	}
 }

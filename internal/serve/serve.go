@@ -20,8 +20,9 @@
 // disk repository (internal/store): finished generations persist in the
 // background, cache misses try a disk load (milliseconds) before an
 // annealing run (minutes), and Warm preloads the newest persisted
-// structures at startup — so a daemon restart never repeats generation
-// work (the paper's "generate once" made durable).
+// structures, and the portfolios over them, at startup — so a daemon
+// restart never repeats generation work (the paper's "generate once" made
+// durable).
 //
 // Generation itself is a background workload: every annealing run is a job
 // on an internal/jobs scheduler (priority FIFO queue, bounded worker
@@ -452,8 +453,8 @@ func (g GenerateSpec) memberWeight(i int) mps.Weights {
 }
 
 // resolvedMemberWeights is the per-member generation weight record a
-// portfolio assembled from this spec carries (nil when the spec names no
-// weights at all — the historical weightless portfolio).
+// portfolio spec's manifest row keeps for operators (nil when the spec
+// names no weights at all — the historical weightless portfolio).
 func (g GenerateSpec) resolvedMemberWeights() []mps.Weights {
 	if g.Weights == nil && len(g.MemberWeights) == 0 {
 		return nil
@@ -799,14 +800,17 @@ func (s *Server) runGeneration(ctx context.Context, spec GenerateSpec, report fu
 // out synchronously through ensure — so each member is its own cache
 // entry, store read-through, and scheduler job, deduplicated against
 // identical single-structure work — and a fan-in goroutine waits for all
-// members, assembles the routing layer, and publishes. A fully persisted
-// portfolio still assembles in milliseconds (every member ensure is a
-// store read-through, no annealing) while its members land as shared
-// cache entries; there is deliberately no grouping-row fast path here,
-// because it would load private member copies and defeat that sharing —
-// the grouping row exists for Warm and listings. This is the one place
-// the scheduler runs cooperative multi-job work for a single logical
-// artifact: the K jobs proceed in parallel up to the worker-pool bound.
+// members, assembles the routing layer, and publishes. It is the server's
+// only K>1 assembler: requests, ResumeInterrupted and Warm all land
+// groupings here. A fully persisted portfolio still assembles in
+// milliseconds (every member ensure is a store read-through, no
+// annealing) while its members land as shared cache entries; there is
+// deliberately no grouping-row fast path here, because it would load
+// private member copies and defeat that sharing — the grouping row exists
+// for listings, for resolving a bare key to its spec, and for Warm's
+// order. This is the one place the scheduler runs cooperative multi-job
+// work for a single logical artifact: the K jobs proceed in parallel up to
+// the worker-pool bound.
 func (s *Server) startPortfolioWork(tr *obs.Trace, parent obs.SpanID, e *entry) {
 	k := e.spec.Portfolio
 	members := make([]*entry, k)
@@ -846,16 +850,22 @@ func (s *Server) startPortfolioWork(tr *obs.Trace, parent obs.SpanID, e *entry) 
 			s.publish(e, nil, mps.Stats{}, memberErr)
 			return
 		}
-		p, err := mps.NewPortfolioWeighted(structures, e.spec.resolvedMemberWeights())
+		p, err := mps.NewPortfolio(structures)
 		if err != nil {
 			s.publish(e, nil, mps.Stats{}, err)
 			return
 		}
 		// Member generation stats live with the member entries; the
-		// portfolio's own stats carry the merged coverage, matching what the
-		// store loader reconstructs.
+		// portfolio's own stats carry the merged coverage.
 		stats := mps.Stats{FinalCoverage: portfolioCoverage(p, e.spec.Seed)}
-		s.persistAsync(e.spec, p, stats.FinalCoverage)
+		// A grouping row already on disk stays as it is: re-assembling a
+		// persisted portfolio (after Warm, or after an eviction) rewrites no
+		// manifest and keeps the row's Created, which orders Warm.
+		if s.cfg.Store != nil {
+			if _, ok := s.cfg.Store.GetPortfolio(e.key); !ok {
+				s.persistAsync(e.spec, p, stats.FinalCoverage)
+			}
+		}
 		s.publishDone(e, p, stats)
 	}()
 }
@@ -952,7 +962,7 @@ func (s *Server) structureFor(ctx context.Context, spec GenerateSpec, key string
 // member it is the generation's exact coverage: Compact (run inside
 // generation) merges fragments without changing covered volume, so no
 // recompute is needed. For K members it is the Monte-Carlo union the
-// fan-in or the grouping row supplies.
+// fan-in computes.
 func (s *Server) publish(e *entry, p *mps.Portfolio, stats mps.Stats, err error) {
 	var placements int
 	var coverage float64
@@ -998,55 +1008,19 @@ func single(st *mps.Structure) *mps.Portfolio {
 	return p
 }
 
-// loadFromStore rehydrates the portfolio for spec from the disk store.
-// (nil, _, nil) means "not available" — no store configured, no row for
-// the key, or a grouping row whose member no longer loads (a cold request
-// for the spec fans out and regenerates only what is missing); an error
-// means a row existed but could not be loaded (corrupt file, circuit
-// mismatch), which callers also treat as a miss after counting it.
-//
-// A one-member spec reads its structure file; the read and compile phases
-// record as store_read and compile spans on tr (nil for background callers),
-// nested under parent. A K-member spec reads its grouping row and takes
-// each member from the cache first — sharing the cached structure and its
-// compiled index instead of decoding a second copy — else loads it
-// through the one-member branch.
+// loadFromStore rehydrates the one-member portfolio for a structure spec
+// from the disk store. (nil, _, nil) means "not available" — no store
+// configured or no row for the key; an error means a row existed but
+// could not be loaded (corrupt file, circuit mismatch), which callers also
+// treat as a miss after counting it. The read and compile phases record as
+// store_read and compile spans on tr (nil for background callers), nested
+// under parent. Portfolio specs never come here: their members do, through
+// the fan-out.
 func (s *Server) loadFromStore(tr *obs.Trace, parent obs.SpanID, spec GenerateSpec) (*mps.Portfolio, mps.Stats, error) {
 	if s.cfg.Store == nil {
 		return nil, mps.Stats{}, nil
 	}
 	key := spec.key()
-	if spec.Portfolio > 1 {
-		row, ok := s.cfg.Store.GetPortfolio(key)
-		if !ok {
-			return nil, mps.Stats{}, nil
-		}
-		if row.K() != spec.Portfolio {
-			s.logf("store: portfolio row %s has %d members, spec wants %d (ignoring row)",
-				key, row.K(), spec.Portfolio)
-			return nil, mps.Stats{}, nil
-		}
-		members := make([]*mps.Structure, spec.Portfolio)
-		for i := range members {
-			mspec := spec.memberSpec(i)
-			if me, ok := s.lookup(mspec.key()); ok {
-				members[i] = &mps.Structure{Structure: me.p.Member(0)}
-				continue
-			}
-			mp, _, err := s.loadFromStore(tr, parent, mspec)
-			if err != nil || mp == nil {
-				return nil, mps.Stats{}, err
-			}
-			members[i] = &mps.Structure{Structure: mp.Member(0)}
-		}
-		p, err := mps.NewPortfolioWeighted(members, spec.resolvedMemberWeights())
-		if err != nil {
-			s.loadErrs.Add(1)
-			s.logf("store: assembling portfolio %s: %v (regenerating)", key, err)
-			return nil, mps.Stats{}, err
-		}
-		return p, mps.Stats{FinalCoverage: row.Coverage}, nil
-	}
 	if _, ok := s.cfg.Store.Stat(key); !ok {
 		return nil, mps.Stats{}, nil
 	}
@@ -1159,13 +1133,17 @@ func structureMeta(spec GenerateSpec, coverage float64) store.Meta {
 // so finished generations are never lost to a racing exit.
 func (s *Server) Flush() { s.persistWG.Wait() }
 
-// Warm preloads up to limit structures — and then up to limit portfolio
-// groupings — from the disk store into the LRU, newest first (limit <= 0
-// or above the cache size clamps to the cache size). Portfolios get their
-// own budget so a store holding limit structures does not starve every
-// grouping row, and they load second so their members come from the
-// entries the first pass installed. It returns how many cache entries
-// were loaded; rows that fail to parse or load are logged and skipped,
+// Warm preloads persisted artifacts into the LRU at boot, before traffic,
+// and returns how many cache entries it added. It has one budget: limit
+// (limit <= 0 or above the cache size means the cache size), clamped to
+// the room the cache has left, so nothing Warm installs is evicted by its
+// own installs. Structure rows load first, newest first. Grouping rows
+// follow, newest first, while budget remains: a grouping lands through the
+// ensure fan-out a request takes, and only when its own key is not cached
+// and every member is a finished cache entry — so its members are those
+// entries' structures, and landing it reads no file, submits no job and
+// calls no peer. A grouping whose members did not all fit waits for its
+// first request. Rows that fail to parse or load are logged and skipped,
 // never fatal — a warm start must not keep a daemon from booting.
 func (s *Server) Warm(limit int) (int, error) {
 	if s.cfg.Store == nil {
@@ -1174,25 +1152,15 @@ func (s *Server) Warm(limit int) (int, error) {
 	if limit <= 0 || limit > s.cfg.CacheSize {
 		limit = s.cfg.CacheSize
 	}
-	var structures, portfolios []string
+	s.mu.Lock()
+	limit = min(limit, s.cfg.CacheSize-s.order.Len())
+	s.mu.Unlock()
+	added := 0
 	for _, m := range s.cfg.Store.List() {
-		structures = append(structures, m.Key)
-	}
-	for _, row := range s.cfg.Store.Portfolios() {
-		portfolios = append(portfolios, row.Key)
-	}
-	return s.warm(structures, limit) + s.warm(portfolios, limit), nil
-}
-
-// warm installs the store rows for keys, in order, until limit entries
-// have landed, and returns how many did.
-func (s *Server) warm(keys []string, limit int) int {
-	loaded := 0
-	for _, key := range keys {
-		if loaded >= limit {
+		if added >= limit {
 			break
 		}
-		spec, ok := s.specFromStore(key)
+		spec, ok := s.specFromStore(m.Key)
 		if !ok {
 			continue // already logged
 		}
@@ -1201,10 +1169,51 @@ func (s *Server) warm(keys []string, limit int) int {
 			continue // already logged and counted
 		}
 		if s.install(spec, p, stats, true) {
-			loaded++
+			added++
 		}
 	}
-	return loaded
+	for _, row := range s.cfg.Store.Portfolios() {
+		if added >= limit {
+			break
+		}
+		// A row whose member list disagrees with its spec (a hand-edited
+		// manifest) is skipped like any malformed row: K bounds the fan-out.
+		spec, ok := s.specFromStore(row.Key)
+		if !ok || spec.Portfolio != row.K() || !s.membersCached(spec) {
+			continue
+		}
+		e, _ := s.ensure(nil, 0, spec, row.Key, 0)
+		<-e.ready
+		e.waiters.Add(-1)
+		if e.err == nil {
+			added++
+		}
+	}
+	return added, nil
+}
+
+// membersCached reports whether Warm may land the portfolio spec: its own
+// key is not cached and every member is a finished cache entry. It reads
+// the cache without moving any LRU position. A one-structure spec (a
+// hand-edited grouping row) never qualifies: its one member is its own
+// key.
+func (s *Server) membersCached(spec GenerateSpec) bool {
+	key := spec.key()
+	members := make([]string, spec.Portfolio)
+	for i := range members {
+		members[i] = spec.memberSpec(i).key()
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, ok := s.cache[key]; ok {
+		return false
+	}
+	for _, k := range members {
+		if e, ok := s.cache[k]; !ok || !e.done || e.err != nil {
+			return false
+		}
+	}
+	return true
 }
 
 // install adds a finished artifact to the cache as a done entry unless the

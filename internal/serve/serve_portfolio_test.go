@@ -1,13 +1,22 @@
 package serve
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
+	"math/rand"
 	"net/http"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
+	"mps/internal/circuits"
+	"mps/internal/core"
 	"mps/internal/jobs"
+	"mps/internal/store"
 )
 
 // portfolioSpec is a seconds-scale K=3 portfolio spec for the smallest
@@ -371,4 +380,331 @@ func TestResumeThenWarmNoDuplicateJob(t *testing.T) {
 	if err != nil || !info.Cached {
 		t.Fatalf("generate after resume+warm: %+v, %v; want cached", info, err)
 	}
+}
+
+// warmStore persists into dir a K=3 portfolio (three member structure
+// rows plus its grouping row) and `singles` single structures, the
+// portfolio first when portfolioFirst (so its members are the oldest
+// structure rows) and last otherwise. It returns the normalized portfolio
+// spec.
+func warmStore(t *testing.T, dir string, singles int, portfolioFirst bool) GenerateSpec {
+	t.Helper()
+	spec := portfolioSpec(30)
+	if portfolioFirst {
+		populatedStore(t, dir, spec)
+	}
+	for i := 0; i < singles; i++ {
+		populatedStore(t, dir, testSpec(int64(40+i)))
+	}
+	if !portfolioFirst {
+		populatedStore(t, dir, spec)
+	}
+	if err := spec.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	return spec
+}
+
+// warmServer is a server over the store in dir with the given cache size.
+func warmServer(t *testing.T, dir string, cacheSize int) *Server {
+	t.Helper()
+	s := New(Config{Store: openStore(t, dir), CacheSize: cacheSize, Logf: t.Logf})
+	t.Cleanup(s.Close)
+	return s
+}
+
+// cachedEntries snapshots the server's cache.
+func cachedEntries(s *Server) []*entry {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	out := make([]*entry, 0, len(s.cache))
+	for _, e := range s.cache {
+		out = append(out, e)
+	}
+	return out
+}
+
+// assertGroupingsShared checks every cached portfolio entry with
+// assertMembersShared.
+func assertGroupingsShared(t *testing.T, s *Server) {
+	t.Helper()
+	for _, e := range cachedEntries(s) {
+		if e.spec.Portfolio > 1 {
+			assertMembersShared(t, s, e.spec, e)
+		}
+	}
+}
+
+// TestWarmKeepsWhatItLoads: a store whose structure rows outnumber the
+// cache, plus a grouping. Warm fills the cache and stops there: it returns
+// the number of entries cached, evicts nothing (so nothing it loads is
+// lost in the same call) and anneals nothing, whichever of the portfolio
+// and the singles was persisted first.
+func TestWarmKeepsWhatItLoads(t *testing.T) {
+	for _, portfolioFirst := range []bool{true, false} {
+		dir := t.TempDir()
+		warmStore(t, dir, 6, portfolioFirst)
+		for _, size := range []int{8, 3} {
+			s := warmServer(t, dir, size)
+			n, err := s.Warm(-1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if cached := len(cachedEntries(s)); n != size || cached != size {
+				t.Errorf("portfolio first %v, cache %d: Warm = %d with %d entries cached; want both %d",
+					portfolioFirst, size, n, cached, size)
+			}
+			if ev := s.metrics.cacheEvictions.Load(); ev != 0 {
+				t.Errorf("portfolio first %v, cache %d: Warm evicted %d entries, want 0", portfolioFirst, size, ev)
+			}
+			if runs := s.genRuns.Load(); runs != 0 {
+				t.Errorf("portfolio first %v, cache %d: Warm ran %d generations, want 0", portfolioFirst, size, runs)
+			}
+			assertGroupingsShared(t, s)
+		}
+	}
+}
+
+// TestWarmLimitBoundsGroupings: Warm(limit) with a roomy cache over a
+// store whose portfolio members are older than the newest structure rows.
+// The count never exceeds limit and always equals the entries cached, and
+// a grouping lands only from members that are cache entries: not while
+// the budget ends inside the structure rows, and as soon as it leaves room
+// for every row.
+func TestWarmLimitBoundsGroupings(t *testing.T) {
+	dir := t.TempDir()
+	spec := warmStore(t, dir, 6, true)
+	for _, tc := range []struct {
+		limit, want int
+		grouping    bool
+	}{
+		{3, 3, false}, {7, 7, false}, {9, 9, false}, {10, 10, true}, {-1, 10, true},
+	} {
+		s := warmServer(t, dir, 16)
+		n, err := s.Warm(tc.limit)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cached := len(cachedEntries(s)); n != tc.want || cached != tc.want {
+			t.Errorf("Warm(%d) = %d with %d entries cached; want both %d", tc.limit, n, cached, tc.want)
+		}
+		if _, ok := s.lookup(spec.key()); ok != tc.grouping {
+			t.Errorf("Warm(%d): grouping cached = %v, want %v", tc.limit, ok, tc.grouping)
+		}
+		assertGroupingsShared(t, s)
+		if runs := s.genRuns.Load(); runs != 0 {
+			t.Errorf("Warm(%d) ran %d generations, want 0", tc.limit, runs)
+		}
+	}
+}
+
+// TestWarmAssemblesFromCachedMembers: over a store that fits the cache,
+// Warm caches the grouping with each member the member entry's structure,
+// and assembling it leaves the grouping row as it was: the manifest is not
+// rewritten, so the row's Created (which orders Warm) does not move.
+func TestWarmAssemblesFromCachedMembers(t *testing.T) {
+	dir := t.TempDir()
+	spec := warmStore(t, dir, 1, true)
+	st := openStore(t, dir)
+	before, ok := st.GetPortfolio(spec.key())
+	if !ok {
+		t.Fatal("no grouping row persisted")
+	}
+	manifest := filepath.Join(dir, "manifest.json")
+	onDisk, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	s := New(Config{Store: st, Logf: t.Logf})
+	t.Cleanup(s.Close)
+	if n, err := s.Warm(-1); err != nil || n != 5 {
+		t.Fatalf("Warm = %d, %v; want 5 (a single, 3 members and the grouping)", n, err)
+	}
+	s.Flush()
+	e, ok := s.lookup(spec.key())
+	if !ok {
+		t.Fatal("Warm did not cache the grouping")
+	}
+	assertMembersShared(t, s, spec, e)
+	if after, _ := st.GetPortfolio(spec.key()); !after.Created.Equal(before.Created) {
+		t.Errorf("grouping row Created moved from %v to %v", before.Created, after.Created)
+	}
+	if now, err := os.ReadFile(manifest); err != nil || !bytes.Equal(now, onDisk) {
+		t.Errorf("Warm rewrote the manifest (err %v)", err)
+	}
+	if runs := s.genRuns.Load(); runs != 0 {
+		t.Errorf("Warm ran %d generations, want 0", runs)
+	}
+}
+
+// TestWarmSkipsMalformedGroupingRows: grouping rows a hand-edited
+// manifest can hold — one naming a one-structure spec, one listing fewer
+// members than its spec's K — are not portfolios Warm can assemble from
+// cached members. Warm skips them instead of reaching generation, and
+// still lands the real grouping.
+func TestWarmSkipsMalformedGroupingRows(t *testing.T) {
+	dir := t.TempDir()
+	spec := warmStore(t, dir, 0, true)
+	st := openStore(t, dir)
+	one := testSpec(99)
+	short := portfolioSpec(98)
+	for _, odd := range []GenerateSpec{one, short} {
+		if err := odd.normalize(); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := st.RecordPortfolio(store.PortfolioMeta{
+			Key: odd.key(), Circuit: odd.Circuit, Seed: odd.Seed,
+			Options: string(mustSpecJSON(odd)), Members: []string{spec.memberSpec(0).key()},
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	s := New(Config{Store: st, Logf: t.Logf})
+	t.Cleanup(s.Close)
+	if n, err := s.Warm(-1); err != nil || n != 4 {
+		t.Errorf("Warm = %d, %v; want 4 (3 members and the portfolio)", n, err)
+	}
+	if runs := s.genRuns.Load(); runs != 0 {
+		t.Errorf("Warm ran %d generations, want 0", runs)
+	}
+	if _, ok := s.lookup(spec.key()); !ok {
+		t.Error("Warm did not land the real grouping")
+	}
+}
+
+// TestWarmRestartAnswersIdentical is the store leg of the answer oracle: a
+// server restarted over the same directory answers /v1/instantiate byte
+// for byte as the generating server did, from the v2 files the store
+// writes and again from legacy v3 files, with no generation run and the
+// portfolio cached by Warm. The queries are box-drawn from every member,
+// both corners of stored boxes, uniform in the designer bounds, and one
+// out of bounds, each unweighted and under wire-only and area-only query
+// weights.
+func TestWarmRestartAnswersIdentical(t *testing.T) {
+	dir := t.TempDir()
+	single := testSpec(50)
+	pf := testSpec(51)
+	pf.Portfolio = 3
+	pf.MemberWeights = []WeightsSpec{{Area: 1}, {Wire: 1}, {Aspect: 1}}
+
+	s1, ts1 := newTestServer(t, Config{Store: openStore(t, dir), Logf: t.Logf})
+	var structures []*core.Structure
+	for _, spec := range []GenerateSpec{single, pf} {
+		info, err := s1.Generate(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		e, ok := s1.lookup(info.Key)
+		if !ok {
+			t.Fatalf("%s is not cached", info.Key)
+		}
+		for i := 0; i < e.p.K(); i++ {
+			structures = append(structures, e.p.Member(i))
+		}
+	}
+	s1.Flush()
+
+	c := circuits.MustByName("circ01")
+	rng := rand.New(rand.NewSource(52))
+	var queries []map[string][]int
+	for _, st := range structures {
+		ids := st.IDs()
+		for q := 0; q < 4; q++ {
+			p := st.Get(ids[rng.Intn(len(ids))])
+			ws, hs := make([]int, c.N()), make([]int, c.N())
+			for i := range ws {
+				ws[i] = p.WLo[i] + rng.Intn(p.WHi[i]-p.WLo[i]+1)
+				hs[i] = p.HLo[i] + rng.Intn(p.HHi[i]-p.HLo[i]+1)
+			}
+			queries = append(queries, map[string][]int{"ws": ws, "hs": hs})
+			if q < 2 {
+				// Get returns a fresh copy: its bounds are the box corners.
+				queries = append(queries,
+					map[string][]int{"ws": p.WLo, "hs": p.HLo},
+					map[string][]int{"ws": p.WHi, "hs": p.HHi})
+			}
+		}
+	}
+	for q := 0; q < 8; q++ {
+		ws, hs := make([]int, c.N()), make([]int, c.N())
+		for i, b := range c.Blocks {
+			ws[i], hs[i] = b.WRange().Rand(rng), b.HRange().Rand(rng)
+		}
+		queries = append(queries, map[string][]int{"ws": ws, "hs": hs})
+	}
+	oob := testQuery(t, 0)
+	oob["ws"] = slices.Clone(oob["ws"])
+	oob["ws"][0] = c.Blocks[0].WMax + 1
+	queries = append(queries, oob)
+
+	// answers posts every (spec, query weights) batch to url, in order.
+	answers := func(url string) []string {
+		var out []string
+		for _, spec := range []GenerateSpec{single, pf} {
+			for _, w := range []map[string]float64{nil, {"wire": 1}, {"area": 1}} {
+				req := map[string]any{"spec": spec, "queries": queries}
+				if w != nil {
+					req["weights"] = w
+				}
+				code, body := postJSON(t, url+"/v1/instantiate", req, nil)
+				if code != http.StatusOK {
+					t.Fatalf("instantiate: %d %s", code, body)
+				}
+				out = append(out, body)
+			}
+		}
+		return out
+	}
+	want := answers(ts1.URL)
+	for i, body := range want {
+		if !strings.Contains(body, `"from_backup":false}`) || !strings.Contains(body, `"error":`) {
+			t.Fatalf("batch %d has no stored answer or no out-of-bounds error: %s", i, body)
+		}
+	}
+
+	pfNorm := pf
+	if err := pfNorm.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	restart := func(legacy string) {
+		t.Helper()
+		s, ts := newTestServer(t, Config{Store: openStore(t, dir), Logf: t.Logf})
+		if _, err := s.Warm(-1); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := s.lookup(pfNorm.key()); !ok {
+			t.Fatalf("%s: Warm did not cache the portfolio", legacy)
+		}
+		for i, got := range answers(ts.URL) {
+			if got != want[i] {
+				t.Errorf("%s: batch %d differs after the restart:\n got  %s\n want %s", legacy, i, got, want[i])
+			}
+		}
+		if runs := s.genRuns.Load(); runs != 0 {
+			t.Errorf("%s: restarted server ran %d generations, want 0", legacy, runs)
+		}
+	}
+	restart("v2 files")
+
+	// Leave every structure file as an earlier version wrote it: legacy v3.
+	st := openStore(t, dir)
+	keys := []string{specKey(t, single)}
+	for i := 0; i < pfNorm.Portfolio; i++ {
+		keys = append(keys, pfNorm.memberSpec(i).key())
+	}
+	for i, key := range keys {
+		meta, ok := st.Stat(key)
+		if !ok {
+			t.Fatalf("%s was not persisted", key)
+		}
+		var v3 bytes.Buffer
+		if err := structures[i].SaveBinaryCompiled(&v3); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dir, meta.File), v3.Bytes(), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restart("v3 files")
 }

@@ -13,7 +13,6 @@ import (
 	"strings"
 	"testing"
 
-	"mps"
 	"mps/internal/circuits"
 )
 
@@ -258,9 +257,10 @@ func TestInstantiateWeightedRouting(t *testing.T) {
 }
 
 // TestWeightedPortfolioWarmRestart: the manifest's grouping row records
-// each member's generation weight key, and a restarted server rebuilds
-// the portfolio with the same member-weight metadata — warm starts keep
-// the weight record the generating server published.
+// each member's generation weight key, and a restarted server warms the
+// portfolio from its cached member entries — each member is the member
+// entry's structure, not a private copy — while the row keeps its weight
+// record.
 func TestWeightedPortfolioWarmRestart(t *testing.T) {
 	dir := t.TempDir()
 	spec := weightedPortfolioSpec(5)
@@ -274,27 +274,52 @@ func TestWeightedPortfolioWarmRestart(t *testing.T) {
 	s1.Flush()
 
 	st := openStore(t, dir)
+	const wantWeights = "0,1,0;1,0,0"
 	rows := st.Portfolios()
 	if len(rows) != 1 {
 		t.Fatalf("persisted portfolio rows: %+v, want one", rows)
 	}
-	if got, want := strings.Join(rows[0].MemberWeights, ";"), "0,1,0;1,0,0"; got != want {
-		t.Fatalf("persisted member weights = %q, want %q", got, want)
+	if got := strings.Join(rows[0].MemberWeights, ";"); got != wantWeights {
+		t.Fatalf("persisted member weights = %q, want %q", got, wantWeights)
 	}
 
 	s2, _ := newTestServer(t, Config{Store: st, Logf: t.Logf})
 	if _, err := s2.Warm(-1); err != nil {
 		t.Fatal(err)
 	}
+	s2.Flush()
 	e, ok := s2.lookup(info.Key)
 	if !ok || e.p == nil {
 		t.Fatalf("warmed server lacks portfolio entry %q", info.Key)
 	}
-	got := e.p.MemberWeights()
-	if len(got) != 2 || got[0] != (mps.Weights{Area: 1}) || got[1] != (mps.Weights{Wire: 1}) {
-		t.Errorf("restored member weights = %+v, want [{Area:1} {Wire:1}]", got)
+	norm := spec
+	if err := norm.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	assertMembersShared(t, s2, norm, e)
+	if row, ok := st.GetPortfolio(info.Key); !ok || strings.Join(row.MemberWeights, ";") != wantWeights {
+		t.Errorf("grouping row after the warm start: %+v (ok=%v), want member weights %q", row, ok, wantWeights)
 	}
 	if runs := s2.genRuns.Load(); runs != 0 {
 		t.Errorf("warm restart ran %d generations, want 0", runs)
+	}
+}
+
+// assertMembersShared checks that every member of the portfolio entry e is
+// the structure its member entry holds (pointer-equal), so the portfolio
+// shares its members' decoded structures and compiled indices.
+func assertMembersShared(t *testing.T, s *Server, spec GenerateSpec, e *entry) {
+	t.Helper()
+	if e.p.K() != spec.Portfolio {
+		t.Fatalf("portfolio entry has %d members, want %d", e.p.K(), spec.Portfolio)
+	}
+	for i := 0; i < spec.Portfolio; i++ {
+		me, ok := s.lookup(spec.memberSpec(i).key())
+		if !ok {
+			t.Fatalf("member %d is not a cache entry", i)
+		}
+		if e.p.Member(i) != me.p.Member(0) {
+			t.Errorf("portfolio member %d is a private copy, not the member entry's structure", i)
+		}
 	}
 }

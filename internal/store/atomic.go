@@ -6,6 +6,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"time"
 )
 
@@ -63,6 +64,21 @@ func Quarantine(dir, name string) (string, error) {
 		return "", err
 	}
 	return aside, nil
+}
+
+// HasQuarantined reports whether dir holds a file Quarantine moved name
+// aside to, from this process or an earlier one.
+func HasQuarantined(dir, name string) (bool, error) {
+	files, err := os.ReadDir(dir)
+	if err != nil {
+		return false, err
+	}
+	for _, f := range files {
+		if strings.HasPrefix(f.Name(), name+".corrupt-") {
+			return true, nil
+		}
+	}
+	return false, nil
 }
 
 // syncDir fsyncs a directory so the rename itself is durable. Best-effort:

@@ -93,9 +93,9 @@ type PortfolioMeta struct {
 	// MemberWeights records each member's generation weight vector as its
 	// canonical key string (cost.Weights.Key), "" for members generated
 	// under the default objective. Empty for weightless portfolios, else
-	// length len(Members) — persisted so a warm start restores the same
-	// weight metadata (and thus the same routing-relevant record) the
-	// generating server published.
+	// length len(Members). It is a record for operators: nothing reads it
+	// back, since Key already names every member's objective and routing
+	// follows query weights.
 	MemberWeights []string `json:"member_weights,omitempty"`
 	// Placements and Coverage snapshot the portfolio at record time:
 	// summed stored placements and the merged (union) covered fraction.
@@ -194,7 +194,7 @@ func Open(root string) (*Dir, error) {
 // nothing while a quarantined manifest (manifestName.corrupt-*) is in the
 // directory: an operator repairing it may need the files its rows name.
 func (d *Dir) sweepOrphans() {
-	if q, _ := filepath.Glob(filepath.Join(d.root, manifestName+".corrupt-*")); len(q) > 0 {
+	if q, err := HasQuarantined(d.root, manifestName); err != nil || q {
 		return
 	}
 	named := make(map[string]bool, len(d.entries))

@@ -8,7 +8,10 @@ package mps
 // portfolio raises the covered fraction, and where members overlap the
 // query routes to the member whose placement instantiates with the
 // smallest bounding-box area (ties: least dead space, then lowest member
-// index). Only queries no member covers fall back to the backup.
+// index), or, for a query that carries weights, with the smallest cost
+// under those weights. Only queries no member covers fall back to the
+// backup. A portfolio is its members: what objective or seed made each
+// one is the generator's business (Request), not the portfolio's.
 
 import (
 	"fmt"
@@ -24,11 +27,6 @@ type Portfolio struct {
 	*portfolio.Portfolio
 }
 
-// PortfolioResult re-exports the portfolio instantiation result: the
-// winning member's placement answer plus the Member index that produced
-// it (-1 when the backup answered). PlacementID is member-local.
-type PortfolioResult = portfolio.Result
-
 // MaxPortfolioMembers re-exports the K bound.
 const MaxPortfolioMembers = portfolio.MaxMembers
 
@@ -38,20 +36,6 @@ const MaxPortfolioMembers = portfolio.MaxMembers
 // member generated for a portfolio is bit-identical to — and deduplicates
 // against — the single structure generated from the same derived seed.
 func PortfolioMemberSeed(seed int64, i int) int64 { return portfolio.MemberSeed(seed, i) }
-
-// newPortfolio wraps generated/loaded members in the routing layer,
-// recording each member's generation weights when known (nil = none).
-func newPortfolio(members []*Structure, weights []Weights, stats []Stats) (*Portfolio, []Stats, error) {
-	inner := make([]*core.Structure, len(members))
-	for i, m := range members {
-		inner[i] = m.Structure
-	}
-	p, err := portfolio.NewWeighted(inner, weights)
-	if err != nil {
-		return nil, stats, fmt.Errorf("mps: %w", err)
-	}
-	return &Portfolio{p}, stats, nil
-}
 
 // SaveFiles writes each member to its path (v2 binary, atomically, as
 // SaveFile writes it), member i to paths[i] — the file layout LoadPortfolio
@@ -85,38 +69,25 @@ func LoadPortfolio(paths []string, c *Circuit) (*Portfolio, error) {
 		}
 		members[i] = m
 	}
-	p, _, err := newPortfolio(members, nil, nil)
-	return p, err
+	return NewPortfolio(members)
 }
 
-// NewPortfolio assembles a portfolio from already-built structures (for
-// callers that generate or load members themselves, e.g. the serving
-// layer's fan-out). Member order is preserved.
+// NewPortfolio assembles a portfolio from already-built structures, in
+// member order; it is the one constructor (Run, LoadPortfolio and the
+// serving layer's fan-in all end here). A portfolio holds its members and
+// nothing else: how each was generated never enters routing, which
+// follows the query's weights.
 func NewPortfolio(members []*Structure) (*Portfolio, error) {
-	return NewPortfolioWeighted(members, nil)
-}
-
-// NewPortfolioWeighted is NewPortfolio additionally recording each
-// member's generation weights (empty = no record, zero entry = default
-// objective; must otherwise be length K with valid vectors). The record
-// is metadata — MemberWeights reporting and manifest persistence —
-// routing always follows the query's weights.
-func NewPortfolioWeighted(members []*Structure, weights []Weights) (*Portfolio, error) {
+	inner := make([]*core.Structure, len(members))
 	for i, m := range members {
 		if m == nil {
 			return nil, fmt.Errorf("mps: portfolio member %d is nil", i)
 		}
+		inner[i] = m.Structure
 	}
-	p, _, err := newPortfolio(members, weights, nil)
-	return p, err
-}
-
-// SetBackupKind installs the uncovered-space backup selected by kind on
-// every member, replacing any installed backup. Like
-// Structure.SetBackupKind this is safe without recompiling: compiled
-// indices read the backup through their source structure at query time.
-func (p *Portfolio) SetBackupKind(kind BackupKind) {
-	for _, m := range p.Members() {
-		m.SetBackup(newBackup(m.Circuit(), kind))
+	p, err := portfolio.New(inner)
+	if err != nil {
+		return nil, fmt.Errorf("mps: %w", err)
 	}
+	return &Portfolio{p}, nil
 }

@@ -60,19 +60,14 @@ type Request struct {
 	// MaxPortfolioMembers a K-member Portfolio. (K == 1 is a genuine
 	// 1-member portfolio.)
 	K int
-	// MemberBackends optionally overrides Backend per portfolio member:
-	// member i uses MemberBackends[i] when non-empty, else Backend. Must
-	// be empty or length K. Mixing backends widens portfolio coverage —
-	// members explore dimension space with different search dynamics.
-	MemberBackends []string
 	// Weights selects the generation objective (zero = the default
 	// balanced cost, bit-identical to generation before weights existed).
 	// For portfolios it is the objective of every member MemberWeights
 	// does not override.
 	Weights Weights
-	// MemberWeights optionally overrides Weights per portfolio member
-	// (mirroring MemberBackends): member i uses MemberWeights[i] when
-	// non-zero, else Weights. Must be empty or length K.
+	// MemberWeights optionally overrides Weights per portfolio member:
+	// member i uses MemberWeights[i] when non-zero, else Weights. Must be
+	// empty or length K.
 	//
 	// When K > 1 and both Weights and MemberWeights are empty, the
 	// default weight ladder (WeightLadder) replaces seed-only member
@@ -82,14 +77,6 @@ type Request struct {
 	// explicit all-zero MemberWeights of length K to opt out and get the
 	// historical seed-only diversity.
 	MemberWeights []Weights
-}
-
-// backendFor resolves member i's backend name ("" = Request.Backend).
-func (req Request) backendFor(i int) string {
-	if i < len(req.MemberBackends) && req.MemberBackends[i] != "" {
-		return req.MemberBackends[i]
-	}
-	return req.Backend
 }
 
 // weightFor resolves member i's generation weights (zero entry =
@@ -112,7 +99,7 @@ type RunResult struct {
 }
 
 // Run is the backend-aware generation entry point: it validates the
-// request (including every backend name) before any annealing or
+// request (including the backend name) before any annealing or
 // evolution starts, generates the structure or the portfolio members
 // (members concurrently, each from its PortfolioMemberSeed-derived
 // seed), and installs the Options.Backup uncovered-space fallback on
@@ -134,9 +121,6 @@ func Run(ctx context.Context, req Request) (RunResult, error) {
 		}
 	}
 	if req.K == 0 {
-		if len(req.MemberBackends) != 0 {
-			return RunResult{}, fmt.Errorf("mps: run: member backends given for a single-structure request")
-		}
 		if len(req.MemberWeights) != 0 {
 			return RunResult{}, fmt.Errorf("mps: run: member weights given for a single-structure request")
 		}
@@ -149,18 +133,9 @@ func Run(ctx context.Context, req Request) (RunResult, error) {
 	if req.K < 0 || req.K > MaxPortfolioMembers {
 		return RunResult{}, fmt.Errorf("mps: portfolio size %d outside [1, %d]", req.K, MaxPortfolioMembers)
 	}
-	if len(req.MemberBackends) != 0 && len(req.MemberBackends) != req.K {
-		return RunResult{}, fmt.Errorf("mps: run: %d member backends for a %d-member portfolio",
-			len(req.MemberBackends), req.K)
-	}
 	if len(req.MemberWeights) != 0 && len(req.MemberWeights) != req.K {
 		return RunResult{}, fmt.Errorf("mps: run: %d member weights for a %d-member portfolio",
 			len(req.MemberWeights), req.K)
-	}
-	for i := 0; i < req.K; i++ {
-		if _, err := gen.ByName(req.backendFor(i)); err != nil {
-			return RunResult{}, fmt.Errorf("mps: portfolio member %d: %w", i, err)
-		}
 	}
 	// Weight-diverse by default: K > 1 with no weights named gets the
 	// ladder. Seed-only diversity remains one explicit all-zero
@@ -180,7 +155,7 @@ func Run(ctx context.Context, req Request) (RunResult, error) {
 			defer wg.Done()
 			mopts := req.Options
 			mopts.Seed = PortfolioMemberSeed(req.Options.Seed, i)
-			members[i], stats[i], errs[i] = generateBackend(ctx, req.Circuit, mopts, req.backendFor(i), req.weightFor(i))
+			members[i], stats[i], errs[i] = generateBackend(ctx, req.Circuit, mopts, req.Backend, req.weightFor(i))
 		}(i)
 	}
 	wg.Wait()
@@ -189,11 +164,7 @@ func Run(ctx context.Context, req Request) (RunResult, error) {
 			return RunResult{Stats: stats}, fmt.Errorf("mps: generating portfolio member %d: %w", i, err)
 		}
 	}
-	weights := make([]Weights, req.K)
-	for i := range weights {
-		weights[i] = req.weightFor(i)
-	}
-	p, stats, err := newPortfolio(members, weights, stats)
+	p, err := NewPortfolio(members)
 	if err != nil {
 		return RunResult{Stats: stats}, err
 	}

@@ -47,50 +47,21 @@ func TestRunUnknownBackend(t *testing.T) {
 			t.Errorf("error %q does not mention %s", err, want)
 		}
 	}
-
-	// Member backends are validated before any generation starts.
-	_, err = Run(context.Background(), Request{
-		Circuit: c, Options: tinyOpts(1), K: 2, MemberBackends: []string{"anneal", "bogus"},
-	})
-	if err == nil || !strings.Contains(err.Error(), "member 1") {
-		t.Errorf("bad member backend error = %v, want a member-1 mention", err)
-	}
 }
 
-// TestRunPortfolioMixedBackends: a 2-member portfolio with one anneal
-// and one GA member routes queries across both, and each member is
-// bit-identical to the same backend run standalone from the derived
-// member seed and the same ladder weights — the dedup rule the serving
-// layer relies on. (A weightless K>1 request gets the default weight
-// ladder, so the standalone runs name their ladder rung explicitly.)
-func TestRunPortfolioMixedBackends(t *testing.T) {
-	c, err := Benchmark("circ01")
-	if err != nil {
-		t.Fatal(err)
+// assertMembersSolo checks that each member of a portfolio Run made from
+// opts and backend is bit-identical to a standalone K=0 run of the same
+// backend at the member's derived seed under weights[i]: the dedup rule
+// the serving layer relies on.
+func assertMembersSolo(t *testing.T, c *Circuit, opts Options, backend string, weights []Weights, p *Portfolio) {
+	t.Helper()
+	if p.K() != len(weights) {
+		t.Fatalf("K() = %d, want %d", p.K(), len(weights))
 	}
-	opts := tinyOpts(5)
-	res, err := Run(context.Background(), Request{
-		Circuit: c, Options: opts, K: 2, MemberBackends: []string{"anneal", "ga"},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Portfolio == nil || res.Structure != nil {
-		t.Fatalf("portfolio result shape wrong: %+v", res)
-	}
-	if got := res.Portfolio.K(); got != 2 {
-		t.Fatalf("K() = %d, want 2", got)
-	}
-	if len(res.Stats) != 2 {
-		t.Fatalf("len(Stats) = %d, want 2", len(res.Stats))
-	}
-
-	for i, backend := range []string{"anneal", "ga"} {
+	for i, w := range weights {
 		mopts := opts
 		mopts.Seed = PortfolioMemberSeed(opts.Seed, i)
-		solo, err := Run(context.Background(), Request{
-			Circuit: c, Options: mopts, Backend: backend, Weights: WeightLadder(2)[i],
-		})
+		solo, err := Run(context.Background(), Request{Circuit: c, Options: mopts, Backend: backend, Weights: w})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -98,19 +69,52 @@ func TestRunPortfolioMixedBackends(t *testing.T) {
 		if err := solo.Structure.SaveBinary(&a); err != nil {
 			t.Fatal(err)
 		}
-		ms := &Structure{Structure: res.Portfolio.Member(i)}
+		ms := &Structure{Structure: p.Member(i)}
 		if err := ms.SaveBinary(&b); err != nil {
 			t.Fatal(err)
 		}
 		if !bytes.Equal(a.Bytes(), b.Bytes()) {
-			t.Errorf("member %d (%s) differs from a standalone run at its derived seed", i, backend)
+			t.Errorf("%s member %d differs from a standalone run at its derived seed under %+v", backend, i, w)
 		}
 	}
+}
 
+// TestRunPortfolioMixedBackends: a K=2 portfolio per backend, each member
+// bit-identical to the same backend run standalone from the derived member
+// seed and its ladder rung. (A weightless K>1 request gets the default
+// weight ladder, so the standalone runs name their rung explicitly.) A
+// portfolio mixing backends is assembled from such members with
+// NewPortfolio, and routes across them.
+func TestRunPortfolioMixedBackends(t *testing.T) {
+	c, err := Benchmark("circ01")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := tinyOpts(5)
+	var mixed []*Structure
+	for i, backend := range []string{"anneal", "ga"} {
+		res, err := Run(context.Background(), Request{Circuit: c, Options: opts, Backend: backend, K: 2})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Portfolio == nil || res.Structure != nil {
+			t.Fatalf("%s: portfolio result shape wrong: %+v", backend, res)
+		}
+		if len(res.Stats) != 2 {
+			t.Fatalf("%s: len(Stats) = %d, want 2", backend, len(res.Stats))
+		}
+		assertMembersSolo(t, c, opts, backend, WeightLadder(2), res.Portfolio)
+		mixed = append(mixed, &Structure{Structure: res.Portfolio.Member(i)})
+	}
+
+	p, err := NewPortfolio(mixed)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rng := rand.New(rand.NewSource(6))
 	for q := 0; q < 32; q++ {
 		ws, hs := randomDims(c, rng)
-		pres, err := res.Portfolio.Instantiate(ws, hs)
+		pres, err := p.Instantiate(ws, hs)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -135,16 +139,6 @@ func TestRunRejectsBadShapes(t *testing.T) {
 		t.Error("oversized K accepted")
 	}
 	if _, err := Run(context.Background(), Request{
-		Circuit: c, Options: tinyOpts(1), K: 3, MemberBackends: []string{"ga"},
-	}); err == nil {
-		t.Error("mismatched MemberBackends length accepted")
-	}
-	if _, err := Run(context.Background(), Request{
-		Circuit: c, Options: tinyOpts(1), MemberBackends: []string{"ga"},
-	}); err == nil {
-		t.Error("MemberBackends on a single-structure request accepted")
-	}
-	if _, err := Run(context.Background(), Request{
 		Circuit: c, Options: tinyOpts(1), MemberWeights: []Weights{{Wire: 1}},
 	}); err == nil {
 		t.Error("MemberWeights on a single-structure request accepted")
@@ -167,56 +161,47 @@ func TestRunRejectsBadShapes(t *testing.T) {
 }
 
 // TestRunWeightLadderDefault pins the weight-diversity default: a
-// weightless K>1 request records the ladder on its members, an explicit
-// all-zero MemberWeights opts out, and each ladder member is
-// bit-identical to a standalone run naming that rung — so the ladder
-// changes which objective members optimize, never how a given
-// (seed, weights) generation behaves.
+// weightless K>1 request generates each member under its ladder rung, and
+// an explicit all-zero MemberWeights opts out to weightless members. Every
+// member is bit-identical to a standalone K=0 run at its derived seed
+// under the objective it should have had, so the ladder changes which
+// objective members optimize, never how a given (seed, weights)
+// generation behaves.
 func TestRunWeightLadderDefault(t *testing.T) {
 	c, err := Benchmark("circ01")
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := Run(context.Background(), Request{Circuit: c, Options: tinyOpts(9), K: 2})
+	res, err := Run(context.Background(), Request{Circuit: c, Options: tinyOpts(9), K: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ladder := WeightLadder(2)
-	got := res.Portfolio.MemberWeights()
-	for i := range ladder {
-		if got[i] != ladder[i] {
-			t.Errorf("member %d weights %+v, want ladder rung %+v", i, got[i], ladder[i])
-		}
-	}
+	assertMembersSolo(t, c, tinyOpts(9), DefaultBackend, WeightLadder(3), res.Portfolio)
 
 	optOut, err := Run(context.Background(), Request{
-		Circuit: c, Options: tinyOpts(9), K: 2, MemberWeights: make([]Weights, 2),
+		Circuit: c, Options: tinyOpts(9), K: 3, MemberWeights: make([]Weights, 3),
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i, w := range optOut.Portfolio.MemberWeights() {
-		if !w.IsZero() {
-			t.Errorf("opted-out member %d weights %+v, want zero", i, w)
+	assertMembersSolo(t, c, tinyOpts(9), DefaultBackend, make([]Weights, 3), optOut.Portfolio)
+
+	// The ladder must have changed what generated: at these budgets a
+	// rung-weighted member differs from its weightless twin.
+	differs := 0
+	for i := 0; i < 3; i++ {
+		var a, b bytes.Buffer
+		if err := (&Structure{Structure: res.Portfolio.Member(i)}).SaveBinary(&a); err != nil {
+			t.Fatal(err)
+		}
+		if err := (&Structure{Structure: optOut.Portfolio.Member(i)}).SaveBinary(&b); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(a.Bytes(), b.Bytes()) {
+			differs++
 		}
 	}
-
-	// Ladder member 1 == standalone wire-heavy run at the derived seed.
-	mopts := tinyOpts(9)
-	mopts.Seed = PortfolioMemberSeed(9, 1)
-	solo, err := Run(context.Background(), Request{Circuit: c, Options: mopts, Weights: ladder[1]})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var a, b bytes.Buffer
-	if err := solo.Structure.SaveBinary(&a); err != nil {
-		t.Fatal(err)
-	}
-	ms := &Structure{Structure: res.Portfolio.Member(1)}
-	if err := ms.SaveBinary(&b); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
-		t.Error("ladder member 1 differs from a standalone wire-heavy run at its derived seed")
+	if differs == 0 {
+		t.Error("every ladder member is bit-identical to its opted-out twin: the ladder generated nothing different")
 	}
 }
