@@ -130,7 +130,9 @@ func main() {
 	workers := flag.Int("workers", 0, "instantiate worker pool size (0 = GOMAXPROCS)")
 	maxBatch := flag.Int("max-batch", 8192, "max queries per instantiate request")
 	maxIterations := flag.Int("max-iterations", 5000,
-		"cap on per-request explorer iterations (negative disables)")
+		"cap on explorer iterations and BDIO steps of every spec this node admits: requests, "+
+			"bare keys' recorded specs, warm-start rows, resumed jobs and rebalance pushes; "+
+			"a request's spec is checked on the entry node, before forwarding (negative disables)")
 	preload := flag.String("preload", "",
 		"comma-free circuit name to generate at startup with quick effort")
 	preloadBackend := flag.String("preload-backend", "",

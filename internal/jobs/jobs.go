@@ -508,17 +508,10 @@ func (s *Scheduler) cancel(id string, queuedOnly bool) (Snapshot, error) {
 	switch j.snap.State {
 	case StateQueued:
 		heap.Remove(&s.queue, j.heapIndex)
-		j.snap.State = StateCancelled
-		j.snap.Error = "cancelled while queued"
-		j.snap.Finished = time.Now().UTC()
-		abandon := j.abandon
-		j.run, j.onDone, j.abandon = nil, nil, nil
-		j.trace = nil
-		close(j.done)
+		_, abandon := s.finishLocked(j, StateCancelled, "cancelled while queued")
 		s.pruneLocked()
 		snap := j.snap
 		s.mu.Unlock()
-		s.tot.cancelled.Add(1)
 		if abandon != nil && !queuedOnly {
 			abandon(fmt.Errorf("%w while queued", ErrCancelled))
 		}
@@ -624,16 +617,9 @@ func (s *Scheduler) Close() {
 			if j.heapIndex >= 0 {
 				heap.Remove(&s.queue, j.heapIndex)
 			}
-			j.snap.State = StateCancelled
-			j.snap.Error = "scheduler shutting down"
-			j.snap.Finished = time.Now().UTC()
-			s.tot.cancelled.Add(1)
-			if j.abandon != nil {
-				abandons = append(abandons, j.abandon)
+			if _, abandon := s.finishLocked(j, StateCancelled, "scheduler shutting down"); abandon != nil {
+				abandons = append(abandons, abandon)
 			}
-			j.run, j.onDone, j.abandon = nil, nil, nil
-			j.trace = nil
-			close(j.done)
 		case StateRunning:
 			if j.cancel != nil {
 				j.cancel()
@@ -684,39 +670,25 @@ func (s *Scheduler) worker() {
 		wasCancelled := ctx.Err() != nil // read before the releasing cancel below
 		cancel()
 
-		s.mu.Lock()
-		j.cancel = nil
-		j.run, j.abandon = nil, nil
-		j.trace = nil
-		onDone := j.onDone
-		j.onDone = nil
-		j.snap.Finished = time.Now().UTC()
-		switch {
-		case err == nil:
-			j.snap.State = StateDone
-			s.lastDone[j.snap.Key] = j
-		case wasCancelled:
-			// The context ended (Cancel or Close): however the run function
-			// dressed the error, this was a cancellation, not a fault.
-			j.snap.State = StateCancelled
-			j.snap.Error = err.Error()
-		default:
-			j.snap.State = StateFailed
-			j.snap.Error = err.Error()
+		state, msg := StateDone, ""
+		if err != nil {
+			state, msg = StateFailed, err.Error()
+			if wasCancelled {
+				// The context ended (Cancel or Close): however the run
+				// function dressed the error, this was a cancellation, not a
+				// fault.
+				state = StateCancelled
+			}
 		}
-		close(j.done)
+		s.mu.Lock()
+		onDone, _ := s.finishLocked(j, state, msg)
+		if state == StateDone {
+			s.lastDone[j.snap.Key] = j
+		}
 		s.pruneLocked()
 		closed := s.closed
 		snap := j.snap
 		s.mu.Unlock()
-		switch snap.State {
-		case StateDone:
-			s.tot.done.Add(1)
-		case StateFailed:
-			s.tot.failed.Add(1)
-		case StateCancelled:
-			s.tot.cancelled.Add(1)
-		}
 		if !closed {
 			s.saveState()
 		}
@@ -724,6 +696,28 @@ func (s *Scheduler) worker() {
 			onDone(snap)
 		}
 	}
+}
+
+// finishLocked is a job's one terminal transition: it stamps the state,
+// error text and finish time, drops the submitter's hooks and trace,
+// closes done and counts the transition. It returns the hooks so the
+// caller can fire the one it still owes once s.mu is released: onDone for
+// a job that ran, abandon for one cancelled while queued. Callers must
+// hold s.mu.
+func (s *Scheduler) finishLocked(j *job, state State, msg string) (onDone func(Snapshot), abandon func(error)) {
+	j.snap.State, j.snap.Error, j.snap.Finished = state, msg, time.Now().UTC()
+	onDone, abandon = j.onDone, j.abandon
+	j.run, j.onDone, j.abandon, j.trace, j.cancel = nil, nil, nil, nil, nil
+	close(j.done)
+	switch state {
+	case StateDone:
+		s.tot.done.Add(1)
+	case StateFailed:
+		s.tot.failed.Add(1)
+	case StateCancelled:
+		s.tot.cancelled.Add(1)
+	}
+	return onDone, abandon
 }
 
 // invoke runs a job's function with panic containment: a panicking

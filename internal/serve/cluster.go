@@ -29,6 +29,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -323,26 +324,28 @@ func (s *Server) generateOnOwner(sp obs.SpanRef, spec GenerateSpec) (*mps.Portfo
 }
 
 // entryForKey resolves a bare cache key — the instantiate fast path — in
-// cluster order: LRU, local store (rebuilding the spec from the manifest
-// row), then the key's owner (resolving the spec remotely and pulling the
-// artifact through the ordinary entry pipeline). A nil entry with nil
-// error means the key is unknown everywhere reachable.
+// cluster order: LRU, local store (the manifest row's recorded spec), then
+// the key's owner (the spec it records; the artifact follows through the
+// ordinary entry pipeline). The first record found is admitted through
+// recordedSpec, so a record over this node's caps answers the refusal a
+// spec-addressed request gets; every LRU entry was admitted already. A nil
+// entry with nil error means the key is unknown everywhere reachable.
 func (s *Server) entryForKey(ctx context.Context, key string) (*entry, error) {
 	if e, ok := s.lookup(key); ok {
 		return e, nil
 	}
-	// specFromOptions only returns specs that rebuild exactly key.
-	if spec, ok := s.specFromStore(key); ok {
-		e, _, err := s.structureFor(ctx, spec, key)
-		return e, err
+	spec, err := s.recordedSpec(key, s.storedSpec(key))
+	if errors.Is(err, errNoRecord) && s.cluster != nil && !forwardedFromCtx(ctx) {
+		spec, err = s.recordedSpec(key, s.peerSpec(ctx, key))
 	}
-	if s.cluster != nil && !forwardedFromCtx(ctx) {
-		if spec, ok := s.specFromPeer(ctx, key); ok {
-			e, _, err := s.structureFor(ctx, spec, key)
-			return e, err
-		}
+	switch {
+	case errors.Is(err, errNoRecord):
+		return nil, nil
+	case err != nil:
+		return nil, err
 	}
-	return nil, nil
+	e, _, err := s.structureFor(ctx, spec, key)
+	return e, err
 }
 
 // forwardedCtxKey marks request contexts of already-forwarded requests so
@@ -354,31 +357,27 @@ func forwardedFromCtx(ctx context.Context) bool {
 	return v
 }
 
-// specFromStore rebuilds the GenerateSpec recorded for key in the local
-// store manifest (structure row or portfolio grouping row).
-func (s *Server) specFromStore(key string) (GenerateSpec, bool) {
+// storedSpec returns the spec JSON the local store manifest records for
+// key (structure row or portfolio grouping row), "" when it has none.
+func (s *Server) storedSpec(key string) string {
 	if s.cfg.Store == nil {
-		return GenerateSpec{}, false
+		return ""
 	}
-	var opts string
 	if m, ok := s.cfg.Store.Stat(key); ok {
-		opts = m.Options
-	} else if row, ok := s.cfg.Store.GetPortfolio(key); ok {
-		opts = row.Options
-	} else {
-		return GenerateSpec{}, false
+		return m.Options
 	}
-	return specFromOptions(key, opts, s.logf)
+	row, _ := s.cfg.Store.GetPortfolio(key)
+	return row.Options
 }
 
-// specFromPeer asks the key's owner which spec the key denotes (metadata
-// only — the artifact follows through the entry pipeline, where every
-// replica gets a chance to serve it).
-func (s *Server) specFromPeer(ctx context.Context, key string) (GenerateSpec, bool) {
+// peerSpec asks the key's owner which spec JSON it records for the key
+// (metadata only — the artifact follows through the entry pipeline, where
+// every replica gets a chance to serve it), "" when it records none.
+func (s *Server) peerSpec(ctx context.Context, key string) string {
 	c := s.cluster
 	owner := c.Owner(key)
 	if owner == c.Self() {
-		return GenerateSpec{}, false
+		return ""
 	}
 	hdr := http.Header{}
 	hdr.Set(cluster.ForwardHeader, c.ForwardMark())
@@ -390,38 +389,20 @@ func (s *Server) specFromPeer(ctx context.Context, key string) (GenerateSpec, bo
 	resp, err := c.Do(obs.ContextWithSpan(context.Background(), sp), owner, http.MethodGet,
 		"/v1/cluster/structure?key="+url.QueryEscape(key)+"&meta=1", nil, hdr, c.FetchTimeout())
 	if err != nil {
-		return GenerateSpec{}, false
+		return ""
 	}
 	defer resp.Body.Close()
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 	if resp.StatusCode != http.StatusOK {
-		return GenerateSpec{}, false
+		return ""
 	}
-	return specFromOptions(key, resp.Header.Get(clusterSpecHeader), s.logf)
+	return resp.Header.Get(clusterSpecHeader)
 }
 
-// specFromOptions decodes and re-validates a recorded spec, requiring it
-// to rebuild exactly the key it was recorded under.
-func specFromOptions(key, opts string, logf func(string, ...any)) (GenerateSpec, bool) {
-	var spec GenerateSpec
-	if err := json.Unmarshal([]byte(opts), &spec); err != nil {
-		logf("spec: options for %s: %v", key, err)
-		return GenerateSpec{}, false
-	}
-	if err := spec.normalize(); err != nil {
-		logf("spec: spec for %s: %v", key, err)
-		return GenerateSpec{}, false
-	}
-	if spec.key() != key {
-		logf("spec: options for %s rebuild to %s (key drift)", key, spec.key())
-		return GenerateSpec{}, false
-	}
-	return spec, true
-}
-
-// Cluster transfer headers. clusterSpecHeader carries the canonical spec
-// JSON (single-line by construction); clusterCoverageHeader and
-// clusterPlacementsHeader carry the manifest snapshot numbers.
+// Cluster transfer headers. clusterSpecHeader carries the recorded spec
+// JSON (single-line as the server writes it), which the receiver admits;
+// clusterCoverageHeader and clusterPlacementsHeader carry the manifest
+// snapshot numbers.
 const (
 	clusterSpecHeader       = "X-Mps-Spec"
 	clusterCoverageHeader   = "X-Mps-Coverage"
@@ -432,7 +413,8 @@ const (
 // peer artifact endpoint. Answers from the LRU (encoding member 0 of a
 // one-member entry as v2) or the store (streaming the file as it is on
 // disk); never generates, never forwards — it exists so peers can move
-// built artifacts, not work.
+// built artifacts, not work. So it admits nothing: a store row's spec
+// JSON is relayed as recorded, and the asking peer admits it.
 // Portfolio keys (K > 1) answer meta-only (the artifact is its members;
 // peers assemble locally, fetching each member from its own owner).
 func (s *Server) handleClusterStructure(w http.ResponseWriter, r *http.Request) {
@@ -457,8 +439,8 @@ func (s *Server) handleClusterStructure(w http.ResponseWriter, r *http.Request) 
 		}
 		return
 	}
-	if spec, ok := s.specFromStore(key); ok {
-		w.Header().Set(clusterSpecHeader, string(mustSpecJSON(spec)))
+	if raw := s.storedSpec(key); raw != "" {
+		w.Header().Set(clusterSpecHeader, raw)
 		if m, ok := s.cfg.Store.Stat(key); ok {
 			w.Header().Set(clusterCoverageHeader, strconv.FormatFloat(m.Coverage, 'g', -1, 64))
 			w.Header().Set(clusterPlacementsHeader, strconv.Itoa(m.Placements))
@@ -485,15 +467,17 @@ func (s *Server) handleClusterStructure(w http.ResponseWriter, r *http.Request) 
 
 // handleClusterAccept is POST /v1/cluster/accept: the receiving side of a
 // rebalance transfer — manifest meta in headers, the structure file as the
-// body. The artifact revalidates through core.Load before anything
-// persists, so a corrupt transfer is rejected, never stored.
+// body. The spec is admitted and the artifact revalidates through
+// core.Load before anything persists, so an over-cap spec or a corrupt
+// transfer is refused, never stored.
 func (s *Server) handleClusterAccept(w http.ResponseWriter, r *http.Request) {
 	var spec GenerateSpec
 	if err := json.Unmarshal([]byte(r.Header.Get(clusterSpecHeader)), &spec); err != nil {
 		writeError(w, http.StatusBadRequest, "missing or invalid "+clusterSpecHeader)
 		return
 	}
-	if err := spec.normalize(); err != nil {
+	key, err := s.admit(&spec)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -526,7 +510,7 @@ func (s *Server) handleClusterAccept(w http.ResponseWriter, r *http.Request) {
 		// Store-less node: hold the transferred structure in the LRU.
 		s.install(spec, single(spec.structure(cs)), mps.Stats{FinalCoverage: coverage}, false)
 	}
-	writeJSON(w, http.StatusOK, map[string]any{"key": spec.key(), "stored": true})
+	writeJSON(w, http.StatusOK, map[string]any{"key": key, "stored": true})
 }
 
 // RebalanceReport summarizes one rebalance pass.

@@ -336,7 +336,7 @@ func TestInstantiateAnswerMetrics(t *testing.T) {
 		if err := norm.normalize(); err != nil {
 			t.Fatal(err)
 		}
-		e, _, err := s.entryFor(context.Background(), norm, norm.key())
+		e, _, err := s.structureFor(context.Background(), norm, norm.key())
 		if err != nil {
 			t.Fatal(err)
 		}

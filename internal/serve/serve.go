@@ -72,10 +72,10 @@ type Config struct {
 	// request body limit (~1 KiB per query), so it bounds per-request
 	// decode memory: the default 8192 keeps any one request under ~8 MiB.
 	MaxBatch int
-	// MaxGenerateIterations caps the explorer budget a request may ask
-	// for, protecting the daemon from hours-scale generation requests.
-	// The same cap bounds bdio_steps, and chains is bounded by
-	// maxChains, so no request field multiplies the work unboundedly.
+	// MaxGenerateIterations caps the explorer budget of every spec the
+	// server admits (see admit), protecting the daemon from hours-scale
+	// generation. The same cap bounds bdio_steps, and chains is bounded by
+	// maxChains, so no spec field multiplies the work unboundedly.
 	// Default 5000. Set negative to disable the cap.
 	MaxGenerateIterations int
 	// Store, when non-nil, is the disk-backed structure repository: cache
@@ -577,38 +577,71 @@ func (g GenerateSpec) options() mps.Options {
 	}
 }
 
-// maxChains bounds the chains a request may ask for regardless of the
+// maxChains bounds the chains an admitted spec may name regardless of the
 // iteration cap — each chain is a full explorer run.
 const maxChains = 64
 
-// maxPortfolio bounds the portfolio members a request may ask for — each
+// maxPortfolio bounds the portfolio members an admitted spec may name — each
 // member is a full generation job, so K multiplies the annealing work.
 // Deliberately below the library's MaxPortfolioMembers: a daemon serves
 // many clients, a library call serves one.
 const maxPortfolio = 8
 
-// checkBudget rejects generation requests whose annealing budget exceeds
-// the daemon's cap. Every path that can trigger a generation — POST
-// /v1/structures, POST /v1/instantiate with an inline spec, and the
-// programmatic Generate — must pass through it.
-func (s *Server) checkBudget(g GenerateSpec) error {
-	if g.Chains > maxChains {
-		return fmt.Errorf("chains %d exceeds daemon cap %d", g.Chains, maxChains)
-	}
-	if g.Portfolio > maxPortfolio {
-		return fmt.Errorf("portfolio size %d exceeds daemon cap %d", g.Portfolio, maxPortfolio)
-	}
+// admit is the one door into the cache: it normalizes the spec, checks
+// the daemon's caps and returns the canonical key. Every spec this node
+// serves passes here or through recordedSpec (a request's, a bare key's
+// recorded spec, a warm-start row, a resumed job, a rebalance push), so
+// nothing generates, fans out or serves past a cap. A request's spec is
+// admitted before the request is forwarded, so the entry node's caps
+// decide for it. Refusals are clientErrors (400).
+func (s *Server) admit(g *GenerateSpec) (string, error) {
+	err := g.normalize()
 	limit := s.cfg.MaxGenerateIterations
-	if limit < 0 {
-		return nil
+	switch {
+	case err != nil:
+	case g.Chains > maxChains:
+		err = fmt.Errorf("chains %d exceeds daemon cap %d", g.Chains, maxChains)
+	case g.Portfolio > maxPortfolio:
+		err = fmt.Errorf("portfolio size %d exceeds daemon cap %d", g.Portfolio, maxPortfolio)
+	case limit >= 0 && g.Iterations > limit:
+		err = fmt.Errorf("iterations %d exceeds daemon cap %d", g.Iterations, limit)
+	case limit >= 0 && g.BDIOSteps > limit:
+		err = fmt.Errorf("bdio_steps %d exceeds daemon cap %d", g.BDIOSteps, limit)
 	}
-	if g.Iterations > limit {
-		return fmt.Errorf("iterations %d exceeds daemon cap %d", g.Iterations, limit)
+	if err != nil {
+		return "", clientError{err}
 	}
-	if g.BDIOSteps > limit {
-		return fmt.Errorf("bdio_steps %d exceeds daemon cap %d", g.BDIOSteps, limit)
+	return g.key(), nil
+}
+
+// errNoRecord is recordedSpec's answer for a key with no usable recorded
+// spec: none was found, or the record does not decode or names another
+// key. Callers treat the key as unrecorded.
+var errNoRecord = errors.New("no usable recorded spec")
+
+// recordedSpec admits the spec recorded under key — a store manifest
+// row's options, a peer's spec header, a jobs.json record — and requires
+// it to rebuild exactly key. An empty raw is no record; a record that does
+// not decode or rebuilds another key is logged and is no record either.
+// An admit refusal comes back as admit's error.
+func (s *Server) recordedSpec(key, raw string) (GenerateSpec, error) {
+	if raw == "" {
+		return GenerateSpec{}, errNoRecord
 	}
-	return nil
+	var spec GenerateSpec
+	if err := json.Unmarshal([]byte(raw), &spec); err != nil {
+		s.logf("spec: options for %s: %v", key, err)
+		return GenerateSpec{}, errNoRecord
+	}
+	got, err := s.admit(&spec)
+	if err != nil {
+		return GenerateSpec{}, err
+	}
+	if got != key {
+		s.logf("spec: options for %s rebuild to %s (key drift)", key, got)
+		return GenerateSpec{}, errNoRecord
+	}
+	return spec, nil
 }
 
 // evictLocked shrinks the cache to its bound, least-recently-used first.
@@ -636,10 +669,11 @@ func (s *Server) evictLocked() {
 
 // ensure returns the cache entry for the spec, whose key is key, creating
 // it and starting its work (disk rehydration or job submission) on first
-// use. The entry comes back with the caller registered as a waiter —
-// callers must e.waiters.Add(-1) when done with it. The returned bool
-// reports a true cache hit: the entry had already finished, not merely
-// landing on an in-flight one.
+// use; the spec is admitted, or a member of an admitted spec. The entry
+// comes back with the caller registered as a waiter — callers must
+// e.waiters.Add(-1) when done with it. The returned bool reports a true
+// cache hit: the entry had already finished, not merely landing on an
+// in-flight one.
 //
 // tr is the requesting trace (nil for background callers) and parent the
 // span the inline work should nest under (0 = the trace root): the first
@@ -888,8 +922,8 @@ func mustSpecJSON(spec GenerateSpec) json.RawMessage {
 	return b
 }
 
-// structureFor returns the cached structure for the spec, whose key is
-// key, scheduling its generation on first use and waiting for it.
+// structureFor returns the cached structure for the admitted spec, whose
+// key is key, scheduling its generation on first use and waiting for it.
 // Concurrent callers for one key share a single run. The returned bool
 // reports a true cache hit — the entry had already finished generating —
 // not merely landing on an in-flight entry and waiting for it.
@@ -1143,8 +1177,9 @@ func (s *Server) Flush() { s.persistWG.Wait() }
 // and every member is a finished cache entry — so its members are those
 // entries' structures, and landing it reads no file, submits no job and
 // calls no peer. A grouping whose members did not all fit waits for its
-// first request. Rows that fail to parse or load are logged and skipped,
-// never fatal — a warm start must not keep a daemon from booting.
+// first request. Rows recordedSpec refuses, or that fail to load, are
+// logged and skipped, never fatal — a warm start must not keep a daemon
+// from booting.
 func (s *Server) Warm(limit int) (int, error) {
 	if s.cfg.Store == nil {
 		return 0, fmt.Errorf("serve: no store configured")
@@ -1160,9 +1195,10 @@ func (s *Server) Warm(limit int) (int, error) {
 		if added >= limit {
 			break
 		}
-		spec, ok := s.specFromStore(m.Key)
-		if !ok {
-			continue // already logged
+		spec, err := s.recordedSpec(m.Key, m.Options)
+		if err != nil {
+			s.logf("warm: skipping %s: %v", m.Key, err)
+			continue
 		}
 		p, stats, err := s.loadFromStore(nil, 0, spec)
 		if err != nil || p == nil {
@@ -1176,10 +1212,14 @@ func (s *Server) Warm(limit int) (int, error) {
 		if added >= limit {
 			break
 		}
+		spec, err := s.recordedSpec(row.Key, row.Options)
+		if err != nil {
+			s.logf("warm: skipping %s: %v", row.Key, err)
+			continue
+		}
 		// A row whose member list disagrees with its spec (a hand-edited
-		// manifest) is skipped like any malformed row: K bounds the fan-out.
-		spec, ok := s.specFromStore(row.Key)
-		if !ok || spec.Portfolio != row.K() || !s.membersCached(spec) {
+		// manifest) is skipped like any malformed row.
+		if spec.Portfolio != row.K() || !s.membersCached(spec) {
 			continue
 		}
 		e, _ := s.ensure(nil, 0, spec, row.Key, 0)
@@ -1244,24 +1284,16 @@ func (s *Server) install(spec GenerateSpec, p *mps.Portfolio, stats mps.Stats, c
 // accepted but never finished (its scheduler loaded them from the state
 // file). Jobs whose structures meanwhile exist in the store complete
 // instantly through the read-through; the rest re-anneal. Returns how
-// many were resubmitted; malformed records are logged and skipped.
+// many were resubmitted; records recordedSpec refuses are logged and skipped.
 func (s *Server) ResumeInterrupted() int {
 	resumed := 0
 	for _, snap := range s.sched.Interrupted() {
-		var spec GenerateSpec
-		if err := json.Unmarshal(snap.Spec, &spec); err != nil {
-			s.logf("resume %s: decoding spec: %v", snap.ID, err)
-			continue
-		}
-		if err := spec.normalize(); err != nil {
+		spec, err := s.recordedSpec(snap.Key, string(snap.Spec))
+		if err != nil {
 			s.logf("resume %s: %v", snap.ID, err)
 			continue
 		}
-		if err := s.checkBudget(spec); err != nil {
-			s.logf("resume %s: %v", snap.ID, err)
-			continue
-		}
-		e, _ := s.ensure(nil, 0, spec, spec.key(), snap.Priority)
+		e, _ := s.ensure(nil, 0, spec, snap.Key, snap.Priority)
 		e.waiters.Add(-1) // fire and forget: nobody waits on a resumed job
 		resumed++
 	}
@@ -1434,33 +1466,21 @@ func generateErrorStatus(err error) int {
 	return http.StatusInternalServerError
 }
 
-// Generate generates (or fetches from cache) the structure for spec — the
-// single generation entry point shared by POST /v1/structures, cmd/mpsd's
-// -preload flag, and tests.
+// Generate admits spec and generates (or fetches from cache) its
+// structure — the programmatic entry point behind cmd/mpsd's -preload
+// flag and tests. Refusals are clientErrors.
 func (s *Server) Generate(spec GenerateSpec) (StructureInfo, error) {
-	if err := spec.normalize(); err != nil {
-		return StructureInfo{}, clientError{err}
+	key, err := s.admit(&spec)
+	if err != nil {
+		return StructureInfo{}, err
 	}
-	return s.generate(context.Background(), spec, spec.key())
+	return s.generate(context.Background(), spec, key)
 }
 
-// entryFor is the single budget + generation pipeline behind every
-// generating path (POST /v1/structures, the /v1/instantiate inline-spec
-// branch, Generate), for a spec normalize accepted and its key: each
-// request normalizes and derives the key once, then budget-checks and
-// fetches or generates here. Validation failures come back as
-// clientError; a request abandoned while queued for a generation slot is
-// dropped.
-func (s *Server) entryFor(ctx context.Context, spec GenerateSpec, key string) (*entry, bool, error) {
-	if err := s.checkBudget(spec); err != nil {
-		return nil, false, clientError{err}
-	}
-	return s.structureFor(ctx, spec, key)
-}
-
-// generate is entryFor reporting the structure to a client.
+// generate is structureFor reporting an admitted spec's structure to a
+// client.
 func (s *Server) generate(ctx context.Context, spec GenerateSpec, key string) (StructureInfo, error) {
-	e, hit, err := s.entryFor(ctx, spec, key)
+	e, hit, err := s.structureFor(ctx, spec, key)
 	if err != nil {
 		return StructureInfo{}, err
 	}
@@ -1525,12 +1545,12 @@ func (s *Server) handleStructures(w http.ResponseWriter, r *http.Request) {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		if err := spec.normalize(); err != nil {
+		key, err := s.admit(&spec)
+		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
 		// Cluster routing: generation belongs on the key's owner.
-		key := spec.key()
 		if s.maybeForward(w, r, key, false, body) {
 			return
 		}
@@ -1586,7 +1606,8 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	spec := req.Spec
-	if err := spec.normalize(); err != nil {
+	key, err := s.admit(&spec)
+	if err != nil {
 		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
@@ -1594,12 +1615,7 @@ func (s *Server) handleJobSubmit(w http.ResponseWriter, r *http.Request) {
 	// lives on the key's owner. The relayed response's ServedBy header
 	// names the node to poll GET /v1/jobs/{id} on (job ids are
 	// node-local).
-	key := spec.key()
 	if s.maybeForward(w, r, key, false, body) {
-		return
-	}
-	if err := s.checkBudget(spec); err != nil {
-		writeError(w, http.StatusBadRequest, err.Error())
 		return
 	}
 	e, _ := s.ensure(obs.TraceFrom(r.Context()), 0, spec, key, req.Priority)
@@ -1822,16 +1838,15 @@ func (s *Server) handleInstantiate(w http.ResponseWriter, r *http.Request) {
 		e = resolved
 	case req.Spec != nil:
 		spec := *req.Spec
-		if err := spec.normalize(); err != nil {
+		key, err := s.admit(&spec)
+		if err != nil {
 			writeError(w, http.StatusBadRequest, err.Error())
 			return
 		}
-		key := spec.key()
 		if s.maybeForward(w, r, key, true, body) {
 			return
 		}
-		var err error
-		e, _, err = s.entryFor(ctx, spec, key)
+		e, _, err = s.structureFor(ctx, spec, key)
 		if err != nil {
 			writeError(w, generateErrorStatus(err), err.Error())
 			return

@@ -8,12 +8,10 @@ import (
 	"net/http"
 	"os"
 	"path/filepath"
-	"slices"
 	"strings"
 	"testing"
 	"time"
 
-	"mps/internal/circuits"
 	"mps/internal/core"
 	"mps/internal/jobs"
 	"mps/internal/store"
@@ -232,11 +230,11 @@ func TestPortfolioReadThroughRegeneratesOnlyMissing(t *testing.T) {
 	}
 }
 
-// interruptedState writes a jobs.json recording the spec's generation as
-// running — the state a daemon leaves when it shuts down (or crashes)
-// while the job's annealing raced its own completion. Returns the jobs
-// directory.
-func interruptedState(t *testing.T, spec GenerateSpec) string {
+// interruptedState writes a jobs.json recording the spec's generation,
+// under key, as running — the state a daemon leaves when it shuts down (or
+// crashes) while the job's annealing raced its own completion. Returns the
+// jobs directory.
+func interruptedState(t *testing.T, key string, spec GenerateSpec) string {
 	t.Helper()
 	jobsDir := t.TempDir()
 	sched, err := jobs.New(jobs.Config{Workers: 1, Dir: jobsDir})
@@ -253,7 +251,7 @@ func interruptedState(t *testing.T, spec GenerateSpec) string {
 	}
 	running := make(chan struct{})
 	if _, err := sched.Submit(jobs.Request{
-		Key:  norm.key(),
+		Key:  key,
 		Spec: specJSON,
 		Run: func(ctx context.Context, _ func(jobs.Progress)) error {
 			close(running)
@@ -315,7 +313,7 @@ func TestWarmThenResumeNoDuplicateJob(t *testing.T) {
 	spec := testSpec(21)
 	storeDir := t.TempDir()
 	populatedStore(t, storeDir, spec)
-	jobsDir := interruptedState(t, spec)
+	jobsDir := interruptedState(t, specKey(t, spec), spec)
 
 	sched, err := jobs.New(jobs.Config{Workers: 1, Dir: jobsDir})
 	if err != nil {
@@ -351,7 +349,7 @@ func TestResumeThenWarmNoDuplicateJob(t *testing.T) {
 	spec := testSpec(22)
 	storeDir := t.TempDir()
 	populatedStore(t, storeDir, spec)
-	jobsDir := interruptedState(t, spec)
+	jobsDir := interruptedState(t, specKey(t, spec), spec)
 
 	sched, err := jobs.New(jobs.Config{Workers: 1, Dir: jobsDir})
 	if err != nil {
@@ -605,38 +603,7 @@ func TestWarmRestartAnswersIdentical(t *testing.T) {
 	}
 	s1.Flush()
 
-	c := circuits.MustByName("circ01")
-	rng := rand.New(rand.NewSource(52))
-	var queries []map[string][]int
-	for _, st := range structures {
-		ids := st.IDs()
-		for q := 0; q < 4; q++ {
-			p := st.Get(ids[rng.Intn(len(ids))])
-			ws, hs := make([]int, c.N()), make([]int, c.N())
-			for i := range ws {
-				ws[i] = p.WLo[i] + rng.Intn(p.WHi[i]-p.WLo[i]+1)
-				hs[i] = p.HLo[i] + rng.Intn(p.HHi[i]-p.HLo[i]+1)
-			}
-			queries = append(queries, map[string][]int{"ws": ws, "hs": hs})
-			if q < 2 {
-				// Get returns a fresh copy: its bounds are the box corners.
-				queries = append(queries,
-					map[string][]int{"ws": p.WLo, "hs": p.HLo},
-					map[string][]int{"ws": p.WHi, "hs": p.HHi})
-			}
-		}
-	}
-	for q := 0; q < 8; q++ {
-		ws, hs := make([]int, c.N()), make([]int, c.N())
-		for i, b := range c.Blocks {
-			ws[i], hs[i] = b.WRange().Rand(rng), b.HRange().Rand(rng)
-		}
-		queries = append(queries, map[string][]int{"ws": ws, "hs": hs})
-	}
-	oob := testQuery(t, 0)
-	oob["ws"] = slices.Clone(oob["ws"])
-	oob["ws"][0] = c.Blocks[0].WMax + 1
-	queries = append(queries, oob)
+	queries := oracleQueries(t, rand.New(rand.NewSource(52)), structures)
 
 	// answers posts every (spec, query weights) batch to url, in order.
 	answers := func(url string) []string {

@@ -415,10 +415,10 @@ func TestBudgetCaps(t *testing.T) {
 	// Negative cap disables the iteration/bdio bounds but not the chains one.
 	s = New(Config{MaxGenerateIterations: -1})
 	t.Cleanup(s.Close)
-	if err := s.checkBudget(GenerateSpec{Circuit: "circ01", Iterations: 1 << 30}); err != nil {
+	if _, err := s.admit(&GenerateSpec{Circuit: "circ01", Iterations: 1 << 30}); err != nil {
 		t.Errorf("disabled cap still rejected iterations: %v", err)
 	}
-	if err := s.checkBudget(GenerateSpec{Circuit: "circ01", Chains: maxChains + 1}); err == nil {
+	if _, err := s.admit(&GenerateSpec{Circuit: "circ01", Chains: maxChains + 1}); err == nil {
 		t.Error("chains bound should hold even with the cap disabled")
 	}
 }

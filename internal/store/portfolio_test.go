@@ -175,8 +175,9 @@ func TestOpenDropsCorruptPortfolioRows(t *testing.T) {
 // FuzzLoadPortfolio feeds arbitrary bytes to the manifest reader — the
 // portfolio rows included — and exercises the portfolio accessors on
 // whatever Open accepts. The invariant mirrors FuzzLoad's: Open either
-// errors or yields a store whose every portfolio row is servable (all
-// member keys resolve to live entries); it never panics.
+// errors or yields a store whose every structure row names its own file
+// and whose every portfolio row is servable (all member keys resolve to
+// live entries); it never panics.
 func FuzzLoadPortfolio(f *testing.F) {
 	// Seed with a real manifest carrying entries and a portfolio row.
 	seedDir := f.TempDir()
@@ -201,6 +202,7 @@ func FuzzLoadPortfolio(f *testing.F) {
 	f.Add([]byte(`{"version":1,"portfolios":[{"key":"p","members":["a"]}]}`))
 	f.Add([]byte(`{"version":1,"entries":null,"portfolios":null}`))
 	f.Add([]byte(`not json`))
+	f.Add([]byte(`{"version":1,"entries":[{"key":"m0","file":"manifest.json"},{"key":"x","file":".."}]}`))
 
 	// Structure files referenced by fuzzed manifests: keep the seed
 	// entries' files around so rows can resolve.
@@ -226,6 +228,11 @@ func FuzzLoadPortfolio(f *testing.F) {
 		d, err := Open(dir)
 		if err != nil {
 			return // rejected: fine, as long as nothing panicked
+		}
+		for _, e := range d.List() {
+			if e.File != fileName(e.Key) {
+				t.Fatalf("Open kept row %q naming file %q, not its own %q", e.Key, e.File, fileName(e.Key))
+			}
 		}
 		for _, p := range d.Portfolios() {
 			if p.Key == "" || p.K() == 0 {

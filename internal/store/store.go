@@ -172,8 +172,8 @@ func Open(root string) (*Dir, error) {
 		return d, nil
 	}
 	for _, e := range m.Entries {
-		if e.Key == "" || e.File == "" || strings.ContainsAny(e.File, "/\\") {
-			continue // malformed or path-escaping row
+		if e.Key == "" || e.File != fileName(e.Key) {
+			continue // malformed row, or one naming a file not its own
 		}
 		if _, err := os.Stat(filepath.Join(root, e.File)); err != nil {
 			continue // structure file gone; drop the row

@@ -1,11 +1,13 @@
 package store
 
 import (
+	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -165,6 +167,61 @@ func TestOpenDropsMissingFiles(t *testing.T) {
 	}
 	if _, ok := d2.Stat("k2"); !ok {
 		t.Error("entry with intact file was dropped")
+	}
+}
+
+// TestOpenKeepsOnlyRowsNamingTheirOwnFile: a row is kept only when its
+// file is the one Put derives from its key. Hand-edited rows naming the
+// directory, its parent or the manifest, and a row sharing another row's
+// file, are dropped, so deleting one key can never remove another key's
+// structure file.
+func TestOpenKeepsOnlyRowsNamingTheirOwnFile(t *testing.T) {
+	dir := t.TempDir()
+	d1, _ := Open(dir)
+	c, s := testCircuit(t, 4)
+	k1, err := d1.Put(meta("k1"), s)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := d1.Put(meta("k2"), s); err != nil {
+		t.Fatal(err)
+	}
+	data, err := os.ReadFile(filepath.Join(dir, manifestName))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m manifest
+	if err := json.Unmarshal(data, &m); err != nil {
+		t.Fatal(err)
+	}
+	for key, file := range map[string]string{"dot": ".", "dotdot": "..", "man": manifestName, "shared": k1.File} {
+		row := meta(key)
+		row.File = file
+		m.Entries = append(m.Entries, row)
+	}
+	if data, err = json.Marshal(m); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, manifestName), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	d2, err := Open(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []string
+	for _, row := range d2.List() {
+		kept = append(kept, row.Key)
+	}
+	if slices.Sort(kept); !slices.Equal(kept, []string{"k1", "k2"}) {
+		t.Fatalf("Open kept rows %v, want [k1 k2]", kept)
+	}
+	if err := d2.Delete("shared"); !errors.Is(err, ErrNotFound) {
+		t.Errorf("Delete(shared) = %v, want ErrNotFound", err)
+	}
+	if _, _, err := d2.Get("k1", c); err != nil {
+		t.Errorf("k1 after deleting the row sharing its file: %v", err)
 	}
 }
 
