@@ -14,10 +14,12 @@ import (
 
 // This file implements the compiled query index: the one index over a
 // Structure's rows, built once after generation (or loading) and queried
-// forever after. It binary-searches 2N sorted []int32 breakpoint arrays
-// laid out back to back and intersects placement *bitsets* — one W-word
-// mask per interval — so a query is a handful of contiguous cache lines,
-// branch-predictable compares and word-wide ANDs, with zero allocations.
+// forever after. It finds one span in each of 2N sorted []int32
+// breakpoint arrays laid out back to back, starting where the row's own
+// layout puts it (findSpan), and intersects placement *bitsets* — one
+// W-word mask per interval — so a query is a handful of contiguous cache
+// lines, a compare or two per row and word-wide ANDs, with zero
+// allocations.
 // Structure.Query and Instantiate answer the same function by scanning
 // the box table; they are the reference this index is tested against.
 //
@@ -67,7 +69,7 @@ type CompiledStructure struct {
 
 // rowTable is the eqs. 3–4 index over flat tables: 2n rows of sorted,
 // disjoint spans, each span carrying a words-wide placement bitset. A
-// query binary-searches one span per row and ANDs their masks.
+// query finds one span per row (findSpan) and ANDs their masks.
 type rowTable struct {
 	n     int // blocks; the table has 2n rows
 	words int // mask words per span
@@ -200,25 +202,37 @@ func (cs *CompiledStructure) NumSpans() int { return len(cs.spanLo) }
 // rowLen returns the number of spans in row r.
 func (t *rowTable) rowLen(r int) int { return int(t.rowStart[r+1] - t.rowStart[r]) }
 
-// findSpan binary-searches row r for the span covering v. Row spans are
-// ascending and non-overlapping, so the last span with Lo <= v is the only
-// candidate; -1 means v is uncovered in this row.
+// findSpan returns the span of row r that covers v, or -1 when no span of
+// the row does. Row spans are ascending, disjoint integer intervals, so
+// the last span with Lo <= v is the only candidate, and each span starts
+// at least one value after the one before it: span first+k has
+// Lo >= Lo_first + k, and likewise span last−k has Hi <= Hi_last − k. So
+// the candidate lies at most v − Lo_first spans after the row's first
+// and at most Hi_last − v spans before its last. findSpan starts at the
+// first bound and walks down to the candidate, which is never below the
+// second. On a dense row (one span per value, as generated rows nearly
+// are) the first bound is the candidate and the walk takes no step; on a
+// sparse row it takes at most the row's slack, Hi_last − Lo_first + 1
+// minus its span count. A bisection of that window would not fit the
+// inliner's budget, and intersect calls findSpan once per row.
+//
+// An empty row and v below Lo_first return -1 before any arithmetic; v
+// above Hi_last stops the walk at once and fails the Hi check. From
+// Lo_first up, v − Lo_first is exact as a uint whatever the width of int,
+// so the bound never overflows.
 func (t *rowTable) findSpan(r, v int) int {
-	lo, hi := int(t.rowStart[r]), int(t.rowStart[r+1])
-	first := lo
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if int(t.spanLo[mid]) <= v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	s := lo - 1
-	if s < first || v > int(t.spanHi[s]) {
+	lo, hi := int(t.rowStart[r]), int(t.rowStart[r+1])-1
+	if lo > hi || v < int(t.spanLo[lo]) {
 		return -1
 	}
-	return s
+	hi = lo + int(min(uint(hi-lo), uint(v-int(t.spanLo[lo]))))
+	for int(t.spanLo[hi]) > v {
+		hi--
+	}
+	if v > int(t.spanHi[hi]) {
+		return -1
+	}
+	return hi
 }
 
 // intersect computes the eq. 4 row intersection into the acc mask (len

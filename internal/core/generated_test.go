@@ -13,6 +13,7 @@ import (
 	"mps/internal/circuits"
 	"mps/internal/core"
 	"mps/internal/explorer"
+	"mps/internal/gen"
 	"mps/internal/placement"
 )
 
@@ -271,4 +272,32 @@ func fragment(t *testing.T, s *core.Structure, seed int64) *core.Structure {
 		}
 	}
 	return out
+}
+
+// TestFindSpanGeneratedRows checks findSpan against the scan on every row
+// of the seed-1 structures of every registered circuit at the facade's
+// quick (60 iterations, 80 BDIO steps) and balanced (300, 300) budgets,
+// at every value from two below each row's first span to two above its
+// last; on a row of unit-width spans without gaps, the span must also be
+// the value's offset from the row's first.
+func TestFindSpanGeneratedRows(t *testing.T) {
+	g, err := gen.ByName("")
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, budget := range []struct {
+		name         string
+		iters, steps int
+	}{{"quick", 60, 80}, {"balanced", 300, 300}} {
+		for _, name := range circuits.Names() {
+			s, _, err := g.Generate(context.Background(), circuits.MustByName(name),
+				gen.Spec{Seed: 1, Iterations: budget.iters, BDIOSteps: budget.steps})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := core.CheckFindSpan(core.Compile(s)); err != nil {
+				t.Errorf("%s %s: %v", name, budget.name, err)
+			}
+		}
+	}
 }

@@ -1177,9 +1177,9 @@ func (s *Server) Flush() { s.persistWG.Wait() }
 // and every member is a finished cache entry — so its members are those
 // entries' structures, and landing it reads no file, submits no job and
 // calls no peer. A grouping whose members did not all fit waits for its
-// first request. Rows recordedSpec refuses, or that fail to load, are
-// logged and skipped, never fatal — a warm start must not keep a daemon
-// from booting.
+// first request. Rows recordedSpec refuses, structure rows that record a
+// portfolio spec, and rows that fail to load are logged and skipped,
+// never fatal — a warm start must not keep a daemon from booting.
 func (s *Server) Warm(limit int) (int, error) {
 	if s.cfg.Store == nil {
 		return 0, fmt.Errorf("serve: no store configured")
@@ -1196,6 +1196,11 @@ func (s *Server) Warm(limit int) (int, error) {
 			break
 		}
 		spec, err := s.recordedSpec(m.Key, m.Options)
+		if err == nil && spec.Portfolio > 1 {
+			// A portfolio key holds a grouping row, never one structure:
+			// cached, this row would answer the K-member key alone.
+			err = fmt.Errorf("structure row records a %d-member portfolio spec", spec.Portfolio)
+		}
 		if err != nil {
 			s.logf("warm: skipping %s: %v", m.Key, err)
 			continue

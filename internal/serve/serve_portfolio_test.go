@@ -571,6 +571,54 @@ func TestWarmSkipsMalformedGroupingRows(t *testing.T) {
 	}
 }
 
+// TestWarmSkipsPortfolioStructureRow: a structure row recorded under a K=3
+// portfolio key, with the portfolio spec as its options, holds one
+// structure. Warm skips it rather than cache it as the K=3 entry, which
+// would answer the portfolio key from one member; a request for the key
+// then fans out to all three.
+func TestWarmSkipsPortfolioStructureRow(t *testing.T) {
+	dir := t.TempDir()
+	spec := portfolioSpec(97)
+	if err := spec.normalize(); err != nil {
+		t.Fatal(err)
+	}
+	g := New(Config{Store: openStore(t, dir), Logf: t.Logf})
+	if _, err := g.Generate(spec.memberSpec(0)); err != nil {
+		t.Fatal(err)
+	}
+	g.Flush()
+	member, ok := g.lookup(spec.memberSpec(0).key())
+	if !ok {
+		t.Fatal("member 0 is not cached")
+	}
+	g.Close()
+	if _, err := openStore(t, dir).Put(structureMeta(spec, member.coverage), member.p.Member(0)); err != nil {
+		t.Fatal(err)
+	}
+
+	s, ts := newTestServer(t, Config{Store: openStore(t, dir), Logf: t.Logf})
+	if n, err := s.Warm(-1); err != nil || n != 1 {
+		t.Errorf("Warm = %d, %v; want 1 (member 0's row)", n, err)
+	}
+	if e, ok := s.lookup(spec.key()); ok {
+		t.Fatalf("Warm cached the K=3 key as a %d-member entry", e.p.K())
+	}
+	code, body := postJSON(t, ts.URL+"/v1/instantiate",
+		map[string]any{"spec": spec, "queries": []map[string][]int{testQuery(t, 0)}}, nil)
+	s.Flush()
+	if code != http.StatusOK {
+		t.Fatalf("instantiate: %d %s", code, body)
+	}
+	e, ok := s.lookup(spec.key())
+	if !ok || e.p.K() != 3 {
+		t.Fatalf("after the request: cached %v, want a 3-member entry", ok)
+	}
+	assertMembersShared(t, s, spec, e)
+	if runs := s.genRuns.Load(); runs != 2 {
+		t.Errorf("%d generation runs, want 2 (members 1 and 2; Warm loaded member 0)", runs)
+	}
+}
+
 // TestWarmRestartAnswersIdentical is the store leg of the answer oracle: a
 // server restarted over the same directory answers /v1/instantiate byte
 // for byte as the generating server did, from the v2 files the store

@@ -59,17 +59,18 @@ type wireDecoder struct {
 	// the per-query weight vectors.
 	ints    []int
 	weights []WeightsSpec
+	// maxQueries is the queries' capacity hint, which also sizes weights:
+	// a query holds at most one weights object.
+	maxQueries int
 }
 
-// Body-wide capacity hints: a body's integers number at most its commas
-// plus one (each array's k integers need k-1 commas, and at least one
-// comma separates consecutive arrays), and a canonical body has a "ws"
-// key per query and a "weights" key per weighted query.
-var (
-	wsKey      = []byte(`"ws"`)
-	weightsKey = []byte(`"weights"`)
-)
-
+// request parses the top-level object. Its capacity hints are each one
+// single-byte count over the body: a body's integers number at most its
+// commas plus one (each array's k integers need k-1 commas, and at least
+// one comma separates consecutive arrays), and a canonical body's
+// queries number half its '[' besides the queries array's own, rounded
+// down: each query holds two arrays, ws and hs, and member_weights adds
+// at most one more.
 func (d *wireDecoder) request(req *instantiateRequest) bool {
 	d.ints = make([]int, 0, bytes.Count(d.b, []byte{','})+1)
 	var seen uint8
@@ -186,7 +187,8 @@ func (d *wireDecoder) queries(req *instantiateRequest) bool {
 	if !d.next('[') {
 		return false
 	}
-	qs := make([]dimQuery, 0, bytes.Count(d.b, wsKey))
+	d.maxQueries = (bytes.Count(d.b, []byte{'['}) - 1) / 2
+	qs := make([]dimQuery, 0, d.maxQueries)
 	if !d.next(']') {
 		for {
 			d.space()
@@ -221,7 +223,7 @@ func (d *wireDecoder) query(q *dimQuery) bool {
 		case "weights":
 			bit = 4
 			if d.weights == nil {
-				d.weights = make([]WeightsSpec, 0, bytes.Count(d.b, weightsKey))
+				d.weights = make([]WeightsSpec, 0, d.maxQueries)
 			}
 			d.weights = append(d.weights, WeightsSpec{})
 			q.Weights = &d.weights[len(d.weights)-1]

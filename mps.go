@@ -46,12 +46,13 @@ type Structure struct {
 type CompiledStructure = core.CompiledStructure
 
 // Compiled returns the structure's compiled query index — its 2N interval
-// rows flattened into sorted int32 breakpoint and placement-id tables with
-// binary-search lookup and zero allocations per covered query. The index
-// is built lazily on first use and cached (structures loaded from legacy
-// v3 files arrive with it built), so every query path on the facade —
-// Instantiate, InstantiateBatch, the mpsd handlers — pays compile cost at
-// most once per structure.
+// rows flattened into sorted int32 breakpoint and placement-id tables,
+// each row's span found from where the row's layout puts it, with zero
+// allocations per covered query. The index is built lazily on first use
+// and cached (structures loaded from legacy v3 files arrive with it
+// built), so every query path on the facade — Instantiate,
+// InstantiateBatch, the mpsd handlers — pays compile cost at most once
+// per structure.
 func (s *Structure) Compiled() *CompiledStructure {
 	return core.Compile(s.Structure)
 }
