@@ -3,9 +3,10 @@ package mps
 // The golden generation table pins generation output bit for bit: the
 // SHA-256 of the v3 bytes, the final coverage, the best average cost and
 // a digest of every coverage value the Progress hook saw, for a small
-// grid of circuits, seeds and backends. Any speed-up of the generation
-// inner loop (overlap queries, cost evaluation, coverage bookkeeping,
-// Renumber) must leave every row unchanged.
+// grid of circuits, seeds and backends, and for anneal at four chains.
+// Any speed-up of the generation inner loop (overlap queries, cost
+// evaluation, coverage bookkeeping, Renumber) must leave every row
+// unchanged.
 
 import (
 	"bytes"
@@ -24,6 +25,7 @@ type goldenGen struct {
 	circuit  string
 	backend  string
 	seed     int64
+	chains   int    // Options.Chains; 0 means 1
 	sha      string // hex SHA-256 of SaveBinaryCompiled
 	coverage uint64 // math.Float64bits(Stats.FinalCoverage)
 	bestAvg  uint64 // math.Float64bits(Stats.BestAvgCost)
@@ -85,6 +87,12 @@ var goldenGenerations = []goldenGen{
 	{circuit: "Mixer", backend: "ga", seed: 3,
 		sha:      "d4eabe61f6187d24a7f1e26179b2ebc9d260365cb453e28636d14d28c5d02a49",
 		coverage: 0x3f450aa258febef6, bestAvg: 0x4070df51eb851eb6, progress: 0x7810debb1b342a27},
+	{circuit: "circ01", backend: "anneal", seed: 1, chains: 4,
+		sha:      "f2fc448b92f728c89deb872630282b62273e07e00dc179de191fb753f56eb41a",
+		coverage: 0x3fbfeb13ad2dbcc1, bestAvg: 0x406c520f5c28f5c5, progress: 0x7a35664b2114867d},
+	{circuit: "TwoStageOpamp", backend: "anneal", seed: 1, chains: 4,
+		sha:      "ae4a8ed7311cd8bb5dce6e5c3a27adc4a95f986b89634c7d276e4c54fb611457",
+		coverage: 0x3f9f4958acb24635, bestAvg: 0x40810211eb851ebc, progress: 0xd3ec648fb4b0a3dc},
 }
 
 func TestGenerationGolden(t *testing.T) {
@@ -93,6 +101,9 @@ func TestGenerationGolden(t *testing.T) {
 	}
 	for _, g := range goldenGenerations {
 		name := g.circuit + "/" + g.backend + "/" + strconv.FormatInt(g.seed, 10)
+		if g.chains > 0 {
+			name += "/chains-" + strconv.Itoa(g.chains)
+		}
 		t.Run(name, func(t *testing.T) {
 			c, err := Benchmark(g.circuit)
 			if err != nil {
@@ -105,6 +116,7 @@ func TestGenerationGolden(t *testing.T) {
 				Options: Options{
 					Seed:   g.seed,
 					Effort: EffortQuick,
+					Chains: g.chains,
 					Progress: func(p Progress) {
 						var b [16]byte
 						binary.LittleEndian.PutUint64(b[:8], uint64(p.Placements))
@@ -125,6 +137,7 @@ func TestGenerationGolden(t *testing.T) {
 				circuit:  g.circuit,
 				backend:  g.backend,
 				seed:     g.seed,
+				chains:   g.chains,
 				sha:      hex.EncodeToString(sum[:]),
 				coverage: math.Float64bits(res.Stats[0].FinalCoverage),
 				bestAvg:  math.Float64bits(res.Stats[0].BestAvgCost),

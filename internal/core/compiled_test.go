@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"io"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -281,10 +282,12 @@ func TestCompiledV3RejectsForgedSection(t *testing.T) {
 // alike.
 func TestLoadRejectsInt32OverflowFloorplan(t *testing.T) {
 	c, _ := pairCircuit()
-	huge := geom.NewRect(0, 0, 1<<40, 1<<40)
+	// min keeps 1<<40 and 1<<35 where int has 64 bits and lets the test
+	// build where it has 32, though no int lies past the int32 range there.
+	huge := geom.NewRect(0, 0, min(1<<40, math.MaxInt), min(1<<40, math.MaxInt))
 	s := NewStructure(c, huge)
 	p := mk(1, [2]int{10, 20}, [2]int{10, 20}, [2]int{10, 20}, [2]int{10, 20})
-	p.X = []int{1 << 35, 0}
+	p.X = []int{min(1<<35, math.MaxInt), 0}
 	if _, err := storePlacement(s, p); err != nil {
 		t.Fatal(err)
 	}

@@ -117,7 +117,7 @@ func TestScorerKeptTotalsMatchCost(t *testing.T) {
 				l.W[i], l.H[i] = b.WRange().Rand(rng), b.HRange().Rand(rng)
 			}
 			if tc.far {
-				l.X[3] = 1 << 40
+				l.X[3] = min(1<<40, math.MaxInt)
 			}
 			var sc Scorer
 			check := func(step int, what string, got float64) {

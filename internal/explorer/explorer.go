@@ -9,9 +9,17 @@
 // Every explored placement is resolved and stored; the Metropolis test on
 // the BDIO's average cost only decides which placement seeds the next
 // perturbation. The run stops on coverage target, placement budget, or
-// iteration budget — whichever first. Evaluate, the step from Placement
-// Expansion to Store Placement plus the stop test, is the part every
-// generation backend shares: internal/gen's GA evaluates through it too.
+// iteration budget — whichever first.
+//
+// Each step has two halves, which every generation backend shares
+// (internal/gen's GA calls both in turn). Propose, the chain half, runs
+// Placement Expansion and the BDIO on a candidate and reads no structure.
+// Store, the store half, runs Resolve Overlaps and Store Placement, the
+// Stats counters, the Progress report and the stop test. GenerateContext
+// runs each chain as a goroutine that proposes and runs its own Metropolis
+// test, while the calling goroutine alone stores the chains' steps, in
+// (iteration, chain) order. Equal configs therefore give identical
+// structures at every chain count.
 package explorer
 
 import (
@@ -27,6 +35,7 @@ import (
 	"mps/internal/bdio"
 	"mps/internal/core"
 	"mps/internal/cost"
+	"mps/internal/geom"
 	"mps/internal/netlist"
 	"mps/internal/placement"
 )
@@ -34,7 +43,7 @@ import (
 // Config controls one generation run.
 type Config struct {
 	// Seed drives all randomness; runs with equal seeds and configs are
-	// identical (when Chains == 1).
+	// identical.
 	Seed int64
 	// MaxIterations bounds outer-SA steps. Default 300.
 	MaxIterations int
@@ -47,23 +56,23 @@ type Config struct {
 	// on large circuits stays far below any useful target.
 	TargetCoverage float64
 	// BDIO configures the inner annealer. GenerateContext sets its Rand
-	// and Stop per chain; a direct caller of Evaluate sets them itself.
+	// and Stop per chain; a direct caller of Propose sets them itself.
 	BDIO bdio.Config
 	// Evaluator scores layouts. Default cost.DefaultWeights.
 	Evaluator cost.Evaluator
 	// Chains runs this many independent explorer chains feeding one
 	// structure (an extension beyond the paper's single chain, seeded
-	// Seed + chain·7919). Default 1.
+	// Seed + chain·7919). Values below 1 mean 1.
 	Chains int
-	// Progress, when non-nil, observes each iteration. Called under the
-	// structure lock; keep it fast.
+	// Progress, when non-nil, observes each iteration. Called by the
+	// goroutine that stores, in (iteration, chain) order; keep it fast.
 	Progress func(Progress)
 }
 
-// Progress is one generation progress snapshot, reported once per outer
-// iteration. Placements and Coverage describe the shared structure, so
-// with multiple chains they advance monotonically even though Chain and
-// Iteration interleave.
+// Progress is one generation progress snapshot, reported once per stored
+// step. Placements and Coverage describe the shared structure after the
+// step; with multiple chains, the reports of one iteration come in chain
+// order.
 type Progress struct {
 	// Chain is the reporting explorer chain, Iteration its outer-SA step.
 	Chain     int
@@ -93,9 +102,7 @@ func (cfg Config) withDefaults() Config {
 	if cfg.Evaluator == nil {
 		cfg.Evaluator = cost.DefaultWeights
 	}
-	if cfg.Chains == 0 {
-		cfg.Chains = 1
-	}
+	cfg.Chains = max(1, cfg.Chains)
 	return cfg
 }
 
@@ -112,11 +119,10 @@ type Stats struct {
 }
 
 // GenerateContext runs the Placement Explorer and returns the filled
-// structure. The context is checked before every explored placement and
-// threaded into the inner annealer, so a cancelled generation stops within
-// one BDIO proposal. On cancellation the context's error is returned and
-// the partially filled structure is discarded — generation is all or
-// nothing.
+// structure. The context is checked before every stored step and threaded
+// into the inner annealer, so a cancelled generation stops within one BDIO
+// proposal. On cancellation the context's error is returned and the
+// partially filled structure is discarded — generation is all or nothing.
 func GenerateContext(ctx context.Context, c *netlist.Circuit, cfg Config) (*core.Structure, Stats, error) {
 	if err := c.Validate(); err != nil {
 		return nil, Stats{}, fmt.Errorf("explorer: %w", err)
@@ -125,59 +131,86 @@ func GenerateContext(ctx context.Context, c *netlist.Circuit, cfg Config) (*core
 	s := core.NewStructure(c, placement.DefaultFloorplan(c))
 
 	start := time.Now()
-	var stats Stats
-	stats.BestAvgCost = math.Inf(1)
-	stats.Chains = cfg.Chains
-
-	if cfg.Chains == 1 {
-		if err := runChain(ctx, c, s, cfg, 0, rand.New(rand.NewSource(cfg.Seed)), &stats, nil); err != nil {
-			return nil, stats, err
-		}
-	} else {
-		var mu sync.Mutex
-		var wg sync.WaitGroup
-		errs := make([]error, cfg.Chains)
-		for ch := 0; ch < cfg.Chains; ch++ {
-			wg.Add(1)
-			go func(ch int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(cfg.Seed + int64(ch)*7919))
-				errs[ch] = runChain(ctx, c, s, cfg, ch, rng, &stats, &mu)
-			}(ch)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return nil, stats, err
-			}
-		}
+	stats := Stats{BestAvgCost: math.Inf(1), Chains: cfg.Chains}
+	if err := run(ctx, c, s, cfg, &stats); err != nil {
+		return nil, stats, fmt.Errorf("explorer: %w", err)
 	}
-
 	stats.FinalCoverage = s.Coverage()
 	stats.Duration = time.Since(start)
 	return s, stats, nil
 }
 
-// runChain executes one explorer chain: the Placement Selector, the
-// perturbation schedule and the Metropolis test around Evaluate. When mu
-// is non-nil, structure access and stats updates are serialized across
-// chains.
-func runChain(ctx context.Context, c *netlist.Circuit, s *core.Structure, cfg Config, chain int, rng *rand.Rand, stats *Stats, mu *sync.Mutex) error {
-	// Placement Selector: initial random legal placement at minimum dims.
+// step is one chain iteration, handed from the chain to the store loop.
+type step struct {
+	cand   *placement.Placement // proposed; from here on only read, by Store and the chain
+	accept bool                 // the chain's Metropolis decision on cand
+	err    error                // non-nil on a chain's last step: it failed
+}
+
+// run starts cfg.Chains chains, each with MaxIterations/Chains
+// iterations, and is the structure's only writer: it stores their steps
+// in (iteration, chain) order until the budget is spent, a stop target is
+// reached, a step fails or ctx is done. Before it returns, it cancels the
+// chains and waits for every one to exit.
+func run(ctx context.Context, c *netlist.Circuit, s *core.Structure, cfg Config, stats *Stats) error {
+	iters := max(1, cfg.MaxIterations/cfg.Chains)
 	fp := s.Floorplan()
+	chainCtx, cancel := context.WithCancel(ctx)
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer cancel()
+	steps := make([]chan step, cfg.Chains)
+	for ch := range steps {
+		// Room for the chain's whole budget: a chain never waits for the
+		// store loop, so it runs ahead of slower chains and never blocks
+		// on a loop that has returned.
+		steps[ch] = make(chan step, iters)
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(ch)*7919))
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			runChain(chainCtx, c, fp, cfg, rng, iters, steps[ch])
+		}()
+	}
+
+	for it := 0; it < iters; it++ {
+		for ch, out := range steps {
+			st := <-out
+			// Chains may be ahead: nothing is stored once ctx is done.
+			if err := ctx.Err(); err != nil {
+				return fmt.Errorf("generation cancelled: %w", err)
+			}
+			if st.err != nil {
+				return st.err
+			}
+			stop, err := Store(s, st.cand, cfg, ch, it, stats)
+			if err != nil || stop {
+				return err
+			}
+			if st.accept {
+				stats.Accepted++
+			}
+		}
+	}
+	return nil
+}
+
+// runChain executes one explorer chain's half of every step: the
+// Placement Selector, the perturbation schedule, Propose and the
+// Metropolis test. It sends each of its iters steps on out and stops after
+// the first that fails.
+func runChain(ctx context.Context, c *netlist.Circuit, fp geom.Rect, cfg Config, rng *rand.Rand, iters int, out chan<- step) {
+	// Placement Selector: initial random legal placement at minimum dims.
 	accepted, err := placement.RandomLegal(c, fp, rng)
 	if err != nil {
-		return fmt.Errorf("explorer: %w", err)
+		out <- step{err: err}
+		return
 	}
 	acceptedCost := math.Inf(1)
 	temp := 0.0 // calibrated after the first iteration
 	// Perturbation moves a block at most a quarter of the floorplan side.
 	maxShift := max(1, fp.W()/4)
 
-	iters := cfg.MaxIterations / max(1, cfg.Chains)
-	if iters < 1 {
-		iters = 1
-	}
 	cfg.BDIO.Rand = rng
 	cfg.BDIO.Stop = ctx.Done()
 
@@ -189,7 +222,7 @@ func runChain(ctx context.Context, c *netlist.Circuit, s *core.Structure, cfg Co
 		// the annealing schedule so late iterations refine rather than
 		// teleport (standard SA practice; the paper leaves the move size to
 		// the user).
-		base := accepted.Clone()
+		cand := accepted.Clone()
 		if it > 0 {
 			shift := maxShift
 			if iters > 1 {
@@ -199,80 +232,68 @@ func runChain(ctx context.Context, c *netlist.Circuit, s *core.Structure, cfg Co
 					shift = 2
 				}
 			}
-			base.Perturb(c, fp, rng, perturbFraction, shift)
+			cand.Perturb(c, fp, rng, perturbFraction, shift)
 		}
 
-		avgCost, stop, err := Evaluate(ctx, c, s, base.Clone(), cfg, chain, it, stats, mu)
-		if err != nil {
-			return fmt.Errorf("explorer: %w", err)
-		}
-		if stop {
-			return nil
+		if err := Propose(ctx, c, fp, cand, cfg); err != nil {
+			out <- step{err: err}
+			return
 		}
 
 		// Accept New Placement? — Metropolis on the BDIO average cost. On
-		// acceptance the candidate's coordinates seed future perturbations;
-		// on rejection the previous accepted placement is restored (it was
-		// never overwritten).
+		// acceptance the candidate's coordinates seed future perturbations
+		// (Perturb restarts its intervals at minimum dimensions); on
+		// rejection the previous accepted placement is kept.
 		if temp == 0 {
-			temp = math.Max(1, 0.1*avgCost) // first-iteration calibration
+			temp = math.Max(1, 0.1*cand.AvgCost) // first-iteration calibration
 		}
-		accept := avgCost <= acceptedCost ||
-			rng.Float64() < math.Exp(-(avgCost-acceptedCost)/temp)
+		accept := cand.AvgCost <= acceptedCost ||
+			rng.Float64() < math.Exp(-(cand.AvgCost-acceptedCost)/temp)
 		if accept {
-			accepted = base
-			acceptedCost = avgCost
-			if mu != nil {
-				mu.Lock()
-			}
-			stats.Accepted++
-			if mu != nil {
-				mu.Unlock()
-			}
+			accepted, acceptedCost = cand, cand.AvgCost
 		}
 		temp *= cooling
+		out <- step{cand: cand, accept: accept}
 	}
-	return nil
 }
 
-// Evaluate runs one explored placement through the Fig. 4 step every
-// generation backend shares: Placement Expansion (cand's intervals restart
-// at minimum dimensions and grow by expandStep), the BDIO (cfg.Evaluator
-// and cfg.BDIO, whose Rand and Stop the caller sets), then Resolve
-// Overlaps and Store Placement. It takes ownership of cand and draws from
-// no random stream but the BDIO's. The insert, the Stats counters, the
-// cfg.Progress report for (chain, it) and the stop test run under mu when
-// it is non-nil. It returns the BDIO average cost and whether the
-// structure reached cfg.MaxPlacements or cfg.TargetCoverage; its errors,
+// Propose runs the chain half of one Fig. 4 step on cand: Placement
+// Expansion (cand's intervals restart at minimum dimensions and grow by
+// expandStep), then the BDIO with cfg.Evaluator and cfg.BDIO, whose Rand
+// and Stop the caller sets. It writes cand's intervals and costs (the BDIO
+// average cost lands in cand.AvgCost) but never its coordinates, reads no
+// structure, and draws from no random stream but the BDIO's. Its errors,
 // a cancelled ctx's included, carry no package prefix.
-func Evaluate(ctx context.Context, c *netlist.Circuit, s *core.Structure, cand *placement.Placement, cfg Config, chain, it int, stats *Stats, mu *sync.Mutex) (avgCost float64, stop bool, err error) {
+func Propose(ctx context.Context, c *netlist.Circuit, fp geom.Rect, cand *placement.Placement, cfg Config) error {
 	if err := ctx.Err(); err != nil {
-		return 0, false, fmt.Errorf("generation cancelled: %w", err)
+		return fmt.Errorf("generation cancelled: %w", err)
 	}
 	// Placement Expansion grows the candidate's intervals.
-	fp := s.Floorplan()
 	cand.ResetToMin(c)
 	cand.Expand(c, fp, expandStep)
 
 	// Inner annealer: shrink intervals, attach costs.
-	res, err := bdio.Optimize(c, cand, fp, cfg.Evaluator, cfg.BDIO)
-	if err != nil {
+	if _, err := bdio.Optimize(c, cand, fp, cfg.Evaluator, cfg.BDIO); err != nil {
 		// A stop mid-BDIO is a cancellation, not an annealer fault: the
 		// half-optimized candidate is discarded, never stored.
 		if errors.Is(err, anneal.ErrStopped) {
-			return 0, false, fmt.Errorf("generation cancelled: %w", context.Cause(ctx))
+			return fmt.Errorf("generation cancelled: %w", context.Cause(ctx))
 		}
-		return 0, false, err
+		return err
 	}
+	return nil
+}
 
-	// Resolve Overlaps + Store Placement.
-	if mu != nil {
-		mu.Lock()
-		defer mu.Unlock()
-	}
+// Store runs the store half of one Fig. 4 step on a proposed cand:
+// Resolve Overlaps and Store Placement, the Stats counters, the
+// cfg.Progress report for (chain, it) and the stop test. It only reads
+// cand and keeps no reference to it. It reports whether the structure
+// reached cfg.MaxPlacements or cfg.TargetCoverage; its errors carry no
+// package prefix.
+func Store(s *core.Structure, cand *placement.Placement, cfg Config, chain, it int, stats *Stats) (stop bool, err error) {
 	insert, err := s.Insert(cand)
 	if err != nil {
-		return 0, false, err
+		return false, err
 	}
 	stats.Iterations++
 	if insert.CandidateDied {
@@ -280,8 +301,8 @@ func Evaluate(ctx context.Context, c *netlist.Circuit, s *core.Structure, cand *
 	} else {
 		stats.Stored++
 	}
-	if res.AvgCost < stats.BestAvgCost {
-		stats.BestAvgCost = res.AvgCost
+	if cand.AvgCost < stats.BestAvgCost {
+		stats.BestAvgCost = cand.AvgCost
 	}
 	if cfg.Progress != nil {
 		cfg.Progress(Progress{
@@ -293,5 +314,5 @@ func Evaluate(ctx context.Context, c *netlist.Circuit, s *core.Structure, cand *
 	}
 	stop = (cfg.MaxPlacements > 0 && s.NumPlacements() >= cfg.MaxPlacements) ||
 		(cfg.TargetCoverage > 0 && s.Coverage() >= cfg.TargetCoverage)
-	return res.AvgCost, stop, nil
+	return stop, nil
 }

@@ -1,9 +1,11 @@
 package explorer
 
 import (
+	"bytes"
 	"context"
 	"errors"
-	"math/rand"
+	"fmt"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -67,39 +69,52 @@ func TestGenerateInvariantsAcrossBenchmarks(t *testing.T) {
 	}
 }
 
+// TestGenerateDeterministicWithSeed: a config names one run at every chain
+// count. Twenty runs each of chains 1, 2, 4 and 8 must write the same
+// structure bytes, report the same Progress sequence and count the same
+// stats. Chains run ahead of each other, so with more than one this holds
+// only because one loop stores their steps in (iteration, chain) order;
+// CI runs it under -race and again with GOMAXPROCS=1.
 func TestGenerateDeterministicWithSeed(t *testing.T) {
+	const runs = 20
 	c := circuits.MustByName("circ01")
-	s1, stats1, err := GenerateContext(context.Background(), c, quickCfg(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	s2, stats2, err := GenerateContext(context.Background(), c, quickCfg(7))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if s1.NumPlacements() != s2.NumPlacements() {
-		t.Errorf("placement counts differ: %d vs %d", s1.NumPlacements(), s2.NumPlacements())
-	}
-	if stats1.Stored != stats2.Stored || stats1.Accepted != stats2.Accepted {
-		t.Errorf("stats differ: %+v vs %+v", stats1, stats2)
-	}
-	// Spot-check: queries agree on random vectors.
-	rng := rand.New(rand.NewSource(3))
-	ws := make([]int, c.N())
-	hs := make([]int, c.N())
-	for trial := 0; trial < 200; trial++ {
-		for i, b := range c.Blocks {
-			ws[i] = b.WMin + rng.Intn(b.WMax-b.WMin+1)
-			hs[i] = b.HMin + rng.Intn(b.HMax-b.HMin+1)
-		}
-		p1, err1 := s1.Query(ws, hs)
-		p2, err2 := s2.Query(ws, hs)
-		if (err1 == nil) != (err2 == nil) {
-			t.Fatalf("query determinism broken at %v/%v", ws, hs)
-		}
-		if err1 == nil && p1.AvgCost != p2.AvgCost {
-			t.Fatalf("different placements for same seed at %v/%v", ws, hs)
-		}
+	for _, chains := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("chains-%d", chains), func(t *testing.T) {
+			var wantBytes []byte
+			var wantReports []Progress
+			var wantStats Stats
+			for run := 0; run < runs; run++ {
+				cfg := quickCfg(7)
+				cfg.Chains = chains
+				var reports []Progress
+				cfg.Progress = func(p Progress) { reports = append(reports, p) }
+				s, stats, err := GenerateContext(context.Background(), c, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var buf bytes.Buffer
+				if err := s.SaveBinary(&buf); err != nil {
+					t.Fatal(err)
+				}
+				stats.Duration = 0
+				if run == 0 {
+					wantBytes, wantReports, wantStats = buf.Bytes(), reports, stats
+					if len(reports) != stats.Iterations {
+						t.Fatalf("%d Progress reports for %d stored steps", len(reports), stats.Iterations)
+					}
+					continue
+				}
+				if !bytes.Equal(buf.Bytes(), wantBytes) {
+					t.Errorf("run %d wrote other structure bytes than run 0", run)
+				}
+				if !slices.Equal(reports, wantReports) {
+					t.Errorf("run %d reported another Progress sequence than run 0", run)
+				}
+				if stats != wantStats {
+					t.Errorf("run %d stats %+v, run 0 %+v", run, stats, wantStats)
+				}
+			}
+		})
 	}
 }
 
@@ -275,6 +290,30 @@ func TestGenerateParallelChains(t *testing.T) {
 	}
 	if s.NumPlacements() == 0 {
 		t.Error("no placements stored by parallel chains")
+	}
+}
+
+// TestGenerateNegativeChainsRunsOne: a chain count below 1 runs the one
+// chain a zero count runs, rather than none.
+func TestGenerateNegativeChainsRunsOne(t *testing.T) {
+	c := circuits.MustByName("circ01")
+	var want []byte
+	for _, chains := range []int{1, -2} {
+		cfg := quickCfg(3)
+		cfg.Chains = chains
+		s, _, err := GenerateContext(context.Background(), c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var buf bytes.Buffer
+		if err := s.SaveBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		if want == nil {
+			want = buf.Bytes()
+		} else if !bytes.Equal(buf.Bytes(), want) {
+			t.Errorf("chains %d wrote other bytes than one chain", chains)
+		}
 	}
 }
 

@@ -34,12 +34,13 @@ func init() { Register(gaBackend{}) }
 // occasionally SwapBlocks). Tournament selection ranks individuals by
 // the same BDIO average cost the explorer anneals on.
 //
-// Every individual is evaluated through explorer.Evaluate, the Fig. 4
-// step the anneal backend runs once per iteration (expansion, BDIO,
-// resolve, store, stats, progress, stop test), so every evaluated
-// individual lands in the structure under the same resolve rules, and GA
-// structures are indistinguishable downstream — compiled indexes,
-// structure files, portfolios, and the cluster all serve them unchanged.
+// Every individual is evaluated through explorer.Propose and
+// explorer.Store, the two halves of the Fig. 4 step the anneal backend
+// runs once per iteration (expansion and BDIO; resolve, store, stats,
+// progress and stop test), so every evaluated individual lands in the
+// structure under the same resolve rules, and GA structures are
+// indistinguishable downstream — compiled indexes, structure files,
+// portfolios, and the cluster all serve them unchanged.
 // One seeded rand.Rand drives the entire run on one goroutine, so equal
 // seeds give identical structures regardless of Spec.Chains (which this
 // backend ignores).
@@ -114,7 +115,7 @@ type gaRun struct {
 	fp       geom.Rect
 	s        *core.Structure
 	rng      *rand.Rand
-	cfg      explorer.Config // what explorer.Evaluate needs of the spec
+	cfg      explorer.Config // what explorer.Propose and Store need of the spec
 	stats    Stats           // Iterations counts evaluations so far
 	budget   int             // total evaluation budget (outer-iteration equivalent)
 	maxShift int
@@ -187,20 +188,24 @@ func (r *gaRun) initialPopulation(ctx context.Context, size int) ([]individual, 
 	return pop, nil
 }
 
-// evaluate runs explorer.Evaluate on a copy of the individual, as
+// evaluate proposes a copy of the individual and stores it, as
 // evaluation number stats.Iterations of chain 0. The individual itself
 // keeps its coordinates and minimum dims; only the stored copy carries
 // the optimized intervals and costs. Returns the BDIO average cost as
 // fitness.
 func (r *gaRun) evaluate(ctx context.Context, p *placement.Placement) (float64, error) {
-	fit, stop, err := explorer.Evaluate(ctx, r.c, r.s, p.Clone(), r.cfg, 0, r.stats.Iterations, &r.stats, nil)
+	cand := p.Clone()
+	if err := explorer.Propose(ctx, r.c, r.fp, cand, r.cfg); err != nil {
+		return 0, fmt.Errorf("gen/ga: %w", err)
+	}
+	stop, err := explorer.Store(r.s, cand, r.cfg, 0, r.stats.Iterations, &r.stats)
 	if err != nil {
 		return 0, fmt.Errorf("gen/ga: %w", err)
 	}
 	if stop {
-		return fit, errGATargetReached
+		return cand.AvgCost, errGATargetReached
 	}
-	return fit, nil
+	return cand.AvgCost, nil
 }
 
 // tournament returns the fitter of two individuals drawn at random

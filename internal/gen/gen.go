@@ -17,9 +17,9 @@
 //     (decoded to legal packings by longest paths), mutation reuses the
 //     explorer's perturbation move set, tournament selection ranks by
 //     the same BDIO average cost, and every candidate is evaluated
-//     through explorer.Evaluate, the step the explorer runs once per
-//     iteration — so compiled indexes, portfolios, the store, and the
-//     cluster serve GA output unchanged.
+//     through explorer.Propose and explorer.Store, the two halves of the
+//     step the explorer runs once per iteration — so compiled indexes,
+//     portfolios, the store, and the cluster serve GA output unchanged.
 //
 // The Generator contract: on success the returned structure is finished —
 // compacted (fork fragments re-merged), densely renumbered (IDs survive a
@@ -75,8 +75,7 @@ type Spec struct {
 	// are self-describing. Empty means Default.
 	Backend string
 	// Seed drives all randomness; equal seeds and specs give identical
-	// structures (anneal: with Chains == 1; ga: always — it runs one
-	// deterministic population).
+	// structures.
 	Seed int64
 	// Iterations is the candidate-evaluation budget: outer-SA steps for
 	// anneal, total individual evaluations for ga. 0 = backend default.

@@ -4,7 +4,9 @@ import (
 	"bytes"
 	"context"
 	"errors"
+	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -121,10 +123,12 @@ func TestGADeterministic(t *testing.T) {
 }
 
 // TestBackendStopsAndCancels pins how every backend under test ends a
-// run on circ01 before its budget: the MaxPlacements and TargetCoverage
-// targets stop it as a success, and a cancelled context, before the run
-// or from a Progress report, fails it with context.Canceled, no
-// structure and no report after the cancelling one. Like
+// run on circ01 before its budget, at one chain and at four (which the ga
+// backend ignores): the MaxPlacements and TargetCoverage targets stop it
+// as a success, and a cancelled context, before the run or from a
+// Progress report, fails it with context.Canceled, no structure and no
+// report after the cancelling one. However the run ends, no explorer
+// chain is still running once Generate returns. Like
 // TestBackendEquivalence it honours MPS_BACKENDS.
 func TestBackendStopsAndCancels(t *testing.T) {
 	const budget = 200
@@ -134,65 +138,85 @@ func TestBackendStopsAndCancels(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// run generates under spec at the shared seed and budgets and
-		// cancels the context at the cancelAt-th Progress report (0: before
-		// the run, -1: never). It returns the number of reports seen.
-		run := func(spec Spec, cancelAt int) (*core.Structure, Stats, int, error) {
-			ctx, cancel := context.WithCancel(context.Background())
-			defer cancel()
-			if cancelAt == 0 {
-				cancel()
-			}
-			reports := 0
-			spec.Seed, spec.Iterations, spec.BDIOSteps = 1, budget, 40
-			spec.Progress = func(Progress) {
-				if reports++; reports == cancelAt {
+		for _, chains := range []int{1, 4} {
+			// run generates under spec at the shared seed, budgets and chain
+			// count and cancels the context at the cancelAt-th Progress
+			// report (0: before the run, -1: never). It returns the number
+			// of reports seen.
+			run := func(t *testing.T, spec Spec, cancelAt int) (*core.Structure, Stats, int, error) {
+				ctx, cancel := context.WithCancel(context.Background())
+				defer cancel()
+				if cancelAt == 0 {
 					cancel()
 				}
+				reports := 0
+				spec.Seed, spec.Iterations, spec.BDIOSteps, spec.Chains = 1, budget, 40, chains
+				spec.Progress = func(Progress) {
+					if reports++; reports == cancelAt {
+						cancel()
+					}
+				}
+				s, stats, err := g.Generate(ctx, c, spec)
+				if chainsRunning() {
+					t.Error("an explorer chain is still running after Generate returned")
+				}
+				return s, stats, reports, err
 			}
-			s, stats, err := g.Generate(ctx, c, spec)
-			return s, stats, reports, err
-		}
+			prefix := backend
+			if chains > 1 {
+				prefix += fmt.Sprintf("/chains-%d", chains)
+			}
 
-		t.Run(backend+"/max_placements", func(t *testing.T) {
-			s, stats, _, err := run(Spec{MaxPlacements: 4}, -1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if s.NumPlacements() < 4 {
-				t.Errorf("%d placements, want at least MaxPlacements = 4", s.NumPlacements())
-			}
-			if stats.Iterations >= budget {
-				t.Errorf("%d evaluations: the run burned its budget despite MaxPlacements", stats.Iterations)
-			}
-		})
-		t.Run(backend+"/target_coverage", func(t *testing.T) {
-			_, stats, _, err := run(Spec{TargetCoverage: math.SmallestNonzeroFloat64}, -1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.Iterations != 1 {
-				t.Errorf("%d evaluations, want 1: the first stored placement reaches any positive target", stats.Iterations)
-			}
-		})
-		for _, tc := range []struct {
-			name     string
-			cancelAt int
-		}{{"cancel_mid_run", 3}, {"cancel_before_run", 0}} {
-			t.Run(backend+"/"+tc.name, func(t *testing.T) {
-				s, _, reports, err := run(Spec{}, tc.cancelAt)
-				if !errors.Is(err, context.Canceled) {
-					t.Fatalf("err = %v, want context.Canceled", err)
+			t.Run(prefix+"/max_placements", func(t *testing.T) {
+				s, stats, _, err := run(t, Spec{MaxPlacements: 4}, -1)
+				if err != nil {
+					t.Fatal(err)
 				}
-				if s != nil {
-					t.Error("cancelled generation returned a structure")
+				if s.NumPlacements() < 4 {
+					t.Errorf("%d placements, want at least MaxPlacements = 4", s.NumPlacements())
 				}
-				if reports != tc.cancelAt {
-					t.Errorf("%d Progress reports, want %d", reports, tc.cancelAt)
+				if stats.Iterations >= budget {
+					t.Errorf("%d evaluations: the run burned its budget despite MaxPlacements", stats.Iterations)
 				}
 			})
+			t.Run(prefix+"/target_coverage", func(t *testing.T) {
+				_, stats, _, err := run(t, Spec{TargetCoverage: math.SmallestNonzeroFloat64}, -1)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if stats.Iterations != 1 {
+					t.Errorf("%d evaluations, want 1: the first stored placement reaches any positive target", stats.Iterations)
+				}
+			})
+			for _, tc := range []struct {
+				name     string
+				cancelAt int
+			}{{"cancel_mid_run", 3}, {"cancel_before_run", 0}} {
+				t.Run(prefix+"/"+tc.name, func(t *testing.T) {
+					s, _, reports, err := run(t, Spec{}, tc.cancelAt)
+					if !errors.Is(err, context.Canceled) {
+						t.Fatalf("err = %v, want context.Canceled", err)
+					}
+					if s != nil {
+						t.Error("cancelled generation returned a structure")
+					}
+					if reports != tc.cancelAt {
+						t.Errorf("%d Progress reports, want %d", reports, tc.cancelAt)
+					}
+				})
+			}
 		}
 	}
+}
+
+// chainsRunning reports whether any goroutine is inside an explorer
+// chain. A chain's goroutine leaves runChain before it signals the
+// explorer that it is done, so after GenerateContext returns no stack may
+// show the frame.
+func chainsRunning() bool {
+	buf := make([]byte, 1<<20)
+	buf = buf[:runtime.Stack(buf, true)]
+	return bytes.Contains(buf, []byte("mps/internal/explorer.runChain("))
 }
 
 func TestGAProgressReported(t *testing.T) {

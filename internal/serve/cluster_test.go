@@ -7,16 +7,19 @@ import (
 	"fmt"
 	"io"
 	"log"
+	"math/rand"
 	"net"
 	"net/http"
 	"net/http/httputil"
 	"net/url"
 	"runtime"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"mps/internal/cluster"
+	"mps/internal/core"
 	"mps/internal/store"
 )
 
@@ -624,6 +627,72 @@ func TestClusterFaultInjection(t *testing.T) {
 	}
 	if g, ok := entry.c.BreakerGauges()[peerURL]; !ok || g != closed {
 		t.Fatalf("breaker gauge is (%v, %v) after a successful probe, want %v (closed)", g, ok, closed)
+	}
+}
+
+// TestClusterFallbackMatchesOwner: a spec key names one artifact on every
+// node, at any chain count. The owner generates a chains-4 spec; then,
+// with the owner's connections dropped, the non-owner degrades to local
+// generation and must hold the owner's member-0 bytes and give the
+// owner's answers to a fixed batch of covered and uncovered queries.
+func TestClusterFallbackMatchesOwner(t *testing.T) {
+	fleet := newTestFleet(t, fleetConfig{n: 2, flaky: []int{1}})
+	owner, entry := fleet.nodes[1], fleet.nodes[0]
+	spec := GenerateSpec{Circuit: "circ01", Effort: "quick", Chains: 4}
+	for spec.Seed = 400; fleet.ownerIndex(t, specKey(t, spec)) != 1; spec.Seed++ {
+		if spec.Seed == 1400 {
+			t.Fatal("no chains-4 spec owned by node 1 in 1000 seeds")
+		}
+	}
+	key := specKey(t, spec)
+
+	// artifact generates spec through node n and returns the SaveBinary
+	// bytes of its member 0, and the member.
+	artifact := func(n *clusterNode) ([]byte, *core.Structure) {
+		t.Helper()
+		if code, body := postJSON(t, n.url+"/v1/structures", spec, nil); code != http.StatusOK {
+			t.Fatalf("generate via %s: %d %s", n.url, code, body)
+		}
+		e, ok := n.s.lookup(key)
+		if !ok {
+			t.Fatalf("%s is not cached on %s", key, n.url)
+		}
+		var buf bytes.Buffer
+		if err := e.p.Member(0).SaveBinary(&buf); err != nil {
+			t.Fatal(err)
+		}
+		return buf.Bytes(), e.p.Member(0)
+	}
+	var queries []map[string][]int
+	answers := func(n *clusterNode) string {
+		t.Helper()
+		var out struct {
+			Results json.RawMessage `json:"results"`
+		}
+		if code, body := postJSON(t, n.url+"/v1/instantiate", map[string]any{"spec": spec, "queries": queries}, &out); code != http.StatusOK {
+			t.Fatalf("instantiate via %s: %d %s", n.url, code, body)
+		}
+		return string(out.Results)
+	}
+
+	ownerBytes, st := artifact(owner)
+	queries = oracleQueries(t, rand.New(rand.NewSource(spec.Seed)), []*core.Structure{st})
+	ownerAnswers := answers(owner)
+	if !strings.Contains(ownerAnswers, `"from_backup":false`) {
+		t.Fatalf("no query of the batch is covered: %s", ownerAnswers)
+	}
+
+	fleet.proxies[1].setMode("drop")
+	runs := entry.s.genRuns.Load()
+	localBytes, _ := artifact(entry)
+	if got := entry.s.genRuns.Load(); got != runs+1 {
+		t.Fatalf("non-owner ran %d generations, want %d: no local fallback", got, runs+1)
+	}
+	if !bytes.Equal(localBytes, ownerBytes) {
+		t.Errorf("the fallback artifact for %s differs from the owner's (%d vs %d bytes)", key, len(localBytes), len(ownerBytes))
+	}
+	if got := answers(entry); got != ownerAnswers {
+		t.Errorf("the fallback answers differ from the owner's:\n%s\nvs\n%s", got, ownerAnswers)
 	}
 }
 

@@ -596,7 +596,7 @@ func historicalKey(g GenerateSpec) string {
 func TestSpecKeyMatchesHistoricalKey(t *testing.T) {
 	specs := []GenerateSpec{
 		{Circuit: "TwoStageOpamp", Seed: 1, Effort: "balanced"},
-		{Circuit: "circ01", Seed: -9223372036854775808, Iterations: 9223372036854775807, Backup: "seqpair"},
+		{Circuit: "circ01", Seed: -9223372036854775808, Iterations: math.MaxInt, Backup: "seqpair"},
 		{Circuit: "circ01", Backend: "ga"},
 		{Circuit: "circ01", Backend: "anneal"},
 		{Circuit: "circ01", Weights: &WeightsSpec{Wire: 1, Area: 0.01}},

@@ -238,7 +238,7 @@ func TestInstantiateResponseMatchesEncodingJSON(t *testing.T) {
 		for i := range xs {
 			xs[i] = rng.Intn(2001) - 1000
 			if rng.Intn(16) == 0 {
-				xs[i] = rng.Intn(1<<62) - 1<<61
+				xs[i] = int(rng.Int63n(1<<62) - 1<<61)
 			}
 		}
 		return xs

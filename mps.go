@@ -80,8 +80,7 @@ type Progress = explorer.Progress
 // Options tunes Run. The zero value is a balanced default; Effort
 // presets scale the annealing budgets.
 type Options struct {
-	// Seed drives all randomness. Equal seeds give identical structures
-	// (with Chains == 1).
+	// Seed drives all randomness. Equal seeds give identical structures.
 	Seed int64
 	// Iterations is the Placement Explorer budget (outer SA steps).
 	// 0 uses the Effort preset.
@@ -103,7 +102,8 @@ type Options struct {
 	// Backup selects the instantiator for uncovered dimension regions.
 	Backup BackupKind
 	// Progress observes generation, once per explorer iteration. Called
-	// under the structure lock; keep it fast.
+	// by the goroutine that stores, in (iteration, chain) order; keep it
+	// fast.
 	Progress func(Progress)
 }
 
