@@ -124,18 +124,16 @@ func answerDiff(got, want BatchResult) string {
 	return ""
 }
 
-// TestInstantiateBatchMatchesSerial checks the worker pool returns, in query
+// TestInstantiateBatchMatchesSerial checks a batch returns, in query
 // order, exactly what the reference scan answers query by query, on
 // random, covered, box-corner and out-of-bounds queries.
 func TestInstantiateBatchMatchesSerial(t *testing.T) {
 	s := batchStructure(t)
 	const seed = 42
 	queries, want := referenceQueries(t, s, seed, 250)
-	for _, workers := range []int{0, 1, 2, 8} {
-		for i, br := range s.InstantiateBatchWorkers(queries, workers) {
-			if d := answerDiff(br, want[i]); d != "" {
-				t.Fatalf("seed %d, workers=%d, query %d (%v/%v): %s", seed, workers, i, queries[i].Ws, queries[i].Hs, d)
-			}
+	for i, br := range s.InstantiateBatch(queries) {
+		if d := answerDiff(br, want[i]); d != "" {
+			t.Fatalf("seed %d, query %d (%v/%v): %s", seed, i, queries[i].Ws, queries[i].Hs, d)
 		}
 	}
 }
@@ -162,10 +160,11 @@ func TestInstantiateBatchInvalidQuery(t *testing.T) {
 	}
 }
 
-// TestInstantiateBatchArena pins the per-batch answer arena: covered
-// answers cost no allocation per query, on a structure and on a weighted
-// portfolio, serial and fanned out, and every result's anchors are capped
-// at their own length, so appending to one never writes into another.
+// TestInstantiateBatchArena pins the per-batch answer arena: a batch of
+// covered queries costs exactly two allocations, its result slice and its
+// arena, whatever its size, on a structure, a portfolio and a weighted
+// portfolio, and every result's anchors are capped at their own length,
+// so appending to one never writes into another.
 func TestInstantiateBatchArena(t *testing.T) {
 	s := batchStructure(t)
 	p, _ := genQuickPortfolio(t, "TwoStageOpamp", 7)
@@ -184,33 +183,31 @@ func TestInstantiateBatchArena(t *testing.T) {
 	cases := []struct {
 		name    string
 		queries []DimQuery
-		batch   func([]DimQuery, int) []BatchResult
+		batch   func([]DimQuery) []BatchResult
 	}{
-		{"structure", covered(s.Structure, Weights{}), s.InstantiateBatchWorkers},
-		{"portfolio", covered(p.Member(0), Weights{}), p.InstantiateBatchWorkers},
-		{"portfolio weighted", covered(p.Member(1), WeightLadder(3)[1]), p.InstantiateBatchWorkers},
+		{"structure", covered(s.Structure, Weights{}), s.InstantiateBatch},
+		{"portfolio", covered(p.Member(0), Weights{}), p.InstantiateBatch},
+		{"portfolio weighted", covered(p.Member(1), WeightLadder(3)[1]), p.InstantiateBatch},
 	}
 	for _, tc := range cases {
-		for _, workers := range []int{1, 2} {
-			for _, br := range tc.batch(tc.queries, workers) {
-				if br.Err != nil || br.FromBackup || br.Member < 0 {
-					t.Fatalf("%s: covered query answered %+v", tc.name, br)
-				}
-				if cap(br.X) != len(br.X) || cap(br.Y) != len(br.Y) {
-					t.Fatalf("%s: anchors len %d/%d, cap %d/%d", tc.name, len(br.X), len(br.Y), cap(br.X), cap(br.Y))
-				}
+		for _, br := range tc.batch(tc.queries) {
+			if br.Err != nil || br.FromBackup || br.Member < 0 {
+				t.Fatalf("%s: covered query answered %+v", tc.name, br)
 			}
-			small := testing.AllocsPerRun(10, func() { tc.batch(tc.queries[:64], workers) })
-			large := testing.AllocsPerRun(10, func() { tc.batch(tc.queries, workers) })
-			if small != large {
-				t.Errorf("%s, workers=%d: 64 covered queries take %v allocations, 256 take %v",
-					tc.name, workers, small, large)
+			if cap(br.X) != len(br.X) || cap(br.Y) != len(br.Y) {
+				t.Fatalf("%s: anchors len %d/%d, cap %d/%d", tc.name, len(br.X), len(br.Y), cap(br.X), cap(br.Y))
+			}
+		}
+		for _, n := range []int{1, 64, 256} {
+			qs := tc.queries[:n]
+			if allocs := testing.AllocsPerRun(20, func() { tc.batch(qs) }); allocs != 2 {
+				t.Errorf("%s: %d covered queries take %v allocations, want 2", tc.name, n, allocs)
 			}
 		}
 	}
 }
 
-// TestInstantiateBatchEmptyAndSmall covers the serial fast path and the
+// TestInstantiateBatchEmptyAndSmall covers a small batch and the
 // zero-length batch.
 func TestInstantiateBatchEmptyAndSmall(t *testing.T) {
 	s := batchStructure(t)
@@ -249,8 +246,8 @@ func TestConcurrentInstantiate(t *testing.T) {
 		go func(g int) {
 			defer wg.Done()
 			if g%3 == 0 {
-				// Whole batch through the worker pool.
-				for i, br := range s.InstantiateBatchWorkers(queries, 4) {
+				// Whole batch.
+				for i, br := range s.InstantiateBatch(queries) {
 					if d := answerDiff(br, want[i]); d != "" {
 						errs <- fmt.Sprintf("seed %d, batch query %d: %s", seed, i, d)
 						return

@@ -208,11 +208,9 @@ func BenchmarkCompile(b *testing.B) {
 	}
 }
 
-// BenchmarkInstantiateBatch sweeps the batched query engine's worker count
-// on TwoStageOpamp — the serving hot path behind cmd/mpsd. workers-1 is the
-// serial baseline; the target is >2× its throughput at workers-8. Scaling
-// is bounded by physical cores: on a single-CPU machine (GOMAXPROCS=1) all
-// worker counts converge to the serial rate.
+// BenchmarkInstantiateBatch measures the batched query engine on
+// TwoStageOpamp — the serving hot path behind cmd/mpsd — with one
+// 4096-query batch per operation, run on the benchmark's goroutine.
 func BenchmarkInstantiateBatch(b *testing.B) {
 	cs := structureFor(b, "TwoStageOpamp")
 	s := &Structure{cs}
@@ -220,18 +218,14 @@ func BenchmarkInstantiateBatch(b *testing.B) {
 	rng := rand.New(rand.NewSource(5))
 	const batchSize = 4096
 	queries := randomQueries(c, rng, batchSize)
-	for _, workers := range []int{1, 2, 4, 8} {
-		b.Run(fmt.Sprintf("workers-%d", workers), func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				out := s.InstantiateBatchWorkers(queries, workers)
-				if len(out) != batchSize {
-					b.Fatalf("got %d results", len(out))
-				}
-			}
-			b.ReportMetric(float64(batchSize)*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
-		})
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		out := s.InstantiateBatch(queries)
+		if len(out) != batchSize {
+			b.Fatalf("got %d results", len(out))
+		}
 	}
+	b.ReportMetric(float64(batchSize)*float64(b.N)/b.Elapsed().Seconds(), "queries/s")
 }
 
 // routeBatch is the query count of one BenchmarkPortfolioRoute request,

@@ -1,12 +1,13 @@
 // Command mpsd is the multi-placement-structure query daemon: it serves
 // the paper's generate-once, query-many workflow (Fig. 1) over HTTP/JSON.
 // Structures are generated on demand, cached in a bounded LRU keyed by
-// (circuit, seed, options), and batched Instantiate traffic is answered
-// through the concurrent worker pool in the mps facade.
+// (circuit, seed, options), and each batch of Instantiate queries is
+// answered on its request's goroutine by the mps facade: concurrent
+// requests use the cores, at most one batch per P at a time.
 //
 // Usage:
 //
-//	mpsd [-addr :8723] [-cache 8] [-workers 0] [-max-batch 8192]
+//	mpsd [-addr :8723] [-cache 8] [-max-batch 8192]
 //	     [-max-iterations 5000] [-preload TwoStageOpamp] [-preload-backend ga]
 //	     [-store-dir /var/lib/mpsd] [-store-warm -1]
 //	     [-gen-workers 2] [-jobs-dir /var/lib/mpsd-jobs] [-jobs-resume]
@@ -127,7 +128,6 @@ func main() {
 
 	addr := flag.String("addr", ":8723", "listen address")
 	cacheSize := flag.Int("cache", 8, "max generated structures kept in memory (LRU)")
-	workers := flag.Int("workers", 0, "instantiate worker pool size (0 = GOMAXPROCS)")
 	maxBatch := flag.Int("max-batch", 8192, "max queries per instantiate request")
 	maxIterations := flag.Int("max-iterations", 5000,
 		"cap on explorer iterations and BDIO steps of every spec this node admits: requests, "+
@@ -173,7 +173,6 @@ func main() {
 
 	cfg := serve.Config{
 		CacheSize:             *cacheSize,
-		Workers:               *workers,
 		MaxBatch:              *maxBatch,
 		MaxGenerateIterations: *maxIterations,
 		Logf:                  log.Printf,

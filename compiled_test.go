@@ -121,7 +121,7 @@ func TestCompiledConcurrentFacadeQueries(t *testing.T) {
 					}
 					continue
 				}
-				for _, br := range s.InstantiateBatchWorkers(queries, 2) {
+				for _, br := range s.InstantiateBatch(queries) {
 					if br.Err != nil {
 						errs <- br.Err
 						return

@@ -10,6 +10,7 @@ import (
 
 	"mps/internal/cost"
 	"mps/internal/geom"
+	"mps/internal/placement"
 )
 
 // randomDims fills ws/hs with uniform values over the circuit's designer
@@ -275,36 +276,51 @@ func TestCompiledV3RejectsForgedSection(t *testing.T) {
 	}
 }
 
-// TestLoadRejectsInt32OverflowFloorplan feeds Load a well-formed file whose
-// floorplan (and with it a block anchor) exceeds the compiled index's
-// int32 coordinate space: Load must return an error, never reach the
-// Compile/attach panic — the decoder's no-panic contract covers v2 and v3
-// alike.
+// TestLoadRejectsInt32OverflowFloorplan feeds Load well-formed files whose
+// coordinates the compiled index's int32 tables cannot hold: Load must
+// return an error, never reach the Compile/attach panic — the decoder's
+// no-panic contract covers v2 and v3 alike.
 func TestLoadRejectsInt32OverflowFloorplan(t *testing.T) {
-	c, _ := pairCircuit()
-	// min keeps 1<<40 and 1<<35 where int has 64 bits and lets the test
-	// build where it has 32, though no int lies past the int32 range there.
-	huge := geom.NewRect(0, 0, min(1<<40, math.MaxInt), min(1<<40, math.MaxInt))
-	s := NewStructure(c, huge)
-	p := mk(1, [2]int{10, 20}, [2]int{10, 20}, [2]int{10, 20}, [2]int{10, 20})
-	p.X = []int{min(1<<35, math.MaxInt), 0}
-	if _, err := storePlacement(s, p); err != nil {
-		t.Fatal(err)
+	c, fp := pairCircuit()
+	block := func(x int) *placement.Placement {
+		p := mk(1, [2]int{10, 20}, [2]int{10, 20}, [2]int{10, 20}, [2]int{10, 20})
+		p.X = []int{x, 0}
+		return p
 	}
-	// The v2 and v3 writers refuse such a structure with Load's error, so
-	// the v2 file is forged from the payload they would write. No v3 leg:
-	// a forged v3 file is rejected by the same buildStructure check before
-	// its tables attach.
-	for name, save := range map[string]func(io.Writer) error{
-		"v1": s.Save,
-		"v2": func(w io.Writer) error { _, err := w.Write(appendCRC(s.appendBinary(nil))); return err },
+	for _, tc := range []struct {
+		name string
+		fp   geom.Rect
+		p    *placement.Placement
+	}{
+		// Where int has 64 bits, the floorplan and block 0's anchor lie
+		// past the int32 range. Where it has 32, no int does: min keeps the
+		// floorplan ending at the int range's end, and block 0's anchor
+		// there puts its far edge past that end, which Load must reject
+		// just the same.
+		{"wide floorplan", geom.NewRect(0, 0, min(1<<40, math.MaxInt), min(1<<40, math.MaxInt)), block(min(1<<35, math.MaxInt))},
+		// An anchor within a block's width of MaxInt, in an int32
+		// floorplan: the block's far edge wraps below its anchor.
+		{"wrapping anchor", fp, block(math.MaxInt - 5)},
 	} {
-		var buf bytes.Buffer
-		if err := save(&buf); err != nil {
-			t.Fatalf("%s: %v", name, err)
+		s := NewStructure(c, tc.fp)
+		if _, err := storePlacement(s, tc.p); err != nil {
+			t.Fatal(err)
 		}
-		if _, err := Load(bytes.NewReader(buf.Bytes()), c); err == nil {
-			t.Errorf("%s: Load accepted a structure outside the int32 coordinate range", name)
+		// The v2 and v3 writers refuse a floorplan past the int32 range with
+		// Load's error, so the v2 file is forged from the payload they would
+		// write. No v3 leg: a forged v3 file is rejected by the same
+		// buildStructure checks before its tables attach.
+		for name, save := range map[string]func(io.Writer) error{
+			"v1": s.Save,
+			"v2": func(w io.Writer) error { _, err := w.Write(appendCRC(s.appendBinary(nil))); return err },
+		} {
+			var buf bytes.Buffer
+			if err := save(&buf); err != nil {
+				t.Fatalf("%s %s: %v", tc.name, name, err)
+			}
+			if _, err := Load(bytes.NewReader(buf.Bytes()), c); err == nil {
+				t.Errorf("%s %s: Load accepted a structure outside the int32 coordinate range", tc.name, name)
+			}
 		}
 	}
 }

@@ -62,7 +62,8 @@ type Config struct {
 	Evaluator cost.Evaluator
 	// Chains runs this many independent explorer chains feeding one
 	// structure (an extension beyond the paper's single chain, seeded
-	// Seed + chain·7919). Values below 1 mean 1.
+	// Seed + chain·7919), which share the MaxIterations budget: chains
+	// past the budget do not start. Values below 1 mean 1.
 	Chains int
 	// Progress, when non-nil, observes each iteration. Called by the
 	// goroutine that stores, in (iteration, chain) order; keep it fast.
@@ -122,7 +123,8 @@ type Stats struct {
 // structure. The context is checked before every stored step and threaded
 // into the inner annealer, so a cancelled generation stops within one BDIO
 // proposal. On cancellation the context's error is returned and the
-// partially filled structure is discarded — generation is all or nothing.
+// partially filled structure is discarded — generation is all or nothing
+// — while the Stats still count and time the steps that were stored.
 func GenerateContext(ctx context.Context, c *netlist.Circuit, cfg Config) (*core.Structure, Stats, error) {
 	if err := c.Validate(); err != nil {
 		return nil, Stats{}, fmt.Errorf("explorer: %w", err)
@@ -131,8 +133,9 @@ func GenerateContext(ctx context.Context, c *netlist.Circuit, cfg Config) (*core
 	s := core.NewStructure(c, placement.DefaultFloorplan(c))
 
 	start := time.Now()
-	stats := Stats{BestAvgCost: math.Inf(1), Chains: cfg.Chains}
+	stats := Stats{BestAvgCost: math.Inf(1)}
 	if err := run(ctx, c, s, cfg, &stats); err != nil {
+		stats.Duration = time.Since(start)
 		return nil, stats, fmt.Errorf("explorer: %w", err)
 	}
 	stats.FinalCoverage = s.Coverage()
@@ -147,33 +150,53 @@ type step struct {
 	err    error                // non-nil on a chain's last step: it failed
 }
 
-// run starts cfg.Chains chains, each with MaxIterations/Chains
-// iterations, and is the structure's only writer: it stores their steps
-// in (iteration, chain) order until the budget is spent, a stop target is
-// reached, a step fails or ctx is done. Before it returns, it cancels the
-// chains and waits for every one to exit.
+// run splits the MaxIterations budget over cfg.Chains chains — chain ch
+// gets MaxIterations/Chains iterations, plus one while ch is below the
+// remainder, and a chain whose share is 0 does not start — and is the
+// structure's only writer: it stores their steps in (iteration, chain)
+// order until the budget is spent, a stop target is reached, a step fails
+// or ctx is done. Before it returns, it cancels the chains and waits for
+// every one to exit.
 func run(ctx context.Context, c *netlist.Circuit, s *core.Structure, cfg Config, stats *Stats) error {
-	iters := max(1, cfg.MaxIterations/cfg.Chains)
+	share, extra := cfg.MaxIterations/cfg.Chains, cfg.MaxIterations%cfg.Chains
 	fp := s.Floorplan()
 	chainCtx, cancel := context.WithCancel(ctx)
 	var wg sync.WaitGroup
 	defer wg.Wait()
 	defer cancel()
-	steps := make([]chan step, cfg.Chains)
-	for ch := range steps {
+	// Shares fall with the chain index, so the chains that run, and those
+	// with a step at any one iteration, are a prefix of the chain indices.
+	var steps []chan step
+	for ch := 0; ch < cfg.Chains; ch++ {
+		iters := share
+		if ch < extra {
+			iters++
+		}
+		if iters <= 0 {
+			break
+		}
 		// Room for the chain's whole budget: a chain never waits for the
 		// store loop, so it runs ahead of slower chains and never blocks
 		// on a loop that has returned.
-		steps[ch] = make(chan step, iters)
+		out := make(chan step, iters)
+		steps = append(steps, out)
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(ch)*7919))
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			runChain(chainCtx, c, fp, cfg, rng, iters, steps[ch])
+			runChain(chainCtx, c, fp, cfg, rng, iters, out)
 		}()
 	}
+	stats.Chains = len(steps)
 
-	for it := 0; it < iters; it++ {
+	rounds := share
+	if extra > 0 {
+		rounds++
+	}
+	for it := 0; it < rounds; it++ {
+		if it == share {
+			steps = steps[:extra] // the last round: only the first extra chains have a step
+		}
 		for ch, out := range steps {
 			st := <-out
 			// Chains may be ahead: nothing is stored once ctx is done.

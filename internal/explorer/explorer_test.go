@@ -226,12 +226,16 @@ func TestGenerateContextCancel(t *testing.T) {
 		}
 	}
 	start := time.Now()
-	s, _, err := GenerateContext(ctx, c, cfg)
+	s, stats, err := GenerateContext(ctx, c, cfg)
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("err = %v, want context.Canceled", err)
 	}
 	if s != nil {
 		t.Error("cancelled generation returned a structure")
+	}
+	// The stats of a cancelled run still time it, as the GA's do.
+	if stats.Iterations == 0 || stats.Duration <= 0 {
+		t.Errorf("cancelled run's stats: %d iterations in %v", stats.Iterations, stats.Duration)
 	}
 	if iterations > 4 {
 		t.Errorf("ran %d iterations after cancellation", iterations-3)
@@ -273,23 +277,32 @@ func TestGenerateContextPreCancelled(t *testing.T) {
 	}
 }
 
+// TestGenerateParallelChains checks that the chains together run the
+// config's iterations exactly, whether or not the chain count divides
+// them, and that a chain count above the budget starts one chain per
+// iteration.
 func TestGenerateParallelChains(t *testing.T) {
 	c := circuits.MustByName("circ02")
-	cfg := quickCfg(8)
-	cfg.MaxIterations = 40
-	cfg.Chains = 4
-	s, stats, err := GenerateContext(context.Background(), c, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := s.CheckInvariants(); err != nil {
-		t.Fatalf("parallel generation broke invariants: %v", err)
-	}
-	if stats.Iterations != 40 {
-		t.Errorf("Iterations = %d, want 40 across chains", stats.Iterations)
-	}
-	if s.NumPlacements() == 0 {
-		t.Error("no placements stored by parallel chains")
+	for _, chains := range []int{3, 4, 7, 64} {
+		cfg := quickCfg(8)
+		cfg.MaxIterations = 40
+		cfg.Chains = chains
+		s, stats, err := GenerateContext(context.Background(), c, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.CheckInvariants(); err != nil {
+			t.Fatalf("chains %d: parallel generation broke invariants: %v", chains, err)
+		}
+		if stats.Iterations != 40 {
+			t.Errorf("chains %d: Iterations = %d, want 40 across chains", chains, stats.Iterations)
+		}
+		if want := min(chains, 40); stats.Chains != want {
+			t.Errorf("chains %d: Stats.Chains = %d, want %d", chains, stats.Chains, want)
+		}
+		if s.NumPlacements() == 0 {
+			t.Errorf("chains %d: no placements stored by parallel chains", chains)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package geom
 import (
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 	"testing/quick"
 )
@@ -369,12 +370,13 @@ func TestIntervalLenFloat(t *testing.T) {
 		t.Errorf("empty LenFloat = %g, want 0", got)
 	}
 	// The overflow case Len cannot represent: [0, MaxInt] has MaxInt+1
-	// integers; Len wraps negative, LenFloat must stay ~2^63.
+	// integers, 2^63 where int has 64 bits and 2^31 where it has 32; Len
+	// wraps negative, LenFloat must stay exact.
 	wide := NewInterval(0, math.MaxInt)
 	if wide.Len() >= 0 {
 		t.Fatalf("test premise broken: Len = %d did not overflow", wide.Len())
 	}
-	if got, want := wide.LenFloat(), math.Exp2(63); got != want {
+	if got, want := wide.LenFloat(), math.Exp2(strconv.IntSize-1); got != want {
 		t.Errorf("wide LenFloat = %g, want %g", got, want)
 	}
 }

@@ -213,7 +213,10 @@ func (p *Placement) CheckLegal(fp geom.Rect) error {
 	n := p.N()
 	for i := 0; i < n; i++ {
 		ri := p.MaxRect(i)
-		if !fp.Contains(ri) {
+		// A far edge below the anchor is an anchor within a maximum
+		// dimension of the int range's end, whose edge wrapped: that block
+		// lies past every floorplan, though its rect reads as empty.
+		if ri.X1 < ri.X0 || ri.Y1 < ri.Y0 || !fp.Contains(ri) {
 			return fmt.Errorf("placement: block %d rect %v outside floorplan %v", i, ri, fp)
 		}
 		for j := i + 1; j < n; j++ {

@@ -184,3 +184,33 @@ func TestGenerateGABackendServed(t *testing.T) {
 		t.Errorf("backendless spec normalized to %q, want anneal", annealInfo.Spec.Backend)
 	}
 }
+
+// TestGenerationSeriesPerBackend generates quick circ01 under each backend
+// and checks that backend's generation series against the Stats the POST
+// returned: its proposals, its acceptances and one run in its duration
+// histogram.
+func TestGenerationSeriesPerBackend(t *testing.T) {
+	_, ts := newTestServer(t, Config{})
+	for _, backend := range []string{"anneal", "ga"} {
+		var info StructureInfo
+		spec := GenerateSpec{Circuit: "circ01", Effort: "quick", Backend: backend}
+		if code, body := postJSON(t, ts.URL+"/v1/structures", spec, &info); code != http.StatusOK || info.Stats == nil {
+			t.Fatalf("%s: generate: %d %s", backend, code, body)
+		}
+		if info.Stats.Iterations == 0 || info.Stats.Duration == 0 {
+			t.Fatalf("%s: generation reported %+v", backend, *info.Stats)
+		}
+		m := scrapeMetrics(t, ts.URL)
+		sel := map[string]string{"backend": backend}
+		for name, want := range map[string]float64{
+			"mps_generation_proposals_total":   float64(info.Stats.Iterations),
+			"mps_generation_acceptances_total": float64(info.Stats.Accepted),
+			"mps_generation_run_seconds_count": 1,
+			"mps_generation_run_seconds_sum":   info.Stats.Duration.Seconds(),
+		} {
+			if got := m.Sum(name, sel); got != want {
+				t.Errorf("%s: %s = %v, want %v", backend, name, got, want)
+			}
+		}
+	}
+}

@@ -9,9 +9,9 @@
 //   - Label sets are bounded by construction: routes come from the fixed
 //     routeLabel table, stages from the obs.Stage enum, peers from the
 //     static cluster membership, job priorities from the submitter's
-//     fixed priority scheme, circuits from the benchmark registry and
-//     portfolio members from the daemon's member cap. Nothing
-//     client-controlled becomes a label.
+//     fixed priority scheme, circuits from the benchmark registry,
+//     backends from the generation registry and portfolio members from
+//     the daemon's member cap. Nothing client-controlled becomes a label.
 //   - Counters owned by other layers (cluster, jobs) stay where they are
 //     — atomics next to the code that increments them — and are exported
 //     through scrape-time CounterFunc/GaugeFunc closures, so /metrics
@@ -28,6 +28,7 @@ import (
 	"mps"
 	"mps/internal/circuits"
 	"mps/internal/cluster"
+	"mps/internal/gen"
 	"mps/internal/obs"
 )
 
@@ -98,6 +99,9 @@ type serverMetrics struct {
 	answers   map[string]*[numSources]*obs.Counter
 	routeWins [maxPortfolio]*obs.Counter
 
+	// generation[backend] holds one generation backend's run series.
+	generation map[string]generationMetrics
+
 	genRuns         *obs.Counter
 	persistErrs     *obs.Counter
 	loadErrs        *obs.Counter
@@ -109,6 +113,11 @@ type serverMetrics struct {
 type routeMetrics struct {
 	hist  *obs.Histogram
 	codes *obs.CodeCounters
+}
+
+type generationMetrics struct {
+	proposals, acceptances *obs.Counter
+	runTime                *obs.Histogram
 }
 
 // newServerMetrics builds the registry for s. Gauge and counter funcs
@@ -154,6 +163,16 @@ func newServerMetrics(s *Server) *serverMetrics {
 		m.routeWins[i] = wins.With(strconv.Itoa(i))
 	}
 
+	proposals := reg.CounterVec("mps_generation_proposals_total",
+		"Candidate placements proposed by generation runs (Stats.Iterations), by backend.", "backend")
+	acceptances := reg.CounterVec("mps_generation_acceptances_total",
+		"Proposals generation runs accepted (Stats.Accepted), by backend.", "backend")
+	runTime := reg.HistogramVec("mps_generation_run_seconds",
+		"Generation run duration (Stats.Duration), by backend.", "backend")
+	m.generation = make(map[string]generationMetrics)
+	for _, name := range gen.Names() {
+		m.generation[name] = generationMetrics{proposals.With(name), acceptances.With(name), runTime.With(name)}
+	}
 	m.genRuns = reg.Counter("mps_generation_runs_total",
 		"Full annealing runs started (cache and store hits excluded).")
 	m.persistErrs = reg.Counter("mps_store_persist_errors_total",
@@ -179,8 +198,8 @@ func newServerMetrics(s *Server) *serverMetrics {
 			return float64(len(s.batchSlots))
 		})
 	reg.GaugeFunc("mps_batch_slots_limit",
-		"Server-wide concurrent instantiate batch bound.", func() float64 {
-			return maxConcurrentBatches
+		"Server-wide concurrent instantiate batch bound: one per P.", func() float64 {
+			return float64(cap(s.batchSlots))
 		})
 
 	// Jobs: live queue gauges plus the scheduler's monotonic lifetime
@@ -378,6 +397,16 @@ func (m *serverMetrics) countAnswers(circuit string, batch []mps.BatchResult) {
 		if n > 0 {
 			m.routeWins[member].Add(n)
 		}
+	}
+}
+
+// generationRun records the Stats of one generation run that returned
+// under its backend, a registry name: admit resolved it.
+func (m *serverMetrics) generationRun(backend string, st mps.Stats) {
+	if g, ok := m.generation[backend]; ok {
+		g.proposals.Add(int64(st.Iterations))
+		g.acceptances.Add(int64(st.Accepted))
+		g.runTime.Observe(st.Duration)
 	}
 }
 

@@ -3,9 +3,10 @@
 // setting: structures are generated once per (circuit, seed, options) key
 // and held in a bounded LRU cache (Fig. 1a), and batched Instantiate
 // traffic — the hot path of a layout-inclusive sizing loop (Fig. 1b,
-// §3.3) — is answered from the cached structure through the facade's
-// concurrent InstantiateBatch worker pool, which queries the compiled
-// (flat, allocation-free) form of the structure. Every cache entry holds
+// §3.3) — is answered from the cached structure by the facade's
+// InstantiateBatch, which queries the compiled (flat, allocation-free)
+// form of the structure on the request's goroutine; concurrent requests
+// are the parallelism, one batch per P at a time. Every cache entry holds
 // one artifact shape, a portfolio of 1..K member structures: a plain spec
 // is its one-member case, which the portfolio answers without routing,
 // and a portfolio spec fans its K members out as ordinary entries. The
@@ -44,6 +45,7 @@ import (
 	"io"
 	"math/rand"
 	"net/http"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -65,9 +67,6 @@ type Config struct {
 	// CacheSize bounds the number of generated structures kept in memory
 	// (LRU eviction). Default 8.
 	CacheSize int
-	// Workers bounds the per-request InstantiateBatch worker pool.
-	// 0 uses GOMAXPROCS.
-	Workers int
 	// MaxBatch caps queries per instantiate request. It also sizes the
 	// request body limit (~1 KiB per query), so it bounds per-request
 	// decode memory: the default 8192 keeps any one request under ~8 MiB.
@@ -136,12 +135,6 @@ func (cfg Config) withDefaults() Config {
 	return cfg
 }
 
-// maxConcurrentBatches bounds how many instantiate batches execute at once
-// server-wide (each uses up to Config.Workers goroutines); excess requests
-// queue. Keeps N concurrent clients from oversubscribing the CPU with
-// N×Workers runnable goroutines.
-const maxConcurrentBatches = 4
-
 // Server is the query engine: an LRU cache of generated structures plus
 // the HTTP handlers that fill and query it. Safe for concurrent use.
 type Server struct {
@@ -155,8 +148,9 @@ type Server struct {
 	// hot routing checks.
 	cluster *cluster.Cluster
 
-	// batchSlots is a semaphore bounding concurrent batch executions to
-	// maxConcurrentBatches.
+	// batchSlots is a semaphore with one slot per P (GOMAXPROCS, read in
+	// New): at most that many instantiate batches do their CPU work at
+	// once, and the rest wait in the batch_wait stage.
 	batchSlots chan struct{}
 
 	// metrics is the server's observability registry plus the hot-path
@@ -247,7 +241,7 @@ func New(cfg Config) *Server {
 		cfg:        cfg,
 		sched:      sched,
 		cluster:    cfg.Cluster,
-		batchSlots: make(chan struct{}, maxConcurrentBatches),
+		batchSlots: make(chan struct{}, runtime.GOMAXPROCS(0)),
 		traces:     obs.NewTraceStore(node, traceBuffer, cfg.SlowQuery, traceSample),
 		cache:      make(map[string]*entry),
 		order:      list.New(),
@@ -790,9 +784,10 @@ func (s *Server) setJobID(e *entry, id string) {
 
 // runGeneration executes one full annealing run under the job's context,
 // translating generation progress into job progress, and returns the
-// structure as the one-member portfolio its cache entry holds. Panics
-// become errors so a misbehaving generator fails one entry, not the
-// daemon.
+// structure as the one-member portfolio its cache entry holds. A run that
+// returns, failed or not, records its Stats in its backend's generation
+// series. Panics become errors so a misbehaving generator fails one
+// entry, not the daemon.
 func (s *Server) runGeneration(ctx context.Context, spec GenerateSpec, report func(jobs.Progress)) (p *mps.Portfolio, stats mps.Stats, err error) {
 	defer func() {
 		if r := recover(); r != nil {
@@ -821,6 +816,7 @@ func (s *Server) runGeneration(ctx context.Context, spec GenerateSpec, report fu
 	})
 	if len(res.Stats) > 0 {
 		stats = res.Stats[0]
+		s.metrics.generationRun(spec.Backend, stats)
 	}
 	if err != nil {
 		return nil, stats, err
@@ -1861,31 +1857,42 @@ func (s *Server) handleInstantiate(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 
-	// The batch slot wraps only the CPU fan-out — holding it across decode
-	// or a cold generation would let a handful of slow requests starve
-	// sub-millisecond cached traffic. Requests shed while queued get a 503
-	// so the access log does not count shed load as success. Per-request
-	// decode memory is bounded by MaxBatch (see withDefaults).
+	// The batch slot covers only the batch's CPU work: the lookups and
+	// building the response bytes. Holding it across decode or a cold
+	// generation would let a handful of slow requests starve
+	// sub-millisecond cached traffic, and holding it across the write
+	// would let clients that stop reading hold every slot. Requests shed
+	// while queued get a 503 so the access log does not count shed load
+	// as success. Per-request decode memory is bounded by MaxBatch (see
+	// withDefaults).
 	tr.Annotate(e.key)
 	slotSpan := tr.StartSpan(obs.StageBatchWait)
 	select {
 	case s.batchSlots <- struct{}{}:
 		s.metrics.endSpan(slotSpan)
-		defer func() { <-s.batchSlots }()
 	case <-r.Context().Done():
 		s.metrics.endSpan(slotSpan)
 		writeError(w, http.StatusServiceUnavailable, "canceled while queued for a batch slot")
 		return
 	}
+	encSpan, resp := s.answerBatch(tr, e, queries)
+	writeInstantiateResponse(w, resp)
+	s.metrics.endSpan(encSpan)
+}
+
+// answerBatch answers queries from e's portfolio and builds the response
+// bytes while holding the batch slot its caller acquired, and releases
+// the slot when it returns, a panic included. The encode span it returns
+// is still open, so that it also covers the caller's write.
+func (s *Server) answerBatch(tr *obs.Trace, e *entry, queries []mps.DimQuery) (obs.SpanRef, *[]byte) {
+	defer func() { <-s.batchSlots }()
 	instSpan := tr.StartSpan(obs.StageInstantiate)
 	instSpan.SetKey(e.key)
-	batch := e.p.InstantiateBatchWorkers(queries, s.cfg.Workers)
+	batch := e.p.InstantiateBatch(queries)
 	s.metrics.endSpan(instSpan)
 	s.metrics.countAnswers(e.spec.Circuit, batch)
-
 	encSpan := tr.StartSpan(obs.StageEncode)
-	writeInstantiateResponse(w, e.key, batch)
-	s.metrics.endSpan(encSpan)
+	return encSpan, buildInstantiateResponse(e.key, batch)
 }
 
 // maxQueryBytes is a generous upper bound on the JSON size of one

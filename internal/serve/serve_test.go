@@ -13,11 +13,13 @@ import (
 	"net/url"
 	"os"
 	"path/filepath"
+	"runtime"
 	"slices"
 	"strconv"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"mps"
 	"mps/internal/circuits"
@@ -346,12 +348,12 @@ func TestBodySizeLimit(t *testing.T) {
 	}
 }
 
-// TestInstantiateBatchSlots covers the server-wide batch semaphore: with
-// all 4 slots held, an instantiate whose client goes away while it queues
-// is shed with a 503 and the slot gauges read 4 in use of 4; once one
-// slot frees, the same request is answered.
+// TestInstantiateBatchSlots covers the server-wide batch semaphore, one
+// slot per P: with every slot held, an instantiate whose client goes away
+// while it queues is shed with a 503 and the slot gauges read all slots in
+// use of GOMAXPROCS; once one slot frees, the same request is answered.
 func TestInstantiateBatchSlots(t *testing.T) {
-	const slots = 4
+	slots := runtime.GOMAXPROCS(0)
 	s, ts := newTestServer(t, Config{})
 	if code, body := postJSON(t, ts.URL+"/v1/structures", testSpec(1), nil); code != http.StatusOK {
 		t.Fatalf("generate: %d %s", code, body)
@@ -384,7 +386,7 @@ func TestInstantiateBatchSlots(t *testing.T) {
 	}
 	m := scrapeMetrics(t, ts.URL)
 	for _, name := range []string{"mps_batch_slots_in_use", "mps_batch_slots_limit"} {
-		if got := m.Sum(name, nil); got != slots {
+		if got := m.Sum(name, nil); got != float64(slots) {
 			t.Errorf("%s = %v, want %d", name, got, slots)
 		}
 	}
@@ -395,6 +397,71 @@ func TestInstantiateBatchSlots(t *testing.T) {
 	}
 	if got := len(s.batchSlots); got != slots-1 {
 		t.Errorf("slots in use after the answered request = %d, want %d (its slot released)", got, slots-1)
+	}
+}
+
+// blockingWriter is a ResponseWriter whose Write announces itself on
+// entered and then blocks until release closes, like a client that stops
+// reading its answer.
+type blockingWriter struct {
+	*httptest.ResponseRecorder
+	entered chan<- struct{}
+	release <-chan struct{}
+}
+
+func (w blockingWriter) Write(b []byte) (int, error) {
+	w.entered <- struct{}{}
+	<-w.release
+	return w.ResponseRecorder.Write(b)
+}
+
+// TestInstantiateSlotReleasedBeforeWrite checks that a batch slot covers
+// only the batch's CPU work: with one request per slot blocked in writing
+// its answer, no slot is held, and a further request is answered at once
+// rather than queued behind the blocked writes.
+func TestInstantiateSlotReleasedBeforeWrite(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	if code, body := postJSON(t, ts.URL+"/v1/structures", testSpec(1), nil); code != http.StatusOK {
+		t.Fatalf("generate: %d %s", code, body)
+	}
+	body, err := json.Marshal(map[string]any{"spec": testSpec(1), "queries": []any{testQuery(t, 0)}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := s.Handler()
+	request := func(ctx context.Context) *http.Request {
+		return httptest.NewRequest(http.MethodPost, "/v1/instantiate", bytes.NewReader(body)).WithContext(ctx)
+	}
+
+	blocked := cap(s.batchSlots)
+	entered, release := make(chan struct{}), make(chan struct{})
+	var wg sync.WaitGroup
+	for i := 0; i < blocked; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			w := blockingWriter{httptest.NewRecorder(), entered, release}
+			h.ServeHTTP(w, request(context.Background()))
+			if w.Code != http.StatusOK {
+				t.Errorf("blocked writer's request answered %d %s, want 200", w.Code, w.Body)
+			}
+		}()
+	}
+	defer wg.Wait()
+	defer close(release)
+	for i := 0; i < blocked; i++ {
+		<-entered
+	}
+	if got := len(s.batchSlots); got != 0 {
+		t.Errorf("slots held while %d answers are being written = %d, want 0", blocked, got)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	rec := httptest.NewRecorder()
+	h.ServeHTTP(rec, request(ctx))
+	if rec.Code != http.StatusOK {
+		t.Errorf("request behind %d blocked writes: %d %s, want 200", blocked, rec.Code, rec.Body)
 	}
 }
 

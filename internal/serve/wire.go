@@ -149,9 +149,8 @@ func (d *wireDecoder) spec(req *instantiateRequest) bool {
 		case "backend":
 			bit, ok = 1<<3, d.text(&g.Backend)
 		case "seed":
-			var v int
-			v, ok = d.integer()
-			bit, g.Seed = 1<<4, int64(v)
+			bit = 1 << 4
+			g.Seed, ok = d.integer64()
 		case "iterations":
 			bit = 1 << 5
 			g.Iterations, ok = d.integer()
@@ -324,6 +323,15 @@ func (d *wireDecoder) intArray() ([]int, bool) {
 // an int — what encoding/json's strconv.ParseInt accepts for an int
 // field. Anything else, overflow included, leaves the grammar.
 func (d *wireDecoder) integer() (int, bool) {
+	v, ok := d.integer64()
+	if !ok || int64(int(v)) != v {
+		return 0, false
+	}
+	return int(v), true
+}
+
+// integer64 is integer for an int64 field.
+func (d *wireDecoder) integer64() (int64, bool) {
 	neg := d.i < len(d.b) && d.b[d.i] == '-'
 	if neg {
 		d.i++
@@ -340,19 +348,13 @@ func (d *wireDecoder) integer() (int, bool) {
 		(d.i < len(d.b) && (d.b[d.i] == '.' || d.b[d.i] == 'e' || d.b[d.i] == 'E')) {
 		return 0, false
 	}
-	var v int64
 	switch {
 	case neg && u <= 1<<63:
-		v = -int64(u) // -(1<<63) wraps to itself: math.MinInt64
+		return -int64(u), true // -(1<<63) wraps to itself: math.MinInt64
 	case !neg && u <= math.MaxInt64:
-		v = int64(u)
-	default:
-		return 0, false
+		return int64(u), true
 	}
-	if int64(int(v)) != v {
-		return 0, false
-	}
-	return int(v), true
+	return 0, false
 }
 
 // number returns the literal of a JSON number, checked against the JSON
@@ -449,16 +451,21 @@ var respBufs = sync.Pool{New: func() any { return new([]byte) }}
 
 const maxPooledResp = 256 << 10
 
-// writeInstantiateResponse writes the 200 answer to an instantiate batch
-// in one Write.
-func writeInstantiateResponse(w http.ResponseWriter, key string, batch []mps.BatchResult) {
+// buildInstantiateResponse builds the 200 answer to an instantiate batch
+// in a pooled buffer, which writeInstantiateResponse writes and recycles.
+func buildInstantiateResponse(key string, batch []mps.BatchResult) *[]byte {
 	bp := respBufs.Get().(*[]byte)
-	buf := appendInstantiateResponse((*bp)[:0], key, batch)
+	*bp = appendInstantiateResponse((*bp)[:0], key, batch)
+	return bp
+}
+
+// writeInstantiateResponse writes a response buildInstantiateResponse
+// built in one Write, then returns its buffer to the pool.
+func writeInstantiateResponse(w http.ResponseWriter, bp *[]byte) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
-	_, _ = w.Write(buf)
-	if cap(buf) <= maxPooledResp {
-		*bp = buf
+	_, _ = w.Write(*bp)
+	if cap(*bp) <= maxPooledResp {
 		respBufs.Put(bp)
 	}
 }

@@ -3,10 +3,12 @@ package serve
 import (
 	"encoding/json"
 	"errors"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
 	"reflect"
+	"strconv"
 	"testing"
 
 	"mps"
@@ -38,13 +40,14 @@ func canonicalBody(t testing.TB, n int, weighted bool) []byte {
 }
 
 // canonicalSeeds lie inside the fast path's grammar and offGrammarSeeds
-// just outside it; together they seed FuzzInstantiateDecode.
+// just outside it; together they seed FuzzInstantiateDecode. The ws and
+// hs bounds are int's, whatever its size; seed is an int64 everywhere.
 var canonicalSeeds = []string{
 	`{"spec":{"circuit":"TwoStageOpamp","seed":1,"effort":"balanced"},"queries":[{"ws":[20,16,12,24,18],"hs":[10,8,7,12,18]},{"ws":[21,17,13,25,19],"hs":[11,9,8,13,19]}]}`,
 	`{"spec":{"circuit":"TwoStageOpamp","seed":1,"effort":"balanced","portfolio":3,"member_weights":[{"area":1},{"wire":1},{"aspect":1}]},"queries":[{"ws":[20,16,12,24,18],"hs":[10,8,7,12,18],"weights":{"wire":1,"area":0.05}},{"ws":[20,16,12,24,18],"hs":[10,8,7,12,18],"weights":{"aspect":2.5e-1}}]}`,
 	`{"key":"circ01|seed=1|it=20|bdio=40|chains=1|maxp=0|backup=tree","weights":{"wire":1,"area":0.05,"aspect":0},"queries":[{"ws":[1,2],"hs":[3,4]}]}`,
 	" \t\r\n{ \"queries\" : [ { \"hs\" : [ 1 , -2 ] , \"ws\" : [ ] } ] , \"key\" : \"k\" } \n",
-	`{"key":"k","queries":[{"ws":[-0,0],"hs":[9223372036854775807,-9223372036854775808]}]}`,
+	`{"key":"k","queries":[{"ws":[-0,0],"hs":[` + strconv.Itoa(math.MaxInt) + `,` + strconv.Itoa(math.MinInt) + `]}]}`,
 	`{"key":"k","queries":[{"ws":[1],"hs":[1],"weights":{"wire":-0,"area":1E+2,"aspect":0.5e-3}}]}`,
 	`{"spec":{"circuit":"circ01","effort":"quick","backup":"seqpair","backend":"ga","seed":-7,"iterations":-20,"bdio_steps":40,"chains":2,"max_placements":-1,"portfolio":2,"weights":{},"member_weights":[]},"queries":[{"weights":{}}]}`,
 	`{"spec":{"member_weights":[{"wire":1},{},{"area":0.5,"aspect":2}],"weights":{"wire":1,"area":0.01},"portfolio":3,"circuit":"circ01","seed":0},"queries":[]}`,
@@ -55,8 +58,8 @@ var canonicalSeeds = []string{
 }
 
 var offGrammarSeeds = []string{
-	`{"key":"k","queries":[{"ws":[9223372036854775808],"hs":[1]}]}`,
-	`{"key":"k","queries":[{"ws":[-9223372036854775809],"hs":[1]}]}`,
+	`{"key":"k","queries":[{"ws":[` + strconv.FormatUint(math.MaxInt+1, 10) + `],"hs":[1]}]}`,
+	`{"key":"k","queries":[{"ws":[-` + strconv.FormatUint(math.MaxInt+2, 10) + `],"hs":[1]}]}`,
 	`{"key":"k","queries":[{"ws":[9999999999999999999],"hs":[1]}]}`,
 	`{"key":"k","queries":[{"ws":[1.0],"hs":[1e2]}]}`,
 	`{"key":"k","queries":[{"ws":[01],"hs":[1]}]}`,
@@ -262,7 +265,7 @@ func TestInstantiateResponseMatchesEncodingJSON(t *testing.T) {
 		key := awkwardStrings[rng.Intn(len(awkwardStrings))]
 		want := historicalResponse(key, batch)
 		got := httptest.NewRecorder()
-		writeInstantiateResponse(got, key, batch)
+		writeInstantiateResponse(got, buildInstantiateResponse(key, batch))
 		if got.Code != want.Code || got.Header().Get("Content-Type") != want.Header().Get("Content-Type") {
 			t.Fatalf("trial %d: status %d %q, want %d %q", trial, got.Code, got.Header().Get("Content-Type"),
 				want.Code, want.Header().Get("Content-Type"))

@@ -2,7 +2,6 @@ package store
 
 import (
 	"encoding/json"
-	"errors"
 	"os"
 	"path/filepath"
 	"testing"
@@ -24,7 +23,7 @@ func putMembers(t *testing.T, d *Dir, count int) []string {
 	return keys
 }
 
-func TestPortfolioRecordGetListDelete(t *testing.T) {
+func TestPortfolioRecordGetList(t *testing.T) {
 	dir := t.TempDir()
 	d, err := Open(dir)
 	if err != nil {
@@ -64,17 +63,6 @@ func TestPortfolioRecordGetListDelete(t *testing.T) {
 	}
 	if list := d.Portfolios(); len(list) != 1 || list[0].Key != "p1" {
 		t.Fatalf("Portfolios = %+v, want the one recorded row", list)
-	}
-
-	if err := d.DeletePortfolio("p1"); err != nil {
-		t.Fatal(err)
-	}
-	if err := d.DeletePortfolio("p1"); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("second DeletePortfolio: %v, want ErrNotFound", err)
-	}
-	// Member entries survive a portfolio delete: they are shared entries.
-	if _, ok := d.Stat("m0"); !ok {
-		t.Error("DeletePortfolio removed a member entry")
 	}
 }
 

@@ -447,22 +447,6 @@ func (d *Dir) Portfolios() []PortfolioMeta {
 	return out
 }
 
-// DeletePortfolio removes a portfolio grouping row. Member structures are
-// left in place — they are shared with (and reachable as) single-structure
-// entries. Deleting an absent key returns ErrNotFound.
-func (d *Dir) DeletePortfolio(key string) error {
-	d.mu.Lock()
-	_, ok := d.portfolios[key]
-	if ok {
-		delete(d.portfolios, key)
-	}
-	d.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, key)
-	}
-	return d.saveManifest()
-}
-
 // saveManifest rewrites the manifest atomically. Writers are serialized
 // by writeMu and snapshot entries after acquiring it, so whichever write
 // lands last carries every mutation that preceded it.

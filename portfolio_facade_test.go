@@ -5,7 +5,6 @@ import (
 	"math/rand"
 	"path/filepath"
 	"reflect"
-	"runtime"
 	"testing"
 
 	"mps/internal/seqpair"
@@ -61,8 +60,7 @@ func TestGeneratePortfolioMembersMatchSingles(t *testing.T) {
 }
 
 // TestPortfolioBatchMatchesSerial checks the portfolio batch path against
-// query-at-a-time routing, serial and parallel, including the Member
-// bookkeeping.
+// query-at-a-time routing, including the Member bookkeeping.
 func TestPortfolioBatchMatchesSerial(t *testing.T) {
 	p, c := genQuickPortfolio(t, "TwoStageOpamp", 7)
 	rng := rand.New(rand.NewSource(2))
@@ -71,27 +69,24 @@ func TestPortfolioBatchMatchesSerial(t *testing.T) {
 		ws, hs := randomDims(c, rng)
 		queries[i] = DimQuery{Ws: ws, Hs: hs}
 	}
-	for _, workers := range []int{1, 0, 4} {
-		batch := p.InstantiateBatchWorkers(queries, workers)
-		if len(batch) != len(queries) {
-			t.Fatalf("workers=%d: %d results for %d queries", workers, len(batch), len(queries))
+	batch := p.InstantiateBatch(queries)
+	if len(batch) != len(queries) {
+		t.Fatalf("%d results for %d queries", len(batch), len(queries))
+	}
+	for i, br := range batch {
+		if br.Err != nil {
+			t.Fatalf("query %d: %v", i, br.Err)
 		}
-		for i, br := range batch {
-			if br.Err != nil {
-				t.Fatalf("workers=%d query %d: %v", workers, i, br.Err)
-			}
-			want, err := p.Instantiate(queries[i].Ws, queries[i].Hs)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if br.Member != want.Member || br.PlacementID != want.PlacementID ||
-				!reflect.DeepEqual(br.X, want.X) || !reflect.DeepEqual(br.Y, want.Y) {
-				t.Fatalf("workers=%d query %d: batch %+v, serial %+v", workers, i, br, want)
-			}
-			if (br.Member < 0) != br.FromBackup {
-				t.Fatalf("workers=%d query %d: Member %d inconsistent with FromBackup %v",
-					workers, i, br.Member, br.FromBackup)
-			}
+		want, err := p.Instantiate(queries[i].Ws, queries[i].Hs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if br.Member != want.Member || br.PlacementID != want.PlacementID ||
+			!reflect.DeepEqual(br.X, want.X) || !reflect.DeepEqual(br.Y, want.Y) {
+			t.Fatalf("query %d: batch %+v, serial %+v", i, br, want)
+		}
+		if (br.Member < 0) != br.FromBackup {
+			t.Fatalf("query %d: Member %d inconsistent with FromBackup %v", i, br.Member, br.FromBackup)
 		}
 	}
 }
@@ -145,52 +140,6 @@ func TestPortfolioSaveLoadFiles(t *testing.T) {
 	}
 	if _, err := LoadPortfolio([]string{filepath.Join(dir, "absent.mps")}, c); err == nil {
 		t.Error("LoadPortfolio with a missing member file succeeded, want error")
-	}
-}
-
-// TestBatchWorkersClamp is the regression test for batch fan-out
-// over-spawn: the worker count must never exceed the number of
-// batchChunk-sized chunks, so no spawned goroutine can find the cursor
-// already past the end. It pins the full decision table of batchWorkers —
-// the single place InstantiateBatchWorkers (structure and portfolio)
-// resolves its goroutine count.
-func TestBatchWorkersClamp(t *testing.T) {
-	gomax := runtime.GOMAXPROCS(0)
-	cases := []struct {
-		queries, workers, want int
-	}{
-		{0, 0, 1},                         // empty batch: serial
-		{1, 8, 1},                         // below the serial threshold
-		{serialBatchThreshold - 1, 64, 1}, // still below the threshold
-		{serialBatchThreshold, 64, 2},     // 64 queries = exactly 2 chunks
-		{65, 64, 3},                       // 3 chunks cap 64 requested workers
-		{6 * batchChunk, 4, 4},            // requested bound below chunk count holds
-		{1024, 1, 1},                      // explicit serial
-		{1 << 20, 7, 7},                   // large batch keeps the requested bound
-	}
-	for _, tc := range cases {
-		if got := batchWorkers(tc.queries, tc.workers); got != tc.want {
-			t.Errorf("batchWorkers(%d, %d) = %d, want %d", tc.queries, tc.workers, got, tc.want)
-		}
-	}
-	// workers <= 0 resolves to GOMAXPROCS and is then chunk-clamped.
-	if got, want := batchWorkers(serialBatchThreshold, 0), min(gomax, 2); got != want {
-		t.Errorf("batchWorkers(%d, 0) = %d, want min(GOMAXPROCS, 2) = %d", serialBatchThreshold, got, want)
-	}
-	big := 1 << 20
-	if got, want := batchWorkers(big, 0), min(gomax, (big+batchChunk-1)/batchChunk); got != want {
-		t.Errorf("batchWorkers(%d, 0) = %d, want %d", big, got, want)
-	}
-	// The invariant itself: worker count never exceeds chunk count, for
-	// any batch size and any requested bound.
-	for queries := 0; queries <= 8*batchChunk; queries++ {
-		for _, workers := range []int{-1, 0, 1, 2, 3, 16, 1024} {
-			got := batchWorkers(queries, workers)
-			chunks := (queries + batchChunk - 1) / batchChunk
-			if got > 1 && got > chunks {
-				t.Fatalf("batchWorkers(%d, %d) = %d exceeds %d chunks — over-spawn", queries, workers, got, chunks)
-			}
-		}
 	}
 }
 
